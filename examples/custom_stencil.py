@@ -19,6 +19,7 @@ from repro.loops import (
     LoopNest,
     Statement,
     find_skew_for_rectangular_tiling,
+    kexpr,
     skew_nest,
 )
 from repro.runtime.interpreter import run_sequential
@@ -30,10 +31,10 @@ from repro.tiling import (
 
 
 def main() -> None:
-    # A[t,i,j] = f(A[t-1,i,j], A[t-1,i+1,j-1], A[t,i-1,j])
-    def kernel(_p, reads):
-        return 0.4 * reads[0] + 0.35 * reads[1] + 0.25 * reads[2] + 0.01
-
+    # A[t,i,j] = f(A[t-1,i,j], A[t-1,i+1,j-1], A[t,i-1,j]); f is a
+    # kexpr over one symbol per read — the one definition every engine
+    # (interpreter, dense, parallel, native C) evaluates.
+    reads = kexpr.reads(3)
     stmt = Statement.of(
         ArrayRef.of("A", (0, 0, 0)),
         [
@@ -41,7 +42,7 @@ def main() -> None:
             ArrayRef.of("A", (-1, 1, -1)),
             ArrayRef.of("A", (0, -1, 0)),
         ],
-        kernel,
+        0.4 * reads[0] + 0.35 * reads[1] + 0.25 * reads[2] + 0.01,
     )
     nest = LoopNest.rectangular(
         "custom", [0, 0, 0], [11, 11, 11], [stmt],

@@ -13,17 +13,16 @@ Run:  python examples/quickstart.py
 """
 
 from repro import compile_tiled, execute, ClusterSpec
-from repro.loops import ArrayRef, LoopNest, Statement
+from repro.loops import ArrayRef, LoopNest, Statement, kexpr
 from repro.runtime.interpreter import run_sequential
 from repro.tiling import parallelepiped_tiling, tiling_cone_rays
 
 
 def main() -> None:
     # -- 1. the loop:  A[i,j] = f(A[i-1,j], A[i-1,j-1], A[i-1,j+1]) ----
-    def kernel(_point, reads):
-        left, mid, right = reads
-        return 0.25 * left + 0.5 * mid + 0.25 * right
-
+    # The body is a symbolic expression over the read slots: the same
+    # tree runs point by point, vectorized over wavefronts, and as C.
+    left, mid, right = kexpr.reads(3)
     stmt = Statement.of(
         ArrayRef.of("A", (0, 0)),
         [
@@ -31,7 +30,7 @@ def main() -> None:
             ArrayRef.of("A", (-1, 0)),
             ArrayRef.of("A", (-1, 1)),
         ],
-        kernel,
+        0.25 * left + 0.5 * mid + 0.25 * right,
     )
     nest = LoopNest.rectangular(
         "wavefront", lower=[0, 0], upper=[23, 23],

@@ -153,7 +153,7 @@ def plan_edge_volumes(program: "TiledProgram",
                       ) -> Tuple[Dict[Chan, int], Dict[Chan, int]]:
     """Path B (oracle): totals replayed from the frozen rank plans —
     exactly the messages the simulator and the parallel runtime move."""
-    from repro.runtime.parallel import build_rank_plans
+    from repro.runtime.rankstep import build_rank_plans
 
     messages: Dict[Chan, int] = {}
     elements: Dict[Chan, int] = {}

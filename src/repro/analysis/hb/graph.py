@@ -19,8 +19,9 @@ execution *symbolically* and prove two theorems about it:
   ``rank a -> rank b -> rank a`` diagnostic instead of a runtime
   timeout.
 
-The event model mirrors :func:`repro.runtime.parallel._rank_generator`
-op for op:
+The event model mirrors the runtime's two walks over the same frozen
+plans (:func:`repro.runtime.rankstep.rank_walk` and
+``repro.runtime.parallel._overlap_walk``) op for op:
 
 * per-rank program order follows the tile chain; each tile contributes
   its receives, one compute event, its sends, and (protocol
@@ -62,7 +63,8 @@ import numpy as np
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
-from repro.runtime.parallel import build_edges, build_rank_plans
+from repro.runtime.parallel import build_edges
+from repro.runtime.rankstep import build_rank_plans
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -119,7 +121,7 @@ class HBGraph:
 def _rendezvous_fn(protocol: str,
                    spec: ClusterSpec) -> Callable[[int], bool]:
     """Per-message synchronous-send decision, exactly as the runtime
-    (``parallel._rank_generator``) and the simulator decide it."""
+    (``parallel._RingPort.rendezvous``) and the simulator decide it."""
     thresh = spec.rendezvous_threshold
 
     def rdv(nelems: int) -> bool:

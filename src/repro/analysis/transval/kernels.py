@@ -8,7 +8,7 @@ re-parses that text with its *own* grammar (independent of the
 emitter) and proves, statement by statement:
 
 * the kernel function's expression tree is **structurally identical**
-  to the statement's symbolic :class:`~repro.native.kexpr.KExpr` —
+  to the statement's symbolic :class:`~repro.loops.kexpr.KExpr` —
   same operators, same association, same read slots, and every
   constant's hex literal round-trips to the bitwise-equal double
   (this is what makes ``-ffp-contract=off`` output bitwise equal to
@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
 from repro.loops.nest import LoopNest
-from repro.native import kexpr
+from repro.loops import kexpr
 from repro.native.emit import NativeEmitError, emit_translation_unit
 from repro.runtime.dense import read_dependences
 

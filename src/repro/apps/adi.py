@@ -37,10 +37,10 @@ from typing import Tuple
 
 from repro.apps.base import TiledApp
 from repro.linalg.ratmat import RatMat
+from repro.loops import kexpr
 from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 #: Hand-declared dependence matrix (read order, deduplicated across
@@ -63,42 +63,17 @@ def init_value(array: str, cell: Tuple[int, ...]) -> float:
     return math.sin(0.5 * i) * math.cos(0.4 * j) + 0.02 * t  # X
 
 
-def _kernel_x(_j, vals):
-    # vals: [X[t-1,i,j], X[t-1,i,j-1], B[t-1,i,j-1],
-    #        X[t-1,i-1,j], B[t-1,i-1,j], A[i,j]]
-    x_c, x_jm, b_jm, x_im, b_im, a = vals
-    return x_c + x_jm * a / b_jm - x_im * a / b_im
-
-
-def _kernel_b(_j, vals):
-    # vals: [B[t-1,i,j], B[t-1,i,j-1], B[t-1,i-1,j], A[i,j]]
-    b_c, b_jm, b_im, a = vals
-    return b_c - (a * a) / b_jm - (a * a) / b_im
-
-
-def _kernel_x_np(_pts, vals):
-    # Vectorized twin of ``_kernel_x`` (same operation order).
-    x_c, x_jm, b_jm, x_im, b_im, a = vals
-    return x_c + x_jm * a / b_jm - x_im * a / b_im
-
-
-def _kernel_b_np(_pts, vals):
-    # Vectorized twin of ``_kernel_b`` (same operation order).
-    b_c, b_jm, b_im, a = vals
-    return b_c - (a * a) / b_jm - (a * a) / b_im
-
-
 def _expr_x():
-    # Symbolic twin of ``_kernel_x`` (identical operation order; the
-    # Python source parses left-associatively, made explicit here).
+    # reads: [X[t-1,i,j], X[t-1,i,j-1], B[t-1,i,j-1],
+    #         X[t-1,i-1,j], B[t-1,i-1,j], A[i,j]]
     x_c, x_jm, b_jm, x_im, b_im, a = kexpr.reads(6)
-    return (x_c + ((x_jm * a) / b_jm)) - ((x_im * a) / b_im)
+    return x_c + x_jm * a / b_jm - x_im * a / b_im
 
 
 def _expr_b():
-    # Symbolic twin of ``_kernel_b`` (identical operation order).
+    # reads: [B[t-1,i,j], B[t-1,i,j-1], B[t-1,i-1,j], A[i,j]]
     b_c, b_jm, b_im, a = kexpr.reads(4)
-    return (b_c - ((a * a) / b_jm)) - ((a * a) / b_im)
+    return b_c - (a * a) / b_jm - (a * a) / b_im
 
 
 #: Access matrix projecting iteration (t,i,j) onto array index (i,j).
@@ -116,9 +91,7 @@ def original_nest(t_steps: int, n: int) -> LoopNest:
             ArrayRef.of("B", (-1, -1, 0)),
             ArrayRef.of("A", (0, 0), _PROJ_IJ),
         ],
-        _kernel_x,
-        _kernel_x_np,
-        expr=_expr_x(),
+        _expr_x(),
     )
     st_b = Statement.of(
         ArrayRef.of("B", (0, 0, 0)),
@@ -128,9 +101,7 @@ def original_nest(t_steps: int, n: int) -> LoopNest:
             ArrayRef.of("B", (-1, -1, 0)),
             ArrayRef.of("A", (0, 0), _PROJ_IJ),
         ],
-        _kernel_b,
-        _kernel_b_np,
-        expr=_expr_b(),
+        _expr_b(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

@@ -19,11 +19,11 @@ from typing import Tuple
 
 from repro.apps.base import TiledApp
 from repro.linalg.ratmat import RatMat
+from repro.loops import kexpr
 from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.loops.skewing import skew_nest
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 SKEW = RatMat([[1, 0], [1, 1]])
@@ -45,24 +45,11 @@ def init_value(array: str, cell: Tuple[int, ...]) -> float:
     return math.sin(0.5 * i) + 0.02 * t
 
 
-def _kernel(_j, vals):
-    # vals: [U[t-1,i-1], U[t-1,i], U[t-1,i+1]]
-    c = DIFFUSIVITY
-    return c * vals[0] + (1.0 - 2.0 * c) * vals[1] + c * vals[2]
-
-
-def _kernel_np(_pts, vals):
-    # Vectorized twin of ``_kernel`` (same operation order).
-    c = DIFFUSIVITY
-    return c * vals[0] + (1.0 - 2.0 * c) * vals[1] + c * vals[2]
-
-
 def _expr():
-    # Symbolic twin of ``_kernel`` (identical operation order;
-    # ``1.0 - 2.0*c`` folds here in Python exactly as in the kernels).
+    # reads: [U[t-1,i-1], U[t-1,i], U[t-1,i+1]]
     c = DIFFUSIVITY
     v = kexpr.reads(3)
-    return (c * v[0] + (1.0 - 2.0 * c) * v[1]) + c * v[2]
+    return c * v[0] + (1.0 - 2.0 * c) * v[1] + c * v[2]
 
 
 def original_nest(t_steps: int, n: int) -> LoopNest:
@@ -74,9 +61,7 @@ def original_nest(t_steps: int, n: int) -> LoopNest:
             ArrayRef.of(u, (-1, 0)),
             ArrayRef.of(u, (-1, 1)),
         ],
-        _kernel,
-        _kernel_np,
-        expr=_expr(),
+        _expr(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

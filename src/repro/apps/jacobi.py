@@ -24,11 +24,11 @@ from typing import Tuple
 
 from repro.apps.base import TiledApp
 from repro.linalg.ratmat import RatMat
+from repro.loops import kexpr
 from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.loops.skewing import skew_nest
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 SKEW = RatMat([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
@@ -51,22 +51,10 @@ def init_value(array: str, cell: Tuple[int, ...]) -> float:
     return math.cos(0.2 * i - 0.5 * j) + 0.05 * t
 
 
-def _kernel(_j, vals):
-    # vals: [center, i-1, i+1, j-1, j+1] all at t-1
-    return COEF * (vals[0] + vals[1] + vals[2] + vals[3] + vals[4])
-
-
-def _kernel_np(_pts, vals):
-    # Vectorized twin of ``_kernel``: same expression, same operation
-    # order, so per-element results are bitwise identical.
-    return COEF * (vals[0] + vals[1] + vals[2] + vals[3] + vals[4])
-
-
 def _expr():
-    # Symbolic twin of ``_kernel`` for the native backend (identical
-    # operation order).
+    # reads: [center, i-1, i+1, j-1, j+1] all at t-1
     v = kexpr.reads(5)
-    return COEF * ((((v[0] + v[1]) + v[2]) + v[3]) + v[4])
+    return COEF * (v[0] + v[1] + v[2] + v[3] + v[4])
 
 
 def original_nest(t_steps: int, i_size: int, j_size: int) -> LoopNest:
@@ -80,9 +68,7 @@ def original_nest(t_steps: int, i_size: int, j_size: int) -> LoopNest:
             ArrayRef.of(a, (-1, 0, -1)),
             ArrayRef.of(a, (-1, 0, 1)),
         ],
-        _kernel,
-        _kernel_np,
-        expr=_expr(),
+        _expr(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

@@ -25,11 +25,11 @@ from typing import Tuple
 
 from repro.apps.base import TiledApp
 from repro.linalg.ratmat import RatMat
+from repro.loops import kexpr
 from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.loops.skewing import skew_nest
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 #: The paper's skewing matrix (from Xue [15]).
@@ -61,26 +61,12 @@ def init_value(array: str, cell: Tuple[int, ...]) -> float:
     return math.sin(0.3 * i + 0.7 * j) + 0.1 * t
 
 
-def _kernel(_j, vals):
-    # vals: [A[t,i-1,j], A[t,i,j-1], A[t-1,i+1,j], A[t-1,i,j+1], A[t-1,i,j]]
-    return (OMEGA / 4.0) * (vals[0] + vals[1] + vals[2] + vals[3]) \
-        + (1.0 - OMEGA) * vals[4]
-
-
-def _kernel_np(_pts, vals):
-    # Vectorized twin of ``_kernel``: same expression, same operation
-    # order, so per-element results are bitwise identical.
-    return (OMEGA / 4.0) * (vals[0] + vals[1] + vals[2] + vals[3]) \
-        + (1.0 - OMEGA) * vals[4]
-
-
 def _expr():
-    # Symbolic twin of ``_kernel`` for the native backend: identical
-    # operation order; ``OMEGA / 4.0`` and ``1.0 - OMEGA`` fold here in
-    # Python, exactly as they evaluate inside the kernels.
+    # reads: [A[t,i-1,j], A[t,i,j-1], A[t-1,i+1,j], A[t-1,i,j+1], A[t-1,i,j]]
+    # ``OMEGA / 4.0`` and ``1.0 - OMEGA`` fold here, once, in Python.
     v = kexpr.reads(5)
-    return ((OMEGA / 4.0) * (((v[0] + v[1]) + v[2]) + v[3])
-            + (1.0 - OMEGA) * v[4])
+    return (OMEGA / 4.0) * (v[0] + v[1] + v[2] + v[3]) \
+        + (1.0 - OMEGA) * v[4]
 
 
 def original_nest(m: int, n: int) -> LoopNest:
@@ -95,9 +81,7 @@ def original_nest(m: int, n: int) -> LoopNest:
             ArrayRef.of(a, (-1, 0, 1)),
             ArrayRef.of(a, (-1, 0, 0)),
         ],
-        _kernel,
-        _kernel_np,
-        expr=_expr(),
+        _expr(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

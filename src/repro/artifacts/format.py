@@ -46,8 +46,8 @@ import numpy as np
 
 from repro.artifacts.hashing import FORMAT_VERSION, content_key
 from repro.linalg.ratmat import RatMat
+from repro.loops.kexpr import kernel_fingerprint
 from repro.loops.nest import LoopNest
-from repro.native.kexpr import kernel_fingerprint
 from repro.runtime.executor import TiledProgram
 from repro.tiling.transform import TilingTransformation
 
@@ -95,7 +95,7 @@ def _precompile(prog: TiledProgram) -> None:
     snapshotting a program that has been executed or certified simply
     reuses (and additionally captures) what exists.
     """
-    from repro.runtime.parallel import build_rank_plans
+    from repro.runtime.rankstep import build_rank_plans
 
     prog.dense_schedule_vector()
     prog.dense_lex_order()
@@ -122,7 +122,7 @@ def snapshot_program(prog: TiledProgram,
     payload so loading does not re-run the span-based resolution.
     """
     from repro.analysis.certstate import dump_certificates
-    from repro.runtime.parallel import build_rank_plans
+    from repro.runtime.rankstep import build_rank_plans
 
     _precompile(prog)
     tiling = prog.tiling

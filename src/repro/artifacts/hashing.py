@@ -9,7 +9,7 @@ exactly these inputs, so equal keys imply bitwise-equal programs.
 
 Deliberately *not* hashed:
 
-* statement ``kernel``/``kernel_np``/``expr`` bodies — the compiled
+* statement ``expr`` bodies — the compiled
   geometry (tiles, communication sets, LDS layout, schedules) never
   depends on the arithmetic inside the loop body, and loaded programs
   always take their kernels from the caller's nest.  Anything that
@@ -43,7 +43,8 @@ from repro.loops.reference import ArrayRef
 #: payload schema or to the semantics of a stored field; old artifacts
 #: are then treated as misses and transparently recompiled.
 #: v2: payload meta gained the mandatory ``kernel_fingerprint`` field.
-FORMAT_VERSION = 2
+#: v3: the pickled rank plans are ``repro.runtime.rankstep`` classes.
+FORMAT_VERSION = 3
 
 
 def _frac(x: Fraction) -> List[int]:

@@ -5,6 +5,7 @@ with affine bounds, a single-assignment statement over one array, and
 uniform constant dependencies expressed as dependence vectors.
 """
 
+from repro.loops import kexpr
 from repro.loops.reference import ArrayRef
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.dependence import (
@@ -26,6 +27,7 @@ __all__ = [
     "ArrayRef",
     "LoopNest",
     "Statement",
+    "kexpr",
     "uniform_dependences",
     "nest_dependences",
     "dependence_matrix",

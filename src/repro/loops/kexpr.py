@@ -1,38 +1,53 @@
-"""Kernel expression IR: the statically-compilable subset of kernels.
+"""Kernel expression IR: the body of a :class:`~repro.loops.nest.Statement`.
 
-``Statement.kernel_np`` is an opaque Python callable, which is fine for
-the numpy engines but useless for native code generation — there is
-nothing to render to C.  This module defines a tiny arithmetic IR
-(:class:`KExpr`) over read slots and float constants.  Apps attach one
-per statement (``Statement.expr``); the same tree then serves three
-masters that must agree bitwise:
+A statement computes ``write := expr(reads...)`` where ``expr`` is a
+tiny arithmetic tree (:class:`KExpr`) over read slots and float
+constants.  It is the *only* definition of the loop body; every
+consumer reads the same tree:
 
-* :func:`eval_np` evaluates the tree over numpy read batches in the
-  exact left-to-right operation order the ``kernel_np`` twins use, so a
-  statement whose ``expr`` disagrees with its ``kernel_np`` is caught by
-  the tol=0.0 suites immediately;
-* :meth:`KExpr.to_c` renders the tree as a fully parenthesized C
-  expression whose every constant is a C99 hex-float literal
-  (``float.hex()``), so the C compiler performs the identical IEEE-754
-  double operations in the identical order (the build uses
-  ``-ffp-contract=off``, see ``repro.native.compile``);
+* :func:`evaluate` computes it — over Python/numpy scalars (the
+  sequential interpreters, the sparse per-point executor, the generated
+  ``pyseq`` code) and over numpy batches (the dense and parallel
+  engines) alike.  One ufunc (or scalar op) per interior node, left
+  operand first, so a batch result is element for element the scalar
+  result;
+* :func:`to_c` renders it as a fully parenthesized C expression whose
+  every constant is a C99 hex-float literal (``float.hex()``), so the C
+  compiler performs the identical IEEE-754 double operations in the
+  identical order (the build uses ``-ffp-contract=off``, see
+  ``repro.native.compile``);
 * the transval TV05 pass re-parses the rendered C back into a tree and
-  proves it structurally equal to the symbolic one.
+  proves it structurally equal to this one.
 
 Only ``+ - * /`` and unary negation are provided: every kernel in the
 paper's benchmarks (§4) is an affine combination of its reads, and
 keeping the IR closed under exactly the operators whose evaluation
-order C and numpy agree on is what makes the bitwise claim provable
-rather than hopeful.
+order Python, numpy and C agree on is what makes the bitwise claim
+provable rather than hopeful.  Kernels outside that algebra (``min``,
+``sqrt``, data-dependent branches, the iteration point itself) are not
+expressible; in exchange every nest vectorizes and compiles natively.
+
+Build trees with ordinary operators over :func:`reads`::
+
+    v = reads(3)
+    expr = 0.25 * v[0] + 0.5 * v[1] + 0.25 * v[2]
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple, Union
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Sequence,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.loops.nest import LoopNest
@@ -94,27 +109,29 @@ class KRead(KExpr):
 
 
 @dataclass(frozen=True)
-class KAdd(KExpr):
+class KBinary(KExpr):
+    """``lhs <symbol> rhs``; each subclass fixes the operator."""
+
     lhs: KExpr
     rhs: KExpr
+    symbol: ClassVar[str]
+    apply: ClassVar[Callable[[Any, Any], Any]]
 
 
-@dataclass(frozen=True)
-class KSub(KExpr):
-    lhs: KExpr
-    rhs: KExpr
+class KAdd(KBinary):
+    symbol, apply = "+", operator.add
 
 
-@dataclass(frozen=True)
-class KMul(KExpr):
-    lhs: KExpr
-    rhs: KExpr
+class KSub(KBinary):
+    symbol, apply = "-", operator.sub
 
 
-@dataclass(frozen=True)
-class KDiv(KExpr):
-    lhs: KExpr
-    rhs: KExpr
+class KMul(KBinary):
+    symbol, apply = "*", operator.mul
+
+
+class KDiv(KBinary):
+    symbol, apply = "/", operator.truediv
 
 
 @dataclass(frozen=True)
@@ -135,35 +152,32 @@ def max_slot(expr: KExpr) -> int:
         return -1
     if isinstance(expr, KNeg):
         return max_slot(expr.arg)
-    if isinstance(expr, (KAdd, KSub, KMul, KDiv)):
+    if isinstance(expr, KBinary):
         return max(max_slot(expr.lhs), max_slot(expr.rhs))
     raise TypeError(f"unknown expr node {type(expr).__name__}")
 
 
-def eval_np(expr: KExpr, read_arrays: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Evaluate over numpy batches in the tree's operation order.
+def evaluate(expr: KExpr, vals: Sequence[Any]) -> Any:
+    """Value of ``expr`` with read slot ``i`` bound to ``vals[i]``.
 
-    The recursion performs one numpy ufunc per interior node, left
-    operand first — the same order :meth:`KExpr.to_c` parenthesizes, so
-    a tree that matches ``kernel_np`` here matches the compiled C too.
+    ``vals`` may hold scalars or equal-length numpy arrays; constants
+    stay Python floats, so the result takes the reads' dtype exactly as
+    a hand-written ``c * vals[0] + ...`` would.  Evaluation order is
+    the tree's: left operand, right operand, then the node's operation
+    — the order :func:`to_c` parenthesizes.
     """
-    if isinstance(expr, KConst):
-        return np.float64(expr.value)  # type: ignore[return-value]
     if isinstance(expr, KRead):
-        return read_arrays[expr.slot]
+        return vals[expr.slot]
+    if isinstance(expr, KConst):
+        return expr.value
     if isinstance(expr, KNeg):
-        return -eval_np(expr.arg, read_arrays)
-    if isinstance(expr, (KAdd, KSub, KMul, KDiv)):
-        a = eval_np(expr.lhs, read_arrays)
-        b = eval_np(expr.rhs, read_arrays)
-        if isinstance(expr, KAdd):
-            return a + b
-        if isinstance(expr, KSub):
-            return a - b
-        if isinstance(expr, KMul):
-            return a * b
-        return a / b
-    raise TypeError(f"unknown expr node {type(expr).__name__}")
+        return -evaluate(expr.arg, vals)
+    if isinstance(expr, KBinary):
+        return expr.apply(evaluate(expr.lhs, vals),
+                          evaluate(expr.rhs, vals))
+    raise TypeError(
+        f"cannot evaluate {expr!r}: not a kernel expr (a Statement "
+        f"built without one describes structure only)")
 
 
 def const_to_c(value: float) -> str:
@@ -187,9 +201,8 @@ def to_c(expr: KExpr, slot_names: Dict[int, str]) -> str:
         return slot_names[expr.slot]
     if isinstance(expr, KNeg):
         return f"(-{to_c(expr.arg, slot_names)})"
-    if isinstance(expr, (KAdd, KSub, KMul, KDiv)):
-        op = {KAdd: "+", KSub: "-", KMul: "*", KDiv: "/"}[type(expr)]
-        return (f"({to_c(expr.lhs, slot_names)} {op} "
+    if isinstance(expr, KBinary):
+        return (f"({to_c(expr.lhs, slot_names)} {expr.symbol} "
                 f"{to_c(expr.rhs, slot_names)})")
     raise TypeError(f"unknown expr node {type(expr).__name__}")
 
@@ -201,35 +214,20 @@ def expr_signature(expr: KExpr) -> str:
 
 
 def kernel_fingerprint(nest: "LoopNest") -> str:
-    """sha256 over every statement's kernel content, in statement order.
+    """sha256 over every statement's kernel expr, in statement order.
 
     Artifact metadata records this so a cached program (or cached
     ``.so``) can never be served for an app whose kernels changed even
     though the nest geometry — which is all ``content_key`` hashes, by
-    design — stayed identical.  Statements with a symbolic ``expr``
-    hash its exact C rendering; opaque Python kernels fall back to
-    hashing their compiled bytecode and constants, which is enough to
-    catch any edit to the kernel function body.
+    design — stayed identical.
     """
     h = hashlib.sha256()
     for s in nest.statements:
         h.update(b"\x00stmt\x00")
         h.update(s.write.array.encode())
-        expr = getattr(s, "expr", None)
-        if expr is not None:
-            h.update(b"expr:")
-            h.update(expr_signature(expr).encode())
-            continue
-        fn = s.kernel_np if s.kernel_np is not None else s.kernel
-        if fn is None:
+        if s.expr is None:
             h.update(b"none")
-            continue
-        h.update(b"code:")
-        code = getattr(fn, "__code__", None)
-        if code is None:
-            h.update(repr(fn).encode())
         else:
-            h.update(code.co_code)
-            h.update(repr(code.co_consts).encode())
-            h.update(repr(code.co_names).encode())
+            h.update(b"expr:")
+            h.update(expr_signature(s.expr).encode())
     return h.hexdigest()

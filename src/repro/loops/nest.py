@@ -12,51 +12,37 @@ two arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from repro.loops.kexpr import KExpr
 from repro.loops.reference import ArrayRef
 from repro.polyhedra.halfspace import Polyhedron, box
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.native.kexpr import KExpr
 
 
 @dataclass(frozen=True)
 class Statement:
-    """Single assignment ``write := F(reads...)``.
+    """Single assignment ``write := expr(reads...)``.
 
-    ``kernel`` is an optional Python callable ``f(point, read_values)
-    -> value`` used by the interpreters/executors to actually compute;
-    the compiler itself never calls it.  ``kernel_np`` is its optional
-    vectorized twin ``f(points, read_arrays) -> ndarray`` evaluated over
-    a whole batch of independent iteration points at once (``points`` is
-    an ``(m, n)`` int array, each read a float array of length ``m``).
-    The dense execution engine prefers ``kernel_np`` and falls back to
-    a per-point loop over ``kernel``; for bitwise-identical results the
-    two must perform the same floating-point operations in the same
-    order.
-
-    ``expr`` is an optional symbolic twin (``repro.native.kexpr.KExpr``)
-    of the same computation over read slots; the native backend renders
-    it to C and the TV05 pass checks the rendering.  When present it
-    must perform the identical operations in the identical order as
-    ``kernel_np`` — the bitwise native-vs-dense suites enforce this.
-    Statements without an ``expr`` simply never compile natively (the
-    engines fall back to numpy).
+    ``expr`` is the loop body: a :class:`~repro.loops.kexpr.KExpr` tree
+    over the read slots (``KRead(i)`` is the value of ``reads[i]`` at
+    the current iteration).  It is the one kernel definition every
+    consumer shares — the interpreters and executors call
+    :func:`repro.loops.kexpr.evaluate` on it (scalars or numpy
+    batches), the native backend renders it to C, and TV05 proves the
+    rendering.  The compiler proper (tiling, distribution, schedules)
+    never looks at it, so a statement built without one is a valid
+    *structural* description (dependence analysis, code-shape tests)
+    that simply cannot be executed.
     """
 
     write: ArrayRef
     reads: Tuple[ArrayRef, ...]
-    kernel: Optional[Callable] = None
-    kernel_np: Optional[Callable] = None
-    expr: Optional["KExpr"] = None
+    expr: Optional[KExpr] = None
 
     @staticmethod
     def of(write: ArrayRef, reads: Sequence[ArrayRef],
-           kernel: Optional[Callable] = None,
-           kernel_np: Optional[Callable] = None,
-           expr: Optional["KExpr"] = None) -> "Statement":
-        return Statement(write, tuple(reads), kernel, kernel_np, expr)
+           expr: Optional[KExpr] = None) -> "Statement":
+        return Statement(write, tuple(reads), expr)
 
     @property
     def dim(self) -> int:

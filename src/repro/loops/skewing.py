@@ -48,8 +48,8 @@ def skew_nest(nest: LoopNest, t: RatMat) -> LoopNest:
     before: a reference ``A[F j + f]`` evaluated at original point ``j``
     becomes ``A[(F T^{-1}) y + f]`` at skewed point ``y = T j`` — this is
     how the paper's skewed SOR/Jacobi code indexes arrays with
-    expressions like ``A[i-t, j-2t]``.  Kernels are unchanged (they see
-    read values, not indices).
+    expressions like ``A[i-t, j-2t]``.  Kernel exprs are unchanged (they
+    see read values, not indices).
     """
     if not is_unimodular(t):
         raise ValueError("skewing matrix must be unimodular")
@@ -67,8 +67,6 @@ def skew_nest(nest: LoopNest, t: RatMat) -> LoopNest:
         Statement(
             write=rewrite(s.write),
             reads=tuple(rewrite(r) for r in s.reads),
-            kernel=s.kernel,
-            kernel_np=s.kernel_np,
             expr=s.expr,
         )
         for s in nest.statements

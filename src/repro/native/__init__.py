@@ -5,24 +5,23 @@ a per-program C translation unit, compiles it to a shared object, and
 executes tile wavefront levels through ``ctypes`` instead of per-level
 numpy dispatch.  Results are bitwise identical (tol=0.0) to the dense
 engine; when anything prevents native execution (no C compiler, a
-statement without an ``expr``, a non-float64 dtype, a tiling whose
-strides don't divide the box) the engines fall back to numpy and record
-why.
+non-float64 dtype, a tiling whose strides don't divide the box) the
+engines fall back to numpy and record why.
 
-Modules:
+Modules (the kernel expression IR and its C renderer live with the
+loop-nest IR, in :mod:`repro.loops.kexpr`):
 
-* ``kexpr``   — the kernel expression IR and its C renderer;
 * ``emit``    — per-program C translation unit emitter;
 * ``compile`` — compiler discovery, fingerprinting, ``cc`` wrapper and
   the content-addressed ``.so`` cache hook;
 * ``engine``  — build pipeline plus the per-rank runtime objects the
   dense and parallel engines call.
 
-The package root deliberately avoids importing ``engine`` eagerly: apps
-import :mod:`repro.native.kexpr` to declare their statement exprs, and
-pulling the full build pipeline (which reaches into ``repro.artifacts``
-and thus the executor) into every app import would be both heavy and a
-cycle hazard.  ``build_native_library`` and friends resolve lazily.
+The package root deliberately avoids importing ``engine`` eagerly: the
+translation validator imports :mod:`repro.native.emit`, and pulling the
+full build pipeline (which reaches into ``repro.artifacts`` and thus
+the executor) along would be both heavy and a cycle hazard.
+``build_native_library`` and friends resolve lazily.
 """
 
 from typing import Any

@@ -36,7 +36,7 @@ per-tile term (exact because the engine only goes native when
 
 Each statement body is rendered as its own ``static double F_<array>``
 function over the read slots, in the exact parenthesization of the
-statement's :class:`~repro.native.kexpr.KExpr` — these are the units
+statement's :class:`~repro.loops.kexpr.KExpr` — these are the units
 the TV05 translation-validation pass re-parses and proves against the
 symbolic exprs.
 """
@@ -47,8 +47,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.loops import kexpr
 from repro.loops.nest import LoopNest
-from repro.native import kexpr
 from repro.runtime.dense import read_dependences
 
 #: Bump when the repro_run signature or calling convention changes;

@@ -11,12 +11,16 @@ condition that prevents native execution is recorded as a
 ``fallback_reason`` instead of raised, so the engines degrade to the
 numpy path without ceremony.
 
-The runtime side mirrors the dense engine's index algebra exactly:
+The runtime side reuses the dense engine's own objects — the statement
+plans of :class:`~repro.runtime.dense.DenseData` and the addressing of
+:class:`~repro.runtime.dense.RankLDS` — so its index algebra is the
+dense engine's by construction:
 
 * the LDS flat address of lattice point ``i`` of the tile with chain
   index ``t`` is ``base[i] + t * (V_m/c_m) * strides[m]`` — ``base``
-  precomputed with numpy floor division per LDS geometry, the shift
-  exact because the backend only engages when ``c_m | V_m``;
+  is ``RankLDS.to_flat`` at ``t = 0`` (numpy floor division) per LDS
+  geometry, the shift exact because the backend only engages when
+  ``c_m | V_m``;
 * a read slot's source is in-domain iff ``A @ (g - dep) <= b``;
   rewritten per tile as ``A_tis[:, i] <= b - A @ (origin - dep)`` with
   ``A_tis = A @ tis.T`` precomputed (all int64, so the rearrangement
@@ -42,12 +46,14 @@ import ctypes
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -66,6 +72,9 @@ from repro.native.emit import (
     NativeEmitError,
     emit_translation_unit,
 )
+
+if TYPE_CHECKING:
+    from repro.runtime.dense import DenseData, RankLDS
 
 InitFn = Callable[[str, Tuple[int, ...]], float]
 
@@ -122,8 +131,8 @@ def _load_fn(so_path: str) -> Any:
 class NativeKernelLibrary:
     """Outcome of one native build: a loadable ``.so`` or a reason.
 
-    Picklable (the lazy per-process state is dropped on pickle), so
-    the parallel engine ships it to workers inside ``_RunConfig``.
+    A plain picklable value, so the parallel engine ships it to
+    workers inside ``_RunConfig``.
     """
 
     status: str                       # "hit" | "miss" | "fallback"
@@ -135,36 +144,28 @@ class NativeKernelLibrary:
     compiler: Optional[str] = None
     compiler_fp: Optional[str] = None
     plan: Optional[KernelPlan] = None
-    _runtimes: Dict[Tuple[int, str], "NativeRuntime"] = field(
-        default_factory=dict, repr=False, compare=False)
 
     @property
     def available(self) -> bool:
         return self.so_path is not None
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_runtimes"] = {}
-        return state
-
     def runtime(self, program: Any, init_value: InitFn,
                 dtype: Any = np.float64) -> Optional["NativeRuntime"]:
-        """Per-process :class:`NativeRuntime`, or ``None``.
+        """A :class:`NativeRuntime` for a standalone caller, or
+        ``None`` (see :meth:`runtime_for`)."""
+        from repro.runtime.dense import DenseData
+        return self.runtime_for(DenseData(program, init_value, dtype))
+
+    def runtime_for(self, data: "DenseData") -> Optional["NativeRuntime"]:
+        """The native runtime over one run's dense data, or ``None``.
 
         ``None`` means "use the numpy path": the library fell back at
         build time, or this run's dtype is not float64 (the emitted
         kernels compute in double).
         """
-        if not self.available:
+        if not self.available or np.dtype(data.dtype) != np.float64:
             return None
-        if np.dtype(dtype) != np.float64:
-            return None
-        memo_key = (id(program), np.dtype(dtype).str)
-        rt = self._runtimes.get(memo_key)
-        if rt is None:
-            rt = NativeRuntime(program, self, init_value)
-            self._runtimes[memo_key] = rt
-        return rt
+        return NativeRuntime(data, self)
 
 
 def build_native_library(program: Any,
@@ -250,7 +251,8 @@ class _DepSlot:
     indexer: Any              # RefIndexer (int64 twin of ref.index)
     dep: np.ndarray           # original dependence (int64, n)
     dep_key: Tuple[int, ...]
-    dp_key: Tuple[int, ...]   # TTIS-transformed dependence
+    dp: np.ndarray            # its TTIS image d' (int64, n)
+    dp_key: Tuple[int, ...]
 
 
 @dataclass
@@ -263,58 +265,48 @@ class _PureSlot:
 
 @dataclass
 class _Bases:
-    strides: np.ndarray
     wbase: np.ndarray
     rbase: Dict[Tuple[int, ...], np.ndarray]
     shift_unit: int
 
 
 class NativeRuntime:
-    """Program-level precompute shared by every rank in one process."""
+    """Program-level precompute shared by every rank of one run, on
+    top of the run's :class:`~repro.runtime.dense.DenseData`."""
 
-    def __init__(self, program: Any, library: NativeKernelLibrary,
-                 init_value: InitFn):
-        from repro.runtime.dense import build_statement_plans
-
+    def __init__(self, data: "DenseData", library: NativeKernelLibrary):
         assert library.so_path is not None
         assert library.plan is not None
+        program = data.prog
         self.program = program
         self.plan = library.plan
         self.fn = _load_fn(library.so_path)
-        self.init_value = init_value
+        self.init_value = data.init_value
 
-        ttis = program.tiling.ttis
-        self.arrays: Tuple[str, ...] = tuple(program.arrays)
+        self.arrays: Tuple[str, ...] = data.arrays
         assert self.arrays == self.plan.arrays, \
             "library built for a different array layout"
-        self.m = int(program.dist.m)
-        self.lat = np.ascontiguousarray(
-            ttis.lattice_points_np(), dtype=np.int64)
-        self.tis = np.ascontiguousarray(
-            ttis.tis_points_np(), dtype=np.int64)
+        self.lat = np.ascontiguousarray(data.lat, dtype=np.int64)
+        self.tis = np.ascontiguousarray(data.tis, dtype=np.int64)
         self.nlat = len(self.lat)
-        self.c_np = np.asarray(ttis.c, dtype=np.int64)
-        self.v_np = np.asarray(ttis.v, dtype=np.int64)
-        self.amat = program.tiling._amat
-        self.bvec = program.tiling._bvec
+        self.amat = data.amat
+        self.bvec = data.bvec
+        self.m = data.m
+        self.shift_rows = int(data.rows[self.m])
 
-        splans = build_statement_plans(program.nest, init_value,
-                                       np.float64)
         self.dep_slots: List[_DepSlot] = []
         self.pure_slots: List[_PureSlot] = []
         pure_groups: Dict[Tuple[Any, ...], int] = {}
         for slot in self.plan.slots:
-            rp = splans[slot.stmt_index].reads[slot.read_index]
+            rp = data.plans[slot.stmt_index].reads[slot.read_index]
             if slot.kind == "dep":
-                assert rp.dep is not None
-                dep = np.asarray(rp.dep, dtype=np.int64)
-                dp = ttis.transformed_dependences(
-                    [tuple(int(x) for x in dep)])[0]
+                assert rp.dep is not None and rp.dep_prime is not None
                 self.dep_slots.append(_DepSlot(
                     slot=slot.slot, ref=rp.ref, indexer=rp.indexer,
-                    dep=dep,
-                    dep_key=tuple(int(x) for x in dep),
-                    dp_key=tuple(int(x) for x in dp)))
+                    dep=rp.dep,
+                    dep_key=tuple(int(x) for x in rp.dep),
+                    dp=rp.dep_prime,
+                    dp_key=tuple(int(x) for x in rp.dep_prime)))
             else:
                 assert rp.table is not None
                 gkey = (id(rp.table),
@@ -326,7 +318,6 @@ class NativeRuntime:
                 self.pure_slots.append(_PureSlot(
                     slot=slot.slot, table=rp.table,
                     indexer=rp.indexer, group=group))
-        self.n_pure_groups = len(pure_groups)
         self.distinct_deps: List[Tuple[Tuple[int, ...], np.ndarray]] = []
         seen: Dict[Tuple[int, ...], None] = {}
         for ds in self.dep_slots:
@@ -369,50 +360,37 @@ class NativeRuntime:
 
     # -- per-LDS-geometry base arrays -------------------------------------
 
-    def bases_for(self, lds: Any) -> _Bases:
-        key = (tuple(int(x) for x in lds.shape),
-               tuple(int(x) for x in lds.offsets))
+    def bases_for(self, lds: "RankLDS") -> _Bases:
+        """Chain-tile-0 flat addresses of every lattice point (writes)
+        and of its ``d'``-shifted sources (reads), per LDS geometry —
+        computed by the LDS's own ``to_flat``."""
+        key = (lds.geom.shape, lds.geom.offsets)
         bases = self._bases_cache.get(key)
-        if bases is not None:
-            return bases
-        n = self.lat.shape[1]
-        shape = np.asarray(lds.shape, dtype=np.int64)
-        strides = np.ones(n, dtype=np.int64)
-        for k in reversed(range(n - 1)):
-            strides[k] = strides[k + 1] * shape[k + 1]
-        off = np.asarray(lds.offsets, dtype=np.int64)
-        wbase = np.ascontiguousarray(
-            (self.lat // self.c_np + off) @ strides)
-        rbase: Dict[Tuple[int, ...], np.ndarray] = {}
-        for ds in self.dep_slots:
-            if ds.dp_key not in rbase:
-                dp = np.asarray(ds.dp_key, dtype=np.int64)
-                rbase[ds.dp_key] = np.ascontiguousarray(
-                    ((self.lat - dp) // self.c_np + off) @ strides)
-        shift_unit = int(self.v_np[self.m] // self.c_np[self.m]) \
-            * int(strides[self.m])
-        bases = _Bases(strides=strides, wbase=wbase, rbase=rbase,
-                       shift_unit=shift_unit)
-        self._bases_cache[key] = bases
+        if bases is None:
+            rbase: Dict[Tuple[int, ...], np.ndarray] = {}
+            for ds in self.dep_slots:
+                if ds.dp_key not in rbase:
+                    rbase[ds.dp_key] = np.ascontiguousarray(
+                        lds.to_flat(self.lat - ds.dp, 0))
+            bases = _Bases(
+                wbase=np.ascontiguousarray(lds.to_flat(self.lat, 0)),
+                rbase=rbase,
+                shift_unit=self.shift_rows * int(lds.strides[self.m]))
+            self._bases_cache[key] = bases
         return bases
 
-    def for_rank(self, lds: Any,
-                 local: Dict[str, np.ndarray]) -> "RankKernels":
-        return RankKernels(self, lds, local)
+    def for_rank(self, lds: "RankLDS") -> "RankKernels":
+        return RankKernels(self, lds)
 
 
-class _TileCtx:
+class _TileCtx(NamedTuple):
     """Per-(rank, tile) marshalled arguments, built once per tile."""
 
-    __slots__ = ("shift", "oob_addr", "fix_addr", "pure_addr", "keep")
-
-    def __init__(self, shift: int, oob_addr: Any, fix_addr: Any,
-                 pure_addr: Any, keep: List[np.ndarray]):
-        self.shift = shift
-        self.oob_addr = oob_addr
-        self.fix_addr = fix_addr
-        self.pure_addr = pure_addr
-        self.keep = keep
+    shift: int
+    oob_addr: Any
+    fix_addr: Any
+    pure_addr: Any
+    keep: List[np.ndarray]              # pins the pointed-to arrays
 
 
 class RankKernels:
@@ -423,12 +401,12 @@ class RankKernels:
     schedule's boundary/interior slices — reusing the tile context.
     """
 
-    def __init__(self, rt: NativeRuntime, lds: Any,
-                 local: Dict[str, np.ndarray]):
+    def __init__(self, rt: NativeRuntime, lds: "RankLDS"):
         self.rt = rt
         bases = rt.bases_for(lds)
         self.bases = bases
-        self.local = local
+        self.lds = lds                  # keeps the pointed-to buffers alive
+        local = lds.local
         for a in rt.arrays:
             buf = local[a]
             assert buf.dtype == np.float64 and buf.flags["C_CONTIGUOUS"]

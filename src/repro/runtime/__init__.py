@@ -36,11 +36,11 @@ from repro.runtime.metrics import (
     metrics_from_stats,
 )
 from repro.runtime.parallel import (
-    ParallelRuntimeError,
     ParallelTimeoutError,
     ParallelWorkerError,
     run_parallel,
 )
+from repro.runtime.rankstep import HaloSizeError, ParallelRuntimeError
 from repro.runtime.trace import (
     EventTrace,
     GanttRow,
@@ -90,6 +90,7 @@ __all__ = [
     "metrics_from_stats",
     "run_parallel",
     "ParallelRuntimeError",
+    "HaloSizeError",
     "ParallelTimeoutError",
     "ParallelWorkerError",
 ]

@@ -1,9 +1,9 @@
-"""Dense vectorized execution core (shared by both dense modes).
+"""Dense vectorized execution core (shared by every dense driver).
 
 The sparse interpreters and the executor's ``execute`` walk iteration
 points one dict lookup at a time; that is the semantic reference, but it
 is orders of magnitude slower than the hardware allows.  This module
-holds the machinery both dense drivers share:
+holds the machinery the dense drivers share:
 
 * ``read_dependences`` — the dependence vector behind each read of a
   written array (``None`` for pure inputs);
@@ -15,28 +15,47 @@ holds the machinery both dense drivers share:
   gather / kernel / boundary-fix plumbing.  Reads of written arrays go
   through a driver-supplied gather (global dense field for the
   sequential driver, LDS buffer for the distributed one); pure-input
-  reads hit a dense :class:`InputTable` precomputed from ``init_value``.
+  reads hit a dense :class:`InputTable` precomputed from ``init_value``;
+* :class:`DenseData` / :class:`RankLDS` — the dense data back-end of
+  the rank step (:mod:`repro.runtime.rankstep`), through which the
+  simulated dense engine, the parallel workers (both schedules) and
+  the native runtime all address LDS memory.
 
 Bitwise agreement with the sparse reference comes from evaluating the
-*same* scalar expressions elementwise: ``kernel_np`` twins perform the
-identical IEEE-754 operations in the identical order, and boundary
-values come from the same ``init_value`` calls.
+*same* kernel expr elementwise (:func:`repro.loops.kexpr.evaluate`),
+and boundary values come from the same ``init_value`` calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.loops import kexpr
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.polyhedra.halfspace import Polyhedron
 from repro.polyhedra.vertices import image_bounding_box
 from repro.runtime.dataspace import DenseField
 from repro.tiling.transform import _int_constraints
+
+if TYPE_CHECKING:
+    from repro.native.engine import NativeKernelLibrary, RankKernels
+    from repro.runtime.executor import TiledProgram
+    from repro.runtime.rankstep import TileRecv
+    from repro.tiling.ttis import TTIS
 
 Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
@@ -187,16 +206,24 @@ class InputTable:
         return self.values[tuple(idx.T)]
 
 
+def _access_box(ref: ArrayRef, domain: Polyhedron,
+                ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(origin, shape)`` of the integer box covering every cell
+    ``ref`` touches over ``domain`` (the image box is slightly widened
+    to the rational bounding box, which is cheap for the
+    low-dimensional arrays)."""
+    lo_r, hi_r = image_bounding_box(domain, ref.access_matrix())
+    lo = tuple(math.floor(a) + o for a, o in zip(lo_r, ref.offset))
+    hi = tuple(math.ceil(a) + o for a, o in zip(hi_r, ref.offset))
+    return lo, tuple(h - b + 1 for b, h in zip(lo, hi))
+
+
 def build_input_table(ref: ArrayRef, domain: Polyhedron,
                       init_value: InitFn,
                       dtype: type = np.float64) -> InputTable:
     """Precompute every value ``init_value`` can return for ``ref``
-    over ``domain`` (the image box is slightly widened to the rational
-    bounding box, which is cheap for the low-dimensional inputs)."""
-    lo_r, hi_r = image_bounding_box(domain, ref.access_matrix())
-    lo = tuple(math.floor(a) + o for a, o in zip(lo_r, ref.offset))
-    hi = tuple(math.ceil(a) + o for a, o in zip(hi_r, ref.offset))
-    shape = tuple(h - b + 1 for b, h in zip(lo, hi))
+    over ``domain``."""
+    lo, shape = _access_box(ref, domain)
     values = np.empty(shape, dtype=dtype)
     for idx in np.ndindex(*shape):
         cell = tuple(a + b for a, b in zip(idx, lo))
@@ -210,15 +237,19 @@ def field_for_write(ref: ArrayRef, domain: Polyhedron,
                     dtype: type = np.float64) -> DenseField:
     """A zeroed :class:`DenseField` covering every cell ``ref`` can
     write over ``domain``."""
-    lo_r, hi_r = image_bounding_box(domain, ref.access_matrix())
-    lo = tuple(math.floor(a) + o for a, o in zip(lo_r, ref.offset))
-    hi = tuple(math.ceil(a) + o for a, o in zip(hi_r, ref.offset))
-    shape = tuple(h - b + 1 for b, h in zip(lo, hi))
+    lo, shape = _access_box(ref, domain)
     return DenseField(
         origin=lo,
         values=np.zeros(shape, dtype=dtype),
         written=np.zeros(shape, dtype=bool),
     )
+
+
+def result_fields(nest: LoopNest,
+                  dtype: type = np.float64) -> Dict[str, DenseField]:
+    """A zeroed result field per written array of ``nest``."""
+    return {s.write.array: field_for_write(s.write, nest.domain, dtype)
+            for s in nest.statements}
 
 
 def domain_constraints(domain: Polyhedron) -> Tuple[np.ndarray, np.ndarray]:
@@ -243,7 +274,7 @@ class ReadPlan:
     indexer: RefIndexer
     dep: Optional[np.ndarray]          # int64 (n,), None for pure inputs
     table: Optional[InputTable]        # set exactly when dep is None
-    dep_prime: Optional[np.ndarray] = None  # TTIS-transformed (drivers)
+    dep_prime: Optional[np.ndarray] = None  # d' = H' d (tiled drivers)
 
 
 @dataclass
@@ -254,11 +285,14 @@ class StatementPlan:
 
 
 def build_statement_plans(nest: LoopNest, init_value: InitFn,
-                          dtype: type = np.float64) -> List[StatementPlan]:
+                          dtype: type = np.float64,
+                          ttis: Optional["TTIS"] = None,
+                          ) -> List[StatementPlan]:
     """Compile the nest's statements for batched execution.
 
     Pure-input tables are shared between reads with the same access
     function (ADI reads its coefficient array from both statements).
+    With ``ttis`` every dependence also gets its TTIS image ``d'``.
     """
     deps = read_dependences(nest)
     tables: Dict[object, InputTable] = {}
@@ -282,26 +316,25 @@ def build_statement_plans(nest: LoopNest, init_value: InitFn,
                 indexer=RefIndexer.of(r),
                 dep=None if d is None else np.asarray(d, dtype=np.int64),
                 table=table,
+                dep_prime=None if d is None or ttis is None
+                else np.asarray(ttis.transformed_dependences([d])[0],
+                                dtype=np.int64),
             ))
         plans.append(StatementPlan(
             stmt=s, write_indexer=RefIndexer.of(s.write), reads=reads))
     return plans
 
 
-def schedule_dependences(nest: LoopNest,
-                         plans: Sequence[StatementPlan],
-                         ) -> List[Tuple[int, ...]]:
+def schedule_dependences(nest: LoopNest) -> List[Tuple[int, ...]]:
     """Nonzero dependence vectors the wavefront must honour: the union
     of actual read dependences and the nest's declared matrix (zero
     vectors — same-iteration reads — are ordered by statement order,
     not by the schedule)."""
     seen: Dict[Tuple[int, ...], None] = {}
-    for plan in plans:
-        for rp in plan.reads:
-            if rp.dep is not None:
-                d = tuple(int(x) for x in rp.dep)
-                if any(d):
-                    seen[d] = None
+    for row in read_dependences(nest):
+        for d in row:
+            if d is not None and any(d):
+                seen[d] = None
     for dd in nest.dependences:
         d = tuple(int(x) for x in dd)
         if any(d):
@@ -437,31 +470,11 @@ def build_overlap_split(
     )
 
 
-def apply_kernel(stmt: Statement, points: np.ndarray,
-                 vals: List[np.ndarray],
-                 dtype: type = np.float64) -> np.ndarray:
-    """Evaluate one statement over a batch of independent points.
-
-    Prefers the vectorized ``kernel_np``; otherwise loops the scalar
-    ``kernel`` over the batch (identical results, still batched I/O).
-    """
-    if stmt.kernel_np is not None:
-        return np.asarray(stmt.kernel_np(points, vals), dtype=dtype)
-    kernel = stmt.kernel
-    if kernel is None:
-        raise ValueError(
-            f"statement writing {stmt.write.array!r} has no kernel")
-    out = np.empty(len(points), dtype=dtype)
-    for i in range(len(points)):
-        point = tuple(int(x) for x in points[i])
-        out[i] = kernel(point, [v[i] for v in vals])
-    return out
-
-
 def evaluate_statement_batch(plan: StatementPlan, points: np.ndarray,
                              gather: GatherFn,
                              dtype: type = np.float64) -> np.ndarray:
-    """Gather every read of ``plan`` over the batch and run the kernel.
+    """Gather every read of ``plan`` over the batch of independent
+    ``points`` and evaluate the statement's kernel expr on it.
 
     ``gather(read_plan, points)`` resolves reads of *written* arrays
     (driver-specific storage); pure-input reads come from the plan's
@@ -473,4 +486,194 @@ def evaluate_statement_batch(plan: StatementPlan, points: np.ndarray,
             vals.append(rp.table.gather(rp.indexer.cells(points)))
         else:
             vals.append(gather(rp, points))
-    return apply_kernel(plan.stmt, points, vals, dtype)
+    return np.asarray(kexpr.evaluate(plan.stmt.expr, vals), dtype=dtype)
+
+
+# -- the dense data back-end of the rank step ---------------------------------------
+
+
+class DenseData:
+    """What every rank of one dense run shares: lattice tables,
+    statement plans (input tables, ``d`` and ``d'`` per read), the
+    result ``fields`` (allocated here unless the caller supplies
+    storage — the parallel workers pass shared memory) and, for a
+    usable ``native`` library, the native runtime over the same plans.
+    """
+
+    def __init__(self, prog: "TiledProgram", init_value: InitFn,
+                 dtype: Any = np.float64,
+                 native: Optional["NativeKernelLibrary"] = None,
+                 fields: Optional[Dict[str, DenseField]] = None):
+        tiling = prog.tiling
+        ttis = tiling.ttis
+        self.prog = prog
+        self.init_value = init_value
+        self.dtype = dtype
+        self.arrays: Tuple[str, ...] = tuple(prog.arrays)
+        self.m: int = prog.dist.m
+        self.lat = ttis.lattice_points_np()
+        self.tis = ttis.tis_points_np()
+        self.lex_order = prog.dense_lex_order()
+        self.amat, self.bvec = tiling._amat, tiling._bvec
+        self.v = np.asarray(ttis.v, dtype=np.int64)
+        self.c = np.asarray(ttis.c, dtype=np.int64)
+        self.rows = self.v // self.c
+        self.plans = build_statement_plans(prog.nest, init_value, dtype,
+                                           ttis)
+        self.fields = (fields if fields is not None
+                       else result_fields(prog.nest, dtype))
+        self.native_rt = (native.runtime_for(self)
+                          if native is not None else None)
+
+    def rank(self, pid: Tuple[int, ...]) -> "RankLDS":
+        return RankLDS(self, pid)
+
+
+class RankLDS:
+    """One rank's dense Local Data Space (paper §3.1, Figure 3).
+
+    A flat numpy buffer per written array, addressed by the paper's
+    condensed ``map``: TTIS point ``j'`` of chain tile ``t`` lives at
+    ``((j' + t v_m e_m) // c + off) . strides``.  Everything that
+    touches that memory is a method here: halo unpack, ``CC``-region
+    pack, wavefront-batched compute (numpy or the native
+    :class:`~repro.native.engine.RankKernels`) and write-back.
+    """
+
+    def __init__(self, data: DenseData, pid: Tuple[int, ...]):
+        self.data = data
+        self.geom = data.prog.addressing.lds_for(pid)
+        shape = self.geom.shape
+        n = len(shape)
+        strides = np.ones(n, dtype=np.int64)
+        for k in reversed(range(n - 1)):
+            strides[k] = strides[k + 1] * shape[k + 1]
+        self.strides = strides
+        self.offsets = np.asarray(self.geom.offsets, dtype=np.int64)
+        self.size = int(self.geom.cells)
+        self.local: Dict[str, np.ndarray] = {
+            a: np.zeros(self.size, dtype=data.dtype) for a in data.arrays}
+        self.kernels: Optional["RankKernels"] = (
+            data.native_rt.for_rank(self)
+            if data.native_rt is not None else None)
+
+    # -- addressing -----------------------------------------------------------------
+
+    def to_flat(self, jp: np.ndarray, t: int) -> np.ndarray:
+        """Flat LDS cells of TTIS points ``jp`` (rows) in chain tile
+        ``t``.  Floor division is intentional (see
+        :meth:`LocalDataSpace.map`)."""
+        d = self.data
+        shifted = jp.copy()
+        shifted[:, d.m] += t * int(d.v[d.m])
+        return (shifted // d.c + self.offsets) @ self.strides
+
+    def region_flat(self, tile: Tuple[int, ...],
+                    direction: Sequence[int], t: int) -> np.ndarray:
+        """Cells of ``tile``'s ``CC`` pack region toward ``direction``
+        as chain tile ``t``, in the frozen payload order."""
+        d = self.data
+        region = d.prog.region_mask(tile, direction)
+        return self.to_flat(d.lat[d.lex_order[region[d.lex_order]]], t)
+
+    # -- RECEIVE / SEND -------------------------------------------------------------
+
+    def unpack(self, r: "TileRecv", payload: np.ndarray, t: int) -> None:
+        """Scatter one received region into the halo of chain tile
+        ``t``: the sender's cells shifted back by ``d^S_k v_k / c_k``."""
+        d = self.data
+        flat = self.region_flat(r.pred, r.ds, t) - int(
+            (np.asarray(r.ds, dtype=np.int64) * d.rows) @ self.strides)
+        cnt = len(flat)
+        for ai, arr in enumerate(d.arrays):
+            self.local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
+
+    def pack(self, tile: Tuple[int, ...], direction: Sequence[int],
+             t: int) -> np.ndarray:
+        """Serialize the region's values, array-major."""
+        flat = self.region_flat(tile, direction, t)
+        return np.concatenate([self.local[a][flat]
+                               for a in self.data.arrays])
+
+    def pack_level(self, buf: np.ndarray, pack: EdgePackPlan, level: int,
+                   t: int) -> None:
+        """Overlapped schedule: scatter the region values that became
+        final at wavefront ``level`` into their payload positions."""
+        flat = self.to_flat(self.data.lat[pack.level_lat[level]], t)
+        pos = pack.level_pos[level]
+        for ai, arr in enumerate(self.data.arrays):
+            buf[ai * pack.count + pos] = self.local[arr][flat]
+
+    # -- COMPUTE --------------------------------------------------------------------
+
+    def compute_batch(self, batch: np.ndarray, t: int,
+                      origin: np.ndarray) -> None:
+        """One wavefront (sub-)batch of mutually independent lattice
+        points through the numpy kernels."""
+        d = self.data
+        jp = d.lat[batch]
+        g = d.tis[batch] + origin
+        wflat = self.to_flat(jp, t)
+
+        def gather(rp: ReadPlan, gpts: np.ndarray) -> np.ndarray:
+            assert rp.dep is not None and rp.dep_prime is not None
+            flat = self.to_flat(jp - rp.dep_prime, t)
+            # Out-of-domain sources can address outside the LDS;
+            # clip, then overwrite below.
+            vals = self.local[rp.ref.array][
+                np.clip(flat, 0, self.size - 1)]
+            in_dom = domain_mask(d.amat, d.bvec, gpts - rp.dep)
+            if not in_dom.all():
+                fix_out_of_domain(vals, rp.ref, gpts, in_dom,
+                                  d.init_value)
+            return vals
+
+        for plan in d.plans:
+            out = evaluate_statement_batch(plan, g, gather, d.dtype)
+            self.local[plan.stmt.write.array][wflat] = out
+
+    def compute_segment(self, tile: Tuple[int, ...], t: int,
+                        origin: np.ndarray, batch: np.ndarray) -> None:
+        """One (sub-)batch of ``tile`` — the overlapped schedule's
+        boundary/interior unit — natively when kernels are loaded."""
+        if self.kernels is not None:
+            self.kernels.run_segment(tile, t, origin, batch)
+        else:
+            self.compute_batch(batch, t, origin)
+
+    def tile_origin(self, tile: Tuple[int, ...]) -> np.ndarray:
+        return np.asarray(self.data.prog.tiling.tile_origin(tile),
+                          dtype=np.int64)
+
+    def compute_tile(self, tile: Tuple[int, ...], t: int) -> None:
+        """Every wavefront level of ``tile``, in order (one native
+        call, or one numpy batch per level)."""
+        origin = self.tile_origin(tile)
+        if self.kernels is not None:
+            self.kernels.run_tile(tile, t, origin)
+        else:
+            for batch in self.data.prog.dense_level_batches(tile):
+                self.compute_batch(batch, t, origin)
+
+    # -- WRITE-BACK -----------------------------------------------------------------
+
+    def write_back(self, tiles: Sequence[Tuple[int, ...]]) -> None:
+        """Place the computed points of ``tiles`` into the global
+        fields (Table 2's ``loc⁻¹`` composed with ``f_w``)."""
+        d = self.data
+        prog = d.prog
+        for tile in tiles:
+            t = prog.dist.chain_index(tile)
+            mask_idx = np.nonzero(prog.tile_mask(tile))[0]
+            if not len(mask_idx):
+                continue
+            g = d.tis[mask_idx] + self.tile_origin(tile)
+            flat = self.to_flat(d.lat[mask_idx], t)
+            for plan in d.plans:
+                arr = plan.stmt.write.array
+                field = d.fields[arr]
+                cells = plan.write_indexer.cells(g)
+                loc = tuple((cells - np.asarray(
+                    field.origin, dtype=np.int64)).T)
+                field.values[loc] = self.local[arr][flat]
+                field.written[loc] = True

@@ -9,23 +9,31 @@ per-processor node program implementing the paper's main loop::
         compute tile (TTIS traversal)   # strides/offsets from HNF
         SEND(pid, t^S, D^m, CC)         # pack + send per successor proc
 
-:class:`DistributedRun` executes it on the virtual cluster in one of two
-modes:
+:class:`DistributedRun` walks that node program
+(:func:`repro.runtime.rankstep.rank_walk`) over the program's frozen
+rank plans on the virtual cluster; the modes differ only in the data
+back-end handed to the walk:
 
 * ``simulate()`` — timing only: message sizes and compute volumes are
   exact (per-tile clipped point counts), but no data moves.  This is the
   mode the paper-scale experiments use.
-* ``execute(init_value)`` — full data mode: real numpy LDS buffers,
-  real pack/unpack, and a final owner-computes write-back to the global
-  data space.  Used by the integration tests to compare bit-for-bit
-  against a sequential interpreter of the same nest.
+* ``execute(init_value)`` — the sparse per-point reference: real LDS
+  arrays addressed one cell at a time through the paper's ``map``, real
+  pack/unpack, and a final owner-computes write-back to the global data
+  space.  The integration tests compare it bit-for-bit against a
+  sequential interpreter of the same nest, and every faster engine
+  against it.
+* ``execute_dense(init_value)`` — the same run over the dense
+  :class:`~repro.runtime.dense.RankLDS` (numpy wavefront batches or
+  native kernels); ``execute_parallel`` moves that LDS onto real OS
+  processes (:mod:`repro.runtime.parallel`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Generator,
@@ -39,44 +47,42 @@ import numpy as np
 
 from repro.distribution.communication import CommunicationSpec
 from repro.distribution.computation import ComputationDistribution
-from repro.distribution.data import DistributedAddressing, LocalDataSpace
+from repro.distribution.data import DistributedAddressing
 from repro.linalg.ratmat import RatMat
+from repro.loops import kexpr
 from repro.loops.nest import LoopNest
 from repro.runtime.dataspace import DenseField
 from repro.runtime.dense import (
-    ReadPlan,
+    DenseData,
     TileOverlapPlan,
     build_overlap_split,
-    build_statement_plans,
-    evaluate_statement_batch,
-    field_for_write,
-    fix_out_of_domain,
     level_batches,
     read_dependences,
+    schedule_dependences,
     wavefront_vector,
 )
 from repro.runtime.machine import ClusterSpec
-from repro.runtime.trace import EventTrace
-from repro.runtime.vmpi import (
-    Compute,
-    RankApi,
-    Recv,
-    RunStats,
-    Send,
-    VirtualMPI,
+from repro.runtime.rankstep import (
+    RankPlan,
+    TileRecv,
+    VmpiPort,
+    build_rank_plans,
+    rank_walk,
 )
+from repro.runtime.trace import EventTrace
+from repro.runtime.vmpi import RankApi, RunStats, VirtualMPI
 from repro.tiling.legality import check_legal_tiling
 from repro.tiling.transform import TilingTransformation
-
-if TYPE_CHECKING:
-    from repro.native.engine import NativeKernelLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.cost import CostCertificate
     from repro.analysis.hb.graph import HBCertificate
+    from repro.native.engine import NativeKernelLibrary
 
 Pid = Tuple[int, ...]
 Tile = Tuple[int, ...]
+Cell = Tuple[int, ...]
+InitFn = Callable[[str, Cell], float]
 #: A rank's node program: generator of Send/Recv/Compute requests.
 NodeFn = Callable[[RankApi], Generator]
 
@@ -135,6 +141,7 @@ class TiledProgram:
         self.rank_of: Dict[Pid, int] = {p: i for i, p in enumerate(self.pids)}
         self._region_cache: Dict[Tuple[Tile, Tuple[int, ...]], int] = {}
         self._full_region_cache: Dict[Tuple[int, ...], int] = {}
+        self._pack_region_cache: Dict[Tuple[int, ...], np.ndarray] = {}
         self._mask_cache: Dict[Tile, np.ndarray] = {}
         self._region_prewarmed = False
         self._recv_order: Dict[Pid, Tuple[Tuple[Tile, ...],
@@ -146,10 +153,10 @@ class TiledProgram:
         self._hb_cache: Dict[object, HBCertificate] = {}
         self._cost_cache: Dict[object, CostCertificate] = {}
         self._points_cache: Dict[Tile, int] = {}
-        # Filled by repro.runtime.parallel.build_rank_plans (the plans
-        # are immutable compile-time artifacts shared by the runtime,
+        # Filled by repro.runtime.rankstep.build_rank_plans (the plans
+        # are immutable compile-time artifacts shared by the engines,
         # the HB graph and the cost certifier).
-        self._rank_plans_cache: Optional[Dict[int, object]] = None
+        self._rank_plans_cache: Optional[Dict[int, RankPlan]] = None
         # Pre-pickled plans from an artifact, decoded lazily on first
         # build_rank_plans call (see repro.artifacts.format).
         self._rank_plans_blob: Optional[bytes] = None
@@ -186,12 +193,21 @@ class TiledProgram:
         toward tile/processor ``direction`` — computed points with
         ``j'_k >= cc_k`` on every non-mapping dimension the direction
         crosses."""
-        lat = self.tiling.ttis.lattice_points_np()
-        mask = self.tile_mask(tile).copy()
-        lbs = self.comm.pack_lower_bounds(direction)
-        for k in range(self.n):
-            if lbs[k] > 0:
-                mask &= lat[:, k] >= lbs[k]
+        return self.tile_mask(tile) & self._pack_region(direction)
+
+    def _pack_region(self, direction: Sequence[int]) -> np.ndarray:
+        """:meth:`region_mask` of an unclipped (interior) tile (cached
+        per direction; callers must not mutate it)."""
+        key = tuple(direction)
+        mask = self._pack_region_cache.get(key)
+        if mask is None:
+            lat = self.tiling.ttis.lattice_points_np()
+            mask = np.ones(len(lat), dtype=bool)
+            lbs = self.comm.pack_lower_bounds(key)
+            for k in range(self.n):
+                if lbs[k] > 0:
+                    mask &= lat[:, k] >= lbs[k]
+            self._pack_region_cache[key] = mask
         return mask
 
     def dense_schedule_vector(self) -> Tuple[int, ...]:
@@ -203,17 +219,8 @@ class TiledProgram:
         sources)."""
         if self._dense_s is None:
             ttis = self.tiling.ttis
-            seen: Dict[Tuple[int, ...], None] = {}
-            for ds in self._read_deps:
-                for d in ds:
-                    if d is not None and any(d):
-                        seen[tuple(int(x) for x in d)] = None
-            for dd in self.nest.dependences:
-                d = tuple(int(x) for x in dd)
-                if any(d):
-                    seen[d] = None
-            dprimes = [tuple(int(x) for x in dp) for dp in
-                       ttis.transformed_dependences(list(seen))]
+            dprimes = ttis.transformed_dependences(
+                schedule_dependences(self.nest))
             self._dense_s = wavefront_vector(
                 [d for d in dprimes if any(d)], self.n, extents=ttis.v)
         return self._dense_s
@@ -356,13 +363,7 @@ class TiledProgram:
         key = tuple(int(x) for x in direction)
         count = self._full_region_cache.get(key)
         if count is None:
-            lat = self.tiling.ttis.lattice_points_np()
-            mask = np.ones(len(lat), dtype=bool)
-            lbs = self.comm.pack_lower_bounds(direction)
-            for k in range(self.n):
-                if lbs[k] > 0:
-                    mask &= lat[:, k] >= lbs[k]
-            count = int(mask.sum())
+            count = int(self._pack_region(key).sum())
             self._full_region_cache[key] = count
         return count
 
@@ -402,8 +403,7 @@ class TiledProgram:
         dirs = list(dict.fromkeys(dirs))
         if not dirs:
             return
-        lat = tiling.ttis.lattice_points_np()
-        nlat = len(lat)
+        nlat = len(tiling.ttis.lattice_points_np())
         # Pack regions are thin slabs (thickness v_k - cc_k); count over
         # the slab columns, or over the complement when the slab is the
         # wide side.  Only the union of those column sets is ever
@@ -412,11 +412,7 @@ class TiledProgram:
         sels = []                           # (d, columns, use_complement)
         need_totals = False
         for d in dirs:
-            lbs = comm.pack_lower_bounds(d)
-            vec = np.ones(nlat, dtype=bool)
-            for k in range(self.n):
-                if lbs[k] > 0:
-                    vec &= lat[:, k] >= lbs[k]
+            vec = self._pack_region(d)
             self._full_region_cache[d] = int(vec.sum())
             idx = np.nonzero(vec)[0]
             if 2 * len(idx) <= nlat:
@@ -518,8 +514,106 @@ class TiledProgram:
         return self.comm.d_m.index(tuple(dm))
 
 
+class _SparseLDS:
+    """The sparse per-point data back-end of one rank — the tol=0.0
+    oracle: every access goes through the paper's scalar
+    ``map``/``halo_slot`` one cell at a time, sharing nothing with the
+    dense back-end but the frozen payload order."""
+
+    def __init__(self, prog: TiledProgram, pid: Pid, init_value: InitFn,
+                 dtype: type,
+                 global_arrays: Dict[str, Dict[Cell, float]]):
+        self.prog = prog
+        self.init_value = init_value
+        self.dtype = dtype
+        self.global_arrays = global_arrays
+        ttis = prog.tiling.ttis
+        self.lat = ttis.lattice_points_np()
+        self.order = prog.dense_lex_order()
+        self.dprime = [
+            [None if d is None else ttis.transformed_dependences([d])[0]
+             for d in row]
+            for row in prog._read_deps
+        ]
+        self.lds = prog.addressing.lds_for(pid)
+        self.local = {a: self.lds.allocate(dtype) for a in prog.arrays}
+
+    def _points(self, mask: np.ndarray) -> List[Tuple[int, ...]]:
+        """TTIS points selected by ``mask``, in frozen payload order."""
+        return [tuple(int(x) for x in self.lat[i])
+                for i in self.order[mask[self.order]]]
+
+    def unpack(self, r: TileRecv, payload: np.ndarray, t: int) -> None:
+        """Paper RECEIVE: the receiver re-derives the sender's region
+        (it knows the predecessor tile) and scatters values into the
+        halo slots ``map(j', t) - d^S_k v_k / c_k``."""
+        points = self._points(self.prog.region_mask(r.pred, r.ds))
+        pos = 0
+        for arr in self.prog.arrays:
+            la = self.local[arr]
+            for j_prime in points:
+                la[self.lds.halo_slot(j_prime, r.ds, t)] = payload[pos]
+                pos += 1
+
+    def compute_tile(self, tile: Tile, t: int) -> None:
+        prog = self.prog
+        nest = prog.nest
+        ttis = prog.tiling.ttis
+        origin = prog.tiling.tile_origin(tile)
+        for j_prime in self._points(prog.tile_mask(tile)):
+            g = tuple(a + b for a, b in
+                      zip(origin, ttis.from_ttis(j_prime)))
+            cell = self.lds.map(j_prime, t)
+            for si, s in enumerate(nest.statements):
+                vals = []
+                for ri, ref in enumerate(s.reads):
+                    dep = prog._read_deps[si][ri]
+                    if dep is None or not nest.domain.contains(
+                            tuple(a - b for a, b in zip(g, dep))):
+                        vals.append(
+                            self.init_value(ref.array, ref.index(g)))
+                    else:
+                        src = tuple(a - b for a, b in
+                                    zip(j_prime, self.dprime[si][ri]))
+                        vals.append(
+                            self.local[ref.array][self.lds.map(src, t)])
+                self.local[s.write.array][cell] = kexpr.evaluate(
+                    s.expr, vals)
+
+    def pack(self, tile: Tile, direction: Tile, t: int) -> np.ndarray:
+        """Paper SEND: serialize the region's values, array-major then
+        lattice order."""
+        prog = self.prog
+        points = self._points(prog.region_mask(tile, direction))
+        out = np.empty(len(points) * len(prog.arrays), dtype=self.dtype)
+        pos = 0
+        for arr in prog.arrays:
+            la = self.local[arr]
+            for j_prime in points:
+                out[pos] = la[self.lds.map(j_prime, t)]
+                pos += 1
+        return out
+
+    def write_back(self, tiles: Sequence[Tile]) -> None:
+        prog = self.prog
+        ttis = prog.tiling.ttis
+        for tile in tiles:
+            t = prog.dist.chain_index(tile)
+            origin = prog.tiling.tile_origin(tile)
+            for i in np.nonzero(prog.tile_mask(tile))[0]:
+                j_prime = tuple(int(x) for x in self.lat[i])
+                g = tuple(a + b for a, b in
+                          zip(origin, ttis.from_ttis(j_prime)))
+                cell = self.lds.map(j_prime, t)
+                for s in prog.nest.statements:
+                    self.global_arrays[s.write.array][s.write.index(g)] = \
+                        float(self.local[s.write.array][cell])
+
+
 class DistributedRun:
-    """Execute a :class:`TiledProgram` on the virtual cluster."""
+    """Execute a :class:`TiledProgram` on the virtual cluster (one
+    walk, one port, three data back-ends — see the module docstring;
+    their :class:`RunStats` are equal by construction)."""
 
     def __init__(self, program: TiledProgram, spec: ClusterSpec,
                  trace: Optional[EventTrace] = None):
@@ -527,49 +621,33 @@ class DistributedRun:
         self.spec = spec
         self.trace = trace
 
+    def _run(self, plans: Dict[int, RankPlan],
+             backend: Optional[Callable[[Pid], Any]] = None) -> RunStats:
+        """Walk ``plans`` on the virtual cluster.  ``backend(pid)``
+        makes a rank's data back-end (``None``: timing only); its
+        write-back runs after the walk, outside the timed region."""
+        prog, spec = self.program, self.spec
+
+        def make_program(plan: RankPlan) -> NodeFn:
+            data = None if backend is None else backend(plan.pid)
+
+            def node(api: RankApi) -> Generator:
+                yield from rank_walk(prog, plan,
+                                     VmpiPort(spec, plan.rank), data)
+                if data is not None:
+                    data.write_back(plan.tiles)
+            return node
+
+        programs = {rank: make_program(plan)
+                    for rank, plan in plans.items()}
+        return VirtualMPI(spec, programs, trace=self.trace).run()
+
     # -- timing-only mode -----------------------------------------------------------
 
     def simulate(self) -> RunStats:
         """Run the communication/computation schedule with exact sizes
         but no data; returns the simulated clocks."""
-        prog = self.program
-        spec = self.spec
-        narr = len(prog.arrays)
-
-        def speed(rank: int) -> float:
-            return spec.node_speed_factor(rank)
-
-        def make_program(pid: Pid) -> NodeFn:
-            rank = prog.rank_of[pid]
-            f = speed(rank)
-
-            def node(api: RankApi) -> Generator:
-                for tile in prog.dist.tiles_of(pid):
-                    for ds, pred, src in prog.receive_plan(tile):
-                        nelems = prog.region_count(pred, ds) * narr
-                        if nelems == 0:
-                            continue
-                        dm = prog.comm.project(ds)
-                        yield Recv(source=prog.rank_of[src],
-                                   tag=prog.message_tag(dm))
-                        yield Compute(spec.pack_time(nelems) * f)
-                    pts = prog.tile_point_count(tile)
-                    yield Compute(spec.compute_time(pts) * f)
-                    for dm, dst in prog.send_plan(tile):
-                        full_dir = dm[:prog.dist.m] + (0,) + dm[prog.dist.m:]
-                        nelems = prog.region_count(tile, full_dir) * narr
-                        if nelems == 0:
-                            continue
-                        yield Compute(spec.pack_time(nelems) * f)
-                        yield Send(dest=prog.rank_of[dst],
-                                   tag=prog.message_tag(dm),
-                                   nelems=nelems)
-            return node
-
-        programs = {prog.rank_of[pid]: make_program(pid)
-                    for pid in prog.pids}
-        engine = VirtualMPI(spec, programs, trace=self.trace)
-        return engine.run()
+        return self._run(build_rank_plans(self.program))
 
     def simulate_unaggregated(self) -> RunStats:
         """Ablation of the §3.2 Tang & Xue scheme: send one message per
@@ -580,69 +658,14 @@ class DistributedRun:
         dependencies ``d^S`` sharing a processor direction ``d^m`` into
         a single message; this mode undoes that, so each crossing
         dependence pays its own latency and (identical) payload.
-        Timing-only.
+        Timing-only: :meth:`simulate` over the per-dependence plan.
         """
-        prog = self.program
-        spec = self.spec
-        narr = len(prog.arrays)
-        dist, comm = prog.dist, prog.comm
-        ds_list = [ds for ds in comm.d_s if not comm.is_intra_processor(ds)]
-        tag_of = {ds: i for i, ds in enumerate(ds_list)}
-
-        def make_program(pid: Pid) -> NodeFn:
-            # Same per-rank CPU slowdown as simulate(): the ablation
-            # must differ from the paper scheme only in message
-            # aggregation, never in the cost model.
-            f = spec.node_speed_factor(prog.rank_of[pid])
-
-            def node(api: RankApi) -> Generator:
-                for tile in dist.tiles_of(pid):
-                    # receive one message per crossing dependence whose
-                    # predecessor tile exists
-                    for ds in ds_list:
-                        pred = tuple(a - b for a, b in zip(tile, ds))
-                        if not dist.valid(pred):
-                            continue
-                        nelems = prog.region_count(pred, ds) * narr
-                        if nelems == 0:
-                            continue
-                        dm = comm.project(ds)
-                        src = tuple(a - b for a, b
-                                    in zip(dist.pid_of(tile), dm))
-                        yield Recv(source=prog.rank_of[src],
-                                   tag=tag_of[ds])
-                        yield Compute(spec.pack_time(nelems) * f)
-                    pts = prog.tile_point_count(tile)
-                    yield Compute(spec.compute_time(pts) * f)
-                    # send one message per crossing dependence with a
-                    # valid successor tile
-                    for ds in ds_list:
-                        succ = tuple(a + b for a, b in zip(tile, ds))
-                        if not dist.valid(succ):
-                            continue
-                        full = tuple(0 if k == dist.m else ds[k]
-                                     for k in range(prog.n))
-                        nelems = prog.region_count(tile, full) * narr
-                        if nelems == 0:
-                            continue
-                        dm = comm.project(ds)
-                        dst = tuple(a + b for a, b
-                                    in zip(dist.pid_of(tile), dm))
-                        yield Compute(spec.pack_time(nelems) * f)
-                        yield Send(dest=prog.rank_of[dst],
-                                   tag=tag_of[ds], nelems=nelems)
-            return node
-
-        programs = {prog.rank_of[pid]: make_program(pid)
-                    for pid in prog.pids}
-        engine = VirtualMPI(spec, programs, trace=self.trace)
-        return engine.run()
+        return self._run(build_rank_plans(self.program, aggregate=False))
 
     # -- full data mode ---------------------------------------------------------------
 
-    def execute(self, init_value: Callable[[str, Tuple[int, ...]], float],
-                dtype: type = np.float64,
-                ) -> Tuple[Dict[str, Dict[Tuple[int, ...], float]], RunStats]:
+    def execute(self, init_value: InitFn, dtype: type = np.float64,
+                ) -> Tuple[Dict[str, Dict[Cell, float]], RunStats]:
         """Run with real data movement; returns (global arrays, stats).
 
         ``init_value(array, cell)`` supplies values for reads that fall
@@ -652,298 +675,37 @@ class DistributedRun:
         ``loc⁻¹`` composed with ``f_w``).
         """
         prog = self.program
-        spec = self.spec
-        nest = prog.nest
-        ttis = prog.tiling.ttis
-        dist = prog.dist
-        lat = ttis.lattice_points_np()
-        order = prog.dense_lex_order()  # frozen lexicographic order
-        narr = len(prog.arrays)
-        # Global result assembled at the end (the paper's write-back to DS).
-        global_arrays: Dict[str, Dict[Tuple[int, ...], float]] = {
-            a: {} for a in prog.arrays
-        }
-        stmts = nest.statements
-        read_deps = prog._read_deps
-        dprime_per_stmt = [
-            [None if d is None else ttis.transformed_dependences([d])[0]
-             for d in row]
-            for row in read_deps
-        ]
-
-        def make_program(pid: Pid) -> NodeFn:
-            lds = prog.addressing.lds_for(pid)
-            arrays_local = {a: lds.allocate(dtype) for a in prog.arrays}
-
-            def read_value(arr: str, stmt_idx: int, read_idx: int,
-                           j_prime: Tuple[int, ...], t: int,
-                           g: Tuple[int, ...]) -> float:
-                ref = stmts[stmt_idx].reads[read_idx]
-                d = read_deps[stmt_idx][read_idx]
-                if d is None:
-                    return init_value(arr, ref.index(g))
-                src_pt = tuple(a - b for a, b in zip(g, d))
-                if not nest.domain.contains(src_pt):
-                    return init_value(arr, ref.index(g))
-                dp = dprime_per_stmt[stmt_idx][read_idx]
-                cell = lds.map(
-                    tuple(a - b for a, b in zip(j_prime, dp)), t
-                )
-                return arrays_local[arr][cell]
-
-            def node(api: RankApi) -> Generator:
-                for tile in dist.tiles_of(pid):
-                    t = dist.chain_index(tile)
-                    # RECEIVE ------------------------------------------------
-                    for ds, pred, src in prog.receive_plan(tile):
-                        nelems = prog.region_count(pred, ds) * narr
-                        if nelems == 0:
-                            continue
-                        dm = prog.comm.project(ds)
-                        payload, got = yield Recv(
-                            source=prog.rank_of[src],
-                            tag=prog.message_tag(dm))
-                        assert got == nelems, (
-                            f"size mismatch at {tile} from {pred}: "
-                            f"{got} != {nelems}")
-                        yield Compute(spec.pack_time(nelems))
-                        self._unpack(prog, lds, arrays_local, payload,
-                                     pred, ds, t)
-                    # COMPUTE ------------------------------------------------
-                    mask = prog.tile_mask(tile)
-                    idx = order[mask[order]]
-                    origin = prog.tiling.tile_origin(tile)
-                    yield Compute(spec.compute_time(int(mask.sum())))
-                    for i in idx:
-                        j_prime = tuple(int(x) for x in lat[i])
-                        local = ttis.from_ttis(j_prime)
-                        g = tuple(a + b for a, b in zip(origin, local))
-                        for si, s in enumerate(stmts):
-                            vals = [
-                                read_value(r.array, si, ri, j_prime, t, g)
-                                for ri, r in enumerate(s.reads)
-                            ]
-                            cell = lds.map(j_prime, t)
-                            arrays_local[s.write.array][cell] = \
-                                s.kernel(g, vals)
-                    # SEND ---------------------------------------------------
-                    for dm, dst in prog.send_plan(tile):
-                        full_dir = dm[:dist.m] + (0,) + dm[dist.m:]
-                        region = prog.region_mask(tile, full_dir)
-                        count = int(region.sum())
-                        if count == 0:
-                            continue
-                        nelems = count * narr
-                        yield Compute(spec.pack_time(nelems))
-                        payload = self._pack(prog, lds, arrays_local,
-                                             tile, region, t, order, lat,
-                                             dtype)
-                        yield Send(dest=prog.rank_of[dst],
-                                   tag=prog.message_tag(dm),
-                                   nelems=nelems, payload=payload)
-                # WRITE-BACK (outside the timed region, like the paper's
-                # final placement of local data into the global DS).
-                for tile in dist.tiles_of(pid):
-                    t = dist.chain_index(tile)
-                    mask = prog.tile_mask(tile)
-                    origin = prog.tiling.tile_origin(tile)
-                    for i in np.nonzero(mask)[0]:
-                        j_prime = tuple(int(x) for x in lat[i])
-                        local = ttis.from_ttis(j_prime)
-                        g = tuple(a + b for a, b in zip(origin, local))
-                        cell = lds.map(j_prime, t)
-                        for s in stmts:
-                            global_arrays[s.write.array][s.write.index(g)] = \
-                                float(arrays_local[s.write.array][cell])
-            return node
-
-        programs = {prog.rank_of[pid]: make_program(pid)
-                    for pid in prog.pids}
-        engine = VirtualMPI(spec, programs, trace=self.trace)
-        stats = engine.run()
+        global_arrays: Dict[str, Dict[Cell, float]] = {
+            a: {} for a in prog.arrays}
+        stats = self._run(
+            build_rank_plans(prog),
+            lambda pid: _SparseLDS(prog, pid, init_value, dtype,
+                                   global_arrays))
         return global_arrays, stats
 
     # -- dense data mode ---------------------------------------------------------------
 
     def execute_dense(
-        self, init_value: Callable[[str, Tuple[int, ...]], float],
+        self, init_value: InitFn,
         dtype: type = np.float64,
         native: Optional["NativeKernelLibrary"] = None,
     ) -> Tuple[Dict[str, DenseField], RunStats]:
-        """Vectorized twin of :meth:`execute`.
-
-        Each rank's LDS is a flat numpy buffer addressed by the paper's
-        condensed ``map`` (strides ``c_k``, halo offsets ``off_k``);
-        every tile executes in batched wavefront levels of its TTIS
-        lattice; pack/unpack move whole ``CC`` regions as single
-        gathers/scatters.  The event sequence yielded to the virtual
-        cluster is identical to :meth:`execute` (one ``Compute`` per
-        tile, same message sizes/tags/order), so the returned
-        :class:`RunStats` match exactly; only the Python-side wall-clock
-        cost changes.  Results come back as :class:`DenseField` per
-        written array (``.to_cells()`` recovers the sparse dicts).
+        """Vectorized twin of :meth:`execute` over the dense
+        :class:`~repro.runtime.dense.RankLDS` back-end: flat numpy LDS
+        buffers, tiles executed in batched wavefront levels, whole
+        ``CC`` regions packed as single gathers.  Same walk, plan and
+        port as :meth:`execute`, so the :class:`RunStats` match
+        exactly; results come back as :class:`DenseField` per written
+        array (``.to_cells()`` recovers the sparse dicts).
 
         ``native`` switches the per-tile COMPUTE loop to the compiled
-        shared-object kernels (see ``repro.native``): same LDS buffers,
-        same wavefront levels, bitwise-identical values.  A library
-        that fell back at build time (or a non-float64 ``dtype``)
-        silently keeps the numpy path.
+        shared-object kernels (see ``repro.native``), bitwise
+        identical.  A library that fell back at build time (or a
+        non-float64 ``dtype``) silently keeps the numpy path.
         """
-        prog = self.program
-        spec = self.spec
-        nest = prog.nest
-        tiling = prog.tiling
-        ttis = tiling.ttis
-        dist = prog.dist
-        n = prog.n
-        m = dist.m
-        lat = ttis.lattice_points_np()
-        tis = ttis.tis_points_np()
-        lex_order = prog.dense_lex_order()
-        narr = len(prog.arrays)
-        amat, bvec = tiling._amat, tiling._bvec
-        v_np = np.asarray(ttis.v, dtype=np.int64)
-        c_np = np.asarray(ttis.c, dtype=np.int64)
-        rows_np = v_np // c_np
-        plans = build_statement_plans(nest, init_value, dtype)
-        for plan in plans:
-            for rp in plan.reads:
-                if rp.dep is not None:
-                    dp = ttis.transformed_dependences(
-                        [tuple(int(x) for x in rp.dep)])[0]
-                    rp.dep_prime = np.asarray(dp, dtype=np.int64)
-        # Wavefront over the TTIS images of the dependences: legality
-        # (H d >= 0) makes them componentwise non-negative, so a valid
-        # schedule always exists; an axis all deps advance along gives
-        # the fewest levels.  Shared with the emitters through
-        # TiledProgram so generated sources burn in the same slices.
-        tile_batches = prog.dense_level_batches
-        native_rt = (native.runtime(prog, init_value, dtype)
-                     if native is not None else None)
-        fields: Dict[str, DenseField] = {
-            plan.stmt.write.array: field_for_write(plan.stmt.write,
-                                                   nest.domain, dtype)
-            for plan in plans
-        }
-
-        def make_program(pid: Pid) -> NodeFn:
-            lds = prog.addressing.lds_for(pid)
-            shape = np.asarray(lds.shape, dtype=np.int64)
-            strides = np.ones(n, dtype=np.int64)
-            for k in reversed(range(n - 1)):
-                strides[k] = strides[k + 1] * shape[k + 1]
-            size = int(lds.cells)
-            off_np = np.asarray(lds.offsets, dtype=np.int64)
-            local = {a: np.zeros(size, dtype=dtype) for a in prog.arrays}
-            nk = (native_rt.for_rank(lds, local)
-                  if native_rt is not None else None)
-
-            def to_flat(jp: np.ndarray, t: int) -> np.ndarray:
-                shifted = jp.copy()
-                shifted[:, m] += t * int(v_np[m])
-                return (shifted // c_np + off_np) @ strides
-
-            def node(api: RankApi) -> Generator:
-                for tile in dist.tiles_of(pid):
-                    t = dist.chain_index(tile)
-                    # RECEIVE ------------------------------------------------
-                    for ds, pred, src in prog.receive_plan(tile):
-                        nelems = prog.region_count(pred, ds) * narr
-                        if nelems == 0:
-                            continue
-                        dm = prog.comm.project(ds)
-                        payload, got = yield Recv(
-                            source=prog.rank_of[src],
-                            tag=prog.message_tag(dm))
-                        assert got == nelems, (
-                            f"size mismatch at {tile} from {pred}: "
-                            f"{got} != {nelems}")
-                        yield Compute(spec.pack_time(nelems))
-                        region = prog.region_mask(pred, ds)
-                        idx = lex_order[region[lex_order]]
-                        flat = to_flat(lat[idx], t) - int(
-                            (np.asarray(ds, dtype=np.int64) * rows_np)
-                            @ strides)
-                        cnt = len(idx)
-                        for ai, arr in enumerate(prog.arrays):
-                            local[arr][flat] = \
-                                payload[ai * cnt:(ai + 1) * cnt]
-                    # COMPUTE ------------------------------------------------
-                    yield Compute(spec.compute_time(
-                        prog.tile_point_count(tile)))
-                    origin = np.asarray(tiling.tile_origin(tile),
-                                        dtype=np.int64)
-                    if nk is not None:
-                        nk.run_tile(tile, t, origin)
-                    for batch in (() if nk is not None
-                                  else tile_batches(tile)):
-                        jp = lat[batch]
-                        g = tis[batch] + origin
-                        wflat = to_flat(jp, t)
-
-                        def gather(rp: ReadPlan, gpts: np.ndarray,
-                                   _jp: np.ndarray = jp,
-                                   _t: int = t) -> np.ndarray:
-                            assert rp.dep is not None
-                            assert rp.dep_prime is not None
-                            flat = to_flat(_jp - rp.dep_prime, _t)
-                            # Out-of-domain sources can address outside
-                            # the LDS; clip, then overwrite below.
-                            vals = local[rp.ref.array][
-                                np.clip(flat, 0, size - 1)]
-                            in_dom = np.all(
-                                amat @ (gpts - rp.dep).T
-                                <= bvec[:, None], axis=0)
-                            if not in_dom.all():
-                                fix_out_of_domain(vals, rp.ref, gpts,
-                                                  in_dom, init_value)
-                            return vals
-
-                        for plan in plans:
-                            out = evaluate_statement_batch(
-                                plan, g, gather, dtype)
-                            local[plan.stmt.write.array][wflat] = out
-                    # SEND ---------------------------------------------------
-                    for dm, dst in prog.send_plan(tile):
-                        full_dir = dm[:m] + (0,) + dm[m:]
-                        region = prog.region_mask(tile, full_dir)
-                        count = int(region.sum())
-                        if count == 0:
-                            continue
-                        nelems = count * narr
-                        yield Compute(spec.pack_time(nelems))
-                        idx = lex_order[region[lex_order]]
-                        flat = to_flat(lat[idx], t)
-                        payload = np.concatenate(
-                            [local[a][flat] for a in prog.arrays])
-                        yield Send(dest=prog.rank_of[dst],
-                                   tag=prog.message_tag(dm),
-                                   nelems=nelems, payload=payload)
-                # WRITE-BACK (outside the timed region, as in execute).
-                for tile in dist.tiles_of(pid):
-                    t = dist.chain_index(tile)
-                    mask_idx = np.nonzero(prog.tile_mask(tile))[0]
-                    if not len(mask_idx):
-                        continue
-                    origin = np.asarray(tiling.tile_origin(tile),
-                                        dtype=np.int64)
-                    g = tis[mask_idx] + origin
-                    flat = to_flat(lat[mask_idx], t)
-                    for plan in plans:
-                        arr = plan.stmt.write.array
-                        field = fields[arr]
-                        cells = plan.write_indexer.cells(g)
-                        loc = tuple((cells - np.asarray(
-                            field.origin, dtype=np.int64)).T)
-                        field.values[loc] = local[arr][flat]
-                        field.written[loc] = True
-            return node
-
-        programs = {prog.rank_of[pid]: make_program(pid)
-                    for pid in prog.pids}
-        engine = VirtualMPI(spec, programs, trace=self.trace)
-        stats = engine.run()
-        return fields, stats
+        data = DenseData(self.program, init_value, dtype, native)
+        stats = self._run(build_rank_plans(self.program), data.rank)
+        return data.fields, stats
 
     # -- real parallel mode -------------------------------------------------------------
 
@@ -958,33 +720,14 @@ class DistributedRun:
         verify: bool = False,
         native: Optional["NativeKernelLibrary"] = None,
     ) -> Tuple[Dict[str, DenseField], RunStats]:
-        """Run the schedule with *real* OS-process parallelism.
-
-        One process per processor (capped at ``workers``), halos moving
-        through shared-memory mailboxes — see
-        :mod:`repro.runtime.parallel`.  Results are bitwise identical
-        to :meth:`execute_dense`; the returned :class:`RunStats` carry
-        *measured* wall-clock per-rank clocks (the simulator's event
-        counts, so ``total_messages``/``total_elements`` still match
-        :meth:`simulate` exactly).
-
-        ``overlap=True`` switches every rank to the overlapped
-        schedule: per wavefront level the boundary sub-batch runs
-        first, its values scatter zero-copy into reserved ring slots,
-        each message publishes at its last contributing level, and
-        interior work proceeds while consumers drain the ring (halos
-        are correspondingly unpacked lazily).  Same messages, same
-        bytes, bitwise-identical results.
-
-        ``verify=True`` certifies the schedule happens-before clean
-        (see :meth:`TiledProgram.hb_certificate`) before any process
-        forks, raising ``VerificationError`` instead of hitting the
-        hazard at run time.
-
-        ``native`` hands every worker a compiled
-        :class:`~repro.native.engine.NativeKernelLibrary`: per-tile
-        compute runs in the shared object over the same LDS buffers
-        and rings, bitwise identical to the numpy kernels.
+        """Run the schedule with *real* OS-process parallelism: one
+        process per processor (capped at ``workers``), halos moving
+        through shared-memory mailboxes.  Results are bitwise identical
+        to :meth:`execute_dense`; the :class:`RunStats` carry *measured*
+        wall-clock per-rank clocks with the simulator's event counts.
+        See :func:`repro.runtime.parallel.run_parallel` for
+        ``protocol``, ``overlap`` (the overlapped schedule), ``verify``
+        (HB pre-flight) and ``native`` (compiled kernels).
         """
         from repro.runtime.parallel import run_parallel
         return run_parallel(
@@ -992,52 +735,3 @@ class DistributedRun:
             dtype=dtype, protocol=protocol, mailbox_depth=mailbox_depth,
             timeout=timeout, trace=self.trace, overlap=overlap,
             verify=verify, native=native)
-
-    # -- pack / unpack ------------------------------------------------------------------
-
-    @staticmethod
-    def _pack(prog: TiledProgram, lds: LocalDataSpace,
-              arrays_local: Dict[str, np.ndarray],
-              tile: Tile, region: np.ndarray, t: int,
-              order: np.ndarray, lat: np.ndarray,
-              dtype: type) -> np.ndarray:
-        """Serialize the region's values, array-major then lattice order."""
-        idx = order[region[order]]
-        out = np.empty(len(idx) * len(prog.arrays), dtype=dtype)
-        pos = 0
-        for arr in prog.arrays:
-            la = arrays_local[arr]
-            for i in idx:
-                j_prime = tuple(int(x) for x in lat[i])
-                out[pos] = la[lds.map(j_prime, t)]
-                pos += 1
-        return out
-
-    @staticmethod
-    def _unpack(prog: TiledProgram, lds: LocalDataSpace,
-                arrays_local: Dict[str, np.ndarray],
-                payload: np.ndarray, pred: Tile, ds: Tile,
-                t: int) -> None:
-        """Mirror of :meth:`_pack` on the receiving side.
-
-        The receiver re-derives the sender's region (it knows the
-        predecessor tile) and scatters values into the halo slots
-        ``map(j', t) - d^S_k v_k / c_k`` of Table RECEIVE.
-
-        The intra-region payload order is the program's frozen
-        :meth:`TiledProgram.dense_lex_order` — the exact order
-        :meth:`_pack` serialized with — so no per-message ``lexsort``
-        over the full lattice is ever recomputed here.
-        """
-        lat = prog.tiling.ttis.lattice_points_np()
-        order = prog.dense_lex_order()
-        region = prog.region_mask(pred, ds)
-        idx = order[region[order]]
-        pos = 0
-        for arr in prog.arrays:
-            la = arrays_local[arr]
-            for i in idx:
-                j_prime = tuple(int(x) for x in lat[i])
-                slot = lds.halo_slot(j_prime, ds, t)
-                la[slot] = payload[pos]
-                pos += 1

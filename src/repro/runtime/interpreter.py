@@ -23,6 +23,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from repro.linalg.ratmat import RatMat
+from repro.loops import kexpr
 from repro.loops.nest import LoopNest
 from repro.polyhedra.integer_points import integer_points
 from repro.polyhedra.vertices import bounding_box
@@ -32,9 +33,9 @@ from repro.runtime.dense import (
     domain_constraints,
     domain_mask,
     evaluate_statement_batch,
-    field_for_write,
     fix_out_of_domain,
     level_batches,
+    result_fields,
     schedule_dependences,
     wavefront_vector,
 )
@@ -55,7 +56,8 @@ def _execute_point(nest: LoopNest, arrays: Dict[str, Dict[Cell, float]],
                 vals.append(store[cell])
             else:
                 vals.append(init_value(r.array, cell))
-        arrays[s.write.array][s.write.index(j)] = s.kernel(j, vals)
+        arrays[s.write.array][s.write.index(j)] = kexpr.evaluate(
+            s.expr, vals)
 
 
 def run_sequential(nest: LoopNest,
@@ -94,9 +96,9 @@ def run_dense_sequential(nest: LoopNest, init_value: InitFn,
     """Execute the nest in batched wavefront order over dense storage.
 
     Semantically equivalent to :func:`run_sequential` — and bitwise
-    equal when the statements' ``kernel_np`` twins mirror their scalar
-    kernels — but executes whole independence levels as single numpy
-    operations instead of one dict lookup per point.
+    equal, since both evaluate the same kernel exprs — but executes
+    whole independence levels as single numpy operations instead of
+    one dict lookup per point.
     """
     n = nest.depth
     amat, bvec = domain_constraints(nest.domain)
@@ -109,15 +111,11 @@ def run_dense_sequential(nest: LoopNest, init_value: InitFn,
     pts = pts[domain_mask(amat, bvec, pts)]
     plans = build_statement_plans(nest, init_value, dtype)
     s = wavefront_vector(
-        schedule_dependences(nest, plans), n,
+        schedule_dependences(nest), n,
         extents=[h - b + 1 for b, h in zip(lo, hi)],
     )
     batches = level_batches(pts, s)
-    fields = {
-        plan.stmt.write.array: field_for_write(plan.stmt.write,
-                                               nest.domain, dtype)
-        for plan in plans
-    }
+    fields = result_fields(nest, dtype)
     limits = {
         a: np.asarray(f.values.shape, dtype=np.int64) - 1
         for a, f in fields.items()

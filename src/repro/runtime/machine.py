@@ -66,6 +66,14 @@ class ClusterSpec:
     def pack_time(self, nelems: int) -> float:
         return nelems * self.time_per_packed_element
 
+    def uses_rendezvous(self, nelems: int) -> bool:
+        """Does a message of ``nelems`` elements take the synchronous
+        protocol (see ``rendezvous_threshold``)?"""
+        return (self.rendezvous_threshold is not None
+                and not self.overlap
+                and nelems * self.bytes_per_element
+                > self.rendezvous_threshold)
+
     def with_overlap(self) -> ClusterSpec:
         return replace(self, overlap=True)
 

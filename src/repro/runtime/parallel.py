@@ -7,8 +7,10 @@ compiled schedule in parallel on the host:
 
 * each processor ``pid`` of the :class:`~repro.runtime.executor.
   TiledProgram` becomes (up to ``workers``) an OS process owning its
-  dense LDS buffers, executing its tile chain in paper order with the
-  same batched wavefront kernels as the dense engine;
+  dense LDS (:class:`~repro.runtime.dense.RankLDS`, the very object
+  the simulated dense engine uses), executing its tile chain through
+  the shared node program :func:`~repro.runtime.rankstep.rank_walk`
+  with a shared-memory ring port in place of the virtual-MPI one;
 * halos move through *lock-free per-edge shared-memory mailboxes*: one
   single-producer/single-consumer ring buffer per directed
   ``(src_rank, dst_rank, tag)`` edge, sized at compile time from the
@@ -21,11 +23,12 @@ compiled schedule in parallel on the host:
   picks per message from :attr:`ClusterSpec.rendezvous_threshold`,
   exactly like the simulator.
 
-Correctness story: the per-tile computation is byte-for-byte the dense
-engine's (same level batches, same gathers, same ``kernel_np``
-expressions), and messages carry the exact values the dense engine
-packs, so results are **bitwise identical** (``tol=0.0``) to
-``execute_dense`` — the tests pin this down.  The returned
+Correctness story: the per-tile computation and every pack/unpack *are*
+the dense engine's (same ``RankLDS`` methods, walk and frozen plan), so
+results are **bitwise identical** (``tol=0.0``) to ``execute_dense``.
+The overlapped schedule is the one walk this module still owns: it
+reorders work *within* a tile, which the blocking node program cannot
+express, but moves every byte through the same LDS object.  The returned
 :class:`~repro.runtime.vmpi.RunStats` carries *measured* wall-clock
 per-rank clocks and compute/comm splits (idle falls out in
 :func:`~repro.runtime.metrics.metrics_from_stats`), while its event
@@ -57,10 +60,10 @@ per-rank split becomes an attribution, not a measurement.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _shm
 from typing import (
@@ -68,7 +71,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generator,
     List,
     Optional,
     Set,
@@ -79,14 +81,22 @@ import numpy as np
 
 from repro.runtime.dataspace import DenseField
 from repro.runtime.dense import (
+    DenseData,
     EdgePackPlan,
-    ReadPlan,
-    build_statement_plans,
-    evaluate_statement_batch,
-    field_for_write,
-    fix_out_of_domain,
+    RankLDS,
+    result_fields,
 )
 from repro.runtime.machine import ClusterSpec
+from repro.runtime.rankstep import (
+    ParallelRuntimeError,
+    RankPlan,
+    TileRecv,
+    TileSend,
+    build_rank_plans,
+    Steps,
+    rank_walk,
+    unpack_halo,
+)
 from repro.runtime.trace import EventTrace
 from repro.runtime.vmpi import RunStats
 
@@ -94,7 +104,6 @@ if TYPE_CHECKING:
     from repro.native.engine import NativeKernelLibrary
     from repro.runtime.executor import TiledProgram
 
-Pid = Tuple[int, ...]
 Tile = Tuple[int, ...]
 Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
@@ -111,10 +120,6 @@ _SLEEP_MAX = 2e-3
 _POLL = 0.01
 
 
-class ParallelRuntimeError(RuntimeError):
-    """Base class for parallel-backend failures."""
-
-
 class ParallelWorkerError(ParallelRuntimeError):
     """A worker process died; carries the remote traceback when known."""
 
@@ -123,39 +128,7 @@ class ParallelTimeoutError(ParallelRuntimeError):
     """No completion within the timeout (hang or real deadlock)."""
 
 
-# -- compile-time plans --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TileRecv:
-    """One posted receive of a tile: edge plus region identity."""
-
-    src_rank: int
-    tag: int
-    nelems: int
-    pred: Tile
-    ds: Tile
-
-
-@dataclass(frozen=True)
-class TileSend:
-    """One aggregated send of a tile toward a successor processor."""
-
-    dst_rank: int
-    tag: int
-    nelems: int
-    direction: Tuple[int, ...]          # d^m with 0 at the mapping dim
-
-
-@dataclass(frozen=True)
-class RankPlan:
-    """The full communication schedule of one rank, tile by tile."""
-
-    rank: int
-    pid: Pid
-    tiles: Tuple[Tile, ...]
-    recvs: Tuple[Tuple[TileRecv, ...], ...]
-    sends: Tuple[Tuple[TileSend, ...], ...]
+# -- mailbox layout ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -195,64 +168,6 @@ class _RunConfig:
     #: Native kernel library (repro.native), or None for numpy compute.
     #: Workers re-dlopen the cached .so by path after the pickle trip.
     native: Optional["NativeKernelLibrary"] = None
-
-
-def build_rank_plans(program: TiledProgram) -> Dict[int, RankPlan]:
-    """Freeze the paper schedule (receive-per-tile, send-per-processor)
-    into per-rank op lists; zero-element messages are dropped exactly
-    as the simulator drops them, so event counts line up.
-
-    Cached on the program (the plans are immutable and a pure function
-    of the frozen schedule): the runtime, the HB graph builder and the
-    cost certifier all replay the same lists."""
-    cached = program._rank_plans_cache
-    if cached is not None:
-        return cached
-    blob = program._rank_plans_blob
-    if blob is not None:
-        # Artifact-loaded programs carry the frozen plans pre-pickled;
-        # decoding is deferred to first use so cache-hit load latency
-        # does not pay for plans a simulate-only caller never touches.
-        program._rank_plans_blob = None
-        loaded: Dict[int, RankPlan] = pickle.loads(blob)
-        program._rank_plans_cache = loaded
-        return loaded
-    narr = len(program.arrays)
-    dist = program.dist
-    plans: Dict[int, RankPlan] = {}
-    for pid in program.pids:
-        rank = program.rank_of[pid]
-        tiles = dist.tiles_of(pid)
-        recvs: List[Tuple[TileRecv, ...]] = []
-        sends: List[Tuple[TileSend, ...]] = []
-        for tile in tiles:
-            rr: List[TileRecv] = []
-            for ds, pred, src in program.receive_plan(tile):
-                nelems = program.region_count(pred, ds) * narr
-                if nelems == 0:
-                    continue
-                dm = program.comm.project(ds)
-                rr.append(TileRecv(
-                    src_rank=program.rank_of[src],
-                    tag=program.message_tag(dm),
-                    nelems=nelems, pred=pred,
-                    ds=tuple(int(x) for x in ds)))
-            ss: List[TileSend] = []
-            for dm, dst in program.send_plan(tile):
-                full_dir = dm[:dist.m] + (0,) + dm[dist.m:]
-                nelems = program.region_count(tile, full_dir) * narr
-                if nelems == 0:
-                    continue
-                ss.append(TileSend(
-                    dst_rank=program.rank_of[dst],
-                    tag=program.message_tag(dm),
-                    nelems=nelems, direction=full_dir))
-            recvs.append(tuple(rr))
-            sends.append(tuple(ss))
-        plans[rank] = RankPlan(rank=rank, pid=pid, tiles=tiles,
-                               recvs=tuple(recvs), sends=tuple(sends))
-    program._rank_plans_cache = plans
-    return plans
 
 
 def build_edges(plans: Dict[int, RankPlan],
@@ -434,160 +349,163 @@ class _OutMsg:
     first_ns: int = -1
 
 
-def _rank_generator(program: TiledProgram, spec: ClusterSpec,
-                    init_value: InitFn, plan: RankPlan,
-                    edges: Dict[EdgeKey, _Edge], dtype: np.dtype,
-                    protocol: str, ctrl: np.ndarray,
-                    clocks: _RankClocks,
-                    fields: Dict[str, Tuple[np.ndarray, np.ndarray]],
-                    origins: Dict[str, np.ndarray],
-                    progress: List[int],
-                    events: Optional[List[Event]],
-                    t0_ns: int,
-                    crash: bool,
-                    overlap: bool = False,
-                    native: Optional["NativeKernelLibrary"] = None,
-                    ) -> Generator[None, None, None]:
-    """One rank's node program as a cooperative generator.
+@dataclass
+class _RingPort:
+    """Shared-memory transport of one rank — the rank step's second
+    port (:class:`~repro.runtime.rankstep.VmpiPort` is the first).
 
-    Identical math to ``DistributedRun.execute_dense`` (same batches,
-    gathers and kernels — that is what makes results bitwise equal);
-    only the transport differs: real shared-memory mailboxes instead
-    of simulator yields.  The generator yields exactly when a mailbox
-    would block, letting the worker scheduler run its other ranks.
-
-    ``overlap=True`` runs the boundary/interior split schedule: per
-    wavefront level, the points feeding outgoing ``CC`` regions run
-    first and scatter zero-copy into reserved ring slots; each message
-    publishes at its last contributing level (before that level's
-    interior), and incoming halos are unpacked lazily at the first
-    level that reads them.  The split is a within-level reorder of an
-    elementwise schedule, so results stay bitwise identical; message
-    order, counts and bytes are unchanged.  While blocked on any ring,
-    the rank opportunistically drains arrived-but-deferred halos, so
-    the lazy receives can never introduce a wait cycle the blocking
-    schedule does not have.
+    Every method that may block is a generator yielding exactly while
+    a mailbox ring would block, letting the worker scheduler run its
+    other ranks.  Wall time is accounted into the rank's
+    :class:`_RankClocks` (and the optional event list) only here.
     """
-    prog = program
-    nest = prog.nest
-    tiling = prog.tiling
-    ttis = tiling.ttis
-    dist = prog.dist
-    n = prog.n
-    m = dist.m
-    rank = plan.rank
-    lat = ttis.lattice_points_np()
-    tis = ttis.tis_points_np()
-    lex_order = np.lexsort(lat.T[::-1])
-    amat, bvec = tiling._amat, tiling._bvec
-    v_np = np.asarray(ttis.v, dtype=np.int64)
-    c_np = np.asarray(ttis.c, dtype=np.int64)
-    rows_np = v_np // c_np
-    plans = build_statement_plans(nest, init_value, dtype)
-    for splan in plans:
-        for rp in splan.reads:
-            if rp.dep is not None:
-                dp = ttis.transformed_dependences(
-                    [tuple(int(x) for x in rp.dep)])[0]
-                rp.dep_prime = np.asarray(dp, dtype=np.int64)
-    tile_batches = prog.dense_level_batches
 
-    lds = prog.addressing.lds_for(plan.pid)
-    shape = np.asarray(lds.shape, dtype=np.int64)
-    strides = np.ones(n, dtype=np.int64)
-    for k in reversed(range(n - 1)):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    size = int(lds.cells)
-    off_np = np.asarray(lds.offsets, dtype=np.int64)
-    local = {a: np.zeros(size, dtype=dtype) for a in prog.arrays}
-    native_rt = (native.runtime(prog, init_value, dtype)
-                 if native is not None else None)
-    nk = (native_rt.for_rank(lds, local)
-          if native_rt is not None else None)
-    thresh = spec.rendezvous_threshold
+    rank: int
+    edges: Dict[EdgeKey, _Edge]
+    spec: ClusterSpec
+    protocol: str                       # "eager" | "rendezvous" | "spec"
+    ctrl: np.ndarray                    # shared flags; [1] = abort
+    clocks: _RankClocks
+    progress: List[int]                 # the worker's progress counter
+    events: Optional[List[Event]]
+    t0_ns: int
+    crash: bool                         # test hook, see crash_point
 
-    def to_flat(jp: np.ndarray, t: int) -> np.ndarray:
-        shifted = jp.copy()
-        shifted[:, m] += t * int(v_np[m])
-        return (shifted // c_np + off_np) @ strides
+    def now(self) -> int:
+        return time.perf_counter_ns() - self.t0_ns
 
-    def rendezvous(nelems: int) -> bool:
-        if protocol == "eager":
+    def check_abort(self) -> None:
+        if self.ctrl[1]:
+            raise _Abort
+
+    def wait(self, ready: Callable[[], bool]) -> Steps:
+        while not ready():
+            self.check_abort()
+            yield
+
+    def rendezvous(self, nelems: int) -> bool:
+        if self.protocol == "eager":
             return False
-        if protocol == "rendezvous":
+        if self.protocol == "rendezvous":
             return True
-        return (thresh is not None and not spec.overlap
-                and nelems * spec.bytes_per_element > thresh)
+        return self.spec.uses_rendezvous(nelems)
 
-    def now() -> int:
-        return time.perf_counter_ns() - t0_ns
+    def in_edge(self, r: TileRecv) -> _Edge:
+        return self.edges[(r.src_rank, self.rank, r.tag)]
 
-    def unpack_halo(r: TileRecv, payload: np.ndarray, tile: Tile,
-                    t: int) -> None:
-        """Scatter one received region into the LDS halo slots."""
-        if len(payload) != r.nelems:
-            raise ParallelRuntimeError(
-                f"rank {rank}: size mismatch at {tile} from "
-                f"{r.pred}: {len(payload)} != {r.nelems}")
-        region = prog.region_mask(r.pred, r.ds)
-        idx = lex_order[region[lex_order]]
-        flat = to_flat(lat[idx], t) - int(
-            (np.asarray(r.ds, dtype=np.int64) * rows_np) @ strides)
-        cnt = len(idx)
-        for ai, arr in enumerate(prog.arrays):
-            local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
+    def out_edge(self, s: TileSend) -> _Edge:
+        return self.edges[(self.rank, s.dst_rank, s.tag)]
 
-    def compute_batch(batch: np.ndarray, t: int,
-                      origin: np.ndarray) -> None:
-        """One wavefront (sub-)batch, exactly as the dense engine."""
-        jp = lat[batch]
-        g = tis[batch] + origin
-        wflat = to_flat(jp, t)
+    def crash_point(self) -> None:
+        if self.crash:
+            raise RuntimeError(
+                f"injected crash in rank {self.rank} (test hook)")
 
-        def gather(rp: ReadPlan, gpts: np.ndarray,
-                   _jp: np.ndarray = jp, _t: int = t) -> np.ndarray:
-            assert rp.dep is not None
-            assert rp.dep_prime is not None
-            flat = to_flat(_jp - rp.dep_prime, _t)
-            # Out-of-domain sources can address outside the LDS;
-            # clip, then overwrite below (same as execute_dense).
-            vals = local[rp.ref.array][np.clip(flat, 0, size - 1)]
-            in_dom = np.all(amat @ (gpts - rp.dep).T
-                            <= bvec[:, None], axis=0)
-            if not in_dom.all():
-                fix_out_of_domain(vals, rp.ref, gpts, in_dom,
-                                  init_value)
-            return vals
+    # -- accounting -----------------------------------------------------------------
 
-        for splan in plans:
-            out = evaluate_statement_batch(splan, g, gather, dtype)
-            local[splan.stmt.write.array][wflat] = out
-
-    # comm ns accumulated inside the current tile (overlap mode infers
-    # compute as tile-span minus measured comm; a cell so the helpers
-    # below can add to it).
-    commtile = [0]
-
-    def recv_ready(r: TileRecv, edge: _Edge, tile: Tile, t: int,
-                   w0: Optional[int] = None) -> None:
+    def take(self, r: TileRecv, edge: _Edge,
+             unpack: Callable[[np.ndarray], None], w0: int) -> int:
         """Unpack the (already arrived) head message of ``edge``
-        zero-copy: scatter straight out of the ring slot, then
-        release it.  ``w0`` carries wait time already spent."""
-        if w0 is None:
-            w0 = now()
-        unpack_halo(r, edge.peek(), tile, t)
+        zero-copy — scatter straight out of the ring slot, then release
+        it — and account it from ``w0``, when the wait for it began;
+        returns the nanoseconds charged to communication."""
+        unpack(edge.peek())
         edge.release()
-        progress[0] += 1
-        w1 = now()
-        clocks.comm_ns += w1 - w0
-        commtile[0] += w1 - w0
-        clocks.recvs += 1
-        if events is not None:
-            events.append(("recv", w0, w1, r.src_rank, r.tag,
-                           r.nelems))
+        self.progress[0] += 1
+        w1 = self.now()
+        self.clocks.comm_ns += w1 - w0
+        self.clocks.recvs += 1
+        if self.events is not None:
+            self.events.append(("recv", w0, w1, r.src_rank, r.tag,
+                                r.nelems))
+        return w1 - w0
 
-    def drain_ready(due: List[Tuple[int, TileRecv, _Edge]],
-                    tile: Tile, t: int) -> bool:
+    def sent(self, s: TileSend, w0: int,
+             started: Optional[int] = None) -> int:
+        """Account one published message (``started``: when its first
+        byte was packed, if earlier than the publish began)."""
+        w1 = self.now()
+        c = self.clocks
+        c.comm_ns += w1 - w0
+        c.sends += 1
+        c.elems_sent += s.nelems
+        ekey = (self.rank, s.dst_rank, s.tag)
+        c.edge_msgs[ekey] = c.edge_msgs.get(ekey, 0) + 1
+        c.edge_elems[ekey] = c.edge_elems.get(ekey, 0) + s.nelems
+        if self.events is not None:
+            self.events.append(
+                ("send", w0 if started is None else started, w1,
+                 s.dst_rank, s.tag, s.nelems))
+        return w1 - w0
+
+    # -- the port protocol of rank_walk -----------------------------------------------
+
+    def recv(self, r: TileRecv,
+             unpack: Callable[[np.ndarray], None]) -> Steps:
+        edge = self.in_edge(r)
+        w0 = self.now()
+        yield from self.wait(edge.can_pop)
+        self.take(r, edge, unpack, w0)
+
+    def compute(self, tile: Tile, points: int,
+                run: Callable[[], None]) -> Tuple[()]:
+        c0 = self.now()
+        run()
+        c1 = self.now()
+        self.clocks.compute_ns += c1 - c0
+        if self.events is not None:
+            self.events.append(("compute", c0, c1, -1, -1, 0))
+        self.crash_point()
+        return ()                       # never blocks: nothing to yield
+
+    def send(self, s: TileSend,
+             pack: Callable[[], np.ndarray]) -> Steps:
+        edge = self.out_edge(s)
+        w0 = self.now()
+        payload = pack()
+        yield from self.wait(edge.can_push)
+        msgno = edge.push(payload)
+        self.progress[0] += 1
+        if self.rendezvous(s.nelems):
+            yield from self.wait(lambda: edge.consumed(msgno))
+        self.sent(s, w0)
+
+
+def _overlap_walk(program: TiledProgram, plan: RankPlan,
+                  port: _RingPort, lds: RankLDS) -> Steps:
+    """The overlapped node program of one rank.
+
+    Same plan, same LDS object and same port as the blocking
+    :func:`~repro.runtime.rankstep.rank_walk`, but the schedule inside
+    a tile is its own: per wavefront level, the points feeding outgoing
+    ``CC`` regions run first and scatter zero-copy into reserved ring
+    slots; each message publishes at its last contributing level
+    (before that level's interior), and incoming halos are unpacked
+    lazily at the first level that reads them.  The split is a
+    within-level reorder of an elementwise schedule, so results stay
+    bitwise identical; message order, counts and bytes are unchanged.
+    While blocked on any ring, the rank opportunistically drains
+    arrived-but-deferred halos, so the lazy receives can never
+    introduce a wait cycle the blocking schedule does not have.
+    """
+    clocks = port.clocks
+    dtype = lds.data.dtype
+    tile: Tile = ()
+    t = 0
+    # comm ns accumulated inside the current tile (compute is inferred
+    # as tile-span minus measured comm)
+    commtile = 0
+
+    def recv_ready(r: TileRecv, edge: _Edge,
+                   w0: Optional[int] = None) -> None:
+        """Take the arrived head message of ``edge`` into the current
+        tile's halo; ``w0`` carries wait time already spent."""
+        nonlocal commtile
+        commtile += port.take(
+            r, edge, partial(unpack_halo, lds, r, tile, t),
+            port.now() if w0 is None else w0)
+
+    def drain_ready(due: List[Tuple[int, TileRecv, _Edge]]) -> bool:
         """Pop arrived-but-deferred halos while blocked elsewhere
         (first remaining message per edge only — rings are FIFO).
         Keeps the lazy receives from ever extending a wait cycle."""
@@ -598,7 +516,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             _need, r, edge = item
             key = (r.src_rank, r.tag)
             if key not in blocked and edge.can_pop():
-                recv_ready(r, edge, tile, t)
+                recv_ready(r, edge)
                 did = True
             else:
                 blocked.add(key)
@@ -606,260 +524,148 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
         due[:] = still
         return did
 
-    if not overlap:
-        for ti, tile in enumerate(plan.tiles):
-            t = dist.chain_index(tile)
-            # RECEIVE (receive-per-tile: unpack predecessor regions) ----
-            for r in plan.recvs[ti]:
-                edge = edges[(r.src_rank, rank, r.tag)]
-                w0 = now()
-                while not edge.can_pop():
-                    if ctrl[1]:
-                        raise _Abort
-                    yield
-                payload = edge.pop()
-                progress[0] += 1
-                unpack_halo(r, payload, tile, t)
-                w1 = now()
-                clocks.comm_ns += w1 - w0
-                clocks.recvs += 1
-                if events is not None:
-                    events.append(("recv", w0, w1, r.src_rank, r.tag,
-                                   r.nelems))
-            # COMPUTE (batched wavefront levels, as the dense engine) ---
-            c0 = now()
-            origin = np.asarray(tiling.tile_origin(tile),
-                                dtype=np.int64)
-            if nk is not None:
-                nk.run_tile(tile, t, origin)
+    for ti, tile in enumerate(plan.tiles):
+        t = program.dist.chain_index(tile)
+        origin = lds.tile_origin(tile)
+        oplan = program.overlap_plan(tile)
+        tile0 = port.now()
+        commtile = 0
+        # Outgoing: reserve a ring slot per message so boundary
+        # values scatter straight into shared memory; a full ring
+        # falls back to a staging buffer (reservation never
+        # blocks — blocking here would forfeit the overlap).
+        outs: List[_OutMsg] = []
+        for s, pk in zip(plan.sends[ti], oplan.packs):
+            edge = port.out_edge(s)
+            view = edge.reserve(s.nelems)
+            outs.append(_OutMsg(
+                send=s, edge=edge, pack=pk, zero_copy=view is not None,
+                buf=(view if view is not None
+                     else np.empty(s.nelems, dtype=dtype))))
+        # Incoming: unpack whatever already arrived; defer the
+        # rest to the first wavefront level that can read the
+        # halo.  Rings are FIFO, so a deferred message also
+        # defers everything behind it on the same edge, and each
+        # entry's effective need level is the min over itself and
+        # all later same-edge entries.
+        needs = list(oplan.recv_need)
+        floor: Dict[Tuple[int, int], int] = {}
+        for i in reversed(range(len(needs))):
+            rkey = (plan.recvs[ti][i].src_rank,
+                    plan.recvs[ti][i].tag)
+            needs[i] = min(needs[i], floor.get(rkey, needs[i]))
+            floor[rkey] = needs[i]
+        due: List[Tuple[int, TileRecv, _Edge]] = []
+        deferred: Set[Tuple[int, int]] = set()
+        for r, need in zip(plan.recvs[ti], needs):
+            edge = port.in_edge(r)
+            rkey = (r.src_rank, r.tag)
+            if rkey not in deferred and edge.can_pop():
+                recv_ready(r, edge)
             else:
-                for batch in tile_batches(tile):
-                    compute_batch(batch, t, origin)
-            c1 = now()
-            clocks.compute_ns += c1 - c0
-            if events is not None:
-                events.append(("compute", c0, c1, -1, -1, 0))
-            if crash:
-                raise RuntimeError(
-                    f"injected crash in rank {rank} (test hook)")
-            # SEND (pack-per-processor: one per successor pid) ----------
-            for s in plan.sends[ti]:
-                edge = edges[(rank, s.dst_rank, s.tag)]
-                w0 = now()
-                region = prog.region_mask(tile, s.direction)
-                idx = lex_order[region[lex_order]]
-                flat = to_flat(lat[idx], t)
-                payload = np.concatenate([local[a][flat]
-                                          for a in prog.arrays])
-                while not edge.can_push():
-                    if ctrl[1]:
-                        raise _Abort
-                    yield
-                msgno = edge.push(payload)
-                progress[0] += 1
-                if rendezvous(s.nelems):
-                    while not edge.consumed(msgno):
-                        if ctrl[1]:
-                            raise _Abort
-                        yield
-                w1 = now()
-                clocks.comm_ns += w1 - w0
-                clocks.sends += 1
-                clocks.elems_sent += s.nelems
-                ekey = (rank, s.dst_rank, s.tag)
-                clocks.edge_msgs[ekey] = clocks.edge_msgs.get(ekey, 0) + 1
-                clocks.edge_elems[ekey] = \
-                    clocks.edge_elems.get(ekey, 0) + s.nelems
-                if events is not None:
-                    events.append(("send", w0, w1, s.dst_rank, s.tag,
-                                   s.nelems))
-    else:
-        for ti, tile in enumerate(plan.tiles):
-            t = dist.chain_index(tile)
-            origin = np.asarray(tiling.tile_origin(tile),
-                                dtype=np.int64)
-            oplan = prog.overlap_plan(tile)
-            nlev = oplan.nlevels
-            tile0 = now()
-            commtile[0] = 0
-            # Outgoing: reserve a ring slot per message so boundary
-            # values scatter straight into shared memory; a full ring
-            # falls back to a staging buffer (reservation never
-            # blocks — blocking here would forfeit the overlap).
-            outs: List[_OutMsg] = []
-            for s, pk in zip(plan.sends[ti], oplan.packs):
-                edge = edges[(rank, s.dst_rank, s.tag)]
-                view = edge.reserve(s.nelems)
-                if view is None:
-                    outs.append(_OutMsg(
-                        send=s, edge=edge, pack=pk,
-                        buf=np.empty(s.nelems, dtype=dtype),
-                        zero_copy=False))
+                deferred.add(rkey)
+                due.append((need, r, edge))
+        for li in range(oplan.nlevels):
+            # halos whose first reader sits on this level: block
+            # now if they have not arrived (plan order preserves
+            # per-edge FIFO — needs are monotone along an edge)
+            if due:
+                still: List[Tuple[int, TileRecv, _Edge]] = []
+                for item in due:
+                    need, r, edge = item
+                    if need > li:
+                        still.append(item)
+                        continue
+                    w0 = port.now()
+                    yield from port.wait(edge.can_pop)
+                    recv_ready(r, edge, w0)
+                due = still
+            # boundary first: these values feed outgoing regions
+            bnd = oplan.boundary[li]
+            if len(bnd):
+                lds.compute_segment(tile, t, origin, bnd)
+            # scatter the freshly-final values into every message
+            # this level contributes to (zero-copy for reserved
+            # slots: this writes shared memory directly)
+            for om in outs:
+                if not len(om.pack.level_lat[li]):
+                    continue
+                w0 = port.now()
+                if om.first_ns < 0:
+                    om.first_ns = w0
+                lds.pack_level(om.buf, om.pack, li, t)
+                dns = port.now() - w0
+                clocks.comm_ns += dns
+                commtile += dns
+            # publish complete messages, oldest plan entry first
+            # (same inter-edge commit order as the blocking
+            # schedule, just earlier in wall time)
+            for om in outs:
+                if om.committed:
+                    continue
+                if om.pack.commit_level > li:
+                    break
+                w0 = port.now()
+                if om.first_ns < 0:
+                    om.first_ns = w0
+                if om.zero_copy:
+                    om.msgno = om.edge.commit()
                 else:
-                    outs.append(_OutMsg(send=s, edge=edge, pack=pk,
-                                        buf=view, zero_copy=True))
-            # Incoming: unpack whatever already arrived; defer the
-            # rest to the first wavefront level that can read the
-            # halo.  Rings are FIFO, so a deferred message also
-            # defers everything behind it on the same edge, and each
-            # entry's effective need level is the min over itself and
-            # all later same-edge entries.
-            needs = list(oplan.recv_need)
-            floor: Dict[Tuple[int, int], int] = {}
-            for i in reversed(range(len(needs))):
-                rkey = (plan.recvs[ti][i].src_rank,
-                        plan.recvs[ti][i].tag)
-                needs[i] = min(needs[i], floor.get(rkey, needs[i]))
-                floor[rkey] = needs[i]
-            due: List[Tuple[int, TileRecv, _Edge]] = []
-            deferred: Set[Tuple[int, int]] = set()
-            for r, need in zip(plan.recvs[ti], needs):
-                edge = edges[(r.src_rank, rank, r.tag)]
-                rkey = (r.src_rank, r.tag)
-                if rkey not in deferred and edge.can_pop():
-                    recv_ready(r, edge, tile, t)
-                else:
-                    deferred.add(rkey)
-                    due.append((need, r, edge))
-            for li in range(nlev):
-                # halos whose first reader sits on this level: block
-                # now if they have not arrived (plan order preserves
-                # per-edge FIFO — needs are monotone along an edge)
-                if due:
-                    still: List[Tuple[int, TileRecv, _Edge]] = []
-                    for item in due:
-                        need, r, edge = item
-                        if need > li:
-                            still.append(item)
-                            continue
-                        w0 = now()
-                        while not edge.can_pop():
-                            if ctrl[1]:
-                                raise _Abort
+                    while not om.edge.can_push():
+                        port.check_abort()
+                        if not drain_ready(due):
                             yield
-                        recv_ready(r, edge, tile, t, w0)
-                    due = still
-                # boundary first: these values feed outgoing regions
-                bnd = oplan.boundary[li]
-                if len(bnd):
-                    if nk is not None:
-                        nk.run_segment(tile, t, origin, bnd)
-                    else:
-                        compute_batch(bnd, t, origin)
-                # scatter the freshly-final values into every message
-                # this level contributes to (zero-copy for reserved
-                # slots: this writes shared memory directly)
-                for om in outs:
-                    lat_idx = om.pack.level_lat[li]
-                    if not len(lat_idx):
-                        continue
-                    w0 = now()
-                    if om.first_ns < 0:
-                        om.first_ns = w0
-                    flat = to_flat(lat[lat_idx], t)
-                    pos = om.pack.level_pos[li]
-                    cnt = om.pack.count
-                    for ai, arr in enumerate(prog.arrays):
-                        om.buf[ai * cnt + pos] = local[arr][flat]
-                    dns = now() - w0
-                    clocks.comm_ns += dns
-                    commtile[0] += dns
-                # publish complete messages, oldest plan entry first
-                # (same inter-edge commit order as the blocking
-                # schedule, just earlier in wall time)
-                for om in outs:
-                    if om.committed:
-                        continue
-                    if om.pack.commit_level > li:
-                        break
-                    w0 = now()
-                    if om.first_ns < 0:
-                        om.first_ns = w0
-                    if om.zero_copy:
-                        om.msgno = om.edge.commit()
-                    else:
-                        while not om.edge.can_push():
-                            if ctrl[1]:
-                                raise _Abort
-                            if not drain_ready(due, tile, t):
-                                yield
-                        om.msgno = om.edge.push(om.buf)
-                    om.committed = True
-                    progress[0] += 1
-                    w1 = now()
-                    clocks.comm_ns += w1 - w0
-                    commtile[0] += w1 - w0
-                    clocks.sends += 1
-                    clocks.elems_sent += om.send.nelems
-                    ekey = (rank, om.send.dst_rank, om.send.tag)
-                    clocks.edge_msgs[ekey] = \
-                        clocks.edge_msgs.get(ekey, 0) + 1
-                    clocks.edge_elems[ekey] = \
-                        clocks.edge_elems.get(ekey, 0) + om.send.nelems
-                    if events is not None:
-                        events.append(("send", om.first_ns, w1,
-                                       om.send.dst_rank, om.send.tag,
-                                       om.send.nelems))
-                # interior: consumers drain the ring while this runs
-                intr = oplan.interior[li]
-                if len(intr):
-                    if nk is not None:
-                        nk.run_segment(tile, t, origin, intr)
-                    else:
-                        compute_batch(intr, t, origin)
-            for om in outs:
-                if not om.committed:
-                    raise ParallelRuntimeError(
-                        f"rank {rank}: message to rank "
-                        f"{om.send.dst_rank} tag {om.send.tag} left "
-                        f"unpublished after tile {tile}")
-            # halos deferred past every level (possible only for an
-            # empty tile) must still land before the next tile
-            while due:
-                _need, r, edge = due.pop(0)
-                w0 = now()
-                while not edge.can_pop():
-                    if ctrl[1]:
-                        raise _Abort
-                    yield
-                recv_ready(r, edge, tile, t, w0)
-            if crash:
-                raise RuntimeError(
-                    f"injected crash in rank {rank} (test hook)")
-            # rendezvous completions, deferred to the tile end so the
-            # interior compute overlapped the receiver's drain
-            for om in outs:
-                if rendezvous(om.send.nelems):
-                    w0 = now()
-                    while not om.edge.consumed(om.msgno):
-                        if ctrl[1]:
-                            raise _Abort
-                        yield
-                    dns = now() - w0
-                    clocks.comm_ns += dns
-                    commtile[0] += dns
-            # compute attribution: the tile span not measured as comm
-            tile1 = now()
-            clocks.compute_ns += (tile1 - tile0) - commtile[0]
-            if events is not None:
-                events.append(("compute", tile0, tile1, -1, -1, 0))
-    clocks.clock_ns = now()
-    # WRITE-BACK (outside the timed region, as in the other engines) ----
-    for tile in plan.tiles:
-        t = dist.chain_index(tile)
-        mask_idx = np.nonzero(prog.tile_mask(tile))[0]
-        if not len(mask_idx):
-            continue
-        origin = np.asarray(tiling.tile_origin(tile), dtype=np.int64)
-        g = tis[mask_idx] + origin
-        flat = to_flat(lat[mask_idx], t)
-        for splan in plans:
-            arr = splan.stmt.write.array
-            values, written = fields[arr]
-            cells = splan.write_indexer.cells(g)
-            loc = tuple((cells - origins[arr]).T)
-            values[loc] = local[arr][flat]
-            written[loc] = 1
+                    om.msgno = om.edge.push(om.buf)
+                om.committed = True
+                port.progress[0] += 1
+                commtile += port.sent(om.send, w0, om.first_ns)
+            # interior: consumers drain the ring while this runs
+            intr = oplan.interior[li]
+            if len(intr):
+                lds.compute_segment(tile, t, origin, intr)
+        for om in outs:
+            if not om.committed:
+                raise ParallelRuntimeError(
+                    f"rank {port.rank}: message to rank "
+                    f"{om.send.dst_rank} tag {om.send.tag} left "
+                    f"unpublished after tile {tile}")
+        # halos deferred past every level (possible only for an
+        # empty tile) must still land before the next tile
+        while due:
+            _need, r, edge = due.pop(0)
+            w0 = port.now()
+            yield from port.wait(edge.can_pop)
+            recv_ready(r, edge, w0)
+        port.crash_point()
+        # rendezvous completions, deferred to the tile end so the
+        # interior compute overlapped the receiver's drain
+        for om in outs:
+            if port.rendezvous(om.send.nelems):
+                w0 = port.now()
+                yield from port.wait(
+                    lambda om=om: om.edge.consumed(om.msgno))
+                dns = port.now() - w0
+                clocks.comm_ns += dns
+                commtile += dns
+        # compute attribution: the tile span not measured as comm
+        tile1 = port.now()
+        clocks.compute_ns += (tile1 - tile0) - commtile
+        if port.events is not None:
+            port.events.append(("compute", tile0, tile1, -1, -1, 0))
+
+
+def _rank_generator(program: TiledProgram, plan: RankPlan,
+                    port: _RingPort, data: DenseData,
+                    overlap: bool) -> Steps:
+    """One rank's node program as a cooperative generator: either
+    walk over the ring port, then the (untimed) write-back."""
+    lds = data.rank(plan.pid)
+    if overlap:
+        yield from _overlap_walk(program, plan, port, lds)
+    else:
+        yield from rank_walk(program, plan, port, lds)
+    port.clocks.clock_ns = port.now()
+    lds.write_back(plan.tiles)
 
 
 def _worker_main(worker_id: int, ranks: Tuple[int, ...],
@@ -899,23 +705,26 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
         edge_index = {key: i for i, key in enumerate(sorted(edge_specs))}
         layout = {name: (origin, shp)
                   for name, origin, shp in cfg.field_layout}
-        fields: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        origins: Dict[str, np.ndarray] = {}
+        fields: Dict[str, DenseField] = {}
         for name, values_nm, written_nm in segments.fields:
             vseg = _attach(values_nm)
             wseg = _attach(written_nm)
             segs += [vseg, wseg]
             origin, shp = layout[name]
-            values = np.frombuffer(vseg.buf, dtype=dtype).reshape(shp)
-            written = np.frombuffer(wseg.buf,
-                                    dtype=np.uint8).reshape(shp)
-            fields[name] = (values, written)
-            origins[name] = np.asarray(origin, dtype=np.int64)
+            fields[name] = DenseField(
+                origin=origin,
+                values=np.frombuffer(vseg.buf, dtype=dtype).reshape(shp),
+                written=np.frombuffer(wseg.buf,
+                                      dtype=np.uint8).reshape(shp))
         my_edges: Dict[EdgeKey, _Edge] = {
             key: _Edge(espec, meta, data)
             for key, espec in edge_specs.items()
             if key[0] in ranks or key[1] in ranks
         }
+        # Shared by the worker's ranks and built before the barrier:
+        # it is set-up, not schedule.
+        shared = DenseData(program, init_value, dtype, cfg.native,
+                           fields=fields)
         # Ready/go barrier: measurement starts once everyone is up.
         ctrl[2 + worker_id] = 1
         while not ctrl[0]:
@@ -924,19 +733,12 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
             time.sleep(_SLEEP_MIN)
         t0_ns = time.perf_counter_ns()
         progress = [0]
-        clocks = {r: _RankClocks() for r in ranks}
-        per_rank_events: Dict[int, List[Event]] = {}
-        gens: Dict[int, Generator[None, None, None]] = {}
-        for r in ranks:
-            ev: Optional[List[Event]] = (
-                [] if cfg.collect_trace else None)
-            if ev is not None:
-                per_rank_events[r] = ev
-            gens[r] = _rank_generator(
-                program, spec, init_value, plans[r], my_edges, dtype,
-                cfg.protocol, ctrl, clocks[r], fields, origins,
-                progress, ev, t0_ns, crash=(cfg.crash_rank == r),
-                overlap=cfg.overlap, native=cfg.native)
+        ports = {r: _RingPort(
+            r, my_edges, spec, cfg.protocol, ctrl, _RankClocks(),
+            progress, [] if cfg.collect_trace else None, t0_ns,
+            crash=(cfg.crash_rank == r)) for r in ranks}
+        gens = {r: _rank_generator(program, plans[r], ports[r], shared,
+                                   cfg.overlap) for r in ranks}
         live = list(ranks)
         spins = 0
         last_progress = -1
@@ -958,7 +760,7 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
                 spins = 0
                 last_progress = progress[0]
         for r in ranks:
-            c = clocks[r]
+            c = ports[r].clocks
             statsf[r, 0] = c.clock_ns / 1e9
             statsf[r, 1] = c.compute_ns / 1e9
             statsf[r, 2] = c.comm_ns / 1e9
@@ -973,7 +775,8 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
                     edgestats[row, 0] = msgs
                     edgestats[row, 1] = c.edge_elems[ekey]
         if cfg.collect_trace and trace_q is not None:
-            trace_q.put((worker_id, per_rank_events))
+            trace_q.put((worker_id,
+                         {r: ports[r].events for r in ranks}))
         os._exit(0)
     except _Abort:
         os._exit(3)
@@ -1135,15 +938,9 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     data_words = max(1, sum(e.depth * e.capacity
                             for e in edges.values()))
 
-    field_layout: List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = []
-    proto_fields: Dict[str, DenseField] = {}
-    for stmt in program.nest.statements:
-        arr = stmt.write.array
-        if arr in proto_fields:
-            continue
-        f = field_for_write(stmt.write, program.nest.domain, np_dtype)
-        proto_fields[arr] = f
-        field_layout.append((arr, tuple(f.origin), f.values.shape))
+    proto_fields = result_fields(program.nest, np_dtype)
+    field_layout = [(arr, tuple(f.origin), f.values.shape)
+                    for arr, f in proto_fields.items()]
 
     created: Dict[str, _shm.SharedMemory] = {}
 

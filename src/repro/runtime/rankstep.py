@@ -1,0 +1,270 @@
+"""The rank step: one frozen plan, one receive→compute→send walk.
+
+The paper compiles ONE SPMD node program (§3.2)::
+
+    FOR t^S in chain:
+        RECEIVE(pid, t^S, D^S, CC)      # recv + unpack into LDS halo
+        compute tile (TTIS traversal)   # strides/offsets from HNF
+        SEND(pid, t^S, D^m, CC)         # pack + send per successor proc
+
+This module is that program, once:
+
+* :func:`build_rank_plans` freezes a program's communication schedule
+  into per-rank :class:`RankPlan` op lists — the only place the runtime
+  asks for ``receive_plan``/``send_plan``/``region_count``.  Every
+  engine, the HB graph, the cost certifier, the artifact format and the
+  code generator replay the same lists.
+* :func:`rank_walk` is the blocking walk over one plan.  *How* a
+  message moves and what a step costs is the **port**'s business:
+  :class:`VmpiPort` (simulator requests, the per-rank
+  ``node_speed_factor`` applied once for every engine) or the
+  shared-memory ring port of :mod:`repro.runtime.parallel`.  *What* the
+  data is belongs to the **back-end**: ``None`` (timing only), the
+  sparse per-point reference of ``DistributedRun.execute``, or the
+  dense :class:`~repro.runtime.dense.RankLDS`.
+
+A port has three generator methods (see :class:`VmpiPort`), each
+yielding whatever its transport needs while it waits; a back-end has
+``unpack(r, payload, t)``, ``compute_tile(tile, t)`` and
+``pack(tile, direction, t)``, ``t`` being the tile's chain index.
+"""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import dataclass
+from functools import partial
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Tuple,
+)
+
+from repro.runtime.machine import ClusterSpec
+from repro.runtime.vmpi import Compute, Recv, Send
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import TiledProgram
+
+Pid = Tuple[int, ...]
+Tile = Tuple[int, ...]
+#: What a port method is: a generator of transport requests.
+Steps = Generator[Any, Any, None]
+
+
+class ParallelRuntimeError(RuntimeError):
+    """Base class for data-engine runtime failures (the parallel
+    backend's transport errors and the shared rank-step checks)."""
+
+
+class HaloSizeError(ParallelRuntimeError):
+    """A received payload does not have the size the plan froze."""
+
+
+# -- the frozen schedule -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TileRecv:
+    """One posted receive of a tile: edge plus region identity."""
+
+    src_rank: int
+    tag: int
+    nelems: int
+    pred: Tile
+    ds: Tile
+
+
+@dataclass(frozen=True)
+class TileSend:
+    """One send of a tile toward a successor processor."""
+
+    dst_rank: int
+    tag: int
+    nelems: int
+    direction: Tuple[int, ...]          # d with 0 at the mapping dim
+
+
+@dataclass(frozen=True)
+class RankPlan:
+    """The full communication schedule of one rank, tile by tile."""
+
+    rank: int
+    pid: Pid
+    tiles: Tuple[Tile, ...]
+    recvs: Tuple[Tuple[TileRecv, ...], ...]
+    sends: Tuple[Tuple[TileSend, ...], ...]
+
+
+#: One tile's ``[(d^S, pred_tile, src_pid, tag)]`` posted receives and
+#: ``[(direction, dst_pid, tag)]`` issued sends, zero-size ones included.
+_Ops = Tuple[List[Tuple[Tile, Tile, Pid, int]],
+             List[Tuple[Tile, Pid, int]]]
+_TileOps = Callable[[Tile, Pid], _Ops]
+
+
+def _paper_ops(program: "TiledProgram") -> _TileOps:
+    """§3.2: receive per predecessor *tile*, send per successor
+    *processor* (dependences sharing a ``d^m`` aggregate)."""
+    m = program.dist.m
+    tag = program.message_tag
+    project = program.comm.project
+
+    def ops(tile: Tile, pid: Pid) -> _Ops:
+        return ([(ds, pred, src, tag(project(ds)))
+                 for ds, pred, src in program.receive_plan(tile)],
+                [(dm[:m] + (0,) + dm[m:], dst, tag(dm))
+                 for dm, dst in program.send_plan(tile)])
+    return ops
+
+
+def _per_dependence_ops(program: "TiledProgram") -> _TileOps:
+    """The un-aggregated ablation: one message per crossing tile
+    dependence with a valid peer tile, tagged by dependence."""
+    dist, comm = program.dist, program.comm
+    m = dist.m
+    crossing = [(tag, ds, comm.project(ds)) for tag, ds in enumerate(
+        ds for ds in comm.d_s if not comm.is_intra_processor(ds))]
+
+    def ops(tile: Tile, pid: Pid) -> _Ops:
+        recvs: List[Tuple[Tile, Tile, Pid, int]] = []
+        sends: List[Tuple[Tile, Pid, int]] = []
+        for tag, ds, dm in crossing:
+            pred = tuple(a - b for a, b in zip(tile, ds))
+            if dist.valid(pred):
+                recvs.append(
+                    (ds, pred, tuple(a - b for a, b in zip(pid, dm)), tag))
+            if dist.valid(tuple(a + b for a, b in zip(tile, ds))):
+                sends.append((ds[:m] + (0,) + ds[m + 1:],
+                              tuple(a + b for a, b in zip(pid, dm)), tag))
+        return recvs, sends
+    return ops
+
+
+def build_rank_plans(program: "TiledProgram",
+                     aggregate: bool = True) -> Dict[int, RankPlan]:
+    """Freeze the schedule into per-rank op lists; zero-element
+    messages are dropped, so event counts line up across consumers.
+
+    The paper schedule (``aggregate=True``) is cached on the program:
+    the plans are immutable and a pure function of the compiled
+    geometry.  ``aggregate=False`` builds the per-dependence ablation
+    plan of ``DistributedRun.simulate_unaggregated`` (timing-only).
+    """
+    if aggregate:
+        if program._rank_plans_cache is not None:
+            return program._rank_plans_cache
+        blob = program._rank_plans_blob
+        if blob is not None:
+            # Artifact-loaded programs carry the plans pre-pickled;
+            # decoding waits for first use so cache-hit load latency
+            # does not pay for plans a caller never touches.
+            program._rank_plans_blob = None
+            program._rank_plans_cache = pickle.loads(blob)
+            return program._rank_plans_cache
+    tile_ops = (_paper_ops if aggregate else _per_dependence_ops)(program)
+    narr = len(program.arrays)
+    plans: Dict[int, RankPlan] = {}
+    for pid in program.pids:
+        rank = program.rank_of[pid]
+        tiles = program.dist.tiles_of(pid)
+        recvs: List[Tuple[TileRecv, ...]] = []
+        sends: List[Tuple[TileSend, ...]] = []
+        for tile in tiles:
+            rr: List[TileRecv] = []
+            ss: List[TileSend] = []
+            recv_ops, send_ops = tile_ops(tile, pid)
+            for ds, pred, src, tag in recv_ops:
+                nelems = program.region_count(pred, ds) * narr
+                if nelems:
+                    rr.append(TileRecv(program.rank_of[src], tag, nelems,
+                                       pred, tuple(int(x) for x in ds)))
+            for direction, dst, tag in send_ops:
+                nelems = program.region_count(tile, direction) * narr
+                if nelems:
+                    ss.append(TileSend(program.rank_of[dst], tag, nelems,
+                                       direction))
+            recvs.append(tuple(rr))
+            sends.append(tuple(ss))
+        plans[rank] = RankPlan(rank, pid, tiles, tuple(recvs),
+                               tuple(sends))
+    if aggregate:
+        program._rank_plans_cache = plans
+    return plans
+
+
+# -- the walk ------------------------------------------------------------------------
+
+
+def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
+              data: Any = None) -> Steps:
+    """The blocking node program of one rank (see module docstring).
+
+    Yields whatever ``port`` yields; finishes after the last tile's
+    sends.  Write-back to the global data space is the caller's, outside
+    every engine's timed region.
+    """
+    points = program.tile_point_count
+    timing_only = data is None
+    # plan.tiles is the rank's chain in order, so the enumeration index
+    # is the paper's t (``dist.chain_index``).
+    for t, tile in enumerate(plan.tiles):
+        for r in plan.recvs[t]:
+            yield from port.recv(r, None if timing_only else partial(
+                unpack_halo, data, r, tile, t))
+        yield from port.compute(tile, points(tile),
+                                None if timing_only else partial(
+                                    data.compute_tile, tile, t))
+        for s in plan.sends[t]:
+            yield from port.send(s, None if timing_only else partial(
+                data.pack, tile, s.direction, t))
+
+
+def unpack_halo(data: Any, r: TileRecv, tile: Tile, t: int,
+                payload: Any) -> None:
+    """The shared unpack: refuse a message whose size differs from the
+    frozen plan, then scatter it into the back-end's halo."""
+    if len(payload) != r.nelems:
+        raise HaloSizeError(
+            f"size mismatch at {tile} from {r.pred}: "
+            f"{len(payload)} != {r.nelems}")
+    data.unpack(r, payload, t)
+
+
+class VmpiPort:
+    """Virtual-MPI transport: every step becomes simulator requests.
+
+    The cost model lives here and nowhere else — ``pack_time`` per
+    message side, ``compute_time`` per tile, each scaled by the rank's
+    ``node_speed_factor`` — so timing-only, sparse and dense runs of
+    one program return identical ``RunStats`` by construction.  The
+    callbacks are the back-end's work (``None``: timing only).
+    """
+
+    def __init__(self, spec: ClusterSpec, rank: int):
+        self.spec = spec
+        self.factor = spec.node_speed_factor(rank)
+
+    def recv(self, r: TileRecv,
+             unpack: Optional[Callable[[Any], None]]) -> Steps:
+        payload, _got = yield Recv(source=r.src_rank, tag=r.tag)
+        yield Compute(self.spec.pack_time(r.nelems) * self.factor)
+        if unpack is not None:
+            unpack(payload)
+
+    def compute(self, tile: Tile, points: int,
+                run: Optional[Callable[[], None]]) -> Steps:
+        yield Compute(self.spec.compute_time(points) * self.factor)
+        if run is not None:
+            run()
+
+    def send(self, s: TileSend,
+             pack: Optional[Callable[[], Any]]) -> Steps:
+        yield Compute(self.spec.pack_time(s.nelems) * self.factor)
+        yield Send(dest=s.dst_rank, tag=s.tag, nelems=s.nelems,
+                   payload=None if pack is None else pack())

@@ -214,13 +214,7 @@ class VirtualMPI:
         self.channel_messages[key] = self.channel_messages.get(key, 0) + 1
         self.channel_elements[key] = (
             self.channel_elements.get(key, 0) + req.nelems)
-        nbytes = req.nelems * spec.bytes_per_element
-        rendezvous = (
-            spec.rendezvous_threshold is not None
-            and not spec.overlap
-            and nbytes > spec.rendezvous_threshold
-        )
-        if rendezvous:
+        if spec.uses_rendezvous(req.nelems):
             # Synchronous protocol: the transfer cannot start before the
             # receive is posted; the matcher completes both sides.
             heapq.heappush(

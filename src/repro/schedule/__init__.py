@@ -12,21 +12,11 @@ from repro.schedule.uetuct import (
     best_mapping_dim,
     evaluate_mappings,
 )
-from repro.schedule.shape_opt import (
-    ShapeAnalysis,
-    analyze_shape,
-    rank_shapes,
-    row_cone_position,
-)
 
 __all__ = [
     "MappingEvaluation",
     "best_mapping_dim",
     "evaluate_mappings",
-    "ShapeAnalysis",
-    "analyze_shape",
-    "rank_shapes",
-    "row_cone_position",
     "LinearSchedule",
     "schedule_length",
     "last_tile_time",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import analyze_program
 from repro.linalg import RatMat
-from repro.loops import ArrayRef, LoopNest, Statement
+from repro.loops import ArrayRef, LoopNest, Statement, kexpr
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 from repro.runtime.interpreter import run_sequential
 from repro.tiling import is_legal_tiling
@@ -56,13 +56,11 @@ def random_cases(draw):
 
 
 def _build_nest(deps, lo, hi, coeffs):
-    def kernel(_p, reads, _c=coeffs):
-        return 0.5 + sum(c * v for c, v in zip(_c, reads))
-
+    reads = kexpr.reads(len(deps))
     stmt = Statement.of(
         ArrayRef.of("A", (0, 0)),
         [ArrayRef.of("A", tuple(-x for x in d)) for d in deps],
-        kernel,
+        0.5 + sum(c * v for c, v in zip(coeffs, reads)),
     )
     return LoopNest.rectangular("prop", list(lo), list(hi), [stmt],
                                 list(deps))

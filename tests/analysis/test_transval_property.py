@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.transval import transval_report
 from repro.linalg import RatMat
-from repro.loops import ArrayRef, LoopNest, Statement
+from repro.loops import ArrayRef, LoopNest, Statement, kexpr
 from repro.tiling import is_legal_tiling
 
 
@@ -53,13 +53,10 @@ def random_cases(draw):
 
 
 def _build_nest(deps, lo, hi):
-    def kernel(_p, reads):
-        return 0.5 + 0.25 * sum(reads)
-
     stmt = Statement.of(
         ArrayRef.of("A", (0, 0)),
         [ArrayRef.of("A", tuple(-x for x in d)) for d in deps],
-        kernel,
+        0.5 + 0.25 * sum(kexpr.reads(len(deps))),
     )
     return LoopNest.rectangular("prop", list(lo), list(hi), [stmt],
                                 list(deps))

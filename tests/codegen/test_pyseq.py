@@ -69,16 +69,14 @@ class TestSemantics:
         assert values_close(got["A"], sor_reference_small)
 
     def test_matches_interpreter_on_custom_nest(self):
-        from repro.loops import ArrayRef, LoopNest, Statement
+        from repro.loops import ArrayRef, LoopNest, Statement, kexpr
         from repro.tiling import parallelepiped_tiling
 
-        def kern(_j, v):
-            return 1.0 + 0.25 * v[0] + 0.125 * v[1]
-
+        v = kexpr.reads(2)
         stmt = Statement.of(
             ArrayRef.of("A", (0, 0)),
             [ArrayRef.of("A", (-1, -1)), ArrayRef.of("A", (-1, 1))],
-            kern)
+            1.0 + 0.25 * v[0] + 0.125 * v[1])
         nest = LoopNest.rectangular("w", [0, 0], [9, 9], [stmt],
                                     [(1, 1), (1, -1)])
         h = parallelepiped_tiling([["1/4", "-1/4"], ["1/4", "1/4"]])

@@ -9,7 +9,7 @@ LDS addressing.
 import pytest
 
 from repro.linalg import from_rows
-from repro.loops import ArrayRef, LoopNest, Statement
+from repro.loops import ArrayRef, LoopNest, Statement, kexpr
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 from repro.runtime.interpreter import run_sequential
 from repro.tiling import rectangular_tiling
@@ -20,9 +20,7 @@ SPEC = ClusterSpec()
 
 
 def _nest_4d(t_sz=3, n=4):
-    def kernel(_p, v):
-        return 0.2 * (v[0] + v[1] + v[2] + v[3]) + 0.1
-
+    v = kexpr.reads(4)
     stmt = Statement.of(
         ArrayRef.of("A", (0, 0, 0, 0)),
         [
@@ -31,7 +29,7 @@ def _nest_4d(t_sz=3, n=4):
             ArrayRef.of("A", (0, 0, -1, 0)),
             ArrayRef.of("A", (0, 0, 0, -1)),
         ],
-        kernel,
+        0.2 * (v[0] + v[1] + v[2] + v[3]) + 0.1,
     )
     return LoopNest.rectangular(
         "stencil4d", [1, 1, 1, 1], [t_sz, n, n, n], [stmt],

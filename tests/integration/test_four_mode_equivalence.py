@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.codegen import run_generated_sequential
 from repro.linalg import RatMat
-from repro.loops import ArrayRef, LoopNest, Statement
+from repro.loops import ArrayRef, LoopNest, Statement, kexpr
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 from repro.runtime.dataspace import arrays_match
 from repro.runtime.interpreter import run_sequential, run_tiled_sequential
@@ -58,13 +58,11 @@ def cases(draw):
 
 
 def _nest(deps, lo, hi, coeffs):
-    def kernel(_p, reads, _c=coeffs):
-        return 0.25 + sum(c * v for c, v in zip(_c, reads))
-
+    reads = kexpr.reads(len(deps))
     stmt = Statement.of(
         ArrayRef.of("A", (0, 0)),
         [ArrayRef.of("A", tuple(-x for x in d)) for d in deps],
-        kernel,
+        0.25 + sum(c * v for c, v in zip(coeffs, reads)),
     )
     return LoopNest.rectangular("four", list(lo), list(hi), [stmt],
                                 list(deps))

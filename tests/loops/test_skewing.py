@@ -9,6 +9,7 @@ from repro.loops import (
     Statement,
     find_skew_for_rectangular_tiling,
     is_legal_skew,
+    kexpr,
     skew_nest,
     skewed_dependences,
 )
@@ -50,7 +51,7 @@ class TestSkewNest:
         stmt = Statement.of(
             ArrayRef.of("A", (0, 0)),
             [ArrayRef.of("A", (-1, 1)), ArrayRef.of("A", (-1, 0))],
-            lambda j, v: 0.5 * v[0] + 0.5 * v[1],
+            0.5 * kexpr.KRead(0) + 0.5 * kexpr.KRead(1),
         )
         return LoopNest.rectangular("w", [0, 0], [4, 4], [stmt],
                                     [(1, -1), (1, 0)])

@@ -19,7 +19,7 @@ from repro.analysis.transval.kernels import (
     parse_c_double_expr,
 )
 from repro.apps import adi, heat, jacobi, sor
-from repro.native import kexpr
+from repro.loops import kexpr
 from repro.native.emit import (
     NativeEmitError,
     emit_translation_unit,

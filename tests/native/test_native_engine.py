@@ -3,11 +3,11 @@
 Every run through a compiled ``.so`` is cross-checked at ``tol=0.0``
 against the numpy dense engine (itself bitwise-checked against the
 sparse interpreters): the emitted C performs exactly the IEEE-754
-operations of ``kernel_np`` in the same order, under
+operations of the statement's kernel expr in the same order, under
 ``-ffp-contract=off -fno-fast-math``.  The suite also pins down the
-degradation contract — no toolchain, a broken toolchain, a
-non-float64 run, or an expression-less nest must all fall back to the
-numpy kernels without changing a single bit of output.
+degradation contract — no toolchain, a broken toolchain or a
+non-float64 run must all fall back to the numpy kernels without
+changing a single bit of output.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.apps import adi, heat, jacobi, sor
 from repro.artifacts import ArtifactCache
-from repro.native import kexpr
+from repro.loops import kexpr
 from repro.native.compile import (
     NativeCompileError,
     compile_shared_object,
@@ -215,7 +215,8 @@ class TestFallback:
         _fallback_still_bitwise(app, prog, lib)
 
     def test_nest_without_exprs(self, tmp_path):
-        # stripping the symbolic exprs leaves nothing to compile
+        # stripping the exprs leaves a structure-only nest: nothing to
+        # compile, and nothing any engine could execute either
         app = sor.app(4, 6)
         nest = dataclasses.replace(
             app.nest,
@@ -227,7 +228,9 @@ class TestFallback:
             prog, cache=ArtifactCache(str(tmp_path)))
         assert lib.status == "fallback"
         assert "no symbolic" in lib.fallback_reason
-        _fallback_still_bitwise(app, prog, lib)
+        with pytest.raises(TypeError, match="not a kernel expr"):
+            DistributedRun(prog, SPEC).execute_dense(
+                app.init_value, native=lib)
 
     @requires_cc
     def test_non_float64_uses_numpy(self, cache):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import sor
+from repro.apps import adi, heat, jacobi, sor
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 
 
@@ -37,6 +37,37 @@ class TestUnaggregated:
         agg = DistributedRun(prog, spec).simulate()
         raw = DistributedRun(prog, spec).simulate_unaggregated()
         assert raw.total_elements >= agg.total_elements
+
+
+# (app, tiling, mapping_dim, messages, elements) of the six reference
+# configs.  The counts were recorded from the hand-written ablation walk
+# before it became ``simulate()`` over the per-dependence plan of the
+# shared builder; the plan must reproduce them exactly.
+UNAGGREGATED_COUNTS = [
+    pytest.param(sor.app(4, 6), sor.h_rectangular(2, 3, 4), 2,
+                 66, 243, id="sor-rect"),
+    pytest.param(sor.app(4, 6), sor.h_nonrectangular(2, 3, 4), 2,
+                 52, 239, id="sor-nonrect"),
+    pytest.param(sor.app(5, 7), sor.h_rectangular(3, 4, 5), 2,
+                 35, 225, id="sor-partial-tiles"),
+    pytest.param(jacobi.app(3, 5, 5), jacobi.h_rectangular(2, 3, 3), 0,
+                 33, 120, id="jacobi-rect"),
+    pytest.param(adi.app(4, 5), adi.h_rectangular(2, 3, 3), 0,
+                 20, 140, id="adi-rect"),
+    pytest.param(heat.app(4, 8), heat.h_rectangular(2, 4), 1,
+                 9, 30, id="heat-rect"),
+]
+
+
+@pytest.mark.parametrize("app,h,mdim,messages,elements",
+                         UNAGGREGATED_COUNTS)
+def test_unaggregated_counts_pinned(app, h, mdim, messages, elements):
+    prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+    raw = DistributedRun(prog, ClusterSpec()).simulate_unaggregated()
+    assert (raw.total_messages, raw.total_elements) == (messages,
+                                                        elements)
+    assert sum(raw.channel_messages.values()) == messages
+    assert sum(raw.channel_elements.values()) == elements
 
 
 class TestHeterogeneous:

@@ -2,13 +2,13 @@
 
 The sparse interpreters (`run_sequential`, `run_tiled_sequential`,
 `DistributedRun.execute`) are the semantic reference; every dense run
-here is cross-checked against them **bitwise** (``tol=0.0``) — the
-``kernel_np`` twins perform the same IEEE-754 operations in the same
-order, so any drift is a real indexing or scheduling bug, not float
-noise.
+here is cross-checked against them **bitwise** (``tol=0.0``) — a
+statement's kernel expr performs the same IEEE-754 operations in the
+same order on a scalar and on a batch (``tests/loops/test_kexpr.py``),
+so any drift is a real indexing or scheduling bug, not float noise.
 """
 
-import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from repro.apps import adi, heat, jacobi, sor
 from repro.runtime import (
     ClusterSpec,
     DistributedRun,
+    HaloSizeError,
+    ParallelRuntimeError,
     TiledProgram,
     arrays_match,
     dense_to_cells,
@@ -129,21 +131,6 @@ class TestDenseSequentialBitwise:
         got = run_dense_sequential(app.nest, app.init_value)
         assert arrays_match(got, ref, tol=0.0)
 
-    def test_scalar_kernel_fallback(self):
-        # stripping kernel_np forces the per-point fallback loop, which
-        # must agree with the vectorized twin exactly
-        app = sor.app(4, 6)
-        nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(
-                dataclasses.replace(s, kernel_np=None)
-                for s in app.nest.statements
-            ),
-        )
-        ref = run_dense_sequential(app.nest, app.init_value)
-        got = run_dense_sequential(nest, app.init_value)
-        assert arrays_match(got, ref, tol=0.0)
-
 
 # (app, tiling, mapping_dim) configurations, chosen to hit partial
 # tiles, nonrectangular tilings, multi-array nests, and c > 1 strides.
@@ -202,3 +189,37 @@ class TestExecuteDenseBitwise:
             app.init_value)
         ref = run_dense_sequential(app.nest, app.init_value)
         assert arrays_match(dense_to_cells(fields), ref, tol=0.0)
+
+
+def _execute_parallel(run, init_value):
+    return run.execute_parallel(init_value, workers=2, timeout=30.0)
+
+
+class TestHaloSizeCheck:
+    """A payload shorter than the frozen plan says is refused by the
+    shared unpack with a named error — in every data engine, and under
+    ``python -O`` too (the dense engine used to ``assert``).  In-process
+    engines raise :class:`HaloSizeError` itself; the parallel engine
+    surfaces the worker's as its ``ParallelRuntimeError`` base."""
+
+    @pytest.mark.parametrize("backend,run,error", [
+        ("repro.runtime.dense.RankLDS",
+         lambda run, init: run.execute_dense(init), HaloSizeError),
+        ("repro.runtime.executor._SparseLDS",
+         lambda run, init: run.execute(init), HaloSizeError),
+        ("repro.runtime.dense.RankLDS", _execute_parallel,
+         ParallelRuntimeError),
+    ], ids=["dense", "sparse", "parallel"])
+    def test_short_payload_raises_named_error(self, monkeypatch, backend,
+                                              run, error):
+        module, cls_name = backend.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), cls_name)
+        pack = cls.pack
+        monkeypatch.setattr(
+            cls, "pack", lambda self, *a: pack(self, *a)[:-1])
+        app = sor.app(4, 6)
+        prog = TiledProgram(app.nest, sor.h_rectangular(2, 3, 4),
+                            mapping_dim=2)
+        assert issubclass(HaloSizeError, ParallelRuntimeError)
+        with pytest.raises(error, match="size mismatch"):
+            run(DistributedRun(prog, SPEC), app.init_value)
