@@ -187,7 +187,6 @@ def certify_cost(program: "TiledProgram",
                          f"known: {sorted(MUTATIONS)}")
     if spec is None:
         spec = FAST_ETHERNET_CLUSTER
-    program.prewarm_region_counts()
     diags: List[Diagnostic] = []
 
     # -- COST01: closed form vs the frozen plan replay -------------------------

@@ -144,7 +144,6 @@ def build_hb_graph(program: "TiledProgram", protocol: str = "eager",
     if spec is None:
         spec = FAST_ETHERNET_CLUSTER
     rdv = _rendezvous_fn(protocol, spec)
-    program.prewarm_region_counts()
     plans = build_rank_plans(program)
     edge_specs = build_edges(plans, mailbox_depth)
     depth = {key: es.depth for key, es in edge_specs.items()}

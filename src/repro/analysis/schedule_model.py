@@ -2,11 +2,12 @@
 
 The verifier must reason about exactly the message sequence each rank's
 generated node program will issue — without executing it.  This module
-replays :meth:`TiledProgram.receive_plan` / :meth:`send_plan` (the same
-code path :class:`repro.runtime.executor.DistributedRun` drives) into
-plain ordered op lists, one per rank, annotated with the compile-time
-context (tile, tile dependence ``d^S``, processor dependence ``d^m``)
-each op came from.
+replays the program's frozen ``rank_plans`` stage (the lists every
+engine walks, built from the overridable
+:meth:`TiledProgram.receive_plan` / :meth:`send_plan`) into plain
+ordered op lists, one per rank, annotated with the compile-time context
+(tile, tile dependence ``d^S``, processor dependence ``d^m``) each op
+came from.
 
 The model is the single source of truth for the deadlock and race
 passes, so a schedule bug surfaces identically in both.
@@ -15,6 +16,8 @@ passes, so a schedule bug surfaces identically in both.
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from repro.runtime.rankstep import build_rank_plans
 
 Tile = Tuple[int, ...]
 Pid = Tuple[int, ...]
@@ -56,61 +59,20 @@ class ScheduleModel:
     """Ordered abstract op lists per rank for one compiled program."""
 
     def __init__(self, program) -> None:
-        self.program = program
-        narr = len(program.arrays)
-        dist = program.dist
-        comm = program.comm
-        rank_of = program.rank_of
-        region_count = program.region_count
-        prewarm = getattr(program, "prewarm_region_counts", None)
-        if prewarm is not None:
-            prewarm()
-        m = dist.m
-        tags = {dm: i for i, dm in enumerate(comm.d_m)}
-        full_dirs = {dm: dm[:m] + (0,) + dm[m:] for dm in comm.d_m}
+        d_m = program.comm.d_m
         self.ops: Dict[int, List[Op]] = {}
-        for pid in program.pids:
-            rank = rank_of[pid]
+        for rank, plan in build_rank_plans(program).items():
             seq: List[Op] = []
-            for tile in dist.tiles_of(pid):
-                step = dist.chain_index(tile)
-                for ds, pred, src in program.receive_plan(tile):
-                    nelems = region_count(pred, ds) * narr
-                    if nelems == 0:
-                        continue
-                    dm = comm.project(ds)
+            for step, tile in enumerate(plan.tiles):
+                for r in plan.recvs[step]:
                     seq.append(RecvOp(
-                        source=rank_of[src], tag=tags[dm],
-                        nelems=nelems, tile=tile, pred=pred, ds=ds,
-                        step=step))
-                for dm, dst in program.send_plan(tile):
-                    nelems = region_count(tile, full_dirs[dm]) * narr
-                    if nelems == 0:
-                        continue
+                        source=r.src_rank, tag=r.tag, nelems=r.nelems,
+                        tile=tile, pred=r.pred, ds=r.ds, step=step))
+                for s in plan.sends[step]:
                     seq.append(SendOp(
-                        dest=rank_of[dst], tag=tags[dm],
-                        nelems=nelems, tile=tile, dm=dm, step=step))
+                        dest=s.dst_rank, tag=s.tag, nelems=s.nelems,
+                        tile=tile, dm=d_m[s.tag], step=step))
             self.ops[rank] = seq
-
-    # -- channel views -----------------------------------------------------------
-
-    def channel_sends(self) -> Dict[Tuple[int, int, int], List[SendOp]]:
-        """Sends per ``(src, dest, tag)`` FIFO channel, in issue order."""
-        out: Dict[Tuple[int, int, int], List[SendOp]] = {}
-        for rank, seq in self.ops.items():
-            for op in seq:
-                if isinstance(op, SendOp):
-                    out.setdefault((rank, op.dest, op.tag), []).append(op)
-        return out
-
-    def channel_recvs(self) -> Dict[Tuple[int, int, int], List[RecvOp]]:
-        """Receives per ``(src, dest, tag)`` channel, in post order."""
-        out: Dict[Tuple[int, int, int], List[RecvOp]] = {}
-        for rank, seq in self.ops.items():
-            for op in seq:
-                if isinstance(op, RecvOp):
-                    out.setdefault((op.source, rank, op.tag), []).append(op)
-        return out
 
     @property
     def total_messages(self) -> int:

@@ -74,6 +74,7 @@ from repro.loops.dependence import (
     nest_dependences,
 )
 from repro.loops.nest import LoopNest
+from repro.runtime.rankstep import build_rank_plans
 
 PASS_LOOPS = "transval-loops"
 PASS_SUBSCRIPTS = "transval-subscripts"
@@ -878,28 +879,16 @@ def check_pygen_source(program: Any, source: str,
             equation="pid = j^S with the mapping dimension dropped "
                      "(§3.1)",
             subject=(("artifact", "pygen"),)))
-    narr = len(program.arrays)
-    for pid in program.pids:
-        rank = program.rank_of[pid]
+    for rank, plan in build_rank_plans(program).items():
         expected: List[Tuple[Any, ...]] = []
-        for tile in program.dist.tiles_of(pid):
-            for ds, pred, src in program.receive_plan(tile):
-                nelems = program.region_count(pred, ds) * narr
-                if nelems == 0:
-                    continue
-                dm = program.comm.project(ds)
-                expected.append(("recv", program.rank_of[src],
-                                 program.message_tag(dm), nelems))
+        for recvs, sends in zip(plan.recvs, plan.sends):
+            for r in recvs:
+                expected.append(("recv", r.src_rank, r.tag, r.nelems))
                 expected.append(("compute",))
             expected.append(("compute",))
-            for dm, dst in program.send_plan(tile):
-                full = dm[:program.dist.m] + (0,) + dm[program.dist.m:]
-                nelems = program.region_count(tile, full) * narr
-                if nelems == 0:
-                    continue
+            for s in sends:
                 expected.append(("compute",))
-                expected.append(("send", program.rank_of[dst],
-                                 program.message_tag(dm), nelems))
+                expected.append(("send", s.dst_rank, s.tag, s.nelems))
         got = parsed.schedules.get(rank)
         if got is None:
             diags.append(_diag(

@@ -8,7 +8,8 @@ returns the fresh program.  Any defect in a stored artifact —
 truncation, corruption, format-version skew, geometry drift — demotes
 the hit to a clean recompile (and re-store), never an error.
 
-Writes are atomic (tmp file + ``os.replace``), so concurrent processes
+Writes are atomic (:func:`~repro.artifacts.format.atomic_write`: a
+private tmp file + ``os.replace``), so concurrent processes
 racing on one cache entry are safe: each writes a complete file and the
 last rename wins; readers never observe a torn artifact.
 """
@@ -20,6 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.artifacts.format import (
     ArtifactError,
+    atomic_write,
     read_artifact,
     restore_program,
     snapshot_program,
@@ -99,10 +101,7 @@ class ArtifactCache:
     def native_store_source(self, key: str, source: str) -> str:
         """Atomically drop the emitted ``.c`` next to the ``.so``."""
         path = os.path.join(self.root, key + ".c")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(source)
-        os.replace(tmp, path)
+        atomic_write(path, source.encode())
         self.native_stores += 1
         return path
 

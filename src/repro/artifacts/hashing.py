@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.linalg.ratmat import RatMat
 from repro.loops.nest import LoopNest
@@ -44,7 +44,8 @@ from repro.loops.reference import ArrayRef
 #: are then treated as misses and transparently recompiled.
 #: v2: payload meta gained the mandatory ``kernel_fingerprint`` field.
 #: v3: the pickled rank plans are ``repro.runtime.rankstep`` classes.
-FORMAT_VERSION = 3
+#: v4: the payload is ``meta``/``check``/``stages`` (the stage table).
+FORMAT_VERSION = 4
 
 
 def _frac(x: Fraction) -> List[int]:
@@ -98,12 +99,3 @@ def content_key(nest: LoopNest, h: RatMat,
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def hash_sequence(parts: Sequence[str]) -> str:
-    """Utility: stable hash of a sequence of strings (used by tests)."""
-    acc = hashlib.sha256()
-    for p in parts:
-        acc.update(p.encode("utf-8"))
-        acc.update(b"\x00")
-    return acc.hexdigest()

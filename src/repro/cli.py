@@ -385,6 +385,7 @@ def cmd_compile(args) -> int:
     import time
 
     from repro.artifacts import ArtifactCache, content_key
+    from repro.stages import report
 
     app = _build_app(args.app, args.sizes)
     h = _build_h(args.app, args.shape, args.tile)
@@ -400,6 +401,9 @@ def cmd_compile(args) -> int:
     print(f"tiles   : {len(prog.dist.tiles)}  "
           f"processors: {prog.num_processors}")
     print(f"artifact: {cache.path_for(key)}")
+    print("stages  :")           # ms: the one fill, nested fills included
+    for name, owner, state, ns in report(prog.tiling, prog):
+        print(f"  {name:<18}{owner:<9}{state:<9}{ns/1e6:9.3f} ms")
     return 0
 
 

@@ -152,15 +152,15 @@ class DistributedAddressing:
         self.dist = dist
         self.comm = comm
         self.tiling = dist.tiling
-        self._lds_cache: Dict[int, LocalDataSpace] = {}
+        self._lds_by_length: Dict[int, LocalDataSpace] = {}
 
     def lds_for(self, pid: Tuple[int, ...]) -> LocalDataSpace:
         """The LDS of one processor (chain lengths differ per pid)."""
         num = self.dist.chain_length(pid)
-        lds = self._lds_cache.get(num)
+        lds = self._lds_by_length.get(num)
         if lds is None:
             lds = LocalDataSpace(self.comm, num)
-            self._lds_cache[num] = lds
+            self._lds_by_length[num] = lds
         return lds
 
     def loc(self, j: Sequence[int]) -> Tuple[Tuple[int, ...], Cell]:

@@ -333,7 +333,7 @@ class NativeRuntime:
                              else np.zeros(len(self.bvec),
                                            dtype=np.int64))
 
-        self._bases_cache: Dict[Tuple[Any, ...], _Bases] = {}
+        self._bases: Dict[Tuple[Any, ...], _Bases] = {}
         self._full_segments: Optional[
             Tuple[np.ndarray, np.ndarray]] = None
 
@@ -365,7 +365,7 @@ class NativeRuntime:
         and of its ``d'``-shifted sources (reads), per LDS geometry —
         computed by the LDS's own ``to_flat``."""
         key = (lds.geom.shape, lds.geom.offsets)
-        bases = self._bases_cache.get(key)
+        bases = self._bases.get(key)
         if bases is None:
             rbase: Dict[Tuple[int, ...], np.ndarray] = {}
             for ds in self.dep_slots:
@@ -376,7 +376,7 @@ class NativeRuntime:
                 wbase=np.ascontiguousarray(lds.to_flat(self.lat, 0)),
                 rbase=rbase,
                 shift_unit=self.shift_rows * int(lds.strides[self.m]))
-            self._bases_cache[key] = bases
+            self._bases[key] = bases
         return bases
 
     def for_rank(self, lds: "RankLDS") -> "RankKernels":

@@ -67,10 +67,21 @@ from repro.runtime.rankstep import (
     TileRecv,
     VmpiPort,
     build_rank_plans,
+    freeze_plans,
     rank_walk,
 )
 from repro.runtime.trace import EventTrace
 from repro.runtime.vmpi import RankApi, RunStats, VirtualMPI
+from repro.stages import (
+    Stage,
+    StageHolder,
+    StageMemo,
+    copied,
+    on_demand,
+    pickled,
+    register,
+    unpickled,
+)
 from repro.tiling.legality import check_legal_tiling
 from repro.tiling.transform import TilingTransformation
 
@@ -85,10 +96,16 @@ Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
 #: A rank's node program: generator of Send/Recv/Compute requests.
 NodeFn = Callable[[RankApi], Generator]
+#: Candidate ``d^S`` of one ``d^m``: (receive-plan order, lex order).
+_Orders = Tuple[Tuple[Tile, ...], Tuple[Tile, ...]]
 
 
-class TiledProgram:
-    """Everything the compiler derives for one nest under one tiling."""
+class TiledProgram(StageHolder):
+    """Everything the compiler derives for one nest under one tiling:
+    the closed-form layers built here, and the rows of the stage table
+    (end of this module) held in ``self.stages``."""
+
+    stage_owner = "program"
 
     def __init__(self, nest: LoopNest, h: RatMat,
                  mapping_dim: Optional[int] = None,
@@ -110,13 +127,12 @@ class TiledProgram:
                             ) -> "TiledProgram":
         """Construct-from-artifact path (see :mod:`repro.artifacts`).
 
-        ``tiling`` arrives with its derived geometry already seeded
-        (enumerated tiles, tile-dependence sets, masks), so none of the
-        expensive pipeline stages — legality proof, Fourier-Motzkin
-        tile enumeration, lattice sweeps — re-run.  The caller is
-        responsible for only passing state that was produced by a
-        legality-checked compile of the *same* (nest, H, mapping_dim);
-        the artifact layer enforces this through its content hash.
+        ``tiling`` arrives with its stored stages parked, so neither
+        the legality proof nor the Fourier-Motzkin tile enumeration nor
+        the lattice sweeps re-run.  The caller must only pass state
+        produced by a legality-checked compile of the *same* (nest, H,
+        mapping_dim); the artifact layer enforces this through its
+        content hash.
         """
         prog = cls.__new__(cls)
         prog._build(nest, tiling, mapping_dim)
@@ -139,27 +155,7 @@ class TiledProgram:
         # Rank numbering for the virtual communicator.
         self.pids: Tuple[Pid, ...] = self.dist.processors
         self.rank_of: Dict[Pid, int] = {p: i for i, p in enumerate(self.pids)}
-        self._region_cache: Dict[Tuple[Tile, Tuple[int, ...]], int] = {}
-        self._full_region_cache: Dict[Tuple[int, ...], int] = {}
-        self._pack_region_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._mask_cache: Dict[Tile, np.ndarray] = {}
-        self._region_prewarmed = False
-        self._recv_order: Dict[Pid, Tuple[Tuple[Tile, ...],
-                                          Tuple[Tile, ...]]] = {}
-        self._dense_s: Optional[Tuple[int, ...]] = None
-        self._dense_full_batches: Optional[List[np.ndarray]] = None
-        self._lex_order: Optional[np.ndarray] = None
-        self._overlap_cache: Dict[object, TileOverlapPlan] = {}
-        self._hb_cache: Dict[object, HBCertificate] = {}
-        self._cost_cache: Dict[object, CostCertificate] = {}
-        self._points_cache: Dict[Tile, int] = {}
-        # Filled by repro.runtime.rankstep.build_rank_plans (the plans
-        # are immutable compile-time artifacts shared by the engines,
-        # the HB graph and the cost certifier).
-        self._rank_plans_cache: Optional[Dict[int, RankPlan]] = None
-        # Pre-pickled plans from an artifact, decoded lazily on first
-        # build_rank_plans call (see repro.artifacts.format).
-        self._rank_plans_blob: Optional[bytes] = None
+        self.stages = StageMemo()
 
     # -- static queries ----------------------------------------------------------
 
@@ -172,21 +168,24 @@ class TiledProgram:
         return sum(self.tile_point_count(t) for t in self.dist.tiles)
 
     def tile_point_count(self, tile: Tile) -> int:
-        """Domain points of ``tile``, cached per tile (partial tiles
-        pay one mask reduction ever — the schedule model, the makespan
-        sweep and the rank-volume pass all ask repeatedly)."""
-        count = self._points_cache.get(tile)
+        """Domain points of ``tile``; partial tiles pay one mask
+        reduction ever (the schedule model, the makespan sweep and the
+        rank-volume pass all ask repeatedly)."""
+        points: Dict[Tile, int] = self.stage("points")
+        count = points.get(tile)
         if count is None:
-            count = self.tiling.tile_point_count(tile)
-            self._points_cache[tile] = count
+            count = points[tile] = self.tiling.tile_point_count(tile)
         return count
 
     def tile_mask(self, tile: Tile) -> np.ndarray:
-        mask = self._mask_cache.get(tile)
-        if mask is None:
-            mask = self.tiling.tile_mask(tile)
-            self._mask_cache[tile] = mask
-        return mask
+        # ``tile`` is already a key of the tiling's ``masks`` stage: the
+        # hit path (every pack and unpack asks) skips the per-call
+        # normalization of ``tiling.tile_mask``.
+        masks: Dict[Tile, np.ndarray] = self.tiling.stage("masks")
+        try:
+            return masks[tile]
+        except KeyError:
+            return self.tiling.tile_mask(tile)
 
     def region_mask(self, tile: Tile, direction: Sequence[int]) -> np.ndarray:
         """Mask (over TTIS lattice points) of the pack region of ``tile``
@@ -196,10 +195,12 @@ class TiledProgram:
         return self.tile_mask(tile) & self._pack_region(direction)
 
     def _pack_region(self, direction: Sequence[int]) -> np.ndarray:
-        """:meth:`region_mask` of an unclipped (interior) tile (cached
+        """:meth:`region_mask` of an unclipped (interior) tile (kept
         per direction; callers must not mutate it)."""
         key = tuple(direction)
-        mask = self._pack_region_cache.get(key)
+        regions: Dict[Tuple[int, ...], np.ndarray] = \
+            self.stage("pack_regions")
+        mask = regions.get(key)
         if mask is None:
             lat = self.tiling.ttis.lattice_points_np()
             mask = np.ones(len(lat), dtype=bool)
@@ -207,7 +208,7 @@ class TiledProgram:
             for k in range(self.n):
                 if lbs[k] > 0:
                     mask &= lat[:, k] >= lbs[k]
-            self._pack_region_cache[key] = mask
+            regions[key] = mask
         return mask
 
     def dense_schedule_vector(self) -> Tuple[int, ...]:
@@ -217,24 +218,22 @@ class TiledProgram:
         declared matrix, pushed through the TTIS transformation — a
         pure compile-time quantity (the emitters burn it into generated
         sources)."""
-        if self._dense_s is None:
-            ttis = self.tiling.ttis
-            dprimes = ttis.transformed_dependences(
-                schedule_dependences(self.nest))
-            self._dense_s = wavefront_vector(
-                [d for d in dprimes if any(d)], self.n, extents=ttis.v)
-        return self._dense_s
+        s: Tuple[int, ...] = self.stage("dense_s")
+        return s
+
+    def _build_dense_s(self) -> Tuple[int, ...]:
+        ttis = self.tiling.ttis
+        dprimes = ttis.transformed_dependences(
+            schedule_dependences(self.nest))
+        return wavefront_vector(
+            [d for d in dprimes if any(d)], self.n, extents=ttis.v)
 
     def dense_level_batches(self, tile: Tile) -> List[np.ndarray]:
         """Wavefront levels of ``tile`` under
         :meth:`dense_schedule_vector`: index arrays into
         ``ttis.lattice_points_np()``, in increasing level; partial
         tiles drop their clipped points (and any emptied levels)."""
-        if self._dense_full_batches is None:
-            self._dense_full_batches = level_batches(
-                self.tiling.ttis.lattice_points_np(),
-                self.dense_schedule_vector())
-        batches = self._dense_full_batches
+        batches: List[np.ndarray] = self.stage("dense_batches")
         if self.tiling.classify_tile(tile) == "full":
             return batches
         mask = self.tile_mask(tile)
@@ -245,34 +244,32 @@ class TiledProgram:
                 out.append(bb)
         return out
 
+    def _build_dense_batches(self) -> List[np.ndarray]:
+        return level_batches(self.tiling.ttis.lattice_points_np(),
+                             self.dense_schedule_vector())
+
     def dense_lex_order(self) -> np.ndarray:
         """Lexicographic execution order of the TTIS lattice points —
         the frozen intra-region payload order every engine packs with."""
-        if self._lex_order is None:
-            lat = self.tiling.ttis.lattice_points_np()
-            self._lex_order = np.lexsort(lat.T[::-1])
-        return self._lex_order
+        order: np.ndarray = self.stage("lex_order")
+        return order
+
+    def _build_lex_order(self) -> np.ndarray:
+        return np.lexsort(self.tiling.ttis.lattice_points_np().T[::-1])
 
     def overlap_directions(
         self, tile: Tile,
     ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
         """The (send, recv) directions of ``tile`` that carry payload,
-        in plan order — exactly the nonzero messages the parallel
-        backend schedules (zero-element messages are dropped the same
-        way ``build_rank_plans`` drops them)."""
-        sends: List[Tuple[int, ...]] = []
-        for dm, _dst in self.send_plan(tile):
-            full_dir = dm[:self.dist.m] + (0,) + dm[self.dist.m:]
-            if self.region_count(tile, full_dir) > 0:
-                sends.append(full_dir)
-        recvs: List[Tuple[int, ...]] = []
-        for ds, pred, _src in self.receive_plan(tile):
-            if self.region_count(pred, ds) > 0:
-                recvs.append(tuple(int(x) for x in ds))
-        return tuple(sends), tuple(recvs)
+        in plan order — read off the frozen rank plan, so exactly the
+        messages every engine schedules."""
+        plan = build_rank_plans(self)[self.rank_of[self.dist.pid_of(tile)]]
+        t = self.dist.chain_index(tile)
+        return (tuple(s.direction for s in plan.sends[t]),
+                tuple(r.ds for r in plan.recvs[t]))
 
     def overlap_plan(self, tile: Tile) -> TileOverlapPlan:
-        """Cached boundary/interior split of ``tile`` (see
+        """Boundary/interior split of ``tile`` (see
         :class:`~repro.runtime.dense.TileOverlapPlan`).
 
         A compile-time artifact: full tiles with the same message
@@ -286,9 +283,10 @@ class TiledProgram:
             key = ("full", sends, recvs)
         else:
             key = (tile, sends, recvs)
-        plan = self._overlap_cache.get(key)
+        plans: Dict[object, TileOverlapPlan] = self.stage("overlap_plans")
+        plan = plans.get(key)
         if plan is None:
-            plan = build_overlap_split(
+            plan = plans[key] = build_overlap_split(
                 self.tiling.ttis.lattice_points_np(),
                 self.dense_lex_order(),
                 self.dense_level_batches(tile),
@@ -296,7 +294,6 @@ class TiledProgram:
                 recvs,
                 self.comm.max_dp,
             )
-            self._overlap_cache[key] = plan
         return plan
 
     def prewarm_overlap_plans(self) -> None:
@@ -310,12 +307,12 @@ class TiledProgram:
                        overlap: bool = False, mailbox_depth: int = 8,
                        spec: Optional[ClusterSpec] = None,
                        ) -> HBCertificate:
-        """Cached happens-before certificate of this program's
-        parallel execution (see :mod:`repro.analysis.hb`): vector-clock
-        race freedom (HB01) and wait-graph acyclicity (HB02) under one
+        """Happens-before certificate of this program's parallel
+        execution (see :mod:`repro.analysis.hb`): vector-clock race
+        freedom (HB01) and wait-graph acyclicity (HB02) under one
         ``(protocol, overlap, mailbox_depth)`` configuration.
 
-        Cached like :meth:`overlap_plan` — the certificate is a pure
+        Kept like :meth:`overlap_plan` — the certificate is a pure
         compile-time artifact of the frozen schedule.  Import is lazy
         for the same layering reason as ``verify=True``.
         """
@@ -323,13 +320,13 @@ class TiledProgram:
             spec.rendezvous_threshold, spec.bytes_per_element,
             spec.overlap)
         key = (protocol, bool(overlap), int(mailbox_depth), spec_key)
-        cert = self._hb_cache.get(key)
+        certs: Dict[object, HBCertificate] = self.stage("hb_certificates")
+        cert = certs.get(key)
         if cert is None:
             from repro.analysis.hb.graph import certify_program
-            cert = certify_program(
+            cert = certs[key] = certify_program(
                 self, protocol=protocol, overlap=overlap,
                 mailbox_depth=mailbox_depth, spec=spec)
-            self._hb_cache[key] = cert
         return cert
 
     def cost_certificate(self, protocol: str = "eager",
@@ -337,7 +334,7 @@ class TiledProgram:
                          spec: Optional[ClusterSpec] = None,
                          bound_factor: float = 2.0,
                          ) -> "CostCertificate":
-        """Cached static cost certificate of this program (see
+        """Static cost certificate of this program (see
         :mod:`repro.analysis.cost`): exact per-edge communication
         volumes (COST01), per-rank compute volumes (COST02), the
         analytic critical-path makespan (COST03) and the Dinh & Demmel
@@ -345,54 +342,54 @@ class TiledProgram:
 
         Unlike :meth:`hb_certificate`, the result depends on *every*
         timing parameter of the cluster model, so the full (frozen,
-        hashable) spec keys the cache.
+        hashable) spec is part of the key.
         """
         key = (protocol, int(mailbox_depth), float(bound_factor), spec)
-        cert = self._cost_cache.get(key)
+        certs: Dict[object, CostCertificate] = \
+            self.stage("cost_certificates")
+        cert = certs.get(key)
         if cert is None:
             from repro.analysis.cost import certify_cost
-            cert = certify_cost(
+            cert = certs[key] = certify_cost(
                 self, spec=spec, protocol=protocol,
                 mailbox_depth=mailbox_depth, bound_factor=bound_factor)
-            self._cost_cache[key] = cert
         return cert
 
     def full_region_count(self, direction: Sequence[int]) -> int:
         """Pack-region size of an *interior* tile toward ``direction`` —
         a pure compile-time quantity (no domain clipping)."""
-        key = tuple(int(x) for x in direction)
-        count = self._full_region_cache.get(key)
-        if count is None:
-            count = int(self._pack_region(key).sum())
-            self._full_region_cache[key] = count
-        return count
+        return int(self._pack_region(direction).sum())
 
     def region_count(self, tile: Tile, direction: Sequence[int]) -> int:
+        """Pack-region size of ``tile`` toward ``direction``.  The
+        ``region_counts`` stage holds every pair the communication
+        schedule asks about; any other pair is counted on demand."""
         key = (tile, tuple(direction))
-        count = self._region_cache.get(key)
+        counts: Dict[Tuple[Tile, Tuple[int, ...]], int] = \
+            self.stage("region_counts")
+        count = counts.get(key)
         if count is None:
             if self.tiling.classify_tile(tile) == "full":
                 count = self.full_region_count(direction)
             else:
                 count = int(self.region_mask(tile, direction).sum())
-            self._region_cache[key] = count
+            counts[key] = count
         return count
 
-    def prewarm_region_counts(self) -> None:
-        """Bulk-fill the region-count cache for every (tile, direction)
-        the communication schedule can ask about.
+    def _build_region_counts(
+            self) -> Dict[Tuple[Tile, Tuple[int, ...]], int]:
+        """Every (tile, direction) count the communication schedule can
+        ask about, in bulk.
 
-        One matrix product over the cached partial-tile masks replaces
-        thousands of per-tile mask reductions — this is what keeps the
-        static verifier's schedule replay a small fraction of
-        construction time.  Idempotent; safe to skip (the lazy per-call
-        path computes identical values).
+        One gather over the partial-tile masks replaces thousands of
+        per-tile mask reductions — this is what keeps the static
+        verifier's schedule replay a small fraction of construction
+        time.  The per-call path of :meth:`region_count` computes
+        identical values.
         """
-        if self._region_prewarmed:
-            return
-        self._region_prewarmed = True
         comm, dist, tiling = self.comm, self.dist, self.tiling
         m = dist.m
+        counts: Dict[Tuple[Tile, Tuple[int, ...]], int] = {}
         # Exactly the directions the communication schedule queries:
         # tile dependencies of each d^m (receives) and the zeroed-at-m
         # processor directions (sends).
@@ -402,7 +399,7 @@ class TiledProgram:
             dirs.append(dm[:m] + (0,) + dm[m:])
         dirs = list(dict.fromkeys(dirs))
         if not dirs:
-            return
+            return counts
         nlat = len(tiling.ttis.lattice_points_np())
         # Pack regions are thin slabs (thickness v_k - cc_k); count over
         # the slab columns, or over the complement when the slab is the
@@ -410,42 +407,40 @@ class TiledProgram:
         # touched, so partial-tile masks are gathered down to it instead
         # of being densified into a (tiles x volume) matrix.
         sels = []                           # (d, columns, use_complement)
+        full_counts = []
         need_totals = False
         for d in dirs:
             vec = self._pack_region(d)
-            self._full_region_cache[d] = int(vec.sum())
+            full_counts.append(int(vec.sum()))
             idx = np.nonzero(vec)[0]
             if 2 * len(idx) <= nlat:
                 sels.append((d, idx, False))
             else:
                 sels.append((d, np.nonzero(~vec)[0], True))
                 need_totals = True
-        full_counts = [self._full_region_cache[d] for d in dirs]
         partial = [t for t in dist.tiles
                    if tiling.classify_tile(t) == "partial"]
-        cache = self._region_cache
         if partial:
-            cols = np.unique(np.concatenate(
-                [c for _, c, _ in sels])) if sels else \
-                np.empty(0, dtype=np.int64)
+            cols = np.unique(np.concatenate([c for _, c, _ in sels]))
             sub = np.empty((len(partial), len(cols)), dtype=bool)
             for i, t in enumerate(partial):
                 sub[i] = tiling.tile_mask(t)[cols]
             totals = np.array(
-                [np.count_nonzero(tiling.tile_mask(t)) for t in partial],
+                [self.tile_point_count(t) for t in partial],
                 dtype=np.int64) if need_totals else None
             for d, sel, use_comp in sels:
                 pos = np.searchsorted(cols, sel)
-                counts = np.count_nonzero(sub[:, pos], axis=1)
+                cnts = np.count_nonzero(sub[:, pos], axis=1)
                 if use_comp:
-                    counts = totals - counts
-                for t, cnt in zip(partial, counts):
-                    cache[(t, d)] = int(cnt)
+                    cnts = totals - cnts
+                for t, cnt in zip(partial, cnts):
+                    counts[(t, d)] = int(cnt)
         partial_set = set(partial)
         for t in dist.tiles:
             if t not in partial_set:
                 for d, cnt in zip(dirs, full_counts):
-                    cache[(t, d)] = cnt
+                    counts[(t, d)] = cnt
+        return counts
 
     # -- the communication schedule (shared by both modes) --------------------------
 
@@ -459,9 +454,10 @@ class TiledProgram:
         comm, dist = self.comm, self.dist
         tset = dist._tile_set
         pid = dist.pid_of(tile)
+        orders: Dict[Pid, _Orders] = self.stage("recv_order")
         plan = []
         for dm in comm.d_m:
-            cands, lex = self._cand_orders(dm)
+            cands, lex = orders[dm]
             src = None
             for ds in cands:
                 pred = tuple([a - b for a, b in zip(tile, ds)])
@@ -482,26 +478,27 @@ class TiledProgram:
                 plan.append((ds, pred, src))
         return plan
 
-    def _cand_orders(self, dm: Pid):
-        """Candidate ``d^S`` lists of one ``d^m``, in receive-plan order
-        (descending mapping component) and lexicographic order."""
-        orders = self._recv_order.get(dm)
-        if orders is None:
+    def _build_recv_order(self) -> Dict[Pid, _Orders]:
+        """Candidate ``d^S`` lists of every ``d^m``, in receive-plan
+        order (descending mapping component) and lexicographic order."""
+        m = self.dist.m
+        out = {}
+        for dm in self.comm.d_m:
             cands = tuple(sorted(self.comm.ds_of_dm(dm),
-                                 key=lambda d: -d[self.dist.m]))
-            orders = (cands, tuple(sorted(cands)))
-            self._recv_order[dm] = orders
-        return orders
+                                 key=lambda d: -d[m]))
+            out[dm] = (cands, tuple(sorted(cands)))
+        return out
 
     def send_plan(self, tile: Tile) -> List[Tuple[Pid, Pid]]:
         """Sends issued by ``tile``: ``(d^m, dst_pid)`` per successor
         processor with at least one valid successor tile."""
         comm, dist = self.comm, self.dist
         tset = dist._tile_set
+        orders: Dict[Pid, _Orders] = self.stage("recv_order")
         plan = []
         pid = None
         for dm in comm.d_m:
-            for ds in self._cand_orders(dm)[0]:
+            for ds in orders[dm][0]:
                 if tuple([a + b for a, b in zip(tile, ds)]) in tset:
                     if pid is None:
                         pid = dist.pid_of(tile)
@@ -512,6 +509,47 @@ class TiledProgram:
 
     def message_tag(self, dm: Pid) -> int:
         return self.comm.d_m.index(tuple(dm))
+
+
+# -- the program rows of the stage table ----------------------------------------
+
+
+def _encode_points(prog: TiledProgram,
+                   _points: Dict[Tile, int]) -> np.ndarray:
+    return np.array([prog.tile_point_count(t) for t in prog.dist.tiles],
+                    dtype=np.int64)
+
+
+def _decode_points(prog: TiledProgram,
+                   stored: np.ndarray) -> Dict[Tile, int]:
+    return dict(zip(prog.dist.tiles, stored.tolist()))
+
+
+# Bump a certificate row's ``version`` when HBCertificate/CostCertificate
+# (or anything they contain) changes shape: the stored proofs are dropped
+# and re-derived lazily, the geometry stays valid.
+register(
+    Stage("points", "program", on_demand, persisted=True,
+          encode=_encode_points, decode=_decode_points),
+    Stage("recv_order", "program", TiledProgram._build_recv_order),
+    Stage("pack_regions", "program", on_demand),
+    Stage("lex_order", "program", TiledProgram._build_lex_order,
+          persisted=True),
+    Stage("dense_s", "program", TiledProgram._build_dense_s,
+          persisted=True),
+    Stage("dense_batches", "program", TiledProgram._build_dense_batches,
+          persisted=True),
+    Stage("region_counts", "program", TiledProgram._build_region_counts,
+          persisted=True, encode=copied, decode=copied),
+    Stage("rank_plans", "program", freeze_plans, persisted=True,
+          encode=pickled, decode=unpickled),
+    Stage("overlap_plans", "program", on_demand, persisted=True,
+          encode=copied, decode=copied),
+    Stage("hb_certificates", "program", on_demand, persisted=True,
+          encode=pickled, decode=unpickled),
+    Stage("cost_certificates", "program", on_demand, persisted=True,
+          encode=pickled, decode=unpickled),
+)
 
 
 class _SparseLDS:

@@ -927,9 +927,8 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     workers = max(1, min(int(workers), nranks))
     np_dtype = np.dtype(dtype)
 
-    # Freeze the schedule and prewarm every region mask/count before
-    # forking, so children share the caches copy-on-write.
-    program.prewarm_region_counts()
+    # Freeze the schedule (and with it every region count) before
+    # forking, so children share the stages copy-on-write.
     if overlap:
         program.prewarm_overlap_plans()
     plans = build_rank_plans(program)

@@ -31,7 +31,6 @@ yielding whatever its transport needs while it waits; a back-end has
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -148,25 +147,25 @@ def _per_dependence_ops(program: "TiledProgram") -> _TileOps:
 
 def build_rank_plans(program: "TiledProgram",
                      aggregate: bool = True) -> Dict[int, RankPlan]:
-    """Freeze the schedule into per-rank op lists; zero-element
-    messages are dropped, so event counts line up across consumers.
+    """The per-rank op lists of ``program``.
 
-    The paper schedule (``aggregate=True``) is cached on the program:
-    the plans are immutable and a pure function of the compiled
-    geometry.  ``aggregate=False`` builds the per-dependence ablation
-    plan of ``DistributedRun.simulate_unaggregated`` (timing-only).
+    The paper schedule (``aggregate=True``) is the program's
+    ``rank_plans`` stage: immutable, a pure function of the compiled
+    geometry, frozen once.  ``aggregate=False`` builds the
+    per-dependence ablation plan of
+    ``DistributedRun.simulate_unaggregated`` (timing-only).
     """
     if aggregate:
-        if program._rank_plans_cache is not None:
-            return program._rank_plans_cache
-        blob = program._rank_plans_blob
-        if blob is not None:
-            # Artifact-loaded programs carry the plans pre-pickled;
-            # decoding waits for first use so cache-hit load latency
-            # does not pay for plans a caller never touches.
-            program._rank_plans_blob = None
-            program._rank_plans_cache = pickle.loads(blob)
-            return program._rank_plans_cache
+        plans: Dict[int, RankPlan] = program.stage("rank_plans")
+        return plans
+    return freeze_plans(program, aggregate=False)
+
+
+def freeze_plans(program: "TiledProgram",
+                 aggregate: bool = True) -> Dict[int, RankPlan]:
+    """Freeze the schedule into per-rank op lists (the build function
+    of the ``rank_plans`` stage); zero-element messages are dropped, so
+    event counts line up across consumers."""
     tile_ops = (_paper_ops if aggregate else _per_dependence_ops)(program)
     narr = len(program.arrays)
     plans: Dict[int, RankPlan] = {}
@@ -193,8 +192,6 @@ def build_rank_plans(program: "TiledProgram",
             sends.append(tuple(ss))
         plans[rank] = RankPlan(rank, pid, tiles, tuple(recvs),
                                tuple(sends))
-    if aggregate:
-        program._rank_plans_cache = plans
     return plans
 
 

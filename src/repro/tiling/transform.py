@@ -13,14 +13,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.linalg.ratmat import RatMat
 from repro.polyhedra.fourier_motzkin import LoopBound, loop_bounds
 from repro.polyhedra.halfspace import Halfspace, Polyhedron
+from repro.stages import (
+    LazyEntries,
+    Stage,
+    StageHolder,
+    StageMemo,
+    copied,
+    on_demand,
+    register,
+)
 from repro.tiling.ttis import TTIS
+
+Tile = Tuple[int, ...]
 
 
 def _int_constraints(p: Polyhedron) -> Tuple[np.ndarray, np.ndarray]:
@@ -37,13 +48,16 @@ def _int_constraints(p: Polyhedron) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)
 
 
-class TilingTransformation:
+class TilingTransformation(StageHolder):
     """A parallelepiped tiling of an iteration space.
 
     ``h`` is the tiling matrix (rows are the hyperplane normals, scaled
     so ``1/row`` magnitudes give tile extents); ``p = h^{-1}`` must be an
-    integer matrix — its columns are the tile's side vectors.
+    integer matrix — its columns are the tile's side vectors.  What it
+    derives lazily is held in ``self.stages`` (table: end of module).
     """
+
+    stage_owner = "tiling"
 
     def __init__(self, h: RatMat, domain: Polyhedron) -> None:
         if h.nrows != domain.dim:
@@ -60,13 +74,7 @@ class TilingTransformation:
         self.ttis = TTIS(h)
         self._p_int = np.array(self.p.to_int_rows(), dtype=np.int64)
         self._amat, self._bvec = _int_constraints(domain)
-        self._tiles_cache: Optional[List[Tuple[int, ...]]] = None
-        self._dS_cache: Dict[Tuple[Tuple[int, ...], ...],
-                             Tuple[Tuple[int, ...], ...]] = {}
-        self._extents_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._base_vals_cache: Optional[np.ndarray] = None
-        self._mask_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._classify_cache: Dict[Tuple[int, ...], str] = {}
+        self.stages = StageMemo()
 
     # -- basic maps --------------------------------------------------------------
 
@@ -85,18 +93,19 @@ class TilingTransformation:
 
     # -- tile contents --------------------------------------------------------------
 
-    def _constraint_extents(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-constraint (min, max) of ``A . p`` over the base TIS points.
+    def _tis_constraints(
+            self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``A @ p^T`` over the base TIS points, with its per-constraint
+        minimum and maximum.
 
-        Lets :meth:`classify_tile` decide full/empty/partial from the
-        tile origin alone — O(constraints) instead of O(tile volume) —
-        which is what makes paper-scale simulations cheap: only the
-        O(surface) boundary tiles ever need a point-level mask.
+        The extremes let :meth:`classify_tile` decide full/empty/partial
+        from the tile origin alone — O(constraints), not O(tile volume):
+        only the O(surface) boundary tiles ever need a point-level mask,
+        which is then an add-and-compare of the values against a
+        translated right-hand side, no per-tile matmul.
         """
-        if self._extents_cache is None:
-            vals = self._amat @ self.ttis.tis_points_np().T
-            self._extents_cache = (vals.min(axis=1), vals.max(axis=1))
-        return self._extents_cache
+        vals = self._amat @ self.ttis.tis_points_np().T
+        return vals, vals.min(axis=1), vals.max(axis=1)
 
     def classify_tile(self, j_s: Sequence[int]) -> str:
         """``"full"`` (entirely inside the domain), ``"empty"``, or
@@ -104,9 +113,10 @@ class TilingTransformation:
         schedule replay and the static verifier re-ask for the same
         tiles thousands of times."""
         key = tuple(int(x) for x in j_s)
-        cls = self._classify_cache.get(key)
+        classes: Dict[Tile, str] = self.stage("classes")
+        cls = classes.get(key)
         if cls is None:
-            lo, hi = self._constraint_extents()
+            _vals, lo, hi = self.stage("tis_constraints")
             base = self._amat @ (self._p_int @ np.asarray(key,
                                                           dtype=np.int64))
             if np.all(base + hi <= self._bvec):
@@ -115,20 +125,8 @@ class TilingTransformation:
                 cls = "empty"
             else:
                 cls = "partial"
-            self._classify_cache[key] = cls
+            classes[key] = cls
         return cls
-
-    def _base_constraint_values(self) -> np.ndarray:
-        """``A @ p^T`` over the base TIS points, computed once.
-
-        Every tile's mask is then an O(constraints x volume) add-and-
-        compare against a translated right-hand side — no per-tile
-        matmul.  This is the hot path of large simulations (thousands of
-        partial boundary tiles)."""
-        if self._base_vals_cache is None:
-            self._base_vals_cache = \
-                self._amat @ self.ttis.tis_points_np().T
-        return self._base_vals_cache
 
     def tile_mask(self, j_s: Sequence[int]) -> np.ndarray:
         """Boolean mask over ``ttis.lattice_points_np()`` rows marking the
@@ -139,13 +137,15 @@ class TilingTransformation:
         lists.  Masks are cached per tile.
         """
         key = tuple(int(x) for x in j_s)
-        mask = self._mask_cache.get(key)
-        if mask is None:
+        masks: Dict[Tile, np.ndarray] = self.stage("masks")
+        try:
+            mask = masks[key]
+        except KeyError:
             shift = self._amat @ (
                 self._p_int @ np.asarray(key, dtype=np.int64))
             rhs = (self._bvec - shift)[:, None]
-            mask = np.all(self._base_constraint_values() <= rhs, axis=0)
-            self._mask_cache[key] = mask
+            mask = masks[key] = np.all(
+                self.stage("tis_constraints")[0] <= rhs, axis=0)
         return mask
 
     def tile_points_np(self, j_s: Sequence[int]) -> np.ndarray:
@@ -219,14 +219,16 @@ class TilingTransformation:
         return loop_bounds(proj)
 
     def enumerate_tiles(self) -> List[Tuple[int, ...]]:
-        """All nonempty tiles, lexicographically sorted (cached).
+        """All nonempty tiles, lexicographically sorted (the ``tiles``
+        stage)."""
+        tiles: List[Tuple[int, ...]] = self.stage("tiles")
+        return tiles
 
-        Fourier-Motzkin bounds give a superset of candidates (the
+    def _enumerate_tiles(self) -> List[Tuple[int, ...]]:
+        """Fourier-Motzkin bounds give a superset of candidates (the
         rational shadow); each candidate is validated by an exact
         emptiness check, which is the paper's boundary correction.
         """
-        if self._tiles_cache is not None:
-            return self._tiles_cache
         bounds = self.tile_space_bounds()
         n = self.n
         tiles: List[Tuple[int, ...]] = []
@@ -241,7 +243,6 @@ class TilingTransformation:
                 rec(k + 1, prefix + (v,))
 
         rec(0, ())
-        self._tiles_cache = tiles
         return tiles
 
     # -- tile dependencies ------------------------------------------------------------
@@ -257,8 +258,10 @@ class TilingTransformation:
         ``floor((j' + H' d) / v)`` componentwise.
         """
         key = tuple(tuple(int(x) for x in d) for d in deps)
-        if key in self._dS_cache:
-            return self._dS_cache[key]
+        known: Dict[Tuple[Tile, ...], Tuple[Tile, ...]] = \
+            self.stage("tile_deps")
+        if key in known:
+            return known[key]
         lat = self.ttis.lattice_points_np()
         v = np.array(self.ttis.v, dtype=np.int64)
         found = set()
@@ -269,9 +272,67 @@ class TilingTransformation:
                 t = tuple(int(x) for x in row)
                 if any(t):
                     found.add(t)
-        result = tuple(sorted(found))
-        self._dS_cache[key] = result
+        result = known[key] = tuple(sorted(found))
         return result
 
     def __repr__(self) -> str:
         return f"TilingTransformation(n={self.n}, volume={self.tile_volume()})"
+
+
+# -- the tiling rows of the stage table ------------------------------------------
+
+
+def _partial_tiles(tiling: TilingTransformation) -> List[Tile]:
+    return [t for t in tiling.enumerate_tiles()
+            if tiling.classify_tile(t) == "partial"]
+
+
+def _encode_classes(tiling: TilingTransformation,
+                    _classes: Dict[Tile, str]) -> np.ndarray:
+    """1 = partial, 0 = full, aligned with the enumerated tiles (the
+    verdicts on rejected candidates are not kept)."""
+    return np.array([tiling.classify_tile(t) == "partial"
+                     for t in tiling.enumerate_tiles()], dtype=np.uint8)
+
+
+def _decode_classes(tiling: TilingTransformation,
+                    stored: np.ndarray) -> Dict[Tile, str]:
+    return {t: "partial" if c else "full"
+            for t, c in zip(tiling.enumerate_tiles(), stored.tolist())}
+
+
+def _encode_masks(tiling: TilingTransformation,
+                  _masks: Dict[Tile, np.ndarray]) -> Tuple[np.ndarray, int]:
+    """Bit-packed rows, one per partial tile in enumeration order."""
+    nlat = len(tiling.ttis.lattice_points_np())
+    rows = [tiling.tile_mask(t) for t in _partial_tiles(tiling)]
+    return np.packbits(np.asarray(rows, dtype=np.uint8).reshape(
+        len(rows), nlat), axis=1), nlat
+
+
+def _decode_masks(tiling: TilingTransformation,
+                  stored: Tuple[np.ndarray, int]) -> Dict[Tile, np.ndarray]:
+    """Masks dominate an artifact's size, so the rows stay packed and
+    each is unpacked at most once, by the first ``tile_mask`` of its
+    tile."""
+    packed, nlat = stored
+
+    def unpack(row: int) -> np.ndarray:
+        return np.unpackbits(packed[row], count=nlat).view(np.bool_)
+
+    return LazyEntries(
+        {t: i for i, t in enumerate(_partial_tiles(tiling))}, unpack)
+
+
+register(
+    Stage("tis_constraints", "tiling",
+          TilingTransformation._tis_constraints),
+    Stage("classes", "tiling", on_demand, persisted=True,
+          encode=_encode_classes, decode=_decode_classes),
+    Stage("masks", "tiling", on_demand, persisted=True,
+          encode=_encode_masks, decode=_decode_masks),
+    Stage("tiles", "tiling", TilingTransformation._enumerate_tiles,
+          persisted=True),
+    Stage("tile_deps", "tiling", on_demand, persisted=True,
+          encode=copied, decode=copied),
+)

@@ -13,8 +13,9 @@ tune the whole (search + compile) pipeline is served from disk.
 
 Like the artifact cache, any defect in a stored record — truncation,
 corruption, key or format-version skew — demotes the hit to a clean
-re-tune (and re-store), never an error; writes are atomic
-(tmp + ``os.replace``) so racing processes never tear a record.
+re-tune (and re-store), never an error; writes go through the
+artifact layer's ``atomic_write``, so racing processes never tear a
+record.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.artifacts.cache import ArtifactCache
+from repro.artifacts.format import atomic_write
 from repro.artifacts.hashing import canonical_nest
 from repro.runtime.machine import ClusterSpec
 from repro.tuning.tuner import (
@@ -128,15 +129,7 @@ class TuneRecordStore:
         """Atomically write ``report`` under ``key``; returns the path."""
         path = self.path_for(key)
         blob = canonical_report_bytes(report)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, blob)
         self.stores += 1
         return path
 

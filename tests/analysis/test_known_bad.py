@@ -156,7 +156,7 @@ class TestOutOfHaloAccess:
         assert off[dim] > 0
         off[dim] = 0
         prog.comm.offsets = tuple(off)
-        prog.addressing._lds_cache.clear()
+        prog.addressing._lds_by_length.clear()
         return prog
 
     def test_zeroed_halo_offset_escapes_lds(self, sor_small):

@@ -90,12 +90,20 @@ class TestVersioning:
         prog = TiledProgram(APP.nest, H, mapping_dim=MDIM)
         prog.hb_certificate()
         cache.store(prog, MDIM)
-        import repro.analysis.certstate as cs
-        monkeypatch.setattr(cs, "CERT_STATE_VERSION",
-                            cs.CERT_STATE_VERSION + 1)
+        import dataclasses
+
+        from repro import stages
+        entry = stages.TABLE["hb_certificates"]
+        monkeypatch.setitem(
+            stages.TABLE, "hb_certificates",
+            dataclasses.replace(entry, version=entry.version + 1))
         loaded = cache.load(APP.nest, H, MDIM)
         assert loaded is not None
-        assert not loaded._hb_cache
+        # the proofs are gone, the geometry is not
+        assert not loaded.stage("hb_certificates")
+        assert loaded.stages.state("hb_certificates") == "built"
+        assert loaded.stage("rank_plans") == prog.stage("rank_plans")
+        assert loaded.stages.state("rank_plans") == "restored"
 
 
 class TestRecovery:
@@ -173,3 +181,29 @@ class TestConcurrency:
             DistributedRun(pb, SPEC).simulate()
         c3 = ArtifactCache(str(tmp_path))
         assert c3.load(APP.nest, H, MDIM) is not None
+
+    def test_racing_native_source_writers_do_not_collide(self, tmp_path,
+                                                         monkeypatch):
+        """Two processes missing the same native key both drop the
+        emitted ``.c``: the second store lands inside the first's
+        ``os.replace``.  With a shared ``<key>.c.tmp`` the first
+        writer's rename found its file already renamed away
+        (``FileNotFoundError`` out of ``build_native_library``, whose
+        contract is "never raises")."""
+        first = ArtifactCache(str(tmp_path))
+        second = ArtifactCache(str(tmp_path))
+        real_replace = os.replace
+        interleaved = []
+        pending = [second]
+
+        def replace(src, dst):
+            if pending:
+                interleaved.append(
+                    pending.pop().native_store_source("k", "two"))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        path = first.native_store_source("k", "one")
+        assert interleaved == [path]
+        assert open(path).read() == "one"       # last rename wins
+        assert os.listdir(tmp_path) == ["k.c"]  # and no tmp file leaks

@@ -108,14 +108,16 @@ def test_certificates_survive_roundtrip(tmp_path, monkeypatch):
     fresh = TiledProgram(app.nest, h, mapping_dim=2)
     hb = fresh.hb_certificate()
     cost = fresh.cost_certificate()
-    assert fresh._hb_cache and fresh._cost_cache
+    assert fresh.stage("hb_certificates")
+    assert fresh.stage("cost_certificates")
 
     cache = ArtifactCache(str(tmp_path))
     cache.store(fresh, 2)
     loaded = cache.load(app.nest, h, 2)
     assert loaded is not None
-    assert set(loaded._hb_cache) == set(fresh._hb_cache)
-    assert set(loaded._cost_cache) == set(fresh._cost_cache)
+    for name in ("hb_certificates", "cost_certificates"):
+        assert set(loaded.stage(name)) == set(fresh.stage(name))
+        assert loaded.stages.state(name) == "restored"
 
     def boom(*a, **k):
         raise AssertionError("certifier re-ran on a cache hit")

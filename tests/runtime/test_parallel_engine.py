@@ -548,10 +548,11 @@ class TestOverlap:
         prog = TiledProgram(app.nest, h, mapping_dim=2)
         prog.prewarm_overlap_plans()
         # Corrupt one cached plan: claim an earlier commit level.
-        key, plan = next(iter(prog._overlap_cache.items()))
+        plans = prog.stage("overlap_plans")
+        key, plan = next(iter(plans.items()))
         bad_packs = tuple(
             _dc.replace(p, commit_level=max(-1, p.commit_level - 1))
             for p in plan.packs)
-        prog._overlap_cache[key] = _dc.replace(plan, packs=bad_packs)
+        plans[key] = _dc.replace(plan, packs=bad_packs)
         codes = {d.code for d in check_overlap(prog)}
         assert "OV02" in codes

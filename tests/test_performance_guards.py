@@ -45,7 +45,7 @@ class TestCompileTime:
         partial = [t for t in tiles
                    if prog.tiling.classify_tile(t) == "partial"]
         assert partial
-        cache = prog.tiling._mask_cache
+        cache = prog.tiling.stage("masks")
         assert all(tuple(t) in cache for t in partial)
         # ...and a second pass returns identical counts
         assert a == [prog.tiling.tile_point_count(t) for t in tiles]
