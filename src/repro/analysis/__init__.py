@@ -52,8 +52,12 @@ from repro.analysis.diagnostics import (
     AnalysisReport,
     Diagnostic,
 )
-from repro.analysis.schedule_model import RecvOp, ScheduleModel, SendOp
-from repro.analysis.deadlock import check_deadlock, check_program_deadlock
+from repro.analysis.deadlock import (
+    RecvOp,
+    SendOp,
+    check_deadlock,
+    check_program_deadlock,
+)
 from repro.analysis.races import check_races
 from repro.analysis.bounds import check_bounds
 from repro.analysis.overlap import check_overlap
@@ -94,7 +98,6 @@ __all__ = [
     "AnalysisReport",
     "RecvOp",
     "SendOp",
-    "ScheduleModel",
     "check_deadlock",
     "check_program_deadlock",
     "check_races",

@@ -30,13 +30,10 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.analysis.cost.bound import communication_lower_bound
 from repro.analysis.cost.makespan import SweepResult, analytic_makespan
-from repro.analysis.cost.volumes import (
-    edge_volumes,
-    plan_edge_volumes,
-    rank_volumes,
-)
+from repro.analysis.cost.volumes import edge_volumes, rank_volumes
 from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
+from repro.runtime.rankstep import build_rank_plans, edge_tally
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -191,10 +188,10 @@ def certify_cost(program: "TiledProgram",
 
     # -- COST01: closed form vs the frozen plan replay -------------------------
     a_msgs, a_elems = edge_volumes(program, mutation=mutation)
-    b_msgs, b_elems = plan_edge_volumes(program)
-    for chan in sorted(set(a_msgs) | set(b_msgs)):
+    replayed = edge_tally(build_rank_plans(program))
+    for chan in sorted(set(a_msgs) | set(replayed)):
         am, ae = a_msgs.get(chan, 0), a_elems.get(chan, 0)
-        bm, be = b_msgs.get(chan, 0), b_elems.get(chan, 0)
+        bm, be, _cap = replayed.get(chan, (0, 0, 0))
         if (am, ae) != (bm, be):
             diags.append(Diagnostic(
                 code="COST01", severity=ERROR, pass_name=PASS_COST,

@@ -1,14 +1,15 @@
-"""COST03: critical-path makespan by a longest-path sweep of the HB
-graph.
+"""COST03: critical-path makespan — the static replay with a clock.
 
-The sweep replays the happens-before graph of the *blocking* schedule
-(the one :meth:`DistributedRun.simulate` executes) with the simulator's
-exact per-event clock arithmetic — same Hockney model, same protocol
-decisions, same floating-point operation order per rank — so on any
-configuration the simulator can run, the analytic makespan is bitwise
-equal to the simulated one.  That is the property the exactness tests
-pin; the documented tolerance (``1e-12`` relative) only covers future
-re-orderings of the per-rank accumulation.
+:func:`~repro.analysis.hb.graph.replay` executes the happens-before
+graph of the *blocking* schedule (the one
+:meth:`DistributedRun.simulate` executes) under the simulator's
+unbounded buffering; the hook below advances one clock per rank with
+the simulator's exact per-event arithmetic — same Hockney model, same
+protocol decisions, same floating-point operation order per rank — so
+on any configuration the simulator can run, the analytic makespan is
+bitwise equal to the simulated one.  That is the property the
+exactness tests pin; the documented tolerance (``1e-12`` relative) only
+covers future re-orderings of the per-rank accumulation.
 
 Event weights:
 
@@ -20,8 +21,8 @@ Event weights:
 * ``SENDWAIT`` — jump to the rendezvous completion computed at the
   matching receive.
 
-A schedule the HB certifier would flag (HB02 cycle) makes the sweep
-stick; the result is then an infinite makespan plus a ``stuck`` flag —
+A schedule the HB certifier would flag (HB02 cycle) makes the replay
+stall; the result is then an infinite makespan plus a ``stuck`` flag —
 ``certify_cost`` turns that into a COST03 diagnostic instead of
 raising, mirroring the simulator's :class:`DeadlockError`.
 """
@@ -35,10 +36,10 @@ from repro.analysis.hb.graph import (
     COMPUTE,
     RECV,
     SEND,
-    SENDWAIT,
+    Chan,
     HBGraph,
-    _rendezvous_fn,
     build_hb_graph,
+    replay,
 )
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
 
@@ -72,7 +73,6 @@ def analytic_makespan(program: "TiledProgram",
         graph = build_hb_graph(program, protocol=protocol,
                                overlap=False,
                                mailbox_depth=mailbox_depth, spec=spec)
-    rdv = _rendezvous_fn(protocol, spec)
     swap = mutation == "swapped_edge_weight"
 
     def w_compute(points: int) -> float:
@@ -86,108 +86,70 @@ def analytic_makespan(program: "TiledProgram",
 
     nranks = graph.nranks
     events = graph.events
-    order = graph.rank_order
-    send_of_recv = graph.send_of_recv
-    send_by_chanpos: Dict[Tuple[Tuple[int, int, int], int], int] = {}
-    for i, ev in enumerate(events):
-        if ev.kind == SEND and ev.chan is not None:
-            send_by_chanpos[(ev.chan, ev.chanpos)] = i
-
     speed = [spec.node_speed_factor(r) for r in range(nranks)]
-    ptr = [0] * nranks
     clock = [0.0] * nranks
     compute = [0.0] * nranks
     comm = [0.0] * nranks
     tile_compute = [0.0] * nranks
-    arrival: Dict[int, float] = {}      # eager send -> arrival time
-    ready: Dict[int, float] = {}        # rendezvous send -> park time
-    completion: Dict[int, float] = {}   # rendezvous send -> match end
+    # Per message, keyed by its (channel, FIFO position) — what a send,
+    # its receive and its SENDWAIT share.
+    arrival: Dict[Tuple[Chan, int], float] = {}     # eager: arrival time
+    ready: Dict[Tuple[Chan, int], float] = {}       # rendezvous: park time
+    completion: Dict[Tuple[Chan, int], float] = {}  # rendezvous: match end
 
-    def step(rank: int) -> bool:
-        """Process the rank's next event; False if it must wait."""
-        eid = order[rank][ptr[rank]]
+    def tick(eid: int) -> None:
+        """Advance the event's rank clock; ``replay`` calls this only
+        after every event this one waits on."""
         ev = events[eid]
+        rank = ev.rank
         f = speed[rank]
         if ev.kind == COMPUTE:
-            pts = program.tile_point_count(ev.tile)
-            w = w_compute(pts) * f
+            w = w_compute(program.tile_point_count(ev.tile)) * f
             clock[rank] += w
             compute[rank] += w
             tile_compute[rank] += w
-        elif ev.kind == SEND:
+            return
+        assert ev.chan is not None
+        msg = (ev.chan, ev.chanpos)
+        if ev.kind == SEND:
             pack = spec.pack_time(ev.nelems) * f
             clock[rank] += pack
             compute[rank] += pack
-            if rdv(ev.nelems):
-                ready[eid] = clock[rank]
+            if spec.uses_rendezvous(protocol, ev.nelems):
+                ready[msg] = clock[rank]
             elif spec.overlap:
                 start = clock[rank]
                 clock[rank] += spec.net_latency
-                arrival[eid] = start + w_transfer(ev.nelems)
+                arrival[msg] = start + w_transfer(ev.nelems)
                 comm[rank] += spec.net_latency
             else:
                 clock[rank] += w_transfer(ev.nelems)
-                arrival[eid] = clock[rank]
+                arrival[msg] = clock[rank]
                 comm[rank] += w_transfer(ev.nelems)
-        elif ev.kind == SENDWAIT:
-            assert ev.chan is not None
-            sid = send_by_chanpos[(ev.chan, ev.chanpos)]
-            end = completion.get(sid)
-            if end is None:
-                return False
+        elif ev.kind == RECV:
+            if msg in ready:
+                end = max(clock[rank], ready[msg]) + w_transfer(ev.nelems)
+                completion[msg] = end
+            else:
+                end = max(clock[rank], arrival[msg])
             comm[rank] += end - clock[rank]
             clock[rank] = end
-        elif ev.kind == RECV:
-            sid = send_of_recv.get(eid)
-            if sid is None:
-                return False                # unmatched: never ready
-            if rdv(events[sid].nelems):
-                park = ready.get(sid)
-                if park is None:
-                    return False
-                end = max(clock[rank], park) + w_transfer(ev.nelems)
-                comm[rank] += end - clock[rank]
-                clock[rank] = end
-                completion[sid] = end
-            else:
-                arr = arrival.get(sid)
-                if arr is None:
-                    return False
-                wait = max(clock[rank], arr) - clock[rank]
-                comm[rank] += wait
-                clock[rank] = max(clock[rank], arr)
             pack = spec.pack_time(ev.nelems) * f
             clock[rank] += pack
             compute[rank] += pack
-        else:                               # pragma: no cover
-            raise AssertionError(f"unknown event kind {ev.kind!r}")
-        ptr[rank] += 1
-        return True
+        else:                               # SENDWAIT
+            end = completion[msg]
+            comm[rank] += end - clock[rank]
+            clock[rank] = end
 
-    live = {r for r in range(nranks) if ptr[r] < len(order[r])}
-    while live:
-        progressed = False
-        for rank in sorted(live):
-            while ptr[rank] < len(order[rank]) and step(rank):
-                progressed = True
-            if ptr[rank] >= len(order[rank]):
-                live.discard(rank)
-        if live and not progressed:
-            return SweepResult(
-                makespan=float("inf"),
-                clocks=tuple(clock),
-                compute_time=tuple(compute),
-                comm_time=tuple(comm),
-                tile_compute_time=tuple(tile_compute),
-                stuck=True,
-                stuck_ranks=tuple(sorted(live)),
-            )
+    res = replay(graph, bounded=False, visit=tick)
     return SweepResult(
-        makespan=max(clock) if clock else 0.0,
+        makespan=(float("inf") if not res.completed
+                  else max(clock) if clock else 0.0),
         clocks=tuple(clock),
         compute_time=tuple(compute),
         comm_time=tuple(comm),
         tile_compute_time=tuple(tile_compute),
-        stuck=False,
-        stuck_ranks=(),
+        stuck=not res.completed,
+        stuck_ranks=tuple(sorted(res.blocked)),
     )

@@ -12,8 +12,10 @@ Two independent paths compute every edge total:
 
 * **path A** (this module): closed-form counting from ``(v, c, HNF,
   CC)`` plus the schedule structure;
-* **path B** (the oracle): the frozen :func:`build_rank_plans` lists,
-  whose sizes come from the program's region masks.
+* **path B** (the oracle): :func:`repro.runtime.rankstep.edge_tally`
+  over the frozen :func:`build_rank_plans` lists, whose sizes come from
+  the program's region masks — exactly the messages the simulator and
+  the parallel runtime move.
 
 ``certify_cost`` compares them edge by edge and emits a ``COST01``
 error on any disagreement — that is what catches the seeded
@@ -146,23 +148,6 @@ def edge_volumes(program: "TiledProgram",
                         program.message_tag(dm))
                 messages[chan] = messages.get(chan, 0) + 1
                 elements[chan] = elements.get(chan, 0) + nelems
-    return messages, elements
-
-
-def plan_edge_volumes(program: "TiledProgram",
-                      ) -> Tuple[Dict[Chan, int], Dict[Chan, int]]:
-    """Path B (oracle): totals replayed from the frozen rank plans —
-    exactly the messages the simulator and the parallel runtime move."""
-    from repro.runtime.rankstep import build_rank_plans
-
-    messages: Dict[Chan, int] = {}
-    elements: Dict[Chan, int] = {}
-    for rank, plan in build_rank_plans(program).items():
-        for sends in plan.sends:
-            for s in sends:
-                chan = (rank, s.dst_rank, s.tag)
-                messages[chan] = messages.get(chan, 0) + 1
-                elements[chan] = elements.get(chan, 0) + s.nelems
     return messages, elements
 
 

@@ -1,279 +1,247 @@
-"""Static deadlock checker over abstract rank programs.
+"""Static deadlock checker: DL01-DL04 over the one static replay.
 
 The vMPI engine (:mod:`repro.runtime.vmpi`) raises ``DeadlockError`` at
 *runtime* when no rank can progress.  This pass proves the same
-property at *compile time* by abstractly executing the per-rank
-Send/Recv sequences of a :class:`~repro.analysis.schedule_model.ScheduleModel`
-(or any hand-written op lists) under MPI point-to-point semantics:
-FIFO per ``(src, dest, tag)`` channel, blocking receives, and —
-conservatively — fully synchronous sends (the rendezvous protocol of
+property at *compile time*: it takes the happens-before graph of the
+blocking schedule (:func:`~repro.analysis.hb.graph.build_hb_graph` for
+a compiled program, :func:`graph_from_ops` for hand-written op lists)
+and runs :func:`~repro.analysis.hb.graph.replay` over it with the
+simulator's unbounded buffering — MPI point-to-point semantics: FIFO
+per ``(src, dest, tag)`` channel, blocking receives, and either eager
+sends (no ``SENDWAIT`` events) or fully synchronous ones (a
+``SENDWAIT`` after every send: the rendezvous protocol of
 ``ClusterSpec.rendezvous_threshold``; any program deadlock-free under
 synchronous sends is deadlock-free under the eager protocol too).
 
 Three families of findings:
 
 * ``DL01``/``DL02`` — per-channel multiset mismatches (a receive with
-  no send, a send with no receive);
+  no send, a send with no receive), read off the graph's pairing;
 * ``DL04`` — FIFO position size mismatches (the executor's runtime
-  ``assert got == nelems`` made static);
+  ``HaloSizeError`` made static);
 * ``DL03`` — order-induced cyclic waits even when every multiset
   matches (the classic crossed recv/recv or sync send/send cycle).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
-from repro.analysis.schedule_model import RecvOp, ScheduleModel, SendOp
+from repro.analysis.diagnostics import (
+    ERROR,
+    WARNING,
+    Diagnostic,
+    rendezvous_only,
+)
+from repro.analysis.hb.graph import (
+    RECV,
+    SEND,
+    SENDWAIT,
+    Chan,
+    GraphBuilder,
+    HBEvent,
+    HBGraph,
+    build_hb_graph,
+    replay,
+)
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import TiledProgram
 
 PASS = "deadlock"
 _EQ_CHANNEL = "each (src, dest, tag) FIFO channel must carry equal " \
     "send/recv multisets (SEND/RECEIVE, §3.2)"
 
+Tile = Tuple[int, ...]
 
-def _normalize(ops_by_rank: Dict[int, Sequence[object]]
-               ) -> Dict[int, List[object]]:
-    """Accept ``RecvOp``/``SendOp`` or raw ``vmpi.Send``/``vmpi.Recv``."""
+
+class RecvOp(NamedTuple):
+    """A blocking receive of a hand-written rank program — the input
+    vocabulary of :func:`check_deadlock` (raw ``vmpi.Recv`` works too)."""
+
+    source: int                     # sender rank
+    tag: int                        # message tag
+    nelems: Optional[int] = None    # expected element count (None: unknown)
+    tile: Optional[Tile] = None     # receiving tile, for the report
+    step: Optional[int] = None      # chain position of `tile`
+
+
+class SendOp(NamedTuple):
+    """A send of a hand-written rank program (or raw ``vmpi.Send``)."""
+
+    dest: int                       # receiver rank
+    tag: int                        # message tag
+    nelems: Optional[int] = None    # element count (None: unknown)
+    tile: Optional[Tile] = None     # sending tile, for the report
+    step: Optional[int] = None      # chain position of `tile`
+
+
+def graph_from_ops(ops_by_rank: Dict[int, Sequence[object]],
+                   synchronous: bool) -> HBGraph:
+    """The blocking-schedule graph of hand-written per-rank op lists
+    (``RecvOp``/``SendOp`` or raw ``vmpi.Send``/``vmpi.Recv``).  An
+    unknown size is ``-1``, an absent tile ``()``, an absent step ``-1``.
+    """
     from repro.runtime.vmpi import Recv as VRecv, Send as VSend
-    out: Dict[int, List[object]] = {}
-    for rank, seq in ops_by_rank.items():
-        norm: List[object] = []
+    rows: Dict[int, List[Tuple[str, int, Any]]] = {}
+    for rank, seq in sorted(ops_by_rank.items()):
+        row = rows[rank] = []
         for op in seq:
-            if isinstance(op, (RecvOp, SendOp)):
-                norm.append(op)
-            elif isinstance(op, VRecv):
-                norm.append(RecvOp(source=op.source, tag=op.tag))
-            elif isinstance(op, VSend):
-                norm.append(SendOp(dest=op.dest, tag=op.tag,
-                                   nelems=op.nelems))
+            if isinstance(op, (RecvOp, VRecv)):
+                row.append((RECV, op.source, op))
+            elif isinstance(op, (SendOp, VSend)):
+                row.append((SEND, op.dest, op))
             else:
                 raise TypeError(f"rank {rank}: unknown op {op!r}")
-        out[rank] = norm
-    return out
+    b = GraphBuilder(1 + max(
+        [*rows, *(peer for row in rows.values() for _, peer, _ in row)],
+        default=-1))
+    for rank, row in rows.items():
+        for kind, peer, op in row:
+            step = getattr(op, "step", None)
+            nelems = getattr(op, "nelems", None)
+            args = (getattr(op, "tile", None) or (),
+                    -1 if step is None else step, peer, op.tag,
+                    -1 if nelems is None else nelems)
+            eid = b.emit(rank, kind, *args)
+            if kind == SEND and synchronous:
+                b.emit(rank, SENDWAIT, *args, eid)
+    return b.finish("rendezvous" if synchronous else "eager", False,
+                    0, {})
 
 
-def _subject(rank: int, op: object) -> Tuple[Tuple[str, object], ...]:
-    items: List[Tuple[str, object]] = [("rank", rank)]
-    if isinstance(op, RecvOp):
-        items += [("source", op.source), ("tag", op.tag)]
-    elif isinstance(op, SendOp):
-        items += [("dest", op.dest), ("tag", op.tag)]
-    for name in ("tile", "step"):
-        val = getattr(op, name, None)
-        if val is not None:
-            items.append((name, val))
+def _subject(e: HBEvent) -> Tuple[Tuple[str, object], ...]:
+    items: List[Tuple[str, object]] = [
+        ("rank", e.rank),
+        ("source" if e.kind == RECV else "dest", e.peer),
+        ("tag", e.tag)]
+    if e.tile:
+        items.append(("tile", e.tile))
+    if e.tix >= 0:
+        items.append(("step", e.tix))
     return tuple(items)
 
 
-def _check_channels(ops: Dict[int, List[object]]) -> List[Diagnostic]:
+def _check_channels(g: HBGraph) -> List[Diagnostic]:
     """Multiset + FIFO-size agreement per channel (DL01/DL02/DL04)."""
-    sends: Dict[Tuple[int, int, int], List[SendOp]] = {}
-    recvs: Dict[Tuple[int, int, int], List[Tuple[int, RecvOp]]] = {}
-    for rank, seq in ops.items():
-        for op in seq:
-            if isinstance(op, SendOp):
-                sends.setdefault((rank, op.dest, op.tag), []).append(op)
-            else:
-                recvs.setdefault((op.source, rank, op.tag), []) \
-                    .append((rank, op))
+    ev = g.events
+    # msg_edges run channel by channel in FIFO order, so the first
+    # mismatch kept per channel is the lowest position.
+    missized: Dict[Optional[Chan], Tuple[HBEvent, HBEvent]] = {}
+    for s, r in g.msg_edges:
+        s_ev, r_ev = ev[s], ev[r]
+        if s_ev.nelems != r_ev.nelems and min(s_ev.nelems,
+                                               r_ev.nelems) >= 0:
+            missized.setdefault(r_ev.chan, (s_ev, r_ev))
+    extra: Dict[Optional[Chan], List[HBEvent]] = {}
+    for eid in g.unmatched_recvs + g.unmatched_sends:
+        extra.setdefault(ev[eid].chan, []).append(ev[eid])
     diags: List[Diagnostic] = []
-    for key in sorted(set(sends) | set(recvs)):
-        src, dst, tag = key
-        ss = sends.get(key, [])
-        rr = recvs.get(key, [])
-        if len(rr) > len(ss):
-            rank, op = rr[len(ss)]
+    for chan in sorted(c for c in set(missized) | set(extra) if c):
+        src, dst, tag = chan
+        rest = extra.get(chan, [])      # all receives or all sends
+        paired = rest[0].chanpos if rest else 0
+        if rest and rest[0].kind == RECV:
             diags.append(Diagnostic(
                 code="DL01", severity=ERROR, pass_name=PASS,
-                message=f"rank {dst} posts {len(rr)} receive(s) on channel "
-                        f"(src={src}, tag={tag}) but only {len(ss)} "
+                message=f"rank {dst} posts {paired + len(rest)} "
+                        f"receive(s) on channel "
+                        f"(src={src}, tag={tag}) but only {paired} "
                         f"send(s) are ever issued; the extra receive "
                         f"blocks forever",
                 equation=_EQ_CHANNEL,
-                subject=_subject(rank, op),
+                subject=_subject(rest[0]),
                 suggestion="emit the missing SEND (check send_plan / "
                            "minsucc aggregation for this d^m)",
             ))
-        elif len(ss) > len(rr):
-            op = ss[len(rr)]
+        elif rest:
             diags.append(Diagnostic(
                 code="DL02", severity=WARNING, pass_name=PASS,
-                message=f"rank {src} issues {len(ss)} send(s) on channel "
-                        f"(dest={dst}, tag={tag}) but only {len(rr)} "
+                message=f"rank {src} issues {paired + len(rest)} "
+                        f"send(s) on channel "
+                        f"(dest={dst}, tag={tag}) but only {paired} "
                         f"receive(s) are posted; the message is never "
                         f"consumed",
                 equation=_EQ_CHANNEL,
-                subject=_subject(src, op),
+                subject=_subject(rest[0]),
                 suggestion="drop the send or post the matching RECEIVE",
             ))
-        for pos, (s_op, (r_rank, r_op)) in enumerate(zip(ss, rr)):
-            if (s_op.nelems is not None and r_op.nelems is not None
-                    and s_op.nelems != r_op.nelems):
-                diags.append(Diagnostic(
-                    code="DL04", severity=ERROR, pass_name=PASS,
-                    message=f"FIFO position {pos} of channel (src={src}, "
-                            f"dest={dst}, tag={tag}): send carries "
-                            f"{s_op.nelems} elements but the receive "
-                            f"expects {r_op.nelems}",
-                    equation="pack and unpack regions must agree: "
-                             "|region(pred, d^S)| x |arrays| (SEND/RECEIVE)",
-                    subject=_subject(r_rank, r_op),
-                    suggestion="pack region and unpack region diverged; "
-                               "check pack_lower_bounds / region_count",
-                ))
-                break
+        if chan in missized:
+            s_ev, r_ev = missized[chan]
+            diags.append(Diagnostic(
+                code="DL04", severity=ERROR, pass_name=PASS,
+                message=f"FIFO position {r_ev.chanpos} of channel "
+                        f"(src={src}, "
+                        f"dest={dst}, tag={tag}): send carries "
+                        f"{s_ev.nelems} elements but the receive "
+                        f"expects {r_ev.nelems}",
+                equation="pack and unpack regions must agree: "
+                         "|region(pred, d^S)| x |arrays| (SEND/RECEIVE)",
+                subject=_subject(r_ev),
+                suggestion="pack region and unpack region diverged; "
+                           "check pack_lower_bounds / region_count",
+            ))
     return diags
 
 
-class _RankState:
-    __slots__ = ("rank", "seq", "pc", "parked")
-
-    def __init__(self, rank: int, seq: List[object]):
-        self.rank = rank
-        self.seq = seq
-        self.pc = 0
-        self.parked = False     # blocked in a synchronous send handshake
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.seq)
-
-    @property
-    def current(self) -> Optional[object]:
-        return None if self.done else self.seq[self.pc]
-
-
-def _abstract_run(ops: Dict[int, List[object]],
-                  synchronous: bool) -> Tuple[bool, Dict[int, _RankState],
-                                              Dict[Tuple[int, int, int],
-                                                   List[int]]]:
-    """Run the channel machine to completion or a stuck state.
-
-    Returns ``(completed, states, leftover_channels)`` where
-    ``leftover_channels`` maps channels to sender ranks of messages
-    enqueued but never received (eager mode only).
-    """
-    states = {r: _RankState(r, seq) for r, seq in sorted(ops.items())}
-    # channel -> list of sender ranks with an outstanding (un-received)
-    # message, FIFO order; in synchronous mode the sender is parked on it.
-    channels: Dict[Tuple[int, int, int], List[int]] = {}
-    progressed = True
-    while progressed:
-        progressed = False
-        for rank in sorted(states):
-            st = states[rank]
-            if st.parked:
-                continue    # waiting for a receiver to complete the handshake
-            while not st.done:
-                op = st.current
-                if isinstance(op, SendOp):
-                    key = (rank, op.dest, op.tag)
-                    channels.setdefault(key, []).append(rank)
-                    if synchronous:
-                        # Park until the receiver consumes this message;
-                        # the matcher below advances our pc.
-                        st.parked = True
-                        progressed = True
-                        break
-                    st.pc += 1
-                    progressed = True
-                    continue
-                # RecvOp: consume the oldest outstanding send, if any.
-                key = (op.source, rank, op.tag)
-                queue = channels.get(key)
-                if not queue:
-                    break       # truly blocked
-                sender = queue.pop(0)
-                s_st = states[sender]
-                if synchronous and s_st.parked and not s_st.done and \
-                        isinstance(s_st.current, SendOp) and \
-                        (sender, s_st.current.dest, s_st.current.tag) == key:
-                    s_st.parked = False
-                    s_st.pc += 1
-                st.pc += 1
-                progressed = True
-    completed = all(st.done and not st.parked for st in states.values())
-    leftover = {k: v for k, v in channels.items() if v}
-    return completed, states, leftover
-
-
-def _wait_edges(states: Dict[int, _RankState]) -> Dict[int, int]:
-    """Who each stuck rank is waiting for (one edge per rank)."""
-    edges: Dict[int, int] = {}
-    for rank, st in states.items():
-        if st.done and not st.parked:
-            continue
-        op = st.current
-        if isinstance(op, RecvOp):
-            edges[rank] = op.source
-        elif isinstance(op, SendOp):
-            edges[rank] = op.dest
-    return edges
-
-
-def _find_cycle(edges: Dict[int, int]) -> Optional[List[int]]:
-    for start in sorted(edges):
-        seen: List[int] = []
-        cur = start
-        while cur in edges and cur not in seen:
-            seen.append(cur)
-            cur = edges[cur]
-        if cur in seen:
-            return seen[seen.index(cur):]
-    return None
+def _diagnose(g: HBGraph) -> List[Diagnostic]:
+    """All deadlock findings of one blocking-schedule graph."""
+    diags = _check_channels(g)
+    res = replay(g, bounded=False)
+    if res.completed:
+        return diags
+    if res.cycle:
+        waits = []
+        for r in res.cycle:
+            e = g.events[res.blocked[r]]
+            kind = "recv" if e.kind == RECV else "send"
+            waits.append(f"rank {r} blocked on {kind}"
+                         f"(peer={e.peer}, tag={e.tag})")
+        diags.append(Diagnostic(
+            code="DL03", severity=ERROR, pass_name=PASS,
+            message="cyclic wait among ranks "
+                    f"{' -> '.join(str(r) for r in res.cycle)} -> "
+                    f"{res.cycle[0]}: " + "; ".join(waits),
+            equation="the wait-for graph of blocked ranks must be "
+                     "acyclic (vMPI blocking semantics)",
+            subject=(("cycle", res.cycle),),
+            suggestion="reorder the receives to match the senders' "
+                       "issue order, or break the send/send cycle "
+                       "with buffering",
+        ))
+    elif not any(d.code == "DL01" for d in diags):
+        stuck = sorted(res.blocked)
+        diags.append(Diagnostic(
+            code="DL01", severity=ERROR, pass_name=PASS,
+            message=f"ranks {stuck} cannot progress: blocked on "
+                    "operations whose peers have already finished",
+            equation=_EQ_CHANNEL,
+            subject=_subject(g.events[res.blocked[stuck[0]]]),
+            suggestion="check the send/recv pairing of the stuck "
+                       "channels",
+        ))
+    return diags
 
 
 def check_deadlock(ops_by_rank: Dict[int, Sequence[object]],
                    synchronous: bool = True) -> List[Diagnostic]:
     """All deadlock findings for a set of per-rank op sequences."""
-    ops = _normalize(ops_by_rank)
-    diags = _check_channels(ops)
-    completed, states, leftover = _abstract_run(ops, synchronous)
-    if not completed:
-        edges = _wait_edges(states)
-        cycle = _find_cycle(edges)
-        channel_errors = {d.code for d in diags} & {"DL01"}
-        if cycle:
-            waits = []
-            for r in cycle:
-                op = states[r].current
-                kind = "recv" if isinstance(op, RecvOp) else "send"
-                peer = op.source if isinstance(op, RecvOp) else op.dest
-                waits.append(f"rank {r} blocked on {kind}"
-                             f"(peer={peer}, tag={op.tag})")
-            diags.append(Diagnostic(
-                code="DL03", severity=ERROR, pass_name=PASS,
-                message="cyclic wait among ranks "
-                        f"{' -> '.join(str(r) for r in cycle)} -> "
-                        f"{cycle[0]}: " + "; ".join(waits),
-                equation="the wait-for graph of blocked ranks must be "
-                         "acyclic (vMPI blocking semantics)",
-                subject=(("cycle", tuple(cycle)),),
-                suggestion="reorder the receives to match the senders' "
-                           "issue order, or break the send/send cycle "
-                           "with buffering",
-            ))
-        elif not channel_errors:
-            stuck = sorted(r for r, st in states.items()
-                           if not st.done or st.parked)
-            rank = stuck[0]
-            diags.append(Diagnostic(
-                code="DL01", severity=ERROR, pass_name=PASS,
-                message=f"ranks {stuck} cannot progress: blocked on "
-                        "operations whose peers have already finished",
-                equation=_EQ_CHANNEL,
-                subject=_subject(rank, states[rank].current),
-                suggestion="check the send/recv pairing of the stuck "
-                           "channels",
-            ))
-    return diags
+    return _diagnose(graph_from_ops(ops_by_rank, synchronous))
 
 
-def check_program_deadlock(model: ScheduleModel,
+def check_program_deadlock(program: "TiledProgram",
                            synchronous: Optional[bool] = None
                            ) -> List[Diagnostic]:
-    """Deadlock findings for a compiled program's schedule model.
+    """Deadlock findings for a compiled program's blocking schedule.
 
     With ``synchronous=None`` (default) both protocols are analyzed:
     findings under the *eager* protocol — the default
@@ -285,22 +253,14 @@ def check_program_deadlock(model: ScheduleModel,
     tilings deadlock under ``rendezvous_threshold=0`` — but not under
     the default configuration).
     """
+    def run(sync: bool) -> List[Diagnostic]:
+        return _diagnose(build_hb_graph(
+            program, protocol="rendezvous" if sync else "eager"))
+
     if synchronous is not None:
-        return check_deadlock(model.ops, synchronous=synchronous)
-    diags = check_deadlock(model.ops, synchronous=False)
-    if any(d.severity == ERROR for d in diags):
-        return diags
-    from dataclasses import replace
-    for d in check_deadlock(model.ops, synchronous=True):
-        if d.code == "DL03":
-            diags.append(replace(
-                d, severity=WARNING,
-                message=d.message + " — only under the synchronous "
-                        "rendezvous protocol (a small enough "
-                        "ClusterSpec.rendezvous_threshold); the default "
-                        "eager protocol completes",
-                suggestion="keep rendezvous_threshold above the message "
-                           "sizes, enable overlap, or reorder sends "
-                           "along the schedule",
-            ))
+        return run(synchronous)
+    diags = run(False)
+    if not any(d.severity == ERROR for d in diags):
+        diags += [rendezvous_only(d, "", "eager protocol completes")
+                  for d in run(True) if d.code == "DL03"]
     return diags

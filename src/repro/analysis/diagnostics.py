@@ -91,7 +91,7 @@ Diagnostic codes are part of the public contract:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Severity levels, ordered from worst to mildest.
@@ -144,6 +144,23 @@ class Diagnostic:
         if self.suggestion:
             parts.append(f"    fix: {self.suggestion}")
         return "\n".join(parts)
+
+
+def rendezvous_only(d: Diagnostic, semantics: str,
+                    default: str) -> Diagnostic:
+    """The dual-protocol policy of the deadlock and HB passes: a
+    finding that appears only when every send is synchronous is a real
+    hazard, but not one the default configuration can hit — it is
+    reported as a warning that says so (``default``: what completes
+    instead; ``semantics``: an optional gloss of the protocol)."""
+    return replace(
+        d, severity=WARNING,
+        message=f"{d.message} — only under the synchronous rendezvous "
+                f"protocol ({semantics}a small enough "
+                f"ClusterSpec.rendezvous_threshold); the default "
+                f"{default}",
+        suggestion="keep rendezvous_threshold above the message sizes, "
+                   "enable overlap, or reorder sends along the schedule")
 
 
 def _jsonable(value: Any) -> Any:

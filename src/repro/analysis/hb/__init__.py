@@ -29,10 +29,9 @@ protocol model verdict.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
+from repro.analysis.diagnostics import ERROR, Diagnostic, rendezvous_only
 from repro.analysis.hb.graph import (
     PASS_HB,
     HBCertificate,
@@ -107,20 +106,10 @@ def check_hb(program: "TiledProgram", *,
         probe = program.hb_certificate(
             protocol="rendezvous", overlap=False,
             mailbox_depth=mailbox_depth, spec=spec)
-        for d in probe.diagnostics:
-            if d.severity == ERROR:
-                diags.append(replace(
-                    d, severity=WARNING,
-                    message=d.message + " — only under the synchronous "
-                            "rendezvous protocol (MPI_Ssend semantics, "
-                            "a small enough "
-                            "ClusterSpec.rendezvous_threshold); the "
-                            "default eager/spec protocols complete",
-                    suggestion="keep rendezvous_threshold above the "
-                               "message sizes, enable overlap, or "
-                               "reorder sends along the schedule",
-                ))
-            else:
-                diags.append(d)
+        diags.extend(
+            rendezvous_only(d, "MPI_Ssend semantics, ",
+                            "eager/spec protocols complete")
+            if d.severity == ERROR else d
+            for d in probe.diagnostics)
     diags.extend(ring_diagnostics())
     return diags

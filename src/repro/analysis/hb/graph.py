@@ -11,13 +11,19 @@ execution *symbolically* and prove two theorems about it:
   the consuming tile's compute in the vector-clock order.  The proof
   is the Fidge-Mattern condition ``vc(read)[rank(write)] >=
   tick(write)`` over the certified partial order.
-* **HB02 (deadlock freedom)** — the edge-wait graph is acyclic: an
-  operational abstract machine executes the per-rank event sequences
-  against bounded SPSC rings (the exact per-edge depths
-  ``build_edges`` allocates) and either completes or reports the wait
-  cycle — SOR's forced-rendezvous deadlock becomes an explicit
-  ``rank a -> rank b -> rank a`` diagnostic instead of a runtime
-  timeout.
+* **HB02 (deadlock freedom)** — the edge-wait graph is acyclic:
+  :func:`replay` executes the per-rank event sequences against bounded
+  SPSC rings (the exact per-edge depths ``build_edges`` allocates) and
+  either completes or reports the wait cycle — SOR's forced-rendezvous
+  deadlock becomes an explicit ``rank a -> rank b -> rank a``
+  diagnostic instead of a runtime timeout.
+
+:func:`replay` is the one static execution of the frozen schedule: the
+deadlock pass (:mod:`repro.analysis.deadlock`, DL01-DL04) is the same
+replay with the simulator's unbounded buffering, and the COST03
+makespan (:mod:`repro.analysis.cost.makespan`) is that replay with a
+clock per rank.  The vMPI simulator stays the one *dynamic* witness
+every static verdict is tested against.
 
 The event model mirrors the runtime's two walks over the same frozen
 plans (:func:`repro.runtime.rankstep.rank_walk` and
@@ -37,7 +43,7 @@ plans (:func:`repro.runtime.rankstep.rank_walk` and
 
 Vector clocks propagate over program order plus ``msg`` edges only.
 Backpressure and rendezvous waits constrain *when* a rank may proceed
-(the HB02 machine models them) but are not certified orderings — the
+(the bounded replay models them) but are not certified orderings — the
 simulator's eager protocol has unbounded buffering, and the overlapped
 runtime may execute a deferred receive earlier than its static slot
 (drains / tile-start eager unpacks), so only edges *into* receives and
@@ -54,6 +60,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -62,9 +69,13 @@ from typing import (
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
-from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
+from repro.runtime.machine import (
+    FAST_ETHERNET_CLUSTER,
+    PROTOCOLS,
+    ClusterSpec,
+)
 from repro.runtime.parallel import build_edges
-from repro.runtime.rankstep import build_rank_plans
+from repro.runtime.rankstep import EdgeKey, build_rank_plans
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -78,14 +89,13 @@ SEND = "send"
 SENDWAIT = "sendwait"
 
 Tile = Tuple[int, ...]
-Chan = Tuple[int, int, int]             # (src_rank, dst_rank, tag)
-
-_PROTOCOLS = ("eager", "rendezvous", "spec")
+Chan = EdgeKey                          # (src_rank, dst_rank, tag)
 
 
-@dataclass(frozen=True)
-class HBEvent:
-    """One schedule event of one rank (static, compile-time)."""
+class HBEvent(NamedTuple):
+    """One schedule event of one rank (static, compile-time).  A
+    ``NamedTuple``: every pass builds one per scheduled operation, so
+    construction cost is on the verifier's critical path."""
 
     rank: int
     pos: int                            # index in the rank's order
@@ -118,154 +128,136 @@ class HBGraph:
     unmatched_sends: Tuple[int, ...]
 
 
-def _rendezvous_fn(protocol: str,
-                   spec: ClusterSpec) -> Callable[[int], bool]:
-    """Per-message synchronous-send decision, exactly as the runtime
-    (``parallel._RingPort.rendezvous``) and the simulator decide it."""
-    thresh = spec.rendezvous_threshold
+class GraphBuilder:
+    """Accumulates per-rank event sequences into an :class:`HBGraph`:
+    numbers the events, assigns FIFO positions per channel and pairs
+    the k-th send of a channel with its k-th receive."""
 
-    def rdv(nelems: int) -> bool:
-        if protocol == "eager":
-            return False
-        if protocol == "rendezvous":
-            return True
-        return (thresh is not None and not spec.overlap
-                and nelems * spec.bytes_per_element > thresh)
+    def __init__(self, nranks: int) -> None:
+        self.events: List[HBEvent] = []
+        self.rows: List[List[int]] = [[] for _ in range(nranks)]
+        self._fifo: Dict[str, Dict[Chan, List[int]]] = {SEND: {},
+                                                        RECV: {}}
 
-    return rdv
+    def emit(self, rank: int, kind: str, tile: Tile, tix: int,
+             peer: int = -1, tag: int = -1, nelems: int = 0,
+             send: int = -1) -> int:
+        """Append one event to ``rank``'s order; a ``SENDWAIT`` names
+        the ``send`` event whose consumption it waits for."""
+        eid = len(self.events)
+        chan: Optional[Chan] = None
+        chanpos = -1
+        if kind == SENDWAIT:
+            chan = self.events[send].chan
+            chanpos = self.events[send].chanpos
+        elif kind != COMPUTE:
+            chan = ((rank, peer, tag) if kind == SEND
+                    else (peer, rank, tag))
+            fifo = self._fifo[kind].setdefault(chan, [])
+            chanpos = len(fifo)
+            fifo.append(eid)
+        row = self.rows[rank]
+        self.events.append(HBEvent(rank, len(row), kind, tile, tix,
+                                   peer, tag, nelems, chan, chanpos))
+        row.append(eid)
+        return eid
+
+    def finish(self, protocol: str, overlap: bool, mailbox_depth: int,
+               edge_depth: Dict[Chan, int]) -> HBGraph:
+        sends, recvs = self._fifo[SEND], self._fifo[RECV]
+        msg_edges: List[Tuple[int, int]] = []
+        unmatched_r: List[int] = []
+        unmatched_s: List[int] = []
+        for chan in sorted(set(sends) | set(recvs)):
+            ss = sends.get(chan, [])
+            rr = recvs.get(chan, [])
+            msg_edges.extend(zip(ss, rr))
+            unmatched_s.extend(ss[len(rr):])
+            unmatched_r.extend(rr[len(ss):])
+        events = self.events
+        return HBGraph(
+            protocol=protocol, overlap=overlap,
+            mailbox_depth=mailbox_depth, nranks=len(self.rows),
+            events=tuple(events),
+            rank_order=tuple(tuple(row) for row in self.rows),
+            msg_edges=tuple(msg_edges),
+            send_of_recv={r: s for s, r in msg_edges},
+            edge_depth=edge_depth,
+            compute_of={e.tile: i for i, e in enumerate(events)
+                        if e.kind == COMPUTE},
+            send_of={(e.tile, e.chan): i for i, e in enumerate(events)
+                     if e.kind == SEND and e.chan is not None},
+            unmatched_recvs=tuple(unmatched_r),
+            unmatched_sends=tuple(unmatched_s))
 
 
 def build_hb_graph(program: "TiledProgram", protocol: str = "eager",
                    overlap: bool = False, mailbox_depth: int = 8,
                    spec: Optional[ClusterSpec] = None) -> HBGraph:
     """Symbolic replay of every rank's event sequence (no execution)."""
-    if protocol not in _PROTOCOLS:
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if spec is None:
         spec = FAST_ETHERNET_CLUSTER
-    rdv = _rendezvous_fn(protocol, spec)
     plans = build_rank_plans(program)
-    edge_specs = build_edges(plans, mailbox_depth)
-    depth = {key: es.depth for key, es in edge_specs.items()}
-
-    events: List[HBEvent] = []
-    rank_order: List[Tuple[int, ...]] = []
-    chan_sends: Dict[Chan, List[int]] = {}
-    chan_recvs: Dict[Chan, List[int]] = {}
-    compute_of: Dict[Tile, int] = {}
-    send_of: Dict[Tuple[Tile, Chan], int] = {}
+    b = GraphBuilder(len(plans))
 
     for rank in sorted(plans):
         plan = plans[rank]
-        order: List[int] = []
-
-        def emit(kind: str, tile: Tile, tix: int, peer: int = -1,
-                 tag: int = -1, nelems: int = 0,
-                 chan: Optional[Chan] = None,
-                 chanpos: int = -1,
-                 _rank: int = rank, _order: List[int] = order) -> int:
-            eid = len(events)
-            if chan is not None and chanpos < 0:
-                fifo = chan_sends if kind == SEND else chan_recvs
-                lst = fifo.setdefault(chan, [])
-                chanpos = len(lst)
-                lst.append(eid)
-            events.append(HBEvent(
-                rank=_rank, pos=len(_order), kind=kind, tile=tile,
-                tix=tix, peer=peer, tag=tag, nelems=nelems, chan=chan,
-                chanpos=chanpos))
-            _order.append(eid)
-            return eid
-
         for ti, tile in enumerate(plan.tiles):
             recvs = plan.recvs[ti]
             sends = plan.sends[ti]
             if not overlap:
                 for r in recvs:
-                    emit(RECV, tile, ti, r.src_rank, r.tag, r.nelems,
-                         (r.src_rank, rank, r.tag))
-                compute_of[tile] = emit(COMPUTE, tile, ti)
+                    b.emit(rank, RECV, tile, ti, r.src_rank, r.tag,
+                           r.nelems)
+                b.emit(rank, COMPUTE, tile, ti)
                 for s in sends:
-                    chan = (rank, s.dst_rank, s.tag)
-                    eid = emit(SEND, tile, ti, s.dst_rank, s.tag,
-                               s.nelems, chan)
-                    send_of[(tile, chan)] = eid
-                    if rdv(s.nelems):
-                        emit(SENDWAIT, tile, ti, s.dst_rank, s.tag,
-                             s.nelems, chan, events[eid].chanpos)
+                    eid = b.emit(rank, SEND, tile, ti, s.dst_rank,
+                                 s.tag, s.nelems)
+                    if spec.uses_rendezvous(protocol, s.nelems):
+                        b.emit(rank, SENDWAIT, tile, ti, s.dst_rank,
+                               s.tag, s.nelems, eid)
                 continue
             # Overlapped schedule: replicate the runtime's placement.
+            # Level ``nlevels`` is the tile end: receives deferred past
+            # every level and the unsent rest of a degenerate empty
+            # tile land there.
             oplan = program.overlap_plan(tile)
             if len(oplan.packs) != len(sends):
                 raise ValueError(
                     f"overlap plan of tile {tile} has "
                     f"{len(oplan.packs)} packs for {len(sends)} sends")
-            needs = list(oplan.recv_need)
-            floor: Dict[Tuple[int, int], int] = {}
-            for i in reversed(range(len(needs))):
-                rkey = (recvs[i].src_rank, recvs[i].tag)
-                needs[i] = min(needs[i], floor.get(rkey, needs[i]))
-                floor[rkey] = needs[i]
+            needs = oplan.recv_levels(recvs)
             send_ptr = 0
             sent: List[int] = []
-            for li in range(oplan.nlevels):
-                for i, r in enumerate(recvs):
-                    if needs[i] == li:
-                        emit(RECV, tile, ti, r.src_rank, r.tag,
-                             r.nelems, (r.src_rank, rank, r.tag))
-                while (send_ptr < len(sends)
-                       and oplan.packs[send_ptr].commit_level <= li):
+            for li in range(oplan.nlevels + 1):
+                last = li == oplan.nlevels
+                for r, need in zip(recvs, needs):
+                    if need == li or (last and need > li):
+                        b.emit(rank, RECV, tile, ti, r.src_rank, r.tag,
+                               r.nelems)
+                while send_ptr < len(sends) and (
+                        last
+                        or oplan.packs[send_ptr].commit_level <= li):
                     s = sends[send_ptr]
-                    chan = (rank, s.dst_rank, s.tag)
-                    eid = emit(SEND, tile, ti, s.dst_rank, s.tag,
-                               s.nelems, chan)
-                    send_of[(tile, chan)] = eid
-                    sent.append(eid)
+                    sent.append(b.emit(rank, SEND, tile, ti, s.dst_rank,
+                                       s.tag, s.nelems))
                     send_ptr += 1
-            for i, r in enumerate(recvs):
-                if needs[i] >= oplan.nlevels:
-                    emit(RECV, tile, ti, r.src_rank, r.tag, r.nelems,
-                         (r.src_rank, rank, r.tag))
-            while send_ptr < len(sends):        # degenerate empty tile
-                s = sends[send_ptr]
-                chan = (rank, s.dst_rank, s.tag)
-                eid = emit(SEND, tile, ti, s.dst_rank, s.tag, s.nelems,
-                           chan)
-                send_of[(tile, chan)] = eid
-                sent.append(eid)
-                send_ptr += 1
-            compute_of[tile] = emit(COMPUTE, tile, ti)
+            b.emit(rank, COMPUTE, tile, ti)
             for eid in sent:                    # tile-end rendezvous
-                e = events[eid]
-                if rdv(e.nelems):
-                    emit(SENDWAIT, tile, ti, e.peer, e.tag, e.nelems,
-                         e.chan, e.chanpos)
-        rank_order.append(tuple(order))
+                s_ev = b.events[eid]
+                if spec.uses_rendezvous(protocol, s_ev.nelems):
+                    b.emit(rank, SENDWAIT, tile, ti, s_ev.peer,
+                           s_ev.tag, s_ev.nelems, eid)
 
-    msg_edges: List[Tuple[int, int]] = []
-    send_of_recv: Dict[int, int] = {}
-    unmatched_r: List[int] = []
-    unmatched_s: List[int] = []
-    for chan in sorted(set(chan_sends) | set(chan_recvs)):
-        ss = chan_sends.get(chan, [])
-        rr = chan_recvs.get(chan, [])
-        for s_eid, r_eid in zip(ss, rr):
-            msg_edges.append((s_eid, r_eid))
-            send_of_recv[r_eid] = s_eid
-        unmatched_s.extend(ss[len(rr):])
-        unmatched_r.extend(rr[len(ss):])
-
-    return HBGraph(
-        protocol=protocol, overlap=overlap,
-        mailbox_depth=mailbox_depth, nranks=len(rank_order),
-        events=tuple(events), rank_order=tuple(rank_order),
-        msg_edges=tuple(msg_edges), send_of_recv=send_of_recv,
-        edge_depth=depth, compute_of=compute_of, send_of=send_of,
-        unmatched_recvs=tuple(unmatched_r),
-        unmatched_sends=tuple(unmatched_s))
+    return b.finish(
+        protocol, overlap, mailbox_depth,
+        {key: es.depth
+         for key, es in build_edges(plans, mailbox_depth).items()})
 
 
-# -- the HB02 wait machine -----------------------------------------------------------
+# -- the one static replay -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -278,110 +270,116 @@ class MachineResult:
     cycle: Tuple[int, ...]              # rank wait cycle, () if none
 
 
-def run_wait_machine(g: HBGraph) -> MachineResult:
-    """Execute the schedule against bounded SPSC rings.
+def replay(g: HBGraph, bounded: bool,
+           visit: Optional[Callable[[int], None]] = None
+           ) -> MachineResult:
+    """Advance every rank's event list against FIFO channels until all
+    ranks finish or none can move — the one static execution of the
+    frozen schedule; the HB02 wait machine, the DL01-DL04 deadlock pass
+    and the COST03 makespan are this function.
 
-    The machine is the *most-blocked* sound abstraction of the
-    runtime: sends block while the ring holds ``depth`` unconsumed
-    messages (the staged fallback; a successful zero-copy reservation
-    only ever blocks less), rendezvous waits block until the matching
-    receive executed, and — in overlap mode — a rank blocked on a full
-    ring drains arrived-but-deferred same-tile receives first-per-edge,
-    exactly like ``drain_ready``.  Completion certifies every real
-    schedule completes; a stall yields the wait cycle.
+    A receive runs once its message is published, a ``SENDWAIT`` once
+    its message is consumed.  ``bounded=False`` gives sends the
+    simulator's unlimited buffering.  ``bounded=True`` is the
+    *most-blocked* sound abstraction of the ring runtime: a send blocks
+    while its ring holds ``edge_depth`` unconsumed messages (the staged
+    fallback; a successful zero-copy reservation only ever blocks
+    less), and — in overlap mode — a rank blocked on a full ring drains
+    arrived-but-deferred same-tile receives first-per-edge, exactly
+    like ``drain_ready``.  ``visit(eid)`` is called as each event
+    executes, after every event it waits on.  Every rank advances as
+    far as it can, so the final state (and any value ``visit`` folds
+    along a rank) does not depend on the interleaving.  Completion
+    certifies every real schedule completes; a stall yields the wait
+    cycle.
     """
-    published: Dict[Chan, int] = {}
-    consumed: Dict[Chan, int] = {}
+    events, rows, depth = g.events, g.rank_order, g.edge_depth
+    published: Dict[Optional[Chan], int] = {}
+    consumed: Dict[Optional[Chan], int] = {}
     ptr = [0] * g.nranks
     drained: Set[int] = set()
     ex_order: List[int] = []
 
-    def runnable(e: HBEvent) -> bool:
-        if e.kind == COMPUTE:
-            return True
-        assert e.chan is not None
-        if e.kind == RECV:
-            return published.get(e.chan, 0) > e.chanpos
-        if e.kind == SEND:
-            return (published.get(e.chan, 0)
-                    - consumed.get(e.chan, 0)) < g.edge_depth[e.chan]
-        return consumed.get(e.chan, 0) > e.chanpos      # SENDWAIT
-
-    def execute(eid: int) -> None:
-        e = g.events[eid]
-        if e.chan is not None:
-            if e.kind == RECV:
-                consumed[e.chan] = consumed.get(e.chan, 0) + 1
-            elif e.kind == SEND:
-                published[e.chan] = published.get(e.chan, 0) + 1
+    def step(eid: int, e: HBEvent) -> bool:
+        """Execute ``e`` if what it waits on has happened."""
+        kind, chan = e.kind, e.chan
+        if kind == RECV:
+            if published.get(chan, 0) <= e.chanpos:
+                return False
+            consumed[chan] = consumed.get(chan, 0) + 1
+        elif kind == SEND:
+            sent = published.get(chan, 0)
+            if bounded and sent - consumed.get(chan, 0) >= depth[chan]:
+                return False
+            published[chan] = sent + 1
+        elif kind == SENDWAIT and consumed.get(chan, 0) <= e.chanpos:
+            return False
         ex_order.append(eid)
+        if visit is not None:
+            visit(eid)
+        return True
 
-    def drain(rank: int, pos: int) -> bool:
+    def drain(row: Tuple[int, ...], pos: int) -> bool:
         """Pop arrived-but-deferred same-tile halos, first remaining
         per channel (rings are FIFO), while blocked on a send."""
-        row = g.rank_order[rank]
-        tix = g.events[row[pos]].tix
+        tix = events[row[pos]].tix
         did = False
-        seen: Set[Chan] = set()
+        seen: Set[Optional[Chan]] = set()
         for j in range(pos + 1, len(row)):
-            e = g.events[row[j]]
+            e = events[row[j]]
             if e.tix != tix:
                 break
-            if e.kind != RECV or row[j] in drained:
-                continue
-            assert e.chan is not None
-            if e.chan in seen:
+            if e.kind != RECV or row[j] in drained or e.chan in seen:
                 continue
             seen.add(e.chan)
-            if published.get(e.chan, 0) > e.chanpos:
+            if step(row[j], e):
                 drained.add(row[j])
-                execute(row[j])
                 did = True
         return did
 
     moved = True
     while moved:
         moved = False
-        for rank in range(g.nranks):
-            row = g.rank_order[rank]
+        for rank, row in enumerate(rows):
             while ptr[rank] < len(row):
                 eid = row[ptr[rank]]
                 if eid in drained:
                     ptr[rank] += 1
                     continue
-                e = g.events[eid]
-                if runnable(e):
-                    execute(eid)
+                e = events[eid]
+                if step(eid, e):
                     ptr[rank] += 1
                     moved = True
                     continue
-                if (g.overlap and e.kind == SEND
-                        and drain(rank, ptr[rank])):
+                if (bounded and g.overlap and e.kind == SEND
+                        and drain(row, ptr[rank])):
                     moved = True
                     continue                    # retry the send
                 break
 
-    blocked = {r: g.rank_order[r][ptr[r]] for r in range(g.nranks)
-               if ptr[r] < len(g.rank_order[r])}
+    blocked = {r: rows[r][ptr[r]] for r in range(g.nranks)
+               if ptr[r] < len(rows[r])}
     cycle: Tuple[int, ...] = ()
-    if blocked:
-        def wait_target(e: HBEvent) -> int:
+    for r0 in sorted(blocked):
+        seen_ranks: List[int] = []
+        r = r0
+        while r in blocked and r not in seen_ranks:
+            seen_ranks.append(r)
+            e = events[blocked[r]]
             assert e.chan is not None
-            if e.kind == RECV:
-                return e.chan[0]
-            return e.chan[1]                    # SEND full / SENDWAIT
-
-        for r0 in sorted(blocked):
-            seen_ranks: List[int] = []
-            r = r0
-            while r in blocked and r not in seen_ranks:
-                seen_ranks.append(r)
-                r = wait_target(g.events[blocked[r]])
-            if r in seen_ranks:
-                cycle = tuple(seen_ranks[seen_ranks.index(r):])
-                break
+            # a receive waits on its source; a full ring or a
+            # rendezvous wait on the destination
+            r = e.chan[0] if e.kind == RECV else e.chan[1]
+        if r in seen_ranks:
+            cycle = tuple(seen_ranks[seen_ranks.index(r):])
+            break
     return MachineResult(completed=not blocked, order=tuple(ex_order),
                          blocked=blocked, cycle=cycle)
+
+
+def run_wait_machine(g: HBGraph) -> MachineResult:
+    """HB02: :func:`replay` against the bounded SPSC rings."""
+    return replay(g, bounded=True)
 
 
 # -- vector clocks -------------------------------------------------------------------
@@ -396,7 +394,10 @@ def vector_clocks(g: HBGraph) -> Tuple[np.ndarray, np.ndarray]:
     cycle or an unmatched message, in which case its clock (zeros) can
     prove nothing — the HB01 check treats those pairs as unordered.
     Unmatched receives contribute no cross edge but do tick, so one
-    dropped message cannot zero out a whole rank's clocks.
+    dropped message cannot zero out a whole rank's clocks — which is
+    why this is its own sweep and not :func:`replay`: the replay must
+    *stop* at a receive nothing will ever match, and its sends wait on
+    rings and rendezvous, which are not certified orderings.
     """
     nev = len(g.events)
     clocks = np.zeros((nev, g.nranks), dtype=np.int64)

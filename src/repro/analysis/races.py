@@ -26,12 +26,12 @@ TTIS lattice — *not* the ``CommunicationSpec`` under test), which
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
-from repro.analysis.schedule_model import RecvOp, ScheduleModel, SendOp
+from repro.runtime.rankstep import build_rank_plans
 
 PASS = "races"
 _EQ_CC = "communication points satisfy j'_k >= cc_k = v_kk - max_l d'_kl " \
@@ -169,23 +169,19 @@ def check_point_coverage(program) -> List[Diagnostic]:
     return diags
 
 
-def check_tile_coverage(program,
-                        model: Optional[ScheduleModel] = None
-                        ) -> List[Diagnostic]:
+def check_tile_coverage(program) -> List[Diagnostic]:
     """Tile-level checks: every fed cross-processor successor has a send
     from its producer and a recv posted at-or-before it (RACE01)."""
-    if model is None:
-        model = ScheduleModel(program)
     comm, dist = program.comm, program.dist
-    # Index the abstract ops once.
-    sends_by: Dict[Tuple[int, int, Tuple[int, ...]], SendOp] = {}
+    # Index the frozen schedule once.
+    sends_by: Set[Tuple[int, int, Tuple[int, ...]]] = set()
     recv_step: Dict[Tuple[int, int, int, Tuple[int, ...]], int] = {}
-    for rank, seq in model.ops.items():
-        for op in seq:
-            if isinstance(op, SendOp):
-                sends_by[(rank, op.tag, op.tile)] = op
-            else:
-                recv_step[(rank, op.source, op.tag, op.pred)] = op.step
+    for rank, plan in build_rank_plans(program).items():
+        for step, tile in enumerate(plan.tiles):
+            for s in plan.sends[step]:
+                sends_by.add((rank, s.tag, tile))
+            for r in plan.recvs[step]:
+                recv_step[(rank, r.src_rank, r.tag, r.pred)] = step
     diags: List[Diagnostic] = []
     cross = [ds for ds in comm.d_s if not comm.is_intra_processor(ds)]
     tset = dist._tile_set
@@ -345,10 +341,9 @@ def check_lds_write_overlap(program) -> List[Diagnostic]:
     return diags
 
 
-def check_races(program,
-                model: Optional[ScheduleModel] = None) -> List[Diagnostic]:
+def check_races(program) -> List[Diagnostic]:
     """All race findings for one compiled program."""
     diags = check_point_coverage(program)
-    diags += check_tile_coverage(program, model)
+    diags += check_tile_coverage(program)
     diags += check_lds_write_overlap(program)
     return diags

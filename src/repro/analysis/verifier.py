@@ -162,7 +162,7 @@ def analyze_program(program, subject: str = "", *,
     from repro.analysis.bounds import check_bounds
     from repro.analysis.deadlock import check_program_deadlock
     from repro.analysis.races import check_races
-    from repro.analysis.schedule_model import ScheduleModel
+    from repro.runtime.rankstep import build_rank_plans, edge_tally
 
     report = analyze_tiling(program.tiling.h, program.nest.dependences,
                             subject=subject)
@@ -178,12 +178,13 @@ def analyze_program(program, subject: str = "", *,
     )
     if not report.ok:       # unbuildable geometry; program is suspect
         return report
-    model = ScheduleModel(program)
-    report.meta["messages"] = model.total_messages
-    report.extend(check_races(program, model))
+    report.meta["messages"] = sum(
+        msgs for msgs, _elems, _cap in
+        edge_tally(build_rank_plans(program)).values())
+    report.extend(check_races(program))
     report.mark_pass("races")
     report.extend(check_program_deadlock(
-        model, synchronous=False if not deadlock_both else None))
+        program, synchronous=False if not deadlock_both else None))
     report.mark_pass("deadlock")
     report.extend(check_bounds(program))
     report.mark_pass("bounds")

@@ -206,10 +206,12 @@ def cmd_run(args) -> int:
     Unless ``--no-check`` is given, the result is cross-checked bitwise
     (tol=0.0) against the dense engine; a mismatch exits nonzero.
     """
+    from repro.analysis.verifier import VerificationError
     from repro.runtime.dataspace import arrays_match, dense_to_cells
     from repro.runtime.executor import DistributedRun, TiledProgram
     from repro.runtime.machine import ClusterSpec
     from repro.runtime.metrics import format_metrics, metrics_from_stats
+    from repro.runtime.rankstep import ParallelRuntimeError
     from repro.runtime.trace import EventTrace
 
     app = _build_app(args.app, args.sizes)
@@ -246,10 +248,19 @@ def cmd_run(args) -> int:
     import time as _time
     t0 = _time.perf_counter()
     if args.engine == "parallel":
-        fields, stats = run.execute_parallel(
-            app.init_value, workers=args.workers,
-            protocol=args.protocol, overlap=args.overlap,
-            verify=args.certify, native=lib)
+        try:
+            fields, stats = run.execute_parallel(
+                app.init_value, workers=args.workers,
+                protocol=args.protocol, overlap=args.overlap,
+                verify=args.certify, native=lib)
+        except VerificationError as exc:
+            print("run refused: the HB certificate rejects this "
+                  "configuration", file=sys.stderr)
+            print(exc.report.render_text(), file=sys.stderr)
+            return 2
+        except ParallelRuntimeError as exc:
+            print(f"run aborted: {exc}", file=sys.stderr)
+            return 2
         arrays = dense_to_cells(fields)
     elif args.engine in ("dense", "native"):
         fields, stats = run.execute_dense(app.init_value, native=lib)

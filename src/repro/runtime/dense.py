@@ -403,6 +403,21 @@ class TileOverlapPlan:
     packs: Tuple[EdgePackPlan, ...]     # plan order (send_plan order)
     recv_need: Tuple[int, ...]          # plan order (receive_plan order)
 
+    def recv_levels(self, recvs: Sequence["TileRecv"]) -> List[int]:
+        """The level each of the tile's posted ``recvs`` (its
+        ``TileRecv`` list, plan order) is taken at.  Rings are FIFO, so
+        a deferred message also defers everything behind it on the same
+        ``(src_rank, tag)`` edge: each entry's level is the minimum of
+        ``recv_need`` over itself and all later same-edge entries.  The
+        overlap walk and the HB graph both place receives by this."""
+        needs = list(self.recv_need)
+        floor: Dict[Tuple[int, int], int] = {}
+        for i in reversed(range(len(needs))):
+            rkey = (recvs[i].src_rank, recvs[i].tag)
+            needs[i] = floor[rkey] = min(needs[i],
+                                         floor.get(rkey, needs[i]))
+        return needs
+
 
 def build_overlap_split(
     lat: np.ndarray,

@@ -546,7 +546,7 @@ register(
     Stage("overlap_plans", "program", on_demand, persisted=True,
           encode=copied, decode=copied),
     Stage("hb_certificates", "program", on_demand, persisted=True,
-          encode=pickled, decode=unpickled),
+          encode=pickled, decode=unpickled, version=2),
     Stage("cost_certificates", "program", on_demand, persisted=True,
           encode=pickled, decode=unpickled),
 )

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: Send protocols a run or a certificate can be asked for (see
+#: :meth:`ClusterSpec.uses_rendezvous`).
+PROTOCOLS = ("eager", "rendezvous", "spec")
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -66,9 +70,13 @@ class ClusterSpec:
     def pack_time(self, nelems: int) -> float:
         return nelems * self.time_per_packed_element
 
-    def uses_rendezvous(self, nelems: int) -> bool:
+    def uses_rendezvous(self, protocol: str, nelems: int) -> bool:
         """Does a message of ``nelems`` elements take the synchronous
-        protocol (see ``rendezvous_threshold``)?"""
+        protocol?  ``"eager"`` never, ``"rendezvous"`` always,
+        ``"spec"`` by ``rendezvous_threshold`` — the one decision the
+        simulator, the ring port and the static replay all ask."""
+        if protocol != "spec":
+            return protocol == "rendezvous"
         return (self.rendezvous_threshold is not None
                 and not self.overlap
                 and nelems * self.bytes_per_element

@@ -86,14 +86,16 @@ from repro.runtime.dense import (
     RankLDS,
     result_fields,
 )
-from repro.runtime.machine import ClusterSpec
+from repro.runtime.machine import PROTOCOLS, ClusterSpec
 from repro.runtime.rankstep import (
+    EdgeKey,
     ParallelRuntimeError,
     RankPlan,
+    Steps,
     TileRecv,
     TileSend,
     build_rank_plans,
-    Steps,
+    edge_tally,
     rank_walk,
     unpack_halo,
 )
@@ -107,7 +109,6 @@ if TYPE_CHECKING:
 Tile = Tuple[int, ...]
 Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
-EdgeKey = Tuple[int, int, int]          # (src_rank, dst_rank, tag)
 #: (kind, start_ns, end_ns, peer, tag, nelems); peer/tag < 0 = absent.
 Event = Tuple[str, int, int, int, int, int]
 
@@ -179,23 +180,15 @@ def build_edges(plans: Dict[int, RankPlan],
     is bounded by the edge's total message count, so short edges do not
     over-allocate.
     """
-    caps: Dict[EdgeKey, int] = {}
-    counts: Dict[EdgeKey, int] = {}
-    for plan in plans.values():
-        for ss in plan.sends:
-            for s in ss:
-                key = (plan.rank, s.dst_rank, s.tag)
-                caps[key] = max(caps.get(key, 0), s.nelems)
-                counts[key] = counts.get(key, 0) + 1
     edges: Dict[EdgeKey, EdgeSpec] = {}
     meta_off = 0
     data_off = 0
-    for key in sorted(caps):
-        d = max(1, min(depth, counts[key]))
+    for key, (count, _elems, cap) in sorted(edge_tally(plans).items()):
+        d = max(1, min(depth, count))
         edges[key] = EdgeSpec(meta_off=meta_off, data_off=data_off,
-                              depth=d, capacity=caps[key])
+                              depth=d, capacity=cap)
         meta_off += 2 + d
-        data_off += d * caps[key]
+        data_off += d * cap
     return edges
 
 
@@ -383,13 +376,6 @@ class _RingPort:
             self.check_abort()
             yield
 
-    def rendezvous(self, nelems: int) -> bool:
-        if self.protocol == "eager":
-            return False
-        if self.protocol == "rendezvous":
-            return True
-        return self.spec.uses_rendezvous(nelems)
-
     def in_edge(self, r: TileRecv) -> _Edge:
         return self.edges[(r.src_rank, self.rank, r.tag)]
 
@@ -466,7 +452,7 @@ class _RingPort:
         yield from self.wait(edge.can_push)
         msgno = edge.push(payload)
         self.progress[0] += 1
-        if self.rendezvous(s.nelems):
+        if self.spec.uses_rendezvous(self.protocol, s.nelems):
             yield from self.wait(lambda: edge.consumed(msgno))
         self.sent(s, w0)
 
@@ -544,17 +530,8 @@ def _overlap_walk(program: TiledProgram, plan: RankPlan,
                      else np.empty(s.nelems, dtype=dtype))))
         # Incoming: unpack whatever already arrived; defer the
         # rest to the first wavefront level that can read the
-        # halo.  Rings are FIFO, so a deferred message also
-        # defers everything behind it on the same edge, and each
-        # entry's effective need level is the min over itself and
-        # all later same-edge entries.
-        needs = list(oplan.recv_need)
-        floor: Dict[Tuple[int, int], int] = {}
-        for i in reversed(range(len(needs))):
-            rkey = (plan.recvs[ti][i].src_rank,
-                    plan.recvs[ti][i].tag)
-            needs[i] = min(needs[i], floor.get(rkey, needs[i]))
-            floor[rkey] = needs[i]
+        # halo (``recv_levels``: per-edge FIFO floors applied).
+        needs = oplan.recv_levels(plan.recvs[ti])
         due: List[Tuple[int, TileRecv, _Edge]] = []
         deferred: Set[Tuple[int, int]] = set()
         for r, need in zip(plan.recvs[ti], needs):
@@ -640,7 +617,8 @@ def _overlap_walk(program: TiledProgram, plan: RankPlan,
         # rendezvous completions, deferred to the tile end so the
         # interior compute overlapped the receiver's drain
         for om in outs:
-            if port.rendezvous(om.send.nelems):
+            if port.spec.uses_rendezvous(port.protocol,
+                                         om.send.nelems):
                 w0 = port.now()
                 yield from port.wait(
                     lambda om=om: om.edge.consumed(om.msgno))
@@ -819,18 +797,13 @@ def _blocked_edge_lines(plans: Dict[int, RankPlan],
                         limit: int = 6) -> List[str]:
     """Describe every mailbox edge that has not fully drained: the
     shared head/tail counters name exactly which channel is stuck."""
-    counts: Dict[EdgeKey, int] = {}
-    for plan in plans.values():
-        for ss in plan.sends:
-            for s in ss:
-                key = (plan.rank, s.dst_rank, s.tag)
-                counts[key] = counts.get(key, 0) + 1
+    counts = edge_tally(plans)
     lines: List[str] = []
     for key in sorted(edges):
         es = edges[key]
         head = int(meta[es.meta_off])
         tail = int(meta[es.meta_off + 1])
-        total = counts.get(key, 0)
+        total = counts[key][0]
         if head < total or tail < head:
             lines.append(f"rank {key[0]} -> rank {key[1]} tag "
                          f"{key[2]}: {head}/{total} sent, "
@@ -899,7 +872,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     message order and results are unchanged (bitwise).  A fallback
     library or non-float64 ``dtype`` silently keeps numpy compute.
     """
-    if protocol not in ("eager", "rendezvous", "spec"):
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if mailbox_depth < 1:
         raise ValueError("mailbox_depth must be >= 1")

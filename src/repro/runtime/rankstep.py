@@ -12,8 +12,9 @@ This module is that program, once:
 * :func:`build_rank_plans` freezes a program's communication schedule
   into per-rank :class:`RankPlan` op lists — the only place the runtime
   asks for ``receive_plan``/``send_plan``/``region_count``.  Every
-  engine, the HB graph, the cost certifier, the artifact format and the
-  code generator replay the same lists.
+  engine, the HB graph (and with it the deadlock and cost passes), the
+  race pass, the artifact format and the code generator replay the
+  same lists; :func:`edge_tally` is their one per-edge count.
 * :func:`rank_walk` is the blocking walk over one plan.  *How* a
   message moves and what a step costs is the **port**'s business:
   :class:`VmpiPort` (simulator requests, the per-rank
@@ -193,6 +194,26 @@ def freeze_plans(program: "TiledProgram",
         plans[rank] = RankPlan(rank, pid, tiles, tuple(recvs),
                                tuple(sends))
     return plans
+
+
+#: ``(src_rank, dst_rank, tag)`` — one directed FIFO channel.
+EdgeKey = Tuple[int, int, int]
+
+
+def edge_tally(plans: Dict[int, RankPlan]
+               ) -> Dict[EdgeKey, Tuple[int, int, int]]:
+    """``(messages, elements, largest message)`` of every directed edge
+    the plans send on — the one count the mailbox sizing, the timeout
+    report and the COST01 oracle all read."""
+    tally: Dict[EdgeKey, Tuple[int, int, int]] = {}
+    for plan in plans.values():
+        for ss in plan.sends:
+            for s in ss:
+                key = (plan.rank, s.dst_rank, s.tag)
+                msgs, elems, cap = tally.get(key, (0, 0, 0))
+                tally[key] = (msgs + 1, elems + s.nelems,
+                              max(cap, s.nelems))
+    return tally
 
 
 # -- the walk ------------------------------------------------------------------------

@@ -214,7 +214,7 @@ class VirtualMPI:
         self.channel_messages[key] = self.channel_messages.get(key, 0) + 1
         self.channel_elements[key] = (
             self.channel_elements.get(key, 0) + req.nelems)
-        if spec.uses_rendezvous(req.nelems):
+        if spec.uses_rendezvous("spec", req.nelems):
             # Synchronous protocol: the transfer cannot start before the
             # receive is posted; the matcher completes both sides.
             heapq.heappush(

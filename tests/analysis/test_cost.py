@@ -7,7 +7,11 @@ import dataclasses
 import pytest
 
 from repro.analysis import analyze_program
-from repro.analysis.cost import certify_cost, check_cost
+from repro.analysis.cost import (
+    analytic_makespan,
+    certify_cost,
+    check_cost,
+)
 from repro.apps import adi, heat, jacobi, sor
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
@@ -71,14 +75,23 @@ class TestSimulatorExactness:
         assert list(cert.rank_clocks) == \
             [stats.clocks[r] for r in sorted(stats.clocks)]
 
+    @pytest.mark.parametrize("threshold", [None, 64],
+                             ids=["eager", "rdv64"])
     @pytest.mark.parametrize("app,h,mdim", COST_CONFIGS)
-    def test_heterogeneous_ranks_stay_bitwise(self, app, h, mdim):
+    def test_heterogeneous_ranks_stay_bitwise(self, app, h, mdim,
+                                              threshold):
         spec = dataclasses.replace(
-            ClusterSpec(), node_speed_factors=(1.0, 3.0, 1.0, 2.0))
+            ClusterSpec(), node_speed_factors=(1.0, 3.0, 1.0, 2.0),
+            rendezvous_threshold=threshold)
         prog = _prog(app, h, mdim)
         cert = prog.cost_certificate(protocol="spec", spec=spec)
         stats = DistributedRun(prog, spec).simulate()
         assert cert.makespan == stats.makespan
+        # Every rank's clock, through the static replay's clock hook.
+        sweep = analytic_makespan(prog, spec=spec, protocol="spec")
+        assert not sweep.stuck
+        assert list(sweep.clocks) == \
+            [stats.clocks[r] for r in sorted(stats.clocks)]
 
     def test_forced_rendezvous_deadlock_is_cost03(self):
         # The rect SOR pipeline deadlocks under forced rendezvous in

@@ -2,11 +2,45 @@
 
 These mirror the runtime scenarios of ``tests/runtime/test_rendezvous``
 and the vMPI deadlock tests — but statically: the checker must reach
-the same verdict the engine reaches by running.
+the same verdict the engine reaches by running, and every case here is
+also run through the engine to prove it (``check_deadlock`` below).
 """
 
-from repro.analysis import RecvOp, SendOp, check_deadlock
-from repro.runtime.vmpi import Recv, Send
+from repro import analysis
+from repro.analysis import RecvOp, SendOp
+from repro.runtime.machine import ClusterSpec
+from repro.runtime.vmpi import DeadlockError, Recv, Send, VirtualMPI
+
+
+def _vmpi_deadlocks(ops, synchronous):
+    """The dynamic witness: the same op lists as timing-only vMPI rank
+    programs (threshold 0 makes every send synchronous)."""
+    def program(seq):
+        def gen(_api):
+            for op in seq:
+                if isinstance(op, (RecvOp, Recv)):
+                    yield Recv(source=op.source, tag=op.tag)
+                else:
+                    yield Send(dest=op.dest, tag=op.tag,
+                               nelems=op.nelems or 1)
+        return gen
+
+    spec = ClusterSpec(rendezvous_threshold=0 if synchronous else None)
+    try:
+        VirtualMPI(spec, {r: program(seq)
+                          for r, seq in ops.items()}).run()
+    except DeadlockError:
+        return True
+    return False
+
+
+def check_deadlock(ops, synchronous=True):
+    """``analysis.check_deadlock`` plus its witness: the engine raises
+    ``DeadlockError`` exactly when the checker reports DL03/DL01."""
+    diags = analysis.check_deadlock(ops, synchronous=synchronous)
+    assert any(d.code in ("DL01", "DL03") for d in diags) == \
+        _vmpi_deadlocks(ops, synchronous)
+    return diags
 
 
 def codes(diags):

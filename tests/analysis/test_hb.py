@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import analyze_program
+from repro.analysis import analyze_program, check_program_deadlock
 from repro.analysis.hb import check_hb
 from repro.analysis.hb.graph import (
     build_hb_graph,
@@ -97,6 +97,29 @@ class TestRendezvousDeadlock:
         blocked = str(exc.value)
         for rank in cert.cycle:
             assert f"{rank}:" in blocked
+
+    @pytest.mark.parametrize("app,h,mdim", HB_CONFIGS)
+    @pytest.mark.parametrize("threshold", [None, 0],
+                             ids=["eager", "rendezvous-threshold-0"])
+    def test_dl03_and_hb02_report_one_cycle(self, app, h, mdim,
+                                            threshold):
+        # One static replay: the deadlock pass (unbounded channels)
+        # and the HB02 machine (bounded rings) must name the same
+        # ranks, and the simulator must deadlock exactly then.
+        prog = _prog(app, h, mdim)
+        spec = dataclasses.replace(ClusterSpec(),
+                                   rendezvous_threshold=threshold)
+        cert = certify_program(prog, protocol="spec", spec=spec)
+        dl03 = [d for d in check_program_deadlock(
+            prog, synchronous=threshold is not None) if d.code == "DL03"]
+        cycle = tuple(dl03[0].subject_dict()["cycle"]) if dl03 else ()
+        assert cycle == cert.cycle
+        try:
+            DistributedRun(prog, spec).simulate()
+            deadlocked = False
+        except DeadlockError:
+            deadlocked = True
+        assert deadlocked == bool(cycle)
 
     def test_spec_protocol_with_forced_threshold_deadlocks(self):
         # protocol='spec' + threshold 0 is the same hazard.

@@ -84,6 +84,38 @@ class TestVerify:
         assert rc == 0
 
 
+class TestRunNamedErrors:
+    """Named runtime errors end in one stderr message and exit code 2,
+    not a traceback."""
+
+    ARGS = ["run", "--app", "sor", "-s", "6", "9", "-t", "2", "3", "4",
+            "--shape", "rect", "--engine", "parallel", "--workers", "2",
+            "--protocol", "rendezvous"]
+
+    def test_certify_refuses_the_rendezvous_cycle(self, capsys):
+        # Refused before any worker is forked: the HB certificate of
+        # this configuration carries the 4 -> 1 -> 5 wait cycle.
+        rc = main(self.ARGS + ["--certify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("[HB02]") == 1
+        assert "4 -> 1 -> 5 -> 4" in err
+        assert "Traceback" not in err
+
+    def test_runtime_error_is_one_line(self, capsys, monkeypatch):
+        from repro.runtime.executor import DistributedRun
+        from repro.runtime.parallel import ParallelTimeoutError
+
+        def hang(self, *args, **kwargs):
+            raise ParallelTimeoutError("parallel run did not complete")
+
+        monkeypatch.setattr(DistributedRun, "execute_parallel", hang)
+        rc = main(self.ARGS)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "run aborted: parallel run did not complete\n"
+
+
 class TestFigure:
     def test_rejects_unknown(self):
         with pytest.raises(SystemExit):
