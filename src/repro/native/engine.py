@@ -11,29 +11,25 @@ condition that prevents native execution is recorded as a
 ``fallback_reason`` instead of raised, so the engines degrade to the
 numpy path without ceremony.
 
-The runtime side reuses the dense engine's own objects — the statement
-plans of :class:`~repro.runtime.dense.DenseData` and the addressing of
-:class:`~repro.runtime.dense.RankLDS` — so its index algebra is the
-dense engine's by construction:
+The runtime side derives no address and no boundary value of its own:
+it marshals the dense engine's objects to C, so its index algebra is
+the dense engine's by construction:
 
 * the LDS flat address of lattice point ``i`` of the tile with chain
-  index ``t`` is ``base[i] + t * (V_m/c_m) * strides[m]`` — ``base``
-  is ``RankLDS.to_flat`` at ``t = 0`` (numpy floor division) per LDS
-  geometry, the shift exact because the backend only engages when
-  ``c_m | V_m``;
-* a read slot's source is in-domain iff ``A @ (g - dep) <= b``;
-  rewritten per tile as ``A_tis[:, i] <= b - A @ (origin - dep)`` with
-  ``A_tis = A @ tis.T`` precomputed (all int64, so the rearrangement
-  is exact).  A per-dependence row-max of ``A_tis`` decides "whole
-  tile in-domain" in O(rows) — the common interior-tile case passes
-  NULL masks to C and skips all boundary work;
-* out-of-domain reads are replaced by the *same scalar*
-  ``init_value(array, ref.index(g))`` calls the dense engine's
-  ``fix_out_of_domain`` makes, precomputed per tile into ``fix``
-  arrays the C conditional selects from;
-* pure-input reads (ADI's coefficient array) gather per tile from the
-  dense engine's :class:`~repro.runtime.dense.InputTable` into flat
-  per-lattice tables.
+  index ``t`` is ``base[i] + t * shift_unit`` — the
+  :class:`~repro.runtime.dense.LdsTables` of the rank's
+  :class:`~repro.runtime.dense.RankLDS` (``RankLDS.to_flat`` at
+  ``t = 0`` per LDS geometry; the shift is exact because
+  ``TTIS.__init__`` refuses any tiling with ``c_k`` not dividing
+  ``v_k``);
+* per tile, the :class:`~repro.runtime.dense.TileContext` the numpy
+  batches read too: the executed points, per dependence read the
+  out-of-domain mask and the ``fix`` values (the *same scalar*
+  ``init_value(array, ref.index(g))`` calls the sparse reference
+  makes) the C conditional selects from — NULL for the common
+  interior tile, which skips all boundary work — and per pure-input
+  read (ADI's coefficient array) the values gathered from the dense
+  engine's :class:`~repro.runtime.dense.InputTable`.
 
 Bitwise identity with the dense engine follows: same values flow into
 the same IEEE-754 operations in the same order, only the loop driver
@@ -52,8 +48,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
-    NamedTuple,
     Optional,
     Tuple,
 )
@@ -74,7 +68,7 @@ from repro.native.emit import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.dense import DenseData, RankLDS
+    from repro.runtime.dense import DenseData, RankLDS, TileContext
 
 InitFn = Callable[[str, Tuple[int, ...]], float]
 
@@ -191,14 +185,6 @@ def build_native_library(program: Any,
     if ctypes.sizeof(ctypes.c_long) != 8:
         return fallback("C long is not 64-bit on this platform")
 
-    ttis = program.tiling.ttis
-    m = program.dist.m
-    v_m, c_m = int(ttis.v[m]), int(ttis.c[m])
-    if c_m == 0 or v_m % c_m != 0:
-        return fallback(
-            f"stride c[{m}]={c_m} does not divide box V[{m}]={v_m}; "
-            f"per-tile flat shifts would be inexact")
-
     try:
         plan = emit_translation_unit(
             program.nest, tuple(program.arrays), program.nest.name)
@@ -210,7 +196,7 @@ def build_native_library(program: Any,
         return fallback("no C compiler found ($CC, cc, gcc, clang)")
     cc_fp = compiler_fingerprint(cc)
     key = native_key(
-        content_key(program.nest, program.tiling.h, m),
+        content_key(program.nest, program.tiling.h, program.dist.m),
         plan.source_hash, cc_fp)
 
     if cache is None:
@@ -244,153 +230,22 @@ def build_native_library(program: Any,
 # -- runtime ------------------------------------------------------------------
 
 
-@dataclass
-class _DepSlot:
-    slot: int                 # C-side dep-slot index
-    ref: Any                  # ArrayRef
-    indexer: Any              # RefIndexer (int64 twin of ref.index)
-    dep: np.ndarray           # original dependence (int64, n)
-    dep_key: Tuple[int, ...]
-    dp: np.ndarray            # its TTIS image d' (int64, n)
-    dp_key: Tuple[int, ...]
-
-
-@dataclass
-class _PureSlot:
-    slot: int
-    table: Any                # InputTable
-    indexer: Any              # RefIndexer
-    group: int                # shared-gather group id
-
-
-@dataclass
-class _Bases:
-    wbase: np.ndarray
-    rbase: Dict[Tuple[int, ...], np.ndarray]
-    shift_unit: int
-
-
 class NativeRuntime:
-    """Program-level precompute shared by every rank of one run, on
-    top of the run's :class:`~repro.runtime.dense.DenseData`."""
+    """The loaded ``repro_run`` of one run, on top of the run's
+    :class:`~repro.runtime.dense.DenseData` (whose plans, tables and
+    per-tile contexts it marshals — it derives no address itself)."""
 
     def __init__(self, data: "DenseData", library: NativeKernelLibrary):
         assert library.so_path is not None
         assert library.plan is not None
-        program = data.prog
-        self.program = program
+        self.data = data
         self.plan = library.plan
         self.fn = _load_fn(library.so_path)
-        self.init_value = data.init_value
-
-        self.arrays: Tuple[str, ...] = data.arrays
-        assert self.arrays == self.plan.arrays, \
+        assert data.arrays == self.plan.arrays, \
             "library built for a different array layout"
-        self.lat = np.ascontiguousarray(data.lat, dtype=np.int64)
-        self.tis = np.ascontiguousarray(data.tis, dtype=np.int64)
-        self.nlat = len(self.lat)
-        self.amat = data.amat
-        self.bvec = data.bvec
-        self.m = data.m
-        self.shift_rows = int(data.rows[self.m])
-
-        self.dep_slots: List[_DepSlot] = []
-        self.pure_slots: List[_PureSlot] = []
-        pure_groups: Dict[Tuple[Any, ...], int] = {}
-        for slot in self.plan.slots:
-            rp = data.plans[slot.stmt_index].reads[slot.read_index]
-            if slot.kind == "dep":
-                assert rp.dep is not None and rp.dep_prime is not None
-                self.dep_slots.append(_DepSlot(
-                    slot=slot.slot, ref=rp.ref, indexer=rp.indexer,
-                    dep=rp.dep,
-                    dep_key=tuple(int(x) for x in rp.dep),
-                    dp=rp.dep_prime,
-                    dp_key=tuple(int(x) for x in rp.dep_prime)))
-            else:
-                assert rp.table is not None
-                gkey = (id(rp.table),
-                        tuple(rp.indexer.offset.tolist()),
-                        None if rp.indexer.f_int is None
-                        else tuple(map(tuple,
-                                       rp.indexer.f_int.tolist())))
-                group = pure_groups.setdefault(gkey, len(pure_groups))
-                self.pure_slots.append(_PureSlot(
-                    slot=slot.slot, table=rp.table,
-                    indexer=rp.indexer, group=group))
-        self.distinct_deps: List[Tuple[Tuple[int, ...], np.ndarray]] = []
-        seen: Dict[Tuple[int, ...], None] = {}
-        for ds in self.dep_slots:
-            if ds.dep_key not in seen:
-                seen[ds.dep_key] = None
-                self.distinct_deps.append((ds.dep_key, ds.dep))
-
-        # In-domain fast path: A_tis[:, i] = A @ tis_i, with row maxima
-        # (all int64 → the per-tile threshold comparison is exact).
-        self.a_tis = np.ascontiguousarray(self.amat @ self.tis.T)
-        self.a_tis_rowmax = (self.a_tis.max(axis=1)
-                             if self.a_tis.size
-                             else np.zeros(len(self.bvec),
-                                           dtype=np.int64))
-
-        self._bases: Dict[Tuple[Any, ...], _Bases] = {}
-        self._full_segments: Optional[
-            Tuple[np.ndarray, np.ndarray]] = None
-
-    # -- segments (sel + per-level prefix offsets) ------------------------
-
-    def segments(self, tile: Tuple[int, ...]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenated wavefront-level batches of one tile."""
-        full = self.program.tiling.classify_tile(tile) == "full"
-        if full and self._full_segments is not None:
-            return self._full_segments
-        batches = self.program.dense_level_batches(tile)
-        if batches:
-            sel = np.ascontiguousarray(
-                np.concatenate(batches), dtype=np.int64)
-        else:
-            sel = np.zeros(0, dtype=np.int64)
-        seg = np.zeros(len(batches) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in batches], out=seg[1:])
-        out = (sel, seg)
-        if full:
-            self._full_segments = out
-        return out
-
-    # -- per-LDS-geometry base arrays -------------------------------------
-
-    def bases_for(self, lds: "RankLDS") -> _Bases:
-        """Chain-tile-0 flat addresses of every lattice point (writes)
-        and of its ``d'``-shifted sources (reads), per LDS geometry —
-        computed by the LDS's own ``to_flat``."""
-        key = (lds.geom.shape, lds.geom.offsets)
-        bases = self._bases.get(key)
-        if bases is None:
-            rbase: Dict[Tuple[int, ...], np.ndarray] = {}
-            for ds in self.dep_slots:
-                if ds.dp_key not in rbase:
-                    rbase[ds.dp_key] = np.ascontiguousarray(
-                        lds.to_flat(self.lat - ds.dp, 0))
-            bases = _Bases(
-                wbase=np.ascontiguousarray(lds.to_flat(self.lat, 0)),
-                rbase=rbase,
-                shift_unit=self.shift_rows * int(lds.strides[self.m]))
-            self._bases[key] = bases
-        return bases
 
     def for_rank(self, lds: "RankLDS") -> "RankKernels":
         return RankKernels(self, lds)
-
-
-class _TileCtx(NamedTuple):
-    """Per-(rank, tile) marshalled arguments, built once per tile."""
-
-    shift: int
-    oob_addr: Any
-    fix_addr: Any
-    pure_addr: Any
-    keep: List[np.ndarray]              # pins the pointed-to arrays
 
 
 class RankKernels:
@@ -398,139 +253,76 @@ class RankKernels:
 
     ``run_tile`` executes a whole tile (all wavefront levels, one C
     call); ``run_segment`` executes one (sub-)batch — the overlap
-    schedule's boundary/interior slices — reusing the tile context.
+    schedule's boundary/interior slices — of the same tile context.
     """
 
     def __init__(self, rt: NativeRuntime, lds: "RankLDS"):
         self.rt = rt
-        bases = rt.bases_for(lds)
-        self.bases = bases
         self.lds = lds                  # keeps the pointed-to buffers alive
-        local = lds.local
-        for a in rt.arrays:
-            buf = local[a]
+        arrays = rt.plan.arrays
+        for a in arrays:
+            buf = lds.local[a]
             assert buf.dtype == np.float64 and buf.flags["C_CONTIGUOUS"]
-        self._bufs = (ctypes.c_void_p * len(rt.arrays))(
-            *[local[a].ctypes.data for a in rt.arrays])
-        n_dep = max(rt.plan.n_dep_slots, 1)
-        self._rb = (ctypes.c_void_p * n_dep)()
-        for ds in rt.dep_slots:
-            self._rb[ds.slot] = bases.rbase[ds.dp_key].ctypes.data
-        self._ctx_key: Optional[Tuple[Tuple[int, ...], int]] = None
-        self._ctx: Optional[_TileCtx] = None
-
-    # -- per-tile context -------------------------------------------------
-
-    def _tile_ctx(self, tile: Tuple[int, ...], t: int,
-                  origin: np.ndarray) -> _TileCtx:
-        key = (tuple(int(x) for x in tile), int(t))
-        if self._ctx_key == key and self._ctx is not None:
-            return self._ctx
-        rt = self.rt
-        shift = int(t) * self.bases.shift_unit
-        keep: List[np.ndarray] = []
+        self._bufs = (ctypes.c_void_p * len(arrays))(
+            *[lds.local[a].ctypes.data for a in arrays])
+        self._wbase = lds.tables.wbase.ctypes.data
         n_dep = max(rt.plan.n_dep_slots, 1)
         n_pure = max(rt.plan.n_pure_slots, 1)
-        oob_ptrs = (ctypes.c_void_p * n_dep)()
-        fix_ptrs = (ctypes.c_void_p * n_dep)()
-        pure_ptrs = (ctypes.c_void_p * n_pure)()
+        self._rb = (ctypes.c_void_p * n_dep)()
+        for slot in rt.plan.slots:
+            if slot.kind == "dep":
+                rbase = lds.rbase[slot.stmt_index][slot.read_index]
+                assert rbase is not None
+                self._rb[slot.slot] = rbase.ctypes.data
+        self._oob = (ctypes.c_void_p * n_dep)()
+        self._fix = (ctypes.c_void_p * n_dep)()
+        self._pure = (ctypes.c_void_p * n_pure)()
+        self._ctx: Optional["TileContext"] = None   # the one marshalled
+        self._seg1 = np.zeros(2, dtype=np.int64)    # run_segment's seg
 
-        origin64 = np.asarray(origin, dtype=np.int64)
-        masks: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
-        sel_all: Optional[np.ndarray] = None
-        for dep_key, dep in rt.distinct_deps:
-            thr = rt.bvec - rt.amat @ (origin64 - dep)
-            if np.all(rt.a_tis_rowmax <= thr):
-                masks[dep_key] = None        # whole tile in-domain
-                continue
-            in_dom = np.all(rt.a_tis <= thr[:, None], axis=0)
-            if sel_all is None:
-                sel_all = rt.segments(tile)[0]
-            if bool(in_dom[sel_all].all()):
-                masks[dep_key] = None        # executed points all in
-                continue
-            oob = np.ascontiguousarray(
-                (~in_dom).astype(np.uint8))
-            masks[dep_key] = oob
-            keep.append(oob)
-
-        for ds in rt.dep_slots:
-            oob = masks[ds.dep_key]
-            if oob is None:
-                continue
-            oob_ptrs[ds.slot] = oob.ctypes.data
-            # Same scalar boundary values as fix_out_of_domain, filled
-            # only at executed out-of-domain points (the cells come
-            # from the vectorized int64 indexer — identical integers
-            # to ref.index, without the per-point rational matvec).
-            assert sel_all is not None
-            fix = np.zeros(rt.nlat, dtype=np.float64)
-            ood = sel_all[oob[sel_all].view(np.bool_)]
-            arr_name = ds.ref.array
-            init_value = rt.init_value
-            cells = ds.indexer.cells(rt.tis[ood] + origin64)
-            for i, cell in zip(ood.tolist(), cells.tolist()):
-                fix[i] = init_value(arr_name, tuple(cell))
-            fix_ptrs[ds.slot] = fix.ctypes.data
-            keep.append(fix)
-
-        if rt.pure_slots:
-            # Gather only at executed points: a partial tile's clipped
-            # lattice points can map outside the input-table box.
-            if sel_all is None:
-                sel_all = rt.segments(tile)[0]
-            gsel = rt.tis[sel_all] + origin64
-            group_vals: Dict[int, np.ndarray] = {}
-            for ps in rt.pure_slots:
-                vals = group_vals.get(ps.group)
-                if vals is None:
-                    vals = np.zeros(rt.nlat, dtype=np.float64)
-                    vals[sel_all] = ps.table.gather(
-                        ps.indexer.cells(gsel))
-                    group_vals[ps.group] = vals
-                    keep.append(vals)
-                pure_ptrs[ps.slot] = vals.ctypes.data
-
-        ctx = _TileCtx(shift=shift,
-                       oob_addr=oob_ptrs,
-                       fix_addr=fix_ptrs,
-                       pure_addr=pure_ptrs,
-                       keep=keep)
-        self._ctx_key = key
+    def _marshal(self, ctx: "TileContext") -> None:
+        """Point the per-tile argument arrays at ``ctx`` (which pins
+        what they point to for as long as it is the current one)."""
+        for slot in self.rt.plan.slots:
+            rd = ctx.reads[slot.stmt_index][slot.read_index]
+            if slot.kind == "dep":
+                # NULL mask: the C conditional short-circuits.
+                self._oob[slot.slot] = (None if rd.oob is None
+                                        else rd.oob.ctypes.data)
+                self._fix[slot.slot] = (None if rd.fix is None
+                                        else rd.fix.ctypes.data)
+            else:
+                assert rd.pure is not None
+                self._pure[slot.slot] = rd.pure.ctypes.data
         self._ctx = ctx
-        return ctx
 
-    # -- execution --------------------------------------------------------
-
-    def _call(self, ctx: _TileCtx, sel: np.ndarray,
+    def _call(self, ctx: "TileContext", sel: np.ndarray,
               seg: np.ndarray) -> None:
+        if ctx is not self._ctx:
+            self._marshal(ctx)
         self.rt.fn(
             len(seg) - 1,
             seg.ctypes.data,
             sel.ctypes.data,
             ctx.shift,
             ctypes.addressof(self._bufs),
-            self.bases.wbase.ctypes.data,
+            self._wbase,
             ctypes.addressof(self._rb),
-            ctypes.addressof(ctx.pure_addr),
-            ctypes.addressof(ctx.oob_addr),
-            ctypes.addressof(ctx.fix_addr),
+            ctypes.addressof(self._pure),
+            ctypes.addressof(self._oob),
+            ctypes.addressof(self._fix),
         )
 
-    def run_tile(self, tile: Tuple[int, ...], t: int,
-                 origin: np.ndarray) -> None:
+    def run_tile(self, ctx: "TileContext") -> None:
         """All wavefront levels of one tile in one native call."""
-        sel, seg = self.rt.segments(tile)
-        if not len(sel):
-            return
-        self._call(self._tile_ctx(tile, t, origin), sel, seg)
+        if len(ctx.sel):
+            self._call(ctx, ctx.sel, ctx.seg)
 
-    def run_segment(self, tile: Tuple[int, ...], t: int,
-                    origin: np.ndarray, batch: np.ndarray) -> None:
+    def run_segment(self, ctx: "TileContext", batch: np.ndarray) -> None:
         """One wavefront (sub-)batch — the overlap engine's unit."""
         if not len(batch):
             return
-        ctx = self._tile_ctx(tile, t, origin)
-        sel = np.ascontiguousarray(batch, dtype=np.int64)
-        seg = np.array([0, len(sel)], dtype=np.int64)
-        self._call(ctx, sel, seg)
+        if batch.dtype != np.int64 or not batch.flags["C_CONTIGUOUS"]:
+            batch = np.ascontiguousarray(batch, dtype=np.int64)
+        self._seg1[1] = len(batch)
+        self._call(ctx, batch, self._seg1)

@@ -19,7 +19,10 @@ holds the machinery the dense drivers share:
 * :class:`DenseData` / :class:`RankLDS` — the dense data back-end of
   the rank step (:mod:`repro.runtime.rankstep`), through which the
   simulated dense engine, the parallel workers (both schedules) and
-  the native runtime all address LDS memory.
+  the native runtime all address LDS memory.  Both ``map`` and
+  ``loc⁻¹`` are affine in the tile index, so they are tabulated once
+  (:class:`LdsTables`, :class:`GlobalTable`) and a tile only adds a
+  constant; the per-tile boundary work is one :class:`TileContext`.
 
 Bitwise agreement with the sparse reference comes from evaluating the
 *same* kernel expr elementwise (:func:`repro.loops.kexpr.evaluate`),
@@ -36,6 +39,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -507,12 +511,93 @@ def evaluate_statement_batch(plan: StatementPlan, points: np.ndarray,
 # -- the dense data back-end of the rank step ---------------------------------------
 
 
+@dataclass(frozen=True)
+class LdsTables:
+    """The LDS address algebra of one LDS geometry, computed once.
+
+    ``map`` is affine in the chain index: lattice point ``i`` shifted by
+    the TTIS offset ``off`` lives, in chain tile ``t``, at
+    ``base[off][i] + t * shift_unit``.  ``base[off]`` is
+    :meth:`RankLDS.to_flat` of ``lat - off`` at ``t = 0`` for ``off`` in
+    ``{0} | {d'}`` (key ``0``: the cells a tile writes, packs and writes
+    back; key ``d'``: the sources of a read).  The shift is exact
+    because ``TTIS.__init__`` enforces ``c_k | v_k``.  ``halo_unit @
+    d^S`` is the paper's RECEIVE displacement ``d^S_k v_k / c_k``.
+    """
+
+    base: Dict[Tuple[int, ...], np.ndarray]
+    wbase: np.ndarray                  # base[(0, ..., 0)]
+    shift_unit: int                    # rows[m] * strides[m]
+    halo_unit: np.ndarray              # rows * strides
+
+
+@dataclass(frozen=True)
+class GlobalTable:
+    """``loc⁻¹`` composed with ``f_w`` for one written array, as flat
+    field addresses: lattice point ``i`` of the tile at ``origin`` is
+    cell ``gbase[i] + gtile @ origin`` of the raveled field."""
+
+    array: str
+    values: np.ndarray                 # flat view of the field's values
+    written: np.ndarray                # flat view of its written mask
+    gbase: np.ndarray                  # (cells(tis) - field.origin) . fstr
+    gtile: np.ndarray                  # fstr @ F  (so gshift = gtile.origin)
+
+    def gshift(self, origin: np.ndarray) -> int:
+        return int(self.gtile @ origin)
+
+
+class TileRead(NamedTuple):
+    """One read slot of one tile.  A pure-input read carries its
+    gathered ``pure`` values; a dependence read carries ``oob``/``fix``
+    — the out-of-domain mask of its source points and the boundary
+    values replacing them — or ``None`` twice when every executed point
+    reads inside the domain.  All three are lattice-indexed."""
+
+    pure: Optional[np.ndarray]
+    oob: Optional[np.ndarray]
+    fix: Optional[np.ndarray]
+
+
+_IN_DOMAIN = TileRead(None, None, None)
+
+
+class TileContext(NamedTuple):
+    """What one (rank, tile) needs beyond the tables: its flat shift,
+    its executed lattice points (``sel``, wavefront-level-major, with
+    the level offsets ``seg``) and one :class:`TileRead` per
+    (statement, read).  Built once per tile, read by the numpy batches
+    and marshalled to C by the native kernels."""
+
+    shift: int
+    sel: np.ndarray
+    seg: np.ndarray
+    reads: Tuple[Tuple[TileRead, ...], ...]
+
+
+def _flat_view(a: np.ndarray) -> np.ndarray:
+    if not a.flags["C_CONTIGUOUS"]:
+        raise ValueError("result fields must be C-contiguous")
+    return a.reshape(-1)
+
+
+def _c_strides(shape: Sequence[int]) -> np.ndarray:
+    """Element strides of a C-ordered array of ``shape``."""
+    strides = np.ones(len(shape), dtype=np.int64)
+    for k in reversed(range(len(shape) - 1)):
+        strides[k] = strides[k + 1] * shape[k + 1]
+    return strides
+
+
 class DenseData:
     """What every rank of one dense run shares: lattice tables,
     statement plans (input tables, ``d`` and ``d'`` per read), the
     result ``fields`` (allocated here unless the caller supplies
-    storage — the parallel workers pass shared memory) and, for a
-    usable ``native`` library, the native runtime over the same plans.
+    storage — the parallel workers pass shared memory), the address
+    tables (one :class:`LdsTables` per LDS geometry, one
+    :class:`GlobalTable` per written array, the in-domain thresholds
+    of every dependence) and, for a usable ``native`` library, the
+    native runtime over the same plans and tables.
     """
 
     def __init__(self, prog: "TiledProgram", init_value: InitFn,
@@ -526,10 +611,12 @@ class DenseData:
         self.dtype = dtype
         self.arrays: Tuple[str, ...] = tuple(prog.arrays)
         self.m: int = prog.dist.m
-        self.lat = ttis.lattice_points_np()
-        self.tis = ttis.tis_points_np()
+        self.lat = np.ascontiguousarray(ttis.lattice_points_np(),
+                                        dtype=np.int64)
+        self.tis = np.ascontiguousarray(ttis.tis_points_np(),
+                                        dtype=np.int64)
+        self.nlat = len(self.lat)
         self.lex_order = prog.dense_lex_order()
-        self.amat, self.bvec = tiling._amat, tiling._bvec
         self.v = np.asarray(ttis.v, dtype=np.int64)
         self.c = np.asarray(ttis.c, dtype=np.int64)
         self.rows = self.v // self.c
@@ -537,11 +624,158 @@ class DenseData:
                                            ttis)
         self.fields = (fields if fields is not None
                        else result_fields(prog.nest, dtype))
+
+        # LDS side: every offset a table is built for.
+        n = prog.n
+        self.table_offsets: List[Tuple[int, ...]] = list(dict.fromkeys(
+            [(0,) * n, *(tuple(rp.dep_prime.tolist())
+                         for plan in self.plans for rp in plan.reads
+                         if rp.dep_prime is not None)]))
+        self.lds_tables: Dict[Tuple[Any, ...], LdsTables] = {}
+        self._region_index: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._full_segments: Optional[
+            Tuple[np.ndarray, np.ndarray]] = None
+
+        # Global side.
+        self.gtables: List[GlobalTable] = []
+        for plan in self.plans:
+            field = self.fields[plan.stmt.write.array]
+            fstr = _c_strides(field.values.shape)
+            wi = plan.write_indexer
+            f_int = (np.eye(n, dtype=np.int64) if wi.f_int is None
+                     else wi.f_int)
+            self.gtables.append(GlobalTable(
+                array=plan.stmt.write.array,
+                values=_flat_view(field.values),
+                written=_flat_view(field.written),
+                gbase=(wi.cells(self.tis) - np.asarray(
+                    field.origin, dtype=np.int64)) @ fstr,
+                gtile=fstr @ f_int))
+
+        # Boundary side: the source of lattice point i of the tile at
+        # ``origin`` under dependence d is in-domain iff
+        # ``A tis_i <= (b + A d) - A origin`` (all int64, so exact); the
+        # row maxima decide "whole tile in-domain" in O(rows).
+        amat, bvec = tiling._amat, tiling._bvec
+        self.amat = amat
+        self.a_tis = np.ascontiguousarray(amat @ self.tis.T)
+        self.a_tis_rowmax = (self.a_tis.max(axis=1) if self.a_tis.size
+                             else np.zeros(len(bvec), dtype=np.int64))
+        self.dep_bound: Dict[Tuple[int, ...], np.ndarray] = {}
+        for plan in self.plans:
+            for rp in plan.reads:
+                if rp.dep is not None:
+                    self.dep_bound.setdefault(
+                        tuple(rp.dep.tolist()), bvec + amat @ rp.dep)
+
         self.native_rt = (native.runtime_for(self)
                           if native is not None else None)
 
     def rank(self, pid: Tuple[int, ...]) -> "RankLDS":
         return RankLDS(self, pid)
+
+    # -- per-tile index sets --------------------------------------------------------
+
+    def tile_origin(self, tile: Tuple[int, ...]) -> np.ndarray:
+        return np.asarray(self.prog.tiling.tile_origin(tile),
+                          dtype=np.int64)
+
+    def is_full(self, tile: Tuple[int, ...]) -> bool:
+        return self.prog.tiling.classify_tile(tile) == "full"
+
+    def segments(self, tile: Tuple[int, ...]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """``tile``'s wavefront-level batches concatenated (``sel``)
+        with their prefix offsets (``seg``).  A partial tile's are the
+        full tile's filtered through its mask (level order and the
+        order within a level kept; a level may come out empty)."""
+        if self._full_segments is None:
+            batches = self.prog.stage("dense_batches")
+            seg = np.zeros(len(batches) + 1, dtype=np.int64)
+            np.cumsum([len(b) for b in batches], out=seg[1:])
+            self._full_segments = (np.ascontiguousarray(
+                np.concatenate(batches), dtype=np.int64), seg)
+        sel, seg = self._full_segments
+        if self.is_full(tile):
+            return sel, seg
+        keep = self.prog.tile_mask(tile)[sel]
+        kept = np.zeros(len(sel) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return sel[keep], kept[seg]
+
+    def region_index(self, tile: Tuple[int, ...],
+                     direction: Sequence[int]) -> np.ndarray:
+        """Lattice indices of ``tile``'s ``CC`` pack region toward
+        ``direction``, in the frozen payload order."""
+        key = tuple(direction)
+        idx = self._region_index.get(key)
+        if idx is None:
+            region = self.prog.pack_region(key)
+            idx = self._region_index[key] = self.lex_order[
+                region[self.lex_order]]
+        if self.is_full(tile):
+            return idx
+        return idx[self.prog.tile_mask(tile)[idx]]
+
+    # -- per-tile boundary context --------------------------------------------------
+
+    def tile_reads(self, tile: Tuple[int, ...], sel: np.ndarray,
+                   ) -> Tuple[Tuple[TileRead, ...], ...]:
+        """One :class:`TileRead` per (statement, read) of ``tile``,
+        whose executed lattice points are ``sel``.
+
+        Boundary values are the same scalar ``init_value(array,
+        ref.index(g))`` calls the sparse reference makes — one per
+        executed point whose source is out of the domain; the cells
+        come from the int64 indexer, identical integers to
+        ``ref.index``.
+        """
+        origin = self.tile_origin(tile)
+        a_origin = self.amat @ origin
+        oobs: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
+        for dep_key, bound in self.dep_bound.items():
+            thr = bound - a_origin
+            oob: Optional[np.ndarray] = None
+            tight = self.a_tis_rowmax > thr     # rows some point breaks
+            if tight.any():
+                oob = np.any(
+                    self.a_tis[tight] > thr[tight, None], axis=0)
+                if not oob[sel].any():
+                    oob = None          # executed points all in-domain
+            oobs[dep_key] = oob
+        gsel: Optional[np.ndarray] = None
+        pures: Dict[int, np.ndarray] = {}
+        out: List[Tuple[TileRead, ...]] = []
+        for plan in self.plans:
+            row: List[TileRead] = []
+            for rp in plan.reads:
+                if rp.table is not None:
+                    # Gather only at executed points: a partial tile's
+                    # clipped lattice points can map outside the table.
+                    vals = pures.get(id(rp.table))
+                    if vals is None:
+                        if gsel is None:
+                            gsel = self.tis[sel] + origin
+                        vals = np.zeros(self.nlat, dtype=self.dtype)
+                        vals[sel] = rp.table.gather(
+                            rp.indexer.cells(gsel))
+                        pures[id(rp.table)] = vals
+                    row.append(TileRead(vals, None, None))
+                    continue
+                assert rp.dep is not None
+                oob = oobs[tuple(rp.dep.tolist())]
+                if oob is None:
+                    row.append(_IN_DOMAIN)
+                    continue
+                fix = np.zeros(self.nlat, dtype=self.dtype)
+                ood = sel[oob[sel]]
+                cells = rp.indexer.cells(self.tis[ood] + origin)
+                init_value, arr = self.init_value, rp.ref.array
+                fix[ood] = [init_value(arr, tuple(cell))
+                            for cell in cells.tolist()]
+                row.append(TileRead(None, oob, fix))
+            out.append(tuple(row))
+        return tuple(out)
 
 
 class RankLDS:
@@ -549,25 +783,32 @@ class RankLDS:
 
     A flat numpy buffer per written array, addressed by the paper's
     condensed ``map``: TTIS point ``j'`` of chain tile ``t`` lives at
-    ``((j' + t v_m e_m) // c + off) . strides``.  Everything that
-    touches that memory is a method here: halo unpack, ``CC``-region
-    pack, wavefront-batched compute (numpy or the native
+    ``((j' + t v_m e_m) // c + off) . strides`` — :meth:`to_flat`,
+    evaluated once per LDS geometry into :class:`LdsTables` and from
+    then on only added to.  Everything that touches that memory is a
+    method here: halo unpack, ``CC``-region pack, wavefront-batched
+    compute (numpy or the native
     :class:`~repro.native.engine.RankKernels`) and write-back.
     """
 
     def __init__(self, data: DenseData, pid: Tuple[int, ...]):
         self.data = data
         self.geom = data.prog.addressing.lds_for(pid)
-        shape = self.geom.shape
-        n = len(shape)
-        strides = np.ones(n, dtype=np.int64)
-        for k in reversed(range(n - 1)):
-            strides[k] = strides[k + 1] * shape[k + 1]
-        self.strides = strides
+        self.strides = _c_strides(self.geom.shape)
         self.offsets = np.asarray(self.geom.offsets, dtype=np.int64)
         self.size = int(self.geom.cells)
         self.local: Dict[str, np.ndarray] = {
             a: np.zeros(self.size, dtype=data.dtype) for a in data.arrays}
+        key = (self.geom.shape, self.geom.offsets)
+        tables = data.lds_tables.get(key)
+        if tables is None:
+            tables = data.lds_tables[key] = self._build_tables()
+        self.tables = tables
+        # Source table of every (statement, read); None for pure inputs.
+        self.rbase: List[List[Optional[np.ndarray]]] = [
+            [None if rp.dep_prime is None
+             else tables.base[tuple(rp.dep_prime.tolist())]
+             for rp in plan.reads] for plan in data.plans]
         self.kernels: Optional["RankKernels"] = (
             data.native_rt.for_rank(self)
             if data.native_rt is not None else None)
@@ -576,31 +817,40 @@ class RankLDS:
 
     def to_flat(self, jp: np.ndarray, t: int) -> np.ndarray:
         """Flat LDS cells of TTIS points ``jp`` (rows) in chain tile
-        ``t``.  Floor division is intentional (see
-        :meth:`LocalDataSpace.map`)."""
+        ``t`` — the single definition of the condensed ``map``.  Floor
+        division is intentional (see :meth:`LocalDataSpace.map`)."""
         d = self.data
         shifted = jp.copy()
         shifted[:, d.m] += t * int(d.v[d.m])
         return (shifted // d.c + self.offsets) @ self.strides
 
+    def _build_tables(self) -> LdsTables:
+        d = self.data
+        base = {off: np.ascontiguousarray(self.to_flat(
+            d.lat - np.asarray(off, dtype=np.int64), 0))
+            for off in d.table_offsets}
+        halo_unit = d.rows * self.strides
+        return LdsTables(base=base, wbase=base[d.table_offsets[0]],
+                         shift_unit=int(halo_unit[d.m]),
+                         halo_unit=halo_unit)
+
     def region_flat(self, tile: Tuple[int, ...],
                     direction: Sequence[int], t: int) -> np.ndarray:
         """Cells of ``tile``'s ``CC`` pack region toward ``direction``
         as chain tile ``t``, in the frozen payload order."""
-        d = self.data
-        region = d.prog.region_mask(tile, direction)
-        return self.to_flat(d.lat[d.lex_order[region[d.lex_order]]], t)
+        tb = self.tables
+        return (tb.wbase[self.data.region_index(tile, direction)]
+                + t * tb.shift_unit)
 
     # -- RECEIVE / SEND -------------------------------------------------------------
 
     def unpack(self, r: "TileRecv", payload: np.ndarray, t: int) -> None:
         """Scatter one received region into the halo of chain tile
         ``t``: the sender's cells shifted back by ``d^S_k v_k / c_k``."""
-        d = self.data
         flat = self.region_flat(r.pred, r.ds, t) - int(
-            (np.asarray(r.ds, dtype=np.int64) * d.rows) @ self.strides)
+            self.tables.halo_unit @ np.asarray(r.ds, dtype=np.int64))
         cnt = len(flat)
-        for ai, arr in enumerate(d.arrays):
+        for ai, arr in enumerate(self.data.arrays):
             self.local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
 
     def pack(self, tile: Tuple[int, ...], direction: Sequence[int],
@@ -614,81 +864,94 @@ class RankLDS:
                    t: int) -> None:
         """Overlapped schedule: scatter the region values that became
         final at wavefront ``level`` into their payload positions."""
-        flat = self.to_flat(self.data.lat[pack.level_lat[level]], t)
+        tb = self.tables
+        flat = tb.wbase[pack.level_lat[level]] + t * tb.shift_unit
         pos = pack.level_pos[level]
         for ai, arr in enumerate(self.data.arrays):
             buf[ai * pack.count + pos] = self.local[arr][flat]
 
     # -- COMPUTE --------------------------------------------------------------------
 
-    def compute_batch(self, batch: np.ndarray, t: int,
-                      origin: np.ndarray) -> None:
+    def tile_context(self, tile: Tuple[int, ...], t: int) -> TileContext:
+        """The per-tile context both compute paths read (built once per
+        tile; nothing in it depends on LDS contents)."""
+        d = self.data
+        sel, seg = d.segments(tile)
+        return TileContext(shift=t * self.tables.shift_unit, sel=sel,
+                           seg=seg, reads=d.tile_reads(tile, sel))
+
+    def compute_batch(self, ctx: TileContext, batch: np.ndarray) -> None:
         """One wavefront (sub-)batch of mutually independent lattice
         points through the numpy kernels."""
         d = self.data
-        jp = d.lat[batch]
-        g = d.tis[batch] + origin
-        wflat = self.to_flat(jp, t)
+        local, shift = self.local, ctx.shift
+        wflat = self.tables.wbase[batch] + shift
+        for plan, reads, rbases in zip(d.plans, ctx.reads, self.rbase):
+            vals: List[np.ndarray] = []
+            for rp, rd, rbase in zip(plan.reads, reads, rbases):
+                if rbase is None:
+                    assert rd.pure is not None
+                    vals.append(rd.pure[batch])
+                    continue
+                flat = rbase[batch] + shift
+                buf = local[rp.ref.array]
+                if rd.oob is None:
+                    vals.append(buf[flat])
+                    continue
+                # Out-of-domain sources can address outside the LDS:
+                # take the boundary value there and gather the rest.
+                assert rd.fix is not None
+                got = rd.fix[batch]
+                ok = ~rd.oob[batch]
+                got[ok] = buf[flat[ok]]
+                vals.append(got)
+            local[plan.stmt.write.array][wflat] = np.asarray(
+                kexpr.evaluate(plan.stmt.expr, vals), dtype=d.dtype)
 
-        def gather(rp: ReadPlan, gpts: np.ndarray) -> np.ndarray:
-            assert rp.dep is not None and rp.dep_prime is not None
-            flat = self.to_flat(jp - rp.dep_prime, t)
-            # Out-of-domain sources can address outside the LDS;
-            # clip, then overwrite below.
-            vals = self.local[rp.ref.array][
-                np.clip(flat, 0, self.size - 1)]
-            in_dom = domain_mask(d.amat, d.bvec, gpts - rp.dep)
-            if not in_dom.all():
-                fix_out_of_domain(vals, rp.ref, gpts, in_dom,
-                                  d.init_value)
-            return vals
-
-        for plan in d.plans:
-            out = evaluate_statement_batch(plan, g, gather, d.dtype)
-            self.local[plan.stmt.write.array][wflat] = out
-
-    def compute_segment(self, tile: Tuple[int, ...], t: int,
-                        origin: np.ndarray, batch: np.ndarray) -> None:
-        """One (sub-)batch of ``tile`` — the overlapped schedule's
-        boundary/interior unit — natively when kernels are loaded."""
+    def compute_segment(self, ctx: TileContext,
+                        batch: np.ndarray) -> None:
+        """One (sub-)batch of the context's tile — the overlapped
+        schedule's boundary/interior unit — natively when kernels are
+        loaded."""
         if self.kernels is not None:
-            self.kernels.run_segment(tile, t, origin, batch)
+            self.kernels.run_segment(ctx, batch)
         else:
-            self.compute_batch(batch, t, origin)
-
-    def tile_origin(self, tile: Tuple[int, ...]) -> np.ndarray:
-        return np.asarray(self.data.prog.tiling.tile_origin(tile),
-                          dtype=np.int64)
+            self.compute_batch(ctx, batch)
 
     def compute_tile(self, tile: Tuple[int, ...], t: int) -> None:
         """Every wavefront level of ``tile``, in order (one native
         call, or one numpy batch per level)."""
-        origin = self.tile_origin(tile)
+        ctx = self.tile_context(tile, t)
         if self.kernels is not None:
-            self.kernels.run_tile(tile, t, origin)
+            self.kernels.run_tile(ctx)
         else:
-            for batch in self.data.prog.dense_level_batches(tile):
-                self.compute_batch(batch, t, origin)
+            sel, seg = ctx.sel, ctx.seg.tolist()
+            for lo, hi in zip(seg, seg[1:]):
+                if lo < hi:
+                    self.compute_batch(ctx, sel[lo:hi])
 
     # -- WRITE-BACK -----------------------------------------------------------------
 
     def write_back(self, tiles: Sequence[Tuple[int, ...]]) -> None:
         """Place the computed points of ``tiles`` into the global
-        fields (Table 2's ``loc⁻¹`` composed with ``f_w``)."""
+        fields (Table 2's ``loc⁻¹`` composed with ``f_w``): one flat
+        gather and one flat scatter per array."""
         d = self.data
         prog = d.prog
+        tb = self.tables
         for tile in tiles:
-            t = prog.dist.chain_index(tile)
-            mask_idx = np.nonzero(prog.tile_mask(tile))[0]
-            if not len(mask_idx):
-                continue
-            g = d.tis[mask_idx] + self.tile_origin(tile)
-            flat = self.to_flat(d.lat[mask_idx], t)
-            for plan in d.plans:
-                arr = plan.stmt.write.array
-                field = d.fields[arr]
-                cells = plan.write_indexer.cells(g)
-                loc = tuple((cells - np.asarray(
-                    field.origin, dtype=np.int64)).T)
-                field.values[loc] = self.local[arr][flat]
-                field.written[loc] = True
+            shift = prog.dist.chain_index(tile) * tb.shift_unit
+            origin = d.tile_origin(tile)
+            if d.is_full(tile):
+                idx = None
+                flat = tb.wbase + shift
+            else:
+                idx = np.nonzero(prog.tile_mask(tile))[0]
+                if not len(idx):
+                    continue
+                flat = tb.wbase[idx] + shift
+            for g in d.gtables:
+                cells = (g.gbase if idx is None
+                         else g.gbase[idx]) + g.gshift(origin)
+                g.values[cells] = self.local[g.array][flat]
+                g.written[cells] = True

@@ -192,9 +192,9 @@ class TiledProgram(StageHolder):
         toward tile/processor ``direction`` — computed points with
         ``j'_k >= cc_k`` on every non-mapping dimension the direction
         crosses."""
-        return self.tile_mask(tile) & self._pack_region(direction)
+        return self.tile_mask(tile) & self.pack_region(direction)
 
-    def _pack_region(self, direction: Sequence[int]) -> np.ndarray:
+    def pack_region(self, direction: Sequence[int]) -> np.ndarray:
         """:meth:`region_mask` of an unclipped (interior) tile (kept
         per direction; callers must not mutate it)."""
         key = tuple(direction)
@@ -358,7 +358,7 @@ class TiledProgram(StageHolder):
     def full_region_count(self, direction: Sequence[int]) -> int:
         """Pack-region size of an *interior* tile toward ``direction`` —
         a pure compile-time quantity (no domain clipping)."""
-        return int(self._pack_region(direction).sum())
+        return int(self.pack_region(direction).sum())
 
     def region_count(self, tile: Tile, direction: Sequence[int]) -> int:
         """Pack-region size of ``tile`` toward ``direction``.  The
@@ -410,7 +410,7 @@ class TiledProgram(StageHolder):
         full_counts = []
         need_totals = False
         for d in dirs:
-            vec = self._pack_region(d)
+            vec = self.pack_region(d)
             full_counts.append(int(vec.sum()))
             idx = np.nonzero(vec)[0]
             if 2 * len(idx) <= nlat:

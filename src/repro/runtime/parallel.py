@@ -512,10 +512,10 @@ def _overlap_walk(program: TiledProgram, plan: RankPlan,
 
     for ti, tile in enumerate(plan.tiles):
         t = program.dist.chain_index(tile)
-        origin = lds.tile_origin(tile)
         oplan = program.overlap_plan(tile)
         tile0 = port.now()
         commtile = 0
+        ctx = lds.tile_context(tile, t)
         # Outgoing: reserve a ring slot per message so boundary
         # values scatter straight into shared memory; a full ring
         # falls back to a staging buffer (reservation never
@@ -560,7 +560,7 @@ def _overlap_walk(program: TiledProgram, plan: RankPlan,
             # boundary first: these values feed outgoing regions
             bnd = oplan.boundary[li]
             if len(bnd):
-                lds.compute_segment(tile, t, origin, bnd)
+                lds.compute_segment(ctx, bnd)
             # scatter the freshly-final values into every message
             # this level contributes to (zero-copy for reserved
             # slots: this writes shared memory directly)
@@ -599,7 +599,7 @@ def _overlap_walk(program: TiledProgram, plan: RankPlan,
             # interior: consumers drain the ring while this runs
             intr = oplan.interior[li]
             if len(intr):
-                lds.compute_segment(tile, t, origin, intr)
+                lds.compute_segment(ctx, intr)
         for om in outs:
             if not om.committed:
                 raise ParallelRuntimeError(

@@ -84,9 +84,10 @@ class TilingTransformation(StageHolder):
         return tuple(math.floor(x) for x in img)
 
     def tile_origin(self, j_s: Sequence[int]) -> Tuple[int, ...]:
-        """``P j^S`` — the anchor point of tile ``j^S`` in ``J^n``."""
-        img = self.p.matvec(j_s)
-        return tuple(int(x) for x in img)
+        """``P j^S`` — the anchor point of tile ``j^S`` in ``J^n``
+        (``P`` is integral, so the int64 product is the exact one)."""
+        origin = self._p_int @ np.asarray(j_s, dtype=np.int64)
+        return tuple(origin.tolist())
 
     def tile_volume(self) -> int:
         return self.ttis.tile_volume

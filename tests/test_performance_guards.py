@@ -49,3 +49,63 @@ class TestCompileTime:
         assert all(tuple(t) in cache for t in partial)
         # ...and a second pass returns identical counts
         assert a == [prog.tiling.tile_point_count(t) for t in tiles]
+
+
+class TestDenseAddressing:
+    """Deterministic counting guards (no timing): the dense back-end
+    derives its addresses once per LDS geometry, not once per tile."""
+
+    @staticmethod
+    def _counted_run(monkeypatch):
+        from collections import Counter
+
+        from repro.linalg.ratmat import RatMat
+        from repro.runtime.dense import DenseData, RankLDS
+
+        app = sor.app(20, 30)
+        prog = TiledProgram(app.nest, sor.h_nonrectangular(5, 8, 4),
+                            mapping_dim=2)
+        run = DistributedRun(prog, ClusterSpec())
+        # Warm: the program's lazily compiled stages (pack regions,
+        # masks) are compile-side work, not the body's.
+        run.execute_dense(app.init_value)
+        counts = Counter()
+
+        def counting(cls, name, key):
+            inner = getattr(cls, name)
+
+            def wrapper(self, *args):
+                counts[key] += 1
+                # DenseData.rank is first called when set-up is over
+                # and the rank walk is being assembled.
+                counts[key, "walk"] += counts["rank"] > 0
+                return inner(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(DenseData, "rank", "rank")
+        counting(RankLDS, "to_flat", "to_flat")
+        counting(RatMat, "matvec", "matvec")
+        data_offsets = []
+        init = DenseData.__init__
+
+        def record_offsets(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            data_offsets.append(len(self.table_offsets))
+        monkeypatch.setattr(DenseData, "__init__", record_offsets)
+        run.execute_dense(app.init_value)
+        return prog, counts, data_offsets[0]
+
+    def test_to_flat_runs_per_geometry_not_per_tile(self, monkeypatch):
+        prog, counts, offsets = self._counted_run(monkeypatch)
+        ranks, tiles = prog.num_processors, len(prog.dist.tiles)
+        assert counts["rank"] == ranks
+        assert ranks * offsets < tiles       # the guard can tell them apart
+        assert 0 < counts["to_flat"] <= ranks * offsets
+
+    def test_no_rational_matvec_in_the_walk(self, monkeypatch):
+        """Set-up still solves for the dependences and the field boxes
+        in rationals (a handful of calls per statement read); the walk
+        and the write-back make none."""
+        _prog, counts, _offsets = self._counted_run(monkeypatch)
+        assert counts["matvec", "walk"] == 0
+        assert counts["matvec"] <= 64
