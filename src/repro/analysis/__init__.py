@@ -38,7 +38,9 @@ compiled :class:`~repro.runtime.executor.TiledProgram` is well-formed:
 * :mod:`repro.analysis.transval` — translation validation: parses the
   *emitted* C+MPI/Python text back into a loop model and statically
   proves loop bounds, subscripts, burned-in constants and declared
-  dependences consistent with the symbolic pipeline (TV01-TV04).
+  dependences consistent with the symbolic pipeline (TV01-TV05);
+  opt-in via ``analyze_program(..., transval=True)`` /
+  ``repro analyze --transval``.
 
 Entry points: ``analyze(nest, h)`` from scratch, ``analyze_program``
 over a compiled program, ``verify_program`` as a raising guard (used by
@@ -86,6 +88,7 @@ from repro.analysis.verifier import (
 )
 from repro.analysis.transval import (
     check_declared_dependences,
+    check_transval,
     transval_report,
     validate_mpi_text,
 )
@@ -121,6 +124,7 @@ __all__ = [
     "verify_program",
     "VerificationError",
     "check_declared_dependences",
+    "check_transval",
     "transval_report",
     "validate_mpi_text",
 ]

@@ -17,8 +17,9 @@ model and statically proves it consistent with the
 * :mod:`~repro.analysis.transval.kernels` — TV05, the native
   kernel translation unit against the symbolic ``KExpr`` trees;
 * :mod:`~repro.analysis.transval.validate` — orchestration
-  (:func:`transval_report`, the ``--transval`` CLI mode, and the
-  ``generate_mpi_code(..., validate=True)`` guard).
+  (:func:`check_transval` over one compiled program, the ``--transval``
+  pass; :func:`transval_report` from ``(nest, h)``; the raising
+  :func:`validate_mpi_text` guard).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from repro.analysis.transval.passes import (
     check_sequential_text,
 )
 from repro.analysis.transval.validate import (
+    REPORT_PASSES,
+    check_transval,
     transval_report,
     validate_mpi_text,
 )
@@ -50,5 +53,6 @@ __all__ = [
     "TRANSVAL_PASSES", "check_mpi_text", "check_sequential_text",
     "check_pyseq_source", "check_pygen_source", "check_declared_dependences",
     "check_native_tu",
+    "REPORT_PASSES", "check_transval",
     "transval_report", "validate_mpi_text",
 ]

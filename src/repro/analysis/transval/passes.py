@@ -610,14 +610,12 @@ def _check_mpi_body(program: Any, parsed: ParsedMpi,
 # -- sequential artifacts (TV01 + TV02 + TV03) --------------------------------
 
 
-def _check_sequential(nest: LoopNest, h: Any, parsed: ParsedSequential,
+def _check_sequential(program: Any, parsed: ParsedSequential,
                       artifact: str) -> List[Diagnostic]:
     from math import gcd
 
-    from repro.tiling.transform import TilingTransformation
-
     diags: List[Diagnostic] = []
-    tiling = TilingTransformation(h, nest.domain)
+    nest, tiling = program.nest, program.tiling
     ttis = tiling.ttis
     n = tiling.n
     if parsed.header_volume is not None \
@@ -826,31 +824,29 @@ def _check_sequential_body(nest: LoopNest, body: Sequence[BodyStmt],
     return diags
 
 
-def check_sequential_text(nest: LoopNest, h: Any,
-                          text: str) -> List[Diagnostic]:
+def check_sequential_text(program: Any, text: str) -> List[Diagnostic]:
     """Validate the emitted sequential tiled C program."""
     try:
         parsed = read_sequential(text)
     except ReaderError as exc:
         return [_parse_error("sequential", exc)]
-    diags = _check_sequential(nest, h, parsed, "sequential")
-    if parsed.name != nest.name:
+    diags = _check_sequential(program, parsed, "sequential")
+    if parsed.name != program.nest.name:
         diags.append(_diag(
             "TV03", PASS_CONSTANTS,
             f"header names nest {parsed.name!r}, validating against "
-            f"{nest.name!r}",
+            f"{program.nest.name!r}",
             subject=(("artifact", "sequential"),)))
     return diags
 
 
-def check_pyseq_source(nest: LoopNest, h: Any,
-                       source: str) -> List[Diagnostic]:
+def check_pyseq_source(program: Any, source: str) -> List[Diagnostic]:
     """Validate the emitted runnable Python twin."""
     try:
         parsed = read_pyseq(source)
     except ReaderError as exc:
         return [_parse_error("pyseq", exc)]
-    return _check_sequential(nest, h, parsed, "pyseq")
+    return _check_sequential(program, parsed, "pyseq")
 
 
 # -- pygen schedule tables (TV03) ---------------------------------------------

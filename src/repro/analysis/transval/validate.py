@@ -1,11 +1,12 @@
 """Orchestration: emit every artifact, run every TV pass, one report.
 
-:func:`transval_report` is the ``repro analyze --transval`` entry
-point: starting from ``(nest, h, mapping_dim)`` it freshly emits all
-four generated artifacts (C+MPI, sequential C, pyseq twin, pygen
-schedule module) and statically validates each against the symbolic
-pipeline objects it came from.  :func:`validate_mpi_text` is the
-in-line guard ``generate_mpi_code(..., validate=True)`` uses.
+One compile per request: :func:`check_transval` renders the four
+generated artifacts (C+MPI, sequential C, pyseq twin, pygen schedule
+module) and the native kernel unit from the one compiled program it is
+handed — by :func:`transval_report`, which owns the ``(nest, h)``
+compile, or by ``analyze(..., transval=True)`` — and validates each
+against that same object.  :func:`validate_mpi_text` is the raising
+guard for one MPI text.
 """
 
 from __future__ import annotations
@@ -28,7 +29,30 @@ from repro.analysis.transval.passes import (
 )
 from repro.loops.nest import LoopNest
 
-__all__ = ["transval_report", "validate_mpi_text"]
+__all__ = ["REPORT_PASSES", "check_transval", "transval_report",
+           "validate_mpi_text"]
+
+#: The passes :func:`check_transval` covers, in report order.
+REPORT_PASSES = (PASS_DEPENDENCES, PASS_LOOPS, PASS_SUBSCRIPTS,
+                 PASS_CONSTANTS, PASS_KERNELS)
+
+
+def check_transval(program: Any) -> List[Diagnostic]:
+    """TV04 on the declared dependences, then TV01-TV03 + TV05 over
+    every text rendered from ``program``."""
+    from repro import codegen
+
+    nest, tiling = program.nest, program.tiling
+    diags = check_declared_dependences(nest)
+    diags += check_mpi_text(program, codegen.render_mpi_code(program))
+    diags += check_sequential_text(
+        program, codegen.render_sequential_tiled_code(nest, tiling))
+    diags += check_pyseq_source(
+        program, codegen.render_python_sequential(nest, tiling))
+    diags += check_pygen_source(
+        program, codegen.render_python_node_programs(program))
+    diags += check_native_tu(nest, tuple(program.arrays))
+    return diags
 
 
 def transval_report(nest: LoopNest, h: Any,
@@ -36,18 +60,12 @@ def transval_report(nest: LoopNest, h: Any,
                     subject: str = "") -> AnalysisReport:
     """Translation-validate freshly emitted code for ``(nest, h)``.
 
-    Emits the C+MPI node program, the sequential tiled C text, the
-    runnable Python twin, the pygen schedule module and the native
-    kernel translation unit, then runs the TV01-TV05 passes.  When the
-    tiling itself is illegal (LEG01/LEG02)
-    the legality findings are reported and emission is skipped — there
-    is no meaningful program to validate.
+    Compiles ``(nest, h)`` once and runs :func:`check_transval` over
+    that program.  When the tiling itself is illegal (LEG01/LEG02)
+    the legality findings are reported beside TV04 and emission is
+    skipped — there is no meaningful program to validate.
     """
     from repro.analysis.verifier import PASS_LEGALITY, check_tiling
-    from repro.codegen.parallel import generate_mpi_code
-    from repro.codegen.pygen import generate_python_node_programs
-    from repro.codegen.pyseq import generate_python_sequential
-    from repro.codegen.sequential import generate_sequential_tiled_code
     from repro.runtime.executor import TiledProgram
 
     report = AnalysisReport()
@@ -55,38 +73,28 @@ def transval_report(nest: LoopNest, h: Any,
         report.meta["subject"] = subject
     report.meta["h"] = [[str(x) for x in row] for row in h.rows()]
     report.meta["dependences"] = [tuple(d) for d in nest.dependences]
-    report.extend(check_declared_dependences(nest))
-    report.mark_pass(PASS_DEPENDENCES)
     pre = check_tiling(h, nest.dependences)
     if pre:
-        # Unbuildable geometry: report why and stop — the emitters
-        # would raise on construction, so there is nothing to parse.
+        # Unbuildable geometry: report why and stop — the constructor
+        # would raise, so there is nothing to render or parse.
+        report.extend(check_declared_dependences(nest))
+        report.mark_pass(PASS_DEPENDENCES)
         report.extend(pre)
         report.mark_pass(PASS_LEGALITY)
         return report
     program = TiledProgram(nest, h, mapping_dim=mapping_dim)
     report.meta["mapping_dim"] = program.dist.m
-    report.extend(check_mpi_text(
-        program, generate_mpi_code(nest, h, mapping_dim=mapping_dim)))
-    report.extend(check_sequential_text(
-        nest, h, generate_sequential_tiled_code(nest, h)))
-    report.extend(check_pyseq_source(
-        nest, h, generate_python_sequential(nest, h)))
-    report.extend(check_pygen_source(
-        program, generate_python_node_programs(
-            nest, h, mapping_dim=mapping_dim)))
-    report.extend(check_native_tu(nest, tuple(program.arrays)))
-    for name in (PASS_LOOPS, PASS_SUBSCRIPTS, PASS_CONSTANTS,
-                 PASS_KERNELS):
+    report.extend(check_transval(program))
+    for name in REPORT_PASSES:
         report.mark_pass(name)
     return report
 
 
 def validate_mpi_text(program: Any, text: str,
                       subject: str = "") -> AnalysisReport:
-    """Guard form for ``generate_mpi_code(..., validate=True)``.
+    """Guard form: validate one MPI text or raise.
 
-    Validates the just-emitted MPI text (plus the declared dependence
+    Validates the emitted MPI text (plus the declared dependence
     matrix it was compiled from) and raises
     :class:`repro.analysis.verifier.VerificationError` when any TV pass
     finds an error-severity defect.
@@ -96,10 +104,8 @@ def validate_mpi_text(program: Any, text: str,
     report = AnalysisReport()
     if subject:
         report.meta["subject"] = subject
-    diags: List[Diagnostic] = []
-    diags.extend(check_declared_dependences(program.nest))
-    diags.extend(check_mpi_text(program, text))
-    report.extend(diags)
+    report.extend(check_declared_dependences(program.nest))
+    report.extend(check_mpi_text(program, text))
     for name in TRANSVAL_PASSES:
         report.mark_pass(name)
     if not report.ok:

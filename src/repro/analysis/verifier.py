@@ -131,7 +131,8 @@ def analyze_program(program, subject: str = "", *,
                     deadlock_both: bool = True,
                     overlap: bool = False,
                     hb: bool = False,
-                    cost: bool = False) -> AnalysisReport:
+                    cost: bool = False,
+                    transval: bool = False) -> AnalysisReport:
     """Full post-construction report over a compiled ``TiledProgram``.
 
     ``deadlock_both=False`` analyzes the deadlock pass under the eager
@@ -158,6 +159,10 @@ def analyze_program(program, subject: str = "", *,
     the analytic critical-path makespan, and the Dinh & Demmel
     lower-bound verdict).  The full certificate lands in
     ``report.meta["cost"]``.
+
+    ``transval=True`` additionally translation-validates the texts
+    rendered from this same ``program`` (TV01-TV05), when every earlier
+    pass is error-free — a failing program has no trustworthy text.
     """
     from repro.analysis.bounds import check_bounds
     from repro.analysis.deadlock import check_program_deadlock
@@ -201,12 +206,18 @@ def analyze_program(program, subject: str = "", *,
         report.extend(cert.diagnostics)
         report.meta["cost"] = cert.to_dict()
         report.mark_pass("cost")
+    if transval and report.ok:
+        from repro.analysis.transval import REPORT_PASSES, check_transval
+        report.extend(check_transval(program))
+        for name in REPORT_PASSES:
+            report.mark_pass(name)
     return report
 
 
 def analyze(nest, h, mapping_dim: Optional[int] = None,
             subject: str = "", *, overlap: bool = False,
-            hb: bool = False, cost: bool = False) -> AnalysisReport:
+            hb: bool = False, cost: bool = False,
+            transval: bool = False) -> AnalysisReport:
     """End-to-end: pre-checks, then compile and run every pass.
 
     When the pre-construction checks fail, the partial report is
@@ -221,7 +232,7 @@ def analyze(nest, h, mapping_dim: Optional[int] = None,
     from repro.runtime.executor import TiledProgram
     program = TiledProgram(nest, h, mapping_dim)
     return analyze_program(program, subject=subject, overlap=overlap,
-                           hb=hb, cost=cost)
+                           hb=hb, cost=cost, transval=transval)
 
 
 def verify_program(program, subject: str = "") -> AnalysisReport:

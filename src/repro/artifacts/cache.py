@@ -153,7 +153,8 @@ class ArtifactCache:
         """Return ``(program, "hit" | "miss")`` for a compile request.
 
         On a miss the program is compiled (with ``verify=True`` running
-        the transval pipeline once, at artifact-creation time) and, by
+        the static verifier ``verify_program`` — legality, races, eager
+        deadlock, halo bounds — once, at artifact-creation time) and, by
         default, stored — subsequent loads then skip both the compile
         *and* the verification, which the content hash makes sound.
         """

@@ -36,41 +36,23 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.apps import adi, jacobi, sor
-
-_SHAPES = {
-    "sor": {"rect": sor.h_rectangular, "nonrect": sor.h_nonrectangular},
-    "jacobi": {"rect": jacobi.h_rectangular,
-               "nonrect": jacobi.h_nonrectangular},
-    "adi": {"rect": adi.h_rectangular, "nr1": adi.h_nr1,
-            "nr2": adi.h_nr2, "nr3": adi.h_nr3},
-}
+from repro.apps import resolve_config
 
 
-def _build_app(name: str, sizes: List[int]):
-    if name == "sor":
-        if len(sizes) != 2:
-            raise SystemExit("sor needs --sizes M N")
-        return sor.app(*sizes)
-    if name == "jacobi":
-        if len(sizes) != 3:
-            raise SystemExit("jacobi needs --sizes T I J")
-        return jacobi.app(*sizes)
-    if name == "adi":
-        if len(sizes) != 2:
-            raise SystemExit("adi needs --sizes T N")
-        return adi.app(*sizes)
-    raise SystemExit(f"unknown app {name!r}")
+def _config(args):
+    """``(app, H)`` named by the common flags; a bad one exits."""
+    try:
+        return resolve_config(args.app, args.sizes, args.shape, args.tile)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
-def _build_h(app_name: str, shape: str, factors: List[int]):
-    shapes = _SHAPES[app_name]
-    if shape not in shapes:
-        raise SystemExit(
-            f"{app_name} supports shapes {sorted(shapes)}, not {shape!r}")
-    if len(factors) != 3:
-        raise SystemExit("--tile needs three factors: x y z")
-    return shapes[shape](*factors)
+def _compile(args):
+    """``(app, program)``: the one compile of a CLI request."""
+    from repro.runtime.executor import TiledProgram
+
+    app, h = _config(args)
+    return app, TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -85,11 +67,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_info(args) -> int:
-    from repro.runtime.executor import TiledProgram
-
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
-    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+    app, prog = _compile(args)
     ttis = prog.tiling.ttis
     if args.show_loop:
         from repro.loops.pretty import format_nest
@@ -113,44 +91,36 @@ def cmd_info(args) -> int:
 
 
 def cmd_codegen(args) -> int:
-    from repro.codegen import (generate_mpi_code,
-                               generate_python_node_programs,
-                               generate_sequential_tiled_code)
+    from repro import codegen
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
+    if args.kind == "sequential" and args.engine != "native":
+        app, h = _config(args)      # needs the tiling only, no program
+        print(codegen.generate_sequential_tiled_code(app.nest, h))
+        return 0
+    _app, prog = _compile(args)
     if args.engine == "native":
         # The native backend's generated artifact is the C translation
         # unit of the per-app tile kernels (what gets compiled to the
         # cached .so) — print it regardless of --kind.
         from repro.native.emit import emit_translation_unit
-        from repro.runtime.executor import TiledProgram
 
-        prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
         plan = emit_translation_unit(prog.nest, tuple(prog.arrays),
                                      prog.nest.name)
         print(plan.source, end="")
-        return 0
-    if args.kind == "sequential":
-        print(generate_sequential_tiled_code(app.nest, h))
     elif args.kind == "mpi":
-        print(generate_mpi_code(app.nest, h, mapping_dim=app.mapping_dim))
+        print(codegen.render_mpi_code(prog))
     else:
-        print(generate_python_node_programs(
-            app.nest, h, mapping_dim=app.mapping_dim,
-            engine=args.engine))
+        print(codegen.render_python_node_programs(prog, engine=args.engine))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    from repro.runtime.executor import DistributedRun, TiledProgram
+    from repro.runtime.executor import DistributedRun
     from repro.runtime.machine import ClusterSpec
     from repro.runtime.metrics import format_metrics, metrics_from_stats
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
+    _app, prog = _compile(args)
     spec = ClusterSpec(overlap=args.overlap)
-    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
     stats = DistributedRun(prog, spec).simulate()
     t_seq = spec.compute_time(prog.total_points())
     print(f"T_seq  = {t_seq:.6f}s")
@@ -167,13 +137,11 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     """Execute with real data and compare against the interpreter."""
     from repro.runtime.dataspace import dense_to_cells, max_abs_difference
-    from repro.runtime.executor import DistributedRun, TiledProgram
+    from repro.runtime.executor import DistributedRun
     from repro.runtime.interpreter import run_sequential
     from repro.runtime.machine import ClusterSpec
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
-    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+    app, prog = _compile(args)
     run = DistributedRun(prog, ClusterSpec())
     if args.engine == "dense":
         fields, stats = run.execute_dense(app.init_value)
@@ -208,14 +176,12 @@ def cmd_run(args) -> int:
     """
     from repro.analysis.verifier import VerificationError
     from repro.runtime.dataspace import arrays_match, dense_to_cells
-    from repro.runtime.executor import DistributedRun, TiledProgram
+    from repro.runtime.executor import DistributedRun
     from repro.runtime.machine import ClusterSpec
     from repro.runtime.metrics import format_metrics, metrics_from_stats
     from repro.runtime.rankstep import ParallelRuntimeError
     from repro.runtime.trace import EventTrace
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
     if args.overlap and args.engine != "parallel":
         raise SystemExit("--overlap requires --engine parallel")
     if args.trace_out and args.engine != "parallel":
@@ -225,7 +191,7 @@ def cmd_run(args) -> int:
     if args.native and args.engine not in ("parallel", "native"):
         raise SystemExit("--native requires --engine parallel "
                          "(or use --engine native)")
-    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+    app, prog = _compile(args)
     lib = None
     if args.engine == "native" or args.native:
         from repro.artifacts import ArtifactCache
@@ -309,34 +275,18 @@ def cmd_analyze(args) -> int:
     """Run the static verifier and render its report."""
     from repro.analysis import analyze
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
-    nest = app.nest
-    if args.unskewed:
-        # Analyze the tiling against the *original* (unskewed) nest —
-        # the canonical way to watch the legality pass fire: the paper's
-        # rectangular tilings are only legal after skewing.
-        originals = {"sor": sor.original_nest, "jacobi": jacobi.original_nest,
-                     "adi": adi.original_nest}
-        nest = originals[args.app](*args.sizes)
+    app, h = _config(args)
+    # --unskewed: the canonical way to watch the legality pass fire —
+    # the paper's rectangular tilings are only legal after skewing.
+    nest = app.original if args.unskewed else app.nest
     subject = (f"{args.app} sizes={args.sizes} tile={args.tile} "
                f"shape={args.shape}"
                + (" (unskewed nest)" if args.unskewed else ""))
     try:
         report = analyze(nest, h, mapping_dim=app.mapping_dim,
                          subject=subject, overlap=args.overlap,
-                         hb=args.hb, cost=args.cost)
-        if args.transval and report.ok:
-            # Translation validation: freshly emit all four artifacts
-            # and statically compare them against the pipeline.  Only
-            # meaningful on buildable geometry — on a failing base
-            # report the emitters have nothing trustworthy to produce.
-            from repro.analysis.transval import transval_report
-            tv = transval_report(nest, h, mapping_dim=app.mapping_dim,
-                                 subject=subject)
-            report.extend(tv.diagnostics)
-            for name in tv.passes_run:
-                report.mark_pass(name)
+                         hb=args.hb, cost=args.cost,
+                         transval=args.transval)
     except ValueError as exc:
         # Defects outside the verifier's pass coverage (e.g. an empty
         # tile space) still surface as a failure, not a crash.
@@ -351,17 +301,14 @@ def cmd_analyze(args) -> int:
 def cmd_sanitize(args) -> int:
     """Replay a measured trace against the static HB graph (HB04)."""
     from repro.analysis.hb import sanitize_report
-    from repro.runtime.executor import TiledProgram
     from repro.runtime.trace import EventTrace
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
     try:
         trace = EventTrace.load(args.trace)
     except (OSError, ValueError) as exc:
         print(f"sanitize aborted: {exc}", file=sys.stderr)
         return 1
-    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+    _app, prog = _compile(args)
     subject = (f"{args.app} sizes={args.sizes} tile={args.tile} "
                f"shape={args.shape} trace={args.trace}")
     report = sanitize_report(prog, trace, protocol=args.protocol,
@@ -398,8 +345,7 @@ def cmd_compile(args) -> int:
     from repro.artifacts import ArtifactCache, content_key
     from repro.stages import report
 
-    app = _build_app(args.app, args.sizes)
-    h = _build_h(args.app, args.shape, args.tile)
+    app, h = _config(args)
     cache = ArtifactCache(args.cache_dir)
     t0 = time.perf_counter()
     prog, status = cache.get_or_compile(app.nest, h, app.mapping_dim,
@@ -434,8 +380,7 @@ def cmd_tune(args) -> int:
     from repro.runtime.machine import ClusterSpec
     from repro.tuning import TuneConfig, tune_or_load, tune_tile_shape
 
-    app = _build_app(args.app, args.sizes)
-    baseline_h = _build_h(args.app, args.shape, args.tile)
+    app, baseline_h = _config(args)
     spec = ClusterSpec()
     config = TuneConfig(
         extents=tuple(args.extents),
@@ -689,9 +634,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_comp.add_argument("--cache-dir", required=True,
                         help="artifact cache directory")
     p_comp.add_argument("--verify", action="store_true",
-                        help="run transval verification on cache misses "
-                             "(hits reuse the stored, already-verified "
-                             "program)")
+                        help="run the static verifier (legality, races, "
+                             "eager deadlock, halo bounds) on cache "
+                             "misses (hits reuse the stored, "
+                             "already-verified program)")
     p_comp.set_defaults(fn=cmd_compile)
 
     p_tune = sub.add_parser(
@@ -743,7 +689,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 = pick a free port)")
     p_srv.add_argument("--verify", action="store_true",
-                       help="run transval verification on cache misses")
+                       help="run the static verifier (legality, races, "
+                            "eager deadlock, halo bounds) on cache "
+                            "misses")
     p_srv.set_defaults(fn=cmd_serve)
 
     args = parser.parse_args(argv)

@@ -8,25 +8,33 @@
   (Foracross processor loops, RECEIVE/SEND with pack/unpack, LDS
   indexing through ``map``).
 
+Each ``generate_*(nest, h, …)`` entry point compiles once and calls its
+``render_*`` form, which takes the compiled program (the sequential
+pair: its ``.nest`` and ``.tiling``) and constructs nothing.
+
 The *executable* twin of the parallel emitter is
 :mod:`repro.runtime.executor`, which runs the same schedule on the
 virtual cluster; tests keep the two consistent by checking the emitted
 text against the executor's compile-time constants.  Beyond those spot
 checks, :mod:`repro.analysis.transval` parses the emitted text back
-into a loop model and statically re-proves it against the pipeline —
-``generate_mpi_code(..., validate=True)`` runs that proof inline.
+into a loop model and statically re-proves it against the pipeline.
 """
 
-from repro.codegen.parallel import generate_mpi_code
+from repro.codegen.parallel import generate_mpi_code, render_mpi_code
 from repro.codegen.pygen import (
     generate_python_node_programs,
     load_generated_module,
+    render_python_node_programs,
 )
 from repro.codegen.pyseq import (
     generate_python_sequential,
+    render_python_sequential,
     run_generated_sequential,
 )
-from repro.codegen.sequential import generate_sequential_tiled_code
+from repro.codegen.sequential import (
+    generate_sequential_tiled_code,
+    render_sequential_tiled_code,
+)
 
 __all__ = [
     "generate_sequential_tiled_code",
@@ -35,4 +43,8 @@ __all__ = [
     "load_generated_module",
     "generate_python_sequential",
     "run_generated_sequential",
+    "render_sequential_tiled_code",
+    "render_mpi_code",
+    "render_python_node_programs",
+    "render_python_sequential",
 ]

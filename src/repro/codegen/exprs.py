@@ -12,7 +12,8 @@ One renderer serves the C and the Python emitters: both targets define
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from math import gcd
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.polyhedra.fourier_motzkin import LoopBound
 
@@ -25,6 +26,30 @@ static inline long ceild(long a, long b)
 """
 
 
+def lcm_den(values: Iterable[Fraction]) -> int:
+    """Least common denominator of ``values``."""
+    den = 1
+    for x in values:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return den
+
+
+def affine_sum(ks: Sequence[int], names: Sequence[str], k0: int,
+               ) -> Tuple[str, int]:
+    """``ks . names + k0`` as text, with its number of terms."""
+    terms: List[str] = []
+    for k, name in zip(ks, names):
+        if k == 1:
+            terms.append(name)
+        elif k == -1:
+            terms.append(f"-{name}")
+        elif k != 0:
+            terms.append(f"{k}*{name}")
+    if k0 != 0 or not terms:
+        terms.append(str(k0))
+    return " + ".join(terms).replace("+ -", "- "), len(terms)
+
+
 def affine_to_c(coeffs: Sequence[Fraction], const: Fraction,
                 names: Sequence[str], rounding: str) -> str:
     """Render ``floor/ceil(coeffs . names + const)`` as a C expression
@@ -35,26 +60,11 @@ def affine_to_c(coeffs: Sequence[Fraction], const: Fraction,
     """
     if rounding not in ("floor", "ceil"):
         raise ValueError("rounding must be 'floor' or 'ceil'")
-    den = const.denominator
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    terms: List[str] = []
-    for c, name in zip(coeffs, names):
-        k = int(c * den)
-        if k == 0:
-            continue
-        if k == 1:
-            terms.append(name)
-        elif k == -1:
-            terms.append(f"-{name}")
-        else:
-            terms.append(f"{k}*{name}")
-    k0 = int(const * den)
-    if k0 != 0 or not terms:
-        terms.append(str(k0))
-    num = " + ".join(terms).replace("+ -", "- ")
+    den = lcm_den([const, *coeffs])
+    num, nterms = affine_sum([int(c * den) for c in coeffs], names,
+                             int(const * den))
     if den == 1:
-        return num if len(terms) == 1 else f"({num})"
+        return num if nterms == 1 else f"({num})"
     fn = "floord" if rounding == "floor" else "ceild"
     return f"{fn}({num}, {den})"
 
@@ -85,9 +95,3 @@ def bound_to_c(bound: LoopBound, names: Sequence[str], kind: str,
     for e in exprs[1:]:
         out = f"{combiner}({out}, {e})"
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -21,23 +21,26 @@ from repro.loops.nest import LoopNest
 
 if TYPE_CHECKING:
     from repro.distribution.communication import CommunicationSpec
+    from repro.runtime.executor import TiledProgram
     from repro.tiling.ttis import TTIS
 
 
 def generate_mpi_code(nest: LoopNest, h: RatMat,
-                      mapping_dim: Optional[int] = None,
-                      validate: bool = False) -> str:
-    """Full SPMD C+MPI program text for ``nest`` tiled by ``h``.
-
-    With ``validate=True`` the emitted text is parsed back and
-    translation-validated against the symbolic pipeline (TV01-TV04);
-    :class:`repro.analysis.verifier.VerificationError` is raised when
-    any pass finds an error-severity defect.
-    """
-    # Reuse the executable pipeline so text and behaviour cannot drift.
+                      mapping_dim: Optional[int] = None) -> str:
+    """Full SPMD C+MPI program text for ``nest`` tiled by ``h``:
+    compile once, then :func:`render_mpi_code`."""
     from repro.runtime.executor import TiledProgram
 
-    prog = TiledProgram(nest, h, mapping_dim=mapping_dim)
+    return render_mpi_code(TiledProgram(nest, h, mapping_dim=mapping_dim))
+
+
+def render_mpi_code(prog: TiledProgram) -> str:
+    """The C+MPI text of an already-compiled program.
+
+    Reads the executable pipeline's own objects, so text and behaviour
+    cannot drift; constructs nothing.
+    """
+    nest = prog.nest
     tiling, dist, comm = prog.tiling, prog.dist, prog.comm
     ttis = tiling.ttis
     n = tiling.n
@@ -179,12 +182,7 @@ def generate_mpi_code(nest: LoopNest, h: RatMat,
     ]
     out += _indent(body, 1)
     out.append("}")
-    text = "\n".join(out) + "\n"
-    if validate:
-        from repro.analysis.transval import validate_mpi_text
-        validate_mpi_text(prog, text,
-                          subject=f"generate_mpi_code({nest.name!r})")
-    return text
+    return "\n".join(out) + "\n"
 
 
 def _tag(dm: Sequence[int]) -> str:

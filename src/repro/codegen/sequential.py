@@ -9,10 +9,10 @@ boundary min/max correction against the original space.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import List
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
-from repro.codegen.exprs import C_PROLOGUE, bound_to_c
+from repro.codegen.exprs import C_PROLOGUE, affine_sum, bound_to_c, lcm_den
 from repro.linalg.ratmat import RatMat
 from repro.loops.nest import LoopNest
 from repro.loops.reference import ArrayRef
@@ -23,30 +23,53 @@ def _indent(lines: List[str], depth: int) -> List[str]:
     return ["    " * depth + line for line in lines]
 
 
+def _ref_dims(ref: ArrayRef, n: int) -> List[str]:
+    """The affine subscripts ``F j + f``, one expression per array dim."""
+    names = [f"j{j}" for j in range(n)]
+    return [affine_sum(row, names, off)[0] for row, off in zip(
+        ref.access_matrix().to_int_rows(), ref.offset)]
+
+
 def _ref_to_c(ref: ArrayRef, n: int) -> str:
     """Render ``A[F j + f]`` with one bracket per array dimension."""
-    fm = ref.access_matrix().to_int_rows()
-    dims: List[str] = []
-    for i in range(len(ref.offset)):
-        terms: List[str] = []
-        for j in range(n):
-            k = fm[i][j]
-            if k == 1:
-                terms.append(f"j{j}")
-            elif k == -1:
-                terms.append(f"-j{j}")
-            elif k != 0:
-                terms.append(f"{k}*j{j}")
-        off = ref.offset[i]
-        if off != 0 or not terms:
-            terms.append(str(off))
-        dims.append("[" + " + ".join(terms).replace("+ -", "- ") + "]")
-    return ref.array + "".join(dims)
+    return ref.array + "".join(f"[{d}]" for d in _ref_dims(ref, n))
+
+
+def _scaled_rows(rows: Sequence[Sequence[Fraction]],
+                 var: str) -> Tuple[List[str], int]:
+    """``M (var0, var1, ...)`` row by row with the denominators cleared:
+    the integer numerator expressions and the common denominator."""
+    den = lcm_den(x for row in rows for x in row)
+    exprs = []
+    for row in rows:
+        terms = [f"{int(x * den)}*{var}{j}" for j, x in enumerate(row) if x]
+        exprs.append(" + ".join(terms) if terms else "0")
+    return exprs, den
+
+
+def _domain_guards(nest: LoopNest) -> List[str]:
+    """One integer ``(a . j) <= b`` conjunct per normalized domain
+    constraint — the boundary guard against the original space."""
+    guards: List[str] = []
+    for c in nest.domain.normalized().constraints:
+        dd = lcm_den([*c.a, c.b])
+        terms = [f"{int(a * dd)}*j{i}" for i, a in enumerate(c.a) if a]
+        lhs = " + ".join(terms) if terms else "0"
+        guards.append(f"({lhs}) <= {int(c.b * dd)}")
+    return guards
 
 
 def generate_sequential_tiled_code(nest: LoopNest, h: RatMat) -> str:
-    """C-like source for the sequential tiled execution of ``nest``."""
-    tiling = TilingTransformation(h, nest.domain)
+    """C-like source for the sequential tiled execution of ``nest``:
+    tile once, then :func:`render_sequential_tiled_code`."""
+    return render_sequential_tiled_code(
+        nest, TilingTransformation(h, nest.domain))
+
+
+def render_sequential_tiled_code(nest: LoopNest,
+                                 tiling: TilingTransformation) -> str:
+    """The sequential text of an already-tiled nest (a compiled
+    program's ``.nest`` and ``.tiling``); constructs nothing."""
     n = tiling.n
     ttis = tiling.ttis
     hnf = ttis.hnf.to_int_rows()
@@ -67,12 +90,8 @@ def generate_sequential_tiled_code(nest: LoopNest, h: RatMat) -> str:
              f"{ts_names[k]} <= {hi}; {ts_names[k]}++) {{"], depth)
         depth += 1
     # Tile origin P jS.
-    p = tiling.p.to_int_rows()
-    origin: List[str] = []
-    for i in range(n):
-        terms = [f"{p[i][j]}*{ts_names[j]}" for j in range(n) if p[i][j]]
-        origin.append(" + ".join(terms) if terms else "0")
-    out += _indent([f"long o{i} = {origin[i]};" for i in range(n)], depth)
+    origin, _ = _scaled_rows(tiling.p.rows(), "jS")
+    out += _indent([f"long o{i} = {e};" for i, e in enumerate(origin)], depth)
     # --- n inner TTIS loops ---------------------------------------------------
     # j'_k runs over phase(k) + c_k * step, phase from outer HNF coefficients.
     for k in range(n):
@@ -91,27 +110,10 @@ def generate_sequential_tiled_code(nest: LoopNest, h: RatMat) -> str:
         out += _indent(
             [f"long x{k} = ({tt_names[k]} - ph{k}) / {ck};"], depth)
     # Global point j = P jS + P' j' and boundary guard.
-    ppd = ttis.p_prime
-    den = 1
-    for row in ppd.rows():
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    pp = [[int(x * den) for x in row] for row in ppd.rows()]
-    for i in range(n):
-        terms = [f"{pp[i][j]}*{tt_names[j]}" for j in range(n) if pp[i][j]]
-        expr = " + ".join(terms) if terms else "0"
-        out += _indent(
-            [f"long j{i} = o{i} + ({expr}) / {den};"], depth)
-    guards: List[str] = []
-    for c in nest.domain.normalized().constraints:
-        dd = 1
-        for x in c.a:
-            dd = dd * x.denominator // gcd(dd, x.denominator)
-        dd = dd * c.b.denominator // gcd(dd, c.b.denominator)
-        terms = [f"{int(a * dd)}*j{i}" for i, a in enumerate(c.a)
-                 if a != 0]
-        lhs = " + ".join(terms) if terms else "0"
-        guards.append(f"({lhs}) <= {int(c.b * dd)}")
+    exprs, den = _scaled_rows(ttis.p_prime.rows(), "jp")
+    out += _indent([f"long j{i} = o{i} + ({expr}) / {den};"
+                    for i, expr in enumerate(exprs)], depth)
+    guards = _domain_guards(nest)
     out += _indent([f"if ({' && '.join(guards)}) {{"], depth)
     depth += 1
     for s in nest.statements:

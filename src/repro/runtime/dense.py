@@ -53,7 +53,6 @@ from repro.loops.reference import ArrayRef
 from repro.polyhedra.halfspace import Polyhedron
 from repro.polyhedra.vertices import image_bounding_box
 from repro.runtime.dataspace import DenseField
-from repro.tiling.transform import _int_constraints
 
 if TYPE_CHECKING:
     from repro.native.engine import NativeKernelLibrary, RankKernels
@@ -256,17 +255,6 @@ def result_fields(nest: LoopNest,
             for s in nest.statements}
 
 
-def domain_constraints(domain: Polyhedron) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer constraint system ``A x <= b`` of the domain."""
-    return _int_constraints(domain)
-
-
-def domain_mask(amat: np.ndarray, bvec: np.ndarray,
-                points: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows of ``points`` inside ``A x <= b``."""
-    return np.all(amat @ points.T <= bvec[:, None], axis=0)
-
-
 # -- statement plans ---------------------------------------------------------------
 
 
@@ -344,18 +332,6 @@ def schedule_dependences(nest: LoopNest) -> List[Tuple[int, ...]]:
         if any(d):
             seen[d] = None
     return list(seen)
-
-
-def fix_out_of_domain(vals: np.ndarray, ref: ArrayRef, points: np.ndarray,
-                      src_in_domain: np.ndarray,
-                      init_value: InitFn) -> None:
-    """Overwrite gathered values whose source iteration fell outside the
-    domain with the boundary/initial value — the same scalar
-    ``init_value(array, ref.index(j))`` call the sparse reference makes,
-    so boundaries agree bitwise."""
-    for i in np.nonzero(~src_in_domain)[0]:
-        g = tuple(int(x) for x in points[i])
-        vals[i] = init_value(ref.array, ref.index(g))
 
 
 GatherFn = Callable[[ReadPlan, np.ndarray], np.ndarray]

@@ -25,21 +25,19 @@ import numpy as np
 from repro.linalg.ratmat import RatMat
 from repro.loops import kexpr
 from repro.loops.nest import LoopNest
+from repro.loops.reference import ArrayRef
 from repro.polyhedra.integer_points import integer_points
 from repro.polyhedra.vertices import bounding_box
 from repro.runtime.dense import (
     ReadPlan,
     build_statement_plans,
-    domain_constraints,
-    domain_mask,
     evaluate_statement_batch,
-    fix_out_of_domain,
     level_batches,
     result_fields,
     schedule_dependences,
     wavefront_vector,
 )
-from repro.tiling.transform import TilingTransformation
+from repro.tiling.transform import TilingTransformation, _int_constraints
 
 Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
@@ -90,6 +88,24 @@ def run_tiled_sequential(nest: LoopNest, h: RatMat,
     return arrays
 
 
+def domain_mask(amat: np.ndarray, bvec: np.ndarray,
+                points: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of ``points`` inside ``A x <= b``."""
+    return np.all(amat @ points.T <= bvec[:, None], axis=0)
+
+
+def fix_out_of_domain(vals: np.ndarray, ref: ArrayRef, points: np.ndarray,
+                      src_in_domain: np.ndarray,
+                      init_value: InitFn) -> None:
+    """Overwrite gathered values whose source iteration fell outside the
+    domain with the boundary/initial value — the same scalar
+    ``init_value(array, ref.index(j))`` call the sparse reference makes,
+    so boundaries agree bitwise."""
+    for i in np.nonzero(~src_in_domain)[0]:
+        g = tuple(int(x) for x in points[i])
+        vals[i] = init_value(ref.array, ref.index(g))
+
+
 def run_dense_sequential(nest: LoopNest, init_value: InitFn,
                          dtype: type = np.float64,
                          ) -> Dict[str, Dict[Cell, float]]:
@@ -101,7 +117,7 @@ def run_dense_sequential(nest: LoopNest, init_value: InitFn,
     one dict lookup per point.
     """
     n = nest.depth
-    amat, bvec = domain_constraints(nest.domain)
+    amat, bvec = _int_constraints(nest.domain)    # integer A x <= b
     lo, hi = bounding_box(nest.domain)
     grids = np.meshgrid(
         *[np.arange(b, h + 1, dtype=np.int64) for b, h in zip(lo, hi)],

@@ -16,7 +16,8 @@ racing N identical pipelines; whoever loses the race still gets a
 * ``disk``   — reconstructed from an artifact (pipeline skipped);
 * ``compile``— cold compile (then stored, so it is a hit next time).
 
-Verification (``verify=True`` → transval) runs at artifact-creation
+Verification (``verify=True`` → the static verifier ``verify_program``:
+legality, races, eager deadlock, halo bounds) runs at artifact-creation
 time only — a deliberate property of the design: a content-addressed
 hit ships the already-proved program.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Tuple
 
+from repro.apps import resolve_config
 from repro.artifacts import ArtifactCache, content_key
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
@@ -35,13 +37,11 @@ from repro.serve.protocol import read_frame, write_frame
 def resolve_request(params: Dict[str, Any]):
     """Turn a wire request into ``(nest, h, mapping_dim)``.
 
-    Reuses the CLI's app registry (``--app/--sizes/--tile/--shape``
-    semantics) so the server accepts exactly the configurations the
-    command line does.  Raises ``ValueError`` with the CLI's own
-    message on a bad request.
+    Resolves through :func:`repro.apps.resolve_config`, the registry
+    behind the CLI's ``--app/--sizes/--tile/--shape``, so the server
+    accepts exactly the configurations the command line does and a bad
+    request raises ``ValueError`` with the same message.
     """
-    from repro.cli import _build_app, _build_h
-
     app_name = params.get("app")
     sizes = params.get("sizes")
     tile = params.get("tile")
@@ -50,11 +50,8 @@ def resolve_request(params: Dict[str, Any]):
             or not isinstance(tile, list):
         raise ValueError("compile needs string 'app' and list "
                          "'sizes'/'tile' fields")
-    try:
-        app = _build_app(app_name, [int(x) for x in sizes])
-        h = _build_h(app_name, shape, [int(x) for x in tile])
-    except SystemExit as exc:  # the CLI helpers raise SystemExit
-        raise ValueError(str(exc)) from exc
+    app, h = resolve_config(app_name, [int(x) for x in sizes], shape,
+                            [int(x) for x in tile])
     mapping_dim = params.get("mapping_dim", app.mapping_dim)
     if mapping_dim is not None:
         mapping_dim = int(mapping_dim)

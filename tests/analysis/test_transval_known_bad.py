@@ -64,11 +64,10 @@ class TestCleanEmissions:
                   PASS_DEPENDENCES):
             assert p in report.passes_run
 
-    def test_generate_with_validate_flag(self, sor_case):
-        app, h, _, plain = sor_case
-        text = generate_mpi_code(app.nest, h, mapping_dim=app.mapping_dim,
-                                 validate=True)
-        assert text == plain
+    def test_validate_guard_accepts_emitted_text(self, sor_case):
+        _, _, prog, plain = sor_case
+        report = validate_mpi_text(prog, plain)
+        assert report.ok and not report.diagnostics
 
 
 class TestTV01WrongStride:

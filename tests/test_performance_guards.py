@@ -109,3 +109,82 @@ class TestDenseAddressing:
         _prog, counts, _offsets = self._counted_run(monkeypatch)
         assert counts["matvec", "walk"] == 0
         assert counts["matvec"] <= 64
+
+
+class TestOneCompilePerRequest:
+    """Deterministic counting guards (no timing): exactly one layer
+    turns ``(nest, H, mapping_dim)`` into a compiled program.  The
+    ``(nest, h)`` entry points compile once; every program-taking
+    renderer and ``check_*`` pass constructs nothing."""
+
+    @staticmethod
+    def _count_constructors(monkeypatch):
+        from collections import Counter
+
+        from repro.tiling.transform import TilingTransformation
+
+        counts = Counter()
+        for cls in (TiledProgram, TilingTransformation):
+            def counting(self, *args, _init=cls.__init__,
+                         _key=cls.__name__, **kwargs):
+                counts[_key] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @staticmethod
+    def _config():
+        app = sor.app(8, 12)
+        return app, sor.h_nonrectangular(2, 3, 4)
+
+    def test_transval_report_compiles_once(self, monkeypatch):
+        from repro.analysis import transval_report
+
+        app, h = self._config()
+        counts = self._count_constructors(monkeypatch)
+        report = transval_report(app.nest, h, mapping_dim=app.mapping_dim)
+        assert report.ok and "transval-kernels" in report.passes_run
+        assert counts == {"TiledProgram": 1, "TilingTransformation": 1}
+
+    def test_cli_analyze_with_every_pass_compiles_once(self, monkeypatch,
+                                                       capsys):
+        from repro.cli import main
+
+        counts = self._count_constructors(monkeypatch)
+        rc = main(["analyze", "--app", "sor", "-s", "8", "12",
+                   "-t", "2", "3", "4", "--shape", "nonrect",
+                   "--transval", "--hb", "--cost", "--overlap"])
+        assert rc == 0 and "transval-kernels" in capsys.readouterr().out
+        assert counts == {"TiledProgram": 1, "TilingTransformation": 1}
+
+    def test_entry_points_compile_once(self, monkeypatch):
+        from repro import codegen
+
+        app, h = self._config()
+        counts = self._count_constructors(monkeypatch)
+        codegen.generate_mpi_code(app.nest, h, app.mapping_dim)
+        codegen.generate_python_node_programs(app.nest, h, app.mapping_dim)
+        assert counts == {"TiledProgram": 2, "TilingTransformation": 2}
+        codegen.generate_sequential_tiled_code(app.nest, h)
+        codegen.generate_python_sequential(app.nest, h)
+        assert counts == {"TiledProgram": 2, "TilingTransformation": 4}
+
+    def test_renderers_and_checks_construct_nothing(self, monkeypatch):
+        from repro import codegen
+        from repro.analysis import transval as tv
+
+        app, h = self._config()
+        prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+        counts = self._count_constructors(monkeypatch)
+        mpi = codegen.render_mpi_code(prog)
+        seq = codegen.render_sequential_tiled_code(prog.nest, prog.tiling)
+        pyseq = codegen.render_python_sequential(prog.nest, prog.tiling)
+        for engine in ("sparse", "dense", "dense-overlap"):
+            pygen = codegen.render_python_node_programs(prog, engine=engine)
+            assert tv.check_pygen_source(prog, pygen) == []
+        assert tv.check_mpi_text(prog, mpi) == []
+        assert tv.check_sequential_text(prog, seq) == []
+        assert tv.check_pyseq_source(prog, pyseq) == []
+        assert tv.check_transval(prog) == []
+        tv.validate_mpi_text(prog, mpi)
+        assert not counts
