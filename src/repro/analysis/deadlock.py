@@ -112,9 +112,9 @@ def graph_from_ops(ops_by_rank: Dict[int, Sequence[object]],
             args = (getattr(op, "tile", None) or (),
                     -1 if step is None else step, peer, op.tag,
                     -1 if nelems is None else nelems)
-            eid = b.emit(rank, kind, *args)
+            b.emit(rank, kind, *args)
             if kind == SEND and synchronous:
-                b.emit(rank, SENDWAIT, *args, eid)
+                b.emit(rank, SENDWAIT, *args)
     return b.finish("rendezvous" if synchronous else "eager", False,
                     0, {})
 

@@ -25,19 +25,20 @@ makespan (:mod:`repro.analysis.cost.makespan`) is that replay with a
 clock per rank.  The vMPI simulator stays the one *dynamic* witness
 every static verdict is tested against.
 
-The event model mirrors the runtime's two walks over the same frozen
-plans (:func:`repro.runtime.rankstep.rank_walk` and
-``repro.runtime.parallel._overlap_walk``) op for op:
+The event model is a port of the runtime's own walk
+(:func:`repro.runtime.rankstep.rank_walk`, blocking and overlapped): the
+walk that drives the workers is run once per rank over a data-less
+:class:`_GraphPort`, and every step it takes becomes one event.
 
 * per-rank program order follows the tile chain; each tile contributes
   its receives, one compute event, its sends, and (protocol
   permitting) rendezvous completion waits;
-* the overlapped schedule replicates the runtime's placement: receives
-  sit at their first reading wavefront level (with the per-edge FIFO
-  suffix-min floor), sends commit in plan order gated by their last
-  contributing level, rendezvous waits move to the tile end, and a
-  rank blocked on a full ring may *drain* arrived-but-deferred
-  same-tile halos — exactly ``drain_ready``;
+* in the overlapped schedule receives sit at their first reading
+  wavefront level (with the per-edge FIFO suffix-min floor), sends
+  commit in plan order gated by their last contributing level, the
+  compute event closes the tile and rendezvous waits follow it; a rank
+  blocked on a full ring may *drain* arrived-but-deferred same-tile
+  halos — the ring port's ``drain_ready``, which :func:`replay` models;
 * cross-rank ``msg`` edges pair the k-th send with the k-th receive of
   each ``(src, dst, tag)`` channel (rings are FIFO).
 
@@ -62,6 +63,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -75,7 +77,13 @@ from repro.runtime.machine import (
     ClusterSpec,
 )
 from repro.runtime.parallel import build_edges
-from repro.runtime.rankstep import EdgeKey, build_rank_plans
+from repro.runtime.rankstep import (
+    EdgeKey,
+    TileRecv,
+    TileSend,
+    build_rank_plans,
+    rank_walk,
+)
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -140,16 +148,15 @@ class GraphBuilder:
                                                         RECV: {}}
 
     def emit(self, rank: int, kind: str, tile: Tile, tix: int,
-             peer: int = -1, tag: int = -1, nelems: int = 0,
-             send: int = -1) -> int:
-        """Append one event to ``rank``'s order; a ``SENDWAIT`` names
-        the ``send`` event whose consumption it waits for."""
+             peer: int = -1, tag: int = -1, nelems: int = 0) -> int:
+        """Append one event to ``rank``'s order.  A ``SENDWAIT`` waits
+        for the consumption of the rank's latest send on its channel."""
         eid = len(self.events)
         chan: Optional[Chan] = None
         chanpos = -1
         if kind == SENDWAIT:
-            chan = self.events[send].chan
-            chanpos = self.events[send].chanpos
+            chan = (rank, peer, tag)
+            chanpos = len(self._fifo[SEND][chan]) - 1
         elif kind != COMPUTE:
             chan = ((rank, peer, tag) if kind == SEND
                     else (peer, rank, tag))
@@ -191,66 +198,71 @@ class GraphBuilder:
             unmatched_sends=tuple(unmatched_s))
 
 
+class _GraphPort:
+    """The data-less port of :func:`~repro.runtime.rankstep.rank_walk`
+    that writes the graph: every step the walk takes becomes one
+    :class:`HBEvent`, in the order it is taken.  Nothing blocks and
+    nothing is decided here — placement is the walk's."""
+
+    def __init__(self, b: GraphBuilder, rank: int, spec: ClusterSpec,
+                 protocol: str) -> None:
+        self.b, self.rank = b, rank
+        self.spec, self.protocol = spec, protocol
+        self.tile: Tile = ()
+        self.tix = -1
+
+    def _emit(self, kind: str, tile: Tile, peer: int = -1, tag: int = -1,
+              nelems: int = 0) -> Tuple[()]:
+        if tile is not self.tile:       # the walk moved to its next tile
+            self.tile, self.tix = tile, self.tix + 1
+        self.b.emit(self.rank, kind, tile, self.tix, peer, tag, nelems)
+        return ()                       # never blocks: nothing to yield
+
+    def recv(self, tile: Tile, r: TileRecv,
+             unpack: object = None) -> Tuple[()]:
+        return self._emit(RECV, tile, r.src_rank, r.tag, r.nelems)
+
+    def compute(self, tile: Tile, points: int = 0,
+                run: object = None) -> Tuple[()]:
+        return self._emit(COMPUTE, tile)
+
+    def send(self, tile: Tile, s: TileSend,
+             pack: object = None) -> Tuple[()]:
+        self.publish(tile, s)
+        return self.complete(tile, s)
+
+    def open_tile(self, tile: Tile, recvs: object, unpacks: object,
+                  sends: Sequence[TileSend]) -> Sequence[TileSend]:
+        return sends                    # a send is its own handle
+
+    def publish(self, tile: Tile, s: TileSend) -> Tuple[()]:
+        return self._emit(SEND, tile, s.dst_rank, s.tag, s.nelems)
+
+    close_tile = compute
+
+    def complete(self, tile: Tile, s: TileSend) -> Tuple[()]:
+        if self.spec.uses_rendezvous(self.protocol, s.nelems):
+            self._emit(SENDWAIT, tile, s.dst_rank, s.tag, s.nelems)
+        return ()
+
+
 def build_hb_graph(program: "TiledProgram", protocol: str = "eager",
                    overlap: bool = False, mailbox_depth: int = 8,
                    spec: Optional[ClusterSpec] = None) -> HBGraph:
-    """Symbolic replay of every rank's event sequence (no execution)."""
+    """Symbolic replay of every rank's event sequence (no execution):
+    one :func:`~repro.runtime.rankstep.rank_walk` per rank over a
+    :class:`_GraphPort`."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if spec is None:
         spec = FAST_ETHERNET_CLUSTER
     plans = build_rank_plans(program)
     b = GraphBuilder(len(plans))
-
     for rank in sorted(plans):
-        plan = plans[rank]
-        for ti, tile in enumerate(plan.tiles):
-            recvs = plan.recvs[ti]
-            sends = plan.sends[ti]
-            if not overlap:
-                for r in recvs:
-                    b.emit(rank, RECV, tile, ti, r.src_rank, r.tag,
-                           r.nelems)
-                b.emit(rank, COMPUTE, tile, ti)
-                for s in sends:
-                    eid = b.emit(rank, SEND, tile, ti, s.dst_rank,
-                                 s.tag, s.nelems)
-                    if spec.uses_rendezvous(protocol, s.nelems):
-                        b.emit(rank, SENDWAIT, tile, ti, s.dst_rank,
-                               s.tag, s.nelems, eid)
-                continue
-            # Overlapped schedule: replicate the runtime's placement.
-            # Level ``nlevels`` is the tile end: receives deferred past
-            # every level and the unsent rest of a degenerate empty
-            # tile land there.
-            oplan = program.overlap_plan(tile)
-            if len(oplan.packs) != len(sends):
-                raise ValueError(
-                    f"overlap plan of tile {tile} has "
-                    f"{len(oplan.packs)} packs for {len(sends)} sends")
-            needs = oplan.recv_levels(recvs)
-            send_ptr = 0
-            sent: List[int] = []
-            for li in range(oplan.nlevels + 1):
-                last = li == oplan.nlevels
-                for r, need in zip(recvs, needs):
-                    if need == li or (last and need > li):
-                        b.emit(rank, RECV, tile, ti, r.src_rank, r.tag,
-                               r.nelems)
-                while send_ptr < len(sends) and (
-                        last
-                        or oplan.packs[send_ptr].commit_level <= li):
-                    s = sends[send_ptr]
-                    sent.append(b.emit(rank, SEND, tile, ti, s.dst_rank,
-                                       s.tag, s.nelems))
-                    send_ptr += 1
-            b.emit(rank, COMPUTE, tile, ti)
-            for eid in sent:                    # tile-end rendezvous
-                s_ev = b.events[eid]
-                if spec.uses_rendezvous(protocol, s_ev.nelems):
-                    b.emit(rank, SENDWAIT, tile, ti, s_ev.peer,
-                           s_ev.tag, s_ev.nelems, eid)
-
+        for _ in rank_walk(program, plans[rank],
+                           _GraphPort(b, rank, spec, protocol),
+                           overlap=overlap):
+            raise AssertionError("the graph port never blocks")
     return b.finish(
         protocol, overlap, mailbox_depth,
         {key: es.depth

@@ -209,8 +209,10 @@ def cmd_run(args) -> int:
             print(f"native  : fallback ({lib.fallback_reason}); "
                   f"running numpy kernels")
     trace = EventTrace() if args.trace_out else None
-    run = DistributedRun(prog, ClusterSpec(overlap=args.overlap),
-                         trace=trace)
+    # --overlap is the runtime *schedule* and travels as ``overlap=``
+    # only; ``ClusterSpec.overlap`` is the simulator's NIC-offload cost
+    # flag (it turns threshold rendezvous off and keys the certificate).
+    run = DistributedRun(prog, ClusterSpec(), trace=trace)
     import time as _time
     t0 = _time.perf_counter()
     if args.engine == "parallel":

@@ -389,7 +389,8 @@ class TileOverlapPlan:
         a deferred message also defers everything behind it on the same
         ``(src_rank, tag)`` edge: each entry's level is the minimum of
         ``recv_need`` over itself and all later same-edge entries.  The
-        overlap walk and the HB graph both place receives by this."""
+        overlapped rank walk (and so every port of it) places receives by
+        this."""
         needs = list(self.recv_need)
         floor: Dict[Tuple[int, int], int] = {}
         for i in reversed(range(len(needs))):

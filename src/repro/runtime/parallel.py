@@ -26,9 +26,9 @@ compiled schedule in parallel on the host:
 Correctness story: the per-tile computation and every pack/unpack *are*
 the dense engine's (same ``RankLDS`` methods, walk and frozen plan), so
 results are **bitwise identical** (``tol=0.0``) to ``execute_dense``.
-The overlapped schedule is the one walk this module still owns: it
-reorders work *within* a tile, which the blocking node program cannot
-express, but moves every byte through the same LDS object.  The returned
+The overlapped schedule is the same walk with ``overlap=True``: it
+reorders work *within* a tile and moves every byte through the same LDS
+object; this module only supplies the ring mechanics.  The returned
 :class:`~repro.runtime.vmpi.RunStats` carries *measured* wall-clock
 per-rank clocks and compute/comm splits (idle falls out in
 :func:`~repro.runtime.metrics.metrics_from_stats`), while its event
@@ -63,7 +63,6 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from functools import partial
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _shm
 from typing import (
@@ -73,6 +72,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -80,12 +80,7 @@ from typing import (
 import numpy as np
 
 from repro.runtime.dataspace import DenseField
-from repro.runtime.dense import (
-    DenseData,
-    EdgePackPlan,
-    RankLDS,
-    result_fields,
-)
+from repro.runtime.dense import DenseData, result_fields
 from repro.runtime.machine import PROTOCOLS, ClusterSpec
 from repro.runtime.rankstep import (
     EdgeKey,
@@ -97,7 +92,6 @@ from repro.runtime.rankstep import (
     build_rank_plans,
     edge_tally,
     rank_walk,
-    unpack_halo,
 )
 from repro.runtime.trace import EventTrace
 from repro.runtime.vmpi import RunStats
@@ -109,6 +103,7 @@ if TYPE_CHECKING:
 Tile = Tuple[int, ...]
 Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
+Unpack = Callable[[np.ndarray], None]
 #: (kind, start_ns, end_ns, peer, tag, nelems); peer/tag < 0 = absent.
 Event = Tuple[str, int, int, int, int, int]
 
@@ -328,24 +323,25 @@ class _RankClocks:
 
 @dataclass
 class _OutMsg:
-    """One in-flight outgoing message of the overlapped schedule:
-    either a reserved ring-slot view (zero-copy) or a staging buffer
-    when the ring was full at reservation time."""
+    """One outgoing message of an overlapped tile, from reservation to
+    rendezvous completion: a reserved ring-slot view (zero-copy) or a
+    staging buffer when the ring was full at reservation time."""
 
     send: TileSend
     edge: _Edge
-    pack: EdgePackPlan
     buf: np.ndarray
     zero_copy: bool
-    committed: bool = False
     msgno: int = 0
-    first_ns: int = -1
+    first_ns: Optional[int] = None      # when its first byte was packed
 
 
 @dataclass
 class _RingPort:
-    """Shared-memory transport of one rank — the rank step's second
-    port (:class:`~repro.runtime.rankstep.VmpiPort` is the first).
+    """Shared-memory transport of one rank — the ring port of
+    :func:`~repro.runtime.rankstep.rank_walk` (its module docstring has
+    the port table).  The walk says *what* happens next; the port owns
+    *how*: the rings, what to take early or drain while blocked, and
+    every clock.
 
     Every method that may block is a generator yielding exactly while
     a mailbox ring would block, letting the worker scheduler run its
@@ -363,6 +359,11 @@ class _RingPort:
     events: Optional[List[Event]]
     t0_ns: int
     crash: bool                         # test hook, see crash_point
+    # The open tile of the overlapped schedule: its start, the comm
+    # clock then, and the receives not yet taken (plan order).
+    tile0_ns: int = 0
+    comm0_ns: int = 0
+    due: Optional[Dict[int, Tuple[TileRecv, _Edge, Unpack]]] = None
 
     def now(self) -> int:
         return time.perf_counter_ns() - self.t0_ns
@@ -389,12 +390,11 @@ class _RingPort:
 
     # -- accounting -----------------------------------------------------------------
 
-    def take(self, r: TileRecv, edge: _Edge,
-             unpack: Callable[[np.ndarray], None], w0: int) -> int:
+    def take(self, r: TileRecv, edge: _Edge, unpack: Unpack,
+             w0: int) -> None:
         """Unpack the (already arrived) head message of ``edge``
         zero-copy — scatter straight out of the ring slot, then release
-        it — and account it from ``w0``, when the wait for it began;
-        returns the nanoseconds charged to communication."""
+        it — and account it from ``w0``, when the wait for it began."""
         unpack(edge.peek())
         edge.release()
         self.progress[0] += 1
@@ -404,10 +404,9 @@ class _RingPort:
         if self.events is not None:
             self.events.append(("recv", w0, w1, r.src_rank, r.tag,
                                 r.nelems))
-        return w1 - w0
 
     def sent(self, s: TileSend, w0: int,
-             started: Optional[int] = None) -> int:
+             started: Optional[int] = None) -> None:
         """Account one published message (``started``: when its first
         byte was packed, if earlier than the publish began)."""
         w1 = self.now()
@@ -422,12 +421,12 @@ class _RingPort:
             self.events.append(
                 ("send", w0 if started is None else started, w1,
                  s.dst_rank, s.tag, s.nelems))
-        return w1 - w0
 
-    # -- the port protocol of rank_walk -----------------------------------------------
+    # -- the blocking steps of rank_walk ---------------------------------------------
 
-    def recv(self, r: TileRecv,
-             unpack: Callable[[np.ndarray], None]) -> Steps:
+    def recv(self, tile: Tile, r: TileRecv, unpack: Unpack) -> Steps:
+        if self.due is not None and self.due.pop(id(r), None) is None:
+            return                      # taken at tile start or by a drain
         edge = self.in_edge(r)
         w0 = self.now()
         yield from self.wait(edge.can_pop)
@@ -444,7 +443,7 @@ class _RingPort:
         self.crash_point()
         return ()                       # never blocks: nothing to yield
 
-    def send(self, s: TileSend,
+    def send(self, tile: Tile, s: TileSend,
              pack: Callable[[], np.ndarray]) -> Steps:
         edge = self.out_edge(s)
         w0 = self.now()
@@ -456,192 +455,98 @@ class _RingPort:
             yield from self.wait(lambda: edge.consumed(msgno))
         self.sent(s, w0)
 
+    # -- the overlapped steps of rank_walk -------------------------------------------
 
-def _overlap_walk(program: TiledProgram, plan: RankPlan,
-                  port: _RingPort, lds: RankLDS) -> Steps:
-    """The overlapped node program of one rank.
-
-    Same plan, same LDS object and same port as the blocking
-    :func:`~repro.runtime.rankstep.rank_walk`, but the schedule inside
-    a tile is its own: per wavefront level, the points feeding outgoing
-    ``CC`` regions run first and scatter zero-copy into reserved ring
-    slots; each message publishes at its last contributing level
-    (before that level's interior), and incoming halos are unpacked
-    lazily at the first level that reads them.  The split is a
-    within-level reorder of an elementwise schedule, so results stay
-    bitwise identical; message order, counts and bytes are unchanged.
-    While blocked on any ring, the rank opportunistically drains
-    arrived-but-deferred halos, so the lazy receives can never
-    introduce a wait cycle the blocking schedule does not have.
-    """
-    clocks = port.clocks
-    dtype = lds.data.dtype
-    tile: Tile = ()
-    t = 0
-    # comm ns accumulated inside the current tile (compute is inferred
-    # as tile-span minus measured comm)
-    commtile = 0
-
-    def recv_ready(r: TileRecv, edge: _Edge,
-                   w0: Optional[int] = None) -> None:
-        """Take the arrived head message of ``edge`` into the current
-        tile's halo; ``w0`` carries wait time already spent."""
-        nonlocal commtile
-        commtile += port.take(
-            r, edge, partial(unpack_halo, lds, r, tile, t),
-            port.now() if w0 is None else w0)
-
-    def drain_ready(due: List[Tuple[int, TileRecv, _Edge]]) -> bool:
-        """Pop arrived-but-deferred halos while blocked elsewhere
-        (first remaining message per edge only — rings are FIFO).
-        Keeps the lazy receives from ever extending a wait cycle."""
-        did = False
-        blocked: Set[Tuple[int, int]] = set()
-        still: List[Tuple[int, TileRecv, _Edge]] = []
-        for item in due:
-            _need, r, edge = item
-            key = (r.src_rank, r.tag)
-            if key not in blocked and edge.can_pop():
-                recv_ready(r, edge)
-                did = True
-            else:
-                blocked.add(key)
-                still.append(item)
-        due[:] = still
-        return did
-
-    for ti, tile in enumerate(plan.tiles):
-        t = program.dist.chain_index(tile)
-        oplan = program.overlap_plan(tile)
-        tile0 = port.now()
-        commtile = 0
-        ctx = lds.tile_context(tile, t)
-        # Outgoing: reserve a ring slot per message so boundary
-        # values scatter straight into shared memory; a full ring
-        # falls back to a staging buffer (reservation never
-        # blocks — blocking here would forfeit the overlap).
+    def open_tile(self, tile: Tile, recvs: Sequence[TileRecv],
+                  unpacks: Sequence[Unpack],
+                  sends: Sequence[TileSend]) -> List[_OutMsg]:
+        """Tile start.  Reserve a ring slot per outgoing message so
+        boundary values scatter straight into shared memory (a full
+        ring falls back to a staging buffer: reservation never blocks,
+        that would forfeit the overlap), then take every halo that
+        already arrived; the rest stay :attr:`due` until the walk
+        reaches the first level that reads them."""
+        self.tile0_ns, self.comm0_ns = self.now(), self.clocks.comm_ns
         outs: List[_OutMsg] = []
-        for s, pk in zip(plan.sends[ti], oplan.packs):
-            edge = port.out_edge(s)
+        for s in sends:
+            edge = self.out_edge(s)
             view = edge.reserve(s.nelems)
             outs.append(_OutMsg(
-                send=s, edge=edge, pack=pk, zero_copy=view is not None,
+                send=s, edge=edge, zero_copy=view is not None,
                 buf=(view if view is not None
-                     else np.empty(s.nelems, dtype=dtype))))
-        # Incoming: unpack whatever already arrived; defer the
-        # rest to the first wavefront level that can read the
-        # halo (``recv_levels``: per-edge FIFO floors applied).
-        needs = oplan.recv_levels(plan.recvs[ti])
-        due: List[Tuple[int, TileRecv, _Edge]] = []
-        deferred: Set[Tuple[int, int]] = set()
-        for r, need in zip(plan.recvs[ti], needs):
-            edge = port.in_edge(r)
-            rkey = (r.src_rank, r.tag)
-            if rkey not in deferred and edge.can_pop():
-                recv_ready(r, edge)
+                     else np.empty(s.nelems, dtype=edge.slots.dtype))))
+        self.crash_point()              # slots reserved, none committed
+        self.due = {id(r): (r, self.in_edge(r), unpack)
+                    for r, unpack in zip(recvs, unpacks)}
+        self.drain_ready()
+        return outs
+
+    def drain_ready(self) -> bool:
+        """Take arrived-but-deferred halos (first remaining message per
+        edge only — rings are FIFO).  Also run while blocked on a full
+        ring, so the lazy receives can never introduce a wait cycle the
+        blocking schedule does not have."""
+        assert self.due is not None
+        did = False
+        blocked: Set[_Edge] = set()
+        for key, (r, edge, unpack) in list(self.due.items()):
+            if edge not in blocked and edge.can_pop():
+                del self.due[key]
+                self.take(r, edge, unpack, self.now())
+                did = True
             else:
-                deferred.add(rkey)
-                due.append((need, r, edge))
-        for li in range(oplan.nlevels):
-            # halos whose first reader sits on this level: block
-            # now if they have not arrived (plan order preserves
-            # per-edge FIFO — needs are monotone along an edge)
-            if due:
-                still: List[Tuple[int, TileRecv, _Edge]] = []
-                for item in due:
-                    need, r, edge = item
-                    if need > li:
-                        still.append(item)
-                        continue
-                    w0 = port.now()
-                    yield from port.wait(edge.can_pop)
-                    recv_ready(r, edge, w0)
-                due = still
-            # boundary first: these values feed outgoing regions
-            bnd = oplan.boundary[li]
-            if len(bnd):
-                lds.compute_segment(ctx, bnd)
-            # scatter the freshly-final values into every message
-            # this level contributes to (zero-copy for reserved
-            # slots: this writes shared memory directly)
-            for om in outs:
-                if not len(om.pack.level_lat[li]):
-                    continue
-                w0 = port.now()
-                if om.first_ns < 0:
-                    om.first_ns = w0
-                lds.pack_level(om.buf, om.pack, li, t)
-                dns = port.now() - w0
-                clocks.comm_ns += dns
-                commtile += dns
-            # publish complete messages, oldest plan entry first
-            # (same inter-edge commit order as the blocking
-            # schedule, just earlier in wall time)
-            for om in outs:
-                if om.committed:
-                    continue
-                if om.pack.commit_level > li:
-                    break
-                w0 = port.now()
-                if om.first_ns < 0:
-                    om.first_ns = w0
-                if om.zero_copy:
-                    om.msgno = om.edge.commit()
-                else:
-                    while not om.edge.can_push():
-                        port.check_abort()
-                        if not drain_ready(due):
-                            yield
-                    om.msgno = om.edge.push(om.buf)
-                om.committed = True
-                port.progress[0] += 1
-                commtile += port.sent(om.send, w0, om.first_ns)
-            # interior: consumers drain the ring while this runs
-            intr = oplan.interior[li]
-            if len(intr):
-                lds.compute_segment(ctx, intr)
-        for om in outs:
-            if not om.committed:
-                raise ParallelRuntimeError(
-                    f"rank {port.rank}: message to rank "
-                    f"{om.send.dst_rank} tag {om.send.tag} left "
-                    f"unpublished after tile {tile}")
-        # halos deferred past every level (possible only for an
-        # empty tile) must still land before the next tile
-        while due:
-            _need, r, edge = due.pop(0)
-            w0 = port.now()
-            yield from port.wait(edge.can_pop)
-            recv_ready(r, edge, w0)
-        port.crash_point()
-        # rendezvous completions, deferred to the tile end so the
-        # interior compute overlapped the receiver's drain
-        for om in outs:
-            if port.spec.uses_rendezvous(port.protocol,
-                                         om.send.nelems):
-                w0 = port.now()
-                yield from port.wait(
-                    lambda om=om: om.edge.consumed(om.msgno))
-                dns = port.now() - w0
-                clocks.comm_ns += dns
-                commtile += dns
-        # compute attribution: the tile span not measured as comm
-        tile1 = port.now()
-        clocks.compute_ns += (tile1 - tile0) - commtile
-        if port.events is not None:
-            port.events.append(("compute", tile0, tile1, -1, -1, 0))
+                blocked.add(edge)
+        return did
+
+    def pack_level(self, om: _OutMsg, fill: Callable[..., None],
+                   *args: Any) -> None:
+        """``fill(buffer, *args)``: scatter one level's freshly-final
+        values into the message (zero-copy for a reserved slot: this
+        writes shared memory)."""
+        w0 = self.now()
+        if om.first_ns is None:
+            om.first_ns = w0
+        fill(om.buf, *args)
+        self.clocks.comm_ns += self.now() - w0
+
+    def publish(self, tile: Tile, om: _OutMsg) -> Steps:
+        w0 = self.now()
+        if om.zero_copy:
+            om.msgno = om.edge.commit()
+        else:
+            while not om.edge.can_push():
+                self.check_abort()
+                if not self.drain_ready():
+                    yield
+            om.msgno = om.edge.push(om.buf)
+        self.progress[0] += 1
+        self.sent(om.send, w0, om.first_ns)
+
+    def close_tile(self, tile: Tile) -> None:
+        """Compute attribution: the tile span not measured as comm."""
+        tile1 = self.now()
+        self.clocks.compute_ns += (tile1 - self.tile0_ns) - (
+            self.clocks.comm_ns - self.comm0_ns)
+        if self.events is not None:
+            self.events.append(
+                ("compute", self.tile0_ns, tile1, -1, -1, 0))
+
+    def complete(self, tile: Tile, om: _OutMsg) -> Steps:
+        """Rendezvous completion, at the tile end so the interior
+        compute overlapped the receiver's drain."""
+        if self.spec.uses_rendezvous(self.protocol, om.send.nelems):
+            w0 = self.now()
+            yield from self.wait(lambda: om.edge.consumed(om.msgno))
+            self.clocks.comm_ns += self.now() - w0
 
 
 def _rank_generator(program: TiledProgram, plan: RankPlan,
                     port: _RingPort, data: DenseData,
                     overlap: bool) -> Steps:
-    """One rank's node program as a cooperative generator: either
-    walk over the ring port, then the (untimed) write-back."""
+    """One rank's node program as a cooperative generator: the walk
+    over the ring port, then the (untimed) write-back."""
     lds = data.rank(plan.pid)
-    if overlap:
-        yield from _overlap_walk(program, plan, port, lds)
-    else:
-        yield from rank_walk(program, plan, port, lds)
+    yield from rank_walk(program, plan, port, lds, overlap)
     port.clocks.clock_ns = port.now()
     lds.write_back(plan.tiles)
 

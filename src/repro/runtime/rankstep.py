@@ -15,19 +15,41 @@ This module is that program, once:
   engine, the HB graph (and with it the deadlock and cost passes), the
   race pass, the artifact format and the code generator replay the
   same lists; :func:`edge_tally` is their one per-edge count.
-* :func:`rank_walk` is the blocking walk over one plan.  *How* a
-  message moves and what a step costs is the **port**'s business:
-  :class:`VmpiPort` (simulator requests, the per-rank
-  ``node_speed_factor`` applied once for every engine) or the
-  shared-memory ring port of :mod:`repro.runtime.parallel`.  *What* the
-  data is belongs to the **back-end**: ``None`` (timing only), the
-  sparse per-point reference of ``DistributedRun.execute``, or the
-  dense :class:`~repro.runtime.dense.RankLDS`.
+* :func:`rank_walk` is the walk over one plan — the only function that
+  iterates a plan's tiles and decides where inside a tile each
+  receive, compute segment, per-level pack, publish and rendezvous
+  wait sits.  Blocking is the one-phase case; ``overlap=True`` reads
+  the tile's :class:`~repro.runtime.dense.TileOverlapPlan`.  Every
+  other reader of that order is a **port** of the walk:
 
-A port has three generator methods (see :class:`VmpiPort`), each
-yielding whatever its transport needs while it waits; a back-end has
-``unpack(r, payload, t)``, ``compute_tile(tile, t)`` and
-``pack(tile, direction, t)``, ``t`` being the tile's chain index.
+  ====================  =========================  ======================
+  port                  turns each step into       may decide
+  ====================  =========================  ======================
+  :class:`VmpiPort`     simulator requests         what a step costs
+                        (blocking only)            (``node_speed_factor``
+                                                   applied once)
+  ring (``parallel``)   shared-memory mailbox      how it waits, what to
+                        traffic, measured clocks   take early or drain
+  graph (``hb.graph``)  ``HBEvent``s, no data      nothing
+  table (``pygen``)     ``SCHEDULES`` rows         nothing (records the
+                                                   vMPI port's requests)
+  ====================  =========================  ======================
+
+  No port may reorder, add or drop a step.  *What* the data is belongs
+  to the **back-end**: ``None`` (timing only), the sparse per-point
+  reference of ``DistributedRun.execute``, or the dense
+  :class:`~repro.runtime.dense.RankLDS`.
+
+A port's blocking methods are ``recv(tile, r, unpack)``,
+``compute(tile, points, run)`` and ``send(tile, s, pack)`` (see
+:class:`VmpiPort`), each an iterable of whatever its transport needs
+while it waits.  The overlapped schedule adds ``open_tile(tile, recvs,
+unpacks, sends)`` (returns one handle per send), ``pack_level(out,
+fill, *args)``, ``publish(tile, out)``, ``close_tile(tile)`` and
+``complete(tile, out)``.  A back-end has ``unpack(r, payload, t)``,
+``compute_tile(tile, t)`` and ``pack(tile, direction, t)``, ``t`` being
+the tile's chain index; the dense one also ``tile_context``,
+``compute_segment`` and ``pack_level``.
 """
 
 from __future__ import annotations
@@ -220,27 +242,78 @@ def edge_tally(plans: Dict[int, RankPlan]
 
 
 def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
-              data: Any = None) -> Steps:
-    """The blocking node program of one rank (see module docstring).
+              data: Any = None, overlap: bool = False) -> Steps:
+    """The node program of one rank (see module docstring).
 
-    Yields whatever ``port`` yields; finishes after the last tile's
-    sends.  Write-back to the global data space is the caller's, outside
-    every engine's timed region.
+    Yields whatever ``port`` yields; finishes after the last tile.
+    Write-back to the global data space is the caller's, outside every
+    engine's timed region.
+
+    ``overlap=True`` is the overlapped schedule: per wavefront level
+    the points feeding outgoing ``CC`` regions run first and are packed
+    level by level, each message publishes at its last contributing
+    level (plan order, before that level's interior), each halo is
+    received at the first level that reads it, and rendezvous
+    completions wait at the tile end.  A within-level reorder of an
+    elementwise schedule: results, message order, counts and bytes are
+    those of the blocking schedule.
     """
     points = program.tile_point_count
     timing_only = data is None
     # plan.tiles is the rank's chain in order, so the enumeration index
     # is the paper's t (``dist.chain_index``).
     for t, tile in enumerate(plan.tiles):
-        for r in plan.recvs[t]:
-            yield from port.recv(r, None if timing_only else partial(
-                unpack_halo, data, r, tile, t))
-        yield from port.compute(tile, points(tile),
-                                None if timing_only else partial(
-                                    data.compute_tile, tile, t))
-        for s in plan.sends[t]:
-            yield from port.send(s, None if timing_only else partial(
-                data.pack, tile, s.direction, t))
+        recvs, sends = plan.recvs[t], plan.sends[t]
+        if not overlap:
+            # One phase: every halo in, the whole tile, every message
+            # out (a send returns once its transport is done with it).
+            for r in recvs:
+                yield from port.recv(tile, r, None if timing_only else
+                                     partial(unpack_halo, data, r, tile, t))
+            yield from port.compute(tile, points(tile),
+                                    None if timing_only else partial(
+                                        data.compute_tile, tile, t))
+            for s in sends:
+                yield from port.send(tile, s, None if timing_only else
+                                     partial(data.pack, tile, s.direction, t))
+            continue
+        oplan = program.overlap_plan(tile)
+        packs, boundary, interior = (oplan.packs, oplan.boundary,
+                                     oplan.interior)
+        # Level ``nlev`` is the tile end: what no level claims (possible
+        # only for an empty tile) lands there.
+        nlev = oplan.nlevels
+        # (level, plan position) of every receive, in taking order
+        recv_at = sorted((min(need, nlev), i) for i, need in enumerate(
+            oplan.recv_levels(recvs)))
+        unpacks = [None if timing_only else
+                   partial(unpack_halo, data, r, tile, t) for r in recvs]
+        outs = port.open_tile(tile, recvs, unpacks, sends)
+        ctx = None if timing_only else data.tile_context(tile, t)
+        taken = unsent = 0
+        for li in range(nlev + 1):
+            while taken < len(recv_at) and recv_at[taken][0] == li:
+                i = recv_at[taken][1]
+                yield from port.recv(tile, recvs[i], unpacks[i])
+                taken += 1
+            level = ctx is not None and li < nlev
+            if level:
+                # boundary first: these values feed outgoing regions
+                if len(boundary[li]):
+                    data.compute_segment(ctx, boundary[li])
+                for out, pk in zip(outs, packs):
+                    if len(pk.level_lat[li]):
+                        port.pack_level(out, data.pack_level, pk, li, t)
+            while unsent < len(outs) and (
+                    li == nlev or packs[unsent].commit_level <= li):
+                yield from port.publish(tile, outs[unsent])
+                unsent += 1
+            # interior: consumers drain the ring while this runs
+            if level and len(interior[li]):
+                data.compute_segment(ctx, interior[li])
+        port.close_tile(tile)
+        for out in outs:
+            yield from port.complete(tile, out)
 
 
 def unpack_halo(data: Any, r: TileRecv, tile: Tile, t: int,
@@ -268,7 +341,7 @@ class VmpiPort:
         self.spec = spec
         self.factor = spec.node_speed_factor(rank)
 
-    def recv(self, r: TileRecv,
+    def recv(self, tile: Tile, r: TileRecv,
              unpack: Optional[Callable[[Any], None]]) -> Steps:
         payload, _got = yield Recv(source=r.src_rank, tag=r.tag)
         yield Compute(self.spec.pack_time(r.nelems) * self.factor)
@@ -281,7 +354,7 @@ class VmpiPort:
         if run is not None:
             run()
 
-    def send(self, s: TileSend,
+    def send(self, tile: Tile, s: TileSend,
              pack: Optional[Callable[[], Any]]) -> Steps:
         yield Compute(self.spec.pack_time(s.nelems) * self.factor)
         yield Send(dest=s.dst_rank, tag=s.tag, nelems=s.nelems,

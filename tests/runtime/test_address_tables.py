@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import adi, heat, jacobi, sor
@@ -33,6 +33,7 @@ from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 from repro.runtime.dense import DenseData, _access_box
 from repro.tiling.ttis import TTIS
 from repro.tuning import generate_candidates
+from tests.runtime.tilings import DRAWN, drawn_program
 
 SPEC = ClusterSpec()
 
@@ -133,19 +134,9 @@ class TestAddressTables:
         assert len(data.lds_tables) == len(geoms) < len(ranks)
 
     @settings(max_examples=20, deadline=None)
-    @given(which=st.sampled_from(["sor", "jacobi", "adi"]),
-           x=st.integers(1, 4), y=st.integers(2, 5), z=st.integers(2, 5),
-           seed=st.integers(0, 2 ** 16))
+    @given(**DRAWN, seed=st.integers(0, 2 ** 16))
     def test_drawn_tilings(self, which, x, y, z, seed):
-        app, shape = {
-            "sor": (sor.app(4, 6), sor.h_nonrectangular),
-            "jacobi": (jacobi.app(3, 5, 5), jacobi.h_nonrectangular),
-            "adi": (adi.app(4, 5), adi.h_nr3),
-        }[which]
-        try:
-            prog = TiledProgram(app.nest, shape(x, y, z))
-        except ValueError:
-            assume(False)       # illegal tiling, or c_k does not divide v_k
+        _app, prog = drawn_program(which, x, y, z)
         _check_tables(prog, seed)
 
 

@@ -12,7 +12,9 @@ traceback, genuine protocol deadlocks as
 """
 
 import dataclasses
+import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from repro.runtime.parallel import (
     EdgeSpec,
     _Edge,
     _partition,
+    _RingPort,
     build_edges,
     build_rank_plans,
 )
@@ -211,30 +214,57 @@ class TestProtocols:
             run_parallel(prog, SPEC, app.init_value, mailbox_depth=0)
 
 
+def _shm_segments():
+    return ({n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+            if os.path.isdir("/dev/shm") else set())
+
+
+@pytest.mark.parametrize("overlap", [False, True],
+                         ids=["blocking", "overlap"])
 class TestFailureModes:
-    def test_worker_crash_surfaces_cleanly(self):
-        # A crash in any rank must produce ParallelWorkerError with
-        # the remote traceback — promptly, with every worker reaped
-        # and every shared-memory segment released (no hang).
+    """Fault drills over both schedules of the one walk.  The blocking
+    crash lands after a tile's compute; the overlapped one while the
+    tile's ring slots are reserved but not yet committed.  Each must
+    end in a named :class:`ParallelWorkerError`, every worker reaped
+    and no shared-memory segment left behind."""
+
+    def _drill(self, overlap, **kwargs):
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
+        before = _shm_segments()
         with pytest.raises(ParallelWorkerError) as exc_info:
             run_parallel(prog, SPEC, app.init_value, workers=2,
-                         timeout=60.0, _crash_rank=1)
-        assert "injected crash in rank 1" in str(exc_info.value)
+                         timeout=60.0, overlap=overlap, **kwargs)
+        assert not multiprocessing.active_children()
+        leaked = _shm_segments() - before
+        assert not leaked, f"leaked segments: {leaked}"
+        return str(exc_info.value)
 
-    def test_crash_leaves_no_shared_memory(self):
-        app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
-        prog = TiledProgram(app.nest, h, mapping_dim=2)
-        before = set(os.listdir("/dev/shm")) if os.path.isdir(
-            "/dev/shm") else set()
-        with pytest.raises(ParallelWorkerError):
-            run_parallel(prog, SPEC, app.init_value, workers=2,
-                         timeout=60.0, _crash_rank=0)
-        if before is not None and os.path.isdir("/dev/shm"):
-            leaked = {n for n in set(os.listdir("/dev/shm")) - before
-                      if n.startswith("psm_")}
-            assert not leaked, f"leaked segments: {leaked}"
+    def test_worker_crash_surfaces_cleanly(self, overlap):
+        # A crash in any rank must produce ParallelWorkerError with
+        # the remote traceback — promptly (no hang).
+        message = self._drill(overlap, _crash_rank=1)
+        assert "injected crash in rank 1" in message
+
+    def test_crash_leaves_no_shared_memory(self, overlap):
+        self._drill(overlap, _crash_rank=0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the kill hook reaches the workers by fork inheritance")
+    def test_sigkill_mid_chain(self, overlap, monkeypatch):
+        # A real SIGKILL (no traceback, no clean-up in the victim) at
+        # the second tile of rank 1: its first tile's messages are out,
+        # its peers are waiting on the rest.
+        def kill_at_second_tile(port):
+            port.hits = getattr(port, "hits", 0) + port.crash
+            if port.hits == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(_RingPort, "crash_point", kill_at_second_tile)
+        message = self._drill(overlap, _crash_rank=1,
+                              start_method="fork")
+        assert f"exit code {-signal.SIGKILL}" in message
 
 
 class TestMailboxRing:

@@ -1,0 +1,69 @@
+"""Property slice: both schedules stay inside their certificates on
+drawn tilings (ROADMAP item 1; PR 14 pinned these on the six reference
+configs only).
+
+For every draw of :mod:`tests.runtime.tilings` and both the blocking and
+the overlapped schedule of :func:`repro.runtime.rankstep.rank_walk`:
+
+* the bounded static replay completes **iff** the real run does — a
+  predicted wait cycle is a :class:`ParallelTimeoutError`, a predicted
+  completion a bitwise (tol=0.0) result with the simulator's counts;
+* the measured trace is accepted by the sanitizer (HB04), i.e. the
+  workers took the steps the graph port wrote down;
+* the COST03 clock sweep equals the simulator's clocks, rank by rank.
+
+A fixed (derandomized) handful of draws: each one forks real workers,
+and the whole slice must stay well under 30 s in tier-1.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.cost.makespan import analytic_makespan
+from repro.analysis.hb.graph import build_hb_graph, replay
+from repro.analysis.hb.sanitize import sanitize_trace
+from repro.runtime import (
+    ClusterSpec,
+    DistributedRun,
+    EventTrace,
+    ParallelTimeoutError,
+    arrays_match,
+    dense_to_cells,
+    run_parallel,
+)
+from tests.runtime.tilings import DRAWN, drawn_program
+
+SPEC = ClusterSpec()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(**DRAWN, protocol=st.sampled_from(["eager", "rendezvous"]))
+def test_both_schedules_stay_inside_their_certificates(which, x, y, z,
+                                                       protocol):
+    app, prog = drawn_program(which, x, y, z)
+    run = DistributedRun(prog, SPEC)
+    sim = run.simulate()
+    sweep = analytic_makespan(prog, spec=SPEC, protocol="spec")
+    assert not sweep.stuck
+    assert list(sweep.clocks) == [sim.clocks[r] for r in sorted(sim.clocks)]
+    ref, _ = run.execute_dense(app.init_value)
+    for overlap in (False, True):
+        verdict = replay(build_hb_graph(prog, protocol, overlap=overlap,
+                                        spec=SPEC), bounded=True)
+        kwargs = dict(workers=2, protocol=protocol, overlap=overlap)
+        if not verdict.completed:
+            assert verdict.cycle, (overlap, verdict.blocked)
+            with pytest.raises(ParallelTimeoutError):
+                run_parallel(prog, SPEC, app.init_value, timeout=1.5,
+                             **kwargs)
+            continue
+        trace = EventTrace()
+        fields, stats = run_parallel(prog, SPEC, app.init_value,
+                                     timeout=60.0, trace=trace, **kwargs)
+        assert arrays_match(dense_to_cells(fields), dense_to_cells(ref),
+                            tol=0.0)
+        assert (stats.total_messages, stats.total_elements) == (
+            sim.total_messages, sim.total_elements)
+        assert sanitize_trace(prog, trace, protocol=protocol,
+                              overlap=overlap, spec=SPEC) == []

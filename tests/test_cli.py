@@ -116,6 +116,44 @@ class TestRunNamedErrors:
         assert err == "run aborted: parallel run did not complete\n"
 
 
+class TestRunOverlapFlag:
+    """``--overlap`` selects the runtime *schedule*; the cost model's
+    NIC-offload flag of the same name stays off, so threshold
+    rendezvous and the certificate key are those of every other
+    command."""
+
+    ARGS = ["run", "--app", "sor", "-s", "6", "9", "-t", "2", "3", "4",
+            "--shape", "nonrect", "--engine", "parallel", "--workers",
+            "2", "--overlap", "--certify"]
+
+    def test_spec_and_certificate_key(self, capsys, monkeypatch):
+        from repro.runtime.executor import DistributedRun, TiledProgram
+        from repro.runtime.machine import ClusterSpec
+
+        seen = {}
+        real_cert = TiledProgram.hb_certificate
+        real_exec = DistributedRun.execute_parallel
+
+        def spy_cert(self, **kwargs):
+            seen["prog"] = self
+            return real_cert(self, **kwargs)
+
+        def spy_exec(self, *args, **kwargs):
+            seen["spec"], seen["overlap"] = self.spec, kwargs["overlap"]
+            return real_exec(self, *args, **kwargs)
+
+        monkeypatch.setattr(TiledProgram, "hb_certificate", spy_cert)
+        monkeypatch.setattr(DistributedRun, "execute_parallel", spy_exec)
+        rc = main(self.ARGS)
+        assert rc == 0, capsys.readouterr()
+        assert seen["overlap"] is True
+        assert seen["spec"] == ClusterSpec() and not seen["spec"].overlap
+        # one certificate, keyed on (protocol, schedule, depth) and the
+        # default spec's (threshold, bytes/element, NIC offload off)
+        assert set(seen["prog"].stage("hb_certificates")) == {
+            ("spec", True, 8, (None, 8, False))}
+
+
 class TestFigure:
     def test_rejects_unknown(self):
         with pytest.raises(SystemExit):
