@@ -13,10 +13,11 @@ compiled :class:`~repro.runtime.executor.TiledProgram` is well-formed:
   halo unpack) stays inside the allocated rectangle and the address
   maps round-trip;
 * :mod:`repro.analysis.overlap` — the overlapped-execution plans are
-  sound (OV01-OV03: zero-copy pack schedules reproduce the blocking
-  payload bytes, sends commit after their last contributing wavefront
-  level, boundary/interior splits partition each level, lazy unpacks
-  never defer past the halo's first reader); opt-in via
+  sound (OV01-OV03: each message is the blocking payload, published
+  right after the boundary of its last contributing wavefront level,
+  order/cuts split each level into boundary and interior, the phases
+  walk every segment once, lazy unpacks never defer past the halo's
+  first reader); opt-in via
   ``analyze_program(..., overlap=True)`` / ``repro analyze --overlap``;
 * :mod:`repro.analysis.hb` — the happens-before concurrency certifier
   for the *parallel runtime*: vector-clock proofs that every halo

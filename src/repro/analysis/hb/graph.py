@@ -235,7 +235,8 @@ class _GraphPort:
                   sends: Sequence[TileSend]) -> Sequence[TileSend]:
         return sends                    # a send is its own handle
 
-    def publish(self, tile: Tile, s: TileSend) -> Tuple[()]:
+    def publish(self, tile: Tile, s: TileSend,
+                pack: object = None) -> Tuple[()]:
         return self._emit(SEND, tile, s.dst_rank, s.tag, s.nelems)
 
     close_tile = compute

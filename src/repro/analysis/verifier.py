@@ -142,8 +142,9 @@ def analyze_program(program, subject: str = "", *,
     construction-time guard uses to stay cheap.
 
     ``overlap=True`` additionally verifies the overlapped-execution
-    plans (OV01-OV03: pack-payload equality, commit-level legality,
-    boundary/interior partition, lazy-unpack safety).  Opt-in because
+    plans (OV01-OV03: pack-payload identity, commit-level and publish
+    legality, boundary/interior partition, phase order, lazy-unpack
+    safety).  Opt-in because
     it builds every tile's overlap plan, which the construction-time
     guard must not pay for.
 

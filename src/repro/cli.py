@@ -535,10 +535,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "threshold")
     p_run.add_argument("--overlap", action="store_true",
                        help="overlapped schedule for --engine "
-                            "parallel: boundary-first compute with "
-                            "zero-copy packing into the mailbox ring "
-                            "and lazy halo unpacking (bitwise "
-                            "identical results)")
+                            "parallel: each tile runs its compile-time "
+                            "phase table — boundary points first, one "
+                            "zero-copy gather per message published "
+                            "before the interior, lazy halo unpacking "
+                            "(bitwise identical results)")
     p_run.add_argument("--native", action="store_true",
                        help="with --engine parallel: workers run the "
                             "compiled shared-object tile kernels over "
@@ -584,9 +585,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "pipeline (TV01-TV05 passes)")
     p_ana.add_argument("--overlap", action="store_true",
                        help="also verify the overlapped-execution "
-                            "plans (OV01-OV03: pack payload equality, "
-                            "commit-level legality, boundary/interior "
-                            "partition, lazy-unpack safety)")
+                            "plans (OV01-OV03: pack payload identity, "
+                            "commit-level and publish legality, "
+                            "boundary/interior partition, phase order, "
+                            "lazy-unpack safety)")
     p_ana.add_argument("--hb", action="store_true",
                        help="also run the happens-before certifier "
                             "(HB01 races, HB02 wait cycles under "

@@ -252,8 +252,8 @@ class RankKernels:
     """One rank's native executor over its LDS buffers.
 
     ``run_tile`` executes a whole tile (all wavefront levels, one C
-    call); ``run_segment`` executes one (sub-)batch — the overlap
-    schedule's boundary/interior slices — of the same tile context.
+    call); ``run_segments`` executes a range of the tile context's
+    segments — one phase of the overlapped schedule — in one C call.
     """
 
     def __init__(self, rt: NativeRuntime, lds: "RankLDS"):
@@ -278,11 +278,15 @@ class RankKernels:
         self._fix = (ctypes.c_void_p * n_dep)()
         self._pure = (ctypes.c_void_p * n_pure)()
         self._ctx: Optional["TileContext"] = None   # the one marshalled
-        self._seg1 = np.zeros(2, dtype=np.int64)    # run_segment's seg
+        self._sel = self._seg = 0       # addresses of its sel and seg
 
     def _marshal(self, ctx: "TileContext") -> None:
         """Point the per-tile argument arrays at ``ctx`` (which pins
         what they point to for as long as it is the current one)."""
+        for idx in (ctx.sel, ctx.seg):
+            if idx.dtype != np.int64 or not idx.flags["C_CONTIGUOUS"]:
+                raise ValueError(
+                    "tile segments must be C-contiguous int64 arrays")
         for slot in self.rt.plan.slots:
             rd = ctx.reads[slot.stmt_index][slot.read_index]
             if slot.kind == "dep":
@@ -294,16 +298,19 @@ class RankKernels:
             else:
                 assert rd.pure is not None
                 self._pure[slot.slot] = rd.pure.ctypes.data
+        self._sel, self._seg = ctx.sel.ctypes.data, ctx.seg.ctypes.data
         self._ctx = ctx
 
-    def _call(self, ctx: "TileContext", sel: np.ndarray,
-              seg: np.ndarray) -> None:
+    def _call(self, ctx: "TileContext", lo: int, hi: int) -> None:
+        """``repro_run`` over segments ``[lo, hi)`` of ``ctx``.  The
+        driver reads ``seg_off`` as absolute offsets into ``sel``, so a
+        sub-range is the same two arrays entered ``lo`` words in."""
         if ctx is not self._ctx:
             self._marshal(ctx)
         self.rt.fn(
-            len(seg) - 1,
-            seg.ctypes.data,
-            sel.ctypes.data,
+            hi - lo,
+            self._seg + 8 * lo,
+            self._sel,
             ctx.shift,
             ctypes.addressof(self._bufs),
             self._wbase,
@@ -316,13 +323,10 @@ class RankKernels:
     def run_tile(self, ctx: "TileContext") -> None:
         """All wavefront levels of one tile in one native call."""
         if len(ctx.sel):
-            self._call(ctx, ctx.sel, ctx.seg)
+            self._call(ctx, 0, len(ctx.seg) - 1)
 
-    def run_segment(self, ctx: "TileContext", batch: np.ndarray) -> None:
-        """One wavefront (sub-)batch — the overlap engine's unit."""
-        if not len(batch):
-            return
-        if batch.dtype != np.int64 or not batch.flags["C_CONTIGUOUS"]:
-            batch = np.ascontiguousarray(batch, dtype=np.int64)
-        self._seg1[1] = len(batch)
-        self._call(ctx, batch, self._seg1)
+    def run_segments(self, ctx: "TileContext", lo: int, hi: int) -> None:
+        """Segments ``[lo, hi)`` of one tile — a phase of the
+        overlapped schedule — in one native call (none when empty)."""
+        if ctx.seg[lo] < ctx.seg[hi]:
+            self._call(ctx, lo, hi)

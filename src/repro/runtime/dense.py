@@ -342,82 +342,112 @@ GatherFn = Callable[[ReadPlan, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class EdgePackPlan:
-    """Compile-time zero-copy pack schedule of one outgoing message.
+    """Compile-time pack schedule of one outgoing message of the
+    overlapped walk.
 
-    The payload layout is frozen: array-major blocks of ``count``
+    The payload *is* the blocking one — array-major blocks of ``count``
     elements, each block in lexicographic lattice order of the pack
-    region (byte-identical to the blocking engine's
-    ``concatenate``-of-gathers).  ``level_lat[L]``/``level_pos[L]``
-    say which lattice points become final at wavefront level ``L`` and
-    where their values land inside each block, so the runtime can
-    scatter freshly-computed boundary values straight into the
-    reserved ring slot and publish at ``commit_level`` — before any
-    interior work of that level runs.
+    region — because it is gathered by the blocking
+    :meth:`RankLDS.pack` itself, once, at ``commit_level``: the last
+    wavefront level that writes a region point, after that level's
+    boundary segment and before its interior.
     """
 
     direction: Tuple[int, ...]          # full d with 0 at mapping dim
     count: int                          # region points per array block
-    level_lat: Tuple[np.ndarray, ...]   # per level: lattice indices
-    level_pos: Tuple[np.ndarray, ...]   # per level: block positions
     commit_level: int                   # last level feeding the region
+
+
+class OverlapPhase(NamedTuple):
+    """One step of an overlapped tile: take ``recvs`` (receive-plan
+    positions), execute segments ``[lo, hi)`` of the plan's ``cuts``,
+    publish ``sends`` (send-plan positions)."""
+
+    recvs: Tuple[int, ...]
+    lo: int
+    hi: int
+    sends: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class TileOverlapPlan:
-    """Boundary/interior split of one tile's wavefront schedule.
+    """The overlapped schedule of one tile, frozen as a phase table.
 
-    ``boundary[L]`` holds the level-``L`` points inside some outgoing
-    ``CC`` pack region (they run first and feed the ring slots);
-    ``interior[L]`` the rest.  Their union is exactly the dense
-    engine's level batch, so executing boundary-then-interior is a
-    stable reorder *within* a level — legal because wavefront levels
-    are mutually independent (``s . d' >= 1``) and bitwise-neutral
-    because the kernels are elementwise.  ``recv_need[i]`` is the
-    first level whose points can read the halo delivered by the
-    ``i``-th incoming message, i.e. the latest safe unpack point.
+    ``order`` is the tile's executed lattice points, wavefront-level
+    major, and inside each level the points of some outgoing ``CC``
+    pack region (*boundary*) before the rest (*interior*); ``cuts``
+    are the ``2 nlevels + 1`` offsets of those segments (segment
+    ``2L``: boundary of level ``L``, ``2L + 1``: its interior).  Per
+    level that is a stable reorder of the dense engine's batch — legal
+    because the points of a wavefront level are mutually independent
+    (``s . d' >= 1``) and bitwise-neutral because the kernels are
+    elementwise.
+
+    ``recv_level[i]`` is the level before which the ``i``-th incoming
+    message is taken: the first level with a point that can read its
+    halo, lowered to the minimum over every later message of the same
+    FIFO edge (a deferred message defers everything behind it).
+    ``phases`` places those receives, the segments and the publishes
+    (plan order, each once its and every earlier send's
+    ``commit_level`` boundary has run): the segment list is cut only
+    where a receive or a publish has to happen between two segments.
     """
 
-    nlevels: int
-    boundary: Tuple[np.ndarray, ...]
-    interior: Tuple[np.ndarray, ...]
+    order: np.ndarray                   # int64, C-contiguous
+    cuts: np.ndarray                    # int64, len 2 * nlevels + 1
     packs: Tuple[EdgePackPlan, ...]     # plan order (send_plan order)
-    recv_need: Tuple[int, ...]          # plan order (receive_plan order)
+    recv_level: Tuple[int, ...]         # plan order (receive_plan order)
+    phases: Tuple[OverlapPhase, ...]
 
-    def recv_levels(self, recvs: Sequence["TileRecv"]) -> List[int]:
-        """The level each of the tile's posted ``recvs`` (its
-        ``TileRecv`` list, plan order) is taken at.  Rings are FIFO, so
-        a deferred message also defers everything behind it on the same
-        ``(src_rank, tag)`` edge: each entry's level is the minimum of
-        ``recv_need`` over itself and all later same-edge entries.  The
-        overlapped rank walk (and so every port of it) places receives by
-        this."""
-        needs = list(self.recv_need)
-        floor: Dict[Tuple[int, int], int] = {}
-        for i in reversed(range(len(needs))):
-            rkey = (recvs[i].src_rank, recvs[i].tag)
-            needs[i] = floor[rkey] = min(needs[i],
-                                         floor.get(rkey, needs[i]))
-        return needs
+    @property
+    def nlevels(self) -> int:
+        return len(self.cuts) // 2
+
+
+def overlap_phases(nlev: int, recv_level: Sequence[int],
+                   commit_level: Sequence[int]
+                   ) -> Tuple[OverlapPhase, ...]:
+    """The phase table of one tile with ``nlev`` levels, its receive
+    levels and its sends' commit levels (all in ``[0, nlev)``).  A
+    receive of level ``L`` sits at cut ``2L`` (before the level's
+    boundary), a publish of commit level ``L`` at cut ``2L + 1``
+    (between boundary and interior, never ahead of an earlier send);
+    the segment list ``[0, 2 nlev)`` is split at exactly those cuts."""
+    if not nlev:                        # an empty tile: all at once
+        return (OverlapPhase(tuple(range(len(recv_level))), 0, 0,
+                             tuple(range(len(commit_level)))),)
+    takes: Dict[int, List[int]] = {}
+    for i, lv in enumerate(recv_level):
+        takes.setdefault(2 * lv, []).append(i)
+    pubs: Dict[int, List[int]] = {}
+    gate = 0
+    for k, lv in enumerate(commit_level):
+        gate = max(gate, 2 * lv + 1)
+        pubs.setdefault(gate, []).append(k)
+    stops = sorted({0, 2 * nlev, *takes, *pubs})
+    return tuple(OverlapPhase(tuple(takes.get(a, ())), a, b,
+                              tuple(pubs.get(b, ())))
+                 for a, b in zip(stops, stops[1:]))
 
 
 def build_overlap_split(
     lat: np.ndarray,
-    lex_order: np.ndarray,
     batches: Sequence[np.ndarray],
     send_regions: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
     recv_dirs: Sequence[Tuple[int, ...]],
+    recv_edges: Sequence[Any],
     max_dp: Sequence[int],
 ) -> TileOverlapPlan:
     """Derive one tile's :class:`TileOverlapPlan`.
 
     ``send_regions`` pairs each outgoing direction with its pack-region
     mask over ``lat`` (already clipped to the tile); ``recv_dirs`` are
-    the incoming tile dependences ``d^S`` in receive-plan order.  A
-    point can read the halo of ``d^S`` only if it sits within the
-    dependence reach of *every* boundary the message crossed
-    (``j'_k < max_l d'_kl`` for each ``k`` with ``d^S_k > 0``), so the
-    earliest level containing such a point bounds how long the unpack
-    may be deferred.
+    the incoming tile dependences ``d^S`` in receive-plan order and
+    ``recv_edges`` names the FIFO edge each arrives on.  A point can
+    read the halo of ``d^S`` only if it sits within the dependence
+    reach of *every* boundary the message crossed (``j'_k < max_l
+    d'_kl`` for each ``k`` with ``d^S_k > 0``), so the earliest level
+    containing such a point bounds how long the unpack may be deferred.
     """
     nlat = len(lat)
     nlev = len(batches)
@@ -428,41 +458,40 @@ def build_overlap_split(
     packs: List[EdgePackPlan] = []
     for direction, region in send_regions:
         bmask |= region
-        ridx = lex_order[region[lex_order]]
-        lv = level_of[ridx]
-        level_lat: List[np.ndarray] = []
-        level_pos: List[np.ndarray] = []
-        for li in range(nlev):
-            pos = np.nonzero(lv == li)[0].astype(np.int64)
-            level_pos.append(pos)
-            level_lat.append(ridx[pos])
+        lv = level_of[region]
         packs.append(EdgePackPlan(
             direction=tuple(int(x) for x in direction),
-            count=int(len(ridx)),
-            level_lat=tuple(level_lat),
-            level_pos=tuple(level_pos),
-            commit_level=int(lv.max()) if len(ridx) else -1,
+            count=int(len(lv)),
+            commit_level=int(lv.max()) if len(lv) else -1,
         ))
-    boundary: List[np.ndarray] = []
-    interior: List[np.ndarray] = []
-    for b in batches:
-        sel = bmask[b]
-        boundary.append(b[sel])
-        interior.append(b[~sel])
-    recv_need: List[int] = []
+    # boundary before interior inside each level, level order kept: one
+    # stable sort by segment number.
+    executed = (np.concatenate(batches) if nlev
+                else np.zeros(0, dtype=np.int64))
+    segno = 2 * level_of[executed] + ~bmask[executed]
+    order = np.ascontiguousarray(
+        executed[np.argsort(segno, kind="stable")], dtype=np.int64)
+    cuts = np.zeros(2 * nlev + 1, dtype=np.int64)
+    np.cumsum(np.bincount(segno, minlength=2 * nlev), out=cuts[1:])
+    recv_level: List[int] = []
     for ds in recv_dirs:
         readers = level_of >= 0
         for k, dk in enumerate(ds):
             if dk > 0:
                 readers &= lat[:, k] < max(int(max_dp[k]), 0)
         lv = level_of[readers]
-        recv_need.append(int(lv.min()) if len(lv) else 0)
+        recv_level.append(int(lv.min()) if len(lv) else 0)
+    floor: Dict[Any, int] = {}
+    for i in reversed(range(len(recv_level))):
+        recv_level[i] = floor[recv_edges[i]] = min(
+            recv_level[i], floor.get(recv_edges[i], recv_level[i]))
     return TileOverlapPlan(
-        nlevels=nlev,
-        boundary=tuple(boundary),
-        interior=tuple(interior),
+        order=order,
+        cuts=cuts,
         packs=tuple(packs),
-        recv_need=tuple(recv_need),
+        recv_level=tuple(recv_level),
+        phases=overlap_phases(nlev, recv_level,
+                              [p.commit_level for p in packs]),
     )
 
 
@@ -542,9 +571,11 @@ _IN_DOMAIN = TileRead(None, None, None)
 class TileContext(NamedTuple):
     """What one (rank, tile) needs beyond the tables: its flat shift,
     its executed lattice points (``sel``, wavefront-level-major, with
-    the level offsets ``seg``) and one :class:`TileRead` per
-    (statement, read).  Built once per tile, read by the numpy batches
-    and marshalled to C by the native kernels."""
+    the segment offsets ``seg`` — one segment per level, or the
+    boundary/interior pairs of an overlap plan) and one
+    :class:`TileRead` per (statement, read).  Built once per tile,
+    read by the numpy batches and marshalled to C by the native
+    kernels."""
 
     shift: int
     sel: np.ndarray
@@ -831,29 +862,31 @@ class RankLDS:
             self.local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
 
     def pack(self, tile: Tuple[int, ...], direction: Sequence[int],
-             t: int) -> np.ndarray:
-        """Serialize the region's values, array-major."""
+             t: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Serialize the region's values, array-major: one lex-order
+        gather per array, into ``out`` when given (the overlapped walk
+        passes its reserved ring slot)."""
         flat = self.region_flat(tile, direction, t)
-        return np.concatenate([self.local[a][flat]
-                               for a in self.data.arrays])
-
-    def pack_level(self, buf: np.ndarray, pack: EdgePackPlan, level: int,
-                   t: int) -> None:
-        """Overlapped schedule: scatter the region values that became
-        final at wavefront ``level`` into their payload positions."""
-        tb = self.tables
-        flat = tb.wbase[pack.level_lat[level]] + t * tb.shift_unit
-        pos = pack.level_pos[level]
+        cnt = len(flat)
+        if out is None:
+            out = np.empty(cnt * len(self.data.arrays),
+                           dtype=self.data.dtype)
         for ai, arr in enumerate(self.data.arrays):
-            buf[ai * pack.count + pos] = self.local[arr][flat]
+            out[ai * cnt:(ai + 1) * cnt] = self.local[arr][flat]
+        return out
 
     # -- COMPUTE --------------------------------------------------------------------
 
-    def tile_context(self, tile: Tuple[int, ...], t: int) -> TileContext:
+    def tile_context(self, tile: Tuple[int, ...], t: int,
+                     oplan: Optional[TileOverlapPlan] = None,
+                     ) -> TileContext:
         """The per-tile context both compute paths read (built once per
-        tile; nothing in it depends on LDS contents)."""
+        tile; nothing in it depends on LDS contents).  Its segments are
+        the tile's wavefront levels, or the ``order``/``cuts`` of its
+        overlap plan."""
         d = self.data
-        sel, seg = d.segments(tile)
+        sel, seg = (d.segments(tile) if oplan is None
+                    else (oplan.order, oplan.cuts))
         return TileContext(shift=t * self.tables.shift_unit, sel=sel,
                            seg=seg, reads=d.tile_reads(tile, sel))
 
@@ -885,15 +918,17 @@ class RankLDS:
             local[plan.stmt.write.array][wflat] = np.asarray(
                 kexpr.evaluate(plan.stmt.expr, vals), dtype=d.dtype)
 
-    def compute_segment(self, ctx: TileContext,
-                        batch: np.ndarray) -> None:
-        """One (sub-)batch of the context's tile — the overlapped
-        schedule's boundary/interior unit — natively when kernels are
-        loaded."""
+    def compute_phase(self, ctx: TileContext, lo: int, hi: int) -> None:
+        """Segments ``[lo, hi)`` of an overlapped tile's context — one
+        phase of its plan — in one native call, or one numpy batch per
+        wavefront level: segments ``2L`` and ``2L + 1`` are one level,
+        so a batch spans both unless the phase starts or ends between
+        them."""
         if self.kernels is not None:
-            self.kernels.run_segment(ctx, batch)
+            self.kernels.run_segments(ctx, lo, hi)
         else:
-            self.compute_batch(ctx, batch)
+            self._run_batches(ctx, ctx.seg[
+                [lo, *range(lo + 2 - (lo & 1), hi, 2), hi]].tolist())
 
     def compute_tile(self, tile: Tuple[int, ...], t: int) -> None:
         """Every wavefront level of ``tile``, in order (one native
@@ -902,10 +937,14 @@ class RankLDS:
         if self.kernels is not None:
             self.kernels.run_tile(ctx)
         else:
-            sel, seg = ctx.sel, ctx.seg.tolist()
-            for lo, hi in zip(seg, seg[1:]):
-                if lo < hi:
-                    self.compute_batch(ctx, sel[lo:hi])
+            self._run_batches(ctx, ctx.seg.tolist())
+
+    def _run_batches(self, ctx: TileContext, offsets: List[int]) -> None:
+        """One numpy batch per non-empty ``sel[a:b]`` of consecutive
+        ``offsets``."""
+        for a, b in zip(offsets, offsets[1:]):
+            if a < b:
+                self.compute_batch(ctx, ctx.sel[a:b])
 
     # -- WRITE-BACK -----------------------------------------------------------------
 

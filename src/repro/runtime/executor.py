@@ -288,10 +288,11 @@ class TiledProgram(StageHolder):
         if plan is None:
             plan = plans[key] = build_overlap_split(
                 self.tiling.ttis.lattice_points_np(),
-                self.dense_lex_order(),
                 self.dense_level_batches(tile),
                 [(d, self.region_mask(tile, d)) for d in sends],
                 recvs,
+                # messages of one d^m share one (source, tag) ring
+                [self.comm.project(ds) for ds in recvs],
                 self.comm.max_dp,
             )
         return plan
@@ -525,9 +526,10 @@ def _decode_points(prog: TiledProgram,
     return dict(zip(prog.dist.tiles, stored.tolist()))
 
 
-# Bump a certificate row's ``version`` when HBCertificate/CostCertificate
-# (or anything they contain) changes shape: the stored proofs are dropped
-# and re-derived lazily, the geometry stays valid.
+# Bump a row's ``version`` when what it stores — HBCertificate,
+# CostCertificate, TileOverlapPlan or anything they contain — changes
+# shape: the stored copies are dropped and re-derived lazily, the
+# geometry stays valid.
 register(
     Stage("points", "program", on_demand, persisted=True,
           encode=_encode_points, decode=_decode_points),
@@ -544,7 +546,7 @@ register(
     Stage("rank_plans", "program", freeze_plans, persisted=True,
           encode=pickled, decode=unpickled),
     Stage("overlap_plans", "program", on_demand, persisted=True,
-          encode=copied, decode=copied),
+          encode=copied, decode=copied, version=2),
     Stage("hb_certificates", "program", on_demand, persisted=True,
           encode=pickled, decode=unpickled, version=2),
     Stage("cost_certificates", "program", on_demand, persisted=True,

@@ -252,8 +252,7 @@ class _Edge:
         the next free slot, or ``None`` when the ring is full *right
         now* (callers fall back to a staging buffer — reservation must
         never block, that would forfeit the overlap).  The slot stays
-        invisible to the consumer until :meth:`commit` bumps ``head``,
-        so the producer may fill it incrementally, level by level.
+        invisible to the consumer until :meth:`commit` bumps ``head``.
         """
         if n > self.capacity:
             raise ParallelRuntimeError(
@@ -332,7 +331,6 @@ class _OutMsg:
     buf: np.ndarray
     zero_copy: bool
     msgno: int = 0
-    first_ns: Optional[int] = None      # when its first byte was packed
 
 
 @dataclass
@@ -405,10 +403,9 @@ class _RingPort:
             self.events.append(("recv", w0, w1, r.src_rank, r.tag,
                                 r.nelems))
 
-    def sent(self, s: TileSend, w0: int,
-             started: Optional[int] = None) -> None:
-        """Account one published message (``started``: when its first
-        byte was packed, if earlier than the publish began)."""
+    def sent(self, s: TileSend, w0: int) -> None:
+        """Account one published message from ``w0``, when its pack
+        began."""
         w1 = self.now()
         c = self.clocks
         c.comm_ns += w1 - w0
@@ -419,8 +416,7 @@ class _RingPort:
         c.edge_elems[ekey] = c.edge_elems.get(ekey, 0) + s.nelems
         if self.events is not None:
             self.events.append(
-                ("send", w0 if started is None else started, w1,
-                 s.dst_rank, s.tag, s.nelems))
+                ("send", w0, w1, s.dst_rank, s.tag, s.nelems))
 
     # -- the blocking steps of rank_walk ---------------------------------------------
 
@@ -460,12 +456,12 @@ class _RingPort:
     def open_tile(self, tile: Tile, recvs: Sequence[TileRecv],
                   unpacks: Sequence[Unpack],
                   sends: Sequence[TileSend]) -> List[_OutMsg]:
-        """Tile start.  Reserve a ring slot per outgoing message so
-        boundary values scatter straight into shared memory (a full
-        ring falls back to a staging buffer: reservation never blocks,
-        that would forfeit the overlap), then take every halo that
-        already arrived; the rest stay :attr:`due` until the walk
-        reaches the first level that reads them."""
+        """Tile start.  Reserve a ring slot per outgoing message so its
+        one gather lands straight in shared memory (a full ring falls
+        back to a staging buffer: reservation never blocks, that would
+        forfeit the overlap), then take every halo that already
+        arrived; the rest stay :attr:`due` until the walk reaches the
+        phase that reads them."""
         self.tile0_ns, self.comm0_ns = self.now(), self.clocks.comm_ns
         outs: List[_OutMsg] = []
         for s in sends:
@@ -498,19 +494,12 @@ class _RingPort:
                 blocked.add(edge)
         return did
 
-    def pack_level(self, om: _OutMsg, fill: Callable[..., None],
-                   *args: Any) -> None:
-        """``fill(buffer, *args)``: scatter one level's freshly-final
-        values into the message (zero-copy for a reserved slot: this
-        writes shared memory)."""
+    def publish(self, tile: Tile, om: _OutMsg,
+                pack: Callable[[np.ndarray], Any]) -> Steps:
+        """``pack(buffer)``: gather the message (zero-copy for a
+        reserved slot: this writes shared memory), then commit it."""
         w0 = self.now()
-        if om.first_ns is None:
-            om.first_ns = w0
-        fill(om.buf, *args)
-        self.clocks.comm_ns += self.now() - w0
-
-    def publish(self, tile: Tile, om: _OutMsg) -> Steps:
-        w0 = self.now()
+        pack(om.buf)
         if om.zero_copy:
             om.msgno = om.edge.commit()
         else:
@@ -520,7 +509,7 @@ class _RingPort:
                     yield
             om.msgno = om.edge.push(om.buf)
         self.progress[0] += 1
-        self.sent(om.send, w0, om.first_ns)
+        self.sent(om.send, w0)
 
     def close_tile(self, tile: Tile) -> None:
         """Compute attribution: the tile span not measured as comm."""
@@ -763,13 +752,15 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     processor, bounded by the host's CPU count; values above the
     processor count are clamped — extra processes would only idle).
 
-    ``overlap=True`` selects the overlapped schedule: per wavefront
-    level each tile computes its boundary points first, scatters them
-    zero-copy into reserved mailbox slots, publishes each message at
-    its last contributing level, then computes the interior while
-    consumers drain the ring; incoming halos unpack lazily at their
-    first reading level.  Results are bitwise identical to
-    ``overlap=False`` — only the wall-clock schedule changes.
+    ``overlap=True`` selects the overlapped schedule: each tile runs
+    the phases its compile-time overlap plan froze — inside a wavefront
+    level the boundary points first; each message is gathered once,
+    zero-copy into its reserved mailbox slot, and published as soon as
+    the boundary of its last contributing level has run, so consumers
+    drain the ring while the interior computes; incoming halos unpack
+    lazily, before the first level that reads them.  Results are
+    bitwise identical to ``overlap=False`` — only the wall-clock
+    schedule changes.
 
     ``native`` (a ``repro.native`` :class:`NativeKernelLibrary`)
     switches workers' per-tile compute to the compiled shared-object

@@ -16,11 +16,12 @@ This module is that program, once:
   race pass, the artifact format and the code generator replay the
   same lists; :func:`edge_tally` is their one per-edge count.
 * :func:`rank_walk` is the walk over one plan — the only function that
-  iterates a plan's tiles and decides where inside a tile each
-  receive, compute segment, per-level pack, publish and rendezvous
-  wait sits.  Blocking is the one-phase case; ``overlap=True`` reads
-  the tile's :class:`~repro.runtime.dense.TileOverlapPlan`.  Every
-  other reader of that order is a **port** of the walk:
+  iterates a plan's tiles and places each receive, compute phase,
+  publish and rendezvous wait inside a tile.  Blocking is the
+  one-phase case; ``overlap=True`` loops over the phase table the
+  compiler froze in the tile's
+  :class:`~repro.runtime.dense.TileOverlapPlan`.  Every other reader
+  of that order is a **port** of the walk:
 
   ====================  =========================  ======================
   port                  turns each step into       may decide
@@ -44,12 +45,13 @@ A port's blocking methods are ``recv(tile, r, unpack)``,
 ``compute(tile, points, run)`` and ``send(tile, s, pack)`` (see
 :class:`VmpiPort`), each an iterable of whatever its transport needs
 while it waits.  The overlapped schedule adds ``open_tile(tile, recvs,
-unpacks, sends)`` (returns one handle per send), ``pack_level(out,
-fill, *args)``, ``publish(tile, out)``, ``close_tile(tile)`` and
-``complete(tile, out)``.  A back-end has ``unpack(r, payload, t)``,
-``compute_tile(tile, t)`` and ``pack(tile, direction, t)``, ``t`` being
-the tile's chain index; the dense one also ``tile_context``,
-``compute_segment`` and ``pack_level``.
+unpacks, sends)`` (returns one handle per send), ``publish(tile, out,
+pack)`` (``pack(buffer)`` gathers the message into the handle's
+buffer), ``close_tile(tile)`` and ``complete(tile, out)``.  A back-end
+has ``unpack(r, payload, t)``, ``compute_tile(tile, t)`` and
+``pack(tile, direction, t)``, ``t`` being the tile's chain index; the
+dense one also ``tile_context``, ``compute_phase`` and ``pack``'s
+``out`` buffer.
 """
 
 from __future__ import annotations
@@ -249,14 +251,16 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
     Write-back to the global data space is the caller's, outside every
     engine's timed region.
 
-    ``overlap=True`` is the overlapped schedule: per wavefront level
-    the points feeding outgoing ``CC`` regions run first and are packed
-    level by level, each message publishes at its last contributing
-    level (plan order, before that level's interior), each halo is
-    received at the first level that reads it, and rendezvous
-    completions wait at the tile end.  A within-level reorder of an
-    elementwise schedule: results, message order, counts and bytes are
-    those of the blocking schedule.
+    ``overlap=True`` is the overlapped schedule, read off the tile's
+    frozen phase table (:class:`~repro.runtime.dense.TileOverlapPlan`):
+    inside each wavefront level the points feeding outgoing ``CC``
+    regions run first, each message is gathered and published once —
+    after the boundary segment of its last contributing level, before
+    that level's interior, in plan order — each halo is received before
+    the first level that reads it, and rendezvous completions wait at
+    the tile end.  A within-level reorder of an elementwise schedule:
+    results, message order, counts and bytes are those of the blocking
+    schedule.
     """
     points = program.tile_point_count
     timing_only = data is None
@@ -278,39 +282,21 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
                                      partial(data.pack, tile, s.direction, t))
             continue
         oplan = program.overlap_plan(tile)
-        packs, boundary, interior = (oplan.packs, oplan.boundary,
-                                     oplan.interior)
-        # Level ``nlev`` is the tile end: what no level claims (possible
-        # only for an empty tile) lands there.
-        nlev = oplan.nlevels
-        # (level, plan position) of every receive, in taking order
-        recv_at = sorted((min(need, nlev), i) for i, need in enumerate(
-            oplan.recv_levels(recvs)))
         unpacks = [None if timing_only else
                    partial(unpack_halo, data, r, tile, t) for r in recvs]
+        packs = [None if timing_only else
+                 partial(data.pack, tile, s.direction, t) for s in sends]
         outs = port.open_tile(tile, recvs, unpacks, sends)
-        ctx = None if timing_only else data.tile_context(tile, t)
-        taken = unsent = 0
-        for li in range(nlev + 1):
-            while taken < len(recv_at) and recv_at[taken][0] == li:
-                i = recv_at[taken][1]
+        ctx = None if timing_only else data.tile_context(tile, t, oplan)
+        for take, lo, hi, publish in oplan.phases:
+            for i in take:
                 yield from port.recv(tile, recvs[i], unpacks[i])
-                taken += 1
-            level = ctx is not None and li < nlev
-            if level:
-                # boundary first: these values feed outgoing regions
-                if len(boundary[li]):
-                    data.compute_segment(ctx, boundary[li])
-                for out, pk in zip(outs, packs):
-                    if len(pk.level_lat[li]):
-                        port.pack_level(out, data.pack_level, pk, li, t)
-            while unsent < len(outs) and (
-                    li == nlev or packs[unsent].commit_level <= li):
-                yield from port.publish(tile, outs[unsent])
-                unsent += 1
-            # interior: consumers drain the ring while this runs
-            if level and len(interior[li]):
-                data.compute_segment(ctx, interior[li])
+            if ctx is not None:
+                data.compute_phase(ctx, lo, hi)
+            # a message leaves once its last boundary segment has run;
+            # consumers drain the ring while the next phase computes
+            for k in publish:
+                yield from port.publish(tile, outs[k], packs[k])
         port.close_tile(tile)
         for out in outs:
             yield from port.complete(tile, out)

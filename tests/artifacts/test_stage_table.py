@@ -12,6 +12,7 @@ import dataclasses
 import os
 import pickle
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -167,6 +168,59 @@ def test_undecodable_stage_is_rebuilt_alone(tmp_path):
     assert loaded.stages.state("rank_plans") == "built"
     assert loaded.stage("region_counts") == fresh.stage("region_counts")
     assert loaded.stages.state("region_counts") == "restored"
+
+
+#: Written by the parent commit (PR 19, ``overlap_plans`` version 1:
+#: per-level ``boundary``/``interior``/``level_lat``/``level_pos``
+#: arrays) for SOR 4x6 nonrect 2x3x4, mapping dim 2, after
+#: ``hb_certificate()`` and ``prewarm_overlap_plans()``:
+#: ``ArtifactCache(d).store(prog, 2)``.
+PARENT_ARTIFACT = os.path.join(os.path.dirname(__file__), "data",
+                               "pr19_sor_4x6_nonrect_2_3_4.tpa")
+
+
+def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
+    """A stale artifact must rebuild, not mis-decode: the parent's
+    per-level plans sit in the file at version 1, so the hit parks
+    every stage but that one; it is rebuilt as a phase table on first
+    use and the overlapped run is bitwise the dense one."""
+    from repro.apps import sor
+    from repro.artifacts.format import read_artifact
+    from repro.artifacts.hashing import content_key
+    from repro.runtime import arrays_match, dense_to_cells, run_parallel
+
+    app, h, mdim = sor.app(4, 6), sor.h_nonrectangular(2, 3, 4), 2
+    cache = ArtifactCache(str(tmp_path))
+    path = cache.path_for(content_key(app.nest, h, mdim))
+    shutil.copy(PARENT_ARTIFACT, path)
+    version, stale = read_artifact(path)["stages"]["overlap_plans"]
+    assert version == 1 and stale
+    assert all(hasattr(p, "boundary") for p in stale.values())
+
+    loaded = cache.load(app.nest, h, mdim)
+    assert loaded is not None and cache.stats()["hits"] == 1
+    assert loaded.stages.state("overlap_plans") == "pending"
+    fields, stats = run_parallel(loaded, SPEC, app.init_value, workers=2,
+                                 overlap=True)
+    assert loaded.stages.state("overlap_plans") == "built"
+    plans = loaded.stage("overlap_plans")
+    assert plans and all(hasattr(p, "phases") for p in plans.values())
+    for st in stages.TABLE.values():
+        if st.persisted and st.name != "overlap_plans":
+            holder = loaded if st.owner == "program" else loaded.tiling
+            holder.stage(st.name)
+            assert holder.stages.state(st.name) == "restored", st.name
+    assert loaded.stage("hb_certificates")      # the stored proof
+
+    fresh = TiledProgram(app.nest, h, mapping_dim=mdim)
+    ref, ref_stats = DistributedRun(fresh, SPEC).execute_dense(
+        app.init_value)
+    assert arrays_match(dense_to_cells(fields), dense_to_cells(ref),
+                        tol=0.0)
+    assert (stats.total_messages, stats.total_elements) == (
+        ref_stats.total_messages, ref_stats.total_elements)
+    fresh.prewarm_overlap_plans()
+    assert _same(dict(plans), dict(fresh.stage("overlap_plans")))
 
 
 def test_documented_table_matches_the_code():

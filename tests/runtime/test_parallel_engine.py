@@ -536,29 +536,50 @@ class TestOverlap:
             assert busy <= stats.clocks[rank] * 1.001 + 1e-9
 
     def test_overlap_plan_structure(self):
-        """The compile-time split partitions every level batch and the
-        pack schedules cover each region exactly once."""
+        """The frozen phase table: ``order``/``cuts`` split every level
+        batch into boundary-then-interior, the phases walk the segments
+        once and place every receive and publish of the rank plan."""
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
-        lex = prog.dense_lex_order()
         for pid in prog.pids:
             for tile in prog.dist.tiles_of(pid):
                 oplan = prog.overlap_plan(tile)
                 batches = prog.dense_level_batches(tile)
+                order, cuts = oplan.order, oplan.cuts
                 assert oplan.nlevels == len(batches)
-                for li, b in enumerate(batches):
-                    merged = np.sort(np.concatenate(
-                        [oplan.boundary[li], oplan.interior[li]]))
-                    assert np.array_equal(merged, np.sort(b))
-                sends, _recvs = prog.overlap_directions(tile)
+                assert len(cuts) == 2 * len(batches) + 1
+                assert order.dtype == cuts.dtype == np.int64
+                assert order.flags["C_CONTIGUOUS"]
+                sends, recvs = prog.overlap_directions(tile)
+                inregion = np.zeros(len(prog.tile_mask(tile)), dtype=bool)
                 for d, pack in zip(sends, oplan.packs):
                     region = prog.region_mask(tile, d)
-                    ridx = lex[region[lex]]
-                    assert pack.count == len(ridx)
-                    allpos = np.sort(np.concatenate(pack.level_pos))
-                    assert np.array_equal(allpos,
-                                          np.arange(len(ridx)))
+                    inregion |= region
+                    assert pack.direction == d
+                    assert pack.count == int(region.sum())
                     assert 0 <= pack.commit_level < oplan.nlevels
+                for li, b in enumerate(batches):
+                    boundary = order[cuts[2 * li]:cuts[2 * li + 1]]
+                    interior = order[cuts[2 * li + 1]:cuts[2 * li + 2]]
+                    # a stable split of the level batch
+                    assert np.array_equal(boundary, b[inregion[b]])
+                    assert np.array_equal(interior, b[~inregion[b]])
+                phases = oplan.phases
+                assert [ph.lo for ph in phases] == [0] + [
+                    ph.hi for ph in phases[:-1]]
+                assert phases[-1].hi == 2 * oplan.nlevels
+                assert sorted(i for ph in phases for i in ph.recvs) == \
+                    list(range(len(recvs)))
+                assert [k for ph in phases for k in ph.sends] == \
+                    list(range(len(sends)))
+                for ph in phases:
+                    for i in ph.recvs:
+                        assert ph.lo == 2 * oplan.recv_level[i]
+                    for k in ph.sends:
+                        assert ph.hi >= 2 * oplan.packs[k].commit_level + 1
+                # cut only where something has to happen in between
+                for ph, nxt in zip(phases, phases[1:]):
+                    assert ph.sends or nxt.recvs
 
     def test_overlap_analysis_pass_clean(self):
         from repro.analysis import analyze_program, check_overlap
@@ -570,19 +591,66 @@ class TestOverlap:
         assert not [d for d in report.diagnostics
                     if d.pass_name == "overlap"]
 
-    def test_overlap_analysis_pass_detects_corruption(self):
-        import dataclasses as _dc
-
+    @staticmethod
+    def _mutated(mutate):
+        """``check_overlap`` codes after ``mutate(plan)`` replaced one
+        stored plan — one with receives, sends, > 1 phase and a
+        level-0 boundary."""
         from repro.analysis import check_overlap
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
         prog.prewarm_overlap_plans()
-        # Corrupt one cached plan: claim an earlier commit level.
+        assert check_overlap(prog) == []
         plans = prog.stage("overlap_plans")
-        key, plan = next(iter(plans.items()))
-        bad_packs = tuple(
-            _dc.replace(p, commit_level=max(-1, p.commit_level - 1))
-            for p in plan.packs)
-        plans[key] = _dc.replace(plan, packs=bad_packs)
-        codes = {d.code for d in check_overlap(prog)}
-        assert "OV02" in codes
+        key, plan = next(
+            (k, p) for k, p in plans.items()
+            if p.recv_level and p.packs and len(p.phases) > 1
+            and p.cuts[1] > 0)
+        plans[key] = mutate(plan)
+        return {d.code for d in check_overlap(prog)}
+
+    def test_overlap_analysis_pass_detects_corruption(self):
+        # claim an earlier commit level
+        assert "OV02" in self._mutated(lambda plan: dataclasses.replace(
+            plan, packs=tuple(
+                dataclasses.replace(
+                    p, commit_level=max(-1, p.commit_level - 1))
+                for p in plan.packs)))
+
+    def test_overlap_wrong_count_is_ov01(self):
+        assert self._mutated(lambda plan: dataclasses.replace(
+            plan, packs=tuple(dataclasses.replace(p, count=p.count + 1)
+                              for p in plan.packs))) == {"OV01"}
+
+    def test_overlap_point_across_a_cut_is_ov03(self):
+        def move(plan):
+            cuts = plan.cuts.copy()
+            cuts[1] -= 1        # last boundary point of level 0 -> interior
+            return dataclasses.replace(plan, cuts=cuts)
+        assert self._mutated(move) == {"OV03"}
+
+    def test_overlap_deferred_receive_is_ov03(self):
+        assert self._mutated(lambda plan: dataclasses.replace(
+            plan, recv_level=tuple(
+                lv + 1 for lv in plan.recv_level))) == {"OV03"}
+
+    def test_overlap_publish_before_its_boundary_is_ov02(self):
+        def early(plan):
+            # publish everything before the first segment has run
+            first, *rest = plan.phases
+            sends = tuple(k for ph in plan.phases for k in ph.sends)
+            head = first._replace(hi=first.lo, sends=sends)
+            body = first._replace(recvs=(), sends=())
+            return dataclasses.replace(plan, phases=(
+                head, body, *(ph._replace(sends=()) for ph in rest)))
+        assert self._mutated(early) == {"OV02"}
+
+    def test_overlap_receive_after_first_reader_is_ov03(self):
+        def late(plan):
+            # take every receive one phase after its place
+            recvs = [ph.recvs for ph in plan.phases]
+            assert recvs[0] and not recvs[-1]
+            return dataclasses.replace(plan, phases=tuple(
+                ph._replace(recvs=r)
+                for ph, r in zip(plan.phases, [()] + recvs[:-1])))
+        assert self._mutated(late) == {"OV03"}

@@ -7,22 +7,29 @@ the overlapped schedule of :func:`repro.runtime.rankstep.rank_walk`:
 
 * the bounded static replay completes **iff** the real run does — a
   predicted wait cycle is a :class:`ParallelTimeoutError`, a predicted
-  completion a bitwise (tol=0.0) result with the simulator's counts;
+  completion a bitwise (tol=0.0) result with the simulator's counts,
+  on the numpy **and** the native kernels, the overlapped fields equal
+  to the blocking ones array by array;
 * the measured trace is accepted by the sanitizer (HB04), i.e. the
   workers took the steps the graph port wrote down;
 * the COST03 clock sweep equals the simulator's clocks, rank by rank.
 
-A fixed (derandomized) handful of draws: each one forks real workers,
-and the whole slice must stay well under 30 s in tier-1.
+A fixed (derandomized) handful of draws plus two strided-HNF tilings
+(``c_k > 1``: nearly every tile partial, many levels a mask empties):
+each one forks real workers, and the whole slice must stay under 30 s
+in tier-1.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cost.makespan import analytic_makespan
 from repro.analysis.hb.graph import build_hb_graph, replay
 from repro.analysis.hb.sanitize import sanitize_trace
+from repro.artifacts import ArtifactCache
+from repro.native.engine import build_native_library
 from repro.runtime import (
     ClusterSpec,
     DistributedRun,
@@ -39,8 +46,10 @@ SPEC = ClusterSpec()
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(**DRAWN, protocol=st.sampled_from(["eager", "rendezvous"]))
-def test_both_schedules_stay_inside_their_certificates(which, x, y, z,
-                                                       protocol):
+@example(which="jacobi", x=2, y=4, z=3, protocol="eager")   # c = (1, 2, 1)
+@example(which="adi", x=2, y=3, z=3, protocol="eager")      # c = (1, 1, 3)
+def test_both_schedules_stay_inside_their_certificates(
+        tmp_path_factory, which, x, y, z, protocol):
     app, prog = drawn_program(which, x, y, z)
     run = DistributedRun(prog, SPEC)
     sim = run.simulate()
@@ -48,6 +57,10 @@ def test_both_schedules_stay_inside_their_certificates(which, x, y, z,
     assert not sweep.stuck
     assert list(sweep.clocks) == [sim.clocks[r] for r in sorted(sim.clocks)]
     ref, _ = run.execute_dense(app.init_value)
+    lib = build_native_library(prog, cache=ArtifactCache(
+        str(tmp_path_factory.mktemp("native"))))
+    kernels = (None, lib) if lib.available else (None,)
+    blocking = {}
     for overlap in (False, True):
         verdict = replay(build_hb_graph(prog, protocol, overlap=overlap,
                                         spec=SPEC), bounded=True)
@@ -58,12 +71,18 @@ def test_both_schedules_stay_inside_their_certificates(which, x, y, z,
                 run_parallel(prog, SPEC, app.init_value, timeout=1.5,
                              **kwargs)
             continue
-        trace = EventTrace()
-        fields, stats = run_parallel(prog, SPEC, app.init_value,
-                                     timeout=60.0, trace=trace, **kwargs)
-        assert arrays_match(dense_to_cells(fields), dense_to_cells(ref),
-                            tol=0.0)
-        assert (stats.total_messages, stats.total_elements) == (
-            sim.total_messages, sim.total_elements)
-        assert sanitize_trace(prog, trace, protocol=protocol,
-                              overlap=overlap, spec=SPEC) == []
+        for native in kernels:
+            trace = EventTrace()
+            fields, stats = run_parallel(
+                prog, SPEC, app.init_value, timeout=60.0, trace=trace,
+                native=native, **kwargs)
+            assert arrays_match(dense_to_cells(fields),
+                                dense_to_cells(ref), tol=0.0)
+            for name, was in blocking.setdefault(
+                    native is None, fields).items():
+                assert np.array_equal(fields[name].values, was.values)
+                assert np.array_equal(fields[name].written, was.written)
+            assert (stats.total_messages, stats.total_elements) == (
+                sim.total_messages, sim.total_elements)
+            assert sanitize_trace(prog, trace, protocol=protocol,
+                                  overlap=overlap, spec=SPEC) == []

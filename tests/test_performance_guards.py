@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.apps import sor
+from repro.apps import jacobi, sor
 from repro.experiments.figures import sor_factors
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 
@@ -109,6 +109,123 @@ class TestDenseAddressing:
         _prog, counts, _offsets = self._counted_run(monkeypatch)
         assert counts["matvec", "walk"] == 0
         assert counts["matvec"] <= 64
+
+
+class TestOverlapPhases:
+    """Deterministic counting guards (no timing): the overlapped walk
+    executes the frozen phase table — one kernel call per non-empty
+    phase and one gather per message — and the blocking walk still
+    makes exactly one kernel call per tile and one pack per send."""
+
+    CONFIGS = [
+        pytest.param(jacobi.app(6, 12, 12),
+                     jacobi.h_nonrectangular(2, 4, 4), 0, id="jacobi"),
+        pytest.param(sor.app(4, 6), sor.h_rectangular(2, 3, 4), 2,
+                     id="sor"),
+    ]
+
+    @staticmethod
+    def _counted_walk(monkeypatch, tmp_path, app, h, mdim, overlap):
+        """Every rank's ``rank_walk`` over the ring port, in this
+        process (the workers' scheduler loop without the fork), on the
+        native kernels, with the calls of interest counted."""
+        from collections import Counter
+
+        import numpy as np
+
+        from repro.artifacts import ArtifactCache
+        from repro.native.engine import RankKernels, build_native_library
+        from repro.runtime import parallel
+        from repro.runtime.dense import DenseData, RankLDS
+
+        prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+        lib = build_native_library(prog, cache=ArtifactCache(str(tmp_path)))
+        if not lib.available:
+            pytest.skip(f"no native kernels: {lib.fallback_reason}")
+        spec = ClusterSpec()
+        sim = DistributedRun(prog, spec).simulate()
+        prog.prewarm_overlap_plans()
+        plans = parallel.build_rank_plans(prog)
+        layout = parallel.build_edges(plans, 8)
+        meta = np.zeros(sum(2 + e.depth for e in layout.values()),
+                        dtype=np.int64)
+        slots = np.zeros(sum(e.depth * e.capacity for e in layout.values()),
+                         dtype=np.float64)
+        rings = {k: parallel._Edge(e, meta, slots)
+                 for k, e in layout.items()}
+        data = DenseData(prog, app.init_value, np.float64, lib)
+        ctrl = np.zeros(3, dtype=np.int64)
+        ports = {r: parallel._RingPort(
+            r, rings, spec, "eager", ctrl, parallel._RankClocks(), [0],
+            None, time.perf_counter_ns(), crash=False) for r in plans}
+        # rank set-up (LDS buffers, address tables) is not the walk
+        ldss = {r: data.rank(plans[r].pid) for r in plans}
+        gens = {r: parallel.rank_walk(prog, plans[r], ports[r], ldss[r],
+                                      overlap) for r in plans}
+        counts = Counter()
+
+        def counting(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((RankKernels, "_call"), (RankKernels, "run_tile"),
+                            (RankLDS, "pack"), (np, "concatenate"),
+                            (np, "ascontiguousarray")):
+            counting(owner, name)
+        live = list(gens)
+        while live:
+            for r in list(live):
+                try:
+                    next(gens[r])
+                except StopIteration:
+                    live.remove(r)
+        monkeypatch.undo()
+        for r, lds in ldss.items():
+            lds.write_back(plans[r].tiles)
+        messages = sum(p.clocks.sends for p in ports.values())
+        assert messages == sim.total_messages
+        assert sum(p.clocks.elems_sent
+                   for p in ports.values()) == sim.total_elements
+        ref, _ = DistributedRun(prog, spec).execute_dense(app.init_value)
+        for name, field in data.fields.items():
+            assert np.array_equal(field.values, ref[name].values)
+        return prog, plans, counts, messages
+
+    @pytest.mark.parametrize("app,h,mdim", CONFIGS)
+    def test_one_call_per_phase_and_one_gather_per_message(
+            self, monkeypatch, tmp_path, app, h, mdim):
+        prog, plans, counts, messages = self._counted_walk(
+            monkeypatch, tmp_path, app, h, mdim, overlap=True)
+        nonempty = bound = levels = 0
+        for plan in plans.values():
+            for tile in plan.tiles:
+                oplan = prog.overlap_plan(tile)
+                nonempty += sum(oplan.cuts[ph.lo] < oplan.cuts[ph.hi]
+                                for ph in oplan.phases)
+                bound += 1 + len(set(oplan.recv_level)) + len(
+                    {p.commit_level for p in oplan.packs})
+                levels += oplan.nlevels
+        assert counts["_call"] == nonempty <= bound
+        assert bound < levels           # the guard can tell them apart
+        assert counts["run_tile"] == 0
+        assert counts["pack"] == messages > 0
+        # phase arguments are views of the plan: nothing is assembled
+        assert counts["concatenate"] == counts["ascontiguousarray"] == 0
+
+    @pytest.mark.parametrize("app,h,mdim", CONFIGS)
+    def test_blocking_walk_is_one_call_per_tile(
+            self, monkeypatch, tmp_path, app, h, mdim):
+        prog, plans, counts, messages = self._counted_walk(
+            monkeypatch, tmp_path, app, h, mdim, overlap=False)
+        tiles = [t for plan in plans.values() for t in plan.tiles]
+        assert counts["run_tile"] == len(tiles)
+        assert counts["_call"] == sum(
+            prog.tile_point_count(t) > 0 for t in tiles)
+        assert counts["pack"] == messages > 0
 
 
 class TestOneCompilePerRequest:
