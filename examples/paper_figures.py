@@ -2,8 +2,8 @@
 """Regenerate miniature versions of all six paper figures in one go.
 
 Uses reduced iteration spaces and sweeps so the whole script finishes
-in about a minute; the benchmark suite (`pytest benchmarks/
---benchmark-only`) runs the paper-scale versions.
+in about a minute; `pytest tests/experiments` asserts the paper-scale
+versions and `python -m repro figure figN` runs one full sweep.
 
 Run:  python examples/paper_figures.py
 """

@@ -333,11 +333,6 @@ def cmd_figure(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(to_csv(fig))
         print(f"wrote {args.csv}")
-    if args.html:
-        from repro.experiments.html_report import report_html
-        with open(args.html, "w") as fh:
-            fh.write(report_html([fig]))
-        print(f"wrote {args.html}")
     return 0
 
 
@@ -627,8 +622,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("name", help="fig5 .. fig10")
     p_fig.add_argument("--csv", help="also write the series as CSV")
-    p_fig.add_argument("--html", help="also write a standalone "
-                                      "HTML/SVG report")
     p_fig.set_defaults(fn=cmd_figure)
 
     p_comp = sub.add_parser(

@@ -9,8 +9,8 @@ where ``n_steps`` is the schedule length and ``comm_per_step`` the
 latency + transfer of the largest per-step message.  The prediction
 deliberately ignores boundary-tile clipping and pipeline fill/drain
 imbalance — comparing it against the discrete-event simulation
-quantifies how much those effects matter (an ablation the benchmarks
-report).
+quantifies how much those effects matter (the model-vs-simulation
+ablation of EXPERIMENTS.md).
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class TuneResult:
         """The winner rendered as a :class:`~repro.tiling.selector.
         SweepOutcome`, so everything written against the tile-*size*
         selection API (``sweep_best_extent``/``cost_guided_extent``
-        consumers: examples, experiments, benchmarks) can take the
+        consumers: examples, experiments, tests) can take the
         tile-*shape* tuner's verdict unchanged.  ``best_extent`` is the
         winner's TTIS box extent along the mapping dimension — exactly
         the quantity the paper's by-hand sweep varied — and the curve

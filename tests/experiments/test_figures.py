@@ -1,7 +1,7 @@
 """Unit tests for the figure drivers (reduced parameter sets).
 
 These check structure and the paper's qualitative claims on *small*
-instances; the full paper-scale sweeps live in benchmarks/.
+instances; the paper-scale sweeps are pinned in test_paper_figures.py.
 """
 
 import pytest

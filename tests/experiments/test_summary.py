@@ -1,5 +1,5 @@
 """Unit tests for the §4.4 improvement summary (cheap paths only —
-the full-scale aggregation runs in benchmarks/)."""
+the paper-scale aggregation is pinned in test_paper_figures.py)."""
 
 from repro.experiments.summary import (
     PAPER_IMPROVEMENTS,

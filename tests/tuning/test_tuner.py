@@ -93,6 +93,28 @@ def test_early_stop_respects_min_costed():
     assert not res.early_stop
 
 
+def test_pruned_search_matches_exhaustive_winner():
+    """The ladder's claim: the same winner for a fraction of the
+    simulator runs.  The exhaustive side disables both pruning rungs
+    over the identical candidate space (``stop_ratio=0.0`` can never
+    stop: the bound ratio is above 1 by construction; a huge ``top_k``
+    admits every costed candidate), so the ratio isolates the ladder."""
+    app, h = sor.app(8, 12), sor.h_rectangular(2, 3, 4)
+    pruned = tune_tile_shape(app.nest, app.mapping_dim, spec=SPEC,
+                             config=TuneConfig(), baseline_h=h)
+    exhaustive = tune_tile_shape(
+        app.nest, app.mapping_dim, spec=SPEC,
+        config=TuneConfig(stop_ratio=0.0, top_k=10 ** 6), baseline_h=h)
+    assert pruned.early_stop, "reference config must trip the stop rule"
+    assert not exhaustive.early_stop
+    # Pinned winner: pruning may never change the answer, only its cost.
+    assert pruned.winner_h == exhaustive.winner_h
+    assert pruned.winner.simulated_makespan == \
+        exhaustive.winner.simulated_makespan
+    assert (pruned.simulator_evals, exhaustive.simulator_evals) == (2, 15)
+    assert exhaustive.simulator_evals >= 5.0 * pruned.simulator_evals
+
+
 def test_processor_cap_rejections_are_traced():
     app = sor.app(8, 12)
     res = tune_tile_shape(app.nest, app.mapping_dim, spec=SPEC,
