@@ -7,7 +7,7 @@ Three layers, surfaced as ``repro analyze --hb`` and
   Builds the happens-before graph of a program's parallel execution
   (per-rank program order from the tile chains, cross-rank edges from
   each ``CC_k`` send/recv pair under the eager / rendezvous / spec
-  protocol and under the overlap plan's reserve/commit/drain points),
+  protocol and under the overlap plan's publish/drain points),
   proves via Fidge-Mattern vector clocks that every halo write/read
   pair is HB-ordered (``HB01``) and via an abstract wait machine that
   the edge-wait graph is acyclic (``HB02``).

@@ -63,7 +63,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -231,9 +230,9 @@ class _GraphPort:
         self.publish(tile, s)
         return self.complete(tile, s)
 
-    def open_tile(self, tile: Tile, recvs: object, unpacks: object,
-                  sends: Sequence[TileSend]) -> Sequence[TileSend]:
-        return sends                    # a send is its own handle
+    def open_tile(self, tile: Tile, recvs: object,
+                  unpacks: object) -> None:
+        """A tile's start is not an event."""
 
     def publish(self, tile: Tile, s: TileSend,
                 pack: object = None) -> Tuple[()]:
@@ -293,18 +292,17 @@ def replay(g: HBGraph, bounded: bool,
 
     A receive runs once its message is published, a ``SENDWAIT`` once
     its message is consumed.  ``bounded=False`` gives sends the
-    simulator's unlimited buffering.  ``bounded=True`` is the
-    *most-blocked* sound abstraction of the ring runtime: a send blocks
-    while its ring holds ``edge_depth`` unconsumed messages (the staged
-    fallback; a successful zero-copy reservation only ever blocks
-    less), and — in overlap mode — a rank blocked on a full ring drains
-    arrived-but-deferred same-tile receives first-per-edge, exactly
-    like ``drain_ready``.  ``visit(eid)`` is called as each event
-    executes, after every event it waits on.  Every rank advances as
-    far as it can, so the final state (and any value ``visit`` folds
-    along a rank) does not depend on the interleaving.  Completion
-    certifies every real schedule completes; a stall yields the wait
-    cycle.
+    simulator's unlimited buffering.  ``bounded=True`` is the ring
+    runtime's one message path, exactly: a send blocks while its ring
+    holds ``edge_depth`` unconsumed messages (``_RingPort.publish``
+    asking ``reserve`` again), and — in overlap mode — a rank blocked
+    on a full ring drains arrived-but-deferred same-tile receives
+    first-per-edge, like ``drain_ready``.  ``visit(eid)`` is called as
+    each event executes, after every event it waits on.  Every rank
+    advances as far as it can, so the final state (and any value
+    ``visit`` folds along a rank) does not depend on the interleaving.
+    Completion certifies every real schedule completes; a stall yields
+    the wait cycle.
     """
     events, rows, depth = g.events, g.rank_order, g.edge_depth
     published: Dict[Optional[Chan], int] = {}

@@ -2,11 +2,11 @@
 
 Layer 2 of the HB certifier (HB03): an abstract two-thread model of
 :class:`repro.runtime.parallel._Edge` — producer steps ``wait_space``
-/ payload store / size store / ``head`` bump (``push``), or the
-split-write ``reserve``/``commit`` pair; consumer steps ``wait_msg`` /
-size read / payload read / ``tail`` bump (``release``) — explored
-exhaustively over small bounded configurations (every ring depth 1-3,
-message counts up to depth+2, both publish modes).
+(``reserve``) / payload stores (the gather, one per array) / size store
+/ ``head`` bump (``commit``); consumer steps ``wait_msg`` / size read /
+payload read / ``tail`` bump (``release``) — explored exhaustively
+over small bounded configurations (every ring depth 1-3, message
+counts up to depth+2).
 
 Exploration is a depth-first search with state memoization and a
 persistent-set partial-order reduction: when the producer's and
@@ -65,11 +65,26 @@ MUTATIONS: Dict[str, str] = {
                      "payload (drain reordered)",
     "wrap_misindex": "producer writes slot (head+1) %% depth, breaking "
                      "wraparound coherence",
-    "premature_commit": "reserve-mode commit publishes a half-written "
-                        "slot",
+    "premature_commit": "commit publishes a half-written slot",
 }
 
 _PARTIAL = -10 ** 6         # sentinel token for a half-written payload
+
+#: The one producer program of a message — the payload lands in two
+#: partial writes (one gather per array), then size + head — and its
+#: known-bad reorders, by mutation.
+_PRODUCER: Dict[Optional[str], Tuple[str, ...]] = {
+    None: ("wait_space", "write_part0", "write_part1", "write_size",
+           "publish"),
+    "commit_before_payload": ("wait_space", "publish", "write_part0",
+                              "write_part1", "write_size"),
+    "commit_before_size": ("wait_space", "write_part0", "write_part1",
+                           "publish", "write_size"),
+    "premature_commit": ("wait_space", "write_part0", "write_size",
+                         "publish", "write_part1"),
+    "no_backpressure": ("write_part0", "write_part1", "write_size",
+                        "publish"),
+}
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,6 @@ class RingConfig:
 
     depth: int
     nmsgs: int
-    mode: str                           # "push" | "reserve"
     mutation: Optional[str] = None
 
 
@@ -101,33 +115,8 @@ class ModelResult:
 def _producer_steps(cfg: RingConfig) -> List[Step]:
     """The producer's atomic-step program, msg by msg, with the
     configured mutation applied."""
-    mut = cfg.mutation
-    steps: List[Step] = []
-    for k in range(1, cfg.nmsgs + 1):
-        if cfg.mode == "push":
-            ops = ["wait_space", "write_payload", "write_size",
-                   "publish"]
-            if mut == "commit_before_payload":
-                ops = ["wait_space", "publish", "write_payload",
-                       "write_size"]
-            elif mut == "commit_before_size":
-                ops = ["wait_space", "write_payload", "publish",
-                       "write_size"]
-            elif mut == "no_backpressure":
-                ops = ["write_payload", "write_size", "publish"]
-        else:
-            # reserve/commit: the payload lands in two partial writes
-            # (level-by-level zero-copy scatter), then size + head.
-            ops = ["wait_space", "write_part0", "write_part1",
-                   "write_size", "publish"]
-            if mut == "premature_commit":
-                ops = ["wait_space", "write_part0", "write_size",
-                       "publish", "write_part1"]
-            elif mut == "no_backpressure":
-                ops = ["write_part0", "write_part1", "write_size",
-                       "publish"]
-        steps.extend((op, k) for op in ops)
-    return steps
+    ops = _PRODUCER.get(cfg.mutation, _PRODUCER[None])
+    return [(op, k) for k in range(1, cfg.nmsgs + 1) for op in ops]
 
 
 def _consumer_steps(cfg: RingConfig) -> List[Step]:
@@ -147,12 +136,11 @@ def _footprint(step: Step, state: State, cfg: RingConfig,
     _pp, _cp, head, tail, _sizes, _slots, _pending = state
     if producer:
         slot = head % cfg.depth
-        if cfg.mutation == "wrap_misindex" and op in (
-                "write_payload", "write_size"):
+        if cfg.mutation == "wrap_misindex" and op.startswith("write_"):
             slot = (head + 1) % cfg.depth
         if op == "wait_space":
             return frozenset({("head", 0), ("tail", 0)}), frozenset()
-        if op in ("write_payload", "write_part0", "write_part1"):
+        if op in ("write_part0", "write_part1"):
             return frozenset(), frozenset({("slots", slot)})
         if op == "write_size":
             return frozenset(), frozenset({("sizes", slot)})
@@ -197,16 +185,12 @@ def _apply(step: Step, state: State, cfg: RingConfig,
     violation: Optional[str] = None
     if producer:
         slot = head % cfg.depth
-        if cfg.mutation == "wrap_misindex" and op in (
-                "write_payload", "write_size"):
+        if cfg.mutation == "wrap_misindex" and op.startswith("write_"):
             slot = (head + 1) % cfg.depth
-        if op in ("wait_space", "write_part1"):
-            if op == "write_part1":
-                slots_l[slot] = k
-        elif op == "write_payload":
-            slots_l[slot] = k
-        elif op == "write_part0":
+        if op == "write_part0":
             slots_l[slot] = _PARTIAL
+        elif op == "write_part1":
+            slots_l[slot] = k
         elif op == "write_size":
             sizes_l[slot] = k
         elif op == "publish":
@@ -294,20 +278,11 @@ def _configs(mutation: Optional[str],
              depths: Sequence[int] = (1, 2, 3),
              extra_msgs: int = 2) -> List[RingConfig]:
     """Every bounded configuration a mutation applies to."""
-    modes = ("push", "reserve")
-    if mutation in ("commit_before_payload", "commit_before_size"):
-        modes = ("push",)
-    elif mutation == "premature_commit":
-        modes = ("reserve",)
-    out: List[RingConfig] = []
-    for mode in modes:
-        for depth in depths:
-            if mutation == "wrap_misindex" and depth < 2:
-                continue                  # needs a second slot to miss
-            for nmsgs in range(1, depth + extra_msgs + 1):
-                out.append(RingConfig(depth=depth, nmsgs=nmsgs,
-                                      mode=mode, mutation=mutation))
-    return out
+    return [RingConfig(depth=depth, nmsgs=nmsgs, mutation=mutation)
+            for depth in depths
+            # wrap_misindex needs a second slot to miss
+            if not (mutation == "wrap_misindex" and depth < 2)
+            for nmsgs in range(1, depth + extra_msgs + 1)]
 
 
 def check_ring_model(mutation: Optional[str] = None) -> ModelResult:

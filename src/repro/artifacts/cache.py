@@ -64,6 +64,8 @@ class ArtifactCache:
         self.native_hits = 0
         self.native_misses = 0
         self.native_stores = 0
+        #: cached shared objects that did not load and were rebuilt
+        self.native_invalid = 0
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key + ARTIFACT_SUFFIX)
@@ -77,6 +79,7 @@ class ArtifactCache:
             "native_hits": self.native_hits,
             "native_misses": self.native_misses,
             "native_stores": self.native_stores,
+            "native_invalid": self.native_invalid,
         }
 
     # -- native shared objects ------------------------------------------------
@@ -97,6 +100,13 @@ class ArtifactCache:
             return path
         self.native_misses += 1
         return None
+
+    def native_reject(self) -> None:
+        """The ``.so`` a lookup just served does not load: recount the
+        hit as an invalid miss (the caller rebuilds over it)."""
+        self.native_hits -= 1
+        self.native_misses += 1
+        self.native_invalid += 1
 
     def native_store_source(self, key: str, source: str) -> str:
         """Atomically drop the emitted ``.c`` next to the ``.so``."""

@@ -103,7 +103,14 @@ def _load_fn(so_path: str) -> Any:
     fn = _FN_CACHE.get(so_path)
     if fn is None:
         lib = ctypes.CDLL(so_path)
-        fn = lib.repro_run
+        try:
+            fn = lib.repro_run
+        except AttributeError:
+            # unload it, or an object rebuilt at this path resolves to
+            # this one (dlopen matches loaded libraries by name)
+            import _ctypes
+            _ctypes.dlclose(lib._handle)
+            raise
         fn.restype = None
         fn.argtypes = [
             ctypes.c_long,    # nseg
@@ -206,6 +213,14 @@ def build_native_library(program: Any,
 
     so_path = cache.native_lookup(key)
     status = "hit"
+    if so_path is not None:
+        # The memoised dlopen the run needs anyway: a torn or foreign
+        # object is rebuilt here instead of crashing a run (or worker).
+        try:
+            _load_fn(so_path)
+        except (OSError, AttributeError):
+            cache.native_reject()
+            so_path = None
     if so_path is None:
         status = "miss"
         so_path = cache.native_path(key)

@@ -864,8 +864,8 @@ class RankLDS:
     def pack(self, tile: Tuple[int, ...], direction: Sequence[int],
              t: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Serialize the region's values, array-major: one lex-order
-        gather per array, into ``out`` when given (the overlapped walk
-        passes its reserved ring slot)."""
+        gather per array, into ``out`` when given (the ring port passes
+        the message's mailbox slot)."""
         flat = self.region_flat(tile, direction, t)
         cnt = len(flat)
         if out is None:

@@ -15,7 +15,10 @@ compiled schedule in parallel on the host:
   single-producer/single-consumer ring buffer per directed
   ``(src_rank, dst_rank, tag)`` edge, sized at compile time from the
   ``CC`` region counts (pack-per-processor on send, receive-per-tile
-  on the receiving side — the paper's §3.2 asymmetry);
+  on the receiving side — the paper's §3.2 asymmetry).  A message has
+  one life on every schedule — wait for a free slot, reserve it, gather
+  the ``CC`` region straight into it, commit — and is unpacked straight
+  out of the slot on the other side: one copy each way, no allocation;
 * both MPI protocols are available: *eager* (the bounded ring provides
   backpressure: a full mailbox blocks the sender until a slot frees)
   and *rendezvous* (the sender additionally waits until the receiver
@@ -104,6 +107,7 @@ Tile = Tuple[int, ...]
 Cell = Tuple[int, ...]
 InitFn = Callable[[str, Cell], float]
 Unpack = Callable[[np.ndarray], None]
+Pack = Callable[[np.ndarray], np.ndarray]
 #: (kind, start_ns, end_ns, peer, tag, nelems); peer/tag < 0 = absent.
 Event = Tuple[str, int, int, int, int, int]
 
@@ -208,8 +212,7 @@ def _attach(name: str) -> _shm.SharedMemory:
 class _Edge:
     """One SPSC mailbox ring, viewed through shared memory."""
 
-    __slots__ = ("depth", "capacity", "head", "tail", "sizes", "slots",
-                 "_pending_n")
+    __slots__ = ("depth", "capacity", "head", "tail", "sizes", "slots")
 
     def __init__(self, spec: EdgeSpec, meta: np.ndarray,
                  data: np.ndarray) -> None:
@@ -222,38 +225,14 @@ class _Edge:
         self.slots = data[spec.data_off:
                           spec.data_off + spec.depth * spec.capacity
                           ].reshape(spec.depth, spec.capacity)
-        self._pending_n = 0
 
     # producer side ------------------------------------------------------------
 
-    def can_push(self) -> bool:
-        return int(self.head[0]) - int(self.tail[0]) < self.depth
-
-    def push(self, payload: np.ndarray) -> int:
-        """Write one message; returns its 1-based message number.
-
-        Payload and size land before the ``head`` bump publishes the
-        slot (store order is what makes the lock-free ring safe).
-        """
-        n = len(payload)
-        if n > self.capacity:
-            raise ParallelRuntimeError(
-                f"message of {n} elements exceeds mailbox capacity "
-                f"{self.capacity}")
-        h = int(self.head[0])
-        slot = h % self.depth
-        self.slots[slot, :n] = payload
-        self.sizes[slot] = n
-        self.head[0] = h + 1
-        return h + 1
-
     def reserve(self, n: int) -> Optional[np.ndarray]:
-        """Zero-copy half of :meth:`push`: hand out a writable view of
-        the next free slot, or ``None`` when the ring is full *right
-        now* (callers fall back to a staging buffer — reservation must
-        never block, that would forfeit the overlap).  The slot stays
-        invisible to the consumer until :meth:`commit` bumps ``head``.
-        """
+        """A writable view of the next free slot, or ``None`` when the
+        ring is full *right now* (the producer waits and asks again).
+        The slot stays invisible to the consumer until :meth:`commit`
+        bumps ``head``."""
         if n > self.capacity:
             raise ParallelRuntimeError(
                 f"message of {n} elements exceeds mailbox capacity "
@@ -261,17 +240,20 @@ class _Edge:
         h = int(self.head[0])
         if h - int(self.tail[0]) >= self.depth:
             return None
-        self._pending_n = n
         return self.slots[h % self.depth, :n]
 
-    def commit(self) -> int:
-        """Publish the slot handed out by :meth:`reserve`; returns the
-        1-based message number.  Size lands before the ``head`` bump —
-        the same store-order discipline as :meth:`push`."""
+    def commit(self, n: int) -> None:
+        """Publish the ``n`` elements written into the slot handed out
+        by :meth:`reserve`.  Payload and size land before the ``head``
+        bump (store order is what makes the lock-free ring safe)."""
         h = int(self.head[0])
-        self.sizes[h % self.depth] = self._pending_n
+        self.sizes[h % self.depth] = n
         self.head[0] = h + 1
-        return h + 1
+
+    def drained(self) -> bool:
+        """Everything committed so far has been released — what a
+        rendezvous send waits for."""
+        return int(self.tail[0]) >= int(self.head[0])
 
     # consumer side ------------------------------------------------------------
 
@@ -288,14 +270,6 @@ class _Edge:
     def release(self) -> None:
         """Retire the message :meth:`peek` exposed (bumps ``tail``)."""
         self.tail[0] = int(self.tail[0]) + 1
-
-    def pop(self) -> np.ndarray:
-        out = self.peek().copy()
-        self.release()
-        return out
-
-    def consumed(self, msgno: int) -> bool:
-        return int(self.tail[0]) >= msgno
 
 
 # -- worker process ------------------------------------------------------------------
@@ -318,19 +292,6 @@ class _RankClocks:
     # row per edge, single writer = the sender's worker).
     edge_msgs: Dict[EdgeKey, int] = field(default_factory=dict)
     edge_elems: Dict[EdgeKey, int] = field(default_factory=dict)
-
-
-@dataclass
-class _OutMsg:
-    """One outgoing message of an overlapped tile, from reservation to
-    rendezvous completion: a reserved ring-slot view (zero-copy) or a
-    staging buffer when the ring was full at reservation time."""
-
-    send: TileSend
-    edge: _Edge
-    buf: np.ndarray
-    zero_copy: bool
-    msgno: int = 0
 
 
 @dataclass
@@ -418,7 +379,7 @@ class _RingPort:
             self.events.append(
                 ("send", w0, w1, s.dst_rank, s.tag, s.nelems))
 
-    # -- the blocking steps of rank_walk ---------------------------------------------
+    # -- the steps of rank_walk ------------------------------------------------------
 
     def recv(self, tile: Tile, r: TileRecv, unpack: Unpack) -> Steps:
         if self.due is not None and self.due.pop(id(r), None) is None:
@@ -439,43 +400,46 @@ class _RingPort:
         self.crash_point()
         return ()                       # never blocks: nothing to yield
 
-    def send(self, tile: Tile, s: TileSend,
-             pack: Callable[[], np.ndarray]) -> Steps:
+    def send(self, tile: Tile, s: TileSend, pack: Pack) -> Steps:
+        yield from self.publish(tile, s, pack)
+        yield from self.complete(tile, s)
+
+    def publish(self, tile: Tile, s: TileSend, pack: Pack) -> Steps:
+        """The one life of a message: wait for a free slot (taking
+        deferred halos meanwhile when a tile is open), reserve it,
+        ``pack(view)`` — the one gather, straight into shared memory —
+        and commit."""
         edge = self.out_edge(s)
         w0 = self.now()
-        payload = pack()
-        yield from self.wait(edge.can_push)
-        msgno = edge.push(payload)
+        while (view := edge.reserve(s.nelems)) is None:
+            self.check_abort()
+            if self.due is None or not self.drain_ready():
+                yield
+        edge.commit(len(pack(view)))
         self.progress[0] += 1
-        if self.spec.uses_rendezvous(self.protocol, s.nelems):
-            yield from self.wait(lambda: edge.consumed(msgno))
         self.sent(s, w0)
 
-    # -- the overlapped steps of rank_walk -------------------------------------------
+    def complete(self, tile: Tile, s: TileSend) -> Steps:
+        """Rendezvous completion of the rank's latest message on the
+        edge — at the tile end on the overlapped schedule, so the
+        interior compute overlapped the receiver's drain."""
+        if self.spec.uses_rendezvous(self.protocol, s.nelems):
+            w0 = self.now()
+            yield from self.wait(self.out_edge(s).drained)
+            self.clocks.comm_ns += self.now() - w0
+
+    # -- the tile bracket of the overlapped schedule ---------------------------------
 
     def open_tile(self, tile: Tile, recvs: Sequence[TileRecv],
-                  unpacks: Sequence[Unpack],
-                  sends: Sequence[TileSend]) -> List[_OutMsg]:
-        """Tile start.  Reserve a ring slot per outgoing message so its
-        one gather lands straight in shared memory (a full ring falls
-        back to a staging buffer: reservation never blocks, that would
-        forfeit the overlap), then take every halo that already
-        arrived; the rest stay :attr:`due` until the walk reaches the
-        phase that reads them."""
+                  unpacks: Sequence[Unpack]) -> None:
+        """Tile start: take every halo that already arrived; the rest
+        stay :attr:`due` until the walk reaches the phase that reads
+        them."""
         self.tile0_ns, self.comm0_ns = self.now(), self.clocks.comm_ns
-        outs: List[_OutMsg] = []
-        for s in sends:
-            edge = self.out_edge(s)
-            view = edge.reserve(s.nelems)
-            outs.append(_OutMsg(
-                send=s, edge=edge, zero_copy=view is not None,
-                buf=(view if view is not None
-                     else np.empty(s.nelems, dtype=edge.slots.dtype))))
-        self.crash_point()              # slots reserved, none committed
+        self.crash_point()              # tile open, nothing published
         self.due = {id(r): (r, self.in_edge(r), unpack)
                     for r, unpack in zip(recvs, unpacks)}
         self.drain_ready()
-        return outs
 
     def drain_ready(self) -> bool:
         """Take arrived-but-deferred halos (first remaining message per
@@ -494,23 +458,6 @@ class _RingPort:
                 blocked.add(edge)
         return did
 
-    def publish(self, tile: Tile, om: _OutMsg,
-                pack: Callable[[np.ndarray], Any]) -> Steps:
-        """``pack(buffer)``: gather the message (zero-copy for a
-        reserved slot: this writes shared memory), then commit it."""
-        w0 = self.now()
-        pack(om.buf)
-        if om.zero_copy:
-            om.msgno = om.edge.commit()
-        else:
-            while not om.edge.can_push():
-                self.check_abort()
-                if not self.drain_ready():
-                    yield
-            om.msgno = om.edge.push(om.buf)
-        self.progress[0] += 1
-        self.sent(om.send, w0)
-
     def close_tile(self, tile: Tile) -> None:
         """Compute attribution: the tile span not measured as comm."""
         tile1 = self.now()
@@ -519,14 +466,6 @@ class _RingPort:
         if self.events is not None:
             self.events.append(
                 ("compute", self.tile0_ns, tile1, -1, -1, 0))
-
-    def complete(self, tile: Tile, om: _OutMsg) -> Steps:
-        """Rendezvous completion, at the tile end so the interior
-        compute overlapped the receiver's drain."""
-        if self.spec.uses_rendezvous(self.protocol, om.send.nelems):
-            w0 = self.now()
-            yield from self.wait(lambda: om.edge.consumed(om.msgno))
-            self.clocks.comm_ns += self.now() - w0
 
 
 def _rank_generator(program: TiledProgram, plan: RankPlan,
@@ -754,10 +693,10 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
 
     ``overlap=True`` selects the overlapped schedule: each tile runs
     the phases its compile-time overlap plan froze — inside a wavefront
-    level the boundary points first; each message is gathered once,
-    zero-copy into its reserved mailbox slot, and published as soon as
-    the boundary of its last contributing level has run, so consumers
-    drain the ring while the interior computes; incoming halos unpack
+    level the boundary points first; each message is gathered straight
+    into its mailbox slot like any send, but as soon as the boundary of
+    its last contributing level has run, so consumers drain the ring
+    while the interior computes; incoming halos unpack
     lazily, before the first level that reads them.  Results are
     bitwise identical to ``overlap=False`` — only the wall-clock
     schedule changes.
@@ -802,63 +741,47 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
         program.prewarm_overlap_plans()
     plans = build_rank_plans(program)
     edges = build_edges(plans, mailbox_depth)
-    meta_words = max(1, sum(2 + e.depth for e in edges.values()))
-    data_words = max(1, sum(e.depth * e.capacity
-                            for e in edges.values()))
-
     proto_fields = result_fields(program.nest, np_dtype)
     field_layout = [(arr, tuple(f.origin), f.values.shape)
                     for arr, f in proto_fields.items()]
 
     created: Dict[str, _shm.SharedMemory] = {}
 
-    def new_seg(key: str, nbytes: int) -> _shm.SharedMemory:
-        seg = _shm.SharedMemory(create=True, size=max(1, nbytes))
-        created[key] = seg
-        return seg
-
     procs: List[Any] = []
     # All numpy views over the shared segments live in this dict so the
     # cleanup path can drop them before closing the mmaps.
     views: Dict[str, np.ndarray] = {}
+
+    def new_seg(key: str, count: int, dtype: Any = np.int64,
+                view: bool = True) -> str:
+        """Create a segment of ``count`` elements (at least one: a
+        program may have no edge at all), zeroed through its view in
+        ``views``; returns its name."""
+        seg = _shm.SharedMemory(
+            create=True, size=max(1, count) * np.dtype(dtype).itemsize)
+        created[key] = seg
+        if view:
+            views[key] = np.frombuffer(seg.buf, dtype=dtype)
+            views[key][:] = 0
+        return seg.name
+
     try:
-        ctrl_seg = new_seg("ctrl", (2 + workers) * 8)
-        meta_seg = new_seg("meta", meta_words * 8)
-        data_seg = new_seg("data", data_words * np_dtype.itemsize)
-        statsf_seg = new_seg("statsf", nranks * 3 * 8)
-        statsi_seg = new_seg("statsi", nranks * 3 * 8)
-        edgestats_seg = new_seg("edgestats", len(edges) * 2 * 8)
-        views["ctrl"] = np.frombuffer(ctrl_seg.buf, dtype=np.int64)
-        views["ctrl"][:] = 0
-        views["meta"] = np.frombuffer(meta_seg.buf, dtype=np.int64)
-        views["meta"][:] = 0
-        views["statsf"] = np.frombuffer(statsf_seg.buf,
-                                        dtype=np.float64)
-        views["statsf"][:] = 0.0
-        views["statsi"] = np.frombuffer(statsi_seg.buf, dtype=np.int64)
-        views["statsi"][:] = 0
-        views["edgestats"] = np.frombuffer(edgestats_seg.buf,
-                                           dtype=np.int64)
-        views["edgestats"][:] = 0
-        field_segs: List[Tuple[str, str, str]] = []
-        for arr, _origin, shp in field_layout:
-            count = 1
-            for s in shp:
-                count *= s
-            vseg = new_seg(f"values:{arr}", count * np_dtype.itemsize)
-            wseg = new_seg(f"written:{arr}", count)
-            views[f"values:{arr}"] = np.frombuffer(vseg.buf,
-                                                   dtype=np_dtype)
-            views[f"values:{arr}"][:] = 0
-            views[f"written:{arr}"] = np.frombuffer(wseg.buf,
-                                                    dtype=np.uint8)
-            views[f"written:{arr}"][:] = 0
-            field_segs.append((arr, vseg.name, wseg.name))
         segments = _Segments(
-            ctrl=ctrl_seg.name, meta=meta_seg.name, data=data_seg.name,
-            statsf=statsf_seg.name, statsi=statsi_seg.name,
-            edgestats=edgestats_seg.name,
-            fields=tuple(field_segs))
+            ctrl=new_seg("ctrl", 2 + workers),
+            meta=new_seg("meta", sum(2 + e.depth for e in edges.values())),
+            # the rings' slots: written before they are read, left to
+            # the workers to touch
+            data=new_seg("data", sum(e.depth * e.capacity
+                                     for e in edges.values()),
+                         np_dtype, view=False),
+            statsf=new_seg("statsf", nranks * 3, np.float64),
+            statsi=new_seg("statsi", nranks * 3),
+            edgestats=new_seg("edgestats", len(edges) * 2),
+            fields=tuple(
+                (arr,
+                 new_seg(f"values:{arr}", int(np.prod(shp)), np_dtype),
+                 new_seg(f"written:{arr}", int(np.prod(shp)), np.uint8))
+                for arr, _origin, shp in field_layout))
         cfg = _RunConfig(
             dtype_str=np_dtype.str, protocol=protocol, nranks=nranks,
             nworkers=workers, collect_trace=trace is not None,

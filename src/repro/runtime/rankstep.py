@@ -44,10 +44,13 @@ This module is that program, once:
 A port's blocking methods are ``recv(tile, r, unpack)``,
 ``compute(tile, points, run)`` and ``send(tile, s, pack)`` (see
 :class:`VmpiPort`), each an iterable of whatever its transport needs
-while it waits.  The overlapped schedule adds ``open_tile(tile, recvs,
-unpacks, sends)`` (returns one handle per send), ``publish(tile, out,
-pack)`` (``pack(buffer)`` gathers the message into the handle's
-buffer), ``close_tile(tile)`` and ``complete(tile, out)``.  A back-end
+while it waits.  The overlapped schedule splits ``send`` into
+``publish(tile, s, pack)`` (the message leaves) and ``complete(tile,
+s)`` (its rendezvous wait, at the tile end) — on the ring and graph
+ports ``send`` *is* those two, back to back — and brackets the tile
+with ``open_tile(tile, recvs, unpacks)`` / ``close_tile(tile)``.
+``pack(out)`` gathers the message into the port's buffer; only the
+vMPI port calls it bare and lets the back-end allocate.  A back-end
 has ``unpack(r, payload, t)``, ``compute_tile(tile, t)`` and
 ``pack(tile, direction, t)``, ``t`` being the tile's chain index; the
 dense one also ``tile_context``, ``compute_phase`` and ``pack``'s
@@ -268,25 +271,23 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
     # is the paper's t (``dist.chain_index``).
     for t, tile in enumerate(plan.tiles):
         recvs, sends = plan.recvs[t], plan.sends[t]
-        if not overlap:
-            # One phase: every halo in, the whole tile, every message
-            # out (a send returns once its transport is done with it).
-            for r in recvs:
-                yield from port.recv(tile, r, None if timing_only else
-                                     partial(unpack_halo, data, r, tile, t))
-            yield from port.compute(tile, points(tile),
-                                    None if timing_only else partial(
-                                        data.compute_tile, tile, t))
-            for s in sends:
-                yield from port.send(tile, s, None if timing_only else
-                                     partial(data.pack, tile, s.direction, t))
-            continue
-        oplan = program.overlap_plan(tile)
         unpacks = [None if timing_only else
                    partial(unpack_halo, data, r, tile, t) for r in recvs]
         packs = [None if timing_only else
                  partial(data.pack, tile, s.direction, t) for s in sends]
-        outs = port.open_tile(tile, recvs, unpacks, sends)
+        if not overlap:
+            # One phase: every halo in, the whole tile, every message
+            # out (a send returns once its transport is done with it).
+            for r, unpack in zip(recvs, unpacks):
+                yield from port.recv(tile, r, unpack)
+            yield from port.compute(tile, points(tile),
+                                    None if timing_only else partial(
+                                        data.compute_tile, tile, t))
+            for s, pack in zip(sends, packs):
+                yield from port.send(tile, s, pack)
+            continue
+        oplan = program.overlap_plan(tile)
+        port.open_tile(tile, recvs, unpacks)
         ctx = None if timing_only else data.tile_context(tile, t, oplan)
         for take, lo, hi, publish in oplan.phases:
             for i in take:
@@ -296,10 +297,10 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
             # a message leaves once its last boundary segment has run;
             # consumers drain the ring while the next phase computes
             for k in publish:
-                yield from port.publish(tile, outs[k], packs[k])
+                yield from port.publish(tile, sends[k], packs[k])
         port.close_tile(tile)
-        for out in outs:
-            yield from port.complete(tile, out)
+        for s in sends:
+            yield from port.complete(tile, s)
 
 
 def unpack_halo(data: Any, r: TileRecv, tile: Tile, t: int,

@@ -17,15 +17,13 @@ class TestFaithfulModel:
     def test_faithful_protocol_is_clean(self):
         res = check_ring_model(None)
         assert res.ok, res.violations[:3]
-        assert res.configs == 24          # depths 1-3 x msgs x 2 modes
+        assert res.configs == 12          # depths 1-3 x msgs 1..depth+2
         assert res.states > 0
 
     def test_wraparound_is_exercised(self):
         # More messages than slots forces the ring to wrap; a depth-2
         # ring with 4 messages must still verify.
-        res = explore(RingConfig(depth=2, nmsgs=4, mode="push"))
-        assert res.ok
-        res = explore(RingConfig(depth=2, nmsgs=4, mode="reserve"))
+        res = explore(RingConfig(depth=2, nmsgs=4))
         assert res.ok
 
     def test_ring_diagnostics_empty_and_cached(self):
@@ -47,7 +45,11 @@ class TestMutationCorpus:
         res = check_ring_model("commit_before_payload")
         assert any("not published before consumption" in v
                    for v in res.violations)
-        # the size-barrier flip is caught at the payload read
+        # so is the size-barrier flip
+        res = check_ring_model("commit_before_size")
+        assert any("not published before consumption" in v
+                   for v in res.violations)
+        # a half-written slot is caught at the payload read
         res = check_ring_model("premature_commit")
         assert any("half-written payload" in v
                    for v in res.violations)

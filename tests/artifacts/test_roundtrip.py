@@ -137,6 +137,7 @@ def test_get_or_compile_miss_then_hit(tmp_path):
     assert (st1, st2) == ("miss", "hit")
     assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1,
                              "invalid": 0, "native_hits": 0,
-                             "native_misses": 0, "native_stores": 0}
+                             "native_misses": 0, "native_stores": 0,
+                             "native_invalid": 0}
     assert DistributedRun(p1, SPEC).simulate() == \
         DistributedRun(p2, SPEC).simulate()

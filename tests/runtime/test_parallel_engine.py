@@ -275,64 +275,77 @@ class TestMailboxRing:
         data = np.zeros(depth * capacity, dtype=np.float64)
         return _Edge(spec, meta, data)
 
+    @staticmethod
+    def _send(edge, values):
+        """The producer path: reserve, fill the slot, commit."""
+        view = edge.reserve(len(values))
+        assert view is not None
+        view[:] = values
+        edge.commit(len(values))
+
+    @staticmethod
+    def _take(edge):
+        """The consumer path: copy out of the slot, then release it."""
+        got = edge.peek().tolist()
+        edge.release()
+        return got
+
     def test_fifo_and_wraparound(self):
         edge = self._edge(depth=2, capacity=3)
         for round_no in range(5):  # wraps the ring twice
-            assert edge.can_push()
-            edge.push(np.array([float(round_no)]))
+            self._send(edge, [float(round_no)])
             assert edge.can_pop()
-            got = edge.pop()
-            assert got.tolist() == [float(round_no)]
+            assert self._take(edge) == [float(round_no)]
         assert not edge.can_pop()
 
     def test_backpressure_when_full(self):
         edge = self._edge(depth=2, capacity=1)
-        edge.push(np.array([1.0]))
-        edge.push(np.array([2.0]))
-        assert not edge.can_push()  # ring full: sender must wait
-        assert edge.pop().tolist() == [1.0]
-        assert edge.can_push()
+        self._send(edge, [1.0])
+        self._send(edge, [2.0])
+        assert edge.reserve(1) is None  # ring full: sender must wait
+        assert self._take(edge) == [1.0]
+        assert edge.reserve(1) is not None
 
-    def test_oversized_message_rejected(self):
-        edge = self._edge(depth=1, capacity=2)
-        with pytest.raises(ParallelRuntimeError):
-            edge.push(np.zeros(3))
-
-    def test_rendezvous_consumed_tracking(self):
+    def test_rendezvous_drained_tracking(self):
+        # what a rendezvous send waits for: its message (the latest on
+        # the edge, and with it every earlier one) has been released
         edge = self._edge(depth=4, capacity=1)
-        msgno = edge.push(np.array([7.0]))
-        assert not edge.consumed(msgno)
-        edge.pop()
-        assert edge.consumed(msgno)
+        assert edge.drained()
+        self._send(edge, [6.0])
+        self._send(edge, [7.0])
+        assert not edge.drained()
+        self._take(edge)
+        assert not edge.drained()
+        self._take(edge)
+        assert edge.drained()
 
     def test_variable_message_sizes(self):
         edge = self._edge(depth=2, capacity=4)
-        edge.push(np.array([1.0, 2.0, 3.0]))
-        edge.push(np.array([4.0]))
-        assert edge.pop().tolist() == [1.0, 2.0, 3.0]
-        assert edge.pop().tolist() == [4.0]
+        self._send(edge, [1.0, 2.0, 3.0])
+        self._send(edge, [4.0])
+        assert self._take(edge) == [1.0, 2.0, 3.0]
+        assert self._take(edge) == [4.0]
 
     def test_reserve_commit_zero_copy(self):
-        # The overlap path's zero-copy protocol: reserve a slot view,
-        # fill it incrementally, publish with commit.  The consumer
-        # must not see the message before commit.
+        # The one producer protocol: reserve a slot view, fill it
+        # incrementally (one gather per array), publish with commit.
+        # The consumer must not see the message before commit.
         edge = self._edge(depth=2, capacity=3)
         view = edge.reserve(3)
         assert view is not None and len(view) == 3
+        assert np.shares_memory(view, edge.slots)
         view[0] = 1.0
         assert not edge.can_pop()       # invisible until commit
         view[1:] = [2.0, 3.0]
-        msgno = edge.commit()
+        edge.commit(3)
         assert edge.can_pop()
-        assert not edge.consumed(msgno)
-        assert edge.pop().tolist() == [1.0, 2.0, 3.0]
-        assert edge.consumed(msgno)
+        assert self._take(edge) == [1.0, 2.0, 3.0]
 
     def test_reserve_full_ring_returns_none(self):
         edge = self._edge(depth=1, capacity=2)
-        edge.push(np.array([1.0, 2.0]))
+        self._send(edge, [1.0, 2.0])
         assert edge.reserve(1) is None  # never blocks, never raises
-        edge.pop()
+        self._take(edge)
         assert edge.reserve(1) is not None
 
     def test_reserve_oversized_rejected(self):
@@ -341,42 +354,34 @@ class TestMailboxRing:
             edge.reserve(3)
 
     def test_reserve_commit_wraparound(self):
-        # Drive head past several multiples of depth through the
-        # reserve/commit path; slot reuse must stay FIFO-correct.
+        # Drive head past several multiples of depth; slot reuse must
+        # stay FIFO-correct.
         edge = self._edge(depth=2, capacity=2)
         for i in range(7):
-            view = edge.reserve(2)
-            assert view is not None
-            view[:] = [float(i), float(-i)]
-            edge.commit()
-            assert edge.pop().tolist() == [float(i), float(-i)]
+            self._send(edge, [float(i), float(-i)])
+            assert self._take(edge) == [float(i), float(-i)]
         assert not edge.can_pop()
 
-    def test_capacity_boundary_push_pop_sequence(self):
+    def test_capacity_boundary_sequence(self):
         # Fill to exactly depth (capacity boundary), drain one, refill
-        # one, interleaving push and reserve/commit producers.
+        # one.
         edge = self._edge(depth=3, capacity=1)
-        edge.push(np.array([1.0]))
-        view = edge.reserve(1)
-        view[0] = 2.0
-        edge.commit()
-        edge.push(np.array([3.0]))
-        assert not edge.can_push()
+        for v in (1.0, 2.0, 3.0):
+            self._send(edge, [v])
         assert edge.reserve(1) is None
-        assert edge.peek().tolist() == [1.0]    # zero-copy consumer
-        edge.release()
-        view = edge.reserve(1)
-        assert view is not None
-        view[0] = 4.0
-        edge.commit()
-        assert [edge.pop().tolist() for _ in range(3)] == [
+        assert self._take(edge) == [1.0]
+        self._send(edge, [4.0])
+        assert edge.reserve(1) is None
+        assert [self._take(edge) for _ in range(3)] == [
             [2.0], [3.0], [4.0]]
 
-    def test_peek_release_matches_pop(self):
+    def test_peek_is_a_view_until_release(self):
         edge = self._edge(depth=2, capacity=2)
-        edge.push(np.array([5.0, 6.0]))
+        self._send(edge, [5.0, 6.0])
         got = edge.peek()
+        assert np.shares_memory(got, edge.slots)
         assert got.tolist() == [5.0, 6.0]
+        assert edge.can_pop()           # peek does not retire it
         edge.release()
         assert not edge.can_pop()
 
@@ -493,9 +498,9 @@ class TestOverlap:
         assert ostats.total_elements == bstats.total_elements
 
     def test_overlap_eager_minimal_mailbox(self):
-        # depth=1 defeats every reservation (the ring is full whenever
-        # the previous message is unconsumed), exercising the staging
-        # fallback and the drain-while-blocked path.
+        # depth=1 fills the ring whenever the previous message is
+        # unconsumed, exercising publish's wait for a slot and the
+        # drain-while-blocked path.
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog, ref, _ = _dense_ref(app, h, 2)
         fields, _ = run_parallel(prog, SPEC, app.init_value, workers=2,

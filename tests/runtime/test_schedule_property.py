@@ -18,6 +18,11 @@ A fixed (derandomized) handful of draws plus two strided-HNF tilings
 (``c_k > 1``: nearly every tile partial, many levels a mask empties):
 each one forks real workers, and the whole slice must stay under 30 s
 in tier-1.
+
+The random stencils of the compiler-side property suites
+(:func:`tests.runtime.tilings.random_cases`) go through the same ring
+walk on the numpy kernels — inputs beyond the paper apps for the one
+message path, at both a roomy and a one-slot mailbox.
 """
 
 import numpy as np
@@ -29,17 +34,25 @@ from repro.analysis.cost.makespan import analytic_makespan
 from repro.analysis.hb.graph import build_hb_graph, replay
 from repro.analysis.hb.sanitize import sanitize_trace
 from repro.artifacts import ArtifactCache
+from repro.linalg import RatMat
 from repro.native.engine import build_native_library
 from repro.runtime import (
     ClusterSpec,
     DistributedRun,
     EventTrace,
     ParallelTimeoutError,
+    TiledProgram,
     arrays_match,
     dense_to_cells,
     run_parallel,
 )
-from tests.runtime.tilings import DRAWN, drawn_program
+from tests.runtime.tilings import (
+    DRAWN,
+    drawn_program,
+    random_cases,
+    stencil_init,
+    stencil_nest,
+)
 
 SPEC = ClusterSpec()
 
@@ -86,3 +99,35 @@ def test_both_schedules_stay_inside_their_certificates(
                 sim.total_messages, sim.total_elements)
             assert sanitize_trace(prog, trace, protocol=protocol,
                                   overlap=overlap, spec=SPEC) == []
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=random_cases(), mapping_dim=st.sampled_from([0, 1]),
+       depth=st.sampled_from([1, 8]))
+# two ranks and no edge at all: the first counterexample these draws
+# found (run_parallel sized an empty per-edge stats segment at 1 byte)
+@example(case=([(1, 0)], RatMat([[2, 0], [0, 2]]).inverse(), (0, 0),
+               (3, 3), (0.0625,)), mapping_dim=0, depth=1)
+def test_random_stencils_on_the_ring_walk(case, mapping_dim, depth):
+    deps, h, lo, hi, coeffs = case
+    prog = TiledProgram(stencil_nest(deps, lo, hi, coeffs), h,
+                        mapping_dim=mapping_dim)
+    run = DistributedRun(prog, SPEC)
+    sim = run.simulate()
+    ref, _ = run.execute_dense(stencil_init)
+    for overlap in (False, True):
+        verdict = replay(build_hb_graph(
+            prog, "eager", overlap=overlap, mailbox_depth=depth,
+            spec=SPEC), bounded=True)
+        assert verdict.completed, (overlap, verdict.blocked)
+        trace = EventTrace()
+        fields, stats = run_parallel(
+            prog, SPEC, stencil_init, workers=2, protocol="eager",
+            mailbox_depth=depth, overlap=overlap, timeout=60.0,
+            trace=trace)
+        assert arrays_match(dense_to_cells(fields), dense_to_cells(ref),
+                            tol=0.0)
+        assert (stats.total_messages, stats.total_elements) == (
+            sim.total_messages, sim.total_elements)
+        assert sanitize_trace(prog, trace, protocol="eager",
+                              overlap=overlap, spec=SPEC) == []

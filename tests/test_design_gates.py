@@ -1,0 +1,231 @@
+"""The "one X" design gates, run where the tests run.
+
+Each refactor that collapsed two mechanisms into one left a gate behind
+so the second one cannot quietly come back: a regex no line under some
+roots may match, with an allow-list.  They used to be shell steps in
+``.github/workflows/ci.yml`` that no local run ever executed; CI's lint
+job now calls this file.  Every gate is checked twice: it holds on the
+checkout, and it rejects the mutation it exists to catch (a synthetic
+tree with the offending file), so a gate that can no longer fail is
+itself a failure.
+"""
+
+import os
+import re
+import subprocess
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional, Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Gate:
+    """No line of a file under ``roots`` may match ``regex`` (``None``:
+    no file may exist there at all).  ``allow`` exempts whole files
+    (a repo path) or lines whose nearest enclosing ``def`` matches
+    (``"def <regex>"``; a ``class`` line ends the enclosure).
+    ``tracked`` lists files with ``git ls-files`` instead of walking.
+    ``mutation`` is ``(path, text)``: a file the gate must reject."""
+
+    name: str
+    why: str
+    regex: Optional[str]
+    roots: Tuple[str, ...]
+    allow: Tuple[str, ...] = ()
+    tracked: bool = False
+    mutation: Tuple[str, str] = ("", "")
+
+
+GATES = [
+    Gate("one kernel definition",
+         "Statement is (write, reads, expr) and every evaluator reads the "
+         "KExpr; a hand-written vectorized twin is a regression "
+         "(docs/RUNTIME.md)",
+         r"kernel_np", ("src",),
+         mutation=("src/repro/apps/sor.py", "def kernel_np(a, b):\n")),
+    Gate("one stage table",
+         "every derived product is an entry of repro/stages.py; a private "
+         "self._x_cache elsewhere is invisible to the artifact layer and "
+         "recompiled on every warm hit (docs/ARTIFACTS.md)",
+         r"\._[a-z_]*_cache\b|_rank_plans_blob|_region_prewarmed",
+         ("src",), allow=("src/repro/stages.py",),
+         mutation=("src/repro/runtime/executor.py",
+                   "        self._plan_cache = {}\n")),
+    Gate("one static replay",
+         "analysis/hb/graph.replay is the only static execution of the "
+         "frozen schedule and ClusterSpec.uses_rendezvous the one protocol "
+         "decision (docs/ANALYSIS.md)",
+         r"_abstract_run|class ScheduleModel|_rendezvous_fn", ("src",),
+         mutation=("src/repro/analysis/deadlock.py",
+                   "def _abstract_run(graph):\n")),
+    Gate("one condensed map",
+         "RankLDS.to_flat is evaluated once per LDS geometry, in "
+         "RankLDS._build_tables; a second call site re-derives addresses "
+         "per tile (docs/RUNTIME.md)",
+         r"(?<!def )to_flat\(", ("src/repro/runtime", "src/repro/native"),
+         allow=("def _build_tables",),
+         mutation=("src/repro/runtime/dense.py",
+                   "    def unpack(self, r, payload, t):\n"
+                   "        flat = self.to_flat(cells, t)\n")),
+    Gate("one rank walk",
+         "rankstep.rank_walk is the only function that places receives, "
+         "compute, publishes and rendezvous waits inside a tile "
+         "(docs/RUNTIME.md, 'One walk, four ports')",
+         r"_overlap_walk", ("src",),
+         mutation=("src/repro/runtime/parallel.py",
+                   "def _overlap_walk(program, plan):\n")),
+    Gate("one rank walk (ports do not iterate the plan)",
+         "the ring runtime, the HB graph and the pygen table are ports: "
+         "per-tile plan iteration in one of them is a schedule the "
+         "certifier no longer proves",
+         r"(for|in|zip\(|enumerate\()[^#]*plan\.tiles"
+         r"|plan\.(recvs|sends)\[",
+         ("src/repro/analysis/hb/graph.py", "src/repro/codegen/pygen.py",
+          "src/repro/runtime/parallel.py"),
+         mutation=("src/repro/codegen/pygen.py",
+                   "    for t, tile in enumerate(plan.tiles):\n")),
+    Gate("one pack per message",
+         "the overlapped walk gathers each message once with the blocking "
+         "RankLDS.pack; the per-level scatter bookkeeping must not come "
+         "back (docs/ANALYSIS.md, 'Overlap plans')",
+         r"level_lat|level_pos|pack_level", ("src",),
+         mutation=("src/repro/runtime/dense.py",
+                   "    def pack_level(self, level):\n")),
+    Gate("one compile per request",
+         "only the (nest, h) entry points compile; a TiledProgram( or "
+         "TilingTransformation( elsewhere under codegen/ or analysis/ is "
+         "the same program compiled twice (docs/ANALYSIS.md)",
+         r"(^|[^`A-Za-z_.])(TiledProgram|TilingTransformation)\(",
+         ("src/repro/codegen", "src/repro/analysis"),
+         allow=(r"def (generate_[a-z_]+|transval_report|analyze)$",),
+         mutation=("src/repro/analysis/cost/__init__.py",
+                   "def certify_cost(nest, h):\n"
+                   "    prog = TiledProgram(nest, h)\n")),
+    Gate("one measurement harness (no benchmarks/ tree)",
+         "wall-clock is measured by bench/ alone; the pytest timing suite "
+         "must not be tracked again (docs/BENCHMARKING.md)",
+         None, ("benchmarks",), tracked=True,
+         mutation=("benchmarks/test_speed.py", "def test_speed(): ...\n")),
+    Gate("one measurement harness (no citation of the retired one)",
+         "its plugin, switches, baseline and report must not come back",
+         r"pytest-benchmark|pytest_benchmark|REPRO_BENCH_|BENCH_PR4"
+         r"|check_regression",
+         (".",), tracked=True,
+         allow=("CHANGES.md", "ROADMAP.md", "ISSUE.md", "bench/README.md",
+                "tests/test_design_gates.py"),
+         mutation=("tests/test_speed.py", "import pytest_benchmark\n")),
+    Gate("one message path",
+         "a ring message has one life, reserve -> gather -> commit "
+         "(peek/release on the other side): no copying push/pop, no "
+         "staging buffer (docs/RUNTIME.md)",
+         r"def (push|pop)\b|zero_copy|_OutMsg|staging",
+         ("src/repro/runtime",),
+         mutation=("src/repro/runtime/parallel.py",
+                   "    def push(self, payload):\n")),
+    Gate("one message path (one producer program in the ring model)",
+         "HB03 models the one producer the runtime has",
+         r"mode=[\"']push[\"']", ("src",),
+         mutation=("src/repro/analysis/hb/ringmodel.py",
+                   'cfg = RingConfig(depth=1, nmsgs=1, mode="push")\n')),
+]
+
+
+def files_under(root, sub, tracked):
+    """Repo-relative paths of the text files under ``root/sub``."""
+    if tracked:
+        out = subprocess.run(
+            ["git", "-C", str(root), "ls-files", "--", sub],
+            capture_output=True, text=True, check=False)
+        if out.returncode == 0:
+            return [p for p in out.stdout.splitlines()
+                    if (root / p).is_file()]
+    top = root / sub
+    if top.is_file():
+        return [sub]
+    found = []
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames
+                       if d != "__pycache__" and not d.startswith(".")]
+        found += [str(Path(dirpath, f).relative_to(root))
+                  for f in filenames if not f.endswith(".pyc")]
+    return sorted(found)
+
+
+def offences(gate, root=ROOT):
+    """``path:line: text`` of everything ``gate`` rejects under
+    ``root``."""
+    allow_files = {a for a in gate.allow if not a.startswith("def ")}
+    allow_defs = [re.compile(a[4:]) for a in gate.allow
+                  if a.startswith("def ")]
+    pattern = None if gate.regex is None else re.compile(gate.regex)
+    found = []
+    for sub in gate.roots:
+        for path in files_under(root, sub, gate.tracked):
+            if path in allow_files:
+                continue
+            if pattern is None:
+                found.append(path)
+                continue
+            try:
+                text = (root / path).read_text()
+            except UnicodeDecodeError:
+                continue
+            enclosing = ""
+            for lineno, line in enumerate(text.splitlines(), 1):
+                opened = re.match(r"\s*def (\w+)", line)
+                if opened:
+                    enclosing = opened.group(1)
+                elif line.startswith("class "):
+                    enclosing = ""
+                if pattern.search(line) and not any(
+                        a.match(enclosing) for a in allow_defs):
+                    found.append(f"{path}:{lineno}: {line.strip()}")
+    return found
+
+
+@pytest.mark.parametrize("gate", GATES, ids=lambda g: g.name)
+def test_gate_holds(gate):
+    found = offences(gate)
+    assert not found, f"{gate.name} — {gate.why}:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("gate", GATES, ids=lambda g: g.name)
+def test_gate_rejects_its_mutation(gate, tmp_path):
+    path, text = gate.mutation
+    target = tmp_path / path
+    target.parent.mkdir(parents=True)
+    target.write_text(text)
+    if gate.tracked:
+        for cmd in (["init", "-q"], ["add", "-A"]):
+            subprocess.run(["git", "-C", str(tmp_path), *cmd], check=True)
+    found = offences(gate, tmp_path)
+    assert len(found) == 1 and found[0].startswith(path), found
+
+
+def test_allow_lists_exempt_what_they_name(tmp_path):
+    """The same lines where they are allowed to be."""
+    stages = tmp_path / "src/repro/stages.py"
+    dense = tmp_path / "src/repro/runtime/dense.py"
+    mpi = tmp_path / "src/repro/codegen/mpi.py"
+    for p in (stages, dense, mpi):
+        p.parent.mkdir(parents=True, exist_ok=True)
+    stages.write_text("        holder._memo_cache = {}\n")
+    dense.write_text("    def to_flat(self, cells, t):\n"
+                     "        return cells\n"
+                     "    def _build_tables(self):\n"
+                     "        base = self.to_flat(cells, 0)\n")
+    mpi.write_text("def generate_mpi_code(nest, h):\n"
+                   "    return render_mpi_code(TiledProgram(nest, h))\n"
+                   "class Emitter:\n"
+                   "    def run(self):\n"
+                   "        return TiledProgram(self.nest, self.h)\n")
+    by_name = {g.name: g for g in GATES}
+    assert offences(by_name["one stage table"], tmp_path) == []
+    assert offences(by_name["one condensed map"], tmp_path) == []
+    assert offences(by_name["one compile per request"], tmp_path) == [
+        "src/repro/codegen/mpi.py:5: "
+        "return TiledProgram(self.nest, self.h)"]

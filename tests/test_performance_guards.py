@@ -7,6 +7,7 @@ monkeypatches a counter onto the path it protects and bounds the *work*
 its workload or to one of these guards.
 """
 
+import sys
 import time
 from collections import Counter
 
@@ -164,8 +165,9 @@ class TestDenseAddressing:
 class TestOverlapPhases:
     """Deterministic counting guards (no timing): the overlapped walk
     executes the frozen phase table — one kernel call per non-empty
-    phase and one gather per message — and the blocking walk still
-    makes exactly one kernel call per tile and one pack per send."""
+    phase and one gather per message — the blocking walk still makes
+    exactly one kernel call per tile, and on both a message has one
+    life: reserve, one pack into the ring slot, commit."""
 
     CONFIGS = [
         pytest.param(jacobi.app(6, 12, 12),
@@ -212,8 +214,29 @@ class TestOverlapPhases:
                                       overlap) for r in plans}
         counts = _count_calls(
             monkeypatch, (RankKernels, "_call"), (RankKernels, "run_tile"),
-            (RankLDS, "pack"), (np, "concatenate"),
+            (parallel._Edge, "commit"), (np, "concatenate"),
             (np, "ascontiguousarray"))
+
+        def reserve(edge, n, _inner=parallel._Edge.reserve):
+            view = _inner(edge, n)
+            counts["reserve"] += view is not None
+            return view
+
+        def pack(lds, tile, direction, t, out=None, _inner=RankLDS.pack):
+            counts["pack"] += 1
+            counts["pack_into_ring"] += (
+                out is not None and np.shares_memory(out, slots))
+            return _inner(lds, tile, direction, t, out)
+
+        def empty(*args, _inner=np.empty, **kwargs):
+            code = sys._getframe(1).f_code
+            counts["empty"] += (code.co_name == "pack"
+                                or code.co_filename == parallel.__file__)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(parallel._Edge, "reserve", reserve)
+        monkeypatch.setattr(RankLDS, "pack", pack)
+        monkeypatch.setattr(np, "empty", empty)
         live = list(gens)
         while live:
             for r in list(live):
@@ -233,6 +256,15 @@ class TestOverlapPhases:
             assert np.array_equal(field.values, ref[name].values)
         return prog, plans, counts, messages
 
+    @staticmethod
+    def _one_life_per_message(counts, messages):
+        """reserve → gather → commit, once each, on either schedule:
+        the one gather lands in the ring slot and nothing on the
+        message path allocates."""
+        assert (counts["reserve"] == counts["commit"] == counts["pack"]
+                == counts["pack_into_ring"] == messages > 0)
+        assert counts["empty"] == 0
+
     @pytest.mark.parametrize("app,h,mdim", CONFIGS)
     def test_one_call_per_phase_and_one_gather_per_message(
             self, monkeypatch, tmp_path, app, h, mdim):
@@ -250,7 +282,7 @@ class TestOverlapPhases:
         assert counts["_call"] == nonempty <= bound
         assert bound < levels           # the guard can tell them apart
         assert counts["run_tile"] == 0
-        assert counts["pack"] == messages > 0
+        self._one_life_per_message(counts, messages)
         # phase arguments are views of the plan: nothing is assembled
         assert counts["concatenate"] == counts["ascontiguousarray"] == 0
 
@@ -263,7 +295,7 @@ class TestOverlapPhases:
         assert counts["run_tile"] == len(tiles)
         assert counts["_call"] == sum(
             prog.tile_point_count(t) > 0 for t in tiles)
-        assert counts["pack"] == messages > 0
+        self._one_life_per_message(counts, messages)
 
 
 class TestOneCompilePerRequest:
