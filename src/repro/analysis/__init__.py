@@ -68,7 +68,6 @@ from repro.analysis.cost import (
     CostCertificate,
     analytic_makespan,
     certify_cost,
-    check_cost,
     communication_lower_bound,
 )
 from repro.analysis.hb import (
@@ -114,7 +113,6 @@ __all__ = [
     "CostCertificate",
     "analytic_makespan",
     "certify_cost",
-    "check_cost",
     "communication_lower_bound",
     "sanitize_trace",
     "sanitize_report",

@@ -34,7 +34,6 @@ from repro.analysis.cost.certify import (
     RankCost,
     certify_cost,
 )
-from repro.analysis.cost.driver import check_cost
 from repro.analysis.cost.makespan import analytic_makespan
 from repro.analysis.cost.volumes import (
     closed_form_region_count,
@@ -51,7 +50,6 @@ __all__ = [
     "RankCost",
     "analytic_makespan",
     "certify_cost",
-    "check_cost",
     "closed_form_region_count",
     "communication_lower_bound",
     "edge_volumes",

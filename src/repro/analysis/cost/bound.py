@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.runtime.rankstep import pack_region
+
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
 
@@ -83,10 +85,8 @@ def communication_lower_bound(program: "TiledProgram",
         # Seeded bug: an inflated constant is no longer a floor.
         bound *= 2.0
     face_sum = float(sum(faces))
-    actual = 0
-    for dm in comm.d_m:
-        full_dir = dm[:m] + (0,) + dm[m:]
-        actual += program.full_region_count(full_dir)
+    actual = sum(int(pack_region(program, comm.send_direction(dm)).sum())
+                 for dm in comm.d_m)
     worst = dims[max(range(q), key=lambda i: faces[i])]
     selfcheck_ok = bound <= face_sum * (1.0 + 1e-12)
     return LowerBound(applicable=True, dims=dims, faces=faces,

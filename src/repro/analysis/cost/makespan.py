@@ -104,7 +104,7 @@ def analytic_makespan(program: "TiledProgram",
         rank = ev.rank
         f = speed[rank]
         if ev.kind == COMPUTE:
-            w = w_compute(program.tile_point_count(ev.tile)) * f
+            w = w_compute(program.tiling.tile_point_count(ev.tile)) * f
             clock[rank] += w
             compute[rank] += w
             tile_compute[rank] += w

@@ -11,7 +11,9 @@ geometry is not expressible in closed form).
 Two independent paths compute every edge total:
 
 * **path A** (this module): closed-form counting from ``(v, c, HNF,
-  CC)`` plus the schedule structure;
+  CC)`` plus the schedule structure, which it derives from the tile set
+  itself (no plan is read, so a send the plans drop, mistag or
+  misroute shows up as a disagreement);
 * **path B** (the oracle): :func:`repro.runtime.rankstep.edge_tally`
   over the frozen :func:`build_rank_plans` lists, whose sizes come from
   the program's region masks — exactly the messages the simulator and
@@ -26,6 +28,8 @@ halo, dropped CC edge).
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+from repro.runtime.rankstep import region_count
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -108,10 +112,12 @@ def edge_volumes(program: "TiledProgram",
                  ) -> Tuple[Dict[Chan, int], Dict[Chan, int]]:
     """Path A: closed-form per-edge ``(messages, elements)`` totals.
 
-    Walks the schedule structure (which tiles send along which ``d^m``)
-    and sizes every message analytically: interior tiles through
-    :func:`closed_form_region_count`, boundary tiles through the exact
-    masks (cached on the program).
+    Derives the schedule structure from the tile set (paper §3.2: a
+    tile sends toward ``d^m`` iff some ``d^S`` of ``d^m`` reaches a
+    valid successor tile, to processor ``pid + d^m`` under
+    ``comm.tag(d^m)``) and sizes every message analytically: interior
+    tiles through :func:`closed_form_region_count`, boundary tiles
+    through the exact masks (cached on the program).
     """
     narr = len(program.arrays)
     dist, comm, tiling = program.dist, program.comm, program.tiling
@@ -122,30 +128,28 @@ def edge_volumes(program: "TiledProgram",
     if mutation == "dropped_cc_edge" and len(d_m) > 0:
         # Seeded bug: forget the last processor dependence entirely.
         d_m = d_m[:-1]
-    full_counts: Dict[Tuple[int, ...], int] = {}
+    dirs = []                   # (d^m, its d^S, direction, tag, full count)
+    for dm in d_m:
+        direction = comm.send_direction(dm)
+        lbs = _pack_lower_bounds(program, direction, mutation)
+        dirs.append((dm, comm.ds_of_dm(dm), direction, comm.tag(dm),
+                     closed_form_region_count(ttis, lbs, mutation)))
     for pid in program.pids:
         rank = program.rank_of[pid]
         for tile in dist.tiles_of(pid):
-            for dm, dst in program.send_plan(tile):
-                if dm not in d_m:
+            full = tiling.classify_tile(tile) == "full"
+            for dm, cands, direction, tag, full_count in dirs:
+                if not any(dist.valid(tuple([a + b for a, b in
+                                             zip(tile, ds)]))
+                           for ds in cands):
                     continue
-                full_dir = dm[:dist.m] + (0,) + dm[dist.m:]
-                if tiling.classify_tile(tile) == "full":
-                    count = full_counts.get(full_dir)
-                    if count is None:
-                        count = closed_form_region_count(
-                            ttis,
-                            _pack_lower_bounds(program, full_dir,
-                                               mutation),
-                            mutation=mutation)
-                        full_counts[full_dir] = count
-                else:
-                    count = program.region_count(tile, full_dir)
+                count = full_count if full else region_count(
+                    program, tile, direction)
                 nelems = count * narr
                 if nelems == 0:
                     continue
-                chan = (rank, program.rank_of[dst],
-                        program.message_tag(dm))
+                dst = tuple([a + b for a, b in zip(pid, dm)])
+                chan = (rank, program.rank_of[dst], tag)
                 messages[chan] = messages.get(chan, 0) + 1
                 elements[chan] = elements.get(chan, 0) + nelems
     return messages, elements
@@ -164,6 +168,6 @@ def rank_volumes(program: "TiledProgram") -> Dict[int, int]:
             if tiling.classify_tile(tile) == "full":
                 total += vol
             else:
-                total += program.tile_point_count(tile)
+                total += tiling.tile_point_count(tile)
         points[rank] = total
     return points

@@ -82,6 +82,7 @@ from repro.runtime.rankstep import (
     TileSend,
     build_rank_plans,
     rank_walk,
+    region_count,
 )
 
 if TYPE_CHECKING:
@@ -543,14 +544,14 @@ def certify_program(program: "TiledProgram", *,
             pid2 = dist.pid_of(succ)
             if pid2 == pid:
                 continue
-            if program.region_count(tile, ds) == 0:
+            if region_count(program, tile, ds) == 0:
                 continue
             rb = program.rank_of[pid2]
             checked += 1
             b = g.compute_of[succ]
             a: Optional[int]
             if overlap:
-                tag = program.message_tag(comm.project(ds))
+                tag = comm.tag(comm.project(ds))
                 a = g.send_of.get((tile, (ra, rb, tag)))
             else:
                 a = g.compute_of.get(tile)

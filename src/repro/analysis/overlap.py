@@ -40,6 +40,8 @@ from typing import Any, List, Set, Tuple
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
+from repro.runtime.dense import overlap_plan, tile_levels
+from repro.runtime.rankstep import build_rank_plans, region_mask
 
 PASS_OVERLAP = "overlap"
 
@@ -58,27 +60,29 @@ def check_overlap(program: Any) -> List[Diagnostic]:
     max_dp = program.comm.max_dp
     lat = program.tiling.ttis.lattice_points_np()
     seen: Set[int] = set()
-    for pid in program.pids:
-        for tile in program.dist.tiles_of(pid):
-            plan = program.overlap_plan(tile)
+    for rplan in build_rank_plans(program).values():
+        for t in range(len(rplan.tiles)):
+            plan = overlap_plan(program, rplan, t)
             if id(plan) in seen:        # full tiles share one plan
                 continue
             seen.add(id(plan))
-            diags.extend(_check_tile(program, tile, plan, lat, max_dp))
+            diags.extend(_check_tile(program, rplan, t, plan, lat, max_dp))
     return diags
 
 
-def _check_tile(program: Any, tile: Tuple[int, ...], plan: Any,
+def _check_tile(program: Any, rplan: Any, t: int, plan: Any,
                 lat: np.ndarray, max_dp: Any) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
-    batches = program.dense_level_batches(tile)
+    tile = rplan.tiles[t]
+    sends = tuple(s.direction for s in rplan.sends[t])
+    recvs = tuple(r.ds for r in rplan.recvs[t])
+    batches = tile_levels(program, tile)
     nlev = len(batches)
     executed = (np.concatenate(batches) if nlev
                 else np.zeros(0, dtype=np.int64))
     level_of = np.full(len(lat), -1, dtype=np.int64)
     level_of[executed] = np.repeat(
         np.arange(nlev), np.fromiter(map(len, batches), np.int64, nlev))
-    sends, recvs = program.overlap_directions(tile)
     bmask = np.zeros(len(lat), dtype=bool)
     # where each message's phase must publish it / take it at the latest
     pub_cut: List[int] = []
@@ -95,7 +99,7 @@ def _check_tile(program: Any, tile: Tuple[int, ...], plan: Any,
             "rebuild the overlap plan from the frozen rank plan"))
     gate = 0
     for direction, pack in zip(sends, plan.packs):
-        region = program.region_mask(tile, direction)
+        region = region_mask(program, tile, direction)
         bmask |= region
         lv = level_of[region]
         if pack.count != len(lv) or tuple(pack.direction) != direction:

@@ -31,7 +31,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
-from repro.runtime.rankstep import build_rank_plans
+from repro.runtime.rankstep import build_rank_plans, region_count
 
 PASS = "races"
 _EQ_CC = "communication points satisfy j'_k >= cc_k = v_kk - max_l d'_kl " \
@@ -186,7 +186,6 @@ def check_tile_coverage(program) -> List[Diagnostic]:
     cross = [ds for ds in comm.d_s if not comm.is_intra_processor(ds)]
     tset = dist._tile_set
     rank_of = program.rank_of
-    region_count = program.region_count
     pid_of = dist.pid_of
     chain_index = dist.chain_index
     # Per-tile context and per-ds invariants, hoisted out of the
@@ -196,13 +195,13 @@ def check_tile_coverage(program) -> List[Diagnostic]:
     ds_ctx = []
     for ds in cross:
         dm = comm.project(ds)
-        ds_ctx.append((tuple(ds), dm, program.message_tag(dm)))
+        ds_ctx.append((tuple(ds), dm, comm.tag(dm)))
     for tile, src_rank, step in tile_ctx:
         for ds, dm, tag in ds_ctx:
             succ = tuple([a + b for a, b in zip(tile, ds)])
             if succ not in tset:
                 continue
-            if region_count(tile, ds) == 0:
+            if region_count(program, tile, ds) == 0:
                 continue              # nothing in-domain crosses here
             dst_rank = rank_of[pid_of(succ)]
             if (src_rank, tag, tile) not in sends_by:

@@ -74,6 +74,7 @@ from repro.loops.dependence import (
     nest_dependences,
 )
 from repro.loops.nest import LoopNest
+from repro.runtime.dense import read_dependences
 from repro.runtime.rankstep import build_rank_plans
 
 PASS_LOOPS = "transval-loops"
@@ -439,7 +440,7 @@ def check_mpi_text(program: Any, text: str) -> List[Diagnostic]:
             subject=(("artifact", "mpi"),)))
     for bi, (block, dm) in enumerate(zip(parsed.send_blocks, comm.d_m)):
         subj = (("artifact", "mpi"), ("block", bi), ("line", block.line))
-        full = dm[:m] + (0,) + dm[m:]
+        full = comm.send_direction(dm)
         if block.d_m != dm:
             diags.append(_diag(
                 "TV03", PASS_CONSTANTS,
@@ -534,6 +535,7 @@ def _check_mpi_body(program: Any, parsed: ParsedMpi,
     ttis = program.tiling.ttis
     n = ttis.n
     nest = program.nest
+    deps = read_dependences(nest)
     no_shift = (0,) * n
     if len(parsed.body) != len(nest.statements):
         diags.append(_diag(
@@ -571,7 +573,7 @@ def _check_mpi_body(program: Any, parsed: ParsedMpi,
                 subject=subj))
             continue
         for ri, read in enumerate(stmt.reads):
-            d = program._read_deps[si][ri]
+            d = deps[si][ri]
             rsubj = subj + (("read", ri),)
             if d is None:
                 # Pure-input read: emitted in original coordinates,

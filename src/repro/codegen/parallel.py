@@ -18,6 +18,7 @@ from repro.codegen.exprs import C_PROLOGUE
 from repro.codegen.sequential import _indent, _ref_to_c
 from repro.linalg.ratmat import RatMat
 from repro.loops.nest import LoopNest
+from repro.runtime.dense import read_dependences
 
 if TYPE_CHECKING:
     from repro.distribution.communication import CommunicationSpec
@@ -110,7 +111,7 @@ def render_mpi_code(prog: TiledProgram) -> str:
     out.append("void SEND(int *pid, long tS, double *LA, double *buf) {")
     body = []
     for dm in comm.d_m:
-        full = dm[:m] + (0,) + dm[m:]
+        full = comm.send_direction(dm)
         body.append(f"/* processor dependence d^m = {dm} */")
         body.append("if (exists_valid_successor(pid, tS)) {")
         body.append("    long count = 0;")
@@ -150,10 +151,11 @@ def render_mpi_code(prog: TiledProgram) -> str:
         depth += 1
         inner += _indent([f"long x{k} = (jp{k} - ph{k}) / {ck};"], depth)
     reads: List[str] = []
+    deps = read_dependences(nest)
     for si, s in enumerate(nest.statements):
         call_args: List[str] = []
         for ri, r in enumerate(s.reads):
-            d = prog._read_deps[si][ri]
+            d = deps[si][ri]
             if d is None:
                 call_args.append(_ref_to_c(r, n))
             else:

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import types
 from contextlib import suppress
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.linalg.ratmat import RatMat
 from repro.loops.nest import LoopNest
+from repro.runtime.dense import overlap_plan, tile_levels
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
 from repro.runtime.rankstep import (
+    RankPlan,
     Steps,
     VmpiPort,
     build_rank_plans,
@@ -124,7 +127,7 @@ def render_python_node_programs(prog: TiledProgram,
     that tile into (their sum is the tile's point count).
     ``engine="dense-overlap"`` further appends the per-level
     *boundary* slice sizes (points feeding outgoing ``CC`` regions,
-    from the cached ``overlap_plan``) as a fourth compute field.  The
+    from the tile's cached overlap plan) as a fourth compute field.  The
     replayed timing is identical in all three modes — the extra fields
     document the batching the way the plan tables document the
     messages, so the translation validator accepts every variant.
@@ -136,14 +139,14 @@ def render_python_node_programs(prog: TiledProgram,
     dense = engine in ("dense", "dense-overlap")
     overlap = engine == "dense-overlap"
 
-    def batching(tile: Tuple[int, ...]) -> Tuple[Any, ...]:
+    def batching(plan: RankPlan, tile: Tuple[int, ...]) -> Tuple[Any, ...]:
         """The dense engines' extra fields of a tile-compute row."""
         extra: Tuple[Any, ...] = ()
         if dense:
-            extra += (tuple(
-                len(b) for b in prog.dense_level_batches(tile)),)
+            extra += (tuple(len(b) for b in tile_levels(prog, tile)),)
         if overlap:
-            cuts = prog.overlap_plan(tile).cuts
+            cuts = overlap_plan(prog, plan,
+                                prog.dist.chain_index(tile)).cuts
             extra += (tuple((cuts[1::2] - cuts[:-1:2]).tolist()),)
         return extra
 
@@ -153,7 +156,7 @@ def render_python_node_programs(prog: TiledProgram,
     # compiler.
     schedules: Dict[int, List[Tuple[Any, ...]]] = {}
     for rank, plan in build_rank_plans(prog).items():
-        port = _TablePort(spec, rank, batching)
+        port = _TablePort(spec, rank, partial(batching, plan))
         for _ in rank_walk(prog, plan, port):
             raise AssertionError("the table port never blocks")
         schedules[rank] = port.rows
@@ -166,7 +169,7 @@ def render_python_node_programs(prog: TiledProgram,
     lines.append(f"PID_OF_RANK = {dict((r, p) for p, r in prog.rank_of.items())!r}")
     if dense:
         lines.append(f"ENGINE = {engine!r}")
-        lines.append(f"WAVEFRONT = {prog.dense_schedule_vector()!r}")
+        lines.append(f"WAVEFRONT = {prog.stage('dense_s')!r}")
     lines.append("")
     lines.append("SCHEDULES = {")
     for rank in sorted(schedules):

@@ -117,6 +117,8 @@ def compare_tile_locality(prog, pid: Tuple[int, ...],
     that fall outside the domain (boundary data) are skipped in both
     streams alike, so the comparison stays apples-to-apples.
     """
+    from repro.runtime.dense import read_dependences
+
     nest = prog.nest
     tiling = prog.tiling
     ttis = tiling.ttis
@@ -125,7 +127,7 @@ def compare_tile_locality(prog, pid: Tuple[int, ...],
     order = np.lexsort(lat.T[::-1])
 
     # Per (statement, read): transformed dependence or None (pure input).
-    read_deps = prog._read_deps
+    read_deps = read_dependences(nest)
     dprime = [
         [None if d is None else ttis.transformed_dependences([d])[0]
          for d in row]
@@ -173,7 +175,7 @@ def compare_tile_locality(prog, pid: Tuple[int, ...],
 
     for tile in prog.dist.tiles_of(pid):
         t = prog.dist.chain_index(tile)
-        mask = prog.tile_mask(tile)
+        mask = tiling.tile_mask(tile)
         origin = tiling.tile_origin(tile)
         for i in order[mask[order]]:
             jp = tuple(int(x) for x in lat[i])

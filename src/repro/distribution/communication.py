@@ -90,6 +90,24 @@ class CommunicationSpec:
         """Tile dependencies along the chain only — no message needed."""
         return not any(self.project(d_s))
 
+    def send_direction(self, d_m: Pdep) -> Tile:
+        """``d^m`` lifted back to ``n`` components with 0 at the mapping
+        dimension: the direction a SEND toward ``d^m`` packs for."""
+        return d_m[: self.m] + (0,) + d_m[self.m:]
+
+    def tag(self, d_m: Pdep) -> int:
+        """The message tag of processor direction ``d^m``."""
+        return self.d_m.index(tuple(d_m))
+
+    def full_pack_estimate(self, d_m: Pdep) -> int:
+        """Elements per array a full tile packs toward ``d^m``, estimated
+        as the TTIS box fraction with ``j'_k >= lb_k`` times the tile
+        volume (lattice density ``1/c``; no mask, no lattice walk)."""
+        v = self.tiling.ttis.v
+        lbs = self.pack_lower_bounds(self.send_direction(d_m))
+        frac = math.prod((v[k] - lbs[k]) / v[k] for k in range(self.n))
+        return int(round(self.tiling.ttis.tile_volume * frac))
+
     # -- communication point criteria -----------------------------------------------
 
     def is_communication_point(self, j_prime: Sequence[int]) -> bool:

@@ -16,6 +16,11 @@ holds the machinery the dense drivers share:
   through a driver-supplied gather (global dense field for the
   sequential driver, LDS buffer for the distributed one); pure-input
   reads hit a dense :class:`InputTable` precomputed from ``init_value``;
+* the program's level tables, stage rows built from its roots alone —
+  ``dense_s``, ``dense_batches``, ``lex_order``, the overlap plans
+  (:func:`overlap_plan`) — with :func:`tile_segments`, the one filter
+  of a full tile's levels down to a partial tile's, and
+  :func:`region_index`, a pack region in payload order;
 * :class:`DenseData` / :class:`RankLDS` — the dense data back-end of
   the rank step (:mod:`repro.runtime.rankstep`), through which the
   simulated dense engine, the parallel workers (both schedules) and
@@ -53,11 +58,13 @@ from repro.loops.reference import ArrayRef
 from repro.polyhedra.halfspace import Polyhedron
 from repro.polyhedra.vertices import image_bounding_box
 from repro.runtime.dataspace import DenseField
+from repro.runtime.rankstep import build_rank_plans, pack_region, region_mask
+from repro.stages import Stage, copied, on_demand
 
 if TYPE_CHECKING:
     from repro.native.engine import NativeKernelLibrary, RankKernels
     from repro.runtime.executor import TiledProgram
-    from repro.runtime.rankstep import TileRecv
+    from repro.runtime.rankstep import RankPlan, TileRecv
     from repro.tiling.ttis import TTIS
 
 Cell = Tuple[int, ...]
@@ -495,6 +502,140 @@ def build_overlap_split(
     )
 
 
+# -- the program's level tables -----------------------------------------------------
+
+
+def _build_dense_s(program: "TiledProgram") -> Tuple[int, ...]:
+    """The TTIS wavefront vector the dense engine batches with.
+
+    Built from the union of actual read dependences and the nest's
+    declared matrix, pushed through the TTIS transformation — a pure
+    compile-time quantity (the emitters burn it into generated
+    sources)."""
+    ttis = program.tiling.ttis
+    dprimes = ttis.transformed_dependences(
+        schedule_dependences(program.nest))
+    return wavefront_vector(
+        [d for d in dprimes if any(d)], program.n, extents=ttis.v)
+
+
+def _build_dense_batches(program: "TiledProgram") -> List[np.ndarray]:
+    """A full tile's wavefront levels under ``dense_s``: index arrays
+    into ``ttis.lattice_points_np()``, in increasing level."""
+    return level_batches(program.tiling.ttis.lattice_points_np(),
+                         program.stage("dense_s"))
+
+
+def _build_lex_order(program: "TiledProgram") -> np.ndarray:
+    """Lexicographic execution order of the TTIS lattice points — the
+    frozen intra-region payload order every engine packs with."""
+    return np.lexsort(program.tiling.ttis.lattice_points_np().T[::-1])
+
+
+def _build_full_segments(
+        program: "TiledProgram") -> Tuple[np.ndarray, np.ndarray]:
+    batches = program.stage("dense_batches")
+    seg = np.zeros(len(batches) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in batches], out=seg[1:])
+    return np.ascontiguousarray(np.concatenate(batches),
+                                dtype=np.int64), seg
+
+
+def tile_segments(program: "TiledProgram", tile: Tuple[int, ...]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """``tile``'s wavefront levels concatenated (``sel``) with their
+    prefix offsets (``seg``).  This is the one partial-tile level
+    filter: a partial tile's levels are the full tile's filtered
+    through its mask (level order and the order within a level kept; a
+    level may come out empty)."""
+    sel, seg = program.stage("full_segments")
+    tiling = program.tiling
+    if tiling.classify_tile(tile) == "full":
+        return sel, seg
+    # positions (in ``sel``) of the kept points; a level's new offset is
+    # the number of them before its old one
+    kept = np.flatnonzero(tiling.tile_mask(tile)[sel])
+    return sel[kept], np.searchsorted(kept, seg)
+
+
+def tile_levels(program: "TiledProgram",
+                tile: Tuple[int, ...]) -> List[np.ndarray]:
+    """The non-empty wavefront levels of ``tile`` (index arrays into
+    ``ttis.lattice_points_np()``, in increasing level)."""
+    sel, seg = tile_segments(program, tile)
+    cuts = seg.tolist()
+    return [sel[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def region_index(program: "TiledProgram", tile: Tuple[int, ...],
+                 direction: Sequence[int]) -> np.ndarray:
+    """Lattice indices of ``tile``'s ``CC`` pack region toward
+    ``direction``, in the frozen payload order (an interior tile's are
+    kept per direction)."""
+    key = tuple(direction)
+    index: Dict[Tuple[int, ...], np.ndarray] = program.stage("region_index")
+    idx = index.get(key)
+    if idx is None:
+        order = program.stage("lex_order")
+        idx = index[key] = order[pack_region(program, key)[order]]
+    tiling = program.tiling
+    if tiling.classify_tile(tile) == "full":
+        return idx
+    return idx[tiling.tile_mask(tile)[idx]]
+
+
+def overlap_plan(program: "TiledProgram", plan: RankPlan,
+                 t: int) -> TileOverlapPlan:
+    """Boundary/interior split of chain tile ``t`` of ``plan`` (see
+    :class:`TileOverlapPlan`), for exactly the messages the frozen plan
+    schedules there.
+
+    A compile-time artifact: full tiles with the same message signature
+    share one plan (the lattice, batches and regions are
+    position-independent for interior tiles); partial tiles get their
+    own, keyed by tile.
+    """
+    tile = plan.tiles[t]
+    sends = tuple(s.direction for s in plan.sends[t])
+    recvs = tuple(r.ds for r in plan.recvs[t])
+    full = program.tiling.classify_tile(tile) == "full"
+    key = ("full" if full else tile, sends, recvs)
+    plans: Dict[object, TileOverlapPlan] = program.stage("overlap_plans")
+    oplan = plans.get(key)
+    if oplan is None:
+        comm = program.comm
+        oplan = plans[key] = build_overlap_split(
+            program.tiling.ttis.lattice_points_np(),
+            tile_levels(program, tile),
+            [(d, region_mask(program, tile, d)) for d in sends],
+            recvs,
+            # messages of one d^m share one (source, tag) ring
+            [comm.project(ds) for ds in recvs],
+            comm.max_dp,
+        )
+    return oplan
+
+
+def prewarm_overlap_plans(program: "TiledProgram") -> None:
+    """Build every tile's overlap plan (idempotent).  Called before
+    forking workers so children share the plans copy-on-write."""
+    for plan in build_rank_plans(program).values():
+        for t in range(len(plan.tiles)):
+            overlap_plan(program, plan, t)
+
+
+#: The stage-table rows of the level tables (registered, in table order,
+#: by :mod:`repro.runtime.executor`).
+LEX_ORDER = Stage("lex_order", "program", _build_lex_order, persisted=True)
+DENSE_S = Stage("dense_s", "program", _build_dense_s, persisted=True)
+DENSE_BATCHES = Stage("dense_batches", "program", _build_dense_batches,
+                      persisted=True)
+OVERLAP_PLANS = Stage("overlap_plans", "program", on_demand, persisted=True,
+                      encode=copied, decode=copied, version=2)
+FULL_SEGMENTS = Stage("full_segments", "program", _build_full_segments)
+REGION_INDEX = Stage("region_index", "program", on_demand)
+
+
 def evaluate_statement_batch(plan: StatementPlan, points: np.ndarray,
                              gather: GatherFn,
                              dtype: type = np.float64) -> np.ndarray:
@@ -624,7 +765,6 @@ class DenseData:
         self.tis = np.ascontiguousarray(ttis.tis_points_np(),
                                         dtype=np.int64)
         self.nlat = len(self.lat)
-        self.lex_order = prog.dense_lex_order()
         self.v = np.asarray(ttis.v, dtype=np.int64)
         self.c = np.asarray(ttis.c, dtype=np.int64)
         self.rows = self.v // self.c
@@ -640,9 +780,6 @@ class DenseData:
                          for plan in self.plans for rp in plan.reads
                          if rp.dep_prime is not None)]))
         self.lds_tables: Dict[Tuple[Any, ...], LdsTables] = {}
-        self._region_index: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._full_segments: Optional[
-            Tuple[np.ndarray, np.ndarray]] = None
 
         # Global side.
         self.gtables: List[GlobalTable] = []
@@ -687,43 +824,6 @@ class DenseData:
     def tile_origin(self, tile: Tuple[int, ...]) -> np.ndarray:
         return np.asarray(self.prog.tiling.tile_origin(tile),
                           dtype=np.int64)
-
-    def is_full(self, tile: Tuple[int, ...]) -> bool:
-        return self.prog.tiling.classify_tile(tile) == "full"
-
-    def segments(self, tile: Tuple[int, ...]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """``tile``'s wavefront-level batches concatenated (``sel``)
-        with their prefix offsets (``seg``).  A partial tile's are the
-        full tile's filtered through its mask (level order and the
-        order within a level kept; a level may come out empty)."""
-        if self._full_segments is None:
-            batches = self.prog.stage("dense_batches")
-            seg = np.zeros(len(batches) + 1, dtype=np.int64)
-            np.cumsum([len(b) for b in batches], out=seg[1:])
-            self._full_segments = (np.ascontiguousarray(
-                np.concatenate(batches), dtype=np.int64), seg)
-        sel, seg = self._full_segments
-        if self.is_full(tile):
-            return sel, seg
-        keep = self.prog.tile_mask(tile)[sel]
-        kept = np.zeros(len(sel) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        return sel[keep], kept[seg]
-
-    def region_index(self, tile: Tuple[int, ...],
-                     direction: Sequence[int]) -> np.ndarray:
-        """Lattice indices of ``tile``'s ``CC`` pack region toward
-        ``direction``, in the frozen payload order."""
-        key = tuple(direction)
-        idx = self._region_index.get(key)
-        if idx is None:
-            region = self.prog.pack_region(key)
-            idx = self._region_index[key] = self.lex_order[
-                region[self.lex_order]]
-        if self.is_full(tile):
-            return idx
-        return idx[self.prog.tile_mask(tile)[idx]]
 
     # -- per-tile boundary context --------------------------------------------------
 
@@ -847,7 +947,7 @@ class RankLDS:
         """Cells of ``tile``'s ``CC`` pack region toward ``direction``
         as chain tile ``t``, in the frozen payload order."""
         tb = self.tables
-        return (tb.wbase[self.data.region_index(tile, direction)]
+        return (tb.wbase[region_index(self.data.prog, tile, direction)]
                 + t * tb.shift_unit)
 
     # -- RECEIVE / SEND -------------------------------------------------------------
@@ -885,7 +985,7 @@ class RankLDS:
         the tile's wavefront levels, or the ``order``/``cuts`` of its
         overlap plan."""
         d = self.data
-        sel, seg = (d.segments(tile) if oplan is None
+        sel, seg = (tile_segments(d.prog, tile) if oplan is None
                     else (oplan.order, oplan.cuts))
         return TileContext(shift=t * self.tables.shift_unit, sel=sel,
                            seg=seg, reads=d.tile_reads(tile, sel))
@@ -958,11 +1058,11 @@ class RankLDS:
         for tile in tiles:
             shift = prog.dist.chain_index(tile) * tb.shift_unit
             origin = d.tile_origin(tile)
-            if d.is_full(tile):
+            if prog.tiling.classify_tile(tile) == "full":
                 idx = None
                 flat = tb.wbase + shift
             else:
-                idx = np.nonzero(prog.tile_mask(tile))[0]
+                idx = np.nonzero(prog.tiling.tile_mask(tile))[0]
                 if not len(idx):
                     continue
                 flat = tb.wbase[idx] + shift

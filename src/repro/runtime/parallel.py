@@ -83,7 +83,11 @@ from typing import (
 import numpy as np
 
 from repro.runtime.dataspace import DenseField
-from repro.runtime.dense import DenseData, result_fields
+from repro.runtime.dense import (
+    DenseData,
+    prewarm_overlap_plans,
+    result_fields,
+)
 from repro.runtime.machine import PROTOCOLS, ClusterSpec
 from repro.runtime.rankstep import (
     EdgeKey,
@@ -738,7 +742,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     # Freeze the schedule (and with it every region count) before
     # forking, so children share the stages copy-on-write.
     if overlap:
-        program.prewarm_overlap_plans()
+        prewarm_overlap_plans(program)
     plans = build_rank_plans(program)
     edges = build_edges(plans, mailbox_depth)
     proto_fields = result_fields(program.nest, np_dtype)

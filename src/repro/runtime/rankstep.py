@@ -9,12 +9,15 @@ The paper compiles ONE SPMD node program (§3.2)::
 
 This module is that program, once:
 
-* :func:`build_rank_plans` freezes a program's communication schedule
-  into per-rank :class:`RankPlan` op lists — the only place the runtime
-  asks for ``receive_plan``/``send_plan``/``region_count``.  Every
-  engine, the HB graph (and with it the deadlock and cost passes), the
-  race pass, the artifact format and the code generator replay the
-  same lists; :func:`edge_tally` is their one per-edge count.
+* The §3.2 schedule is decided here, over the program's roots (``comm``,
+  ``dist``, ``tiling``) and its stages: :func:`receive_plan`,
+  :func:`send_plan`, the ``CC`` regions (:func:`pack_region`,
+  :func:`region_mask`, :func:`region_count`) and the stage rows that
+  keep them.  :func:`build_rank_plans` freezes the schedule into
+  per-rank :class:`RankPlan` op lists.  Every engine, the HB graph (and
+  with it the deadlock and cost passes), the race pass, the overlap
+  plans, the artifact format and the code generator replay the same
+  lists; :func:`edge_tally` is their one per-edge count.
 * :func:`rank_walk` is the walk over one plan — the only function that
   iterates a plan's tiles and places each receive, compute phase,
   publish and rendezvous wait inside a tile.  Blocking is the
@@ -69,11 +72,15 @@ from typing import (
     Generator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
+import numpy as np
+
 from repro.runtime.machine import ClusterSpec
 from repro.runtime.vmpi import Compute, Recv, Send
+from repro.stages import Stage, copied, on_demand, pickled, unpickled
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -82,6 +89,8 @@ Pid = Tuple[int, ...]
 Tile = Tuple[int, ...]
 #: What a port method is: a generator of transport requests.
 Steps = Generator[Any, Any, None]
+#: Candidate ``d^S`` of one ``d^m``: (receive-plan order, lex order).
+_Orders = Tuple[Tuple[Tile, ...], Tuple[Tile, ...]]
 
 
 class ParallelRuntimeError(RuntimeError):
@@ -91,6 +100,184 @@ class ParallelRuntimeError(RuntimeError):
 
 class HaloSizeError(ParallelRuntimeError):
     """A received payload does not have the size the plan froze."""
+
+
+# -- the communication schedule (§3.2) -----------------------------------------------
+
+
+def receive_plan(program: "TiledProgram",
+                 tile: Tile) -> List[Tuple[Tile, Tile, Pid]]:
+    """Receives posted by ``tile``: ``(d^S, pred_tile, src_pid)``.
+
+    Ordered so that per ``(source, direction)`` the matched messages
+    arrive FIFO: directions sorted, and within a direction
+    predecessors in ascending chain position (descending ``d^S_m``).
+    """
+    comm, dist = program.comm, program.dist
+    tset = dist._tile_set
+    pid = dist.pid_of(tile)
+    orders: Dict[Pid, _Orders] = program.stage("recv_order")
+    plan = []
+    for dm in comm.d_m:
+        cands, lex = orders[dm]
+        src = None
+        for ds in cands:
+            pred = tuple([a - b for a, b in zip(tile, ds)])
+            if pred not in tset:
+                continue
+            # tile == minsucc(pred, dm) iff ds is the lex-smallest
+            # candidate whose successor of pred is valid (succ order
+            # and candidate order agree: succ = pred + ds).
+            first = None
+            for ds2 in lex:
+                if tuple([a + b for a, b in zip(pred, ds2)]) in tset:
+                    first = ds2
+                    break
+            if first != ds:
+                continue
+            if src is None:
+                src = tuple([a - b for a, b in zip(pid, dm)])
+            plan.append((ds, pred, src))
+    return plan
+
+
+def _build_recv_order(program: "TiledProgram") -> Dict[Pid, _Orders]:
+    """Candidate ``d^S`` lists of every ``d^m``, in receive-plan order
+    (descending mapping component) and lexicographic order."""
+    comm = program.comm
+    out = {}
+    for dm in comm.d_m:
+        cands = tuple(sorted(comm.ds_of_dm(dm), key=lambda d: -d[comm.m]))
+        out[dm] = (cands, tuple(sorted(cands)))
+    return out
+
+
+def send_plan(program: "TiledProgram",
+              tile: Tile) -> List[Tuple[Pid, Pid]]:
+    """Sends issued by ``tile``: ``(d^m, dst_pid)`` per successor
+    processor with at least one valid successor tile."""
+    comm, dist = program.comm, program.dist
+    tset = dist._tile_set
+    orders: Dict[Pid, _Orders] = program.stage("recv_order")
+    plan = []
+    pid = None
+    for dm in comm.d_m:
+        for ds in orders[dm][0]:
+            if tuple([a + b for a, b in zip(tile, ds)]) in tset:
+                if pid is None:
+                    pid = dist.pid_of(tile)
+                plan.append((dm, tuple([a + b for a, b in zip(pid, dm)])))
+                break
+    return plan
+
+
+def pack_region(program: "TiledProgram",
+                direction: Sequence[int]) -> np.ndarray:
+    """Mask (over TTIS lattice points) of an unclipped (interior)
+    tile's pack region toward tile/processor ``direction`` — computed
+    points with ``j'_k >= cc_k`` on every non-mapping dimension the
+    direction crosses.  Kept per direction; callers must not mutate
+    it."""
+    key = tuple(direction)
+    regions: Dict[Tuple[int, ...], np.ndarray] = \
+        program.stage("pack_regions")
+    mask = regions.get(key)
+    if mask is None:
+        lat = program.tiling.ttis.lattice_points_np()
+        mask = np.ones(len(lat), dtype=bool)
+        for k, lb in enumerate(program.comm.pack_lower_bounds(key)):
+            if lb > 0:
+                mask &= lat[:, k] >= lb
+        regions[key] = mask
+    return mask
+
+
+def region_mask(program: "TiledProgram", tile: Tile,
+                direction: Sequence[int]) -> np.ndarray:
+    """:func:`pack_region` clipped to the domain points of ``tile``."""
+    return program.tiling.tile_mask(tile) & pack_region(program, direction)
+
+
+def region_count(program: "TiledProgram", tile: Tile,
+                 direction: Sequence[int]) -> int:
+    """Pack-region size of ``tile`` toward ``direction``.  The
+    ``region_counts`` stage holds every pair the communication schedule
+    asks about; any other pair is counted on demand."""
+    key = (tile, tuple(direction))
+    counts: Dict[Tuple[Tile, Tuple[int, ...]], int] = \
+        program.stage("region_counts")
+    count = counts.get(key)
+    if count is None:
+        mask = (pack_region(program, direction)
+                if program.tiling.classify_tile(tile) == "full"
+                else region_mask(program, tile, direction))
+        count = counts[key] = int(mask.sum())
+    return count
+
+
+def _build_region_counts(
+        program: "TiledProgram") -> Dict[Tuple[Tile, Tuple[int, ...]], int]:
+    """Every (tile, direction) count the communication schedule can ask
+    about, in bulk.
+
+    One gather over the partial-tile masks replaces thousands of
+    per-tile mask reductions — this is what keeps the static verifier's
+    schedule replay a small fraction of construction time.  The
+    per-call path of :func:`region_count` computes identical values.
+    """
+    comm, dist, tiling = program.comm, program.dist, program.tiling
+    counts: Dict[Tuple[Tile, Tuple[int, ...]], int] = {}
+    # Exactly the directions the communication schedule queries: tile
+    # dependencies of each d^m (receives) and the zeroed-at-m processor
+    # directions (sends).
+    dirs: List[Tuple[int, ...]] = []
+    for dm in comm.d_m:
+        dirs.extend(tuple(ds) for ds in comm.ds_of_dm(dm))
+        dirs.append(comm.send_direction(dm))
+    dirs = list(dict.fromkeys(dirs))
+    if not dirs:
+        return counts
+    nlat = len(tiling.ttis.lattice_points_np())
+    # Pack regions are thin slabs (thickness v_k - cc_k); count over the
+    # slab columns, or over the complement when the slab is the wide
+    # side.  Only the union of those column sets is ever touched, so
+    # partial-tile masks are gathered down to it instead of being
+    # densified into a (tiles x volume) matrix.
+    sels = []                           # (d, columns, use_complement)
+    full_counts = []
+    need_totals = False
+    for d in dirs:
+        vec = pack_region(program, d)
+        full_counts.append(int(vec.sum()))
+        idx = np.nonzero(vec)[0]
+        if 2 * len(idx) <= nlat:
+            sels.append((d, idx, False))
+        else:
+            sels.append((d, np.nonzero(~vec)[0], True))
+            need_totals = True
+    partial = [t for t in dist.tiles
+               if tiling.classify_tile(t) == "partial"]
+    if partial:
+        cols = np.unique(np.concatenate([c for _, c, _ in sels]))
+        sub = np.empty((len(partial), len(cols)), dtype=bool)
+        for i, t in enumerate(partial):
+            sub[i] = tiling.tile_mask(t)[cols]
+        totals = np.array(
+            [tiling.tile_point_count(t) for t in partial],
+            dtype=np.int64) if need_totals else None
+        for d, sel, use_comp in sels:
+            pos = np.searchsorted(cols, sel)
+            cnts = np.count_nonzero(sub[:, pos], axis=1)
+            if use_comp:
+                cnts = totals - cnts
+            for t, cnt in zip(partial, cnts):
+                counts[(t, d)] = int(cnt)
+    partial_set = set(partial)
+    for t in dist.tiles:
+        if t not in partial_set:
+            for d, cnt in zip(dirs, full_counts):
+                counts[(t, d)] = cnt
+    return counts
 
 
 # -- the frozen schedule -------------------------------------------------------------
@@ -138,15 +325,13 @@ _TileOps = Callable[[Tile, Pid], _Ops]
 def _paper_ops(program: "TiledProgram") -> _TileOps:
     """§3.2: receive per predecessor *tile*, send per successor
     *processor* (dependences sharing a ``d^m`` aggregate)."""
-    m = program.dist.m
-    tag = program.message_tag
-    project = program.comm.project
+    comm = program.comm
 
     def ops(tile: Tile, pid: Pid) -> _Ops:
-        return ([(ds, pred, src, tag(project(ds)))
-                 for ds, pred, src in program.receive_plan(tile)],
-                [(dm[:m] + (0,) + dm[m:], dst, tag(dm))
-                 for dm, dst in program.send_plan(tile)])
+        return ([(ds, pred, src, comm.tag(comm.project(ds)))
+                 for ds, pred, src in receive_plan(program, tile)],
+                [(comm.send_direction(dm), dst, comm.tag(dm))
+                 for dm, dst in send_plan(program, tile)])
     return ops
 
 
@@ -154,7 +339,6 @@ def _per_dependence_ops(program: "TiledProgram") -> _TileOps:
     """The un-aggregated ablation: one message per crossing tile
     dependence with a valid peer tile, tagged by dependence."""
     dist, comm = program.dist, program.comm
-    m = dist.m
     crossing = [(tag, ds, comm.project(ds)) for tag, ds in enumerate(
         ds for ds in comm.d_s if not comm.is_intra_processor(ds))]
 
@@ -167,7 +351,7 @@ def _per_dependence_ops(program: "TiledProgram") -> _TileOps:
                 recvs.append(
                     (ds, pred, tuple(a - b for a, b in zip(pid, dm)), tag))
             if dist.valid(tuple(a + b for a, b in zip(tile, ds))):
-                sends.append((ds[:m] + (0,) + ds[m + 1:],
+                sends.append((comm.send_direction(dm),
                               tuple(a + b for a, b in zip(pid, dm)), tag))
         return recvs, sends
     return ops
@@ -207,12 +391,12 @@ def freeze_plans(program: "TiledProgram",
             ss: List[TileSend] = []
             recv_ops, send_ops = tile_ops(tile, pid)
             for ds, pred, src, tag in recv_ops:
-                nelems = program.region_count(pred, ds) * narr
+                nelems = region_count(program, pred, ds) * narr
                 if nelems:
                     rr.append(TileRecv(program.rank_of[src], tag, nelems,
                                        pred, tuple(int(x) for x in ds)))
             for direction, dst, tag in send_ops:
-                nelems = program.region_count(tile, direction) * narr
+                nelems = region_count(program, tile, direction) * narr
                 if nelems:
                     ss.append(TileSend(program.rank_of[dst], tag, nelems,
                                        direction))
@@ -221,6 +405,16 @@ def freeze_plans(program: "TiledProgram",
         plans[rank] = RankPlan(rank, pid, tiles, tuple(recvs),
                                tuple(sends))
     return plans
+
+
+#: The stage-table rows of the schedule (registered, in table order, by
+#: :mod:`repro.runtime.executor`).
+RECV_ORDER = Stage("recv_order", "program", _build_recv_order)
+PACK_REGIONS = Stage("pack_regions", "program", on_demand)
+REGION_COUNTS = Stage("region_counts", "program", _build_region_counts,
+                      persisted=True, encode=copied, decode=copied)
+RANK_PLANS = Stage("rank_plans", "program", freeze_plans, persisted=True,
+                   encode=pickled, decode=unpickled)
 
 
 #: ``(src_rank, dst_rank, tag)`` — one directed FIFO channel.
@@ -265,7 +459,11 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
     results, message order, counts and bytes are those of the blocking
     schedule.
     """
-    points = program.tile_point_count
+    # The overlap plans live with the level tables, which import this
+    # module.
+    from repro.runtime.dense import overlap_plan
+
+    points = program.tiling.tile_point_count
     timing_only = data is None
     # plan.tiles is the rank's chain in order, so the enumeration index
     # is the paper's t (``dist.chain_index``).
@@ -286,7 +484,7 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
             for s, pack in zip(sends, packs):
                 yield from port.send(tile, s, pack)
             continue
-        oplan = program.overlap_plan(tile)
+        oplan = overlap_plan(program, plan, t)
         port.open_tile(tile, recvs, unpacks)
         ctx = None if timing_only else data.tile_context(tile, t, oplan)
         for take, lo, hi, publish in oplan.phases:

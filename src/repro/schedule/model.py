@@ -48,20 +48,10 @@ def predict_makespan(tiling: TilingTransformation,
 
     sched = LinearSchedule(tiling)
     comm = CommunicationSpec(tiling, deps, mapping_dim)
-    ttis = tiling.ttis
-    vol = ttis.tile_volume
-    # Communication surface per direction: points with j'_k >= cc_k in
-    # one crossed dimension (full-tile estimate, lattice density 1/c).
-    per_step_elems = 0
-    for dm in comm.d_m:
-        full_dir = dm[:mapping_dim] + (0,) + dm[mapping_dim:]
-        lbs = comm.pack_lower_bounds(full_dir)
-        frac = 1.0
-        for k in range(tiling.n):
-            extent = ttis.v[k]
-            kept = extent - lbs[k]
-            frac *= kept / extent
-        per_step_elems += int(round(vol * frac)) * arrays
+    vol = tiling.ttis.tile_volume
+    # Communication surface per direction (full-tile estimate).
+    per_step_elems = sum(comm.full_pack_estimate(dm)
+                         for dm in comm.d_m) * arrays
     n_msgs = len(comm.d_m)
     per_step_comm = (n_msgs * spec.net_latency
                      + per_step_elems * spec.bytes_per_element

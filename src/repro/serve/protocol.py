@@ -5,7 +5,10 @@ bytes of UTF-8 JSON.  Requests are objects with an ``"op"`` field;
 responses always carry ``"status": "ok" | "error"``.  The framing is
 symmetric, so the same two helpers serve both directions, and length
 prefixes make concurrent clients trivial: each connection is a clean
-sequence of self-delimiting frames.
+sequence of self-delimiting frames.  A frame whose body is not one JSON
+object gets an error response and the connection stays open; a length
+prefix above :data:`MAX_FRAME` or a disconnect mid-frame loses the
+frame boundary, so the server answers (if it still can) and closes.
 
 Operations
 ----------
@@ -44,6 +47,25 @@ MAX_FRAME = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
 
 
+class FrameError(ValueError):
+    """A frame whose body is not one JSON object."""
+
+
+class FrameLost(FrameError):
+    """A frame whose boundary is lost with it (an oversized length
+    prefix, a disconnect mid-frame): nothing after it can be read."""
+
+
+def _decode(body: bytes) -> Dict[str, Any]:
+    try:
+        obj = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 / JSON, deep nesting
+        raise FrameError(f"undecodable frame: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FrameError(f"frame is a JSON {type(obj).__name__}")
+    return obj
+
+
 def encode_frame(obj: Dict[str, Any]) -> bytes:
     body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME:
@@ -53,16 +75,22 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
 
 async def read_frame(reader: asyncio.StreamReader
                      ) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF before a length prefix."""
+    """Read one frame; ``None`` on clean EOF before a length prefix,
+    :class:`FrameError` on anything that is not one JSON object."""
     try:
         head = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError:
-        return None
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise FrameLost("connection closed mid-frame") from exc
     (length,) = _LEN.unpack(head)
     if length > MAX_FRAME:
-        raise ValueError(f"frame too large: {length} bytes")
-    body = await reader.readexactly(length)
-    return json.loads(body.decode("utf-8"))
+        raise FrameLost(f"frame too large: {length} bytes")
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise FrameLost("connection closed mid-frame") from exc
+    return _decode(body)
 
 
 async def write_frame(writer: asyncio.StreamWriter,
@@ -84,11 +112,11 @@ def recv_frame_sync(sock: socket.socket) -> Optional[Dict[str, Any]]:
         return None
     (length,) = _LEN.unpack(head)
     if length > MAX_FRAME:
-        raise ValueError(f"frame too large: {length} bytes")
+        raise FrameLost(f"frame too large: {length} bytes")
     body = _recv_exact(sock, length)
     if body is None:
         raise ConnectionError("connection closed mid-frame")
-    return json.loads(body.decode("utf-8"))
+    return _decode(body)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:

@@ -31,7 +31,12 @@ from repro.apps import resolve_config
 from repro.artifacts import ArtifactCache, content_key
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
-from repro.serve.protocol import read_frame, write_frame
+from repro.serve.protocol import (
+    FrameError,
+    FrameLost,
+    read_frame,
+    write_frame,
+)
 
 
 def resolve_request(params: Dict[str, Any]):
@@ -169,8 +174,11 @@ class CompileServer:
                 "makespan": stats.makespan,
                 "total_messages": stats.total_messages,
                 "total_elements": stats.total_elements,
-                "compute_time": list(stats.compute_time),
-                "comm_time": list(stats.comm_time),
+                # seconds per rank, in rank order
+                "compute_time": [stats.compute_time[r]
+                                 for r in sorted(stats.compute_time)],
+                "comm_time": [stats.comm_time[r]
+                              for r in sorted(stats.comm_time)],
             }
             return info
         if op == "shutdown":
@@ -181,19 +189,26 @@ class CompileServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         try:
-            while True:
-                req = await read_frame(reader)
-                if req is None:
-                    break
-                self.counters["requests"] += 1
+            lost = False
+            while not lost:
                 try:
+                    req = await read_frame(reader)
+                    if req is None:
+                        break
+                    self.counters["requests"] += 1
                     resp = await self._dispatch(req)
+                except FrameError as exc:
+                    # a bad body leaves the next frame readable, a lost
+                    # frame boundary does not
+                    self.counters["requests"] += 1
+                    lost = isinstance(exc, FrameLost)
+                    resp = {"status": "error", "error": str(exc)}
                 except (ValueError, KeyError, TypeError) as exc:
                     resp = {"status": "error", "error": str(exc)}
                 if resp.get("status") != "ok":
                     self.counters["errors"] += 1
                 await write_frame(writer, resp)
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         except asyncio.CancelledError:
             # Server shutdown with this connection still open; the

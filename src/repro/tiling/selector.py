@@ -57,30 +57,19 @@ def ratio_balanced_extent(
     the per-direction pack regions give the communication time.
     """
     from repro.distribution.communication import CommunicationSpec
-    from repro.tiling.ttis import TTIS
 
     best: Optional[Tuple[float, int]] = None
     for ext in candidates:
         h = h_of_extent(int(ext))
         try:
-            ttis = TTIS(h)
             comm = CommunicationSpec(_transform_for(h, nest),
                                      nest.dependences, mapping_dim)
         except ValueError:
             continue
-        vol = ttis.tile_volume
-        t_comp = spec.compute_time(vol)
-        elems = 0
-        n_dirs = 0
-        for dm in comm.d_m:
-            full = dm[:mapping_dim] + (0,) + dm[mapping_dim:]
-            lbs = comm.pack_lower_bounds(full)
-            frac = 1.0
-            for k in range(ttis.n):
-                frac *= (ttis.v[k] - lbs[k]) / ttis.v[k]
-            elems += int(round(vol * frac)) * arrays
-            n_dirs += 1
-        t_comm = (n_dirs * spec.net_latency
+        t_comp = spec.compute_time(comm.tiling.ttis.tile_volume)
+        elems = sum(comm.full_pack_estimate(dm)
+                    for dm in comm.d_m) * arrays
+        t_comm = (len(comm.d_m) * spec.net_latency
                   + elems * spec.bytes_per_element / spec.net_bandwidth
                   + 2 * elems * spec.time_per_packed_element)
         if t_comm == 0:

@@ -135,10 +135,14 @@ class TilingTransformation(StageHolder):
 
         The mask aligns TTIS-lattice-indexed data (communication regions,
         computed-point sets) across modules without re-deriving point
-        lists.  Masks are cached per tile.
+        lists.  Masks are cached per tile; a tile that already is a key
+        (every pack and unpack asks) skips the key normalization.
         """
-        key = tuple(int(x) for x in j_s)
         masks: Dict[Tile, np.ndarray] = self.stage("masks")
+        try:
+            return masks[j_s]
+        except (KeyError, TypeError):
+            key = tuple(int(x) for x in j_s)
         try:
             mask = masks[key]
         except KeyError:
@@ -163,13 +167,20 @@ class TilingTransformation(StageHolder):
         return pts[mask]
 
     def tile_point_count(self, j_s: Sequence[int]) -> int:
-        """Number of domain points in tile ``j^S`` (0 for empty tiles)."""
-        cls = self.classify_tile(j_s)
-        if cls == "full":
-            return self.ttis.tile_volume
-        if cls == "empty":
-            return 0
-        return int(self.tile_mask(j_s).sum())
+        """Number of domain points in tile ``j^S`` (0 for empty tiles).
+        Kept per tile: a partial tile pays one mask reduction ever (the
+        walk, the schedule model and the rank-volume pass all ask
+        repeatedly)."""
+        points: Dict[Tile, int] = self.stage("points")
+        try:
+            return points[j_s]
+        except (KeyError, TypeError):
+            key = tuple(int(x) for x in j_s)
+        cls = self.classify_tile(key)
+        count = points[key] = (
+            self.ttis.tile_volume if cls == "full" else 0 if cls == "empty"
+            else int(self.tile_mask(key).sum()))
+        return count
 
     def tile_is_nonempty(self, j_s: Sequence[int]) -> bool:
         cls = self.classify_tile(j_s)
@@ -325,6 +336,17 @@ def _decode_masks(tiling: TilingTransformation,
         {t: i for i, t in enumerate(_partial_tiles(tiling))}, unpack)
 
 
+def _encode_points(tiling: TilingTransformation,
+                   _points: Dict[Tile, int]) -> np.ndarray:
+    return np.array([tiling.tile_point_count(t)
+                     for t in tiling.enumerate_tiles()], dtype=np.int64)
+
+
+def _decode_points(tiling: TilingTransformation,
+                   stored: np.ndarray) -> Dict[Tile, int]:
+    return dict(zip(tiling.enumerate_tiles(), stored.tolist()))
+
+
 register(
     Stage("tis_constraints", "tiling",
           TilingTransformation._tis_constraints),
@@ -336,4 +358,6 @@ register(
           persisted=True),
     Stage("tile_deps", "tiling", on_demand, persisted=True,
           encode=copied, decode=copied),
+    Stage("points", "tiling", on_demand, persisted=True,
+          encode=_encode_points, decode=_decode_points),
 )

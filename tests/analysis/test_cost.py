@@ -7,11 +7,7 @@ import dataclasses
 import pytest
 
 from repro.analysis import analyze_program
-from repro.analysis.cost import (
-    analytic_makespan,
-    certify_cost,
-    check_cost,
-)
+from repro.analysis.cost import analytic_makespan, certify_cost
 from repro.apps import adi, heat, jacobi, sor
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
@@ -177,13 +173,14 @@ class TestWiring:
         assert meta["totals"]["elements"] > 0
         assert meta["makespan"] > 0
 
-    def test_check_cost_covers_spec_protocol(self):
+    def test_cost_certificate_covers_spec_protocol(self):
         prog = _prog(sor.app(4, 6), sor.h_rectangular(2, 3, 4), 2)
         spec = dataclasses.replace(ClusterSpec(),
                                    rendezvous_threshold=0)
-        diags = check_cost(prog, spec=spec)
+        assert prog.cost_certificate(spec=spec).ok
+        cert = prog.cost_certificate(protocol="spec", spec=spec)
         # eager certifies clean; the spec protocol deadlocks (COST03).
-        assert "COST03" in {d.code for d in diags}
+        assert "COST03" in {d.code for d in cert.diagnostics}
 
     def test_unknown_mutation_rejected(self):
         prog = _prog(sor.app(4, 6), sor.h_rectangular(2, 3, 4), 2)

@@ -9,11 +9,14 @@ milliseconds, big enough that the closed form actually counts strided
 lattices.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.cost import MUTATIONS, certify_cost
 from repro.apps import adi, sor
 from repro.runtime.executor import TiledProgram
+from repro.runtime.rankstep import build_rank_plans
 
 #: mutation -> (config builder, golden diagnostic code)
 GOLDEN = {
@@ -58,6 +61,33 @@ def test_mutation_rejected_with_golden_code(mutation):
     for d in errors:
         assert d.pass_name == "cost"
         assert d.message and d.suggestion
+
+
+@pytest.mark.parametrize("seed", ["dropped", "mistagged"])
+def test_full_tile_send_corrupted_in_the_plans_is_cost01(seed):
+    # A full tile's send the frozen plans lost (as a pack region wrongly
+    # counted 0 would drop it) or tagged wrong: path A derives the sends
+    # from the tile set, so exactly the touched channels disagree.
+    prog = _plain_prog()
+    plans = build_rank_plans(prog)
+    rank, t = next((r, i) for r, plan in plans.items()
+                   for i, (tile, ss) in enumerate(zip(plan.tiles, plan.sends))
+                   if ss and prog.tiling.classify_tile(tile) == "full")
+    s = plans[rank].sends[t][0]
+    sends = list(plans[rank].sends)
+    channels = [(rank, s.dst_rank, s.tag)]
+    if seed == "dropped":
+        sends[t] = sends[t][1:]
+    else:
+        bad = (s.tag + 1) % len(prog.comm.d_m)
+        sends[t] = (dataclasses.replace(s, tag=bad),) + sends[t][1:]
+        channels = sorted(channels + [(rank, s.dst_rank, bad)])
+    prog.stages["rank_plans"] = {
+        **plans, rank: dataclasses.replace(plans[rank], sends=tuple(sends))}
+    cert = certify_cost(prog)
+    cost01 = [d.subject_dict()["channel"] for d in cert.diagnostics
+              if d.code == "COST01"]
+    assert cost01 == channels
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

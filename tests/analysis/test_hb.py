@@ -19,6 +19,7 @@ from repro.apps import adi, heat, jacobi, sor
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
 from repro.runtime.vmpi import DeadlockError
+from tests.analysis.test_known_bad import _DroppedSend
 
 # The six reference configs of the parallel-engine suite.
 HB_CONFIGS = [
@@ -138,16 +139,6 @@ class TestRendezvousDeadlock:
                      0)
         cert = certify_program(prog, protocol="rendezvous")
         assert cert.ok
-
-
-class _DroppedSend(TiledProgram):
-    """Miscompiled program: tile (0,0,0) forgets its last send."""
-
-    def send_plan(self, tile):
-        plan = super().send_plan(tile)
-        if tile == (0, 0, 0):
-            return plan[:-1]
-        return plan
 
 
 class TestKnownBadPrograms:

@@ -6,6 +6,8 @@ the defect is runtime-observable, that the static verdict agrees with
 what actually happens when the program runs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps import heat, jacobi, sor
@@ -18,6 +20,7 @@ from repro.analysis import (
 )
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
+from repro.runtime.rankstep import freeze_plans
 from repro.runtime.vmpi import DeadlockError
 
 
@@ -99,13 +102,19 @@ class TestTileTooSmall:
 
 
 class _DroppedSend(TiledProgram):
-    """A miscompiled program: tile (0,0,0) forgets its last send."""
+    """A miscompiled program: tile (0,0,0) forgets its last send — its
+    ``rank_plans`` stage is the frozen schedule with that send removed."""
 
-    def send_plan(self, tile):
-        plan = super().send_plan(tile)
-        if tile == (0, 0, 0):
-            return plan[:-1]
-        return plan
+    def _build(self, *args):
+        super()._build(*args)
+        plans = freeze_plans(self)
+        for rank, plan in plans.items():
+            if (0, 0, 0) in plan.tiles:
+                t = plan.tiles.index((0, 0, 0))
+                sends = list(plan.sends)
+                sends[t] = sends[t][:-1]
+                plans[rank] = dataclasses.replace(plan, sends=tuple(sends))
+        self.stages["rank_plans"] = plans
 
 
 class TestDroppedSend:

@@ -87,14 +87,14 @@ def test_roundtrip_rank_plans_and_geometry(tmp_path, app, h, mdim):
     assert loaded.comm.d_m == fresh.comm.d_m
     assert loaded.comm.cc == fresh.comm.cc
     assert loaded.comm.offsets == fresh.comm.offsets
-    assert np.array_equal(loaded.dense_lex_order(),
-                          fresh.dense_lex_order())
-    assert loaded.dense_schedule_vector() == fresh.dense_schedule_vector()
+    assert np.array_equal(loaded.stage("lex_order"),
+                          fresh.stage("lex_order"))
+    assert loaded.stage("dense_s") == fresh.stage("dense_s")
     # The lazily-decoded plans equal a from-scratch build.
     assert build_rank_plans(loaded) == build_rank_plans(fresh)
     for tile in fresh.dist.tiles:
-        assert loaded.tile_point_count(tile) == \
-            fresh.tile_point_count(tile)
+        assert loaded.tiling.tile_point_count(tile) == \
+            fresh.tiling.tile_point_count(tile)
         assert loaded.tiling.classify_tile(tile) == \
             fresh.tiling.classify_tile(tile)
 

@@ -4,8 +4,9 @@
 each holder fills from it and ``snapshot_program``/``restore_program``
 walk it.  These tests pin the consequences: a new product is one entry
 (no edit under ``artifacts/``), a snapshot survives a round trip
-unchanged, a restored program rebuilds nothing it was handed, and no
-hand-kept cache attribute is left beside the memo.
+unchanged, a restored program rebuilds nothing it was handed, no
+hand-kept cache attribute is left beside the memo, and every program
+row builds from the program's roots alone.
 """
 
 import dataclasses
@@ -19,7 +20,9 @@ import pytest
 
 from repro import stages
 from repro.artifacts import ArtifactCache, restore_program, snapshot_program
+from repro.runtime.dense import prewarm_overlap_plans
 from repro.runtime.executor import DistributedRun, TiledProgram
+from repro.runtime.rankstep import region_count
 from tests.artifacts.test_roundtrip import CONFIGS, SPEC
 
 
@@ -77,7 +80,7 @@ def test_snapshot_is_a_fixed_point_of_the_round_trip(app, h, mdim):
     prog = TiledProgram(app.nest, h, mapping_dim=mdim)
     prog.hb_certificate()
     prog.cost_certificate()
-    prog.prewarm_overlap_plans()
+    prewarm_overlap_plans(prog)
     first = snapshot_program(prog, mdim)
     again = snapshot_program(
         restore_program(app.nest, h, first), mdim)
@@ -130,7 +133,7 @@ def test_no_cache_attribute_beside_the_memo():
     DistributedRun(prog, SPEC).execute_dense(app.init_value)
     prog.hb_certificate()
     prog.cost_certificate()
-    prog.prewarm_overlap_plans()
+    prewarm_overlap_plans(prog)
     for holder in (prog, prog.tiling):
         assert isinstance(holder.stages, stages.StageMemo)
         leftovers = [name for name in vars(holder)
@@ -139,6 +142,50 @@ def test_no_cache_attribute_beside_the_memo():
     filled = {name for name, _o, state, _ns in stages.report(prog.tiling, prog)
               if state == "built"}
     assert filled == set(stages.TABLE)
+
+
+#: What a program is besides its stage table: the paper's four compiler
+#: outputs and their naming.
+ROOTS = ("nest", "tiling", "dist", "comm", "addressing", "n", "arrays",
+         "pids", "rank_of")
+
+
+class _Roots(stages.StageHolder):
+    """A program reduced to its roots and an empty memo of its own: a
+    build that reads anything else raises ``AttributeError``."""
+
+    stage_owner = "program"
+
+    def __init__(self, prog):
+        for name in ROOTS:
+            setattr(self, name, getattr(prog, name))
+        self.stages = stages.StageMemo()
+
+
+@pytest.mark.parametrize("app,h,mdim", CONFIGS)
+def test_every_program_row_builds_from_the_roots_alone(app, h, mdim):
+    """(v) Each program row's build, and the keyed accessors of the
+    stages filled on demand, read nothing of a program but its roots
+    and its stages — and give what the program itself gets."""
+    prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+    roots = _Roots(prog)
+    for st in stages.TABLE.values():
+        if st.owner == "program":
+            assert _same(st.build(roots), st.build(prog)), st.name
+    comm = prog.comm
+    dirs = [*comm.d_s, *map(comm.send_direction, comm.d_m)]
+    for tile in prog.dist.tiles:
+        for d in dirs:
+            assert region_count(roots, tile, d) == region_count(
+                prog, tile, d)
+    prewarm_overlap_plans(roots)
+    prewarm_overlap_plans(prog)
+    assert _same(roots.stage("overlap_plans"), prog.stage("overlap_plans"))
+    for overlap in (False, True):
+        assert _same(TiledProgram.hb_certificate(roots, overlap=overlap),
+                     prog.hb_certificate(overlap=overlap))
+    assert _same(TiledProgram.cost_certificate(roots),
+                 prog.cost_certificate())
 
 
 def test_lazy_entries_decode_once_per_key():
@@ -219,7 +266,7 @@ def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
                         tol=0.0)
     assert (stats.total_messages, stats.total_elements) == (
         ref_stats.total_messages, ref_stats.total_elements)
-    fresh.prewarm_overlap_plans()
+    prewarm_overlap_plans(fresh)
     assert _same(dict(plans), dict(fresh.stage("overlap_plans")))
 
 

@@ -111,7 +111,7 @@ class TestDenseEmission:
         mod = load_generated_module(src)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
         assert mod.ENGINE == "dense"
-        assert mod.WAVEFRONT == prog.dense_schedule_vector()
+        assert mod.WAVEFRONT == prog.stage("dense_s")
 
     def test_slice_sizes_sum_to_tile_points(self, dense_generated):
         app, h, src = dense_generated
@@ -163,7 +163,7 @@ class TestOverlapEmission:
         mod = load_generated_module(src)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
         assert mod.ENGINE == "dense-overlap"
-        assert mod.WAVEFRONT == prog.dense_schedule_vector()
+        assert mod.WAVEFRONT == prog.stage("dense_s")
 
     def test_boundary_sizes_bounded_by_slices(self, overlap_generated):
         app, h, src = overlap_generated

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.apps import adi, heat, jacobi, sor
 from repro.native.engine import build_native_library
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
-from repro.runtime.dense import DenseData, _access_box
+from repro.runtime.dense import DenseData, _access_box, read_dependences
 from repro.tiling.ttis import TTIS
 from repro.tuning import generate_candidates
 from tests.runtime.tilings import DRAWN, drawn_program
@@ -89,7 +89,7 @@ def _check_tables(prog, seed=0):
         for tile in prog.dist.tiles_of(pid):
             t = prog.dist.chain_index(tile)
             origin = data.tile_origin(tile)
-            for idx in _index_sets(data.nlat, prog.tile_mask(tile), rng):
+            for idx in _index_sets(data.nlat, prog.tiling.tile_mask(tile), rng):
                 for off in data.table_offsets:
                     want = lds.to_flat(
                         data.lat[idx] - np.asarray(off, dtype=np.int64), t)
@@ -150,11 +150,12 @@ def _expected_calls(prog):
     ``j`` and dependence read whose source ``j - d`` is outside the
     domain."""
     nest = prog.nest
+    deps = read_dependences(nest)
     want = Counter()
     seen_tables = set()
     for si, stmt in enumerate(nest.statements):
         for ri, ref in enumerate(stmt.reads):
-            dep = prog._read_deps[si][ri]
+            dep = deps[si][ri]
             if dep is None:
                 key = (ref.array, ref.offset, None if ref.matrix is None
                        else tuple(map(tuple, ref.matrix.rows())))

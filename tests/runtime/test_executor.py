@@ -4,6 +4,12 @@ import pytest
 
 from repro.apps import adi, sor
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro.runtime.rankstep import (
+    pack_region,
+    receive_plan,
+    region_count,
+    send_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +42,18 @@ class TestCompile:
         assert prog.arrays == ["A"]
 
     def test_tags_distinct(self, prog):
-        tags = [prog.message_tag(dm) for dm in prog.comm.d_m]
+        tags = [prog.comm.tag(dm) for dm in prog.comm.d_m]
         assert len(set(tags)) == len(tags)
+
+    def test_program_is_its_roots_and_the_stage_table(self):
+        """Every derived product is a stage row beside its derivation;
+        the program itself keeps only these."""
+        own = {name for name, value in vars(TiledProgram).items()
+               if callable(value)
+               or isinstance(value, (property, classmethod))}
+        assert own == {"__init__", "from_compiled_state", "_build",
+                       "num_processors", "total_points",
+                       "hb_certificate", "cost_certificate"}
 
 
 class TestPlans:
@@ -49,13 +65,13 @@ class TestPlans:
         recvs = []
         for pid in prog.pids:
             for tile in prog.dist.tiles_of(pid):
-                for ds, pred, src in prog.receive_plan(tile):
-                    n = prog.region_count(pred, ds) * narr
+                for ds, pred, src in receive_plan(prog, tile):
+                    n = region_count(prog, pred, ds) * narr
                     if n:
                         recvs.append((src, pid, prog.comm.project(ds), n))
-                for dm, dst in prog.send_plan(tile):
-                    full = dm[:prog.dist.m] + (0,) + dm[prog.dist.m:]
-                    n = prog.region_count(tile, full) * narr
+                for dm, dst in send_plan(prog, tile):
+                    full = prog.comm.send_direction(dm)
+                    n = region_count(prog, tile, full) * narr
                     if n:
                         sends.append((pid, dst, dm, n))
         assert sorted(sends) == sorted(recvs)
@@ -63,7 +79,7 @@ class TestPlans:
     def test_receive_sources_are_predecessors(self, prog):
         for pid in prog.pids:
             for tile in prog.dist.tiles_of(pid):
-                for ds, pred, src in prog.receive_plan(tile):
+                for ds, pred, src in receive_plan(prog, tile):
                     assert prog.dist.valid(pred)
                     assert src in prog.rank_of or src not in prog.pids
                     dm = prog.comm.project(ds)
@@ -71,17 +87,17 @@ class TestPlans:
 
     def test_full_region_counts_positive(self, prog):
         for dm in prog.comm.d_m:
-            full = dm[:prog.dist.m] + (0,) + dm[prog.dist.m:]
-            assert prog.full_region_count(full) > 0
+            full = prog.comm.send_direction(dm)
+            assert pack_region(prog, full).sum() > 0
 
     def test_region_count_full_tile_shortcut(self, prog):
         full_tiles = [t for t in prog.dist.tiles
                       if prog.tiling.classify_tile(t) == "full"]
         for t in full_tiles[:4]:
             for dm in prog.comm.d_m:
-                full = dm[:prog.dist.m] + (0,) + dm[prog.dist.m:]
-                assert prog.region_count(t, full) == \
-                    prog.full_region_count(full)
+                full = prog.comm.send_direction(dm)
+                assert region_count(prog, t, full) == \
+                    pack_region(prog, full).sum()
 
 
 class TestSimulateVsExecuteTiming:

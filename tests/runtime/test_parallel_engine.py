@@ -544,21 +544,26 @@ class TestOverlap:
         """The frozen phase table: ``order``/``cuts`` split every level
         batch into boundary-then-interior, the phases walk the segments
         once and place every receive and publish of the rank plan."""
+        from repro.runtime.dense import overlap_plan, tile_levels
+        from repro.runtime.rankstep import region_mask
+
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
-        for pid in prog.pids:
-            for tile in prog.dist.tiles_of(pid):
-                oplan = prog.overlap_plan(tile)
-                batches = prog.dense_level_batches(tile)
+        for plan in build_rank_plans(prog).values():
+            for t, tile in enumerate(plan.tiles):
+                oplan = overlap_plan(prog, plan, t)
+                batches = tile_levels(prog, tile)
                 order, cuts = oplan.order, oplan.cuts
                 assert oplan.nlevels == len(batches)
                 assert len(cuts) == 2 * len(batches) + 1
                 assert order.dtype == cuts.dtype == np.int64
                 assert order.flags["C_CONTIGUOUS"]
-                sends, recvs = prog.overlap_directions(tile)
-                inregion = np.zeros(len(prog.tile_mask(tile)), dtype=bool)
+                sends = [s.direction for s in plan.sends[t]]
+                recvs = plan.recvs[t]
+                inregion = np.zeros(len(prog.tiling.tile_mask(tile)),
+                                    dtype=bool)
                 for d, pack in zip(sends, oplan.packs):
-                    region = prog.region_mask(tile, d)
+                    region = region_mask(prog, tile, d)
                     inregion |= region
                     assert pack.direction == d
                     assert pack.count == int(region.sum())
@@ -602,9 +607,10 @@ class TestOverlap:
         stored plan — one with receives, sends, > 1 phase and a
         level-0 boundary."""
         from repro.analysis import check_overlap
+        from repro.runtime.dense import prewarm_overlap_plans
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
-        prog.prewarm_overlap_plans()
+        prewarm_overlap_plans(prog)
         assert check_overlap(prog) == []
         plans = prog.stage("overlap_plans")
         key, plan = next(

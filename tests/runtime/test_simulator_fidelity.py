@@ -5,11 +5,11 @@ Four bugs, four pins:
 1. ``simulate_unaggregated`` must apply the same per-rank
    ``node_speed_factor`` as ``simulate()`` — the aggregation ablation
    may only differ in message structure, never in the CPU cost model.
-2. The executor must reuse the one frozen ``dense_lex_order()`` instead
+2. The executor must reuse the one frozen ``lex_order`` stage instead
    of re-running ``np.lexsort`` over the TTIS lattice per message.
-3. Hot paths must route per-tile point counts through the program-level
-   cache (``TiledProgram.tile_point_count``), so repeated runs never
-   re-reduce partial-tile masks.
+3. Hot paths must route per-tile point counts through the ``points``
+   stage (``TilingTransformation.tile_point_count``), so repeated runs
+   never re-reduce partial-tile masks.
 4. ``execute``, ``execute_dense`` and the generated ``pygen`` program
    must price a heterogeneous cluster exactly like ``simulate()``.
 """
@@ -130,7 +130,7 @@ class TestLexsortReuse:
         monkeypatch.setattr(
             np, "lexsort", lambda *a, **k: (calls.append(1),
                                             real(*a, **k))[1])
-        fresh.dense_lex_order()
+        fresh.stage("lex_order")
         assert len(calls) == 1  # the one frozen sort
         DistributedRun(fresh, spec).execute(app.init_value)
         DistributedRun(fresh, spec).execute_dense(app.init_value)
@@ -153,23 +153,27 @@ class TestLexsortReuse:
 
 
 class TestPointCountCache:
-    def test_hot_paths_use_program_cache(self, monkeypatch):
-        """Once the program cache is warm, simulate / ablation /
-        execute_dense must never call the tiling-level point count
-        again (each such call on a partial tile re-reduces its mask)."""
+    def test_hot_paths_use_program_cache(self):
+        """Once the ``points`` stage is warm, simulate / ablation /
+        execute_dense must find every count in it (a miss on a partial
+        tile re-reduces its mask)."""
         app = sor.app(4, 6)
         prog = TiledProgram(app.nest, sor.h_rectangular(2, 3, 4),
                             mapping_dim=2)
         spec = ClusterSpec()
         for tile in prog.dist.tiles:
-            prog.tile_point_count(tile)
+            prog.tiling.tile_point_count(tile)
 
-        calls = []
-        real = prog.tiling.tile_point_count
-        monkeypatch.setattr(
-            prog.tiling, "tile_point_count",
-            lambda t: (calls.append(t), real(t))[1])
+        misses = []
+
+        class Recording(dict):
+            def __missing__(self, key):
+                misses.append(key)
+                raise KeyError(key)
+
+        prog.tiling.stages["points"] = Recording(
+            prog.tiling.stage("points"))
         DistributedRun(prog, spec).simulate()
         DistributedRun(prog, spec).simulate_unaggregated()
         DistributedRun(prog, spec).execute_dense(app.init_value)
-        assert calls == [], "hot path bypassed the point-count cache"
+        assert misses == [], "hot path bypassed the point-count cache"

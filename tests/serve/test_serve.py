@@ -6,12 +6,18 @@ these tests exercise the full wire path including framing.
 """
 
 import asyncio
+import socket
+import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.apps import resolve_config
+from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 from repro.serve import CompileServer, ServeClient, ServeError
+from repro.serve.protocol import MAX_FRAME, recv_frame_sync
 
 REQ = {"app": "sor", "sizes": [4, 6], "tile": [2, 3, 4],
        "shape": "rect"}
@@ -24,6 +30,8 @@ class ServerThread:
         self.cache_dir = str(cache_dir)
         self.addr = None
         self.server = None
+        #: what reached the event loop's exception handler
+        self.unhandled = []
         self._started = threading.Event()
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
@@ -33,6 +41,8 @@ class ServerThread:
         asyncio.run(self._main())
 
     async def _main(self):
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: self.unhandled.append(context))
         self.server = CompileServer(self.cache_dir)
         self.addr = await self.server.start()
         self._started.set()
@@ -74,11 +84,20 @@ class TestBasics:
         assert r1["tiles"] == r2["tiles"] > 0
 
     def test_simulate_returns_run_stats(self, server):
+        req = dict(REQ, shape="nonrect")
         with server.client() as c:
-            r = c.simulate(**REQ)
-        assert r["run"]["makespan"] > 0
-        assert r["run"]["total_messages"] > 0
-        assert len(r["run"]["compute_time"]) == r["processors"]
+            r = c.simulate(**req)
+        app, h = resolve_config("sor", req["sizes"], "nonrect", req["tile"])
+        stats = DistributedRun(TiledProgram(app.nest, h, mapping_dim=2),
+                               ClusterSpec()).simulate()
+        assert r["run"]["makespan"] == stats.makespan > 0
+        assert r["run"]["total_messages"] == stats.total_messages > 0
+        # seconds per rank, in rank order (not the rank numbers)
+        ranks = range(r["processors"])
+        assert r["run"]["compute_time"] == [
+            stats.compute_time[rank] for rank in ranks]
+        assert r["run"]["comm_time"] == [
+            stats.comm_time[rank] for rank in ranks]
 
     def test_bad_requests_are_errors_not_disconnects(self, server):
         with server.client() as c:
@@ -137,3 +156,49 @@ class TestConcurrencyAndAccounting:
         assert stats["server"]["hits_disk"] == 1
         assert stats["server"]["compiles"] == 0
         assert stats["cache"]["hits"] == 1
+
+
+def _frame(body):
+    return struct.pack(">I", len(body)) + body
+
+
+class TestMalformedFrames:
+    """A frame that is not one JSON object gets an ``error`` response
+    and counts as an error; nothing escapes the connection handler, and
+    the server goes on serving."""
+
+    @staticmethod
+    def _still_serving(server, errors):
+        with server.client() as c:
+            assert c.ping()
+            deadline = time.monotonic() + 30
+            while c.stats()["server"]["errors"] < errors:
+                assert time.monotonic() < deadline, "error not counted"
+                time.sleep(0.02)
+            assert c.stats()["server"]["errors"] == errors
+        assert server.unhandled == []
+
+    @pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe{}",
+                                      b"[1, 2, 3]", b"[" * 100000],
+                             ids=["bad-json", "non-utf8", "non-object",
+                                  "deep-nesting"])
+    def test_bad_body_keeps_the_connection(self, server, body):
+        with socket.create_connection(server.addr, timeout=30) as sock:
+            sock.sendall(_frame(body) + _frame(b'{"op": "ping"}'))
+            assert recv_frame_sync(sock)["status"] == "error"
+            assert recv_frame_sync(sock) == {"status": "ok", "pong": True}
+        self._still_serving(server, errors=1)
+
+    def test_oversized_prefix_gets_an_error_then_close(self, server):
+        with socket.create_connection(server.addr, timeout=30) as sock:
+            sock.sendall(struct.pack(">I", MAX_FRAME + 1) + b"{}")
+            resp = recv_frame_sync(sock)
+            assert resp["status"] == "error"
+            assert "too large" in resp["error"]
+            assert recv_frame_sync(sock) is None      # closed
+        self._still_serving(server, errors=1)
+
+    def test_mid_frame_disconnect(self, server):
+        with socket.create_connection(server.addr, timeout=30) as sock:
+            sock.sendall(struct.pack(">I", 100) + b'{"op": ')
+        self._still_serving(server, errors=1)

@@ -131,6 +131,15 @@ GATES = [
          r"mode=[\"']push[\"']", ("src",),
          mutation=("src/repro/analysis/hb/ringmodel.py",
                    'cfg = RingConfig(depth=1, nmsgs=1, mode="push")\n')),
+    Gate("one communication schedule",
+         "runtime/rankstep.py decides the §3.2 schedule once; every other "
+         "consumer reads the frozen RankPlan or calls rankstep's region "
+         "functions, so a certifier cannot re-derive a schedule the "
+         "runtime does not run (docs/RUNTIME.md)",
+         r"receive_plan\(|send_plan\(|_build_recv_order", ("src",),
+         allow=("src/repro/runtime/rankstep.py",),
+         mutation=("src/repro/analysis/cost/volumes.py",
+                   "        for dm, dst in program.send_plan(tile):\n")),
 ]
 
 

@@ -147,9 +147,11 @@ class TestDenseAddressing:
         """The deterministic form of "dense >= 10x sparse": the sparse
         oracle evaluates one point at a time, the dense engine one
         wavefront level of a tile at a time."""
+        from repro.runtime.dense import tile_levels
+
         prog, counts, _offsets = self._counted_run(monkeypatch)
-        levels = sum(len(batch) > 0 for tile in prog.dist.tiles
-                     for batch in prog.dense_level_batches(tile))
+        levels = sum(len(tile_levels(prog, tile))
+                     for tile in prog.dist.tiles)
         assert counts["compute_batch"] == levels
         assert 5 * levels < prog.total_points()   # far from per point
 
@@ -186,7 +188,11 @@ class TestOverlapPhases:
         from repro.artifacts import ArtifactCache
         from repro.native.engine import RankKernels, build_native_library
         from repro.runtime import parallel
-        from repro.runtime.dense import DenseData, RankLDS
+        from repro.runtime.dense import (
+            DenseData,
+            RankLDS,
+            prewarm_overlap_plans,
+        )
 
         prog = TiledProgram(app.nest, h, mapping_dim=mdim)
         lib = build_native_library(prog, cache=ArtifactCache(str(tmp_path)))
@@ -194,7 +200,7 @@ class TestOverlapPhases:
             pytest.skip(f"no native kernels: {lib.fallback_reason}")
         spec = ClusterSpec()
         sim = DistributedRun(prog, spec).simulate()
-        prog.prewarm_overlap_plans()
+        prewarm_overlap_plans(prog)
         plans = parallel.build_rank_plans(prog)
         layout = parallel.build_edges(plans, 8)
         meta = np.zeros(sum(2 + e.depth for e in layout.values()),
@@ -270,10 +276,12 @@ class TestOverlapPhases:
             self, monkeypatch, tmp_path, app, h, mdim):
         prog, plans, counts, messages = self._counted_walk(
             monkeypatch, tmp_path, app, h, mdim, overlap=True)
+        from repro.runtime.dense import overlap_plan
+
         nonempty = bound = levels = 0
         for plan in plans.values():
-            for tile in plan.tiles:
-                oplan = prog.overlap_plan(tile)
+            for t in range(len(plan.tiles)):
+                oplan = overlap_plan(prog, plan, t)
                 nonempty += sum(oplan.cuts[ph.lo] < oplan.cuts[ph.hi]
                                 for ph in oplan.phases)
                 bound += 1 + len(set(oplan.recv_level)) + len(
@@ -294,7 +302,7 @@ class TestOverlapPhases:
         tiles = [t for plan in plans.values() for t in plan.tiles]
         assert counts["run_tile"] == len(tiles)
         assert counts["_call"] == sum(
-            prog.tile_point_count(t) > 0 for t in tiles)
+            prog.tiling.tile_point_count(t) > 0 for t in tiles)
         self._one_life_per_message(counts, messages)
 
 
