@@ -18,8 +18,9 @@ append events — per-rank record order is program order):
 
 * blocking — the measured per-rank sequence must equal the HB graph's
   per-rank program order exactly (receives, compute, sends per tile;
-  SENDWAIT events are synchronization-only and produce no trace
-  record — the wait is folded into the send interval);
+  SENDWAIT events have no trace record: the runtime measures a
+  rendezvous wait as its own span, counted as comm in the run's
+  ``RunStats`` but left out of the trace);
 * overlap — within each tile's event group the compute record comes
   last (the runtime emits one compute span per tile at tile end),
   sends appear in plan order (commits walk the plan FIFO), and
@@ -29,12 +30,9 @@ append events — per-rank record order is program order):
 
 Cross-rank, the k-th receive on every channel must match the k-th
 send's element count and must not complete before that send started.
-Worker clocks are per-process (each worker zeroes its clock at its
-own go-signal, so timestamps differ by the startup offset — a few
-milliseconds of poll interval and scheduler latency); the
-``skew_tolerance`` default absorbs that offset, making the wall-clock
-check a coarse oracle for gross reordering, while the per-rank order
-checks above stay exact.
+Every worker counts its timestamps from the one go instant the parent
+wrote, so this check is exact too: a message is committed after its
+send started and taken after it was committed.
 """
 
 from __future__ import annotations
@@ -60,12 +58,6 @@ from repro.runtime.trace import EventTrace, TraceEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.machine import ClusterSpec
     from repro.runtime.executor import TiledProgram
-
-#: Default tolerance (seconds) when comparing cross-process
-#: timestamps; covers the per-worker clock-zeroing offset (each
-#: worker starts its clock at its own go-signal), not real
-#: reordering, which shows up orders of magnitude larger.
-DEFAULT_SKEW = 0.05
 
 _MAX_DIAGS_PER_RANK = 4
 
@@ -194,7 +186,6 @@ def sanitize_trace(program: "TiledProgram", trace: EventTrace, *,
                    protocol: str = "spec", overlap: bool = False,
                    spec: Optional["ClusterSpec"] = None,
                    mailbox_depth: int = 8,
-                   skew_tolerance: float = DEFAULT_SKEW,
                    ) -> List[Diagnostic]:
     """Check a measured trace against the static HB graph; returns
     the HB04 findings (empty list = the run conformed)."""
@@ -252,7 +243,7 @@ def sanitize_trace(program: "TiledProgram", trace: EventTrace, *,
                     f"message {k}: sent {s.nelems} element(s), "
                     f"received {r.nelems}"))
                 break
-            if r.end < s.start - skew_tolerance:
+            if r.end < s.start:
                 diags.append(_hb04(
                     f"channel {chan[0]}->{chan[1]} tag {chan[2]} "
                     f"message {k}: receive completed at {r.end:.9f}s "
@@ -266,7 +257,6 @@ def sanitize_report(program: "TiledProgram", trace: EventTrace, *,
                     protocol: str = "spec", overlap: bool = False,
                     spec: Optional["ClusterSpec"] = None,
                     mailbox_depth: int = 8,
-                    skew_tolerance: float = DEFAULT_SKEW,
                     subject: str = "") -> AnalysisReport:
     """CLI-facing wrapper: full :class:`AnalysisReport` with metadata."""
     report = AnalysisReport()
@@ -278,6 +268,5 @@ def sanitize_report(program: "TiledProgram", trace: EventTrace, *,
     report.mark_pass("sanitize")
     report.extend(sanitize_trace(
         program, trace, protocol=protocol, overlap=overlap,
-        spec=spec, mailbox_depth=mailbox_depth,
-        skew_tolerance=skew_tolerance))
+        spec=spec, mailbox_depth=mailbox_depth))
     return report

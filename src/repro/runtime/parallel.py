@@ -54,10 +54,19 @@ Concurrency-safety notes:
   queue) which flips a shared abort flag so every other worker unwinds
   promptly — no hangs, a clean :class:`ParallelWorkerError`.
 
-Per-rank timings are wall-clock interval sums.  They are exact when
-``workers >= processors`` (the measurement configuration); with fewer
-workers the ranks sharing a process also share its CPU time, so the
-per-rank split becomes an attribution, not a measurement.
+Per-rank timings are spans on one clock.  Each rank appends one row
+``(kind, start_ns, end_ns, peer, tag, nelems)`` per receive, send,
+compute and rendezvous wait, and one ``end`` row, all counted from the
+go instant the parent writes into ``ctrl[0]`` — so the spans of two
+workers compare directly and a receive never ends before its send
+started.  After its scheduler loop a worker copies its ranks' rows into
+their blocks of the one shared ``spans`` segment (sized from the rank
+plans), and after join :func:`_decode_spans` turns that segment into
+the :class:`RunStats`, the per-channel message check and, when one is
+asked for, the :class:`EventTrace`.  The split is exact when ``workers
+>= processors`` (the measurement configuration); with fewer workers the
+ranks sharing a process also share its CPU time, so the per-rank split
+becomes an attribution, not a measurement.
 """
 
 from __future__ import annotations
@@ -113,7 +122,12 @@ InitFn = Callable[[str, Cell], float]
 Unpack = Callable[[np.ndarray], None]
 Pack = Callable[[np.ndarray], np.ndarray]
 #: (kind, start_ns, end_ns, peer, tag, nelems); peer/tag < 0 = absent.
-Event = Tuple[str, int, int, int, int, int]
+Span = Tuple[int, int, int, int, int, int]
+
+#: Span kinds (column 0); 0 marks a row the rank never wrote.
+_RECV, _SEND, _COMPUTE, _WAIT, _END = range(1, 6)
+#: The kinds a measured :class:`EventTrace` carries, by name.
+_TRACED = {_RECV: "recv", _SEND: "send", _COMPUTE: "compute"}
 
 #: Cooperative-scheduler pacing: passes without local progress before
 #: the worker starts sleeping, and the sleep bounds (seconds).
@@ -152,9 +166,7 @@ class _Segments:
     ctrl: str
     meta: str
     data: str
-    statsf: str
-    statsi: str
-    edgestats: str                  # int64 (nedges, 2): messages, elems
+    spans: str                      # int64 (rows, 6): every rank's spans
     fields: Tuple[Tuple[str, str, str], ...]   # (array, values, written)
 
 
@@ -162,9 +174,6 @@ class _Segments:
 class _RunConfig:
     dtype_str: str
     protocol: str                       # "eager" | "rendezvous" | "spec"
-    nranks: int
-    nworkers: int
-    collect_trace: bool
     crash_rank: Optional[int]
     overlap: bool
     field_layout: Tuple[Tuple[str, Tuple[int, ...], Tuple[int, ...]],
@@ -193,6 +202,16 @@ def build_edges(plans: Dict[int, RankPlan],
         meta_off += 2 + d
         data_off += d * cap
     return edges
+
+
+def span_blocks(plans: Dict[int, RankPlan]) -> np.ndarray:
+    """Row offsets of every rank's block in the ``spans`` segment
+    (``nranks + 1`` of them): a compute span per tile, one per receive,
+    a send and at most one rendezvous wait per send, and the end row."""
+    rows = [len(plans[r].tiles) + sum(map(len, plans[r].recvs))
+            + 2 * sum(map(len, plans[r].sends)) + 1
+            for r in range(len(plans))]
+    return np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))
 
 
 # -- shared memory plumbing ----------------------------------------------------------
@@ -284,21 +303,6 @@ class _Abort(Exception):
 
 
 @dataclass
-class _RankClocks:
-    compute_ns: int = 0
-    comm_ns: int = 0
-    sends: int = 0
-    recvs: int = 0
-    elems_sent: int = 0
-    clock_ns: int = 0
-    # Per-edge measured counts for this rank's *outgoing* edges; the
-    # worker flushes them into the shared ``edgestats`` segment (one
-    # row per edge, single writer = the sender's worker).
-    edge_msgs: Dict[EdgeKey, int] = field(default_factory=dict)
-    edge_elems: Dict[EdgeKey, int] = field(default_factory=dict)
-
-
-@dataclass
 class _RingPort:
     """Shared-memory transport of one rank — the ring port of
     :func:`~repro.runtime.rankstep.rank_walk` (its module docstring has
@@ -308,8 +312,8 @@ class _RingPort:
 
     Every method that may block is a generator yielding exactly while
     a mailbox ring would block, letting the worker scheduler run its
-    other ranks.  Wall time is accounted into the rank's
-    :class:`_RankClocks` (and the optional event list) only here.
+    other ranks.  Wall time is measured only here, as one :data:`Span`
+    per step appended to :attr:`spans`.
     """
 
     rank: int
@@ -317,15 +321,13 @@ class _RingPort:
     spec: ClusterSpec
     protocol: str                       # "eager" | "rendezvous" | "spec"
     ctrl: np.ndarray                    # shared flags; [1] = abort
-    clocks: _RankClocks
     progress: List[int]                 # the worker's progress counter
-    events: Optional[List[Event]]
-    t0_ns: int
+    t0_ns: int                          # the run's go instant
     crash: bool                         # test hook, see crash_point
-    # The open tile of the overlapped schedule: its start, the comm
-    # clock then, and the receives not yet taken (plan order).
+    spans: List[Span] = field(default_factory=list)
+    # The open tile of the overlapped schedule: its start and the
+    # receives not yet taken (plan order).
     tile0_ns: int = 0
-    comm0_ns: int = 0
     due: Optional[Dict[int, Tuple[TileRecv, _Edge, Unpack]]] = None
 
     def now(self) -> int:
@@ -351,37 +353,17 @@ class _RingPort:
             raise RuntimeError(
                 f"injected crash in rank {self.rank} (test hook)")
 
-    # -- accounting -----------------------------------------------------------------
-
     def take(self, r: TileRecv, edge: _Edge, unpack: Unpack,
              w0: int) -> None:
         """Unpack the (already arrived) head message of ``edge``
         zero-copy — scatter straight out of the ring slot, then release
-        it — and account it from ``w0``, when the wait for it began."""
+        it — and record its span from ``w0``, when the wait for it
+        began."""
         unpack(edge.peek())
         edge.release()
         self.progress[0] += 1
-        w1 = self.now()
-        self.clocks.comm_ns += w1 - w0
-        self.clocks.recvs += 1
-        if self.events is not None:
-            self.events.append(("recv", w0, w1, r.src_rank, r.tag,
-                                r.nelems))
-
-    def sent(self, s: TileSend, w0: int) -> None:
-        """Account one published message from ``w0``, when its pack
-        began."""
-        w1 = self.now()
-        c = self.clocks
-        c.comm_ns += w1 - w0
-        c.sends += 1
-        c.elems_sent += s.nelems
-        ekey = (self.rank, s.dst_rank, s.tag)
-        c.edge_msgs[ekey] = c.edge_msgs.get(ekey, 0) + 1
-        c.edge_elems[ekey] = c.edge_elems.get(ekey, 0) + s.nelems
-        if self.events is not None:
-            self.events.append(
-                ("send", w0, w1, s.dst_rank, s.tag, s.nelems))
+        self.spans.append((_RECV, w0, self.now(), r.src_rank, r.tag,
+                           r.nelems))
 
     # -- the steps of rank_walk ------------------------------------------------------
 
@@ -397,10 +379,7 @@ class _RingPort:
                 run: Callable[[], None]) -> Tuple[()]:
         c0 = self.now()
         run()
-        c1 = self.now()
-        self.clocks.compute_ns += c1 - c0
-        if self.events is not None:
-            self.events.append(("compute", c0, c1, -1, -1, 0))
+        self.spans.append((_COMPUTE, c0, self.now(), -1, -1, 0))
         self.crash_point()
         return ()                       # never blocks: nothing to yield
 
@@ -421,7 +400,8 @@ class _RingPort:
                 yield
         edge.commit(len(pack(view)))
         self.progress[0] += 1
-        self.sent(s, w0)
+        self.spans.append((_SEND, w0, self.now(), s.dst_rank, s.tag,
+                           s.nelems))
 
     def complete(self, tile: Tile, s: TileSend) -> Steps:
         """Rendezvous completion of the rank's latest message on the
@@ -430,7 +410,8 @@ class _RingPort:
         if self.spec.uses_rendezvous(self.protocol, s.nelems):
             w0 = self.now()
             yield from self.wait(self.out_edge(s).drained)
-            self.clocks.comm_ns += self.now() - w0
+            self.spans.append((_WAIT, w0, self.now(), s.dst_rank, s.tag,
+                               s.nelems))
 
     # -- the tile bracket of the overlapped schedule ---------------------------------
 
@@ -439,7 +420,7 @@ class _RingPort:
         """Tile start: take every halo that already arrived; the rest
         stay :attr:`due` until the walk reaches the phase that reads
         them."""
-        self.tile0_ns, self.comm0_ns = self.now(), self.clocks.comm_ns
+        self.tile0_ns = self.now()
         self.crash_point()              # tile open, nothing published
         self.due = {id(r): (r, self.in_edge(r), unpack)
                     for r, unpack in zip(recvs, unpacks)}
@@ -463,33 +444,105 @@ class _RingPort:
         return did
 
     def close_tile(self, tile: Tile) -> None:
-        """Compute attribution: the tile span not measured as comm."""
-        tile1 = self.now()
-        self.clocks.compute_ns += (tile1 - self.tile0_ns) - (
-            self.clocks.comm_ns - self.comm0_ns)
-        if self.events is not None:
-            self.events.append(
-                ("compute", self.tile0_ns, tile1, -1, -1, 0))
+        """The tile span; :func:`_decode_spans` attributes it to
+        compute minus the receives and sends recorded inside it."""
+        self.spans.append((_COMPUTE, self.tile0_ns, self.now(), -1, -1, 0))
 
 
 def _rank_generator(program: TiledProgram, plan: RankPlan,
                     port: _RingPort, data: DenseData,
                     overlap: bool) -> Steps:
     """One rank's node program as a cooperative generator: the walk
-    over the ring port, then the (untimed) write-back."""
+    over the ring port, its end row (the rank's clock), then the
+    (untimed) write-back."""
     lds = data.rank(plan.pid)
     yield from rank_walk(program, plan, port, lds, overlap)
-    port.clocks.clock_ns = port.now()
+    end = port.now()
+    port.spans.append((_END, end, end, -1, -1, 0))
     lds.write_back(plan.tiles)
+
+
+def _decode_spans(spans: np.ndarray, blocks: np.ndarray, overlap: bool,
+                  trace: Optional[EventTrace] = None) -> RunStats:
+    """The measured :class:`RunStats` of a run's ``spans`` segment
+    (rank ``r`` wrote rows ``blocks[r]:blocks[r + 1]`` in record
+    order; unwritten rows have kind 0).
+
+    Clocks are the ``end`` rows; comm is receives + sends + rendezvous
+    waits; compute is the compute spans — on the overlapped schedule
+    each is a whole tile span, and every receive and send of the rank
+    lies inside one, so those are subtracted.  Channel counts come from
+    the send rows and must equal the receive rows channel by channel.
+    ``trace`` (when given) gets the receive, send and compute spans in
+    per-rank record order, label ``"measured"``.
+    """
+    nranks = len(blocks) - 1
+    owner = np.repeat(np.arange(nranks), np.diff(blocks))
+    written = spans[:, 0] != 0
+    rows, owner = spans[written], owner[written]
+    kind, start, end, peer, tag, nelems = rows.T
+
+    def per_rank(*kinds: int) -> np.ndarray:
+        pick = np.isin(kind, kinds)
+        return np.bincount(owner[pick], weights=(end - start)[pick],
+                           minlength=nranks) / 1e9
+
+    compute = per_rank(_COMPUTE)
+    if overlap:
+        compute -= per_rank(_RECV, _SEND)
+    clocks = np.zeros(nranks)
+    last = kind == _END
+    clocks[owner[last]] = end[last] / 1e9
+
+    def channels(pick: np.ndarray, src: np.ndarray, dst: np.ndarray
+                 ) -> Tuple[Dict[EdgeKey, int], Dict[EdgeKey, int]]:
+        keys = np.stack([src[pick], dst[pick], tag[pick]], axis=1)
+        chans, inv, counts = np.unique(keys, axis=0, return_inverse=True,
+                                       return_counts=True)
+        elems = np.bincount(inv.ravel(), weights=nelems[pick],
+                            minlength=len(chans))
+        as_key = [(s, d, t) for s, d, t in chans.tolist()]
+        return (dict(zip(as_key, counts.tolist())),
+                dict(zip(as_key, elems.astype(np.int64).tolist())))
+
+    messages, elements = channels(kind == _SEND, owner, peer)
+    received, _ = channels(kind == _RECV, peer, owner)
+    if received != messages:
+        chan = min(k for k in messages.keys() | received.keys()
+                   if messages.get(k) != received.get(k))
+        raise ParallelRuntimeError(
+            f"unmatched messages on channel (src, dst, tag) = {chan}: "
+            f"{messages.get(chan, 0)} sent, {received.get(chan, 0)} "
+            f"received")
+    if trace is not None:
+        traced = np.isin(kind, list(_TRACED))
+        for k, r, a, b, p, t, n in zip(
+                *(col[traced].tolist()
+                  for col in (kind, owner, start, end, peer, tag, nelems))):
+            trace.record(kind=_TRACED[k], rank=r, start=a / 1e9,
+                         end=b / 1e9, peer=None if p < 0 else p,
+                         tag=None if t < 0 else t, nelems=n,
+                         label="measured")
+    return RunStats(
+        makespan=float(clocks.max(initial=0.0)),
+        clocks=dict(enumerate(clocks.tolist())),
+        total_messages=sum(messages.values()),
+        total_elements=sum(elements.values()),
+        compute_time=dict(enumerate(compute.tolist())),
+        comm_time=dict(enumerate(per_rank(_RECV, _SEND, _WAIT).tolist())),
+        channel_messages=messages,
+        channel_elements=elements,
+    )
 
 
 def _worker_main(worker_id: int, ranks: Tuple[int, ...],
                  program: TiledProgram, spec: ClusterSpec,
                  init_value: InitFn, plans: Dict[int, RankPlan],
-                 edge_specs: Dict[EdgeKey, EdgeSpec],
+                 edge_specs: Dict[EdgeKey, EdgeSpec], blocks: np.ndarray,
                  segments: _Segments, cfg: _RunConfig,
-                 error_q: Any, trace_q: Any) -> None:
-    """Entry point of one worker process: run ``ranks`` cooperatively.
+                 error_q: Any) -> None:
+    """Entry point of one worker process: run ``ranks`` cooperatively,
+    then copy their spans into their ``blocks`` of the spans segment.
 
     Exits via ``os._exit`` so shared-memory views never trip buffer
     teardown; exit codes: 0 success, 1 crash (traceback on
@@ -501,23 +554,12 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
         ctrl_seg = _attach(segments.ctrl)
         meta_seg = _attach(segments.meta)
         data_seg = _attach(segments.data)
-        statsf_seg = _attach(segments.statsf)
-        statsi_seg = _attach(segments.statsi)
-        edgestats_seg = _attach(segments.edgestats)
-        segs += [ctrl_seg, meta_seg, data_seg, statsf_seg, statsi_seg,
-                 edgestats_seg]
+        spans_seg = _attach(segments.spans)
+        segs += [ctrl_seg, meta_seg, data_seg, spans_seg]
         ctrl = np.frombuffer(ctrl_seg.buf, dtype=np.int64)
         meta = np.frombuffer(meta_seg.buf, dtype=np.int64)
         data = np.frombuffer(data_seg.buf, dtype=dtype)
-        statsf = np.frombuffer(statsf_seg.buf,
-                               dtype=np.float64).reshape(cfg.nranks, 3)
-        statsi = np.frombuffer(statsi_seg.buf,
-                               dtype=np.int64).reshape(cfg.nranks, 3)
-        nedges = len(edge_specs)
-        edgestats = (np.frombuffer(edgestats_seg.buf, dtype=np.int64)
-                     [:nedges * 2].reshape(nedges, 2)
-                     if nedges else None)
-        edge_index = {key: i for i, key in enumerate(sorted(edge_specs))}
+        spans = np.frombuffer(spans_seg.buf, dtype=np.int64).reshape(-1, 6)
         layout = {name: (origin, shp)
                   for name, origin, shp in cfg.field_layout}
         fields: Dict[str, DenseField] = {}
@@ -540,17 +582,16 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
         # it is set-up, not schedule.
         shared = DenseData(program, init_value, dtype, cfg.native,
                            fields=fields)
-        # Ready/go barrier: measurement starts once everyone is up.
+        # Ready/go barrier: measurement starts once everyone is up, on
+        # the one clock whose origin the parent's go writes.
         ctrl[2 + worker_id] = 1
         while not ctrl[0]:
             if ctrl[1]:
                 os._exit(3)
             time.sleep(_SLEEP_MIN)
-        t0_ns = time.perf_counter_ns()
         progress = [0]
         ports = {r: _RingPort(
-            r, my_edges, spec, cfg.protocol, ctrl, _RankClocks(),
-            progress, [] if cfg.collect_trace else None, t0_ns,
+            r, my_edges, spec, cfg.protocol, ctrl, progress, int(ctrl[0]),
             crash=(cfg.crash_rank == r)) for r in ranks}
         gens = {r: _rank_generator(program, plans[r], ports[r], shared,
                                    cfg.overlap) for r in ranks}
@@ -575,23 +616,10 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
                 spins = 0
                 last_progress = progress[0]
         for r in ranks:
-            c = ports[r].clocks
-            statsf[r, 0] = c.clock_ns / 1e9
-            statsf[r, 1] = c.compute_ns / 1e9
-            statsf[r, 2] = c.comm_ns / 1e9
-            statsi[r, 0] = c.sends
-            statsi[r, 1] = c.recvs
-            statsi[r, 2] = c.elems_sent
-            if edgestats is not None:
-                # Each edge has exactly one sending rank, so this
-                # worker is the row's only writer.
-                for ekey, msgs in c.edge_msgs.items():
-                    row = edge_index[ekey]
-                    edgestats[row, 0] = msgs
-                    edgestats[row, 1] = c.edge_elems[ekey]
-        if cfg.collect_trace and trace_q is not None:
-            trace_q.put((worker_id,
-                         {r: ports[r].events for r in ranks}))
+            # the rank's block is its own: a rank that wrote more rows
+            # than its plan allows fails the shape check here
+            rows = ports[r].spans
+            spans[blocks[r]:blocks[r + 1]][:len(rows)] = rows
         os._exit(0)
     except _Abort:
         os._exit(3)
@@ -745,6 +773,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
         prewarm_overlap_plans(program)
     plans = build_rank_plans(program)
     edges = build_edges(plans, mailbox_depth)
+    blocks = span_blocks(plans)
     proto_fields = result_fields(program.nest, np_dtype)
     field_layout = [(arr, tuple(f.origin), f.values.shape)
                     for arr, f in proto_fields.items()]
@@ -778,17 +807,14 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
             data=new_seg("data", sum(e.depth * e.capacity
                                      for e in edges.values()),
                          np_dtype, view=False),
-            statsf=new_seg("statsf", nranks * 3, np.float64),
-            statsi=new_seg("statsi", nranks * 3),
-            edgestats=new_seg("edgestats", len(edges) * 2),
+            spans=new_seg("spans", int(blocks[-1]) * 6),
             fields=tuple(
                 (arr,
                  new_seg(f"values:{arr}", int(np.prod(shp)), np_dtype),
                  new_seg(f"written:{arr}", int(np.prod(shp)), np.uint8))
                 for arr, _origin, shp in field_layout))
         cfg = _RunConfig(
-            dtype_str=np_dtype.str, protocol=protocol, nranks=nranks,
-            nworkers=workers, collect_trace=trace is not None,
+            dtype_str=np_dtype.str, protocol=protocol,
             crash_rank=_crash_rank, overlap=overlap,
             field_layout=tuple(field_layout),
             native=native)
@@ -799,27 +825,19 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
             "fork" if "fork" in methods else "spawn")
         ctx = get_context(method)
         error_q = ctx.SimpleQueue()
-        trace_q = ctx.SimpleQueue() if trace is not None else None
         for wid, ranks in enumerate(_partition(nranks, workers)):
             p = ctx.Process(
                 target=_worker_main,
                 args=(wid, ranks, program, spec, init_value, plans,
-                      edges, segments, cfg, error_q, trace_q),
+                      edges, blocks, segments, cfg, error_q),
                 daemon=True)
             p.start()
             procs.append(p)
 
         deadline = time.monotonic() + timeout
-        trace_payloads: List[Tuple[int, Dict[int, List[Event]]]] = []
 
         def watch(phase: str) -> None:
             """Poll for crashes/timeout; raise a clean error if any."""
-            # Drain the trace queue continuously: a worker blocking on
-            # a full queue pipe while the parent waits for its exit
-            # would be a deadlock of our own making.
-            if trace_q is not None:
-                while not trace_q.empty():
-                    trace_payloads.append(trace_q.get())
             if not error_q.empty():
                 raise ParallelWorkerError(_drain_error(
                     error_q, "worker reported an error"))
@@ -849,7 +867,8 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
         while int(views["ctrl"][2:2 + workers].sum()) < workers:
             watch("startup")
             time.sleep(_POLL)
-        views["ctrl"][0] = 1  # go
+        # go: the instant every worker's clock counts from
+        views["ctrl"][0] = time.perf_counter_ns()
         while any(p.exitcode is None for p in procs):
             watch("execution")
             time.sleep(_POLL)
@@ -858,34 +877,6 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
         # Copy results out of shared memory inside helpers so no numpy
         # view outlives this block (lingering views would prevent the
         # finally-clause from closing the mmaps).
-        def collect_stats() -> Tuple[RunStats, int]:
-            statsf = views["statsf"].reshape(nranks, 3)
-            statsi = views["statsi"].reshape(nranks, 3)
-            rank_clocks = {r: float(statsf[r, 0])
-                           for r in range(nranks)}
-            ekeys = sorted(edges)
-            estats = views["edgestats"][:len(ekeys) * 2].reshape(
-                len(ekeys), 2) if ekeys else None
-            channel_messages = {}
-            channel_elements = {}
-            if estats is not None:
-                for i, key in enumerate(ekeys):
-                    channel_messages[key] = int(estats[i, 0])
-                    channel_elements[key] = int(estats[i, 1])
-            return RunStats(
-                makespan=(max(rank_clocks.values())
-                          if rank_clocks else 0.0),
-                clocks=rank_clocks,
-                total_messages=int(statsi[:, 0].sum()),
-                total_elements=int(statsi[:, 2].sum()),
-                compute_time={r: float(statsf[r, 1])
-                              for r in range(nranks)},
-                comm_time={r: float(statsf[r, 2])
-                           for r in range(nranks)},
-                channel_messages=channel_messages,
-                channel_elements=channel_elements,
-            ), int(statsi[:, 1].sum())
-
         def collect_field(arr: str, proto: DenseField) -> DenseField:
             return DenseField(
                 origin=proto.origin,
@@ -894,28 +885,12 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
                 written=views[f"written:{arr}"].reshape(
                     proto.values.shape).astype(bool))
 
-        stats, recvs = collect_stats()
-        if recvs != stats.total_messages:
-            raise ParallelRuntimeError(
-                f"unmatched messages: {stats.total_messages} sent, "
-                f"{recvs} received")
+        stats = _decode_spans(views["spans"].reshape(-1, 6), blocks,
+                              overlap, trace)
         fields: Dict[str, DenseField] = {
             arr: collect_field(arr, proto)
             for arr, proto in proto_fields.items()
         }
-        if trace is not None and trace_q is not None:
-            while not trace_q.empty():
-                trace_payloads.append(trace_q.get())
-            for _wid, per_rank in sorted(trace_payloads):
-                for rank in sorted(per_rank):
-                    for kind, a_ns, b_ns, peer, tag, nelems in \
-                            per_rank[rank]:
-                        trace.record(
-                            kind=kind, rank=rank, start=a_ns / 1e9,
-                            end=b_ns / 1e9,
-                            peer=None if peer < 0 else peer,
-                            tag=None if tag < 0 else tag,
-                            nelems=nelems, label="measured")
         return fields, stats
     finally:
         if "ctrl" in views:

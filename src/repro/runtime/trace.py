@@ -14,8 +14,10 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Serialization schema version.  Bump whenever the on-disk shape of
 #: :class:`TraceEvent`/:class:`EventTrace` changes incompatibly — the
 #: sanitizer refuses traces whose version does not match rather than
-#: silently misreading events from another build.
-TRACE_SCHEMA_VERSION = 1
+#: silently misreading events from another build.  Version 2: measured
+#: timestamps of every rank count from the run's one go instant (they
+#: were per worker process before).
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,16 @@
 """Shared fixtures: small app instances and tilings used across suites."""
 
 import pytest
+from hypothesis import settings
 
 from repro.apps import adi, jacobi, sor
+
+# The nightly job's profile (``--hypothesis-profile nightly``): the ring
+# property tests of tests/runtime/test_schedule_property.py read its
+# name and draw ten times their tier-1 examples, from the seed
+# ``--hypothesis-seed`` fixes; a failure prints its reproduce blob.
+# Tier-1 runs the default profile.
+settings.register_profile("nightly", print_blob=True)
 
 
 @pytest.fixture(scope="session")

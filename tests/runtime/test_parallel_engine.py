@@ -35,7 +35,13 @@ from repro.runtime import (
     run_parallel,
 )
 from repro.runtime.parallel import (
+    _COMPUTE,
+    _END,
+    _RECV,
+    _SEND,
+    _WAIT,
     EdgeSpec,
+    _decode_spans,
     _Edge,
     _partition,
     _RingPort,
@@ -384,6 +390,76 @@ class TestMailboxRing:
         assert edge.can_pop()           # peek does not retire it
         edge.release()
         assert not edge.can_pop()
+
+
+def _segment(*ranks):
+    """A spans segment holding each rank's rows, plus one unwritten row
+    per block (a rank writes at most as many rows as its plan sizes)."""
+    blocks = np.cumsum([0] + [len(rows) + 1 for rows in ranks])
+    spans = np.zeros((blocks[-1], 6), dtype=np.int64)
+    for r, rows in enumerate(ranks):
+        spans[blocks[r]:blocks[r] + len(rows)] = rows
+    return spans, blocks
+
+
+class TestSpanDecoder:
+    """``_decode_spans`` on hand-built segments: rank 0 sends one
+    5-element message to rank 1 on tag 3 and waits for its rendezvous
+    completion; times in ns."""
+
+    BLOCKING = (
+        [(_COMPUTE, 0, 10, -1, -1, 0), (_SEND, 10, 14, 1, 3, 5),
+         (_WAIT, 14, 20, 1, 3, 5), (_END, 20, 20, -1, -1, 0)],
+        [(_RECV, 2, 16, 0, 3, 5), (_COMPUTE, 16, 30, -1, -1, 0),
+         (_END, 30, 30, -1, -1, 0)],
+    )
+    # one tile each: the tile span is recorded when the tile closes,
+    # after the receives and sends taken inside it
+    OVERLAP = (
+        [(_SEND, 5, 8, 1, 3, 5), (_COMPUTE, 0, 20, -1, -1, 0),
+         (_WAIT, 20, 25, 1, 3, 5), (_END, 25, 25, -1, -1, 0)],
+        [(_RECV, 3, 9, 0, 3, 5), (_COMPUTE, 1, 30, -1, -1, 0),
+         (_END, 30, 30, -1, -1, 0)],
+    )
+
+    @staticmethod
+    def _ns(values):
+        return {r: pytest.approx(v * 1e-9) for r, v in values.items()}
+
+    def test_blocking_attribution(self):
+        trace = EventTrace()
+        stats = _decode_spans(*_segment(*self.BLOCKING), False, trace)
+        assert stats.compute_time == self._ns({0: 10, 1: 14})
+        assert stats.comm_time == self._ns({0: 4 + 6, 1: 14})
+        assert stats.clocks == self._ns({0: 20, 1: 30})
+        assert stats.makespan == pytest.approx(30e-9)
+        assert (stats.total_messages, stats.total_elements) == (1, 5)
+        assert stats.channel_messages == {(0, 1, 3): 1}
+        assert stats.channel_elements == {(0, 1, 3): 5}
+        # the wait is comm, but no trace event; record order per rank
+        assert [(e.rank, e.kind, e.peer, e.tag, e.nelems)
+                for e in trace.events] == [
+            (0, "compute", None, None, 0), (0, "send", 1, 3, 5),
+            (1, "recv", 0, 3, 5), (1, "compute", None, None, 0)]
+        assert trace.events[1].start == pytest.approx(10e-9)
+        assert all(e.label == "measured" for e in trace.events)
+
+    def test_overlap_attribution(self):
+        trace = EventTrace()
+        stats = _decode_spans(*_segment(*self.OVERLAP), True, trace)
+        # the tile span minus the receives and sends inside it
+        assert stats.compute_time == self._ns({0: 20 - 3, 1: 29 - 6})
+        assert stats.comm_time == self._ns({0: 3 + 5, 1: 6})
+        assert stats.clocks == self._ns({0: 25, 1: 30})
+        assert [e.kind for e in trace.events] == [
+            "send", "compute", "recv", "compute"]
+
+    def test_missing_receive_names_its_channel(self):
+        sender, receiver = self.BLOCKING
+        with pytest.raises(ParallelRuntimeError,
+                           match=r"\(src, dst, tag\) = \(0, 1, 3\): "
+                                 r"1 sent, 0 received"):
+            _decode_spans(*_segment(sender, receiver[1:]), False)
 
 
 class TestPartition:

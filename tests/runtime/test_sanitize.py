@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.hb import sanitize_report, sanitize_trace
-from repro.apps import sor
+from repro.apps import jacobi, sor
 from repro.runtime import (
     ClusterSpec,
     EventTrace,
@@ -60,6 +60,37 @@ class TestMeasuredTracesConform:
         assert rep.ok
         assert rep.passes_run == ["sanitize"]
         assert rep.meta["events"] == len(blocking_trace.events)
+
+    @pytest.mark.parametrize("overlap", [False, True],
+                             ids=["blocking", "overlap"])
+    @pytest.mark.parametrize("app,h,mdim", [
+        pytest.param(sor.app(8, 12), sor.h_nonrectangular(2, 3, 4), 2,
+                     id="sor"),
+        pytest.param(jacobi.app(6, 12, 12),
+                     jacobi.h_nonrectangular(2, 4, 4), 0, id="jacobi"),
+    ])
+    def test_measured_traces_are_physically_ordered(self, app, h, mdim,
+                                                    overlap):
+        """Every rank's spans are on one clock: on every channel the
+        k-th receive ends at or after the k-th send started, with no
+        tolerance (per-worker clocks broke this by milliseconds)."""
+        prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+        trace = EventTrace()
+        run_parallel(prog, SPEC, app.init_value, workers=2, trace=trace,
+                     overlap=overlap)
+        sends, recvs = {}, {}
+        for ev in trace.events:
+            if ev.kind == "send":
+                sends.setdefault((ev.rank, ev.peer, ev.tag), []).append(ev)
+            elif ev.kind == "recv":
+                recvs.setdefault((ev.peer, ev.rank, ev.tag), []).append(ev)
+        assert sends and sends.keys() == recvs.keys()
+        early = [(chan, k, s.start - r.end)
+                 for chan in sorted(sends)
+                 for k, (s, r) in enumerate(zip(sends[chan], recvs[chan]))
+                 if r.end < s.start]
+        assert not early
+        assert sanitize_trace(prog, trace, overlap=overlap) == []
 
 
 def _doctored(trace, mutate):

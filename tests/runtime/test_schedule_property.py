@@ -17,7 +17,9 @@ the overlapped schedule of :func:`repro.runtime.rankstep.rank_walk`:
 A fixed (derandomized) handful of draws plus two strided-HNF tilings
 (``c_k > 1``: nearly every tile partial, many levels a mask empties):
 each one forks real workers, and the whole slice must stay under 30 s
-in tier-1.
+in tier-1.  Under the ``nightly`` Hypothesis profile (registered in
+``tests/conftest.py``) both tests draw ten times as many examples,
+seeded by ``--hypothesis-seed`` instead of derandomized.
 
 The random stencils of the compiler-side property suites
 (:func:`tests.runtime.tilings.random_cases`) go through the same ring
@@ -57,7 +59,14 @@ from tests.runtime.tilings import (
 SPEC = ClusterSpec()
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
+def _draws(n):
+    """``n`` derandomized draws; ``10 * n`` seeded ones at night."""
+    nightly = settings.get_current_profile_name() == "nightly"
+    return settings(max_examples=10 * n if nightly else n, deadline=None,
+                    derandomize=not nightly)
+
+
+@_draws(6)
 @given(**DRAWN, protocol=st.sampled_from(["eager", "rendezvous"]))
 @example(which="jacobi", x=2, y=4, z=3, protocol="eager")   # c = (1, 2, 1)
 @example(which="adi", x=2, y=3, z=3, protocol="eager")      # c = (1, 1, 3)
@@ -97,11 +106,13 @@ def test_both_schedules_stay_inside_their_certificates(
                 assert np.array_equal(fields[name].written, was.written)
             assert (stats.total_messages, stats.total_elements) == (
                 sim.total_messages, sim.total_elements)
+            assert stats.channel_messages == sim.channel_messages
+            assert stats.channel_elements == sim.channel_elements
             assert sanitize_trace(prog, trace, protocol=protocol,
                                   overlap=overlap, spec=SPEC) == []
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@_draws(12)
 @given(case=random_cases(), mapping_dim=st.sampled_from([0, 1]),
        depth=st.sampled_from([1, 8]))
 # two ranks and no edge at all: the first counterexample these draws
@@ -129,5 +140,7 @@ def test_random_stencils_on_the_ring_walk(case, mapping_dim, depth):
                             tol=0.0)
         assert (stats.total_messages, stats.total_elements) == (
             sim.total_messages, sim.total_elements)
+        assert stats.channel_messages == sim.channel_messages
+        assert stats.channel_elements == sim.channel_elements
         assert sanitize_trace(prog, trace, protocol="eager",
                               overlap=overlap, spec=SPEC) == []

@@ -140,6 +140,15 @@ GATES = [
          allow=("src/repro/runtime/rankstep.py",),
          mutation=("src/repro/analysis/cost/volumes.py",
                    "        for dm, dst in program.send_plan(tile):\n")),
+    Gate("one measured record",
+         "a parallel run's measurement leaves its workers as spans in the "
+         "one shared segment, on one clock, decoded once after join; no "
+         "per-rank sums, stats segments, trace queue or clock-skew "
+         "allowance beside it (docs/RUNTIME.md)",
+         r"_RankClocks|statsf|statsi|edgestats|trace_q|skew_tolerance",
+         ("src/repro",),
+         mutation=("src/repro/runtime/parallel.py",
+                   '            statsf=new_seg("statsf", nranks * 3),\n')),
 ]
 
 

@@ -212,8 +212,8 @@ class TestOverlapPhases:
         data = DenseData(prog, app.init_value, np.float64, lib)
         ctrl = np.zeros(3, dtype=np.int64)
         ports = {r: parallel._RingPort(
-            r, rings, spec, "eager", ctrl, parallel._RankClocks(), [0],
-            None, time.perf_counter_ns(), crash=False) for r in plans}
+            r, rings, spec, "eager", ctrl, [0], time.perf_counter_ns(),
+            crash=False) for r in plans}
         # rank set-up (LDS buffers, address tables) is not the walk
         ldss = {r: data.rank(plans[r].pid) for r in plans}
         gens = {r: parallel.rank_walk(prog, plans[r], ports[r], ldss[r],
@@ -253,10 +253,15 @@ class TestOverlapPhases:
         monkeypatch.undo()
         for r, lds in ldss.items():
             lds.write_back(plans[r].tiles)
-        messages = sum(p.clocks.sends for p in ports.values())
+        blocks = parallel.span_blocks(plans)
+        spans = np.zeros((blocks[-1], 6), dtype=np.int64)
+        for r, port in ports.items():
+            spans[blocks[r]:blocks[r + 1]][:len(port.spans)] = port.spans
+        stats = parallel._decode_spans(spans, blocks, overlap)
+        messages = stats.total_messages
         assert messages == sim.total_messages
-        assert sum(p.clocks.elems_sent
-                   for p in ports.values()) == sim.total_elements
+        assert stats.total_elements == sim.total_elements
+        assert stats.channel_elements == sim.channel_elements
         ref, _ = DistributedRun(prog, spec).execute_dense(app.init_value)
         for name, field in data.fields.items():
             assert np.array_equal(field.values, ref[name].values)
