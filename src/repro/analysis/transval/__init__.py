@@ -11,8 +11,8 @@ model and statically proves it consistent with the
 * :mod:`~repro.analysis.transval.model` — neutral parsed-program
   structures;
 * :mod:`~repro.analysis.transval.creader` /
-  :mod:`~repro.analysis.transval.pyreader` — readers for the C and
-  Python artifacts;
+  :mod:`~repro.analysis.transval.pyreader` — readers for the two C
+  texts and the pygen schedule module;
 * :mod:`~repro.analysis.transval.passes` — the TV01-TV04 checks;
 * :mod:`~repro.analysis.transval.kernels` — TV05, the native
   kernel translation unit against the symbolic ``KExpr`` trees;
@@ -37,7 +37,6 @@ from repro.analysis.transval.passes import (
     check_declared_dependences,
     check_mpi_text,
     check_pygen_source,
-    check_pyseq_source,
     check_sequential_text,
 )
 from repro.analysis.transval.validate import (
@@ -51,7 +50,7 @@ __all__ = [
     "PASS_LOOPS", "PASS_SUBSCRIPTS", "PASS_CONSTANTS", "PASS_DEPENDENCES",
     "PASS_KERNELS",
     "TRANSVAL_PASSES", "check_mpi_text", "check_sequential_text",
-    "check_pyseq_source", "check_pygen_source", "check_declared_dependences",
+    "check_pygen_source", "check_declared_dependences",
     "check_native_tu",
     "REPORT_PASSES", "check_transval",
     "transval_report", "validate_mpi_text",

@@ -15,12 +15,10 @@ would miss exactly the mutations it exists to catch.
 
 from __future__ import annotations
 
-import ast as _pyast
 import re
-from typing import List, Match, Optional, Pattern, Sequence, Tuple
+from typing import List, Match, Optional, Pattern, Tuple
 
 from repro.analysis.transval.loopir import (
-    Add,
     CeilDiv,
     Const,
     Expr,
@@ -476,7 +474,6 @@ def read_mpi(text: str) -> ParsedMpi:
             limit=int(fm.group("limit")),
             step=int(fm.group("step")),
             xdef=parse_expr(xd.group("rhs"), line + 2),
-            lo_def=None,
             line=line,
         ))
     cur.expect(_RE_GUARD_MAIN, "inside_original_space guard")
@@ -595,14 +592,15 @@ def read_sequential(text: str) -> ParsedSequential:
         if not (int(ph.group("k")) == int(lo.group("k"))
                 == int(fm2.group("k")) == int(xd.group("k")) == k):
             raise ReaderError(f"inner loop {k} indices disagree", line)
+        # The loop starts at ``lo<k>`` (the grammar pins it), so its
+        # start is that variable's definition.
         inner.append(InnerLoop(
             k=k,
             phase=parse_expr(ph.group("rhs"), line),
-            start=Var(f"lo{k}"),
+            start=parse_expr(lo.group("rhs"), line + 1),
             limit=int(fm2.group("limit")),
             step=int(fm2.group("step")),
             xdef=parse_expr(xd.group("rhs"), line + 3),
-            lo_def=parse_expr(lo.group("rhs"), line + 1),
             line=line,
         ))
     jdefs: List[Expr] = []
@@ -651,14 +649,3 @@ def read_sequential(text: str) -> ParsedSequential:
         guards=tuple(guards),
         body=tuple(body),
     )
-
-
-def literal_header_tuple(raw: str) -> Tuple[object, ...]:
-    """Parse a header value like ``(2, 3, 4)`` or ``((0, 1), (1, 0))``."""
-    try:
-        val = _pyast.literal_eval(raw)
-    except (ValueError, SyntaxError) as exc:
-        raise ReaderError(f"bad header tuple {raw!r}: {exc}") from None
-    if not isinstance(val, tuple):
-        raise ReaderError(f"header value {raw!r} is not a tuple")
-    return val

@@ -1,7 +1,7 @@
 """TV05: translation validation of the native kernel translation unit.
 
 The native backend (:mod:`repro.native`) emits one C translation unit
-per program — a ``static double F_<array>(...)`` function per
+per program — an ``F_<array>(...)`` kernel function per
 statement plus the ``repro_run`` driver — and compiles it to the
 cached shared object the dense and parallel engines call.  This pass
 re-parses that text with its *own* grammar (independent of the

@@ -1,11 +1,10 @@
 """Parsed-program structures the readers produce and the passes check.
 
-One neutral vocabulary for all four emitted artifacts: the C+MPI node
+One neutral vocabulary for the emitted artifacts: the C+MPI node
 program and the sequential tiled C text (read by
-:mod:`repro.analysis.transval.creader`), and their Python twins
-(read by :mod:`repro.analysis.transval.pyreader`).  Keeping the model
-reader-agnostic means every TV pass is written once and applies to both
-surface syntaxes.
+:mod:`repro.analysis.transval.creader`) and the pygen schedule module
+(read by :mod:`repro.analysis.transval.pyreader`).  Both C texts share
+:class:`InnerLoop`, so the TTIS-loop check is written once.
 """
 
 from __future__ import annotations
@@ -59,11 +58,10 @@ class InnerLoop:
 
     k: int
     phase: Expr                 # RHS of ``ph_k = ...``
-    start: Expr                 # loop init expression
+    start: Expr                 # loop init expression (``lo_k``'s RHS)
     limit: int                  # exclusive upper bound (``jp_k < limit``)
     step: int
     xdef: Expr                  # RHS of ``x_k = ...``
-    lo_def: Optional[Expr]      # RHS of ``lo_k = ...`` (sequential C only)
     line: int
 
 
@@ -122,11 +120,11 @@ class SeqLoop:
 
 @dataclass(frozen=True)
 class ParsedSequential:
-    """The §2.3 sequential tiled loop (C text or Python twin)."""
+    """The §2.3 sequential tiled loop, read back from the C text."""
 
     name: str
-    header_volume: Optional[int]
-    header_strides: Optional[Tuple[int, ...]]
+    header_volume: int
+    header_strides: Tuple[int, ...]
     outer: Tuple[SeqLoop, ...]
     origins: Tuple[Expr, ...]           # RHS of ``o_i = ...``
     inner_loops: Tuple[InnerLoop, ...]

@@ -66,9 +66,8 @@ from repro.analysis.transval.model import (
     BodyStmt,
     InnerLoop,
     ParsedMpi,
-    ParsedSequential,
 )
-from repro.analysis.transval.pyreader import read_pygen, read_pyseq
+from repro.analysis.transval.pyreader import read_pygen
 from repro.loops.dependence import (
     is_lexicographically_positive,
     nest_dependences,
@@ -89,7 +88,7 @@ TRANSVAL_PASSES = (PASS_LOOPS, PASS_SUBSCRIPTS, PASS_CONSTANTS,
 __all__ = [
     "PASS_LOOPS", "PASS_SUBSCRIPTS", "PASS_CONSTANTS", "PASS_DEPENDENCES",
     "TRANSVAL_PASSES", "check_mpi_text", "check_sequential_text",
-    "check_pyseq_source", "check_pygen_source", "check_declared_dependences",
+    "check_pygen_source", "check_declared_dependences",
 ]
 
 Subject = Tuple[Tuple[str, Any], ...]
@@ -152,8 +151,7 @@ def _affine_atom(coeffs: Mapping[str, int], const: int = 0) -> Atom:
 
 
 def _check_inner_loops(ttis: Any, loops: Sequence[InnerLoop],
-                       artifact: str, use_lo_def: bool,
-                       diags: List[Diagnostic]) -> None:
+                       artifact: str, diags: List[Diagnostic]) -> None:
     """The n TTIS loops: phase from HNF, start, extent v_k, stride c_k."""
     n = ttis.n
     hnf = ttis.hnf.to_int_rows()
@@ -190,8 +188,7 @@ def _check_inner_loops(ttis: Any, loops: Sequence[InnerLoop],
                     "ph_k = sum_{l<k} a_kl x_l (HNF offsets, §2.3)",
                     subj, diags)
         start_expected = parse_expr(f"((ph{k} % {ck}) + {ck}) % {ck}")
-        start_actual = loop.lo_def if use_lo_def else loop.start
-        if start_actual != start_expected:
+        if loop.start != start_expected:
             diags.append(_diag(
                 "TV01", PASS_LOOPS,
                 f"TTIS loop {k} starts at an expression other than the "
@@ -468,8 +465,7 @@ def check_mpi_text(program: Any, text: str) -> List[Diagnostic]:
                             f"SEND block {bi} pack load", subj, diags)
 
     # ---- TV01: inner loops; TV02: compute body ------------------------------
-    _check_inner_loops(ttis, parsed.inner_loops, "mpi", use_lo_def=False,
-                       diags=diags)
+    _check_inner_loops(ttis, parsed.inner_loops, "mpi", diags)
     env = {f"jp{k}": (0, ttis.v[k] - 1) for k in range(n)}
     env["t"] = (0, ntiles - 1)
     env["tS"] = (0, ntiles - 1)
@@ -609,31 +605,40 @@ def _check_mpi_body(program: Any, parsed: ParsedMpi,
                                 f"statement {si} read {ri}", rsubj, diags)
 
 
-# -- sequential artifacts (TV01 + TV02 + TV03) --------------------------------
+# -- sequential tiled C text (TV01 + TV02 + TV03) -----------------------------
 
 
-def _check_sequential(program: Any, parsed: ParsedSequential,
-                      artifact: str) -> List[Diagnostic]:
+def check_sequential_text(program: Any, text: str) -> List[Diagnostic]:
+    """Validate the emitted sequential tiled C program."""
     from math import gcd
 
+    artifact = "sequential"
+    try:
+        parsed = read_sequential(text)
+    except ReaderError as exc:
+        return [_parse_error(artifact, exc)]
     diags: List[Diagnostic] = []
     nest, tiling = program.nest, program.tiling
     ttis = tiling.ttis
     n = tiling.n
-    if parsed.header_volume is not None \
-            and parsed.header_volume != ttis.tile_volume:
+    if parsed.header_volume != ttis.tile_volume:
         diags.append(_diag(
             "TV03", PASS_CONSTANTS,
             f"header tile volume is {parsed.header_volume}, pipeline "
             f"computed {ttis.tile_volume}",
             equation="|det(P')| points per tile (§2.3)",
             subject=(("artifact", artifact),)))
-    if parsed.header_strides is not None \
-            and parsed.header_strides != ttis.c:
+    if parsed.header_strides != ttis.c:
         diags.append(_diag(
             "TV03", PASS_CONSTANTS,
             f"header strides are {parsed.header_strides}, HNF strides "
             f"are {ttis.c}",
+            subject=(("artifact", artifact),)))
+    if parsed.name != nest.name:
+        diags.append(_diag(
+            "TV03", PASS_CONSTANTS,
+            f"header names nest {parsed.name!r}, validating against "
+            f"{nest.name!r}",
             subject=(("artifact", artifact),)))
 
     # ---- TV01: tile loops vs Fourier-Motzkin --------------------------------
@@ -693,8 +698,7 @@ def _check_sequential(program: Any, parsed: ParsedSequential,
             f"{artifact} defines {len(parsed.origins)} tile origins "
             f"for {n} dimensions",
             subject=(("artifact", artifact),)))
-    _check_inner_loops(ttis, parsed.inner_loops, artifact,
-                       use_lo_def=(artifact == "sequential"), diags=diags)
+    _check_inner_loops(ttis, parsed.inner_loops, artifact, diags)
     pp = ttis.p_prime.rows()
     if len(parsed.jdefs) == n:
         for i in range(n):
@@ -759,7 +763,7 @@ def _check_sequential(program: Any, parsed: ParsedSequential,
             subject=(("artifact", artifact),)))
 
     # ---- TV02: body subscripts vs statement references ----------------------
-    diags.extend(_check_sequential_body(nest, parsed.body, artifact))
+    diags.extend(_check_sequential_body(nest, parsed.body))
     return diags
 
 
@@ -774,8 +778,9 @@ def _ref_atoms(ref: Any, n: int) -> Tuple[Atom, ...]:
     return tuple(out)
 
 
-def _check_sequential_body(nest: LoopNest, body: Sequence[BodyStmt],
-                           artifact: str) -> List[Diagnostic]:
+def _check_sequential_body(nest: LoopNest,
+                           body: Sequence[BodyStmt]) -> List[Diagnostic]:
+    artifact = "sequential"
     diags: List[Diagnostic] = []
     n = nest.depth
     if len(body) != len(nest.statements):
@@ -824,31 +829,6 @@ def _check_sequential_body(nest: LoopNest, body: Sequence[BodyStmt],
                     "the statement (§2.1)",
                     subj + (("subscript", i),), diags)
     return diags
-
-
-def check_sequential_text(program: Any, text: str) -> List[Diagnostic]:
-    """Validate the emitted sequential tiled C program."""
-    try:
-        parsed = read_sequential(text)
-    except ReaderError as exc:
-        return [_parse_error("sequential", exc)]
-    diags = _check_sequential(program, parsed, "sequential")
-    if parsed.name != program.nest.name:
-        diags.append(_diag(
-            "TV03", PASS_CONSTANTS,
-            f"header names nest {parsed.name!r}, validating against "
-            f"{program.nest.name!r}",
-            subject=(("artifact", "sequential"),)))
-    return diags
-
-
-def check_pyseq_source(program: Any, source: str) -> List[Diagnostic]:
-    """Validate the emitted runnable Python twin."""
-    try:
-        parsed = read_pyseq(source)
-    except ReaderError as exc:
-        return [_parse_error("pyseq", exc)]
-    return _check_sequential(program, parsed, "pyseq")
 
 
 # -- pygen schedule tables (TV03) ---------------------------------------------

@@ -1,9 +1,9 @@
-"""Readers for the emitted Python artifacts (pyseq twin, pygen module).
+"""Reader for the emitted pygen schedule module.
 
-Unlike the C texts, the Python artifacts are valid Python, so the
-standard :mod:`ast` module does the tokenizing.  This module lowers the
-parse tree into the same neutral :mod:`~repro.analysis.transval.model`
-structures the C reader produces; the passes then apply unchanged.
+The module is valid Python, so the standard :mod:`ast` module does the
+tokenizing; this reader lowers its rank and schedule tables into the
+neutral :class:`~repro.analysis.transval.model.ParsedSchedule` the
+TV03 pass checks.
 """
 
 from __future__ import annotations
@@ -11,71 +11,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.transval.loopir import (
-    Add,
-    CeilDiv,
-    Const,
-    Expr,
-    FloorDiv,
-    MaxOf,
-    MinOf,
-    Mod,
-    Mul,
-    ReaderError,
-    Var,
-    neg,
-)
-from repro.analysis.transval.model import (
-    BodyStmt,
-    InnerLoop,
-    ParsedSchedule,
-    ParsedSequential,
-    ReadRef,
-    SeqLoop,
-)
+from repro.analysis.transval.loopir import ReaderError
+from repro.analysis.transval.model import ParsedSchedule
 
-__all__ = ["read_pyseq", "read_pygen"]
-
-
-def _conv(node: ast.expr) -> Expr:
-    """Lower a Python expression node to the transval expression IR."""
-    if isinstance(node, ast.Constant):
-        if not isinstance(node.value, int) or isinstance(node.value, bool):
-            raise ReaderError(
-                f"non-integer constant {node.value!r}", node.lineno)
-        return Const(node.value)
-    if isinstance(node, ast.Name):
-        return Var(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return neg(_conv(node.operand))
-    if isinstance(node, ast.BinOp):
-        lhs, rhs = _conv(node.left), _conv(node.right)
-        if isinstance(node.op, ast.Add):
-            return Add((lhs, rhs))
-        if isinstance(node.op, ast.Sub):
-            return Add((lhs, neg(rhs)))
-        if isinstance(node.op, ast.Mult):
-            return Mul(lhs, rhs)
-        if isinstance(node.op, ast.FloorDiv):
-            return FloorDiv(lhs, rhs)
-        if isinstance(node.op, ast.Mod):
-            return Mod(lhs, rhs)
-        raise ReaderError(
-            f"unsupported operator {type(node.op).__name__}", node.lineno)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        name = node.func.id
-        args = [_conv(a) for a in node.args]
-        if name == "floord" and len(args) == 2:
-            return FloorDiv(args[0], args[1])
-        if name == "ceild" and len(args) == 2:
-            return CeilDiv(args[0], args[1])
-        if name == "max" and len(args) >= 2:
-            return MaxOf(tuple(args))
-        if name == "min" and len(args) >= 2:
-            return MinOf(tuple(args))
-        raise ReaderError(f"unsupported call {name!r}", node.lineno)
-    raise ReaderError(
-        f"unsupported expression {type(node).__name__}", node.lineno)
+__all__ = ["read_pygen"]
 
 
 def _target_name(node: ast.stmt) -> Optional[str]:
@@ -92,15 +31,6 @@ def _range_call(node: ast.expr, line: int) -> List[ast.expr]:
     return list(node.args)
 
 
-def _strip_plus_one(node: ast.expr, line: int) -> ast.expr:
-    """The pyseq upper bound is emitted as ``(hi) + 1``; recover ``hi``."""
-    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-            and isinstance(node.right, ast.Constant)
-            and node.right.value == 1):
-        return node.left
-    raise ReaderError("tile-loop upper bound is not '(hi) + 1'", line)
-
-
 def _const_int(node: ast.expr, line: int, what: str) -> int:
     if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
             and isinstance(node.operand, ast.Constant)
@@ -109,195 +39,6 @@ def _const_int(node: ast.expr, line: int, what: str) -> int:
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         return node.value
     raise ReaderError(f"{what} is not an integer literal", line)
-
-
-def _subscript_tuple(node: ast.expr, line: int) -> Tuple[Expr, ...]:
-    if isinstance(node, ast.Tuple):
-        return tuple(_conv(e) for e in node.elts)
-    return (_conv(node),)
-
-
-def _parse_read(node: ast.expr) -> ReadRef:
-    """Lower one ``_read('A', (j0, ...))`` call."""
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "_read" and len(node.args) == 2
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)):
-        return ReadRef(
-            array=node.args[0].value,
-            args=_subscript_tuple(node.args[1], node.lineno),
-            raw=ast.unparse(node),
-        )
-    raise ReaderError("read is not a _read(name, cell) call", node.lineno)
-
-
-def _parse_body_assign(node: ast.Assign) -> BodyStmt:
-    """Lower ``arrays['A'][cell] = kernels[i](_j, [reads...])``."""
-    line = node.lineno
-    if len(node.targets) != 1:
-        raise ReaderError("body assignment has multiple targets", line)
-    tgt = node.targets[0]
-    if not (isinstance(tgt, ast.Subscript)
-            and isinstance(tgt.value, ast.Subscript)
-            and isinstance(tgt.value.value, ast.Name)
-            and tgt.value.value.id == "arrays"
-            and isinstance(tgt.value.slice, ast.Constant)
-            and isinstance(tgt.value.slice.value, str)):
-        raise ReaderError("body write is not arrays[name][cell]", line)
-    call = node.value
-    if not (isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Subscript)
-            and isinstance(call.func.value, ast.Name)
-            and call.func.value.id == "kernels"
-            and len(call.args) == 2
-            and isinstance(call.args[1], ast.List)):
-        raise ReaderError(
-            "body value is not kernels[i](_j, [reads])", line)
-    reads = tuple(_parse_read(r) for r in call.args[1].elts)
-    return BodyStmt(
-        array=tgt.value.slice.value,
-        write_args=_subscript_tuple(tgt.slice, line),
-        reads=reads,
-        line=line,
-    )
-
-
-def read_pyseq(source: str) -> ParsedSequential:
-    """Parse the pyseq twin module into a :class:`ParsedSequential`."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        raise ReaderError(f"pyseq module does not parse: {exc}",
-                          exc.lineno or 0) from None
-    fn = next((n for n in tree.body
-               if isinstance(n, ast.FunctionDef) and n.name == "execute"),
-              None)
-    if fn is None:
-        raise ReaderError("no 'execute' function found")
-
-    # Skip the leading _read helper, then walk the jS loop nest.
-    stmts = [s for s in fn.body if not isinstance(s, ast.FunctionDef)]
-    outer: List[SeqLoop] = []
-    while (len(stmts) >= 1 and isinstance(stmts[0], ast.For)
-           and isinstance(stmts[0].target, ast.Name)
-           and stmts[0].target.id.startswith("jS")):
-        loop = stmts[0]
-        assert isinstance(loop.target, ast.Name)
-        k = int(loop.target.id[2:])
-        if k != len(outer):
-            raise ReaderError(
-                f"tile loop jS{k} out of order", loop.lineno)
-        args = _range_call(loop.iter, loop.lineno)
-        if len(args) != 2:
-            raise ReaderError(
-                f"tile loop jS{k} range has {len(args)} args, expected 2",
-                loop.lineno)
-        outer.append(SeqLoop(
-            k=k,
-            lower=_conv(args[0]),
-            upper=_conv(_strip_plus_one(args[1], loop.lineno)),
-            line=loop.lineno,
-        ))
-        stmts = loop.body
-    n = len(outer)
-    if n == 0:
-        raise ReaderError("no jS tile loops found", fn.lineno)
-
-    origins: List[Expr] = []
-    while _target_name(stmts[0]) == f"o{len(origins)}":
-        assign = stmts[0]
-        assert isinstance(assign, ast.Assign)
-        origins.append(_conv(assign.value))
-        stmts = stmts[1:]
-    if len(origins) != n:
-        raise ReaderError(
-            f"expected {n} origin definitions, found {len(origins)}",
-            stmts[0].lineno if stmts else fn.lineno)
-
-    inner: List[InnerLoop] = []
-    for k in range(n):
-        if len(stmts) < 2 or _target_name(stmts[0]) != f"ph{k}":
-            raise ReaderError(f"missing ph{k} definition",
-                              stmts[0].lineno if stmts else fn.lineno)
-        ph_assign = stmts[0]
-        assert isinstance(ph_assign, ast.Assign)
-        loop_stmt = stmts[1]
-        if not (isinstance(loop_stmt, ast.For)
-                and isinstance(loop_stmt.target, ast.Name)
-                and loop_stmt.target.id == f"jp{k}"):
-            raise ReaderError(f"missing jp{k} loop", loop_stmt.lineno)
-        args = _range_call(loop_stmt.iter, loop_stmt.lineno)
-        if len(args) != 3:
-            raise ReaderError(
-                f"jp{k} range has {len(args)} args, expected 3",
-                loop_stmt.lineno)
-        body = loop_stmt.body
-        if not body or _target_name(body[0]) != f"x{k}":
-            raise ReaderError(f"missing x{k} recovery", loop_stmt.lineno)
-        x_assign = body[0]
-        assert isinstance(x_assign, ast.Assign)
-        inner.append(InnerLoop(
-            k=k,
-            phase=_conv(ph_assign.value),
-            start=_conv(args[0]),
-            limit=_const_int(args[1], loop_stmt.lineno, f"jp{k} limit"),
-            step=_const_int(args[2], loop_stmt.lineno, f"jp{k} step"),
-            xdef=_conv(x_assign.value),
-            lo_def=None,
-            line=loop_stmt.lineno,
-        ))
-        stmts = body[1:]
-
-    jdefs: List[Expr] = []
-    while _target_name(stmts[0]) == f"j{len(jdefs)}":
-        assign = stmts[0]
-        assert isinstance(assign, ast.Assign)
-        jdefs.append(_conv(assign.value))
-        stmts = stmts[1:]
-    if len(jdefs) != n:
-        raise ReaderError(
-            f"expected {n} global point definitions, found {len(jdefs)}",
-            stmts[0].lineno if stmts else fn.lineno)
-
-    if not stmts or not isinstance(stmts[0], ast.If):
-        raise ReaderError("missing boundary guard",
-                          stmts[0].lineno if stmts else fn.lineno)
-    guard = stmts[0]
-    conjuncts = (guard.test.values
-                 if isinstance(guard.test, ast.BoolOp)
-                 and isinstance(guard.test.op, ast.And)
-                 else [guard.test])
-    guards: List[Tuple[Expr, int]] = []
-    for c in conjuncts:
-        if not (isinstance(c, ast.Compare) and len(c.ops) == 1
-                and isinstance(c.ops[0], ast.LtE)):
-            raise ReaderError("guard conjunct is not '<='", c.lineno)
-        guards.append((
-            _conv(c.left),
-            _const_int(c.comparators[0], c.lineno, "guard bound"),
-        ))
-
-    body_stmts: List[BodyStmt] = []
-    for s in guard.body:
-        if _target_name(s) == "_j":
-            continue
-        if not isinstance(s, ast.Assign):
-            raise ReaderError(
-                f"unexpected statement {type(s).__name__} in guard body",
-                s.lineno)
-        body_stmts.append(_parse_body_assign(s))
-
-    return ParsedSequential(
-        name="",
-        header_volume=None,
-        header_strides=None,
-        outer=tuple(outer),
-        origins=tuple(origins),
-        inner_loops=tuple(inner),
-        jdefs=tuple(jdefs),
-        guards=tuple(guards),
-        body=tuple(body_stmts),
-    )
 
 
 def read_pygen(source: str) -> ParsedSchedule:

@@ -1,11 +1,11 @@
 """Orchestration: emit every artifact, run every TV pass, one report.
 
-One compile per request: :func:`check_transval` renders the four
-generated artifacts (C+MPI, sequential C, pyseq twin, pygen schedule
-module) and the native kernel unit from the one compiled program it is
-handed — by :func:`transval_report`, which owns the ``(nest, h)``
-compile, or by ``analyze(..., transval=True)`` — and validates each
-against that same object.  :func:`validate_mpi_text` is the raising
+One compile per request: :func:`check_transval` renders the three
+generated artifacts (C+MPI, sequential C, pygen schedule module) and
+the native kernel unit from the one compiled program it is handed —
+by :func:`transval_report`, which owns the ``(nest, h)`` compile, or
+by ``analyze(..., transval=True)`` — and validates each against that
+same object.  :func:`validate_mpi_text` is the raising
 guard for one MPI text.
 """
 
@@ -24,7 +24,6 @@ from repro.analysis.transval.passes import (
     check_declared_dependences,
     check_mpi_text,
     check_pygen_source,
-    check_pyseq_source,
     check_sequential_text,
 )
 from repro.loops.nest import LoopNest
@@ -47,8 +46,6 @@ def check_transval(program: Any) -> List[Diagnostic]:
     diags += check_mpi_text(program, codegen.render_mpi_code(program))
     diags += check_sequential_text(
         program, codegen.render_sequential_tiled_code(nest, tiling))
-    diags += check_pyseq_source(
-        program, codegen.render_python_sequential(nest, tiling))
     diags += check_pygen_source(
         program, codegen.render_python_node_programs(program))
     diags += check_native_tu(nest, tuple(program.arrays))

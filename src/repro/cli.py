@@ -5,9 +5,12 @@ tiling, get code and cluster numbers back:
 
 * ``info``      — compile and print the derived constants (V, strides,
   CC, offsets, D^S, D^m, processor mesh).
-* ``codegen``   — emit the sequential tiled code, the C+MPI program, or
-  the executable Python schedule.
+* ``codegen``   — emit the sequential tiled C translation unit, the
+  C+MPI program, the executable Python schedule, or the native kernel
+  translation unit.
 * ``simulate``  — run the virtual cluster and print speedup/utilization.
+* ``verify``    — execute with real data (sparse or dense engine) and
+  check against the sequential interpreter.
 * ``run``       — execute with real data: ``--engine parallel`` uses one
   OS process per processor with shared-memory halo exchange (measured
   wall-clock utilization, bitwise-checked against the dense engine).
@@ -19,6 +22,10 @@ tiling, get code and cluster numbers back:
   against the static happens-before graph; any event out of certified
   order is an HB04 error.
 * ``figure``    — regenerate one of the paper's figures (5-10).
+* ``compile``   — compile through the content-addressed artifact cache.
+* ``tune``      — search the tiling cone for the tile shape the cost
+  model, the simulator (and optionally a measured run) rank best.
+* ``serve``     — long-running compile server over the artifact cache.
 
 Apps are the paper's three benchmarks; sizes and tile factors come from
 flags.  Examples::

@@ -3,7 +3,9 @@
 * :mod:`repro.codegen.exprs` — affine expression / floord-ceild helpers.
 * :mod:`repro.codegen.sequential` — the 2n-deep sequential tiled loop of
   §2.3 (tile loops from Fourier-Motzkin bounds, intra-tile loops from
-  the TTIS strides and offsets).
+  the TTIS strides and offsets) as one C translation unit, and
+  :func:`~repro.codegen.sequential.run_sequential_tiled_code`, which
+  compiles and runs it.
 * :mod:`repro.codegen.parallel` — the SPMD C+MPI program of §3
   (Foracross processor loops, RECEIVE/SEND with pack/unpack, LDS
   indexing through ``map``).
@@ -26,14 +28,10 @@ from repro.codegen.pygen import (
     load_generated_module,
     render_python_node_programs,
 )
-from repro.codegen.pyseq import (
-    generate_python_sequential,
-    render_python_sequential,
-    run_generated_sequential,
-)
 from repro.codegen.sequential import (
     generate_sequential_tiled_code,
     render_sequential_tiled_code,
+    run_sequential_tiled_code,
 )
 
 __all__ = [
@@ -41,10 +39,8 @@ __all__ = [
     "generate_mpi_code",
     "generate_python_node_programs",
     "load_generated_module",
-    "generate_python_sequential",
-    "run_generated_sequential",
+    "run_sequential_tiled_code",
     "render_sequential_tiled_code",
     "render_mpi_code",
     "render_python_node_programs",
-    "render_python_sequential",
 ]

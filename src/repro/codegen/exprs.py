@@ -1,12 +1,9 @@
-"""Affine expressions rendered as C (or Python), with exact integer
-floor/ceil.
+"""Affine expressions rendered as C, with exact integer floor/ceil.
 
 Fourier-Motzkin bounds are rational affine functions of outer loop
 variables; emitting them needs the classic ``floord``/``ceild`` helpers
 (C integer division truncates toward zero, which is wrong for negative
 numerators — the same pitfall every polyhedral code generator documents).
-One renderer serves the C and the Python emitters: both targets define
-``floord``/``ceild``, only the ``min``/``max`` arity differs.
 """
 
 from __future__ import annotations
@@ -52,8 +49,7 @@ def affine_sum(ks: Sequence[int], names: Sequence[str], k0: int,
 
 def affine_to_c(coeffs: Sequence[Fraction], const: Fraction,
                 names: Sequence[str], rounding: str) -> str:
-    """Render ``floor/ceil(coeffs . names + const)`` as a C expression
-    (valid Python too: both targets define ``floord``/``ceild``).
+    """Render ``floor/ceil(coeffs . names + const)`` as a C expression.
 
     All coefficients are scaled to a common denominator so the rounding
     is a single exact ``floord``/``ceild`` call.
@@ -69,15 +65,12 @@ def affine_to_c(coeffs: Sequence[Fraction], const: Fraction,
     return f"{fn}({num}, {den})"
 
 
-def bound_to_c(bound: LoopBound, names: Sequence[str], kind: str,
-               nary_minmax: bool = False) -> str:
+def bound_to_c(bound: LoopBound, names: Sequence[str], kind: str) -> str:
     """Render a :class:`repro.polyhedra.fourier_motzkin.LoopBound` side.
 
     ``kind='lower'`` gives ``max(ceild(...), ...)``; ``kind='upper'``
     gives ``min(floord(...), ...)`` — exactly the §2.1 bound shape.
-    C's ``min``/``max`` are two-argument macros, so they nest; a target
-    whose ``min``/``max`` take any number of arguments (Python) asks
-    for the flat ``nary_minmax`` spelling.
+    C's ``min``/``max`` take two arguments, so they nest.
     """
     if kind == "lower":
         exprs = [affine_to_c(c, b, names, "ceil") for c, b in bound.lowers]
@@ -89,8 +82,6 @@ def bound_to_c(bound: LoopBound, names: Sequence[str], kind: str,
         raise ValueError("kind must be 'lower' or 'upper'")
     if not exprs:
         raise ValueError("unbounded loop variable")
-    if nary_minmax and len(exprs) > 1:
-        return f"{combiner}({', '.join(exprs)})"
     out = exprs[0]
     for e in exprs[1:]:
         out = f"{combiner}({out}, {e})"

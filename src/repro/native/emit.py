@@ -38,7 +38,9 @@ Each statement body is rendered as its own ``static double F_<array>``
 function over the read slots, in the exact parenthesization of the
 statement's :class:`~repro.loops.kexpr.KExpr` — these are the units
 the TV05 translation-validation pass re-parses and proves against the
-symbolic exprs.
+symbolic exprs.  :func:`kernel_definitions` is their one renderer; the
+sequential tiled text (:mod:`repro.codegen.sequential`) calls the same
+functions.
 """
 
 from __future__ import annotations
@@ -93,6 +95,32 @@ def _c_name(array: str) -> str:
     return safe if safe else "arr"
 
 
+def kernel_definitions(nest: LoopNest) -> List[str]:
+    """One ``F_<array>`` C function per statement, over its read slots
+    ``v0, v1, ...``: the kernels of the ``repro_run`` TU and of the
+    sequential tiled text.  Raises :class:`NativeEmitError` when a
+    statement lacks a symbolic ``expr`` or reads past its slots."""
+    fn_defs: List[str] = []
+    for si, stmt in enumerate(nest.statements):
+        if stmt.expr is None:
+            raise NativeEmitError(
+                f"statement {si} ({stmt.write.array}) has no symbolic "
+                f"expr")
+        nreads = len(stmt.reads)
+        if kexpr.max_slot(stmt.expr) >= nreads:
+            raise NativeEmitError(
+                f"statement {si} expr reads slot "
+                f"{kexpr.max_slot(stmt.expr)} but has {nreads} reads")
+        params = ", ".join(f"double v{q}" for q in range(nreads))
+        rendered = kexpr.to_c(
+            stmt.expr, {q: f"v{q}" for q in range(nreads)})
+        fn_defs.append(
+            f"static double F_{_c_name(stmt.write.array)}({params}) {{\n"
+            f"    return {rendered};\n"
+            f"}}\n")
+    return fn_defs
+
+
 def emit_translation_unit(nest: LoopNest,
                           arrays: Sequence[str],
                           program_name: Optional[str] = None,
@@ -108,37 +136,20 @@ def emit_translation_unit(nest: LoopNest,
     arrays = tuple(arrays)
     array_id = {a: i for i, a in enumerate(arrays)}
     deps = read_dependences(nest)
+    fn_defs = kernel_definitions(nest)
 
     slots: List[ReadSlot] = []
     n_dep = 0
     n_pure = 0
-    fn_defs: List[str] = []
     body: List[str] = []
 
     for si, stmt in enumerate(nest.statements):
-        if stmt.expr is None:
-            raise NativeEmitError(
-                f"statement {si} ({stmt.write.array}) has no symbolic "
-                f"expr")
-        nreads = len(stmt.reads)
-        if kexpr.max_slot(stmt.expr) >= nreads:
-            raise NativeEmitError(
-                f"statement {si} expr reads slot "
-                f"{kexpr.max_slot(stmt.expr)} but has {nreads} reads")
         if stmt.write.array not in array_id:
             raise NativeEmitError(
                 f"write array {stmt.write.array!r} not in program "
                 f"arrays {arrays}")
 
         fname = f"F_{_c_name(stmt.write.array)}"
-        params = ", ".join(f"double v{q}" for q in range(nreads))
-        rendered = kexpr.to_c(
-            stmt.expr, {q: f"v{q}" for q in range(nreads)})
-        fn_defs.append(
-            f"static double {fname}({params}) {{\n"
-            f"    return {rendered};\n"
-            f"}}\n")
-
         args: List[str] = []
         for ri, read in enumerate(stmt.reads):
             if deps[si][ri] is None:

@@ -341,10 +341,6 @@ class RunStats:
     channel_elements: Dict[Tuple[int, int, int], int] = \
         field(default_factory=dict)
 
-    @property
-    def max_compute(self) -> float:
-        return max(self.compute_time.values(), default=0.0)
-
     def efficiency(self) -> float:
         """Mean fraction of the makespan spent computing."""
         if not self.clocks or self.makespan == 0:

@@ -4,7 +4,9 @@ One test class per TV pass.  Each mutation class corrupts the emitted
 text (or the declared dependence matrix) in a way the matching pass —
 and only a matching code — must flag:
 
-* ``TV01`` — a wrong loop stride in the main TTIS nest;
+* ``TV01`` — a wrong loop stride in the main TTIS nest; in the
+  sequential text, a wrong inner stride, a tightened guard bound or a
+  wrong tile origin (the first two also change the compiled run);
 * ``TV02`` — a halo-slot shift / read subscript that escapes the LDS;
 * ``TV03`` — a corrupted burned-in constant (``CC`` and a pack bound);
 * ``TV04`` — a declared dependence the statement bodies do not carry.
@@ -21,13 +23,21 @@ from repro.analysis.transval import (
     PASS_SUBSCRIPTS,
     check_declared_dependences,
     check_mpi_text,
+    check_sequential_text,
     transval_report,
     validate_mpi_text,
 )
 from repro.analysis.verifier import VerificationError
 from repro.apps import adi, heat, jacobi, sor
 from repro.codegen.parallel import generate_mpi_code
+from repro.codegen.sequential import (
+    render_sequential_tiled_code,
+    run_sequential_tiled_code,
+)
+from repro.runtime.dataspace import arrays_match
 from repro.runtime.executor import TiledProgram
+from repro.runtime.interpreter import run_sequential
+from tests.conftest import requires_cc
 
 #: One representative legal configuration per paper app.
 CONFIGS = [
@@ -118,6 +128,41 @@ class TestTV03CorruptedConstants:
         with pytest.raises(VerificationError) as exc:
             validate_mpi_text(prog, bad)
         assert exc.value.report.by_code("TV03")
+
+
+#: Mutations of the sequential text of sor 8x12 nonrect 2x3x4.  The
+#: first two keep every index in bounds, so they also run compiled.
+SEQ_MUTATIONS = {
+    "inner-stride": ("jp1 < 3; jp1 += 1", "jp1 < 3; jp1 += 2"),
+    "guard-bound": ("(1*j0) <= 8", "(1*j0) <= 7"),
+    "tile-origin": ("long o1 = 3*jS1;", "long o1 = 3*jS1 + 1;"),
+}
+
+
+class TestSequentialTextMutations:
+    @pytest.fixture(scope="class")
+    def seq_case(self, sor_case):
+        app, _, prog, _ = sor_case
+        return app, prog, render_sequential_tiled_code(prog.nest,
+                                                       prog.tiling)
+
+    @pytest.mark.parametrize("name", list(SEQ_MUTATIONS))
+    def test_flagged_tv01(self, seq_case, name):
+        _, prog, text = seq_case
+        assert check_sequential_text(prog, text) == []
+        bad = _mutate(text, *SEQ_MUTATIONS[name])
+        diags = check_sequential_text(prog, bad)
+        assert diags, f"{name} not flagged"
+        assert {d.code for d in diags} == {"TV01"}
+
+    @requires_cc
+    @pytest.mark.parametrize("name", ["inner-stride", "guard-bound"])
+    def test_compiled_run_diverges(self, seq_case, name):
+        app, _, text = seq_case
+        bad = _mutate(text, *SEQ_MUTATIONS[name])
+        got = run_sequential_tiled_code(app.nest, bad, app.init_value)
+        assert not arrays_match(
+            got, run_sequential(app.nest, app.init_value), tol=0.0)
 
 
 class TestTV04DeclaredDependences:

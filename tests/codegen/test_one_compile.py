@@ -9,7 +9,8 @@ byte-identical text on the seven CI configurations, for a freshly
 compiled program *and* for one restored from an artifact (pygen then
 reads the parked ``rank_plans``/``points`` stages), and pin
 ``repro analyze --transval`` to the report the two separate entry
-points give.
+points give.  The sequential text of each configuration also compiles
+and runs bitwise like the interpreter.
 """
 
 import json
@@ -21,7 +22,10 @@ from repro.analysis import analyze, transval_report
 from repro.apps import resolve_config
 from repro.artifacts import ArtifactCache
 from repro.cli import main
+from repro.runtime.dataspace import arrays_match
 from repro.runtime.executor import TiledProgram
+from repro.runtime.interpreter import run_sequential
+from tests.conftest import requires_cc
 
 #: The `repro analyze` configurations of ci.yml / nightly.yml plus the
 #: sor 6x9 rectangle (a rendezvous-refused schedule).
@@ -43,7 +47,6 @@ def _entry_point_texts(app, h):
     texts = {
         "mpi": codegen.generate_mpi_code(nest, h, mapping_dim=m),
         "sequential": codegen.generate_sequential_tiled_code(nest, h),
-        "pyseq": codegen.generate_python_sequential(nest, h),
     }
     for engine in PYGEN_ENGINES:
         texts["pygen", engine] = codegen.generate_python_node_programs(
@@ -56,7 +59,6 @@ def _rendered_texts(prog):
         "mpi": codegen.render_mpi_code(prog),
         "sequential": codegen.render_sequential_tiled_code(
             prog.nest, prog.tiling),
-        "pyseq": codegen.render_python_sequential(prog.nest, prog.tiling),
     }
     for engine in PYGEN_ENGINES:
         texts["pygen", engine] = codegen.render_python_node_programs(
@@ -105,3 +107,15 @@ def test_cli_transval_report_is_the_two_entry_points_merged(
     assert json.loads(out)["passes"][-5:] == [
         "transval-dependences", "transval-loops", "transval-subscripts",
         "transval-constants", "transval-kernels"]
+
+
+@requires_cc
+@pytest.mark.parametrize("name,sizes,shape,tile", CI_CONFIGS, ids=IDS)
+def test_sequential_text_runs_like_the_interpreter(name, sizes, shape,
+                                                   tile):
+    app, h = resolve_config(name, sizes, shape, tile)
+    got = codegen.run_sequential_tiled_code(
+        app.nest, codegen.generate_sequential_tiled_code(app.nest, h),
+        app.init_value)
+    assert arrays_match(got, run_sequential(app.nest, app.init_value),
+                        tol=0.0)

@@ -1,9 +1,17 @@
 """Shared fixtures: small app instances and tilings used across suites."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import settings
 
 from repro.apps import adi, jacobi, sor
+from repro.native.compile import (
+    NativeCompileError,
+    compile_shared_object,
+    find_compiler,
+)
 
 # The nightly job's profile (``--hypothesis-profile nightly``): the ring
 # property tests of tests/runtime/test_schedule_property.py read its
@@ -11,6 +19,32 @@ from repro.apps import adi, jacobi, sor
 # ``--hypothesis-seed`` fixes; a failure prints its reproduce blob.
 # Tier-1 runs the default profile.
 settings.register_profile("nightly", print_blob=True)
+
+
+def _cc_usable():
+    """True iff a working C compiler is present (probe compile).
+
+    Under ``CC=/bin/false`` (the supported degradation drill) every
+    compiled run skips and the rest still runs, so the suites stay
+    green without a toolchain.
+    """
+    cc = find_compiler()
+    if cc is None:
+        return False
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            compile_shared_object(
+                cc, "int repro_probe(void) { return 0; }\n",
+                os.path.join(tmp, "probe.so"))
+    except NativeCompileError:
+        return False
+    return True
+
+
+#: Marks a test that compiles and runs C: the native engine's kernels
+#: or the sequential tiled text.
+requires_cc = pytest.mark.skipif(
+    not _cc_usable(), reason="no working C compiler")
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,16 @@ import pytest
 
 from repro.linalg import from_rows
 from repro.loops import ArrayRef, LoopNest, Statement, kexpr
+from repro.codegen import (
+    generate_sequential_tiled_code,
+    run_sequential_tiled_code,
+)
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro.runtime.dataspace import arrays_match
 from repro.runtime.interpreter import run_sequential
 from repro.tiling import rectangular_tiling
 
-from tests.conftest import values_close
+from tests.conftest import requires_cc, values_close
 
 SPEC = ClusterSpec()
 
@@ -72,10 +77,10 @@ class TestFourDimensional:
                     for t in prog.dist.tiles)
         assert total == 3 * 4 * 4 * 4
 
-    def test_generated_sequential_4d(self):
-        from repro.codegen import run_generated_sequential
+    @requires_cc
+    def test_compiled_sequential_4d(self):
         nest = _nest_4d()
-        ref = run_sequential(nest, _init)
-        got = run_generated_sequential(nest, rectangular_tiling([2, 2, 2, 2]),
-                                       _init)
-        assert values_close(got["A"], ref["A"])
+        code = generate_sequential_tiled_code(
+            nest, rectangular_tiling([2, 2, 2, 2]))
+        got = run_sequential_tiled_code(nest, code, _init)
+        assert arrays_match(got, run_sequential(nest, _init), tol=0.0)

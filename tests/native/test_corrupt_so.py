@@ -22,7 +22,7 @@ from repro.runtime import (
     arrays_match,
     dense_to_cells,
 )
-from tests.native.test_native_engine import requires_cc
+from tests.conftest import requires_cc
 
 SPEC = ClusterSpec()
 

@@ -11,9 +11,7 @@ changing a single bit of output.
 """
 
 import dataclasses
-import functools
 import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -23,11 +21,6 @@ from hypothesis import strategies as st
 from repro.apps import adi, heat, jacobi, sor
 from repro.artifacts import ArtifactCache
 from repro.loops import kexpr
-from repro.native.compile import (
-    NativeCompileError,
-    compile_shared_object,
-    find_compiler,
-)
 from repro.native.engine import build_native_library, native_key
 from repro.runtime import (
     ClusterSpec,
@@ -36,33 +29,9 @@ from repro.runtime import (
     arrays_match,
     dense_to_cells,
 )
+from tests.conftest import requires_cc
 
 SPEC = ClusterSpec()
-
-
-@functools.lru_cache(maxsize=1)
-def _cc_usable():
-    """True iff a working C compiler is present (probe compile).
-
-    Under ``CC=/bin/false`` (the supported degradation drill) the
-    bitwise suites skip and the fallback suites still run, so the
-    whole file stays green without a toolchain.
-    """
-    cc = find_compiler()
-    if cc is None:
-        return False
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            compile_shared_object(
-                cc, "int repro_probe(void) { return 0; }\n",
-                os.path.join(tmp, "probe.so"))
-    except NativeCompileError:
-        return False
-    return True
-
-
-requires_cc = pytest.mark.skipif(
-    not _cc_usable(), reason="no working C compiler")
 
 # The six reference configs (see tests/artifacts/test_roundtrip.py):
 # all three CLI apps plus heat, both tile shapes, every mapping

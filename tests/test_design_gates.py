@@ -149,6 +149,22 @@ GATES = [
          ("src/repro",),
          mutation=("src/repro/runtime/parallel.py",
                    '            statsf=new_seg("statsf", nranks * 3),\n')),
+    Gate("one sequential text",
+         "the §2.3 loop is one C translation unit that compiles and runs "
+         "against the interpreter; a runnable Python twin, its reader or "
+         "its n-ary min/max spelling is a second text to keep in step "
+         "(docs/ANALYSIS.md)",
+         r"pyseq|read_pyseq|python_sequential|nary_minmax", ("src",),
+         mutation=("src/repro/codegen/pyseq.py",
+                   "def render_python_sequential(nest, tiling):\n")),
+    Gate("one kernel text",
+         "native/emit.kernel_definitions renders every F_<array> kernel "
+         "TV05 proves; a kernel printed elsewhere is one no pass checks",
+         r"static double F_", ("src",),
+         allow=("src/repro/native/emit.py",),
+         mutation=("src/repro/codegen/sequential.py",
+                   '        out.append(f"static double F_{name}({args}) {{")'
+                   "\n")),
 ]
 
 

@@ -1,12 +1,14 @@
-"""Every repo path and test id the documentation cites exists.
+"""Every repo path, test id and module the documentation cites exists.
 
 The docs point at tests as the evidence for their claims; a citation
 of a file or test that is gone is a claim nobody checks any more.
 Paths are resolved against the checkout, ``file.py::Class::test`` ids
-against the definitions in the file.
+against the definitions in the file, dotted ``repro.x.y`` names by
+importing them.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -113,3 +115,37 @@ def test_cited_class_attributes_exist(doc):
         for cls, attr in ATTRIBUTE.findall(span)
         if cls in CLASS_ATTRIBUTES and attr not in CLASS_ATTRIBUTES[cls]})
     assert not stale, f"{doc.name} cites attributes that are gone: {stale}"
+
+
+#: A dotted ``repro.x[.y...]`` name (inside a backticked span).
+DOTTED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def resolves(dotted):
+    """Import the longest module prefix of ``dotted``, then ``getattr``
+    the rest; a last name may be an instance attribute of a class
+    (``CLASS_ATTRIBUTES``), which has no class-level value."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        rest = parts[cut:]
+        if not rest:
+            return True
+        for name in rest[:-1]:
+            obj = getattr(obj, name, None)
+        return hasattr(obj, rest[-1]) or (
+            isinstance(obj, type)
+            and rest[-1] in CLASS_ATTRIBUTES.get(obj.__name__, ()))
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda d: d.name)
+def test_cited_modules_exist(doc):
+    stale = sorted({
+        name
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text())
+        for name in DOTTED.findall(span) if not resolves(name)})
+    assert not stale, f"{doc.name} cites modules that are gone: {stale}"

@@ -382,8 +382,7 @@ class TestOneCompilePerRequest:
         codegen.generate_python_node_programs(app.nest, h, app.mapping_dim)
         assert counts == {"TiledProgram": 2, "TilingTransformation": 2}
         codegen.generate_sequential_tiled_code(app.nest, h)
-        codegen.generate_python_sequential(app.nest, h)
-        assert counts == {"TiledProgram": 2, "TilingTransformation": 4}
+        assert counts == {"TiledProgram": 2, "TilingTransformation": 3}
 
     def test_renderers_and_checks_construct_nothing(self, monkeypatch):
         from repro import codegen
@@ -394,13 +393,11 @@ class TestOneCompilePerRequest:
         counts = self._count_constructors(monkeypatch)
         mpi = codegen.render_mpi_code(prog)
         seq = codegen.render_sequential_tiled_code(prog.nest, prog.tiling)
-        pyseq = codegen.render_python_sequential(prog.nest, prog.tiling)
         for engine in ("sparse", "dense", "dense-overlap"):
             pygen = codegen.render_python_node_programs(prog, engine=engine)
             assert tv.check_pygen_source(prog, pygen) == []
         assert tv.check_mpi_text(prog, mpi) == []
         assert tv.check_sequential_text(prog, seq) == []
-        assert tv.check_pyseq_source(prog, pyseq) == []
         assert tv.check_transval(prog) == []
         tv.validate_mpi_text(prog, mpi)
         assert not counts
