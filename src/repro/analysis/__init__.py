@@ -29,9 +29,9 @@ compiled :class:`~repro.runtime.executor.TiledProgram` is well-formed:
 * :mod:`repro.analysis.cost` — the static cost certifier: closed-form
   per-edge communication volumes cross-checked against the frozen
   plans (COST01), per-rank compute volumes and imbalance (COST02),
-  the analytic critical-path makespan — bitwise equal to the
-  simulator on matching configurations (COST03) — and Dinh & Demmel
-  lower-bound certification of the tile shape (COST04); opt-in via
+  the makespan and rank clocks of the timing-only simulation under the
+  analyzed protocol (COST03) and Dinh & Demmel lower-bound
+  certification of the tile shape (COST04); opt-in via
   ``analyze_program(..., cost=True)`` / ``repro analyze --cost``;
 * :mod:`repro.analysis.verifier` — the driver: legality/tile-size
   prechecks plus the passes above, accumulated into one
@@ -66,7 +66,6 @@ from repro.analysis.bounds import check_bounds
 from repro.analysis.overlap import check_overlap
 from repro.analysis.cost import (
     CostCertificate,
-    analytic_makespan,
     certify_cost,
     communication_lower_bound,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "certify_program",
     "HBCertificate",
     "CostCertificate",
-    "analytic_makespan",
     "certify_cost",
     "communication_lower_bound",
     "sanitize_trace",

@@ -1,17 +1,18 @@
 """The cost certificate: COST01-04 assembled, self-checked, JSON-able.
 
 ``certify_cost`` computes every closed-form quantity (per-edge volumes,
-per-rank compute, analytic makespan, lower bound), cross-checks each
-against an independent path, and returns a :class:`CostCertificate`
-carrying the numbers plus any diagnostics:
+per-rank compute, lower bound), cross-checks each against an
+independent path, reads the makespan and rank clocks from the
+simulator (:meth:`DistributedRun.simulate`, the one clock of the
+cluster model), and returns a :class:`CostCertificate` carrying the
+numbers plus any diagnostics:
 
 ========  =========================================================
 ``COST01``  closed-form per-edge volume disagrees with the frozen
             plan replay (or an edge is missing/spurious)
 ``COST02``  informational: per-rank compute volumes / imbalance
-``COST03``  makespan sweep inconsistent (compute accounting does not
-            reproduce the closed-form rank volumes) or stuck
-            (schedule deadlocks under the analyzed protocol)
+``COST03``  the simulated schedule deadlocks under the analyzed
+            protocol (the makespan is undefined)
 ``COST04``  tile shape exceeds the communication lower bound by more
             than the configured factor (warning), or the bound's
             AM-GM self-check fails (error)
@@ -26,17 +27,15 @@ mutation corpus).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.cost.bound import communication_lower_bound
-from repro.analysis.cost.makespan import SweepResult, analytic_makespan
 from repro.analysis.cost.volumes import edge_volumes, rank_volumes
 from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
+from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
 from repro.runtime.rankstep import build_rank_plans, edge_tally
-
-if TYPE_CHECKING:
-    from repro.runtime.executor import TiledProgram
+from repro.runtime.vmpi import DeadlockError
 
 PASS_COST = "cost"
 
@@ -53,19 +52,10 @@ MUTATIONS: Dict[str, str] = {
     "dropped_cc_edge":
         "forget the last processor dependence d^m entirely "
         "(COST01: the oracle sees edges the closed form lost)",
-    "swapped_edge_weight":
-        "swap the compute and transfer weights in the makespan sweep "
-        "(COST03: compute accounting stops matching the closed-form "
-        "rank volumes)",
     "bad_lower_bound_constant":
         "double the lower-bound constant (COST04: the AM-GM "
         "self-check rejects a floor that exceeds the face sum)",
 }
-
-#: Relative tolerance of the COST03 compute-accounting self-check:
-#: the sweep accumulates per-tile, the closed form multiplies totals,
-#: so the two differ only by float summation order.
-_COMPUTE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,15 +98,14 @@ class CostCertificate:
 
     protocol: str
     overlap: bool                       # spec.overlap (the model's)
-    mailbox_depth: int
     edges: Tuple[EdgeCost, ...]
     total_messages: int
     total_elements: int
     total_bytes: int
     ranks: Tuple[RankCost, ...]
     imbalance: float                    # max/mean rank points (1.0 = flat)
-    makespan: float                     # inf if the sweep stuck
-    rank_clocks: Tuple[float, ...]
+    makespan: float                     # inf if the schedule deadlocks
+    rank_clocks: Tuple[float, ...]      # () if the schedule deadlocks
     bound: BoundCheck
     diagnostics: Tuple[Diagnostic, ...]
 
@@ -138,7 +127,6 @@ class CostCertificate:
             "pass": PASS_COST,
             "protocol": self.protocol,
             "overlap": self.overlap,
-            "mailbox_depth": self.mailbox_depth,
             "edges": [
                 {"src": e.src_rank, "dst": e.dst_rank, "tag": e.tag,
                  "messages": e.messages, "elements": e.elements,
@@ -172,13 +160,12 @@ class CostCertificate:
         }
 
 
-def certify_cost(program: "TiledProgram",
+def certify_cost(program: TiledProgram,
                  spec: Optional[ClusterSpec] = None,
                  protocol: str = "eager",
-                 mailbox_depth: int = 8,
                  bound_factor: float = 2.0,
                  mutation: Optional[str] = None) -> CostCertificate:
-    """Run the full static cost analysis over one program."""
+    """Run the full cost analysis over one program."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; "
                          f"known: {sorted(MUTATIONS)}")
@@ -228,26 +215,26 @@ def certify_cost(program: "TiledProgram",
     imbalance = (max(points.values()) / mean_pts
                  if mean_pts > 0 else 1.0)
 
-    # -- COST03: critical-path makespan ----------------------------------------
-    sweep = analytic_makespan(program, spec=spec, protocol=protocol,
-                              mailbox_depth=mailbox_depth,
-                              mutation=mutation)
-    if sweep.stuck:
+    # -- COST03: the simulated makespan ---------------------------------------
+    try:
+        stats = DistributedRun(program, spec).simulate(protocol)
+        makespan = stats.makespan
+        rank_clocks = tuple(stats.clocks[r] for r in sorted(stats.clocks))
+    except DeadlockError as exc:
+        makespan, rank_clocks = float("inf"), ()
         diags.append(Diagnostic(
             code="COST03", severity=ERROR, pass_name=PASS_COST,
             message=(
-                f"critical-path sweep deadlocked under protocol "
-                f"{protocol!r} (ranks {list(sweep.stuck_ranks)} can "
-                f"never progress); the makespan is undefined"),
-            equation="longest path over the HB graph (Hockney a+n/b)",
+                f"the simulated schedule deadlocked under protocol "
+                f"{protocol!r} (ranks {list(exc.ranks)} can never "
+                f"progress); the makespan is undefined"),
+            equation="discrete-event simulation (Hockney a+n/b)",
             subject=(("protocol", protocol),
-                     ("stuck_ranks", sweep.stuck_ranks)),
+                     ("stuck_ranks", exc.ranks)),
             suggestion=("run the HB certifier (repro analyze --hb) "
-                        "for the wait cycle; eager protocols or "
-                        "deeper mailboxes usually break it"),
+                        "for the wait cycle; the eager protocol "
+                        "usually breaks it"),
         ))
-    else:
-        _check_compute_accounting(sweep, ranks, diags)
 
     # -- COST04: lower-bound certification -------------------------------------
     lb = communication_lower_bound(program, mutation=mutation)
@@ -294,15 +281,14 @@ def certify_cost(program: "TiledProgram",
     return CostCertificate(
         protocol=protocol,
         overlap=spec.overlap,
-        mailbox_depth=mailbox_depth,
         edges=edges,
         total_messages=total_messages,
         total_elements=total_elements,
         total_bytes=total_elements * spec.bytes_per_element,
         ranks=ranks,
         imbalance=imbalance,
-        makespan=sweep.makespan,
-        rank_clocks=sweep.clocks,
+        makespan=makespan,
+        rank_clocks=rank_clocks,
         bound=BoundCheck(
             applicable=lb.applicable,
             bound_elements=lb.bound_elements,
@@ -315,28 +301,3 @@ def certify_cost(program: "TiledProgram",
         diagnostics=tuple(diags),
     )
 
-
-def _check_compute_accounting(sweep: SweepResult,
-                              ranks: Tuple[RankCost, ...],
-                              diags: List[Diagnostic]) -> None:
-    """COST03 self-check: the sweep's accumulated COMPUTE time must
-    reproduce the closed-form rank volumes (COST02) — a swapped or
-    misscaled edge weight cannot survive this."""
-    for rc in ranks:
-        got = sweep.tile_compute_time[rc.rank]
-        want = rc.compute_seconds
-        tol = _COMPUTE_RTOL * max(1.0, abs(want))
-        if abs(got - want) > tol:
-            diags.append(Diagnostic(
-                code="COST03", severity=ERROR, pass_name=PASS_COST,
-                message=(
-                    f"makespan sweep compute accounting broken on rank "
-                    f"{rc.rank}: accumulated {got:.9g}s of COMPUTE "
-                    f"weight but the closed-form volume predicts "
-                    f"{want:.9g}s"),
-                equation="sum_t w_compute(points_t) = t_c * points(rank)",
-                subject=(("rank", rc.rank), ("swept", got),
-                         ("closed_form", want)),
-                suggestion=("an edge weight in the sweep does not use "
-                            "the compute model it claims to"),
-            ))

@@ -79,10 +79,8 @@ Diagnostic codes are part of the public contract:
            ``D^m`` enumeration are miscounted)
 ``COST02`` informational — per-rank computation volumes and the
            distribution's load-imbalance ratio
-``COST03`` analytic makespan undefined or inconsistent — the
-           critical-path sweep deadlocks under the analyzed
-           protocol, or its compute accounting fails to
-           reproduce the closed-form rank volumes
+``COST03`` makespan undefined — the timing-only simulation
+           deadlocks under the analyzed protocol
 ``COST04`` tile shape exceeds the Dinh & Demmel communication
            lower bound by more than the configured factor
            (warning), or the bound's AM-GM self-check fails

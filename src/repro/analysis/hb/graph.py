@@ -20,10 +20,10 @@ execution *symbolically* and prove two theorems about it:
 
 :func:`replay` is the one static execution of the frozen schedule: the
 deadlock pass (:mod:`repro.analysis.deadlock`, DL01-DL04) is the same
-replay with the simulator's unbounded buffering, and the COST03
-makespan (:mod:`repro.analysis.cost.makespan`) is that replay with a
-clock per rank.  The vMPI simulator stays the one *dynamic* witness
-every static verdict is tested against.
+replay with the simulator's unbounded buffering.  It decides *whether*
+a schedule completes, never *how long* it takes: the COST03 makespan
+is the vMPI simulator's own clock, and the simulator stays the one
+*dynamic* witness every static verdict is tested against.
 
 The event model is a port of the runtime's own walk
 (:func:`repro.runtime.rankstep.rank_walk`, blocking and overlapped): the
@@ -37,8 +37,9 @@ walk that drives the workers is run once per rank over a data-less
   wavefront level (with the per-edge FIFO suffix-min floor), sends
   commit in plan order gated by their last contributing level, the
   compute event closes the tile and rendezvous waits follow it; a rank
-  blocked on a full ring may *drain* arrived-but-deferred same-tile
-  halos — the ring port's ``drain_ready``, which :func:`replay` models;
+  blocked on a full ring or on a receive may *drain* arrived-but-deferred
+  same-tile halos — the ring port's ``drain_ready``, which
+  :func:`replay` models;
 * cross-rank ``msg`` edges pair the k-th send with the k-th receive of
   each ``(src, dst, tag)`` channel (rings are FIFO).
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     NamedTuple,
@@ -278,18 +278,15 @@ class MachineResult:
     """Outcome of one abstract execution of the event sequences."""
 
     completed: bool
-    order: Tuple[int, ...]              # event ids in execution order
     blocked: Dict[int, int]             # rank -> blocking event id
     cycle: Tuple[int, ...]              # rank wait cycle, () if none
 
 
-def replay(g: HBGraph, bounded: bool,
-           visit: Optional[Callable[[int], None]] = None
-           ) -> MachineResult:
+def replay(g: HBGraph, bounded: bool) -> MachineResult:
     """Advance every rank's event list against FIFO channels until all
     ranks finish or none can move — the one static execution of the
-    frozen schedule; the HB02 wait machine, the DL01-DL04 deadlock pass
-    and the COST03 makespan are this function.
+    frozen schedule; the HB02 wait machine and the DL01-DL04 deadlock
+    pass are this function.
 
     A receive runs once its message is published, a ``SENDWAIT`` once
     its message is consumed.  ``bounded=False`` gives sends the
@@ -297,11 +294,10 @@ def replay(g: HBGraph, bounded: bool,
     runtime's one message path, exactly: a send blocks while its ring
     holds ``edge_depth`` unconsumed messages (``_RingPort.publish``
     asking ``reserve`` again), and — in overlap mode — a rank blocked
-    on a full ring drains arrived-but-deferred same-tile receives
-    first-per-edge, like ``drain_ready``.  ``visit(eid)`` is called as
-    each event executes, after every event it waits on.  Every rank
-    advances as far as it can, so the final state (and any value
-    ``visit`` folds along a rank) does not depend on the interleaving.
+    on a full ring or on a receive drains arrived-but-deferred
+    same-tile receives first-per-edge, like ``drain_ready``.  Every
+    rank advances as far as it can, so the final state does not depend
+    on the interleaving.
     Completion certifies every real schedule completes; a stall yields
     the wait cycle.
     """
@@ -310,9 +306,8 @@ def replay(g: HBGraph, bounded: bool,
     consumed: Dict[Optional[Chan], int] = {}
     ptr = [0] * g.nranks
     drained: Set[int] = set()
-    ex_order: List[int] = []
 
-    def step(eid: int, e: HBEvent) -> bool:
+    def step(e: HBEvent) -> bool:
         """Execute ``e`` if what it waits on has happened."""
         kind, chan = e.kind, e.chan
         if kind == RECV:
@@ -326,17 +321,15 @@ def replay(g: HBGraph, bounded: bool,
             published[chan] = sent + 1
         elif kind == SENDWAIT and consumed.get(chan, 0) <= e.chanpos:
             return False
-        ex_order.append(eid)
-        if visit is not None:
-            visit(eid)
         return True
 
     def drain(row: Tuple[int, ...], pos: int) -> bool:
         """Pop arrived-but-deferred same-tile halos, first remaining
-        per channel (rings are FIFO), while blocked on a send."""
+        per channel (rings are FIFO; a blocked receive is first on its
+        own), while blocked on a send or a receive."""
         tix = events[row[pos]].tix
         did = False
-        seen: Set[Optional[Chan]] = set()
+        seen: Set[Optional[Chan]] = {events[row[pos]].chan}
         for j in range(pos + 1, len(row)):
             e = events[row[j]]
             if e.tix != tix:
@@ -344,7 +337,7 @@ def replay(g: HBGraph, bounded: bool,
             if e.kind != RECV or row[j] in drained or e.chan in seen:
                 continue
             seen.add(e.chan)
-            if step(row[j], e):
+            if step(e):
                 drained.add(row[j])
                 did = True
         return did
@@ -359,14 +352,14 @@ def replay(g: HBGraph, bounded: bool,
                     ptr[rank] += 1
                     continue
                 e = events[eid]
-                if step(eid, e):
+                if step(e):
                     ptr[rank] += 1
                     moved = True
                     continue
-                if (bounded and g.overlap and e.kind == SEND
+                if (bounded and g.overlap and e.kind in (SEND, RECV)
                         and drain(row, ptr[rank])):
                     moved = True
-                    continue                    # retry the send
+                    continue                    # retry the blocked event
                 break
 
     blocked = {r: rows[r][ptr[r]] for r in range(g.nranks)
@@ -385,8 +378,8 @@ def replay(g: HBGraph, bounded: bool,
         if r in seen_ranks:
             cycle = tuple(seen_ranks[seen_ranks.index(r):])
             break
-    return MachineResult(completed=not blocked, order=tuple(ex_order),
-                         blocked=blocked, cycle=cycle)
+    return MachineResult(completed=not blocked, blocked=blocked,
+                         cycle=cycle)
 
 
 def run_wait_machine(g: HBGraph) -> MachineResult:

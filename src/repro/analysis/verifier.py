@@ -157,7 +157,7 @@ def analyze_program(program, subject: str = "", *,
     ``cost=True`` additionally runs the static cost certifier
     (COST01-COST04: closed-form per-edge communication volumes
     cross-checked against the frozen plans, per-rank compute volumes,
-    the analytic critical-path makespan, and the Dinh & Demmel
+    the simulated makespan and rank clocks, and the Dinh & Demmel
     lower-bound verdict).  The full certificate lands in
     ``report.meta["cost"]``.
 

@@ -142,7 +142,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Execute with real data and compare against the interpreter."""
+    """Execute with real data and compare against the interpreter,
+    bitwise: any nonzero difference is a mismatch."""
     from repro.runtime.dataspace import dense_to_cells, max_abs_difference
     from repro.runtime.executor import DistributedRun
     from repro.runtime.interpreter import run_sequential
@@ -165,7 +166,7 @@ def cmd_verify(args) -> int:
         worst = max(worst, diff)
     print(f"messages exchanged: {stats.total_messages} "
           f"({stats.total_elements} elements)")
-    if worst < 1e-9:
+    if worst == 0.0:
         print("VERIFIED: distributed execution matches the sequential "
               "reference")
         return 0
@@ -600,7 +601,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_ana.add_argument("--cost", action="store_true",
                        help="also run the static cost certifier "
                             "(COST01 per-edge volumes, COST02 rank "
-                            "volumes/imbalance, COST03 analytic "
+                            "volumes/imbalance, COST03 simulated "
                             "makespan, COST04 lower-bound verdict); "
                             "the certificate lands in the JSON "
                             "report's meta.cost")

@@ -1,16 +1,15 @@
-"""Predicted-vs-simulated-vs-measured makespan validation (COST03).
+"""Simulated-vs-measured makespan validation (COST03).
 
-The cost certifier claims its analytic makespan reproduces the
-simulator bit for bit; this experiment puts that claim (and the model
-itself) in one table per app:
+The cost certificate's makespan (COST03) is
+:meth:`DistributedRun.simulate` under the cluster model; this
+experiment sets it beside the real run in one table per app:
 
-* ``predicted`` — the static cost certificate's critical-path makespan
-  (COST03, no execution);
-* ``simulated`` — :meth:`DistributedRun.simulate` under the same
-  cluster model — must equal ``predicted`` exactly;
+* ``simulated`` — the timing-only simulation under ``protocol="spec"``;
 * ``measured`` — the real parallel backend's max measured rank clock
   (host wall-clock; on a loaded or single-core host this deviates
-  freely — it is the reality check, not an assertion).
+  freely — it is the reality check, not an assertion);
+* ``measured / simulated`` — the model residual of one run, on the
+  model's default (FastEthernet/P-III) constants.
 
 Run via ``python -m repro.experiments.costval`` — the EXPERIMENTS.md
 cost-validation row is produced by exactly this module.
@@ -30,19 +29,19 @@ from repro.runtime.machine import ClusterSpec
 
 @dataclass(frozen=True)
 class CostValRow:
-    """One app/tiling's three makespans (seconds)."""
+    """One app/tiling's two makespans (seconds)."""
 
     app: str
     label: str
     processors: int
-    predicted: float
     simulated: float
     measured: Optional[float]           # None when not measured
 
     @property
-    def exact(self) -> bool:
-        """Predicted == simulated, bitwise (the COST03 guarantee)."""
-        return self.predicted == self.simulated
+    def residual(self) -> Optional[float]:
+        """Measured / simulated (``None`` when not measured)."""
+        return None if self.measured is None else \
+            self.measured / self.simulated
 
 
 def validate(app: TiledApp, h: RatMat, label: str,
@@ -50,10 +49,9 @@ def validate(app: TiledApp, h: RatMat, label: str,
              measure: bool = True,
              workers: int = 2,
              repeats: int = 2) -> CostValRow:
-    """One row: certify, simulate, and (optionally) run for real."""
+    """One row: simulate and (optionally) run for real."""
     spec = spec or ClusterSpec()
     prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
-    cert = prog.cost_certificate(protocol="spec", spec=spec)
     stats = DistributedRun(prog, spec).simulate()
     measured = None
     if measure:
@@ -65,8 +63,7 @@ def validate(app: TiledApp, h: RatMat, label: str,
         measured = best
     return CostValRow(
         app=app.name, label=label, processors=prog.num_processors,
-        predicted=cert.makespan, simulated=stats.makespan,
-        measured=measured,
+        simulated=stats.makespan, measured=measured,
     )
 
 
@@ -100,22 +97,21 @@ def format_rows(rows: Sequence[CostValRow]) -> str:
         return "-" if x is None else f"{x * 1e6:.3f}"
 
     lines = [
-        "| app | tiling | procs | predicted (us) | simulated (us) "
-        "| exact | measured (us) |",
-        "|---|---|---|---|---|---|---|",
+        "| app | tiling | procs | simulated (us) | measured (us) "
+        "| measured / simulated |",
+        "|---|---|---|---|---|---|",
     ]
     for r in rows:
+        ratio = "-" if r.residual is None else f"{r.residual:.2f}"
         lines.append(
             f"| {r.app} | {r.label} | {r.processors} "
-            f"| {us(r.predicted)} | {us(r.simulated)} "
-            f"| {'yes' if r.exact else 'NO'} | {us(r.measured)} |")
+            f"| {us(r.simulated)} | {us(r.measured)} | {ratio} |")
     return "\n".join(lines)
 
 
 def main() -> int:
-    rows = run()
-    print(format_rows(rows))
-    return 0 if all(r.exact for r in rows) else 1
+    print(format_rows(run()))
+    return 0
 
 
 if __name__ == "__main__":

@@ -181,21 +181,20 @@ class TiledProgram(StageHolder):
         return cert
 
     def cost_certificate(self, protocol: str = "eager",
-                         mailbox_depth: int = 8,
                          spec: Optional[ClusterSpec] = None,
                          bound_factor: float = 2.0,
                          ) -> "CostCertificate":
         """Static cost certificate of this program (see
         :mod:`repro.analysis.cost`): exact per-edge communication
         volumes (COST01), per-rank compute volumes (COST02), the
-        analytic critical-path makespan (COST03) and the Dinh & Demmel
-        lower-bound verdict (COST04).
+        simulated makespan and rank clocks (COST03) and the Dinh &
+        Demmel lower-bound verdict (COST04).
 
         Unlike :meth:`hb_certificate`, the result depends on *every*
         timing parameter of the cluster model, so the full (frozen,
         hashable) spec is part of the key.
         """
-        key = (protocol, int(mailbox_depth), float(bound_factor), spec)
+        key = (protocol, float(bound_factor), spec)
         certs: Dict[object, CostCertificate] = \
             self.stage("cost_certificates")
         cert = certs.get(key)
@@ -203,7 +202,7 @@ class TiledProgram(StageHolder):
             from repro.analysis.cost import certify_cost
             cert = certs[key] = certify_cost(
                 self, spec=spec, protocol=protocol,
-                mailbox_depth=mailbox_depth, bound_factor=bound_factor)
+                bound_factor=bound_factor)
         return cert
 
 
@@ -220,9 +219,9 @@ register(
     dense.LEX_ORDER, dense.DENSE_S, dense.DENSE_BATCHES,
     rankstep.REGION_COUNTS, rankstep.RANK_PLANS, dense.OVERLAP_PLANS,
     Stage("hb_certificates", "program", on_demand, persisted=True,
-          encode=pickled, decode=unpickled, version=2),
+          encode=pickled, decode=unpickled, version=3),
     Stage("cost_certificates", "program", on_demand, persisted=True,
-          encode=pickled, decode=unpickled),
+          encode=pickled, decode=unpickled, version=2),
     dense.FULL_SEGMENTS, dense.REGION_INDEX,
 )
 
@@ -336,10 +335,12 @@ class DistributedRun:
         self.trace = trace
 
     def _run(self, plans: Dict[int, RankPlan],
-             backend: Optional[Callable[[Pid], Any]] = None) -> RunStats:
-        """Walk ``plans`` on the virtual cluster.  ``backend(pid)``
-        makes a rank's data back-end (``None``: timing only); its
-        write-back runs after the walk, outside the timed region."""
+             backend: Optional[Callable[[Pid], Any]] = None,
+             protocol: str = "spec") -> RunStats:
+        """Walk ``plans`` on the virtual cluster under ``protocol`` (see
+        :meth:`ClusterSpec.uses_rendezvous`).  ``backend(pid)`` makes a
+        rank's data back-end (``None``: timing only); its write-back
+        runs after the walk, outside the timed region."""
         prog, spec = self.program, self.spec
 
         def make_program(plan: RankPlan) -> NodeFn:
@@ -354,14 +355,19 @@ class DistributedRun:
 
         programs = {rank: make_program(plan)
                     for rank, plan in plans.items()}
-        return VirtualMPI(spec, programs, trace=self.trace).run()
+        return VirtualMPI(spec, programs, trace=self.trace,
+                          protocol=protocol).run()
 
     # -- timing-only mode -----------------------------------------------------------
 
-    def simulate(self) -> RunStats:
+    def simulate(self, protocol: str = "spec") -> RunStats:
         """Run the communication/computation schedule with exact sizes
-        but no data; returns the simulated clocks."""
-        return self._run(build_rank_plans(self.program))
+        but no data; returns the simulated clocks.  ``protocol`` picks
+        the messages that wait for their receive (``"eager"``,
+        ``"rendezvous"`` or the spec's threshold); a schedule that
+        cannot complete under it raises
+        :class:`~repro.runtime.vmpi.DeadlockError`."""
+        return self._run(build_rank_plans(self.program), protocol=protocol)
 
     def simulate_unaggregated(self) -> RunStats:
         """Ablation of the §3.2 Tang & Xue scheme: send one message per

@@ -368,11 +368,16 @@ class _RingPort:
     # -- the steps of rank_walk ------------------------------------------------------
 
     def recv(self, tile: Tile, r: TileRecv, unpack: Unpack) -> Steps:
+        """Wait for the halo and take it — on the overlapped schedule
+        taking deferred halos of other edges meanwhile."""
         if self.due is not None and self.due.pop(id(r), None) is None:
             return                      # taken at tile start or by a drain
         edge = self.in_edge(r)
         w0 = self.now()
-        yield from self.wait(edge.can_pop)
+        while not edge.can_pop():
+            self.check_abort()
+            if self.due is None or not self.drain_ready(busy=edge):
+                yield
         self.take(r, edge, unpack, w0)
 
     def compute(self, tile: Tile, points: int,
@@ -426,14 +431,17 @@ class _RingPort:
                     for r, unpack in zip(recvs, unpacks)}
         self.drain_ready()
 
-    def drain_ready(self) -> bool:
+    def drain_ready(self, busy: Optional[_Edge] = None) -> bool:
         """Take arrived-but-deferred halos (first remaining message per
-        edge only — rings are FIFO).  Also run while blocked on a full
-        ring, so the lazy receives can never introduce a wait cycle the
-        blocking schedule does not have."""
+        edge only — rings are FIFO; ``busy``'s head belongs to the
+        receive waiting on it).  Also run while blocked on any ring, so
+        the lazy receives can never introduce a wait cycle the blocking
+        schedule does not have, and whether a run completes does not
+        depend on which halos happened to arrive before a tile
+        opened."""
         assert self.due is not None
         did = False
-        blocked: Set[_Edge] = set()
+        blocked: Set[_Edge] = set() if busy is None else {busy}
         for key, (r, edge, unpack) in list(self.due.items()):
             if edge not in blocked and edge.can_pop():
                 del self.due[key]

@@ -517,8 +517,10 @@ class VmpiPort:
 
     The cost model lives here and nowhere else — ``pack_time`` per
     message side, ``compute_time`` per tile, each scaled by the rank's
-    ``node_speed_factor`` — so timing-only, sparse and dense runs of
-    one program return identical ``RunStats`` by construction.  The
+    ``node_speed_factor``; :class:`~repro.runtime.vmpi.VirtualMPI`
+    adds the transfers — so timing-only, sparse and dense runs of one
+    program return identical ``RunStats`` by construction, and the
+    cost certificate's COST03 makespan is that same clock.  The
     callbacks are the back-end's work (``None``: timing only).
     """
 

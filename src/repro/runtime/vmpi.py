@@ -14,6 +14,11 @@ Two send protocols are modelled:
 * ``overlap=True`` (the future-work extension): the sender pays only
   the startup ``alpha`` and the transfer completes in the background.
 
+Which messages wait for their receive (rendezvous) is the
+``protocol`` a :class:`VirtualMPI` is built with, decided per message
+by :meth:`ClusterSpec.uses_rendezvous` (default ``"spec"``: the
+spec's ``rendezvous_threshold``).
+
 The engine is deterministic: given the same programs it always produces
 the same clocks, which makes simulated "measurements" reproducible.
 """
@@ -29,7 +34,12 @@ from repro.runtime.trace import EventTrace
 
 
 class DeadlockError(RuntimeError):
-    """All live ranks are blocked on receives that can never match."""
+    """All live ranks are blocked on receives that can never match;
+    ``ranks`` names them, in rank order."""
+
+    def __init__(self, message: str, ranks: Tuple[int, ...] = ()):
+        super().__init__(message)
+        self.ranks = ranks
 
 
 @dataclass(frozen=True)
@@ -99,9 +109,11 @@ class VirtualMPI:
 
     def __init__(self, spec: ClusterSpec,
                  programs: Dict[int, Callable[[RankApi], Generator]],
-                 trace: Optional[EventTrace] = None):
+                 trace: Optional[EventTrace] = None,
+                 protocol: str = "spec"):
         self.spec = spec
         self.trace = trace
+        self.protocol = protocol
         self._procs: Dict[int, _Proc] = {}
         for rank, prog in programs.items():
             gen = prog(RankApi(rank))
@@ -150,8 +162,8 @@ class VirtualMPI:
                     for r in sorted(live)
                 }
                 raise DeadlockError(
-                    f"no rank can progress; blocked operations: {blocked}"
-                )
+                    f"no rank can progress; blocked operations: {blocked}",
+                    tuple(blocked))
         return self.stats()
 
     def _step_until_blocked(self, proc: _Proc) -> bool:
@@ -214,7 +226,7 @@ class VirtualMPI:
         self.channel_messages[key] = self.channel_messages.get(key, 0) + 1
         self.channel_elements[key] = (
             self.channel_elements.get(key, 0) + req.nelems)
-        if spec.uses_rendezvous("spec", req.nelems):
+        if spec.uses_rendezvous(self.protocol, req.nelems):
             # Synchronous protocol: the transfer cannot start before the
             # receive is posted; the matcher completes both sides.
             heapq.heappush(

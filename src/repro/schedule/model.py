@@ -16,11 +16,14 @@ ablation of EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.runtime.machine import ClusterSpec
 from repro.schedule.linear import LinearSchedule
 from repro.tiling.transform import TilingTransformation
+
+if TYPE_CHECKING:
+    from repro.distribution.communication import CommunicationSpec
 
 
 @dataclass(frozen=True)
@@ -48,17 +51,22 @@ def predict_makespan(tiling: TilingTransformation,
 
     sched = LinearSchedule(tiling)
     comm = CommunicationSpec(tiling, deps, mapping_dim)
-    vol = tiling.ttis.tile_volume
-    # Communication surface per direction (full-tile estimate).
-    per_step_elems = sum(comm.full_pack_estimate(dm)
-                         for dm in comm.d_m) * arrays
-    n_msgs = len(comm.d_m)
-    per_step_comm = (n_msgs * spec.net_latency
-                     + per_step_elems * spec.bytes_per_element
-                     / spec.net_bandwidth
-                     + 2 * per_step_elems * spec.time_per_packed_element)
+    compute, communicate = per_step_cost(comm, spec, arrays)
     return PredictedTime(
         steps=sched.length(),
-        per_step_compute=spec.compute_time(vol),
-        per_step_comm=per_step_comm,
+        per_step_compute=compute,
+        per_step_comm=communicate,
     )
+
+
+def per_step_cost(comm: "CommunicationSpec", spec: ClusterSpec,
+                  arrays: int = 1) -> Tuple[float, float]:
+    """``(compute, communicate)`` seconds of one full tile's step:
+    the tile volume at ``time_per_iteration``, and one message per
+    processor direction ``d^m`` of its full-tile pack region (latency,
+    transfer, and a pack plus an unpack per element)."""
+    elems = sum(comm.full_pack_estimate(dm) for dm in comm.d_m) * arrays
+    communicate = (len(comm.d_m) * spec.net_latency
+                   + elems * spec.bytes_per_element / spec.net_bandwidth
+                   + 2 * elems * spec.time_per_packed_element)
+    return spec.compute_time(comm.tiling.ttis.tile_volume), communicate

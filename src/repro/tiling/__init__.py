@@ -10,11 +10,7 @@
 * :mod:`repro.tiling.shapes` — convenient constructors for the tiling
   matrices used in the paper's experiments.
 * :mod:`repro.tiling.selector` — tile-size selection along the mapping
-  dimension (closed-form ratio balancing, empirical sweeps, and
-  cost-certificate-guided pruning).
-* :mod:`repro.tiling.frontier` — the shared top-k pruning frontier of
-  every analytic-first search (tile-size selection and the tile-shape
-  tuner rank with the same code).
+  dimension (closed-form ratio balancing and empirical sweeps).
 """
 
 from repro.tiling.transform import TilingTransformation
@@ -30,11 +26,8 @@ from repro.tiling.shapes import (
     parallelepiped_tiling,
     cone_aligned_tiling,
 )
-from repro.tiling.frontier import Ranked, top_k_frontier
 from repro.tiling.selector import (
-    CostGuidedOutcome,
     SweepOutcome,
-    cost_guided_extent,
     ratio_balanced_extent,
     sweep_best_extent,
 )
@@ -50,11 +43,7 @@ __all__ = [
     "rectangular_tiling",
     "parallelepiped_tiling",
     "cone_aligned_tiling",
-    "Ranked",
-    "top_k_frontier",
-    "CostGuidedOutcome",
     "SweepOutcome",
-    "cost_guided_extent",
     "ratio_balanced_extent",
     "sweep_best_extent",
 ]

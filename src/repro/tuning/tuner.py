@@ -1,26 +1,27 @@
 """The tile-shape autotuner: cost -> simulate -> measure ladder.
 
 The paper fixes the processor grid and adjusts only the chain extent
-"properly" (§3.1); :func:`repro.tiling.selector.cost_guided_extent`
-automated that one-dimensional sweep.  This module searches the full
+"properly" (§3.1); :func:`repro.tiling.selector.sweep_best_extent`
+automates that one-dimensional sweep.  This module searches the full
 space of parallelepiped tile shapes — ``H`` matrices drawn from the
 tiling cone (:mod:`repro.tuning.candidates`) — with a three-rung
-pruning ladder so almost all of the work is static:
+pruning ladder:
 
-1. **cost** (free of execution): every candidate that compiles gets a
-   static cost certificate; its COST03 analytic makespan is the
-   ranking score and its COST04 Dinh & Demmel communication ratio is
-   the near-optimality signal.  Candidates are costed balanced-first
-   (a cheap closed-form face-balance proxy orders them), and the sweep
-   **stops early** once the incumbent's communication is within
-   ``stop_ratio`` of the shape-independent lower bound for its volume
-   — past that point no shape refinement at that volume can win back
-   more than the remaining factor, so the rest of the space is pruned
-   unexplored (recorded in the trace, never silent).
-2. **simulate**: only the analytically-best frontier (the shared
-   :func:`repro.tiling.frontier.top_k_frontier`) is handed to the
-   virtual cluster; the baseline shape, when given, is always
-   simulated too, so the winner beats-or-matches it by construction.
+1. **cost**: every candidate that compiles gets a cost certificate;
+   its COST03 makespan (the timing-only simulation under
+   ``config.protocol``) is the ranking score and its COST04 Dinh &
+   Demmel communication ratio is the near-optimality signal.
+   Candidates are costed balanced-first (a cheap closed-form
+   face-balance proxy orders them), and the sweep **stops early**
+   once the incumbent's communication is within ``stop_ratio`` of the
+   shape-independent lower bound for its volume — past that point no
+   shape refinement at that volume can win back more than the
+   remaining factor, so the rest of the space is pruned unexplored
+   (recorded in the trace, never silent).
+2. **simulate**: only the best-ranked frontier (:func:`top_k_frontier`)
+   is handed to the virtual cluster again; the baseline shape, when
+   given, is always simulated too, so the winner beats-or-matches it
+   by construction.
 3. **measure** (optional): the top finalists run on the real parallel
    backend (``execute_parallel``) as the oracle.
 
@@ -45,7 +46,6 @@ from typing import (
 
 from repro.linalg.ratmat import RatMat
 from repro.runtime.machine import ClusterSpec
-from repro.tiling.frontier import Ranked, top_k_frontier
 from repro.tiling.ttis import TTIS
 from repro.tuning.candidates import (
     CandidateSpace,
@@ -158,8 +158,8 @@ class TuneResult:
     def as_sweep_outcome(self) -> Any:
         """The winner rendered as a :class:`~repro.tiling.selector.
         SweepOutcome`, so everything written against the tile-*size*
-        selection API (``sweep_best_extent``/``cost_guided_extent``
-        consumers: examples, experiments, tests) can take the
+        selection API (``sweep_best_extent`` consumers: examples,
+        experiments, tests) can take the
         tile-*shape* tuner's verdict unchanged.  ``best_extent`` is the
         winner's TTIS box extent along the mapping dimension — exactly
         the quantity the paper's by-hand sweep varied — and the curve
@@ -244,6 +244,26 @@ def h_from_doc(doc: Sequence[Sequence[Sequence[int]]]) -> RatMat:
     from fractions import Fraction
     return RatMat([[Fraction(num, den) for num, den in row]
                    for row in doc])
+
+
+#: One costed candidate: (COST03 makespan, generation order, the
+#: candidate, its program, its trace row).
+Scored = Tuple[float, int, ShapeCandidate, Any, CandidateTrace]
+
+
+def top_k_frontier(scored: Sequence[Scored], top_k: int) -> List[Scored]:
+    """The ``top_k`` (at least one) best finite-makespan candidates,
+    ties broken on the generation order, never on dict/hash order.
+    Candidates that deadlock under the analyzed protocol (infinite
+    makespan) never enter; if every one does, ``ValueError`` rather
+    than a simulator that cannot finish."""
+    finite = sorted((s for s in scored if s[0] != float("inf")),
+                    key=lambda s: (s[0], s[1]))
+    if not finite:
+        raise ValueError(
+            "every candidate deadlocks under the analyzed protocol "
+            "(COST03); nothing is worth simulating")
+    return finite[:max(1, int(top_k))]
 
 
 def _balance_proxy(h: RatMat, deps: Sequence[Sequence[int]],
@@ -344,7 +364,7 @@ def tune_tile_shape(
 
     # -- rung 1: static costing with lower-bound early stop ------------------
     trace: List[CandidateTrace] = []
-    scored: List[Ranked[Tuple[ShapeCandidate, Any, CandidateTrace]]] = []
+    scored: List[Scored] = []
     by_key: Dict[Any, CandidateTrace] = {}
     costed = 0
 
@@ -382,8 +402,7 @@ def tune_tile_shape(
         entry.predicted_makespan = cert.makespan
         entry.bound_ratio = (cert.bound.ratio
                              if cert.bound.applicable else None)
-        scored.append(Ranked(score=cert.makespan, order=cand.order,
-                             payload=(cand, prog, entry)))
+        scored.append((cert.makespan, cand.order, cand, prog, entry))
         return prog
 
     # The baseline is evaluated FIRST (uncapped): its processor count
@@ -433,24 +452,23 @@ def tune_tile_shape(
             "no tile-shape candidate compiled; the dependence set may "
             "need larger extents (every candidate was rejected)")
 
-    # -- rung 2: simulate the analytic frontier (+ the baseline) -------------
+    # -- rung 2: simulate the frontier (+ the baseline) ---------------------
     top_k = config.top_k
     if top_k is None:
         top_k = max(1, len(scored) // SHAPE_FRONTIER_FRACTION)
     frontier = top_k_frontier(scored, top_k)
     if baseline_cand is not None:
-        in_frontier = any(r.payload[0] is baseline_cand for r in frontier)
+        in_frontier = any(r[2] is baseline_cand for r in frontier)
         if not in_frontier:
             extra = next((r for r in scored
-                          if r.payload[0] is baseline_cand
-                          and r.score != float("inf")), None)
+                          if r[2] is baseline_cand
+                          and r[0] != float("inf")), None)
             if extra is not None:
                 frontier = list(frontier) + [extra]
 
     simulated: List[Tuple[float, int, ShapeCandidate, Any,
                           CandidateTrace]] = []
-    for ranked in frontier:
-        cand, prog, entry = ranked.payload
+    for _score, _order, cand, prog, entry in frontier:
         stats = DistributedRun(prog, spec).simulate()
         entry.status = "simulated"
         entry.simulated_makespan = stats.makespan

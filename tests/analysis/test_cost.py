@@ -1,13 +1,13 @@
-"""Static cost certifier: exactness against the simulator and the
-parallel runtime on the six reference configs, wiring surfaces, and
-the lower-bound verdict."""
+"""Cost certifier: COST03 is the simulator's clock, COST01 exact
+against the simulator and the parallel runtime on the six reference
+configs, wiring surfaces, and the lower-bound verdict."""
 
 import dataclasses
 
 import pytest
 
 from repro.analysis import analyze_program
-from repro.analysis.cost import analytic_makespan, certify_cost
+from repro.analysis.cost import certify_cost
 from repro.apps import adi, heat, jacobi, sor
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
@@ -51,7 +51,8 @@ def _prog(app, h, mdim):
 
 
 class TestSimulatorExactness:
-    """COST01/COST03: analytic == simulated, per edge and bitwise."""
+    """COST01: closed form == simulated, per edge; COST03: the
+    simulator's own makespan and clocks."""
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("app,h,mdim", COST_CONFIGS)
@@ -66,7 +67,6 @@ class TestSimulatorExactness:
         assert cert.channel_elements() == stats.channel_elements
         assert cert.total_messages == stats.total_messages
         assert cert.total_elements == stats.total_elements
-        # Bitwise: the sweep replays the simulator's clock arithmetic.
         assert cert.makespan == stats.makespan
         assert list(cert.rank_clocks) == \
             [stats.clocks[r] for r in sorted(stats.clocks)]
@@ -83,21 +83,41 @@ class TestSimulatorExactness:
         cert = prog.cost_certificate(protocol="spec", spec=spec)
         stats = DistributedRun(prog, spec).simulate()
         assert cert.makespan == stats.makespan
-        # Every rank's clock, through the static replay's clock hook.
-        sweep = analytic_makespan(prog, spec=spec, protocol="spec")
-        assert not sweep.stuck
-        assert list(sweep.clocks) == \
+        assert list(cert.rank_clocks) == \
+            [stats.clocks[r] for r in sorted(stats.clocks)]
+
+    @pytest.mark.parametrize("app,h,mdim", COST_CONFIGS)
+    def test_protocol_reaches_the_simulator(self, app, h, mdim):
+        # protocol="rendezvous" on the default spec is the simulator
+        # under a spec that sends every message by rendezvous.
+        prog = _prog(app, h, mdim)
+        spec = ClusterSpec()
+        cert = prog.cost_certificate(protocol="rendezvous", spec=spec)
+        forced = dataclasses.replace(spec, rendezvous_threshold=0)
+        try:
+            stats = DistributedRun(prog, forced).simulate()
+        except DeadlockError as exc:
+            assert cert.makespan == float("inf")
+            assert cert.rank_clocks == ()
+            stuck = [d.subject_dict()["stuck_ranks"]
+                     for d in cert.diagnostics if d.code == "COST03"]
+            assert stuck == [exc.ranks]
+            return
+        assert cert.ok, [d.message for d in cert.diagnostics]
+        assert cert.makespan == stats.makespan
+        assert list(cert.rank_clocks) == \
             [stats.clocks[r] for r in sorted(stats.clocks)]
 
     def test_forced_rendezvous_deadlock_is_cost03(self):
         # The rect SOR pipeline deadlocks under forced rendezvous in
-        # the simulator; the sweep must agree statically.
+        # the simulator: COST03, no makespan and no clocks.
         prog = _prog(sor.app(4, 6), sor.h_rectangular(2, 3, 4), 2)
         spec = dataclasses.replace(ClusterSpec(),
                                    rendezvous_threshold=0)
         cert = certify_cost(prog, spec=spec, protocol="spec")
         assert not cert.ok
         assert cert.makespan == float("inf")
+        assert cert.rank_clocks == ()
         assert "COST03" in {d.code for d in cert.diagnostics}
         with pytest.raises(DeadlockError):
             DistributedRun(prog, spec).simulate()

@@ -1,7 +1,7 @@
 """Property: on hypothesis-random legal tilings of the reference apps,
 the cost certifier's closed-form per-edge byte volumes equal the
 simulator's accumulated per-channel message bytes **exactly** (tol=0),
-and the analytic makespan is the simulated one bitwise.
+and the certificate's makespan is the simulated one.
 
 This is the COST01/COST03 contract beyond the six golden configs: the
 closed-form lattice counting (HNF strides, ``cc`` lower bounds, the

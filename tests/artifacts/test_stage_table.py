@@ -229,8 +229,10 @@ PARENT_ARTIFACT = os.path.join(os.path.dirname(__file__), "data",
 def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
     """A stale artifact must rebuild, not mis-decode: the parent's
     per-level plans sit in the file at version 1, so the hit parks
-    every stage but that one; it is rebuilt as a phase table on first
-    use and the overlapped run is bitwise the dense one."""
+    every stage but that one and the certificate memos (whose versions
+    were bumped since, so they start empty); the plans are rebuilt as
+    a phase table on first use and the overlapped run is bitwise the
+    dense one."""
     from repro.apps import sor
     from repro.artifacts.format import read_artifact
     from repro.artifacts.hashing import content_key
@@ -240,7 +242,8 @@ def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
     cache = ArtifactCache(str(tmp_path))
     path = cache.path_for(content_key(app.nest, h, mdim))
     shutil.copy(PARENT_ARTIFACT, path)
-    version, stale = read_artifact(path)["stages"]["overlap_plans"]
+    stored = read_artifact(path)["stages"]
+    version, stale = stored["overlap_plans"]
     assert version == 1 and stale
     assert all(hasattr(p, "boundary") for p in stale.values())
 
@@ -252,12 +255,16 @@ def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
     assert loaded.stages.state("overlap_plans") == "built"
     plans = loaded.stage("overlap_plans")
     assert plans and all(hasattr(p, "phases") for p in plans.values())
+    bumped = {"hb_certificates", "cost_certificates"}
+    assert all(stored[name][0] != stages.TABLE[name].version
+               for name in bumped)
     for st in stages.TABLE.values():
         if st.persisted and st.name != "overlap_plans":
             holder = loaded if st.owner == "program" else loaded.tiling
             holder.stage(st.name)
-            assert holder.stages.state(st.name) == "restored", st.name
-    assert loaded.stage("hb_certificates")      # the stored proof
+            want = "built" if st.name in bumped else "restored"
+            assert holder.stages.state(st.name) == want, st.name
+    assert loaded.stage("hb_certificates") == {}    # dropped, not decoded
 
     fresh = TiledProgram(app.nest, h, mapping_dim=mdim)
     ref, ref_stats = DistributedRun(fresh, SPEC).execute_dense(

@@ -37,7 +37,7 @@ def test_interpreters_and_cluster_agree(case):
     dist, _ = DistributedRun(prog, SPEC).execute(stencil_init)
 
     assert arrays_match(seq, tiled, tol=0.0)
-    assert arrays_match(seq, dist, tol=1e-11)
+    assert arrays_match(seq, dist, tol=0.0)
 
 
 @requires_cc

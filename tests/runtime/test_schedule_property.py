@@ -12,7 +12,8 @@ the overlapped schedule of :func:`repro.runtime.rankstep.rank_walk`:
   to the blocking ones array by array;
 * the measured trace is accepted by the sanitizer (HB04), i.e. the
   workers took the steps the graph port wrote down;
-* the COST03 clock sweep equals the simulator's clocks, rank by rank.
+* the cost certificate's COST03 clocks are the simulator's, rank by
+  rank.
 
 A fixed (derandomized) handful of draws plus two strided-HNF tilings
 (``c_k > 1``: nearly every tile partial, many levels a mask empties):
@@ -32,7 +33,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cost.makespan import analytic_makespan
 from repro.analysis.hb.graph import build_hb_graph, replay
 from repro.analysis.hb.sanitize import sanitize_trace
 from repro.artifacts import ArtifactCache
@@ -75,9 +75,9 @@ def test_both_schedules_stay_inside_their_certificates(
     app, prog = drawn_program(which, x, y, z)
     run = DistributedRun(prog, SPEC)
     sim = run.simulate()
-    sweep = analytic_makespan(prog, spec=SPEC, protocol="spec")
-    assert not sweep.stuck
-    assert list(sweep.clocks) == [sim.clocks[r] for r in sorted(sim.clocks)]
+    cert = prog.cost_certificate(protocol="spec", spec=SPEC)
+    assert list(cert.rank_clocks) == [sim.clocks[r]
+                                      for r in sorted(sim.clocks)]
     ref, _ = run.execute_dense(app.init_value)
     lib = build_native_library(prog, cache=ArtifactCache(
         str(tmp_path_factory.mktemp("native"))))
@@ -110,6 +110,28 @@ def test_both_schedules_stay_inside_their_certificates(
             assert stats.channel_elements == sim.channel_elements
             assert sanitize_trace(prog, trace, protocol=protocol,
                                   overlap=overlap, spec=SPEC) == []
+
+
+def test_a_rank_blocked_on_a_receive_drains_its_deferred_halos():
+    """A counterexample the draws above found: on the overlapped
+    schedule under rendezvous, rank 3 of this SOR tiling blocks on its
+    first receive while rank 0 waits for it to take a later halo of the
+    same tile.  The ring port drains deferred halos while blocked on a
+    receive too, so the run completes whether or not that halo arrived
+    before the tile opened, and the replay models the same drain (the
+    blocking schedule, which has no deferred halos, keeps its cycle)."""
+    app, prog = drawn_program("sor", 3, 5, 2)
+    for overlap in (False, True):
+        verdict = replay(build_hb_graph(prog, "rendezvous", overlap=overlap,
+                                        spec=SPEC), bounded=True)
+        assert verdict.completed == overlap, verdict.cycle
+    ref, _ = DistributedRun(prog, SPEC).execute_dense(app.init_value)
+    for _ in range(3):
+        fields, _stats = run_parallel(prog, SPEC, app.init_value, workers=2,
+                                      protocol="rendezvous", overlap=True,
+                                      timeout=60.0)
+        assert arrays_match(dense_to_cells(fields), dense_to_cells(ref),
+                            tol=0.0)
 
 
 @_draws(12)

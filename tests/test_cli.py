@@ -83,6 +83,29 @@ class TestVerify:
                    "-t", "2", "3", "4", "--shape", "nonrect"])
         assert rc == 0
 
+    def test_sub_tolerance_difference_is_a_mismatch(self, capsys,
+                                                    monkeypatch):
+        # Every engine is bitwise equal to the interpreter, so a
+        # reference shifted by far less than any float tolerance is
+        # still a wrong result.
+        from repro.runtime import interpreter
+
+        exact = interpreter.run_sequential
+
+        def shifted(nest, init_value):
+            ref = exact(nest, init_value)
+            cells = ref[next(iter(ref))]
+            cell = min(cells)
+            cells[cell] += 1e-12
+            return ref
+
+        monkeypatch.setattr(interpreter, "run_sequential", shifted)
+        rc = main(["verify", "--app", "sor", "-s", "4", "6",
+                   "-t", "2", "3", "4", "--shape", "nonrect"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "MISMATCH" in out and "VERIFIED" not in out
+
 
 class TestRunNamedErrors:
     """Named runtime errors end in one stderr message and exit code 2,

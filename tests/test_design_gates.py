@@ -157,6 +157,18 @@ GATES = [
          r"pyseq|read_pyseq|python_sequential|nary_minmax", ("src",),
          mutation=("src/repro/codegen/pyseq.py",
                    "def render_python_sequential(nest, tiling):\n")),
+    Gate("one clock",
+         "the cluster model's time is spent by the vMPI simulator and its "
+         "port (the COST03 makespan is DistributedRun.simulate), and in "
+         "one closed form (schedule/model.per_step_cost); a second "
+         "per-event clock is a copy to keep in step (docs/ANALYSIS.md)",
+         r"message_time\(|pack_time\(|net_latency|net_bandwidth"
+         r"|time_per_packed_element", ("src",),
+         allow=("src/repro/runtime/machine.py", "src/repro/runtime/vmpi.py",
+                "src/repro/runtime/rankstep.py",
+                "src/repro/schedule/model.py"),
+         mutation=("src/repro/analysis/cost/makespan.py",
+                   "        clock[rank] += spec.message_time(ev.nelems)\n")),
     Gate("one kernel text",
          "native/emit.kernel_definitions renders every F_<array> kernel "
          "TV05 proves; a kernel printed elsewhere is one no pass checks",

@@ -76,6 +76,21 @@ class TestCompileTime:
         assert (counts["_try_deliver"] + counts["_step_until_blocked"]
                 <= 2 * messages)
 
+    def test_cost_certificate_is_one_simulation(self, monkeypatch):
+        """COST03 reads the simulator's clock: one certificate builds
+        no happens-before graph and runs the virtual cluster once."""
+        from repro.analysis.cost import certify_cost
+        from repro.analysis.hb.graph import GraphBuilder
+        from repro.runtime.vmpi import VirtualMPI
+
+        app = sor.app(10, 14)
+        prog = TiledProgram(app.nest, sor.h_nonrectangular(3, 4, 5),
+                            mapping_dim=2)
+        counts = _count_calls(monkeypatch, (GraphBuilder, "finish"),
+                              (VirtualMPI, "run"))
+        assert certify_cost(prog).ok
+        assert counts == {"run": 1}
+
     def test_mask_caching_effective(self):
         """Repeated point counts reuse cached per-tile masks."""
         app = sor.app(40, 60)

@@ -127,6 +127,20 @@ def test_processor_cap_rejections_are_traced():
     assert res.winner.processors <= 12
 
 
+def test_all_deadlocked_candidates_raise():
+    # Forced rendezvous deadlocks the rect SOR pipeline at every
+    # extent: the frontier refuses rather than simulate a hang.
+    import dataclasses
+
+    app = sor.app(4, 6)
+    spec = dataclasses.replace(SPEC, rendezvous_threshold=0)
+    cands = [_candidate(sor.h_rectangular(2, 3, z), i)
+             for i, z in enumerate((4, 5))]
+    with pytest.raises(ValueError, match="every candidate deadlocks"):
+        tune_tile_shape(app.nest, app.mapping_dim, spec=spec,
+                        candidates=cands)
+
+
 def test_all_candidates_capped_is_an_error():
     app = sor.app(8, 12)
     with pytest.raises(ValueError,
