@@ -15,10 +15,11 @@ emitter) and proves, statement by statement:
   the numpy kernels);
 * the driver's call wiring matches the read structure derived from
   :func:`~repro.runtime.dense.read_dependences`: dependence reads are
-  guarded LDS loads ``(oob ? fix : buf[rb[i_] + shift])`` against the
-  statement's read array, pure-input reads are table loads
-  ``pt<k>[i_]``, slots are assigned in statement-major read order, and
-  the write lands in the statement's own buffer at
+  LDS loads ``b_<arr>[rb<k>[i_] + shift]`` from the statement's read
+  array through their own slot's table (an out-of-domain source reads
+  its halo cell, filled before the tile runs), pure-input reads are
+  table loads ``pt<k>[i_]``, slots are assigned in statement-major
+  read order, and the write lands in the statement's own buffer at
   ``wbase[i_] + shift``.
 
 Any structural drift — a reassociated sum, a decimal constant, a
@@ -214,9 +215,7 @@ _CALL_RE = re.compile(
     r"(?P<fname>F_\w+)\s*\((?P<args>.*?)\);", re.S)
 
 _DEP_ARG_RE = re.compile(
-    r"^\(\(ob(?P<k1>\d+)\s*&&\s*ob(?P<k2>\d+)\[i_\]\)\s*\?\s*"
-    r"fx(?P<k3>\d+)\[i_\]\s*:\s*"
-    r"b_(?P<arr>\w+)\[rb(?P<k4>\d+)\[i_\]\s*\+\s*shift\]\)$")
+    r"^b_(?P<arr>\w+)\[rb(?P<k>\d+)\[i_\]\+shift\]$")
 
 _PURE_ARG_RE = re.compile(r"^pt(?P<k>\d+)\[i_\]$")
 
@@ -332,8 +331,8 @@ def check_native_tu(nest: LoopNest, arrays: Sequence[str],
                                "results"))
 
         # 2) driver wiring: slot indices in statement-major read
-        # order, dep reads guarded against the read's array, pure
-        # reads from the table pointer.
+        # order, dep reads from the read's array through their own
+        # slot's table, pure reads from the table pointer.
         args = _split_args(argtext)
         for ri, (read, d) in enumerate(zip(stmt.reads, deps[si])):
             arg = re.sub(r"\s+", " ", args[ri]) if ri < len(args) else ""
@@ -352,17 +351,15 @@ def check_native_tu(nest: LoopNest, arrays: Sequence[str],
             else:
                 m = _DEP_ARG_RE.match(arg.replace(" ", ""))
                 ok = (m is not None
-                      and len({m.group("k1"), m.group("k2"),
-                               m.group("k3"), m.group("k4")}) == 1
-                      and int(m.group("k1")) == dep_slot
+                      and int(m.group("k")) == dep_slot
                       and m.group("arr") == _c_name(read.array))
                 if not ok:
                     diags.append(_diag(
                         f"read {ri} of statement {si} should be the "
-                        f"guarded LDS load of slot {dep_slot} from "
+                        f"LDS load of slot {dep_slot} from "
                         f"b_{_c_name(read.array)}, found {arg!r}",
-                        equation="(oob ? fix : buf[rbase[i_] + "
-                                 "shift]) per dependence read",
+                        equation="buf[rbase[k][i_] + shift] per "
+                                 "dependence read k",
                         subject=rsub))
                 dep_slot += 1
     return diags

@@ -5,8 +5,16 @@ of one program through a single entry point::
 
     void repro_run(long nseg, const long *seg_off, const long *sel,
                    long shift, double **bufs, const long *wbase,
-                   const long **rbase, const double **pure,
-                   const unsigned char **oob, const double **fix);
+                   const long **rbase, const double **pure);
+
+and writes a tile's computed points back to the global fields through a
+second, fixed one (the same text in every translation unit)::
+
+    void repro_write_back(long nlat, const unsigned char *mask,
+                          const long *wbase, long shift,
+                          const double *src, const long *gbase,
+                          long gshift, double *dst,
+                          unsigned char *written);
 
 The caller (``repro.native.engine``) owns all index algebra that needs
 floor semantics — C integer division truncates, numpy ``//`` floors, so
@@ -25,14 +33,15 @@ per-tile term (exact because the engine only goes native when
 * ``wbase`` — write base per lattice point (shared by all statements:
   every write is ``A[j]`` in LDS space).
 * ``rbase[k]`` — per dep-read-slot base (``((lat - d')//c + off) @
-  strides``); slots with equal ``d'`` receive the same pointer.
+  strides``); slots with equal ``d'`` receive the same pointer.  A
+  dependence read always loads the LDS: an out-of-domain source's
+  halo cell already holds its boundary value.
 * ``pure[k]`` — per pure-read-slot value table over the lattice,
   gathered per tile from the dense engine's :class:`InputTable`.
-* ``oob[k]``/``fix[k]`` — per dep-slot out-of-domain mask and
-  replacement values, or NULL for a tile whose every source iteration
-  is in-domain (the common interior case).  The read expression
-  short-circuits on ``oob[k] == NULL``, so the OOB load is never
-  executed — unlike the numpy path there is no clip-then-overwrite.
+
+``repro_write_back`` copies ``src[wbase[i] + shift]`` to ``dst[gbase[i]
++ gshift]`` and marks ``written`` there, for every lattice point ``i``
+the ``mask`` keeps (all of them when it is NULL: a full tile).
 
 Each statement body is rendered as its own ``static double F_<array>``
 function over the read slots, in the exact parenthesization of the
@@ -53,9 +62,26 @@ from repro.loops import kexpr
 from repro.loops.nest import LoopNest
 from repro.runtime.dense import read_dependences
 
-#: Bump when the repro_run signature or calling convention changes;
+#: Bump when an exported signature or calling convention changes;
 #: part of the ``.so`` cache key so stale ABIs can never be loaded.
-NATIVE_ABI_VERSION = 1
+NATIVE_ABI_VERSION = 2
+
+
+#: The write-back entry, the same in every translation unit.
+_WRITE_BACK = """
+void repro_write_back(long nlat, const unsigned char *mask,
+                      const long *wbase, long shift, const double *src,
+                      const long *gbase, long gshift, double *dst,
+                      unsigned char *written)
+{
+    for (long i_ = 0; i_ < nlat; ++i_) {
+        if (mask && !mask[i_])
+            continue;
+        const long g_ = gbase[i_] + gshift;
+        dst[g_] = src[wbase[i_] + shift];
+        written[g_] = 1;
+    }
+}"""
 
 
 @dataclass(frozen=True)
@@ -65,7 +91,7 @@ class ReadSlot:
     stmt_index: int
     read_index: int
     kind: str              # "dep" | "pure"
-    slot: int              # index into rbase/oob/fix or pure
+    slot: int              # index into rbase or pure
 
 
 @dataclass(frozen=True)
@@ -164,9 +190,7 @@ def emit_translation_unit(nest: LoopNest,
                 k = n_dep
                 slots.append(ReadSlot(si, ri, "dep", k))
                 n_dep += 1
-                src = f"b_{_c_name(read.array)}[rb{k}[i_] + shift]"
-                args.append(
-                    f"((ob{k} && ob{k}[i_]) ? fx{k}[i_] : {src})")
+                args.append(f"b_{_c_name(read.array)}[rb{k}[i_] + shift]")
         wname = f"b_{_c_name(stmt.write.array)}"
         call = ",\n                ".join(args)
         body.append(
@@ -179,8 +203,6 @@ def emit_translation_unit(nest: LoopNest,
             f"    double *b_{_c_name(a)} = bufs[{array_id[a]}];")
     for k in range(n_dep):
         hoist.append(f"    const long *rb{k} = rbase[{k}];")
-        hoist.append(f"    const unsigned char *ob{k} = oob[{k}];")
-        hoist.append(f"    const double *fx{k} = fix[{k}];")
     for k in range(n_pure):
         hoist.append(f"    const double *pt{k} = pure[{k}];")
 
@@ -191,8 +213,10 @@ def emit_translation_unit(nest: LoopNest,
         " * Generated translation unit — do not edit.  Each F_<array>",
         " * is the statement's kernel in exact IEEE-754 order (hex",
         " * double literals, full parenthesization); repro_run walks",
-        " * wavefront-level segments of one tile lattice.  Compiled",
-        " * with -ffp-contract=off so a*b+c never fuses into fma.",
+        " * wavefront-level segments of one tile lattice and",
+        " * repro_write_back copies a tile to the global fields.",
+        " * Compiled with -ffp-contract=off so a*b+c never fuses",
+        " * into fma.",
         f" * abi={NATIVE_ABI_VERSION}",
         " */",
         "",
@@ -202,12 +226,10 @@ def emit_translation_unit(nest: LoopNest,
         "void repro_run(long nseg, const long *seg_off, const long "
         "*sel,\n"
         "               long shift, double **bufs, const long *wbase,\n"
-        "               const long **rbase, const double **pure,\n"
-        "               const unsigned char **oob, const double "
-        "**fix)\n"
+        "               const long **rbase, const double **pure)\n"
         "{")
     lines.extend(hoist)
-    lines.append("    (void)pure; (void)rbase; (void)oob; (void)fix;")
+    lines.append("    (void)pure; (void)rbase;")
     lines.append("    for (long s_ = 0; s_ < nseg; ++s_) {")
     lines.append("        for (long p_ = seg_off[s_]; "
                  "p_ < seg_off[s_ + 1]; ++p_) {")
@@ -216,6 +238,7 @@ def emit_translation_unit(nest: LoopNest,
     lines.append("        }")
     lines.append("    }")
     lines.append("}")
+    lines.append(_WRITE_BACK)
     source = "\n".join(lines) + "\n"
 
     return KernelPlan(

@@ -23,13 +23,14 @@ the dense engine's by construction:
   ``TTIS.__init__`` refuses any tiling with ``c_k`` not dividing
   ``v_k``);
 * per tile, the :class:`~repro.runtime.dense.TileContext` the numpy
-  batches read too: the executed points, per dependence read the
-  out-of-domain mask and the ``fix`` values (the *same scalar*
-  ``init_value(array, ref.index(g))`` calls the sparse reference
-  makes) the C conditional selects from — NULL for the common
-  interior tile, which skips all boundary work — and per pure-input
-  read (ADI's coefficient array) the values gathered from the dense
-  engine's :class:`~repro.runtime.dense.InputTable`.
+  batches read too: the executed points and, per pure-input read
+  (ADI's coefficient array), the values gathered from the dense
+  engine's :class:`~repro.runtime.dense.InputTable`.  A dependence read
+  needs nothing per tile: its out-of-domain sources were filled into
+  their halo cells by the rank's LDS before the tile runs;
+* per (tile, written array), the write-back's global addresses: the
+  :class:`~repro.runtime.dense.GlobalTable` ``gbase`` plus the tile's
+  ``gshift``, copied by ``repro_write_back``.
 
 Bitwise identity with the dense engine follows: same values flow into
 the same IEEE-754 operations in the same order, only the loop driver
@@ -48,6 +49,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -68,7 +70,12 @@ from repro.native.emit import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.dense import DenseData, RankLDS, TileContext
+    from repro.runtime.dense import (
+        DenseData,
+        GlobalTable,
+        RankLDS,
+        TileContext,
+    )
 
 InitFn = Callable[[str, Tuple[int, ...]], float]
 
@@ -94,38 +101,44 @@ def native_key(content: str, source_hash: str,
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
+class _Entries(NamedTuple):
+    run: Any
+    write_back: Any
+
+
 # Per-process dlopen memo: CDLL handles are not picklable, so workers
 # re-open the cached .so by path (cheap, and the OS shares the pages).
-_FN_CACHE: Dict[str, Any] = {}
+_FN_CACHE: Dict[str, _Entries] = {}
+
+_VP, _L = ctypes.c_void_p, ctypes.c_long
+#: argtypes per exported entry (see :mod:`repro.native.emit`)
+_SIGNATURES = {
+    # nseg, seg_off, sel, shift, bufs, wbase, rbase, pure
+    "repro_run": [_L, _VP, _VP, _L, _VP, _VP, _VP, _VP],
+    # nlat, mask, wbase, shift, src, gbase, gshift, dst, written
+    "repro_write_back": [_L, _VP, _VP, _L, _VP, _VP, _L, _VP, _VP],
+}
 
 
-def _load_fn(so_path: str) -> Any:
-    fn = _FN_CACHE.get(so_path)
-    if fn is None:
+def _load_fn(so_path: str) -> _Entries:
+    entries = _FN_CACHE.get(so_path)
+    if entries is None:
         lib = ctypes.CDLL(so_path)
+        fns = []
         try:
-            fn = lib.repro_run
+            for name, argtypes in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.restype = None
+                fn.argtypes = argtypes
+                fns.append(fn)
         except AttributeError:
             # unload it, or an object rebuilt at this path resolves to
             # this one (dlopen matches loaded libraries by name)
             import _ctypes
             _ctypes.dlclose(lib._handle)
             raise
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.c_long,    # nseg
-            ctypes.c_void_p,  # seg_off
-            ctypes.c_void_p,  # sel
-            ctypes.c_long,    # shift
-            ctypes.c_void_p,  # bufs
-            ctypes.c_void_p,  # wbase
-            ctypes.c_void_p,  # rbase
-            ctypes.c_void_p,  # pure
-            ctypes.c_void_p,  # oob
-            ctypes.c_void_p,  # fix
-        ]
-        _FN_CACHE[so_path] = fn
-    return fn
+        entries = _FN_CACHE[so_path] = _Entries(*fns)
+    return entries
 
 
 @dataclass
@@ -246,7 +259,7 @@ def build_native_library(program: Any,
 
 
 class NativeRuntime:
-    """The loaded ``repro_run`` of one run, on top of the run's
+    """The loaded entries of one run, on top of the run's
     :class:`~repro.runtime.dense.DenseData` (whose plans, tables and
     per-tile contexts it marshals — it derives no address itself)."""
 
@@ -255,9 +268,12 @@ class NativeRuntime:
         assert library.plan is not None
         self.data = data
         self.plan = library.plan
-        self.fn = _load_fn(library.so_path)
+        self.fns = _load_fn(library.so_path)
         assert data.arrays == self.plan.arrays, \
             "library built for a different array layout"
+        for g in data.gtables:          # repro_write_back's arguments
+            assert g.gbase.dtype == np.int64 and g.gbase.flags["C_CONTIGUOUS"]
+            assert g.values.dtype == np.float64 and g.written.itemsize == 1
 
     def for_rank(self, lds: "RankLDS") -> "RankKernels":
         return RankKernels(self, lds)
@@ -268,7 +284,8 @@ class RankKernels:
 
     ``run_tile`` executes a whole tile (all wavefront levels, one C
     call); ``run_segments`` executes a range of the tile context's
-    segments — one phase of the overlapped schedule — in one C call.
+    segments — one phase of the overlapped schedule — in one C call;
+    ``write_back`` copies one tile's points of one array to its field.
     """
 
     def __init__(self, rt: NativeRuntime, lds: "RankLDS"):
@@ -289,9 +306,8 @@ class RankKernels:
                 rbase = lds.rbase[slot.stmt_index][slot.read_index]
                 assert rbase is not None
                 self._rb[slot.slot] = rbase.ctypes.data
-        self._oob = (ctypes.c_void_p * n_dep)()
-        self._fix = (ctypes.c_void_p * n_dep)()
         self._pure = (ctypes.c_void_p * n_pure)()
+        self._pure_slots = [s for s in rt.plan.slots if s.kind == "pure"]
         self._ctx: Optional["TileContext"] = None   # the one marshalled
         self._sel = self._seg = 0       # addresses of its sel and seg
 
@@ -302,17 +318,10 @@ class RankKernels:
             if idx.dtype != np.int64 or not idx.flags["C_CONTIGUOUS"]:
                 raise ValueError(
                     "tile segments must be C-contiguous int64 arrays")
-        for slot in self.rt.plan.slots:
-            rd = ctx.reads[slot.stmt_index][slot.read_index]
-            if slot.kind == "dep":
-                # NULL mask: the C conditional short-circuits.
-                self._oob[slot.slot] = (None if rd.oob is None
-                                        else rd.oob.ctypes.data)
-                self._fix[slot.slot] = (None if rd.fix is None
-                                        else rd.fix.ctypes.data)
-            else:
-                assert rd.pure is not None
-                self._pure[slot.slot] = rd.pure.ctypes.data
+        for slot in self._pure_slots:
+            vals = ctx.pure[slot.stmt_index][slot.read_index]
+            assert vals is not None
+            self._pure[slot.slot] = vals.ctypes.data
         self._sel, self._seg = ctx.sel.ctypes.data, ctx.seg.ctypes.data
         self._ctx = ctx
 
@@ -322,7 +331,7 @@ class RankKernels:
         sub-range is the same two arrays entered ``lo`` words in."""
         if ctx is not self._ctx:
             self._marshal(ctx)
-        self.rt.fn(
+        self.rt.fns.run(
             hi - lo,
             self._seg + 8 * lo,
             self._sel,
@@ -331,8 +340,6 @@ class RankKernels:
             self._wbase,
             ctypes.addressof(self._rb),
             ctypes.addressof(self._pure),
-            ctypes.addressof(self._oob),
-            ctypes.addressof(self._fix),
         )
 
     def run_tile(self, ctx: "TileContext") -> None:
@@ -345,3 +352,21 @@ class RankKernels:
         overlapped schedule — in one native call (none when empty)."""
         if ctx.seg[lo] < ctx.seg[hi]:
             self._call(ctx, lo, hi)
+
+    def write_back(self, mask: Optional[np.ndarray], shift: int,
+                   g: "GlobalTable", gshift: int) -> None:
+        """One ``repro_write_back`` call: the tile's points kept by
+        ``mask`` (``None``: every lattice point) of ``g.array``, from
+        LDS cell ``wbase + shift`` to field cell ``gbase + gshift``."""
+        tb = self.lds.tables
+        self.rt.fns.write_back(
+            len(tb.wbase),
+            None if mask is None else mask.ctypes.data,
+            self._wbase,
+            shift,
+            self.lds.local[g.array].ctypes.data,
+            g.gbase.ctypes.data,
+            gshift,
+            g.values.ctypes.data,
+            g.written.ctypes.data,
+        )

@@ -12,10 +12,10 @@ holds the machinery the dense drivers share:
   set into its wavefront levels: all points of one level are mutually
   independent, so a whole level executes as one batched numpy kernel;
 * ``StatementPlan`` / ``evaluate_statement_batch`` — per-statement
-  gather / kernel / boundary-fix plumbing.  Reads of written arrays go
-  through a driver-supplied gather (global dense field for the
-  sequential driver, LDS buffer for the distributed one); pure-input
-  reads hit a dense :class:`InputTable` precomputed from ``init_value``;
+  gather / kernel plumbing.  Reads of written arrays go through a
+  driver-supplied gather (global dense field for the sequential driver,
+  LDS buffer for the distributed one); pure-input reads hit a dense
+  :class:`InputTable` precomputed from ``init_value``;
 * the program's level tables, stage rows built from its roots alone —
   ``dense_s``, ``dense_batches``, ``lex_order``, the overlap plans
   (:func:`overlap_plan`) — with :func:`tile_segments`, the one filter
@@ -27,17 +27,21 @@ holds the machinery the dense drivers share:
   the native runtime all address LDS memory.  Both ``map`` and
   ``loc⁻¹`` are affine in the tile index, so they are tabulated once
   (:class:`LdsTables`, :class:`GlobalTable`) and a tile only adds a
-  constant; the per-tile boundary work is one :class:`TileContext`.
+  constant.  An out-of-domain source has a halo cell of its own in the
+  reader's LDS: each rank fills those cells once, with one
+  ``init_value`` call per distinct cell, before the first tile that
+  reads them, so every kernel loads the LDS unconditionally.
 
 Bitwise agreement with the sparse reference comes from evaluating the
 *same* kernel expr elementwise (:func:`repro.loops.kexpr.evaluate`),
-and boundary values come from the same ``init_value`` calls.
+and boundary values come from the same (pure) ``init_value``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -47,6 +51,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -694,34 +699,38 @@ class GlobalTable:
         return int(self.gtile @ origin)
 
 
-class TileRead(NamedTuple):
-    """One read slot of one tile.  A pure-input read carries its
-    gathered ``pure`` values; a dependence read carries ``oob``/``fix``
-    — the out-of-domain mask of its source points and the boundary
-    values replacing them — or ``None`` twice when every executed point
-    reads inside the domain.  All three are lattice-indexed."""
-
-    pure: Optional[np.ndarray]
-    oob: Optional[np.ndarray]
-    fix: Optional[np.ndarray]
-
-
-_IN_DOMAIN = TileRead(None, None, None)
-
-
 class TileContext(NamedTuple):
     """What one (rank, tile) needs beyond the tables: its flat shift,
     its executed lattice points (``sel``, wavefront-level-major, with
     the segment offsets ``seg`` — one segment per level, or the
-    boundary/interior pairs of an overlap plan) and one
-    :class:`TileRead` per (statement, read).  Built once per tile,
-    read by the numpy batches and marshalled to C by the native
-    kernels."""
+    boundary/interior pairs of an overlap plan) and, per (statement,
+    read), the lattice-indexed values of a pure-input read (``None``
+    for a dependence read: it loads the LDS, halo included).  Built
+    once per tile, read by the numpy batches and marshalled to C by
+    the native kernels."""
 
     shift: int
     sel: np.ndarray
     seg: np.ndarray
-    reads: Tuple[Tuple[TileRead, ...], ...]
+    pure: Tuple[Tuple[Optional[np.ndarray], ...], ...]
+
+
+class HaloFillError(RuntimeError):
+    """An out-of-domain source addresses a cell outside the rank's LDS
+    box (the halo sizing of ``CommunicationSpec`` was violated)."""
+
+
+class BoundaryRead(NamedTuple):
+    """One dependence read as the boundary fill sees it: the source of
+    lattice point ``i`` of the tile at ``origin`` is out of the domain
+    iff ``A tis_i > (b - A origin) + A d`` in some row of ``rows`` (the
+    rows with ``(A d)_r < 0``; no other row can fail)."""
+
+    array: str
+    indexer: RefIndexer
+    dep_prime: Tuple[int, ...]
+    a_dep: np.ndarray
+    rows: np.ndarray
 
 
 def _flat_view(a: np.ndarray) -> np.ndarray:
@@ -744,9 +753,11 @@ class DenseData:
     result ``fields`` (allocated here unless the caller supplies
     storage — the parallel workers pass shared memory), the address
     tables (one :class:`LdsTables` per LDS geometry, one
-    :class:`GlobalTable` per written array, the in-domain thresholds
-    of every dependence) and, for a usable ``native`` library, the
-    native runtime over the same plans and tables.
+    :class:`GlobalTable` per written array), the sorted rows of ``A
+    tis`` and one :class:`BoundaryRead` per dependence that can leave
+    the domain (what the ranks' boundary fills read) and, for a usable
+    ``native`` library, the native runtime over the same plans and
+    tables.
     """
 
     def __init__(self, prog: "TiledProgram", init_value: InitFn,
@@ -797,21 +808,30 @@ class DenseData:
                     field.origin, dtype=np.int64)) @ fstr,
                 gtile=fstr @ f_int))
 
-        # Boundary side: the source of lattice point i of the tile at
-        # ``origin`` under dependence d is in-domain iff
-        # ``A tis_i <= (b + A d) - A origin`` (all int64, so exact); the
-        # row maxima decide "whole tile in-domain" in O(rows).
+        # Boundary side: the rows of ``A tis`` sorted once, so the
+        # executed points whose source breaks a row are one window of
+        # it per tile (see :meth:`RankLDS._boundary_fill`).
         amat, bvec = tiling._amat, tiling._bvec
-        self.amat = amat
-        self.a_tis = np.ascontiguousarray(amat @ self.tis.T)
-        self.a_tis_rowmax = (self.a_tis.max(axis=1) if self.a_tis.size
-                             else np.zeros(len(bvec), dtype=np.int64))
-        self.dep_bound: Dict[Tuple[int, ...], np.ndarray] = {}
+        self.amat, self.bvec = amat, bvec
+        a_tis = amat @ self.tis.T
+        self.a_order = np.argsort(a_tis, axis=1, kind="stable")
+        self.a_sorted = np.take_along_axis(a_tis, self.a_order, axis=1)
+        self.boundary_reads: List[BoundaryRead] = []
+        seen: Set[Tuple[str, Tuple[int, ...]]] = set()
         for plan in self.plans:
             for rp in plan.reads:
-                if rp.dep is not None:
-                    self.dep_bound.setdefault(
-                        tuple(rp.dep.tolist()), bvec + amat @ rp.dep)
+                if rp.dep is None:
+                    continue
+                key = (rp.ref.array, tuple(rp.dep.tolist()))
+                a_dep = amat @ rp.dep
+                rows = np.flatnonzero(a_dep < 0)
+                if key in seen or not len(rows):
+                    continue
+                seen.add(key)
+                assert rp.dep_prime is not None
+                self.boundary_reads.append(BoundaryRead(
+                    rp.ref.array, rp.indexer,
+                    tuple(rp.dep_prime.tolist()), a_dep, rows))
 
         self.native_rt = (native.runtime_for(self)
                           if native is not None else None)
@@ -825,63 +845,33 @@ class DenseData:
         return np.asarray(self.prog.tiling.tile_origin(tile),
                           dtype=np.int64)
 
-    # -- per-tile boundary context --------------------------------------------------
+    # -- per-tile pure inputs -------------------------------------------------------
 
-    def tile_reads(self, tile: Tuple[int, ...], sel: np.ndarray,
-                   ) -> Tuple[Tuple[TileRead, ...], ...]:
-        """One :class:`TileRead` per (statement, read) of ``tile``,
-        whose executed lattice points are ``sel``.
-
-        Boundary values are the same scalar ``init_value(array,
-        ref.index(g))`` calls the sparse reference makes — one per
-        executed point whose source is out of the domain; the cells
-        come from the int64 indexer, identical integers to
-        ``ref.index``.
-        """
-        origin = self.tile_origin(tile)
-        a_origin = self.amat @ origin
-        oobs: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
-        for dep_key, bound in self.dep_bound.items():
-            thr = bound - a_origin
-            oob: Optional[np.ndarray] = None
-            tight = self.a_tis_rowmax > thr     # rows some point breaks
-            if tight.any():
-                oob = np.any(
-                    self.a_tis[tight] > thr[tight, None], axis=0)
-                if not oob[sel].any():
-                    oob = None          # executed points all in-domain
-            oobs[dep_key] = oob
+    def tile_pure(self, tile: Tuple[int, ...], sel: np.ndarray,
+                  ) -> Tuple[Tuple[Optional[np.ndarray], ...], ...]:
+        """Per (statement, read) of ``tile``, whose executed lattice
+        points are ``sel``: a pure-input read's values gathered from
+        its :class:`InputTable` (one lattice-indexed array per table),
+        ``None`` for a dependence read."""
         gsel: Optional[np.ndarray] = None
         pures: Dict[int, np.ndarray] = {}
-        out: List[Tuple[TileRead, ...]] = []
+        out: List[Tuple[Optional[np.ndarray], ...]] = []
         for plan in self.plans:
-            row: List[TileRead] = []
+            row: List[Optional[np.ndarray]] = []
             for rp in plan.reads:
-                if rp.table is not None:
-                    # Gather only at executed points: a partial tile's
-                    # clipped lattice points can map outside the table.
-                    vals = pures.get(id(rp.table))
-                    if vals is None:
-                        if gsel is None:
-                            gsel = self.tis[sel] + origin
-                        vals = np.zeros(self.nlat, dtype=self.dtype)
-                        vals[sel] = rp.table.gather(
-                            rp.indexer.cells(gsel))
-                        pures[id(rp.table)] = vals
-                    row.append(TileRead(vals, None, None))
+                if rp.table is None:
+                    row.append(None)
                     continue
-                assert rp.dep is not None
-                oob = oobs[tuple(rp.dep.tolist())]
-                if oob is None:
-                    row.append(_IN_DOMAIN)
-                    continue
-                fix = np.zeros(self.nlat, dtype=self.dtype)
-                ood = sel[oob[sel]]
-                cells = rp.indexer.cells(self.tis[ood] + origin)
-                init_value, arr = self.init_value, rp.ref.array
-                fix[ood] = [init_value(arr, tuple(cell))
-                            for cell in cells.tolist()]
-                row.append(TileRead(None, oob, fix))
+                # Gather only at executed points: a partial tile's
+                # clipped lattice points can map outside the table.
+                vals = pures.get(id(rp.table))
+                if vals is None:
+                    if gsel is None:
+                        gsel = self.tis[sel] + self.tile_origin(tile)
+                    vals = np.zeros(self.nlat, dtype=self.dtype)
+                    vals[sel] = rp.table.gather(rp.indexer.cells(gsel))
+                    pures[id(rp.table)] = vals
+                row.append(vals)
             out.append(tuple(row))
         return tuple(out)
 
@@ -894,13 +884,14 @@ class RankLDS:
     ``((j' + t v_m e_m) // c + off) . strides`` — :meth:`to_flat`,
     evaluated once per LDS geometry into :class:`LdsTables` and from
     then on only added to.  Everything that touches that memory is a
-    method here: halo unpack, ``CC``-region pack, wavefront-batched
-    compute (numpy or the native
-    :class:`~repro.native.engine.RankKernels`) and write-back.
+    method here: the boundary fill, halo unpack, ``CC``-region pack,
+    wavefront-batched compute and write-back (numpy or the native
+    :class:`~repro.native.engine.RankKernels`).
     """
 
     def __init__(self, data: DenseData, pid: Tuple[int, ...]):
         self.data = data
+        self.pid = pid
         self.geom = data.prog.addressing.lds_for(pid)
         self.strides = _c_strides(self.geom.shape)
         self.offsets = np.asarray(self.geom.offsets, dtype=np.int64)
@@ -920,6 +911,10 @@ class RankLDS:
         self.kernels: Optional["RankKernels"] = (
             data.native_rt.for_rank(self)
             if data.native_rt is not None else None)
+        # Chain index -> the halo cells to fill before that tile runs;
+        # built at the first tile, emptied as the tiles take their part.
+        self._fill: Optional[Dict[int, List[Tuple[str, np.ndarray,
+                                                  np.ndarray]]]] = None
 
     # -- addressing -----------------------------------------------------------------
 
@@ -975,20 +970,124 @@ class RankLDS:
             out[ai * cnt:(ai + 1) * cnt] = self.local[arr][flat]
         return out
 
+    # -- BOUNDARY -------------------------------------------------------------------
+
+    def _boundary_fill(self) -> Dict[int, List[Tuple[str, np.ndarray,
+                                                     np.ndarray]]]:
+        """The out-of-domain source cells of this rank's chain, each
+        with its ``init_value``, keyed by the chain index of the first
+        tile that reads it.
+
+        Executed point ``i`` of the tile at ``origin`` reads outside
+        the domain through row ``r`` exactly when ``thr_r < A_tis[r, i]
+        <= b_r - (A origin)_r`` with ``thr = b + A d - A origin``: a
+        window of row ``r``'s sorted ``A_tis``, two ``searchsorted``
+        per (read, row) for the whole chain (a partial tile's window
+        is masked to its executed points).  Such a source has a halo
+        cell of its own (docs/RUNTIME.md, *Dense LDS layout*), so each
+        distinct cell is filled once, with one scalar ``init_value``
+        call, before the earliest tile that reads it.
+        """
+        d = self.data
+        tiling = d.prog.tiling
+        chain = d.prog.dist.tiles_of(self.pid)
+        nt = len(chain)
+        origins = np.array([tiling.tile_origin(tile) for tile in chain],
+                           dtype=np.int64).reshape(nt, -1)
+        upper = d.bvec - origins @ d.amat.T                # (nt, rows)
+        # the windows, per array: (read, row, first position, lengths)
+        windows: Dict[str, List[Tuple[BoundaryRead, int, np.ndarray,
+                                      np.ndarray]]] = {}
+        for br in d.boundary_reads:
+            for r in br.rows.tolist():
+                lo = np.searchsorted(d.a_sorted[r],
+                                     upper[:, r] + br.a_dep[r], "right")
+                cnt = np.searchsorted(d.a_sorted[r], upper[:, r],
+                                      "right") - lo
+                if cnt.any():
+                    windows.setdefault(br.array, []).append(
+                        (br, r, lo, cnt))
+        part = [t for t, tile in enumerate(chain)
+                if tiling.classify_tile(tile) != "full"]
+        prow = np.full(nt, -1, dtype=np.int64)
+        prow[part] = np.arange(len(part))
+        masks = np.stack([tiling.tile_mask(chain[t]) for t in part]
+                         ) if part else None
+        out: Dict[int, List[Tuple[str, np.ndarray, np.ndarray]]] = {}
+        for array, wins in windows.items():
+            # one column per (tile, executed point, read): chain index,
+            # lattice index, source cell, read
+            rec = np.empty((4, sum(int(w[3].sum()) for w in wins)),
+                           dtype=np.int64)
+            at = 0
+            for q, (br, r, lo, cnt) in enumerate(wins):
+                k = int(cnt.sum())
+                tq = np.repeat(np.arange(nt), cnt)
+                iq = d.a_order[r][np.arange(k) + np.repeat(
+                    lo - np.cumsum(cnt) + cnt, cnt)]
+                rec[:3, at:at + k] = (
+                    tq, iq, self.tables.base[br.dep_prime][iq]
+                    + tq * self.tables.shift_unit)
+                rec[3, at:at + k] = q
+                at += k
+            if masks is not None:
+                pr = prow[rec[0]]
+                keep = pr < 0
+                keep[~keep] = masks[pr[~keep], rec[1][~keep]]
+                rec = rec[:, keep]
+            ts, idx, addr, which = rec
+            if not len(ts):
+                continue
+            if addr.min() < 0 or addr.max() >= self.size:
+                raise HaloFillError(
+                    f"rank {self.pid}: an out-of-domain source of "
+                    f"{array!r} addresses cell {int(addr.min())}.."
+                    f"{int(addr.max())} of an LDS of {self.size}")
+            # the earliest tile's read of every distinct cell, in tile
+            # order
+            order = np.argsort(ts, kind="stable")
+            order = order[np.argsort(addr[order], kind="stable")]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = addr[order[1:]] != addr[order[:-1]]
+            keep = order[first]
+            ts, idx, addr, which = rec[:, keep[np.argsort(ts[keep],
+                                                          kind="stable")]]
+            cells = np.empty((len(idx), d.tis.shape[1]), dtype=np.int64)
+            for q, (br, _r, _lo, _cnt) in enumerate(wins):
+                mine = which == q
+                cells[mine] = br.indexer.cells(
+                    d.tis[idx[mine]] + origins[ts[mine]])
+            vals = np.fromiter(
+                map(d.init_value, repeat(array), zip(*cells.T.tolist())),
+                dtype=d.dtype, count=len(cells))
+            # one copy per tile, so each is freed once its tile took it
+            new = np.ones(len(ts), dtype=bool)
+            new[1:] = ts[1:] != ts[:-1]
+            cuts = [*np.flatnonzero(new).tolist(), len(ts)]
+            for a, b in zip(cuts, cuts[1:]):
+                out.setdefault(int(ts[a]), []).append(
+                    (array, addr[a:b].copy(), vals[a:b].copy()))
+        return out
+
     # -- COMPUTE --------------------------------------------------------------------
 
     def tile_context(self, tile: Tuple[int, ...], t: int,
                      oplan: Optional[TileOverlapPlan] = None,
                      ) -> TileContext:
         """The per-tile context both compute paths read (built once per
-        tile; nothing in it depends on LDS contents).  Its segments are
-        the tile's wavefront levels, or the ``order``/``cuts`` of its
-        overlap plan."""
+        tile).  Its segments are the tile's wavefront levels, or the
+        ``order``/``cuts`` of its overlap plan.  Building it also fills
+        the halo cells of the out-of-domain sources this tile is the
+        first to read."""
         d = self.data
+        if self._fill is None:
+            self._fill = self._boundary_fill()
+        for array, addr, vals in self._fill.pop(t, ()):
+            self.local[array][addr] = vals
         sel, seg = (tile_segments(d.prog, tile) if oplan is None
                     else (oplan.order, oplan.cuts))
         return TileContext(shift=t * self.tables.shift_unit, sel=sel,
-                           seg=seg, reads=d.tile_reads(tile, sel))
+                           seg=seg, pure=d.tile_pure(tile, sel))
 
     def compute_batch(self, ctx: TileContext, batch: np.ndarray) -> None:
         """One wavefront (sub-)batch of mutually independent lattice
@@ -996,25 +1095,10 @@ class RankLDS:
         d = self.data
         local, shift = self.local, ctx.shift
         wflat = self.tables.wbase[batch] + shift
-        for plan, reads, rbases in zip(d.plans, ctx.reads, self.rbase):
-            vals: List[np.ndarray] = []
-            for rp, rd, rbase in zip(plan.reads, reads, rbases):
-                if rbase is None:
-                    assert rd.pure is not None
-                    vals.append(rd.pure[batch])
-                    continue
-                flat = rbase[batch] + shift
-                buf = local[rp.ref.array]
-                if rd.oob is None:
-                    vals.append(buf[flat])
-                    continue
-                # Out-of-domain sources can address outside the LDS:
-                # take the boundary value there and gather the rest.
-                assert rd.fix is not None
-                got = rd.fix[batch]
-                ok = ~rd.oob[batch]
-                got[ok] = buf[flat[ok]]
-                vals.append(got)
+        for plan, pures, rbases in zip(d.plans, ctx.pure, self.rbase):
+            vals = [pure[batch] if rbase is None
+                    else local[rp.ref.array][rbase[batch] + shift]
+                    for rp, pure, rbase in zip(plan.reads, pures, rbases)]
             local[plan.stmt.write.array][wflat] = np.asarray(
                 kexpr.evaluate(plan.stmt.expr, vals), dtype=d.dtype)
 
@@ -1050,22 +1134,26 @@ class RankLDS:
 
     def write_back(self, tiles: Sequence[Tuple[int, ...]]) -> None:
         """Place the computed points of ``tiles`` into the global
-        fields (Table 2's ``loc⁻¹`` composed with ``f_w``): one flat
-        gather and one flat scatter per array."""
+        fields (Table 2's ``loc⁻¹`` composed with ``f_w``): per array
+        one ``repro_write_back`` call on the native kernels, or one
+        flat gather and one flat scatter."""
         d = self.data
         prog = d.prog
         tb = self.tables
         for tile in tiles:
+            mask = (None if prog.tiling.classify_tile(tile) == "full"
+                    else prog.tiling.tile_mask(tile))
+            if mask is not None and not mask.any():
+                continue
             shift = prog.dist.chain_index(tile) * tb.shift_unit
             origin = d.tile_origin(tile)
-            if prog.tiling.classify_tile(tile) == "full":
-                idx = None
-                flat = tb.wbase + shift
-            else:
-                idx = np.nonzero(prog.tiling.tile_mask(tile))[0]
-                if not len(idx):
-                    continue
-                flat = tb.wbase[idx] + shift
+            if self.kernels is not None:
+                for g in d.gtables:
+                    self.kernels.write_back(mask, shift, g,
+                                            g.gshift(origin))
+                continue
+            idx = None if mask is None else np.flatnonzero(mask)
+            flat = tb.wbase + shift if idx is None else tb.wbase[idx] + shift
             for g in d.gtables:
                 cells = (g.gbase if idx is None
                          else g.gbase[idx]) + g.gshift(origin)

@@ -149,6 +149,25 @@ class TestTV05:
         bad = re.sub(r"rb0\[i_\]", "rb1[i_]", src, count=1)
         assert self._errors(app, bad)
 
+    @pytest.mark.parametrize("app", APPS)
+    def test_read_through_another_slots_table_detected(self, app):
+        """A dependence read has no per-point guard any more, so its
+        ``rb`` table is all that places it: slot ``k`` loading through
+        slot ``k + 1``'s table (a neighbour's source) must be refused
+        for every slot."""
+        arrays = _arrays(app)
+        plan = emit_translation_unit(app.nest, arrays)
+        n = plan.n_dep_slots
+        if n < 2:
+            pytest.skip("one dependence slot")
+        for k in range(n):
+            bad = plan.source.replace(f"[rb{k}[i_] + shift]",
+                                      f"[rb{(k + 1) % n}[i_] + shift]", 1)
+            assert bad != plan.source
+            errors = [d for d in check_native_tu(app.nest, arrays, bad)
+                      if d.code == "TV05"]
+            assert any(f"slot {k} " in d.message for d in errors), k
+
     def test_wrong_write_buffer_detected(self):
         app, src = self._tu()
         bad = re.sub(r"b_(\w+)\[wbase", "b_WRONG[wbase", src, count=1)

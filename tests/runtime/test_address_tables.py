@@ -13,10 +13,11 @@ set of:
   and cone candidates drawn from ``tuning/candidates.py``;
 * hypothesis-drawn tile extents and index subsets.
 
-The boundary contract rides along: the numpy and the native path make
-the same scalar ``init_value`` calls — one per executed point whose
-source iteration is outside the domain, plus the pure-input table fill
-— as the definition the parent commit implemented batch by batch.
+The boundary contract rides along: every out-of-domain source of a
+rank's chain addresses a cell of that rank's LDS box that no compute
+and no unpack writes, and the numpy and the native path make the same
+scalar ``init_value`` calls — one per (rank, distinct out-of-domain
+source cell), plus the pure-input table fill.
 """
 
 import functools
@@ -27,12 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import adi, heat, jacobi, sor
+from repro.apps import adi, heat, jacobi, resolve_config, sor
 from repro.native.engine import build_native_library
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro.runtime.rankstep import build_rank_plans
 from repro.runtime.dense import DenseData, _access_box, read_dependences
 from repro.tiling.ttis import TTIS
 from repro.tuning import generate_candidates
+from tests.codegen.test_one_compile import CI_CONFIGS, IDS
 from tests.runtime.tilings import DRAWN, drawn_program
 
 SPEC = ClusterSpec()
@@ -140,40 +143,125 @@ class TestAddressTables:
         _check_tables(prog, seed)
 
 
-# -- the boundary contract: same scalar init_value calls ------------------------
+# -- the boundary contract ----------------------------------------------------------
+
+
+def _out_of_domain_sources(prog):
+    """Per rank: the LDS cell of every (executed point, dependence
+    read) whose source is out of the domain, by the definition
+    (``to_flat`` of ``j' - d'``), and every cell its compute and its
+    unpacks write."""
+    data = DenseData(prog, lambda _a, _c: 0.0)
+    amat, bvec = prog.tiling._amat, prog.tiling._bvec
+    deps = [(rp.ref.array, rp.dep, rp.dep_prime)
+            for plan in data.plans for rp in plan.reads
+            if rp.dep is not None]
+    plans = build_rank_plans(prog)
+    for plan in plans.values():
+        lds = data.rank(plan.pid)
+        sources = {a: [] for a in data.arrays}
+        written = []
+        for t, tile in enumerate(plan.tiles):
+            mask = prog.tiling.tile_mask(tile)
+            pts = data.tis[mask] + data.tile_origin(tile)
+            written.append(lds.to_flat(data.lat[mask], t))
+            for r in plan.recvs[t]:
+                written.append(lds.region_flat(r.pred, r.ds, t) - int(
+                    lds.tables.halo_unit @ np.asarray(r.ds)))
+            for array, dep, dprime in deps:
+                ood = np.any(amat @ (pts - dep).T > bvec[:, None], axis=0)
+                sources[array].append(
+                    lds.to_flat(data.lat[mask][ood] - dprime, t))
+        yield (lds, {a: np.concatenate(v) for a, v in sources.items()},
+               np.concatenate(written))
+
+
+def _check_in_box(prog):
+    reads = 0
+    for lds, sources, written in _out_of_domain_sources(prog):
+        for cells in sources.values():
+            assert cells.min(initial=0) >= 0
+            assert cells.max(initial=-1) < lds.size
+            assert not np.intersect1d(cells, written).size
+            reads += len(cells)
+    return reads
+
+
+@pytest.mark.parametrize("name,sizes,shape,tile", CI_CONFIGS, ids=IDS)
+def test_out_of_domain_sources_land_in_the_lds_box(name, sizes, shape, tile):
+    """``d' >= 0``, ``off_k = ceil(max_l d'_kl / c_k)``, ``max_dp <= v``
+    and an injective ``map`` put every out-of-domain source in a halo
+    cell of the reader's LDS that nothing else writes, so the boundary
+    fill can park its value there."""
+    app, h = resolve_config(name, sizes, shape, tile)
+    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+    assert _check_in_box(prog)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**DRAWN)
+def test_out_of_domain_sources_land_in_the_lds_box_when_drawn(which, x, y,
+                                                              z):
+    _app, prog = drawn_program(which, x, y, z)
+    _check_in_box(prog)
+
+
+def test_a_fill_outside_the_box_is_a_named_error():
+    """The fill checks its addresses before it scatters: a negative one
+    would wrap silently in numpy."""
+    from repro.runtime.dense import HaloFillError
+
+    app = sor.app(4, 6)
+    prog = TiledProgram(app.nest, sor.h_nonrectangular(2, 3, 4),
+                        mapping_dim=2)
+    data = DenseData(prog, app.init_value)
+    lds = data.rank(prog.pids[0])
+    base = lds.tables.base
+    for br in data.boundary_reads:
+        base[br.dep_prime] = base[br.dep_prime] - lds.size
+    with pytest.raises(HaloFillError, match="addresses cell -"):
+        lds.tile_context(prog.dist.tiles_of(prog.pids[0])[0], 0)
 
 
 def _expected_calls(prog):
     """The ``init_value`` multiset of one dense run, from the
     definitions: every cell of a pure-input read's access box once (the
-    table fill), and ``(ref.array, ref.index(j))`` once per iteration
-    ``j`` and dependence read whose source ``j - d`` is outside the
-    domain."""
+    table fill), and per rank every distinct ``(ref.array,
+    ref.index(j))`` once, over the iterations ``j`` of the rank's chain
+    and the dependence reads whose source ``j - d`` is outside the
+    domain (``init_value`` is pure, so a cell is asked for once per
+    LDS that holds it)."""
     nest = prog.nest
     deps = read_dependences(nest)
     want = Counter()
     seen_tables = set()
     for si, stmt in enumerate(nest.statements):
         for ri, ref in enumerate(stmt.reads):
-            dep = deps[si][ri]
-            if dep is None:
-                key = (ref.array, ref.offset, None if ref.matrix is None
-                       else tuple(map(tuple, ref.matrix.rows())))
-                if key in seen_tables:
-                    continue
-                seen_tables.add(key)
-                lo, shape = _access_box(ref, nest.domain)
-                for idx in np.ndindex(*shape):
-                    want[(ref.array,
-                          tuple(a + b for a, b in zip(idx, lo)))] += 1
+            if deps[si][ri] is not None:
                 continue
-            for tile in prog.dist.tiles:
-                for j in prog.tiling.tile_points_np(tile).tolist():
-                    src = tuple(a - b for a, b in zip(j, dep))
-                    if not nest.domain.contains(src):
-                        want[(ref.array, ref.index(tuple(j)))] += 1
+            key = (ref.array, ref.offset, None if ref.matrix is None
+                   else tuple(map(tuple, ref.matrix.rows())))
+            if key in seen_tables:
+                continue
+            seen_tables.add(key)
+            lo, shape = _access_box(ref, nest.domain)
+            for idx in np.ndindex(*shape):
+                want[(ref.array,
+                      tuple(a + b for a, b in zip(idx, lo)))] += 1
+    for pid in prog.pids:
+        cells = set()
+        for tile in prog.dist.tiles_of(pid):
+            for j in prog.tiling.tile_points_np(tile).tolist():
+                for si, stmt in enumerate(nest.statements):
+                    for ri, ref in enumerate(stmt.reads):
+                        dep = deps[si][ri]
+                        if dep is None:
+                            continue
+                        src = tuple(a - b for a, b in zip(j, dep))
+                        if not nest.domain.contains(src):
+                            cells.add((ref.array, ref.index(tuple(j))))
+        want.update(cells)
     return want
-
 
 def _recorded(prog, init_value, **kwargs):
     calls = Counter()

@@ -169,6 +169,17 @@ GATES = [
                 "src/repro/schedule/model.py"),
          mutation=("src/repro/analysis/cost/makespan.py",
                    "        clock[rank] += spec.message_time(ev.nelems)\n")),
+    Gate("one boundary path",
+         "an out-of-domain source is read from its own halo cell, filled "
+         "once per (rank, cell) before the tile that first reads it; a "
+         "per-tile oob mask, a fix array or a select in the C driver is a "
+         "second boundary path (docs/RUNTIME.md, 'Dense LDS layout')",
+         r"\boob\b|\bfix\b|\b(ob|fx)(\d+|\{k\})\[",
+         ("src/repro/runtime", "src/repro/native"),
+         mutation=("src/repro/native/emit.py",
+                   '                args.append(\n'
+                   '                    f"((ob{k} && ob{k}[i_]) ? '
+                   'fx{k}[i_] : {src})")\n')),
     Gate("one kernel text",
          "native/emit.kernel_definitions renders every F_<array> kernel "
          "TV05 proves; a kernel printed elsewhere is one no pass checks",

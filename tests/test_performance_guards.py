@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.apps import jacobi, sor
+from repro.apps import adi, jacobi, sor
 from repro.experiments.figures import sor_factors
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 
@@ -324,6 +324,115 @@ class TestOverlapPhases:
         assert counts["_call"] == sum(
             prog.tiling.tile_point_count(t) > 0 for t in tiles)
         self._one_life_per_message(counts, messages)
+
+
+class TestBoundaryFillAndWriteBack:
+    """Deterministic counting guards (no timing): a dense run asks
+    ``init_value`` once per (rank, distinct out-of-domain source cell)
+    plus the pure-input table cells — not once per (point, read) — and
+    on the native kernels every tile is one ``repro_run`` call and one
+    ``repro_write_back`` call per written array, with no numpy
+    write-back."""
+
+    CONFIGS = [
+        pytest.param(sor.app(20, 30), sor.h_nonrectangular(5, 8, 4), 2,
+                     id="sor"),
+        pytest.param(jacobi.app(6, 12, 12),
+                     jacobi.h_nonrectangular(2, 4, 4), 0, id="jacobi"),
+        pytest.param(adi.app(8, 16), adi.h_nr3(2, 4, 4), 0, id="adi"),
+    ]
+
+    @staticmethod
+    def _defined_calls(prog):
+        """``(per cell, per read)``: the boundary calls counted per
+        (rank, distinct source cell) and per (point, read), each plus
+        the pure-input table cells."""
+        import numpy as np
+
+        from repro.runtime.dense import (
+            RefIndexer,
+            _access_box,
+            read_dependences,
+        )
+
+        nest = prog.nest
+        amat, bvec = prog.tiling._amat, prog.tiling._bvec
+        reads = [(ref, dep) for stmt, row in zip(
+            nest.statements, read_dependences(nest))
+            for ref, dep in zip(stmt.reads, row)]
+        tables = {(ref.array, ref.offset, str(ref.matrix)):
+                  int(np.prod(_access_box(ref, nest.domain)[1]))
+                  for ref, dep in reads if dep is None}
+        per_cell = per_read = sum(tables.values())
+        for pid in prog.pids:
+            cells = set()
+            for tile in prog.dist.tiles_of(pid):
+                pts = prog.tiling.tile_points_np(tile)
+                for ref, dep in reads:
+                    if dep is None:
+                        continue
+                    ood = np.any(amat @ (pts - np.asarray(dep)).T
+                                 > bvec[:, None], axis=0)
+                    per_read += int(ood.sum())
+                    cells.update((ref.array, *c) for c in RefIndexer.of(
+                        ref).cells(pts[ood]).tolist())
+            per_cell += len(cells)
+        return per_cell, per_read
+
+    @pytest.mark.parametrize("app,h,mdim", CONFIGS)
+    def test_one_init_value_call_per_rank_and_cell(self, app, h, mdim):
+        prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+        calls = Counter()
+
+        def init(array, cell):
+            calls["init_value"] += 1
+            return app.init_value(array, cell)
+
+        DistributedRun(prog, ClusterSpec()).execute_dense(init)
+        per_cell, per_read = self._defined_calls(prog)
+        assert calls["init_value"] == per_cell
+        assert per_cell < per_read      # the guard can tell them apart
+
+    @pytest.mark.parametrize("app,h,mdim", CONFIGS)
+    def test_native_tile_is_one_run_and_one_write_back_per_array(
+            self, tmp_path, app, h, mdim):
+        import numpy as np
+
+        from repro.artifacts import ArtifactCache
+        from repro.native.engine import build_native_library
+        from repro.runtime.dense import DenseData
+        from repro.runtime.rankstep import build_rank_plans
+
+        prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+        lib = build_native_library(prog, cache=ArtifactCache(str(tmp_path)))
+        if not lib.available:
+            pytest.skip(f"no native kernels: {lib.fallback_reason}")
+        run = DistributedRun(prog, ClusterSpec())
+        data = DenseData(prog, app.init_value, np.float64, lib)
+        rt = data.native_rt
+        counts = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        rt.fns = rt.fns._replace(
+            run=counted("repro_run", rt.fns.run),
+            write_back=counted("repro_write_back", rt.fns.write_back))
+        # a numpy scatter into the fields would raise; C ignores the flag
+        for g in data.gtables:
+            g.values.flags.writeable = g.written.flags.writeable = False
+        run._run(build_rank_plans(prog), data.rank)
+        nonempty = sum(prog.tiling.tile_point_count(t) > 0
+                       for t in prog.dist.tiles)
+        assert counts["repro_run"] == nonempty
+        assert counts["repro_write_back"] == nonempty * len(data.gtables)
+        ref, _ = run.execute_dense(app.init_value)
+        for name, field in data.fields.items():
+            assert np.array_equal(field.values, ref[name].values)
+            assert np.array_equal(field.written, ref[name].written)
 
 
 class TestOneCompilePerRequest:
