@@ -6,9 +6,6 @@ compiled :class:`~repro.runtime.executor.TiledProgram` is well-formed:
 * :mod:`repro.analysis.races` — every cross-processor tile dependence
   is covered by the communication spec, pack regions contain every
   crossing iteration, and no two writers touch an LDS cell unordered;
-* :mod:`repro.analysis.deadlock` — the per-rank Send/Recv sequences
-  complete under blocking MPI semantics (the runtime ``DeadlockError``
-  made static);
 * :mod:`repro.analysis.bounds` — every LDS address (compute, read,
   halo unpack) stays inside the allocated rectangle and the address
   maps round-trip;
@@ -20,12 +17,15 @@ compiled :class:`~repro.runtime.executor.TiledProgram` is well-formed:
   first reader); opt-in via
   ``analyze_program(..., overlap=True)`` / ``repro analyze --overlap``;
 * :mod:`repro.analysis.hb` — the happens-before concurrency certifier
-  for the *parallel runtime*: vector-clock proofs that every halo
-  write/read pair is HB-ordered (HB01) and the edge-wait graph acyclic
-  (HB02) under each protocol and under the overlap schedule,
-  exhaustive model checking of the SPSC mailbox ring (HB03), and a
-  measured-trace sanitizer (HB04, ``repro sanitize``); opt-in via
-  ``analyze_program(..., hb=True)`` / ``repro analyze --hb``;
+  for the *parallel runtime*, the one schedule check: every channel's
+  sends and receives pair up with equal sizes (DL01/DL02/DL04), every
+  halo write/read pair is HB-ordered by the vector clocks (HB01) and
+  the edge-wait graph is acyclic (HB02, the runtime ``DeadlockError``
+  made static).  Every analysis certifies the eager blocking schedule;
+  ``analyze_program(..., hb=True)`` / ``repro analyze --hb`` adds the
+  overlap schedule, the rendezvous probe and exhaustive model checking
+  of the SPSC mailbox ring (HB03); a measured-trace sanitizer (HB04,
+  ``repro sanitize``) holds real runs against the graph;
 * :mod:`repro.analysis.cost` — the static cost certifier: closed-form
   per-edge communication volumes cross-checked against the frozen
   plans (COST01), per-rank compute volumes and imbalance (COST02),
@@ -54,12 +54,6 @@ from repro.analysis.diagnostics import (
     WARNING,
     AnalysisReport,
     Diagnostic,
-)
-from repro.analysis.deadlock import (
-    RecvOp,
-    SendOp,
-    check_deadlock,
-    check_program_deadlock,
 )
 from repro.analysis.races import check_races
 from repro.analysis.bounds import check_bounds
@@ -98,10 +92,6 @@ __all__ = [
     "INFO",
     "Diagnostic",
     "AnalysisReport",
-    "RecvOp",
-    "SendOp",
-    "check_deadlock",
-    "check_program_deadlock",
     "check_races",
     "check_bounds",
     "check_overlap",

@@ -24,9 +24,10 @@ Diagnostic codes are part of the public contract:
 ``RACE04`` two writers touch the same LDS cell unordered
            (unpack/unpack or unpack/compute overlap)
 ``DL01``   unmatched receive — a rank blocks forever on a
-           ``(src, tag)`` channel nobody sends on
+           ``(src, tag)`` channel nobody sends on (read off the
+           eager blocking HB certificate's pairing, as are DL02
+           and DL04)
 ``DL02``   unmatched send — a message no receive ever consumes
-``DL03``   cyclic wait — ranks block on each other in a cycle
 ``DL04``   FIFO size mismatch — the k-th send on a channel
            carries a different element count than the k-th recv
            expects
@@ -91,7 +92,7 @@ Diagnostic codes are part of the public contract:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Severity levels, ordered from worst to mildest.
@@ -108,7 +109,7 @@ class Diagnostic:
 
     code: str                       # stable machine code, e.g. "RACE01"
     severity: str                   # ERROR / WARNING / INFO
-    pass_name: str                  # "legality" / "races" / "deadlock" / "bounds"
+    pass_name: str                  # "legality" / "races" / "hb" / "bounds"
     message: str                    # human-readable, one line preferred
     equation: str = ""              # paper invariant, e.g. "H D >= 0 (§2.2)"
     subject: Tuple[Tuple[str, Any], ...] = ()   # ordered structured locus
@@ -144,23 +145,6 @@ class Diagnostic:
         if self.suggestion:
             parts.append(f"    fix: {self.suggestion}")
         return "\n".join(parts)
-
-
-def rendezvous_only(d: Diagnostic, semantics: str,
-                    default: str) -> Diagnostic:
-    """The dual-protocol policy of the deadlock and HB passes: a
-    finding that appears only when every send is synchronous is a real
-    hazard, but not one the default configuration can hit — it is
-    reported as a warning that says so (``default``: what completes
-    instead; ``semantics``: an optional gloss of the protocol)."""
-    return replace(
-        d, severity=WARNING,
-        message=f"{d.message} — only under the synchronous rendezvous "
-                f"protocol ({semantics}a small enough "
-                f"ClusterSpec.rendezvous_threshold); the default "
-                f"{default}",
-        suggestion="keep rendezvous_threshold above the message sizes, "
-                   "enable overlap, or reorder sends along the schedule")
 
 
 def _jsonable(value: Any) -> Any:

@@ -1,15 +1,17 @@
 """Happens-before concurrency certifier for the parallel runtime.
 
-Three layers, surfaced as ``repro analyze --hb`` and
-``TiledProgram.hb_certificate()``:
+Three layers, surfaced as ``TiledProgram.hb_certificate()``, the
+default ``hb`` pass of ``repro analyze`` and ``repro analyze --hb``:
 
 * :mod:`~repro.analysis.hb.graph` — static schedule certification.
   Builds the happens-before graph of a program's parallel execution
   (per-rank program order from the tile chains, cross-rank edges from
   each ``CC_k`` send/recv pair under the eager / rendezvous / spec
   protocol and under the overlap plan's publish/drain points),
+  checks that every channel's sends and receives pair up with equal
+  sizes (``DL01``/``DL02``/``DL04``, eager blocking certificate only),
   proves via Fidge-Mattern vector clocks that every halo write/read
-  pair is HB-ordered (``HB01``) and via an abstract wait machine that
+  pair is HB-ordered (``HB01``) and via the one static replay that
   the edge-wait graph is acyclic (``HB02``).
 * :mod:`~repro.analysis.hb.ringmodel` — exhaustive model checking of
   the SPSC mailbox ring protocol over small bounded configurations
@@ -20,18 +22,20 @@ Three layers, surfaced as ``repro analyze --hb`` and
   against the static HB graph and reports any event observed out of
   certified order (``HB04``).
 
-:func:`check_hb` is the pass driver ``analyze --hb`` runs: certify
-the blocking and overlapped schedules under the protocols the spec
-can select, probe the rendezvous protocol with findings demoted to
-warnings (dual-protocol policy, as ``DL03``), and fold in the ring
-protocol model verdict.
+Every ``repro analyze`` reads the eager blocking certificate.
+:func:`check_hb` is the pass driver ``analyze --hb`` runs instead:
+certify the blocking and overlapped schedules under the protocols the
+spec can select, probe the rendezvous protocol with findings demoted
+to warnings (the dual-protocol policy), and fold in the ring protocol
+model verdict.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.diagnostics import ERROR, Diagnostic, rendezvous_only
+from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
 from repro.analysis.hb.graph import (
     PASS_HB,
     HBCertificate,
@@ -40,7 +44,6 @@ from repro.analysis.hb.graph import (
     build_hb_graph,
     certify_program,
     happens_before,
-    run_wait_machine,
     vector_clocks,
 )
 from repro.analysis.hb.ringmodel import (
@@ -70,7 +73,6 @@ __all__ = [
     "check_ring_model",
     "happens_before",
     "ring_diagnostics",
-    "run_wait_machine",
     "sanitize_report",
     "sanitize_trace",
     "vector_clocks",
@@ -87,11 +89,12 @@ def check_hb(program: "TiledProgram", *,
     carries a rendezvous threshold the ``spec`` protocol is certified
     too (it may force handshakes).  If everything certifies, the fully
     synchronous rendezvous protocol is probed as well, with findings
-    demoted to warnings — mirroring the deadlock pass's dual-protocol
-    policy: a rendezvous-only cycle is a real hazard but not one the
-    default configuration can hit.  ``HB03`` ring-model findings are
-    appended last (they concern the runtime's mailbox protocol, not
-    this particular program).
+    demoted to warnings — the dual-protocol policy: a rendezvous-only
+    cycle is a real hazard but not one the default configuration can
+    hit.  ``HB03`` ring-model findings are appended last (they concern
+    the runtime's mailbox protocol, not this particular program).  The
+    eager blocking certificate brings the DL01/DL02/DL04 channel
+    findings, once.
     """
     diags: List[Diagnostic] = []
     combos = [("eager", False), ("eager", True)]
@@ -107,8 +110,15 @@ def check_hb(program: "TiledProgram", *,
             protocol="rendezvous", overlap=False,
             mailbox_depth=mailbox_depth, spec=spec)
         diags.extend(
-            rendezvous_only(d, "MPI_Ssend semantics, ",
-                            "eager/spec protocols complete")
+            replace(d, severity=WARNING,
+                    message=f"{d.message} — only under the synchronous "
+                            f"rendezvous protocol (MPI_Ssend semantics, a "
+                            f"small enough ClusterSpec."
+                            f"rendezvous_threshold); the default "
+                            f"eager/spec protocols complete",
+                    suggestion="keep rendezvous_threshold above the "
+                               "message sizes, enable overlap, or "
+                               "reorder sends along the schedule")
             if d.severity == ERROR else d
             for d in probe.diagnostics)
     diags.extend(ring_diagnostics())

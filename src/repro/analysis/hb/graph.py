@@ -1,9 +1,16 @@
 """Happens-before certification of the parallel runtime's schedule.
 
-Layer 1 of the HB certifier (``repro analyze --hb``): build the
-happens-before graph of a :class:`TiledProgram`'s multiprocess
-execution *symbolically* and prove two theorems about it:
+Layer 1 of the HB certifier: build the happens-before graph of a
+:class:`TiledProgram`'s multiprocess execution *symbolically* and prove
+three things about it:
 
+* **DL01/DL02/DL04 (channel agreement)** — the graph's pairing of the
+  k-th send with the k-th receive of each ``(src, dst, tag)`` channel
+  leaves no receive without a send (``DL01``), no send without a
+  receive (``DL02``), and gives both sides of every pair the same
+  element count (``DL04``, the executor's ``HaloSizeError`` made
+  static).  The channels of a program are the same in every mode, so
+  only the eager blocking certificate reports them;
 * **HB01 (race freedom)** — every cross-processor tile dependence
   ``d^S`` is happens-before ordered: the event that finalizes the
   packed halo values (the producing tile's compute in the blocking
@@ -18,12 +25,10 @@ execution *symbolically* and prove two theorems about it:
   deadlock becomes an explicit ``rank a -> rank b -> rank a``
   diagnostic instead of a runtime timeout.
 
-:func:`replay` is the one static execution of the frozen schedule: the
-deadlock pass (:mod:`repro.analysis.deadlock`, DL01-DL04) is the same
-replay with the simulator's unbounded buffering.  It decides *whether*
-a schedule completes, never *how long* it takes: the COST03 makespan
-is the vMPI simulator's own clock, and the simulator stays the one
-*dynamic* witness every static verdict is tested against.
+:func:`replay` is the one static execution of the frozen schedule.  It
+decides *whether* a schedule completes, never *how long* it takes: the
+COST03 makespan is the vMPI simulator's own clock, and the simulator
+stays the one *dynamic* witness every static verdict is tested against.
 
 The event model is a port of the runtime's own walk
 (:func:`repro.runtime.rankstep.rank_walk`, blocking and overlapped): the
@@ -45,7 +50,7 @@ walk that drives the workers is run once per rank over a data-less
 
 Vector clocks propagate over program order plus ``msg`` edges only.
 Backpressure and rendezvous waits constrain *when* a rank may proceed
-(the bounded replay models them) but are not certified orderings — the
+(the replay models them) but are not certified orderings — the
 simulator's eager protocol has unbounded buffering, and the overlapped
 runtime may execute a deferred receive earlier than its static slot
 (drains / tile-start eager unpacks), so only edges *into* receives and
@@ -69,7 +74,7 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.diagnostics import ERROR, Diagnostic
+from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
 from repro.runtime.machine import (
     FAST_ETHERNET_CLUSTER,
     PROTOCOLS,
@@ -282,24 +287,22 @@ class MachineResult:
     cycle: Tuple[int, ...]              # rank wait cycle, () if none
 
 
-def replay(g: HBGraph, bounded: bool) -> MachineResult:
+def replay(g: HBGraph) -> MachineResult:
     """Advance every rank's event list against FIFO channels until all
     ranks finish or none can move — the one static execution of the
-    frozen schedule; the HB02 wait machine and the DL01-DL04 deadlock
-    pass are this function.
+    frozen schedule, and the HB02 wait machine.
 
     A receive runs once its message is published, a ``SENDWAIT`` once
-    its message is consumed.  ``bounded=False`` gives sends the
-    simulator's unlimited buffering.  ``bounded=True`` is the ring
-    runtime's one message path, exactly: a send blocks while its ring
-    holds ``edge_depth`` unconsumed messages (``_RingPort.publish``
-    asking ``reserve`` again), and — in overlap mode — a rank blocked
-    on a full ring or on a receive drains arrived-but-deferred
-    same-tile receives first-per-edge, like ``drain_ready``.  Every
-    rank advances as far as it can, so the final state does not depend
-    on the interleaving.
-    Completion certifies every real schedule completes; a stall yields
-    the wait cycle.
+    its message is consumed, and a send while its ring holds fewer than
+    ``edge_depth`` unconsumed messages — the ring runtime's one message
+    path, exactly (``_RingPort.publish`` asking ``reserve`` again).  In
+    overlap mode a rank blocked on a full ring or on a receive drains
+    arrived-but-deferred same-tile receives first-per-edge, like
+    ``drain_ready``.  The simulator's unlimited buffering is the case
+    of a depth at least the channel's message count.  Every rank
+    advances as far as it can, so the final state does not depend on
+    the interleaving.  Completion certifies every real schedule
+    completes; a stall yields the wait cycle.
     """
     events, rows, depth = g.events, g.rank_order, g.edge_depth
     published: Dict[Optional[Chan], int] = {}
@@ -316,7 +319,7 @@ def replay(g: HBGraph, bounded: bool) -> MachineResult:
             consumed[chan] = consumed.get(chan, 0) + 1
         elif kind == SEND:
             sent = published.get(chan, 0)
-            if bounded and sent - consumed.get(chan, 0) >= depth[chan]:
+            if sent - consumed.get(chan, 0) >= depth[chan]:
                 return False
             published[chan] = sent + 1
         elif kind == SENDWAIT and consumed.get(chan, 0) <= e.chanpos:
@@ -356,7 +359,7 @@ def replay(g: HBGraph, bounded: bool) -> MachineResult:
                     ptr[rank] += 1
                     moved = True
                     continue
-                if (bounded and g.overlap and e.kind in (SEND, RECV)
+                if (g.overlap and e.kind in (SEND, RECV)
                         and drain(row, ptr[rank])):
                     moved = True
                     continue                    # retry the blocked event
@@ -380,11 +383,6 @@ def replay(g: HBGraph, bounded: bool) -> MachineResult:
             break
     return MachineResult(completed=not blocked, blocked=blocked,
                          cycle=cycle)
-
-
-def run_wait_machine(g: HBGraph) -> MachineResult:
-    """HB02: :func:`replay` against the bounded SPSC rings."""
-    return replay(g, bounded=True)
 
 
 # -- vector clocks -------------------------------------------------------------------
@@ -446,8 +444,9 @@ def happens_before(g: HBGraph, clocks: np.ndarray,
 
 @dataclass(frozen=True)
 class HBCertificate:
-    """One mode's proof object: graph + machine run + HB01/HB02
-    findings.  Cached on the program via ``hb_certificate()``."""
+    """One mode's proof object: graph + machine run + its findings
+    (DL01/DL02/DL04 on the eager blocking schedule, HB01/HB02).
+    Cached on the program via ``hb_certificate()``."""
 
     protocol: str
     overlap: bool
@@ -468,6 +467,85 @@ def _describe_blocked(g: HBGraph, eid: int) -> str:
     e = g.events[eid]
     return (f"rank {e.rank} blocked at {e.kind}(peer={e.peer}, "
             f"tag={e.tag}) in tile {e.tile}")
+
+
+_EQ_CHANNEL = "each (src, dest, tag) FIFO channel must carry equal " \
+    "send/recv multisets (SEND/RECEIVE, §3.2)"
+
+
+def _subject(e: HBEvent) -> Tuple[Tuple[str, object], ...]:
+    items: List[Tuple[str, object]] = [
+        ("rank", e.rank),
+        ("source" if e.kind == RECV else "dest", e.peer),
+        ("tag", e.tag)]
+    if e.tile:
+        items.append(("tile", e.tile))
+    if e.tix >= 0:
+        items.append(("step", e.tix))
+    return tuple(items)
+
+
+def channel_diagnostics(g: HBGraph) -> List[Diagnostic]:
+    """Multiset + FIFO-size agreement per channel (DL01/DL02/DL04),
+    read off the graph's send/receive pairing."""
+    ev = g.events
+    # msg_edges run channel by channel in FIFO order, so the first
+    # mismatch kept per channel is the lowest position.
+    missized: Dict[Optional[Chan], Tuple[HBEvent, HBEvent]] = {}
+    for s, r in g.msg_edges:
+        s_ev, r_ev = ev[s], ev[r]
+        if s_ev.nelems != r_ev.nelems and min(s_ev.nelems,
+                                               r_ev.nelems) >= 0:
+            missized.setdefault(r_ev.chan, (s_ev, r_ev))
+    extra: Dict[Optional[Chan], List[HBEvent]] = {}
+    for eid in g.unmatched_recvs + g.unmatched_sends:
+        extra.setdefault(ev[eid].chan, []).append(ev[eid])
+    diags: List[Diagnostic] = []
+    for chan in sorted(c for c in set(missized) | set(extra) if c):
+        src, dst, tag = chan
+        rest = extra.get(chan, [])      # all receives or all sends
+        paired = rest[0].chanpos if rest else 0
+        if rest and rest[0].kind == RECV:
+            diags.append(Diagnostic(
+                code="DL01", severity=ERROR, pass_name=PASS_HB,
+                message=f"rank {dst} posts {paired + len(rest)} "
+                        f"receive(s) on channel "
+                        f"(src={src}, tag={tag}) but only {paired} "
+                        f"send(s) are ever issued; the extra receive "
+                        f"blocks forever",
+                equation=_EQ_CHANNEL,
+                subject=_subject(rest[0]),
+                suggestion="emit the missing SEND (check send_plan / "
+                           "minsucc aggregation for this d^m)",
+            ))
+        elif rest:
+            diags.append(Diagnostic(
+                code="DL02", severity=WARNING, pass_name=PASS_HB,
+                message=f"rank {src} issues {paired + len(rest)} "
+                        f"send(s) on channel "
+                        f"(dest={dst}, tag={tag}) but only {paired} "
+                        f"receive(s) are posted; the message is never "
+                        f"consumed",
+                equation=_EQ_CHANNEL,
+                subject=_subject(rest[0]),
+                suggestion="drop the send or post the matching RECEIVE",
+            ))
+        if chan in missized:
+            s_ev, r_ev = missized[chan]
+            diags.append(Diagnostic(
+                code="DL04", severity=ERROR, pass_name=PASS_HB,
+                message=f"FIFO position {r_ev.chanpos} of channel "
+                        f"(src={src}, "
+                        f"dest={dst}, tag={tag}): send carries "
+                        f"{s_ev.nelems} elements but the receive "
+                        f"expects {r_ev.nelems}",
+                equation="pack and unpack regions must agree: "
+                         "|region(pred, d^S)| x |arrays| (SEND/RECEIVE)",
+                subject=_subject(r_ev),
+                suggestion="pack region and unpack region diverged; "
+                           "check pack_lower_bounds / region_count",
+            ))
+    return diags
 
 
 def _machine_diagnostics(g: HBGraph, mres: MachineResult,
@@ -504,7 +582,8 @@ def _machine_diagnostics(g: HBGraph, mres: MachineResult,
         subject=(("blocked_ranks", tuple(sorted(mres.blocked))),
                  ("mode", mode)),
         suggestion="a message is missing or mismatched; the DL01/DL02 "
-                   "deadlock pass usually names the exact channel",
+                   "findings of the eager certificate usually name the "
+                   "exact channel",
     )]
 
 
@@ -512,14 +591,19 @@ def certify_program(program: "TiledProgram", *,
                     protocol: str = "eager", overlap: bool = False,
                     mailbox_depth: int = 8,
                     spec: Optional[ClusterSpec] = None) -> HBCertificate:
-    """Build and prove one mode's HB certificate (HB01 + HB02)."""
+    """Build and prove one mode's HB certificate: HB01 + HB02, and the
+    DL01/DL02/DL04 channel findings under the eager blocking schedule
+    (the channels are the same in every mode; reporting them once keeps
+    each finding once per report)."""
     if spec is None:
         spec = FAST_ETHERNET_CLUSTER
     g = build_hb_graph(program, protocol=protocol, overlap=overlap,
                        mailbox_depth=mailbox_depth, spec=spec)
-    mres = run_wait_machine(g)
+    mres = replay(g)
     mode = protocol + ("+overlap" if overlap else "")
-    diags = _machine_diagnostics(g, mres, mode)
+    diags = (channel_diagnostics(g)
+             if protocol == "eager" and not overlap else [])
+    diags += _machine_diagnostics(g, mres, mode)
     clocks, processed = vector_clocks(g)
 
     dist, comm = program.dist, program.comm

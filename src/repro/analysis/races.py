@@ -18,7 +18,9 @@ TTIS lattice — *not* the ``CommunicationSpec`` under test), which
   (else ``RACE03``);
 * at tile granularity, the producing tile must issue the send and some
   tile at-or-before the consumer on the receiving processor must post
-  the recv (else ``RACE01``);
+  the recv; each receive must be posted by the tile ``pred + d^S`` whose
+  halo it fills, and each send must pack its tag's direction for its
+  tag's processor (else ``RACE01``);
 * no two writers (two unpacked messages, or an unpacked message and the
   local computation) may touch the same LDS cell in an unordered way
   (else ``RACE04``).
@@ -170,22 +172,66 @@ def check_point_coverage(program) -> List[Diagnostic]:
 
 
 def check_tile_coverage(program) -> List[Diagnostic]:
-    """Tile-level checks: every fed cross-processor successor has a send
-    from its producer and a recv posted at-or-before it (RACE01)."""
+    """Tile-level checks (RACE01): every posted receive sits at its
+    ``pred + d^S``, every send goes where its tag's ``d^m`` points, and
+    every fed cross-processor successor has a send from its producer
+    and a recv posted at-or-before it."""
     comm, dist = program.comm, program.dist
-    # Index the frozen schedule once.
+    rank_of = program.rank_of
+    dm_of_tag = {comm.tag(dm): dm for dm in comm.d_m}
+    diags: List[Diagnostic] = []
+    # Index the frozen schedule once, checking each op's own geometry:
+    # a receive is unpacked into the halo of the tile that posts it, so
+    # that tile must be pred + d^S; a send's tag names its d^m, which
+    # fixes its pack direction and its destination processor.
     sends_by: Set[Tuple[int, int, Tuple[int, ...]]] = set()
     recv_step: Dict[Tuple[int, int, int, Tuple[int, ...]], int] = {}
     for rank, plan in build_rank_plans(program).items():
         for step, tile in enumerate(plan.tiles):
             for s in plan.sends[step]:
                 sends_by.add((rank, s.tag, tile))
+                dm = dm_of_tag.get(s.tag)
+                want = None if dm is None else (
+                    comm.send_direction(dm), rank_of.get(
+                        tuple([a + b for a, b in zip(plan.pid, dm)])))
+                if want != (s.direction, s.dst_rank):
+                    diags.append(Diagnostic(
+                        code="RACE01", severity=ERROR, pass_name=PASS,
+                        message=f"tile {tile} (rank {rank}, step {step}) "
+                                f"sends tag {s.tag} toward direction "
+                                f"{s.direction} to rank {s.dst_rank}, "
+                                f"but the tag's d^m={dm} packs "
+                                f"(direction, rank) = {want}: the halo "
+                                f"is packed from the wrong region or "
+                                f"lands on the wrong processor",
+                        equation=_EQ_DS,
+                        subject=(("tile", tile), ("tag", s.tag),
+                                 ("step", step),
+                                 ("dest_rank", s.dst_rank)),
+                        suggestion="send_plan must pack send_direction"
+                                   "(d^m) for pid + d^m",
+                    ))
             for r in plan.recvs[step]:
                 recv_step[(rank, r.src_rank, r.tag, r.pred)] = step
-    diags: List[Diagnostic] = []
+                at = tuple([a + b for a, b in zip(r.pred, r.ds)])
+                if at != tile:
+                    diags.append(Diagnostic(
+                        code="RACE01", severity=ERROR, pass_name=PASS,
+                        message=f"tile {tile} (rank {rank}, step {step}) "
+                                f"posts the receive of tile {r.pred}'s "
+                                f"data via d^S={r.ds}, which belongs to "
+                                f"tile {at}: the halo is unpacked into "
+                                f"the wrong tile",
+                        equation="RECEIVE(t^S) takes the message of "
+                                 "pred = t^S - d^S (§3.2)",
+                        subject=(("tile", tile), ("ds", r.ds),
+                                 ("step", step),
+                                 ("src_rank", r.src_rank)),
+                        suggestion="receive_plan must post each receive "
+                                   "at pred + d^S",
+                    ))
     cross = [ds for ds in comm.d_s if not comm.is_intra_processor(ds)]
     tset = dist._tile_set
-    rank_of = program.rank_of
     pid_of = dist.pid_of
     chain_index = dist.chain_index
     # Per-tile context and per-ds invariants, hoisted out of the

@@ -11,7 +11,8 @@ Two entry points:
   fail it returns that partial report (the remaining passes are
   meaningless on an unbuildable program); otherwise it compiles the
   program and delegates to ``analyze_program``, which runs the
-  deadlock, race, and bounds passes over the compiled artifact.
+  race, schedule (``hb``) and bounds passes over the compiled
+  artifact.
 
 :func:`verify_program` is the guard form used by
 ``TiledProgram(..., verify=True)``: it raises :class:`VerificationError`
@@ -128,18 +129,15 @@ def analyze_tiling(h, deps: Sequence[Sequence[int]],
 
 
 def analyze_program(program, subject: str = "", *,
-                    deadlock_both: bool = True,
                     overlap: bool = False,
                     hb: bool = False,
                     cost: bool = False,
                     transval: bool = False) -> AnalysisReport:
     """Full post-construction report over a compiled ``TiledProgram``.
 
-    ``deadlock_both=False`` analyzes the deadlock pass under the eager
-    protocol only (the runtime default).  Rendezvous-only cyclic waits
-    are *warnings* under the dual-protocol policy, so skipping the
-    second abstract run never changes ``report.ok`` — it is what the
-    construction-time guard uses to stay cheap.
+    The schedule pass (``hb``) is the happens-before certificate of the
+    eager blocking schedule, the runtime default: channel agreement
+    (DL01/DL02/DL04), race freedom (HB01) and completion (HB02).
 
     ``overlap=True`` additionally verifies the overlapped-execution
     plans (OV01-OV03: pack-payload identity, commit-level and publish
@@ -148,11 +146,11 @@ def analyze_program(program, subject: str = "", *,
     it builds every tile's overlap plan, which the construction-time
     guard must not pay for.
 
-    ``hb=True`` additionally runs the happens-before certifier
-    (HB01-HB03: vector-clock race freedom and wait-graph acyclicity
-    of the parallel runtime's schedule under every selectable
-    protocol, blocking and overlapped, plus the mailbox ring protocol
-    model).  Opt-in for the same cost reason as ``overlap``.
+    ``hb=True`` widens that pass to the full happens-before certifier
+    (:func:`~repro.analysis.hb.check_hb`: the overlapped schedule, the
+    ``spec`` protocol when it has a threshold, the rendezvous probe
+    with its findings demoted to warnings, and the HB03 mailbox ring
+    protocol model).  Opt-in for the same cost reason as ``overlap``.
 
     ``cost=True`` additionally runs the static cost certifier
     (COST01-COST04: closed-form per-edge communication volumes
@@ -166,7 +164,7 @@ def analyze_program(program, subject: str = "", *,
     pass is error-free — a failing program has no trustworthy text.
     """
     from repro.analysis.bounds import check_bounds
-    from repro.analysis.deadlock import check_program_deadlock
+    from repro.analysis.hb import check_hb
     from repro.analysis.races import check_races
     from repro.runtime.rankstep import build_rank_plans, edge_tally
 
@@ -189,19 +187,15 @@ def analyze_program(program, subject: str = "", *,
         edge_tally(build_rank_plans(program)).values())
     report.extend(check_races(program))
     report.mark_pass("races")
-    report.extend(check_program_deadlock(
-        program, synchronous=False if not deadlock_both else None))
-    report.mark_pass("deadlock")
+    report.extend(check_hb(program) if hb
+                  else program.hb_certificate("eager").diagnostics)
+    report.mark_pass("hb")
     report.extend(check_bounds(program))
     report.mark_pass("bounds")
     if overlap:
         from repro.analysis.overlap import check_overlap
         report.extend(check_overlap(program))
         report.mark_pass("overlap")
-    if hb:
-        from repro.analysis.hb import check_hb
-        report.extend(check_hb(program))
-        report.mark_pass("hb")
     if cost:
         cert = program.cost_certificate()
         report.extend(cert.diagnostics)
@@ -239,12 +233,11 @@ def analyze(nest, h, mapping_dim: Optional[int] = None,
 def verify_program(program, subject: str = "") -> AnalysisReport:
     """Guard form: raise :class:`VerificationError` on any error.
 
-    Runs the deadlock pass eager-only (``deadlock_both=False``): the
-    rendezvous-protocol refinement can only add warnings, which never
-    raise here — ``repro analyze`` gives the full dual-protocol report.
+    Runs the default passes, so the schedule is certified under the
+    eager protocol only: the rendezvous probe of ``hb=True`` can only
+    add warnings, which never raise here.
     """
-    report = analyze_program(program, subject=subject,
-                             deadlock_both=False)
+    report = analyze_program(program, subject=subject)
     if not report.ok:
         raise VerificationError(report)
     return report

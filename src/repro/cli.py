@@ -14,9 +14,10 @@ tiling, get code and cluster numbers back:
 * ``run``       — execute with real data: ``--engine parallel`` uses one
   OS process per processor with shared-memory halo exchange (measured
   wall-clock utilization, bitwise-checked against the dense engine).
-* ``analyze``   — static verification: legality, race, deadlock and
+* ``analyze``   — static verification: legality, race, schedule (the
+  eager blocking HB certificate: DL01/DL02/DL04, HB01, HB02) and
   halo-bounds passes over the compiled program, without executing it
-  (``--hb`` adds the happens-before certifier, HB01-HB03).
+  (``--hb`` widens the schedule pass to the full certifier, HB01-HB03).
   Exits nonzero when any error-severity diagnostic is found.
 * ``sanitize``  — replay a measured trace (``run --trace-out``)
   against the static happens-before graph; any event out of certified
@@ -593,10 +594,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "boundary/interior partition, phase order, "
                             "lazy-unpack safety)")
     p_ana.add_argument("--hb", action="store_true",
-                       help="also run the happens-before certifier "
-                            "(HB01 races, HB02 wait cycles under "
-                            "every protocol, blocking and overlapped "
-                            "schedules, plus the HB03 mailbox-ring "
+                       help="widen the schedule pass from the eager "
+                            "blocking certificate to the full "
+                            "happens-before certifier (HB01 races and "
+                            "HB02 wait cycles on the overlapped "
+                            "schedule too, rendezvous-only cycles as "
+                            "HB02 warnings, plus the HB03 mailbox-ring "
                             "model verdict)")
     p_ana.add_argument("--cost", action="store_true",
                        help="also run the static cost certifier "

@@ -14,7 +14,7 @@ class TestCleanAnalysis:
         out = capsys.readouterr().out
         assert rc == 0
         assert "clean: no diagnostics" in out
-        assert "passes: legality, races, deadlock, bounds" in out
+        assert "passes: legality, races, hb, bounds" in out
 
     def test_json_output_parses(self, capsys):
         rc = main(["analyze", "--app", "adi", "-s", "4", "5",
@@ -23,7 +23,7 @@ class TestCleanAnalysis:
         assert rc == 0
         assert blob["ok"] is True
         assert blob["counts"]["error"] == 0
-        assert blob["passes"] == ["legality", "races", "deadlock", "bounds"]
+        assert blob["passes"] == ["legality", "races", "hb", "bounds"]
         assert blob["meta"]["processors"] >= 1
 
 
@@ -52,12 +52,12 @@ class TestFailingAnalysis:
         assert first["equation"].startswith("H D >= 0")
 
     def test_warning_only_config_still_exits_zero(self, capsys):
-        # sor rect carries a DL03 rendezvous warning but no errors
+        # sor rect carries an --hb rendezvous warning but no errors
         rc = main(["analyze", "--app", "sor", "-s", "8", "12",
-                   "-t", "2", "3", "3", "--shape", "rect"])
+                   "-t", "2", "3", "3", "--shape", "rect", "--hb"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "warning[DL03]" in out
+        assert "warning[HB02]" in out
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(SystemExit):
@@ -107,15 +107,18 @@ class TestHbFlag:
         assert "hb" in out.split("passes: ")[1]
 
     def test_hb_off_by_default(self, capsys):
+        # the default schedule pass is the eager blocking certificate
+        # alone: sor rect's rendezvous-only cycle needs --hb
         rc = main(["analyze", "--app", "sor", "-s", "8", "12",
-                   "-t", "2", "3", "4", "--shape", "nonrect"])
+                   "-t", "2", "3", "3", "--shape", "rect"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "passes: legality, races, deadlock, bounds" in out
+        assert "passes: legality, races, hb, bounds" in out
+        assert "clean: no diagnostics" in out
 
     def test_hb_warns_on_rendezvous_cycle(self, capsys):
         # sor rect deadlocks only under forced rendezvous: the HB pass
-        # mirrors DL03 — demoted warnings, exit 0, cycle reported.
+        # reports demoted warnings, exit 0, cycle reported.
         rc = main(["analyze", "--app", "sor", "-s", "8", "12",
                    "-t", "2", "3", "3", "--shape", "rect", "--hb",
                    "--json"])
@@ -172,15 +175,15 @@ class TestSanitizeCommand:
 
 class TestFailOnWarn:
     def test_warning_config_fails_with_flag(self, capsys):
-        # sor rect carries a DL03 warning: rc flips from 0 to 1
+        # sor rect carries an --hb HB02 warning: rc flips from 0 to 1
         argv = ["analyze", "--app", "sor", "-s", "8", "12",
-                "-t", "2", "3", "3", "--shape", "rect"]
+                "-t", "2", "3", "3", "--shape", "rect", "--hb"]
         assert main(argv) == 0
         capsys.readouterr()
         rc = main(argv + ["--fail-on-warn"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "warning[DL03]" in out
+        assert "warning[HB02]" in out
 
     def test_clean_config_unaffected_by_flag(self, capsys):
         rc = main(["analyze", "--app", "sor", "-s", "8", "12",

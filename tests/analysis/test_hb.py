@@ -7,7 +7,7 @@ import hashlib
 
 import pytest
 
-from repro.analysis import analyze_program, check_program_deadlock
+from repro.analysis import analyze_program
 from repro.analysis.hb import check_hb
 from repro.analysis.hb.graph import (
     build_hb_graph,
@@ -103,25 +103,20 @@ class TestRendezvousDeadlock:
     @pytest.mark.parametrize("app,h,mdim", HB_CONFIGS)
     @pytest.mark.parametrize("threshold", [None, 0],
                              ids=["eager", "rendezvous-threshold-0"])
-    def test_dl03_and_hb02_report_one_cycle(self, app, h, mdim,
-                                            threshold):
-        # One static replay: the deadlock pass (unbounded channels)
-        # and the HB02 machine (bounded rings) must name the same
-        # ranks, and the simulator must deadlock exactly then.
+    def test_hb02_cycle_iff_simulator_deadlocks(self, app, h, mdim,
+                                                threshold):
+        # The static replay (bounded rings) names a cycle exactly when
+        # the simulator (unbounded buffering) deadlocks.
         prog = _prog(app, h, mdim)
         spec = dataclasses.replace(ClusterSpec(),
                                    rendezvous_threshold=threshold)
         cert = certify_program(prog, protocol="spec", spec=spec)
-        dl03 = [d for d in check_program_deadlock(
-            prog, synchronous=threshold is not None) if d.code == "DL03"]
-        cycle = tuple(dl03[0].subject_dict()["cycle"]) if dl03 else ()
-        assert cycle == cert.cycle
         try:
             DistributedRun(prog, spec).simulate()
             deadlocked = False
         except DeadlockError:
             deadlocked = True
-        assert deadlocked == bool(cycle)
+        assert deadlocked == bool(cert.cycle)
 
     def test_spec_protocol_with_forced_threshold_deadlocks(self):
         # protocol='spec' + threshold 0 is the same hazard.
@@ -187,9 +182,9 @@ class TestCheckHbDriver:
         assert check_hb(prog) == []
 
     def test_rendezvous_only_hazard_demoted_to_warning(self):
-        # Mirrors the DL03 dual-protocol policy: the rect SOR tiling
-        # completes under eager, so its rendezvous-only cycle is a
-        # warning, never an error.
+        # The dual-protocol policy: the rect SOR tiling completes under
+        # eager, so its rendezvous-only cycle is a warning, never an
+        # error.
         prog = _prog(sor.app(4, 6), sor.h_rectangular(2, 3, 4), 2)
         diags = check_hb(prog)
         assert diags
@@ -206,11 +201,17 @@ class TestCheckHbDriver:
         assert c3 is not c1
 
     def test_analyze_program_hb_pass_is_opt_in(self):
+        # every report certifies the eager blocking schedule; only
+        # hb=True builds the overlapped certificate
         prog = _prog(sor.app(4, 6), sor.h_nonrectangular(2, 3, 4), 2)
         rep = analyze_program(prog, subject="hb opt-in")
-        assert "hb" not in rep.passes_run
+        assert rep.passes_run.count("hb") == 1
+        assert {k[:2] for k in prog.stage("hb_certificates")} == {
+            ("eager", False)}
         rep_hb = analyze_program(prog, subject="hb opt-in", hb=True)
-        assert "hb" in rep_hb.passes_run
+        assert rep_hb.passes_run == rep.passes_run
+        assert ("eager", True) in {
+            k[:2] for k in prog.stage("hb_certificates")}
         assert rep_hb.ok
 
 
@@ -219,7 +220,7 @@ class TestCheckHbDriver:
 # sha256 of every graph's (kind, rank, tile, tix, peer, tag, nelems)
 # sequence plus its msg_edges, written at the commit *before* the HB
 # graph became a port of ``rankstep.rank_walk``: whoever builds the
-# graph, the sanitizer, DL01-04, HB01/02, COST03 and TV03 must keep
+# graph, the sanitizer, DL01/02/04, HB01/02, COST03 and TV03 must keep
 # seeing exactly these inputs.  ``spec`` runs under a 24-byte threshold
 # so every config mixes eager and rendezvous messages.  A moved hash is
 # a changed schedule — fix the change or re-pin deliberately and say why.

@@ -22,6 +22,13 @@ from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
 from repro.runtime.rankstep import freeze_plans
 from repro.runtime.vmpi import DeadlockError
+from tests.analysis.test_mutation_matrix import (
+    ALL_MUTANTS,
+    CONFIGS,
+    TIER1_ENGINES,
+    broken_engines,
+    mutant_program,
+)
 
 
 def error_codes(report):
@@ -198,3 +205,29 @@ class TestUncoveredDependence:
         assert "RACE01" in error_codes(rep)
         race = rep.by_code("RACE01")[0]
         assert race.severity == "error"
+
+
+# -- misplaced messages (RACE01): the halo lands in the wrong place ----------------
+
+
+MISPLACED = [m for m in ALL_MUTANTS
+             if m.kind in ("recv-other-ds", "recv-prev-tile",
+                           "send-direction")]
+
+
+class TestMisplacedMessage:
+    """A receive unpacked into another tile's halo (its ``ds`` taken
+    from another receive, or posted one chain tile early) and a send
+    packed for another processor direction: every channel still pairs
+    up, so only RACE01's per-op geometry check sees them."""
+
+    def test_every_config_has_all_three(self):
+        assert len(MISPLACED) == 3 * len(CONFIGS)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mutant", MISPLACED, ids=lambda m: m.id)
+    def test_race01_fires_and_the_engine_breaks(self, mutant):
+        rep = analyze_program(mutant_program(mutant))
+        assert "RACE01" in error_codes(rep)
+        assert broken_engines(mutant, TIER1_ENGINES["plans"]) == [
+            "execute_dense"]

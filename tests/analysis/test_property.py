@@ -49,15 +49,16 @@ def test_verify_flag_accepts_every_legal_tiling(case):
 @given(random_cases())
 @settings(max_examples=25, deadline=None)
 def test_clean_sync_deadlock_report_matches_engine(case):
-    """When the report has no DL03 at all, the rendezvous engine must
-    complete; when it has one, the default eager engine must still
-    complete (DL03-only reports are warnings by construction)."""
+    """When the rendezvous certificate names no cycle, the rendezvous
+    engine must complete; when it names one, the default eager engine
+    must still complete (rendezvous-only cycles are warnings by
+    construction)."""
     deps, h, lo, hi, coeffs = case
     nest = stencil_nest(deps, lo, hi, coeffs)
     prog = TiledProgram(nest, h)
     report = analyze_program(prog)
     assert report.ok
-    if not report.by_code("DL03"):
+    if not prog.hb_certificate("rendezvous").cycle:
         stats = DistributedRun(
             prog, ClusterSpec(rendezvous_threshold=0)).simulate()
         assert stats.makespan >= 0

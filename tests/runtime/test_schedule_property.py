@@ -85,7 +85,7 @@ def test_both_schedules_stay_inside_their_certificates(
     blocking = {}
     for overlap in (False, True):
         verdict = replay(build_hb_graph(prog, protocol, overlap=overlap,
-                                        spec=SPEC), bounded=True)
+                                        spec=SPEC))
         kwargs = dict(workers=2, protocol=protocol, overlap=overlap)
         if not verdict.completed:
             assert verdict.cycle, (overlap, verdict.blocked)
@@ -123,7 +123,7 @@ def test_a_rank_blocked_on_a_receive_drains_its_deferred_halos():
     app, prog = drawn_program("sor", 3, 5, 2)
     for overlap in (False, True):
         verdict = replay(build_hb_graph(prog, "rendezvous", overlap=overlap,
-                                        spec=SPEC), bounded=True)
+                                        spec=SPEC))
         assert verdict.completed == overlap, verdict.cycle
     ref, _ = DistributedRun(prog, SPEC).execute_dense(app.init_value)
     for _ in range(3):
@@ -151,7 +151,7 @@ def test_random_stencils_on_the_ring_walk(case, mapping_dim, depth):
     for overlap in (False, True):
         verdict = replay(build_hb_graph(
             prog, "eager", overlap=overlap, mailbox_depth=depth,
-            spec=SPEC), bounded=True)
+            spec=SPEC))
         assert verdict.completed, (overlap, verdict.blocked)
         trace = EventTrace()
         fields, stats = run_parallel(

@@ -60,8 +60,23 @@ GATES = [
          "frozen schedule and ClusterSpec.uses_rendezvous the one protocol "
          "decision (docs/ANALYSIS.md)",
          r"_abstract_run|class ScheduleModel|_rendezvous_fn", ("src",),
-         mutation=("src/repro/analysis/deadlock.py",
+         mutation=("src/repro/analysis/hb/graph.py",
                    "def _abstract_run(graph):\n")),
+    Gate("one schedule pass (no deadlock module)",
+         "the eager blocking HB certificate is the one schedule check: "
+         "its pairing gives DL01/DL02/DL04 and its replay HB02; a second "
+         "pass over the same graph is a copy to keep in step "
+         "(docs/ANALYSIS.md)",
+         None, ("src/repro/analysis/deadlock.py",),
+         mutation=("src/repro/analysis/deadlock.py",
+                   "def check_program_deadlock(program):\n")),
+    Gate("one schedule pass (one replay mode)",
+         "replay runs on the rings build_edges sizes; the simulator's "
+         "unlimited buffering is a depth, not a second mode, and op lists "
+         "are not a second graph front end",
+         r"bounded=|def graph_from_ops|check_program_deadlock", ("src",),
+         mutation=("src/repro/analysis/hb/graph.py",
+                   "def replay(g, bounded=False):\n")),
     Gate("one condensed map",
          "RankLDS.to_flat is evaluated once per LDS geometry, in "
          "RankLDS._build_tables; a second call site re-derives addresses "
