@@ -1,11 +1,11 @@
-"""TV05: translation validation of the native kernel translation unit.
+"""TV05: translation validation of the native rank-body translation unit.
 
 The native backend (:mod:`repro.native`) emits one C translation unit
-per program — an ``F_<array>(...)`` kernel function per
-statement plus the ``repro_run`` driver — and compiles it to the
-cached shared object the dense and parallel engines call.  This pass
-re-parses that text with its *own* grammar (independent of the
-emitter) and proves, statement by statement:
+per program — an ``F_<array>(...)`` kernel function per statement plus
+the ``repro_tile`` and ``repro_write_back`` entries over the TTIS loops
+— and compiles it to the cached shared object the dense and parallel
+engines call.  This pass re-parses that text with its *own* grammar
+(independent of the emitter) and proves, statement by statement:
 
 * the kernel function's expression tree is **structurally identical**
   to the statement's symbolic :class:`~repro.loops.kexpr.KExpr` —
@@ -13,29 +13,38 @@ emitter) and proves, statement by statement:
   constant's hex literal round-trips to the bitwise-equal double
   (this is what makes ``-ffp-contract=off`` output bitwise equal to
   the numpy kernels);
-* the driver's call wiring matches the read structure derived from
-  :func:`~repro.runtime.dense.read_dependences`: dependence reads are
-  LDS loads ``b_<arr>[rb<k>[i_] + shift]`` from the statement's read
-  array through their own slot's table (an out-of-domain source reads
-  its halo cell, filled before the tile runs), pure-input reads are
-  table loads ``pt<k>[i_]``, slots are assigned in statement-major
-  read order, and the write lands in the statement's own buffer at
-  ``wbase[i_] + shift``.
+* ``repro_tile``'s call wiring matches the read structure derived from
+  :func:`~repro.runtime.dense.read_dependences`: dependence read ``q``
+  (statement-major read order) is the LDS load ``b_<arr>[w + r<q>]``
+  from the statement's read array at the point's cell ``w`` through its
+  *own* displacement, whose per-level definitions ``r<q>_k = r<q>_{k-1}
+  + floord(lo_k - (d'_k), c_k) * st_k`` carry the read's ``d' = H' d``
+  and the tiling's strides (an out-of-domain source reads its halo
+  cell, filled before the tile runs) — the constant ``(-d'_k) * st_k``
+  where ``c_k = 1``; pure-input reads are the table loads ``pt<k>[...]``
+  in slot order; and the write lands in the statement's own buffer at
+  ``w``.
 
 Any structural drift — a reassociated sum, a decimal constant, a
-swapped slot, a write into the wrong buffer — is a ``TV05`` error.
+swapped slot, a wrong displacement, a write into the wrong buffer — is
+a ``TV05`` error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
 from repro.loops.nest import LoopNest
 from repro.loops import kexpr
-from repro.native.emit import NativeEmitError, emit_translation_unit
+from repro.native.emit import (
+    NativeEmitError,
+    emit_translation_unit,
+    unit_tiling,
+)
 from repro.runtime.dense import read_dependences
+from repro.tiling.transform import TilingTransformation
 
 PASS_KERNELS = "transval-kernels"
 
@@ -210,14 +219,23 @@ _FN_RE = re.compile(
     r"static\s+double\s+(?P<name>F_\w+)\s*\((?P<params>[^)]*)\)\s*\{"
     r"\s*return\s+(?P<body>.*?);\s*\}", re.S)
 
+_TILE_RE = re.compile(r"void\s+repro_tile\s*\(.*?(?=\nvoid\s|\Z)", re.S)
+
 _CALL_RE = re.compile(
-    r"b_(?P<warr>\w+)\[wbase\[i_\]\s*\+\s*shift\]\s*=\s*"
+    r"b_(?P<warr>\w+)\[(?P<waddr>\w+)\]\s*=\s*"
     r"(?P<fname>F_\w+)\s*\((?P<args>.*?)\);", re.S)
 
-_DEP_ARG_RE = re.compile(
-    r"^b_(?P<arr>\w+)\[rb(?P<k>\d+)\[i_\]\+shift\]$")
+#: ``const long r<q>_<k> = <prev> + <term> * st<k>;`` with ``<term>``
+#: ``floord(lo<k> - (<d>), <c>)``, or the constant ``(<-d>)`` (``c = 1``)
+_DISP_RE = re.compile(
+    r"const\s+long\s+r(?P<q>\d+)_(?P<k>\d+)\s*=\s*(?P<prev>\w+)\s*\+\s*"
+    r"(?:floord\(\s*lo(?P<klo>\d+)\s*-\s*\(\s*(?P<d>-?\d+)\s*\)\s*,\s*"
+    r"(?P<c>\d+)\s*\)|\(\s*(?P<neg>-?\d+)\s*\))\s*\*\s*st(?P<kst>\d+)\s*;")
 
-_PURE_ARG_RE = re.compile(r"^pt(?P<k>\d+)\[i_\]$")
+_DEP_ARG_RE = re.compile(
+    r"^b_(?P<arr>\w+)\[(?P<w>\w+)\+r(?P<q>\d+)_(?P<k>\d+)\]$")
+
+_PURE_ARG_RE = re.compile(r"^pt(?P<k>\d+)\[[^\[\]]+\]$")
 
 
 def _split_args(argtext: str) -> List[str]:
@@ -246,9 +264,34 @@ def _c_name(array: str) -> str:
     return safe if safe else "arr"
 
 
+def _disp_text(prev: str, term: str, k: str) -> str:
+    return f"{prev} + {term} * st{k}"
+
+
+def _displacement_errors(disp: Dict[Tuple[int, int], str], q: int,
+                         dprime: Sequence[int],
+                         c: Sequence[int]) -> List[str]:
+    """What is wrong with slot ``q``'s displacement chain: level ``k``
+    must add ``floord(lo_k - d'_k, c_k) * st_k`` to level ``k - 1``'s,
+    which is the constant ``-d'_k * st_k`` when ``c_k = 1``."""
+    bad: List[str] = []
+    for k, (dk, ck) in enumerate(zip(dprime, c)):
+        got = disp.get((q, k))
+        want = _disp_text(
+            f"r{q}_{k - 1}" if k else "0",
+            f"floord(lo{k} - ({dk}), {ck})" if ck > 1 else f"({-dk})",
+            str(k))
+        if got != want:
+            bad.append(f"level {k}: {got or 'missing'}")
+    return bad
+
+
 def check_native_tu(nest: LoopNest, arrays: Sequence[str],
-                    text: Optional[str] = None) -> List[Diagnostic]:
-    """TV05 over the native kernel translation unit of ``nest``.
+                    text: Optional[str] = None,
+                    tiling: Optional[TilingTransformation] = None,
+                    ) -> List[Diagnostic]:
+    """TV05 over the native rank-body translation unit of ``nest``
+    under ``tiling`` (the unit tiling when ``None``, as the emitter).
 
     With ``text=None`` the TU is freshly emitted (the normal
     ``repro analyze --transval`` path); passing text validates an
@@ -258,19 +301,30 @@ def check_native_tu(nest: LoopNest, arrays: Sequence[str],
     if text is None:
         try:
             text = emit_translation_unit(nest, tuple(arrays),
-                                         nest.name).source
+                                         nest.name, tiling).source
         except NativeEmitError:
             # No symbolic exprs => no native TU: the engines fall
             # back to numpy kernels, so there is nothing to prove.
             return diags
+    ttis = (unit_tiling(nest) if tiling is None else tiling).ttis
+    n = ttis.n
+    cell = f"w{n - 1}"
 
     fns = {m.group("name"): m for m in _FN_RE.finditer(text)}
-    calls = _CALL_RE.findall(text)
+    tile = _TILE_RE.search(text)
+    body = tile.group(0) if tile is not None else ""
+    calls = _CALL_RE.findall(body)
+    disp = {(int(m.group("q")), int(m.group("k"))): _disp_text(
+        m.group("prev"),
+        f"({int(m.group('neg'))})" if m.group("neg") is not None else
+        f"floord(lo{m.group('klo')} - ({int(m.group('d'))}), "
+        f"{int(m.group('c'))})", m.group("kst"))
+        for m in _DISP_RE.finditer(body)}
     deps = read_dependences(nest)
 
     if len(calls) != len(nest.statements):
         diags.append(_diag(
-            f"driver makes {len(calls)} kernel call(s) but the nest "
+            f"repro_tile makes {len(calls)} kernel call(s) but the nest "
             f"has {len(nest.statements)} statement(s)",
             equation="one F_<array> call per statement per point",
             subject=(("artifact", "native-tu"),),
@@ -280,18 +334,20 @@ def check_native_tu(nest: LoopNest, arrays: Sequence[str],
     dep_slot = 0
     pure_slot = 0
     for si, stmt in enumerate(nest.statements):
-        warr, fname, argtext = calls[si]
+        warr, waddr, fname, argtext = calls[si]
         subject = (("statement", si), ("array", stmt.write.array))
-        if warr != _c_name(stmt.write.array):
+        if warr != _c_name(stmt.write.array) or waddr != cell:
             diags.append(_diag(
-                f"statement {si} writes buffer b_{warr} but the "
-                f"symbolic write targets {stmt.write.array!r}",
-                equation="write lands in the statement's own array",
+                f"statement {si} writes b_{warr}[{waddr}] but the "
+                f"symbolic write targets {stmt.write.array!r} at the "
+                f"point's own cell {cell}",
+                equation="write lands in the statement's own array at "
+                         "w = sum_k (s_k + off_k) st_k + t shift_unit",
                 subject=subject))
         fn = fns.get(fname)
         if fn is None:
             diags.append(_diag(
-                f"driver calls {fname} but no such kernel function "
+                f"repro_tile calls {fname} but no such kernel function "
                 f"is defined in the translation unit",
                 subject=subject))
             continue
@@ -330,36 +386,46 @@ def check_native_tu(nest: LoopNest, arrays: Sequence[str],
                                "stale .so would silently change "
                                "results"))
 
-        # 2) driver wiring: slot indices in statement-major read
-        # order, dep reads from the read's array through their own
-        # slot's table, pure reads from the table pointer.
+        # 2) wiring: slot indices in statement-major read order, a dep
+        # read loads the read's array through its own slot's
+        # displacement (built from its own d' = H' d), a pure read
+        # loads its own table.
         args = _split_args(argtext)
         for ri, (read, d) in enumerate(zip(stmt.reads, deps[si])):
-            arg = re.sub(r"\s+", " ", args[ri]) if ri < len(args) else ""
+            arg = re.sub(r"\s+", "", args[ri]) if ri < len(args) else ""
             rsub = subject + (("read", ri),)
             if d is None:
-                m = _PURE_ARG_RE.match(arg.replace(" ", ""))
+                m = _PURE_ARG_RE.match(arg)
                 if m is None or int(m.group("k")) != pure_slot:
                     diags.append(_diag(
                         f"read {ri} of statement {si} should be the "
-                        f"pure-table load pt{pure_slot}[i_], found "
+                        f"pure-table load pt{pure_slot}[...], found "
                         f"{arg!r}",
                         equation="pure inputs gather from the "
                                  "InputTable slot",
                         subject=rsub))
                 pure_slot += 1
-            else:
-                m = _DEP_ARG_RE.match(arg.replace(" ", ""))
-                ok = (m is not None
-                      and int(m.group("k")) == dep_slot
-                      and m.group("arr") == _c_name(read.array))
-                if not ok:
-                    diags.append(_diag(
-                        f"read {ri} of statement {si} should be the "
-                        f"LDS load of slot {dep_slot} from "
-                        f"b_{_c_name(read.array)}, found {arg!r}",
-                        equation="buf[rbase[k][i_] + shift] per "
-                                 "dependence read k",
-                        subject=rsub))
-                dep_slot += 1
+                continue
+            q = dep_slot
+            dep_slot += 1
+            m = _DEP_ARG_RE.match(arg)
+            if not (m is not None and m.group("arr") == _c_name(read.array)
+                    and m.group("w") == cell and int(m.group("q")) == q
+                    and int(m.group("k")) == n - 1):
+                diags.append(_diag(
+                    f"read {ri} of statement {si} should be the LDS "
+                    f"load of slot {q} from b_{_c_name(read.array)}"
+                    f"[{cell} + r{q}_{n - 1}], found {arg!r}",
+                    equation="buf[w + r_q] per dependence read q",
+                    subject=rsub))
+                continue
+            dprime = ttis.transformed_dependences([d])[0]
+            bad = _displacement_errors(disp, q, dprime, ttis.c)
+            if bad:
+                diags.append(_diag(
+                    f"slot {q} (read {ri} of statement {si}, d' = "
+                    f"{tuple(dprime)}) has a wrong displacement: "
+                    + "; ".join(bad),
+                    equation="r_q = sum_k floord(lo_k - d'_qk, c_k) st_k",
+                    subject=rsub))
     return diags

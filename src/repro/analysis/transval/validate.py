@@ -48,7 +48,7 @@ def check_transval(program: Any) -> List[Diagnostic]:
         program, codegen.render_sequential_tiled_code(nest, tiling))
     diags += check_pygen_source(
         program, codegen.render_python_node_programs(program))
-    diags += check_native_tu(nest, tuple(program.arrays))
+    diags += check_native_tu(nest, tuple(program.arrays), tiling=tiling)
     return diags
 
 

@@ -108,12 +108,12 @@ def cmd_codegen(args) -> int:
     _app, prog = _compile(args)
     if args.engine == "native":
         # The native backend's generated artifact is the C translation
-        # unit of the per-app tile kernels (what gets compiled to the
+        # unit of the program's rank body (what gets compiled to the
         # cached .so) — print it regardless of --kind.
         from repro.native.emit import emit_translation_unit
 
         plan = emit_translation_unit(prog.nest, tuple(prog.arrays),
-                                     prog.nest.name)
+                                     prog.nest.name, prog.tiling)
         print(plan.source, end="")
     elif args.kind == "mpi":
         print(codegen.render_mpi_code(prog))

@@ -22,7 +22,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.native.emit import kernel_definitions
 from repro.polyhedra.integer_points import integer_points
 from repro.runtime.dense import _access_box
 from repro.tiling.transform import TilingTransformation
+from repro.tiling.ttis import TTIS
 
 Cell = Tuple[int, ...]
 Box = Tuple[Cell, Cell]
@@ -92,6 +93,49 @@ def _domain_guards(nest: LoopNest) -> List[str]:
     return guards
 
 
+def ttis_loops(nest: LoopNest, ttis: TTIS, depth: int,
+               header: Optional[Callable[[int], List[str]]] = None,
+               inside: Optional[Callable[[int], List[str]]] = None,
+               ) -> Tuple[List[str], int]:
+    """The ``n`` intra-tile loops of §2.3 over the TTIS lattice, opened
+    at ``depth``, down to the guarded point: ``j'_k`` runs from ``lo_k
+    = ph_k mod c_k`` in steps of ``c_k``, its phase ``ph_k`` read off
+    the outer HNF coordinates ``x_l`` (the offsets ``a_kl``); then ``j
+    = o + P' j'`` and the domain guard ``A j <= b`` against the
+    original space.  ``header(k)`` adds lines to level ``k`` after
+    ``lo_k``, before its ``for``; ``inside(k)`` at the top of its body.
+    The one renderer of these loops: the sequential text and the native
+    rank body (:mod:`repro.native.emit`) both call it.  Returns the
+    lines and the depth of the guarded body; the caller closes the
+    braces."""
+    hnf = ttis.hnf.to_int_rows()
+    out: List[str] = []
+    for k in range(ttis.n):
+        ck = ttis.c[k]
+        phase_terms = [f"{hnf[k][l]}*x{l}" for l in range(k) if hnf[k][l]]
+        phase = " + ".join(phase_terms) if phase_terms else "0"
+        out += _indent([
+            f"long ph{k} = {phase};",
+            f"long lo{k} = ((ph{k} % {ck}) + {ck}) % {ck};  "
+            f"/* smallest admissible j'_{k} */",
+        ], depth)
+        if header is not None:
+            out += _indent(header(k), depth)
+        out += _indent([f"for (long jp{k} = lo{k}; jp{k} < {ttis.v[k]}; "
+                        f"jp{k} += {ck}) {{"], depth)
+        depth += 1
+        out += _indent([f"long x{k} = (jp{k} - ph{k}) / {ck};"], depth)
+        if inside is not None:
+            out += _indent(inside(k), depth)
+    # Global point j = P jS + P' j' and boundary guard.
+    exprs, den = _scaled_rows(ttis.p_prime.rows(), "jp")
+    out += _indent([f"long j{i} = o{i} + ({expr}) / {den};"
+                    for i, expr in enumerate(exprs)], depth)
+    guards = _domain_guards(nest)
+    out += _indent([f"if ({' && '.join(guards)}) {{"], depth)
+    return out, depth + 1
+
+
 def _array_boxes(nest: LoopNest) -> Dict[str, Box]:
     """``array -> (origin, shape)``: the union of the access boxes of
     every reference to it, in first-reference order — ``bufs[i]`` of
@@ -133,10 +177,8 @@ def render_sequential_tiled_code(nest: LoopNest,
     program's ``.nest`` and ``.tiling``); constructs nothing."""
     n = tiling.n
     ttis = tiling.ttis
-    hnf = ttis.hnf.to_int_rows()
     tile_bounds = tiling.tile_space_bounds()
     ts_names = [f"jS{k}" for k in range(n)]
-    tt_names = [f"jp{k}" for k in range(n)]
 
     out: List[str] = [C_PROLOGUE + SEQ_PROLOGUE, *kernel_definitions(nest)]
     out.append("void repro_seq(double **bufs)\n{")
@@ -156,30 +198,9 @@ def render_sequential_tiled_code(nest: LoopNest,
     # Tile origin P jS.
     origin, _ = _scaled_rows(tiling.p.rows(), "jS")
     out += _indent([f"long o{i} = {e};" for i, e in enumerate(origin)], depth)
-    # --- n inner TTIS loops ---------------------------------------------------
-    # j'_k runs over phase(k) + c_k * step, phase from outer HNF coefficients.
-    for k in range(n):
-        ck = ttis.c[k]
-        phase_terms = [f"{hnf[k][l]}*x{l}" for l in range(k) if hnf[k][l]]
-        phase = " + ".join(phase_terms) if phase_terms else "0"
-        body = [
-            f"long ph{k} = {phase};",
-            f"long lo{k} = ((ph{k} % {ck}) + {ck}) % {ck};  "
-            f"/* smallest admissible j'_{k} */",
-            f"for (long {tt_names[k]} = lo{k}; {tt_names[k]} < {ttis.v[k]}; "
-            f"{tt_names[k]} += {ck}) {{",
-        ]
-        out += _indent(body, depth)
-        depth += 1
-        out += _indent(
-            [f"long x{k} = ({tt_names[k]} - ph{k}) / {ck};"], depth)
-    # Global point j = P jS + P' j' and boundary guard.
-    exprs, den = _scaled_rows(ttis.p_prime.rows(), "jp")
-    out += _indent([f"long j{i} = o{i} + ({expr}) / {den};"
-                    for i, expr in enumerate(exprs)], depth)
-    guards = _domain_guards(nest)
-    out += _indent([f"if ({' && '.join(guards)}) {{"], depth)
-    depth += 1
+    # --- n inner TTIS loops, then the guarded point -------------------------
+    loops, depth = ttis_loops(nest, ttis, depth)
+    out += loops
     for s in nest.statements:
         args = ", ".join(_ref_to_c(r, n) for r in s.reads)
         out += _indent(

@@ -1,17 +1,18 @@
 """Native compiled tile-kernel backend.
 
-Turns each app's symbolic kernel expressions (``Statement.expr``) into
-a per-program C translation unit, compiles it to a shared object, and
-executes tile wavefront levels through ``ctypes`` instead of per-level
-numpy dispatch.  Results are bitwise identical (tol=0.0) to the dense
-engine; when anything prevents native execution (no C compiler, a
-non-float64 dtype, a tiling whose strides don't divide the box) the
-engines fall back to numpy and record why.
+Turns each program's symbolic kernel expressions (``Statement.expr``)
+and its tiling into a C translation unit — the paper's §2.3 TTIS loops
+over affine LDS addresses — compiles it to a shared object, and runs
+each tile in one ``ctypes`` call instead of per-level numpy dispatch.
+Results are bitwise identical (tol=0.0) to the dense engine; when
+anything prevents native execution (no C compiler, a non-float64
+dtype, a tiling whose strides don't divide the box) the engines fall
+back to numpy and record why.
 
 Modules (the kernel expression IR and its C renderer live with the
 loop-nest IR, in :mod:`repro.loops.kexpr`):
 
-* ``emit``    — per-program C translation unit emitter;
+* ``emit``    — per-program C translation unit emitter (the rank body);
 * ``compile`` — compiler discovery, fingerprinting, ``cc`` wrapper and
   the content-addressed ``.so`` cache hook;
 * ``engine``  — build pipeline plus the per-rank runtime objects the

@@ -11,30 +11,25 @@ condition that prevents native execution is recorded as a
 ``fallback_reason`` instead of raised, so the engines degrade to the
 numpy path without ceremony.
 
-The runtime side derives no address and no boundary value of its own:
-it marshals the dense engine's objects to C, so its index algebra is
-the dense engine's by construction:
+The runtime side passes constants only; the ``.so`` derives every
+address from the TTIS loops (:mod:`repro.native.emit`):
 
-* the LDS flat address of lattice point ``i`` of the tile with chain
-  index ``t`` is ``base[i] + t * shift_unit`` — the
-  :class:`~repro.runtime.dense.LdsTables` of the rank's
-  :class:`~repro.runtime.dense.RankLDS` (``RankLDS.to_flat`` at
-  ``t = 0`` per LDS geometry; the shift is exact because
-  ``TTIS.__init__`` refuses any tiling with ``c_k`` not dividing
-  ``v_k``);
-* per tile, the :class:`~repro.runtime.dense.TileContext` the numpy
-  batches read too: the executed points and, per pure-input read
-  (ADI's coefficient array), the values gathered from the dense
-  engine's :class:`~repro.runtime.dense.InputTable`.  A dependence read
-  needs nothing per tile: its out-of-domain sources were filled into
-  their halo cells by the rank's LDS before the tile runs;
-* per (tile, written array), the write-back's global addresses: the
-  :class:`~repro.runtime.dense.GlobalTable` ``gbase`` plus the tile's
-  ``gshift``, copied by ``repro_write_back``.
+* per run (:class:`NativeRuntime`): the pure-input tables of the dense
+  engine's :class:`~repro.runtime.dense.InputTable`, the fields and
+  their :class:`~repro.runtime.dense.GlobalTable` geometry ``gtile,
+  gconst``;
+* per rank (:class:`RankKernels`): the LDS buffers, the geometry
+  ``strides, off, shift_unit`` of the rank's
+  :class:`~repro.runtime.dense.RankLDS` and its chain's tile origins;
+* per tile: the chain index ``t``; per phase of the overlapped
+  schedule, the window ``[klo, khi)`` and the tile's send boxes
+  (:class:`Window`, one per overlap plan).
 
-Bitwise identity with the dense engine follows: same values flow into
-the same IEEE-754 operations in the same order, only the loop driver
-changes.
+A dependence read needs nothing per tile: its out-of-domain sources
+were filled into their halo cells by the rank's LDS before the tile
+runs.  Bitwise identity with the dense engine follows: every point
+reads the same cells into the same IEEE-754 operations, only the order
+of mutually independent points changes.
 """
 
 from __future__ import annotations
@@ -49,8 +44,10 @@ from typing import (
     Any,
     Callable,
     Dict,
+    List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -70,12 +67,7 @@ from repro.native.emit import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.dense import (
-        DenseData,
-        GlobalTable,
-        RankLDS,
-        TileContext,
-    )
+    from repro.runtime.dense import DenseData, RankLDS, TileOverlapPlan
 
 InitFn = Callable[[str, Tuple[int, ...]], float]
 
@@ -102,7 +94,7 @@ def native_key(content: str, source_hash: str,
 
 
 class _Entries(NamedTuple):
-    run: Any
+    tile: Any
     write_back: Any
 
 
@@ -110,13 +102,18 @@ class _Entries(NamedTuple):
 # re-open the cached .so by path (cheap, and the OS shares the pages).
 _FN_CACHE: Dict[str, _Entries] = {}
 
+#: Added to ``COMPILE_FLAGS`` for the rank body: its loops run as fast
+#: at -O1 as at -O2 (sor, jacobi and adi of ``bench/``) and compile in
+#: about four fifths of the time, which every cold build pays.
+BODY_FLAGS = ["-O1"]
+
 _VP, _L = ctypes.c_void_p, ctypes.c_long
 #: argtypes per exported entry (see :mod:`repro.native.emit`)
 _SIGNATURES = {
-    # nseg, seg_off, sel, shift, bufs, wbase, rbase, pure
-    "repro_run": [_L, _VP, _VP, _L, _VP, _VP, _VP, _VP],
-    # nlat, mask, wbase, shift, src, gbase, gshift, dst, written
-    "repro_write_back": [_L, _VP, _VP, _L, _VP, _VP, _L, _VP, _VP],
+    # t, org, geo, bufs, pure, klo, khi, box
+    "repro_tile": [_L, _VP, _VP, _VP, _VP, _L, _L, _VP],
+    # t, org, geo, bufs, dst, written, fgeo
+    "repro_write_back": [_L, _VP, _VP, _VP, _VP, _VP, _VP],
 }
 
 
@@ -207,7 +204,8 @@ def build_native_library(program: Any,
 
     try:
         plan = emit_translation_unit(
-            program.nest, tuple(program.arrays), program.nest.name)
+            program.nest, tuple(program.arrays), program.nest.name,
+            program.tiling)
     except NativeEmitError as exc:
         return fallback(str(exc))
 
@@ -238,7 +236,7 @@ def build_native_library(program: Any,
         status = "miss"
         so_path = cache.native_path(key)
         try:
-            compile_shared_object(cc, plan.source, so_path)
+            compile_shared_object(cc, plan.source, so_path, BODY_FLAGS)
         except NativeCompileError as exc:
             return fallback(f"compile failed: {exc}")
         cache.native_store_source(key, plan.source)
@@ -258,10 +256,33 @@ def build_native_library(program: Any,
 # -- runtime ------------------------------------------------------------------
 
 
+def _ptrs(arrays: Sequence[np.ndarray]) -> Any:
+    """A C array of the data pointers of ``arrays`` (at least one slot);
+    it does not keep them alive — their owner does."""
+    return (ctypes.c_void_p * max(len(arrays), 1))(
+        *[a.ctypes.data for a in arrays])
+
+
+def _longs(values: Sequence[int]) -> Any:
+    return (ctypes.c_long * len(values))(*values)
+
+
+class Window(NamedTuple):
+    """The phases of one overlap plan as ``repro_tile`` windows:
+    segment ``i`` of the plan starts at key ``keys[i]`` (``2 L`` for a
+    level's boundary, ``2 L + 1`` for its interior, ``L`` the absolute
+    level), ``cuts`` are the plan's point offsets and ``box`` the
+    tile's send boxes, ``[count, lower bounds...]``."""
+
+    keys: List[int]
+    cuts: List[int]
+    box: Any
+
+
 class NativeRuntime:
     """The loaded entries of one run, on top of the run's
-    :class:`~repro.runtime.dense.DenseData` (whose plans, tables and
-    per-tile contexts it marshals — it derives no address itself)."""
+    :class:`~repro.runtime.dense.DenseData`: its input tables and fields
+    as C pointer arrays (the arrays stay owned by ``data``)."""
 
     def __init__(self, data: "DenseData", library: NativeKernelLibrary):
         assert library.so_path is not None
@@ -271,102 +292,91 @@ class NativeRuntime:
         self.fns = _load_fn(library.so_path)
         assert data.arrays == self.plan.arrays, \
             "library built for a different array layout"
-        for g in data.gtables:          # repro_write_back's arguments
-            assert g.gbase.dtype == np.int64 and g.gbase.flags["C_CONTIGUOUS"]
-            assert g.values.dtype == np.float64 and g.written.itemsize == 1
+        dense_s = tuple(data.prog.stage("dense_s"))
+        assert dense_s == self.plan.dense_s, "library built for other levels"
+        pures = [rp.table.values for plan in data.plans for rp in plan.reads
+                 if rp.table is not None]
+        for a in [*pures, *(g.values for g in data.gtables)]:
+            assert a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
+        self.pure = _ptrs(pures)
+        self.dst = _ptrs([g.values for g in data.gtables])
+        self.written = _ptrs([g.written for g in data.gtables])
+        self.fgeo = _longs([v for g in data.gtables
+                            for v in (*g.gtile.tolist(), g.gconst)])
+        self.level = data.lat @ np.asarray(dense_s, dtype=np.int64)
+        self._windows: Dict[int, Window] = {}
+
+    def window(self, oplan: "TileOverlapPlan") -> Window:
+        """The :class:`Window` of ``oplan`` (one per plan: full tiles
+        with the same messages share theirs).  A partial tile's plan
+        numbers its non-empty levels only; its first point of each
+        names the absolute level, and that map is monotone."""
+        win = self._windows.get(id(oplan))
+        if win is None:
+            lv = self.level[oplan.order[oplan.cuts[:-1:2]]].tolist()
+            keys = [2 * lv[i // 2] + (i & 1) for i in range(2 * len(lv))]
+            keys.append(2 * lv[-1] + 2 if lv else 0)
+            comm = self.data.prog.comm
+            win = self._windows[id(oplan)] = Window(
+                keys, oplan.cuts.tolist(), _longs([len(oplan.packs), *(
+                    lb for p in oplan.packs
+                    for lb in comm.pack_lower_bounds(p.direction))]))
+        return win
 
     def for_rank(self, lds: "RankLDS") -> "RankKernels":
         return RankKernels(self, lds)
 
 
 class RankKernels:
-    """One rank's native executor over its LDS buffers.
-
-    ``run_tile`` executes a whole tile (all wavefront levels, one C
-    call); ``run_segments`` executes a range of the tile context's
-    segments — one phase of the overlapped schedule — in one C call;
-    ``write_back`` copies one tile's points of one array to its field.
-    """
+    """One rank's native executor over its LDS buffers: one
+    ``repro_tile`` call per non-empty tile (``run_tile``) or per
+    non-empty phase of an overlapped tile (``run_phase``, on the
+    context ``(t, window)`` of :meth:`tile`), one ``repro_write_back``
+    call per non-empty tile (``write_back``)."""
 
     def __init__(self, rt: NativeRuntime, lds: "RankLDS"):
         self.rt = rt
         self.lds = lds                  # keeps the pointed-to buffers alive
-        arrays = rt.plan.arrays
-        for a in arrays:
-            buf = lds.local[a]
+        bufs = [lds.local[a] for a in rt.plan.arrays]
+        for buf in bufs:
             assert buf.dtype == np.float64 and buf.flags["C_CONTIGUOUS"]
-        self._bufs = (ctypes.c_void_p * len(arrays))(
-            *[lds.local[a].ctypes.data for a in arrays])
-        self._wbase = lds.tables.wbase.ctypes.data
-        n_dep = max(rt.plan.n_dep_slots, 1)
-        n_pure = max(rt.plan.n_pure_slots, 1)
-        self._rb = (ctypes.c_void_p * n_dep)()
-        for slot in rt.plan.slots:
-            if slot.kind == "dep":
-                rbase = lds.rbase[slot.stmt_index][slot.read_index]
-                assert rbase is not None
-                self._rb[slot.slot] = rbase.ctypes.data
-        self._pure = (ctypes.c_void_p * n_pure)()
-        self._pure_slots = [s for s in rt.plan.slots if s.kind == "pure"]
-        self._ctx: Optional["TileContext"] = None   # the one marshalled
-        self._sel = self._seg = 0       # addresses of its sel and seg
+        self._bufs = _ptrs(bufs)
+        self._geo = _longs([*lds.strides.tolist(), *lds.offsets.tolist(),
+                            lds.tables.shift_unit])
+        assert lds.origins.flags["C_CONTIGUOUS"]
+        self._org = lds.origins.ctypes.data
+        self._org_step = lds.origins.strides[0]
+        self.points = rt.data.prog.tiling.tile_point_count
 
-    def _marshal(self, ctx: "TileContext") -> None:
-        """Point the per-tile argument arrays at ``ctx`` (which pins
-        what they point to for as long as it is the current one)."""
-        for idx in (ctx.sel, ctx.seg):
-            if idx.dtype != np.int64 or not idx.flags["C_CONTIGUOUS"]:
-                raise ValueError(
-                    "tile segments must be C-contiguous int64 arrays")
-        for slot in self._pure_slots:
-            vals = ctx.pure[slot.stmt_index][slot.read_index]
-            assert vals is not None
-            self._pure[slot.slot] = vals.ctypes.data
-        self._sel, self._seg = ctx.sel.ctypes.data, ctx.seg.ctypes.data
-        self._ctx = ctx
+    def _call(self, t: int, klo: int, khi: int, box: Any) -> None:
+        """One ``repro_tile`` call on chain tile ``t``: the points of
+        window ``[klo, khi)`` of ``box``, or all of them (``None``)."""
+        rt = self.rt
+        rt.fns.tile(t, self._org + self._org_step * t, self._geo,
+                    self._bufs, rt.pure, klo, khi, box)
 
-    def _call(self, ctx: "TileContext", lo: int, hi: int) -> None:
-        """``repro_run`` over segments ``[lo, hi)`` of ``ctx``.  The
-        driver reads ``seg_off`` as absolute offsets into ``sel``, so a
-        sub-range is the same two arrays entered ``lo`` words in."""
-        if ctx is not self._ctx:
-            self._marshal(ctx)
-        self.rt.fns.run(
-            hi - lo,
-            self._seg + 8 * lo,
-            self._sel,
-            ctx.shift,
-            ctypes.addressof(self._bufs),
-            self._wbase,
-            ctypes.addressof(self._rb),
-            ctypes.addressof(self._pure),
-        )
+    def tile(self, t: int, oplan: "TileOverlapPlan") -> Tuple[int, Window]:
+        """The context of chain tile ``t`` run by ``oplan``'s phases."""
+        return t, self.rt.window(oplan)
 
-    def run_tile(self, ctx: "TileContext") -> None:
-        """All wavefront levels of one tile in one native call."""
-        if len(ctx.sel):
-            self._call(ctx, 0, len(ctx.seg) - 1)
+    def run_tile(self, tile: Tuple[int, ...], t: int) -> None:
+        """Every point of one tile in one native call (none when the
+        tile is empty)."""
+        if self.points(tile):
+            self._call(t, 0, 0, None)
 
-    def run_segments(self, ctx: "TileContext", lo: int, hi: int) -> None:
-        """Segments ``[lo, hi)`` of one tile — a phase of the
-        overlapped schedule — in one native call (none when empty)."""
-        if ctx.seg[lo] < ctx.seg[hi]:
-            self._call(ctx, lo, hi)
+    def run_phase(self, ctx: Tuple[int, Window], lo: int, hi: int) -> None:
+        """Segments ``[lo, hi)`` of an overlapped tile — one phase of
+        its plan — in one native call (none when empty)."""
+        t, win = ctx
+        if win.cuts[lo] < win.cuts[hi]:
+            self._call(t, win.keys[lo], win.keys[hi], win.box)
 
-    def write_back(self, mask: Optional[np.ndarray], shift: int,
-                   g: "GlobalTable", gshift: int) -> None:
-        """One ``repro_write_back`` call: the tile's points kept by
-        ``mask`` (``None``: every lattice point) of ``g.array``, from
-        LDS cell ``wbase + shift`` to field cell ``gbase + gshift``."""
-        tb = self.lds.tables
-        self.rt.fns.write_back(
-            len(tb.wbase),
-            None if mask is None else mask.ctypes.data,
-            self._wbase,
-            shift,
-            self.lds.local[g.array].ctypes.data,
-            g.gbase.ctypes.data,
-            gshift,
-            g.values.ctypes.data,
-            g.written.ctypes.data,
-        )
+    def write_back(self, tile: Tuple[int, ...], t: int) -> None:
+        """One ``repro_write_back`` call: chain tile ``t``'s points of
+        every written array, from the LDS to the fields."""
+        if self.points(tile):
+            rt = self.rt
+            rt.fns.write_back(t, self._org + self._org_step * t,
+                              self._geo, self._bufs, rt.dst, rt.written,
+                              rt.fgeo)

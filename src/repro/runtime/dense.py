@@ -510,18 +510,20 @@ def build_overlap_split(
 # -- the program's level tables -----------------------------------------------------
 
 
-def _build_dense_s(program: "TiledProgram") -> Tuple[int, ...]:
+def ttis_wavefront(nest: LoopNest, ttis: "TTIS") -> Tuple[int, ...]:
     """The TTIS wavefront vector the dense engine batches with.
 
     Built from the union of actual read dependences and the nest's
     declared matrix, pushed through the TTIS transformation — a pure
     compile-time quantity (the emitters burn it into generated
     sources)."""
-    ttis = program.tiling.ttis
-    dprimes = ttis.transformed_dependences(
-        schedule_dependences(program.nest))
+    dprimes = ttis.transformed_dependences(schedule_dependences(nest))
     return wavefront_vector(
-        [d for d in dprimes if any(d)], program.n, extents=ttis.v)
+        [d for d in dprimes if any(d)], ttis.n, extents=ttis.v)
+
+
+def _build_dense_s(program: "TiledProgram") -> Tuple[int, ...]:
+    return ttis_wavefront(program.nest, program.tiling.ttis)
 
 
 def _build_dense_batches(program: "TiledProgram") -> List[np.ndarray]:
@@ -686,28 +688,30 @@ class LdsTables:
 @dataclass(frozen=True)
 class GlobalTable:
     """``loc⁻¹`` composed with ``f_w`` for one written array, as flat
-    field addresses: lattice point ``i`` of the tile at ``origin`` is
-    cell ``gbase[i] + gtile @ origin`` of the raveled field."""
+    field addresses: iteration ``j`` writes cell ``gtile @ j + gconst``
+    of the raveled field, so lattice point ``i`` of the tile at
+    ``origin`` is cell ``gbase[i] + gtile @ origin``."""
 
     array: str
     values: np.ndarray                 # flat view of the field's values
     written: np.ndarray                # flat view of its written mask
-    gbase: np.ndarray                  # (cells(tis) - field.origin) . fstr
+    gbase: np.ndarray                  # tis @ gtile + gconst
     gtile: np.ndarray                  # fstr @ F  (so gshift = gtile.origin)
+    gconst: int                        # (f - field.origin) . fstr
 
     def gshift(self, origin: np.ndarray) -> int:
         return int(self.gtile @ origin)
 
 
 class TileContext(NamedTuple):
-    """What one (rank, tile) needs beyond the tables: its flat shift,
-    its executed lattice points (``sel``, wavefront-level-major, with
-    the segment offsets ``seg`` — one segment per level, or the
-    boundary/interior pairs of an overlap plan) and, per (statement,
-    read), the lattice-indexed values of a pure-input read (``None``
-    for a dependence read: it loads the LDS, halo included).  Built
-    once per tile, read by the numpy batches and marshalled to C by
-    the native kernels."""
+    """What one (rank, tile) needs beyond the tables on the numpy path:
+    its flat shift, its executed lattice points (``sel``,
+    wavefront-level-major, with the segment offsets ``seg`` — one
+    segment per level, or the boundary/interior pairs of an overlap
+    plan) and, per (statement, read), the lattice-indexed values of a
+    pure-input read (``None`` for a dependence read: it loads the LDS,
+    halo included).  Built once per tile.  The native kernels need none
+    of it."""
 
     shift: int
     sel: np.ndarray
@@ -800,13 +804,15 @@ class DenseData:
             wi = plan.write_indexer
             f_int = (np.eye(n, dtype=np.int64) if wi.f_int is None
                      else wi.f_int)
+            gtile = fstr @ f_int
+            gconst = int((wi.offset - np.asarray(
+                field.origin, dtype=np.int64)) @ fstr)
             self.gtables.append(GlobalTable(
                 array=plan.stmt.write.array,
                 values=_flat_view(field.values),
                 written=_flat_view(field.written),
-                gbase=(wi.cells(self.tis) - np.asarray(
-                    field.origin, dtype=np.int64)) @ fstr,
-                gtile=fstr @ f_int))
+                gbase=self.tis @ gtile + gconst,
+                gtile=gtile, gconst=gconst))
 
         # Boundary side: the rows of ``A tis`` sorted once, so the
         # executed points whose source breaks a row are one window of
@@ -883,9 +889,10 @@ class RankLDS:
     condensed ``map``: TTIS point ``j'`` of chain tile ``t`` lives at
     ``((j' + t v_m e_m) // c + off) . strides`` — :meth:`to_flat`,
     evaluated once per LDS geometry into :class:`LdsTables` and from
-    then on only added to.  Everything that touches that memory is a
+    then on only added to (the native kernels evaluate the same
+    ``map`` in their loops).  Everything that touches that memory is a
     method here: the boundary fill, halo unpack, ``CC``-region pack,
-    wavefront-batched compute and write-back (numpy or the native
+    compute and write-back (numpy wavefront batches or the native
     :class:`~repro.native.engine.RankKernels`).
     """
 
@@ -896,6 +903,11 @@ class RankLDS:
         self.strides = _c_strides(self.geom.shape)
         self.offsets = np.asarray(self.geom.offsets, dtype=np.int64)
         self.size = int(self.geom.cells)
+        tiling = data.prog.tiling
+        chain = data.prog.dist.tiles_of(pid)
+        # the origin ``P j^S`` of every chain tile, by chain index
+        self.origins = np.array([tiling.tile_origin(tile) for tile in chain],
+                                dtype=np.int64).reshape(len(chain), -1)
         self.local: Dict[str, np.ndarray] = {
             a: np.zeros(self.size, dtype=data.dtype) for a in data.arrays}
         key = (self.geom.shape, self.geom.offsets)
@@ -992,8 +1004,7 @@ class RankLDS:
         tiling = d.prog.tiling
         chain = d.prog.dist.tiles_of(self.pid)
         nt = len(chain)
-        origins = np.array([tiling.tile_origin(tile) for tile in chain],
-                           dtype=np.int64).reshape(nt, -1)
+        origins = self.origins
         upper = d.bvec - origins @ d.amat.T                # (nt, rows)
         # the windows, per array: (read, row, first position, lengths)
         windows: Dict[str, List[Tuple[BoundaryRead, int, np.ndarray,
@@ -1071,19 +1082,28 @@ class RankLDS:
 
     # -- COMPUTE --------------------------------------------------------------------
 
-    def tile_context(self, tile: Tuple[int, ...], t: int,
-                     oplan: Optional[TileOverlapPlan] = None,
-                     ) -> TileContext:
-        """The per-tile context both compute paths read (built once per
-        tile).  Its segments are the tile's wavefront levels, or the
-        ``order``/``cuts`` of its overlap plan.  Building it also fills
-        the halo cells of the out-of-domain sources this tile is the
-        first to read."""
-        d = self.data
+    def _fill_halo(self, t: int) -> None:
+        """Fill the halo cells of the out-of-domain sources chain tile
+        ``t`` is the first to read (the whole fill is derived at the
+        first tile)."""
         if self._fill is None:
             self._fill = self._boundary_fill()
         for array, addr, vals in self._fill.pop(t, ()):
             self.local[array][addr] = vals
+
+    def tile_context(self, tile: Tuple[int, ...], t: int,
+                     oplan: Optional[TileOverlapPlan] = None,
+                     ) -> Any:
+        """The per-tile context of the compute calls, built once per
+        tile after filling its halo: on the native kernels an overlapped
+        tile's chain index and :class:`~repro.native.engine.Window`,
+        else a :class:`TileContext` whose segments are the tile's
+        wavefront levels, or the ``order``/``cuts`` of its overlap
+        plan."""
+        d = self.data
+        self._fill_halo(t)
+        if self.kernels is not None and oplan is not None:
+            return self.kernels.tile(t, oplan)
         sel, seg = (tile_segments(d.prog, tile) if oplan is None
                     else (oplan.order, oplan.cuts))
         return TileContext(shift=t * self.tables.shift_unit, sel=sel,
@@ -1102,25 +1122,26 @@ class RankLDS:
             local[plan.stmt.write.array][wflat] = np.asarray(
                 kexpr.evaluate(plan.stmt.expr, vals), dtype=d.dtype)
 
-    def compute_phase(self, ctx: TileContext, lo: int, hi: int) -> None:
+    def compute_phase(self, ctx: Any, lo: int, hi: int) -> None:
         """Segments ``[lo, hi)`` of an overlapped tile's context — one
         phase of its plan — in one native call, or one numpy batch per
         wavefront level: segments ``2L`` and ``2L + 1`` are one level,
         so a batch spans both unless the phase starts or ends between
         them."""
         if self.kernels is not None:
-            self.kernels.run_segments(ctx, lo, hi)
+            self.kernels.run_phase(ctx, lo, hi)
         else:
             self._run_batches(ctx, ctx.seg[
                 [lo, *range(lo + 2 - (lo & 1), hi, 2), hi]].tolist())
 
     def compute_tile(self, tile: Tuple[int, ...], t: int) -> None:
-        """Every wavefront level of ``tile``, in order (one native
-        call, or one numpy batch per level)."""
-        ctx = self.tile_context(tile, t)
+        """Every point of ``tile``: one native call, or one numpy batch
+        per wavefront level, in order."""
         if self.kernels is not None:
-            self.kernels.run_tile(ctx)
+            self._fill_halo(t)
+            self.kernels.run_tile(tile, t)
         else:
+            ctx = self.tile_context(tile, t)
             self._run_batches(ctx, ctx.seg.tolist())
 
     def _run_batches(self, ctx: TileContext, offsets: List[int]) -> None:
@@ -1134,11 +1155,15 @@ class RankLDS:
 
     def write_back(self, tiles: Sequence[Tuple[int, ...]]) -> None:
         """Place the computed points of ``tiles`` into the global
-        fields (Table 2's ``loc⁻¹`` composed with ``f_w``): per array
-        one ``repro_write_back`` call on the native kernels, or one
-        flat gather and one flat scatter."""
+        fields (Table 2's ``loc⁻¹`` composed with ``f_w``): one
+        ``repro_write_back`` call per tile on the native kernels, or per
+        array one flat gather and one flat scatter."""
         d = self.data
         prog = d.prog
+        if self.kernels is not None:
+            for tile in tiles:
+                self.kernels.write_back(tile, prog.dist.chain_index(tile))
+            return
         tb = self.tables
         for tile in tiles:
             mask = (None if prog.tiling.classify_tile(tile) == "full"
@@ -1147,11 +1172,6 @@ class RankLDS:
                 continue
             shift = prog.dist.chain_index(tile) * tb.shift_unit
             origin = d.tile_origin(tile)
-            if self.kernels is not None:
-                for g in d.gtables:
-                    self.kernels.write_back(mask, shift, g,
-                                            g.gshift(origin))
-                continue
             idx = None if mask is None else np.flatnonzero(mask)
             flat = tb.wbase + shift if idx is None else tb.wbase[idx] + shift
             for g in d.gtables:

@@ -99,7 +99,8 @@ class ParallelRuntimeError(RuntimeError):
 
 
 class HaloSizeError(ParallelRuntimeError):
-    """A received payload does not have the size the plan froze."""
+    """A sent or received payload does not have the size the plan
+    froze."""
 
 
 # -- the communication schedule (§3.2) -----------------------------------------------
@@ -544,5 +545,12 @@ class VmpiPort:
     def send(self, tile: Tile, s: TileSend,
              pack: Optional[Callable[[], Any]]) -> Steps:
         yield Compute(self.spec.pack_time(s.nelems) * self.factor)
+        payload = None if pack is None else pack()
+        if payload is not None and len(payload) != s.nelems:
+            # the receiver checks its own frozen size, which a mis-sized
+            # send need not break
+            raise HaloSizeError(
+                f"size mismatch at {tile} toward {s.direction}: "
+                f"{len(payload)} != {s.nelems}")
         yield Send(dest=s.dst_rank, tag=s.tag, nelems=s.nelems,
-                   payload=None if pack is None else pack())
+                   payload=payload)

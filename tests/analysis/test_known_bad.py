@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.apps import heat, jacobi, sor
+from repro.apps import heat, jacobi, resolve_config, sor
 from repro.analysis import (
     VerificationError,
     analyze,
@@ -20,7 +20,7 @@ from repro.analysis import (
 )
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.machine import ClusterSpec
-from repro.runtime.rankstep import freeze_plans
+from repro.runtime.rankstep import HaloSizeError, freeze_plans
 from repro.runtime.vmpi import DeadlockError
 from tests.analysis.test_mutation_matrix import (
     ALL_MUTANTS,
@@ -231,3 +231,26 @@ class TestMisplacedMessage:
         assert "RACE01" in error_codes(rep)
         assert broken_engines(mutant, TIER1_ENGINES["plans"]) == [
             "execute_dense"]
+
+
+# -- mis-sized sends: the in-process engines refuse them at the send ---------------
+
+
+MISSIZED = [m for m in ALL_MUTANTS if m.kind in ("send-grow", "send-shrink")]
+
+
+class TestMissizedSend:
+    """A send whose frozen size is one element too many, or one point
+    (one element per array) too few, than its pack region: the
+    receiver's own size matches the region, so only the sender can
+    tell — ``VmpiPort.send`` raises as ``unpack_halo`` does."""
+
+    def test_every_config_has_both(self):
+        assert len(MISSIZED) == 2 * len(CONFIGS)
+
+    @pytest.mark.parametrize("mutant", MISSIZED, ids=lambda m: m.id)
+    def test_execute_dense_raises(self, mutant):
+        init = resolve_config(*CONFIGS[mutant.config])[0].init_value
+        with pytest.raises(HaloSizeError, match="size mismatch"):
+            DistributedRun(mutant_program(mutant),
+                           ClusterSpec()).execute_dense(init)

@@ -195,6 +195,16 @@ GATES = [
                    '                args.append(\n'
                    '                    f"((ob{k} && ob{k}[i_]) ? '
                    'fx{k}[i_] : {src})")\n')),
+    Gate("one native driver",
+         "the rank body is the §2.3 TTIS loops over affine addresses "
+         "(repro_tile, repro_write_back); a per-point index vector — a "
+         "write or read base table, a selection or its segment offsets — "
+         "is a second driver to marshal and keep in step "
+         "(docs/RUNTIME.md, 'Runtime contract')",
+         r"\b(wbase|rbase|seg_off|sel)\b", ("src/repro/native",),
+         mutation=("src/repro/native/emit.py",
+                   '        "                double **bufs, '
+                   'const long *wbase,\\n"\n')),
     Gate("one kernel text",
          "native/emit.kernel_definitions renders every F_<array> kernel "
          "TV05 proves; a kernel printed elsewhere is one no pass checks",

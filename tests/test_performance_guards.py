@@ -183,8 +183,10 @@ class TestOverlapPhases:
     """Deterministic counting guards (no timing): the overlapped walk
     executes the frozen phase table — one kernel call per non-empty
     phase and one gather per message — the blocking walk still makes
-    exactly one kernel call per tile, and on both a message has one
-    life: reserve, one pack into the ring slot, commit."""
+    exactly one kernel call per tile, on both a message has one life:
+    reserve, one pack into the ring slot, commit, and the native
+    kernels build no per-tile index vector (no ``tile_segments``, no
+    ``tile_pure``)."""
 
     CONFIGS = [
         pytest.param(jacobi.app(6, 12, 12),
@@ -202,7 +204,7 @@ class TestOverlapPhases:
 
         from repro.artifacts import ArtifactCache
         from repro.native.engine import RankKernels, build_native_library
-        from repro.runtime import parallel
+        from repro.runtime import dense, parallel
         from repro.runtime.dense import (
             DenseData,
             RankLDS,
@@ -236,7 +238,8 @@ class TestOverlapPhases:
         counts = _count_calls(
             monkeypatch, (RankKernels, "_call"), (RankKernels, "run_tile"),
             (parallel._Edge, "commit"), (np, "concatenate"),
-            (np, "ascontiguousarray"))
+            (np, "ascontiguousarray"), (dense, "tile_segments"),
+            (DenseData, "tile_pure"))
 
         def reserve(edge, n, _inner=parallel._Edge.reserve):
             view = _inner(edge, n)
@@ -311,8 +314,9 @@ class TestOverlapPhases:
         assert bound < levels           # the guard can tell them apart
         assert counts["run_tile"] == 0
         self._one_life_per_message(counts, messages)
-        # phase arguments are views of the plan: nothing is assembled
+        # phase arguments are read off the plan: nothing is assembled
         assert counts["concatenate"] == counts["ascontiguousarray"] == 0
+        assert counts["tile_segments"] == counts["tile_pure"] == 0
 
     @pytest.mark.parametrize("app,h,mdim", CONFIGS)
     def test_blocking_walk_is_one_call_per_tile(
@@ -324,15 +328,16 @@ class TestOverlapPhases:
         assert counts["_call"] == sum(
             prog.tiling.tile_point_count(t) > 0 for t in tiles)
         self._one_life_per_message(counts, messages)
+        assert counts["tile_segments"] == counts["tile_pure"] == 0
 
 
 class TestBoundaryFillAndWriteBack:
     """Deterministic counting guards (no timing): a dense run asks
     ``init_value`` once per (rank, distinct out-of-domain source cell)
     plus the pure-input table cells — not once per (point, read) — and
-    on the native kernels every tile is one ``repro_run`` call and one
-    ``repro_write_back`` call per written array, with no numpy
-    write-back."""
+    on the native kernels every non-empty tile is one ``repro_tile``
+    call and one ``repro_write_back`` call for all its arrays, with no
+    numpy write-back and no per-tile index vector."""
 
     CONFIGS = [
         pytest.param(sor.app(20, 30), sor.h_nonrectangular(5, 8, 4), 2,
@@ -394,12 +399,13 @@ class TestBoundaryFillAndWriteBack:
         assert per_cell < per_read      # the guard can tell them apart
 
     @pytest.mark.parametrize("app,h,mdim", CONFIGS)
-    def test_native_tile_is_one_run_and_one_write_back_per_array(
-            self, tmp_path, app, h, mdim):
+    def test_native_tile_is_one_call_and_one_write_back(
+            self, monkeypatch, tmp_path, app, h, mdim):
         import numpy as np
 
         from repro.artifacts import ArtifactCache
         from repro.native.engine import build_native_library
+        from repro.runtime import dense
         from repro.runtime.dense import DenseData
         from repro.runtime.rankstep import build_rank_plans
 
@@ -410,7 +416,8 @@ class TestBoundaryFillAndWriteBack:
         run = DistributedRun(prog, ClusterSpec())
         data = DenseData(prog, app.init_value, np.float64, lib)
         rt = data.native_rt
-        counts = Counter()
+        counts = _count_calls(monkeypatch, (dense, "tile_segments"),
+                              (DenseData, "tile_pure"))
 
         def counted(name, fn):
             def call(*args):
@@ -419,16 +426,18 @@ class TestBoundaryFillAndWriteBack:
             return call
 
         rt.fns = rt.fns._replace(
-            run=counted("repro_run", rt.fns.run),
+            tile=counted("repro_tile", rt.fns.tile),
             write_back=counted("repro_write_back", rt.fns.write_back))
         # a numpy scatter into the fields would raise; C ignores the flag
         for g in data.gtables:
             g.values.flags.writeable = g.written.flags.writeable = False
         run._run(build_rank_plans(prog), data.rank)
+        monkeypatch.undo()
         nonempty = sum(prog.tiling.tile_point_count(t) > 0
                        for t in prog.dist.tiles)
-        assert counts["repro_run"] == nonempty
-        assert counts["repro_write_back"] == nonempty * len(data.gtables)
+        assert counts["repro_tile"] == nonempty
+        assert counts["repro_write_back"] == nonempty
+        assert counts["tile_segments"] == counts["tile_pure"] == 0
         ref, _ = run.execute_dense(app.init_value)
         for name, field in data.fields.items():
             assert np.array_equal(field.values, ref[name].values)
