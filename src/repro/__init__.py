@@ -39,10 +39,13 @@ def simulate(program: TiledProgram, spec: ClusterSpec = None, trace=None):
 
 def execute(program: TiledProgram, init_value, spec: ClusterSpec = None,
             trace=None):
-    """Execute the program with real data movement; returns
-    ``(global_arrays, stats)``."""
-    return DistributedRun(program, spec or FAST_ETHERNET_CLUSTER,
-                          trace=trace).execute(init_value)
+    """Execute the program with real data movement on the dense engine;
+    returns ``(global_arrays, stats)``, the arrays as ``cell -> value``
+    dicts per written array (the shape
+    :func:`repro.runtime.run_sequential` returns)."""
+    fields, stats = DistributedRun(program, spec or FAST_ETHERNET_CLUSTER,
+                                   trace=trace).execute_dense(init_value)
+    return runtime.dense_to_cells(fields), stats
 
 
 __all__ = [

@@ -9,8 +9,8 @@ tiling, get code and cluster numbers back:
   C+MPI program, the executable Python schedule, or the native kernel
   translation unit.
 * ``simulate``  — run the virtual cluster and print speedup/utilization.
-* ``verify``    — execute with real data (sparse or dense engine) and
-  check against the sequential interpreter.
+* ``verify``    — execute with real data on the dense engine and check
+  it bitwise against the sequential oracle.
 * ``run``       — execute with real data: ``--engine parallel`` uses one
   OS process per processor with shared-memory halo exchange (measured
   wall-clock utilization, bitwise-checked against the dense engine).
@@ -143,21 +143,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Execute with real data and compare against the interpreter,
-    bitwise: any nonzero difference is a mismatch."""
+    """Execute with real data on the dense engine and compare against
+    the sequential oracle, bitwise: any nonzero difference is a
+    mismatch."""
     from repro.runtime.dataspace import dense_to_cells, max_abs_difference
     from repro.runtime.executor import DistributedRun
     from repro.runtime.interpreter import run_sequential
     from repro.runtime.machine import ClusterSpec
 
     app, prog = _compile(args)
-    run = DistributedRun(prog, ClusterSpec())
-    if args.engine == "dense":
-        fields, stats = run.execute_dense(app.init_value)
-        arrays = dense_to_cells(fields)
-    else:
-        arrays, stats = run.execute(app.init_value)
-    print(f"engine: {args.engine}")
+    fields, stats = DistributedRun(prog, ClusterSpec()).execute_dense(
+        app.init_value)
+    arrays = dense_to_cells(fields)
+    print("engine: dense")
     reference = run_sequential(app.nest, app.init_value)
     worst = 0.0
     for name in reference:
@@ -239,11 +237,9 @@ def cmd_run(args) -> int:
             print(f"run aborted: {exc}", file=sys.stderr)
             return 2
         arrays = dense_to_cells(fields)
-    elif args.engine in ("dense", "native"):
+    else:
         fields, stats = run.execute_dense(app.init_value, native=lib)
         arrays = dense_to_cells(fields)
-    else:
-        arrays, stats = run.execute(app.init_value)
     wall = _time.perf_counter() - t0
     print(f"engine: {args.engine}"
           + (f" (workers={args.workers}, protocol={args.protocol}"
@@ -506,11 +502,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify", help="run with real data and check against a "
                        "sequential reference")
     _common_flags(p_ver)
-    p_ver.add_argument("--engine", choices=["sparse", "dense"],
-                       default="sparse",
-                       help="distributed execution engine: per-cell "
-                            "dict interpreter or the vectorized dense "
-                            "LDS engine")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_run = sub.add_parser(
@@ -518,12 +509,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "print measured utilization")
     _common_flags(p_run)
     p_run.add_argument("--engine",
-                       choices=["parallel", "dense", "sparse",
-                                "native"],
+                       choices=["parallel", "dense", "native"],
                        default="parallel",
                        help="parallel = real OS processes + "
-                            "shared-memory halo exchange; dense/sparse "
-                            "= single-process executors; native = the "
+                            "shared-memory halo exchange; dense = the "
+                            "single-process engine; native = the "
                             "dense engine with compiled shared-object "
                             "tile kernels (numpy fallback without a C "
                             "compiler)")

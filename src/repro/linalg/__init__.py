@@ -21,7 +21,6 @@ from repro.linalg.hermite import (
     row_hnf,
     is_column_hnf,
 )
-from repro.linalg.smith import smith_normal_form
 from repro.linalg.unimodular import is_unimodular, integer_inverse
 from repro.linalg.lattice import (
     lattice_contains,
@@ -39,7 +38,6 @@ __all__ = [
     "column_hnf",
     "row_hnf",
     "is_column_hnf",
-    "smith_normal_form",
     "is_unimodular",
     "integer_inverse",
     "lattice_contains",

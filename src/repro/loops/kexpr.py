@@ -6,8 +6,7 @@ constants.  It is the *only* definition of the loop body; every
 consumer reads the same tree:
 
 * :func:`evaluate` computes it — over Python/numpy scalars (the
-  sequential interpreters, the sparse per-point executor) and over
-  numpy batches (the dense and parallel
+  sequential oracle) and over numpy batches (the dense and parallel
   engines) alike.  One ufunc (or scalar op) per interior node, left
   operand first, so a batch result is element for element the scalar
   result;

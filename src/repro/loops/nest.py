@@ -26,7 +26,7 @@ class Statement:
     ``expr`` is the loop body: a :class:`~repro.loops.kexpr.KExpr` tree
     over the read slots (``KRead(i)`` is the value of ``reads[i]`` at
     the current iteration).  It is the one kernel definition every
-    consumer shares — the interpreters and executors call
+    consumer shares — the sequential oracle and the data engines call
     :func:`repro.loops.kexpr.evaluate` on it (scalars or numpy
     batches), the native backend renders it to C, and TV05 proves the
     rendering.  The compiler proper (tiling, distribution, schedules)

@@ -8,10 +8,19 @@ extractor verify that reads really are uniform translates of the write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from repro.linalg.ratmat import RatMat, identity
+
+
+@lru_cache(maxsize=256)
+def _int_rows(matrix: RatMat) -> Tuple[Tuple[int, ...], ...]:
+    """``matrix.to_int_rows()``, computed once per distinct matrix (a
+    cache beside :class:`ArrayRef`, so its fields, equality, hash and
+    pickle stay the three declared ones)."""
+    return matrix.to_int_rows()
 
 
 @dataclass(frozen=True)
@@ -38,13 +47,9 @@ class ArrayRef:
         """The array cell touched at iteration ``j``."""
         if self.matrix is None:
             return tuple(int(a) + int(b) for a, b in zip(j, self.offset))
-        img = self.matrix.matvec(j)
-        out = []
-        for v, off in zip(img, self.offset):
-            if v.denominator != 1:
-                raise ValueError("array index must be integral")
-            out.append(int(v) + off)
-        return tuple(out)
+        return tuple(sum(f * int(x) for f, x in zip(row, j)) + off
+                     for row, off in zip(_int_rows(self.matrix),
+                                         self.offset))
 
     def is_uniform_translate_of(self, other: "ArrayRef") -> bool:
         """True iff self and other differ only by a constant offset."""

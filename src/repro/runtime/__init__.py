@@ -5,8 +5,8 @@ MPI.  This environment has no MPI and no cluster, so we execute the
 generated SPMD node programs on a deterministic discrete-event
 simulator: per-node clocks, a Hockney ``alpha + s/beta`` network model
 calibrated to FastEthernet, and blocking virtual-MPI semantics.  In
-*data mode* the executor also moves real numpy buffers so the final
-global array can be compared against a sequential reference — an
+*data mode* the dense engine also moves real numpy buffers so the final
+global array can be compared against the sequential oracle — an
 end-to-end functional check of the whole compilation pipeline.
 """
 
@@ -24,11 +24,7 @@ from repro.runtime.dense import (
     wavefront_vector,
 )
 from repro.runtime.executor import DistributedRun, TiledProgram
-from repro.runtime.interpreter import (
-    run_dense_sequential,
-    run_sequential,
-    run_tiled_sequential,
-)
+from repro.runtime.interpreter import run_sequential
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
 from repro.runtime.metrics import (
     RunMetrics,
@@ -70,8 +66,6 @@ __all__ = [
     "DistributedRun",
     "TiledProgram",
     "run_sequential",
-    "run_tiled_sequential",
-    "run_dense_sequential",
     "level_batches",
     "read_dependences",
     "wavefront_vector",

@@ -1,14 +1,17 @@
 """Global data-space assembly.
 
-``DistributedRun.execute`` returns the written arrays as sparse dicts
-``cell -> value`` (exact and shape-agnostic).  Downstream users usually
-want dense numpy arrays over the written region; these helpers build
-them, and also compare results across execution modes with a single
-call — the verification idiom the tests and examples repeat.
+The sequential oracle and ``repro.execute`` return the written arrays
+as sparse dicts ``cell -> value`` (exact and shape-agnostic); the data
+engines return a :class:`DenseField` per array, which
+:func:`dense_to_cells` converts.  Downstream users usually want dense
+numpy arrays over the written region; these helpers build them, and
+also compare results across execution modes with a single call — the
+verification idiom the tests and examples repeat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -104,12 +107,23 @@ def assemble_dense(cells: SparseArray,
 
 
 def max_abs_difference(a: SparseArray, b: SparseArray) -> float:
-    """Largest |a - b| over the union of keys; missing keys count as
-    infinite disagreement."""
+    """Largest |a - b| over the union of keys; a missing key, or a NaN
+    on one side only, counts as infinite disagreement (a NaN on both
+    sides of one cell agrees)."""
     keys_a, keys_b = set(a), set(b)
     if keys_a != keys_b:
         return float("inf")
-    return max((abs(a[k] - b[k]) for k in keys_a), default=0.0)
+    worst = 0.0
+    for k in keys_a:
+        x, y = a[k], b[k]
+        if x != y:
+            diff = abs(x - y)
+            if math.isnan(diff):
+                if math.isnan(x) and math.isnan(y):
+                    continue
+                return float("inf")
+            worst = max(worst, diff)
+    return worst
 
 
 def arrays_match(a: Dict[str, SparseArray],

@@ -1,9 +1,9 @@
-"""Dense vectorized execution core (shared by every dense driver).
+"""Dense vectorized execution core (shared by every data engine).
 
-The sparse interpreters and the executor's ``execute`` walk iteration
-points one dict lookup at a time; that is the semantic reference, but it
-is orders of magnitude slower than the hardware allows.  This module
-holds the machinery the dense drivers share:
+The sequential oracle (:func:`repro.runtime.interpreter.run_sequential`)
+walks iteration points one dict lookup at a time; that is the semantic
+reference, but it is orders of magnitude slower than the hardware
+allows.  This module holds the machinery the data engines share:
 
 * ``read_dependences`` — the dependence vector behind each read of a
   written array (``None`` for pure inputs);
@@ -11,10 +11,9 @@ holds the machinery the dense drivers share:
   with ``s . d >= 1`` for every dependence, and the partition of a point
   set into its wavefront levels: all points of one level are mutually
   independent, so a whole level executes as one batched numpy kernel;
-* ``StatementPlan`` / ``evaluate_statement_batch`` — per-statement
-  gather / kernel plumbing.  Reads of written arrays go through a
-  driver-supplied gather (global dense field for the sequential driver,
-  LDS buffer for the distributed one); pure-input reads hit a dense
+* ``StatementPlan`` — per-statement gather / kernel plumbing: reads of
+  written arrays carry their dependence ``d`` and its TTIS image ``d'``
+  (the LDS offset of the source); pure-input reads hit a dense
   :class:`InputTable` precomputed from ``init_value``;
 * the program's level tables, stage rows built from its roots alone —
   ``dense_s``, ``dense_batches``, ``lex_order``, the overlap plans
@@ -32,7 +31,7 @@ holds the machinery the dense drivers share:
   ``init_value`` call per distinct cell, before the first tile that
   reads them, so every kernel loads the LDS unconditionally.
 
-Bitwise agreement with the sparse reference comes from evaluating the
+Bitwise agreement with the sequential oracle comes from evaluating the
 *same* kernel expr elementwise (:func:`repro.loops.kexpr.evaluate`),
 and boundary values come from the same (pure) ``init_value``.
 """
@@ -209,7 +208,7 @@ class InputTable:
     """Dense table of a pure-input array over its accessed box.
 
     Filled once by scalar ``init_value`` calls (so the values are
-    bitwise those the sparse reference reads), then gathered per batch.
+    bitwise those the sequential oracle reads), then gathered per batch.
     """
 
     array: str
@@ -278,7 +277,7 @@ class ReadPlan:
     indexer: RefIndexer
     dep: Optional[np.ndarray]          # int64 (n,), None for pure inputs
     table: Optional[InputTable]        # set exactly when dep is None
-    dep_prime: Optional[np.ndarray] = None  # d' = H' d (tiled drivers)
+    dep_prime: Optional[np.ndarray]    # d' = H' d, None for pure inputs
 
 
 @dataclass
@@ -289,14 +288,13 @@ class StatementPlan:
 
 
 def build_statement_plans(nest: LoopNest, init_value: InitFn,
-                          dtype: type = np.float64,
-                          ttis: Optional["TTIS"] = None,
+                          dtype: type, ttis: "TTIS",
                           ) -> List[StatementPlan]:
     """Compile the nest's statements for batched execution.
 
     Pure-input tables are shared between reads with the same access
     function (ADI reads its coefficient array from both statements).
-    With ``ttis`` every dependence also gets its TTIS image ``d'``.
+    Every dependence also gets its TTIS image ``d'``.
     """
     deps = read_dependences(nest)
     tables: Dict[object, InputTable] = {}
@@ -320,7 +318,7 @@ def build_statement_plans(nest: LoopNest, init_value: InitFn,
                 indexer=RefIndexer.of(r),
                 dep=None if d is None else np.asarray(d, dtype=np.int64),
                 table=table,
-                dep_prime=None if d is None or ttis is None
+                dep_prime=None if d is None
                 else np.asarray(ttis.transformed_dependences([d])[0],
                                 dtype=np.int64),
             ))
@@ -344,9 +342,6 @@ def schedule_dependences(nest: LoopNest) -> List[Tuple[int, ...]]:
         if any(d):
             seen[d] = None
     return list(seen)
-
-
-GatherFn = Callable[[ReadPlan, np.ndarray], np.ndarray]
 
 
 # -- overlap splitting --------------------------------------------------------------
@@ -641,25 +636,6 @@ OVERLAP_PLANS = Stage("overlap_plans", "program", on_demand, persisted=True,
                       encode=copied, decode=copied, version=2)
 FULL_SEGMENTS = Stage("full_segments", "program", _build_full_segments)
 REGION_INDEX = Stage("region_index", "program", on_demand)
-
-
-def evaluate_statement_batch(plan: StatementPlan, points: np.ndarray,
-                             gather: GatherFn,
-                             dtype: type = np.float64) -> np.ndarray:
-    """Gather every read of ``plan`` over the batch of independent
-    ``points`` and evaluate the statement's kernel expr on it.
-
-    ``gather(read_plan, points)`` resolves reads of *written* arrays
-    (driver-specific storage); pure-input reads come from the plan's
-    table.
-    """
-    vals: List[np.ndarray] = []
-    for rp in plan.reads:
-        if rp.table is not None:
-            vals.append(rp.table.gather(rp.indexer.cells(points)))
-        else:
-            vals.append(gather(rp, points))
-    return np.asarray(kexpr.evaluate(plan.stmt.expr, vals), dtype=dtype)
 
 
 # -- the dense data back-end of the rank step ---------------------------------------

@@ -17,15 +17,13 @@ back-end handed to the walk:
 * ``simulate()`` — timing only: message sizes and compute volumes are
   exact (per-tile clipped point counts), but no data moves.  This is the
   mode the paper-scale experiments use.
-* ``execute(init_value)`` — the sparse per-point reference: real LDS
-  arrays addressed one cell at a time through the paper's ``map``, real
-  pack/unpack, and a final owner-computes write-back to the global data
-  space.  The integration tests compare it bit-for-bit against a
-  sequential interpreter of the same nest, and every faster engine
-  against it.
-* ``execute_dense(init_value)`` — the same run over the dense
+* ``execute_dense(init_value)`` — the in-process data engine: real
+  payloads through the same walk over the dense
   :class:`~repro.runtime.dense.RankLDS` (numpy wavefront batches or
-  native kernels); ``execute_parallel`` moves that LDS onto real OS
+  native kernels), a final owner-computes write-back to the global data
+  space.  The tests compare it bit-for-bit against the sequential
+  oracle :func:`repro.runtime.interpreter.run_sequential`.
+* ``execute_parallel(init_value)`` moves that LDS onto real OS
   processes (:mod:`repro.runtime.parallel`).
 """
 
@@ -37,9 +35,7 @@ from typing import (
     Callable,
     Dict,
     Generator,
-    List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -49,11 +45,10 @@ from repro.distribution.communication import CommunicationSpec
 from repro.distribution.computation import ComputationDistribution
 from repro.distribution.data import DistributedAddressing
 from repro.linalg.ratmat import RatMat
-from repro.loops import kexpr
 from repro.loops.nest import LoopNest
 from repro.runtime import dense, rankstep
 from repro.runtime.dataspace import DenseField
-from repro.runtime.dense import DenseData, read_dependences
+from repro.runtime.dense import DenseData
 from repro.runtime.machine import ClusterSpec
 from repro.runtime.rankstep import VmpiPort, build_rank_plans, rank_walk
 from repro.runtime.trace import EventTrace
@@ -74,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.cost import CostCertificate
     from repro.analysis.hb.graph import HBCertificate
     from repro.native.engine import NativeKernelLibrary
-    from repro.runtime.rankstep import RankPlan, TileRecv
+    from repro.runtime.rankstep import RankPlan
 
 Pid = Tuple[int, ...]
 Tile = Tuple[int, ...]
@@ -226,107 +221,11 @@ register(
 )
 
 
-class _SparseLDS:
-    """The sparse per-point data back-end of one rank — the tol=0.0
-    oracle: every access goes through the paper's scalar
-    ``map``/``halo_slot`` one cell at a time, sharing nothing with the
-    dense back-end but the frozen payload order."""
-
-    def __init__(self, prog: TiledProgram, pid: Pid, init_value: InitFn,
-                 dtype: type,
-                 global_arrays: Dict[str, Dict[Cell, float]]):
-        self.prog = prog
-        self.init_value = init_value
-        self.dtype = dtype
-        self.global_arrays = global_arrays
-        ttis = prog.tiling.ttis
-        self.lat = ttis.lattice_points_np()
-        self.order = prog.stage("lex_order")
-        self.deps = read_dependences(prog.nest)
-        self.dprime = [
-            [None if d is None else ttis.transformed_dependences([d])[0]
-             for d in row]
-            for row in self.deps
-        ]
-        self.lds = prog.addressing.lds_for(pid)
-        self.local = {a: self.lds.allocate(dtype) for a in prog.arrays}
-
-    def _points(self, mask: np.ndarray) -> List[Tuple[int, ...]]:
-        """TTIS points selected by ``mask``, in frozen payload order."""
-        return [tuple(int(x) for x in self.lat[i])
-                for i in self.order[mask[self.order]]]
-
-    def unpack(self, r: TileRecv, payload: np.ndarray, t: int) -> None:
-        """Paper RECEIVE: the receiver re-derives the sender's region
-        (it knows the predecessor tile) and scatters values into the
-        halo slots ``map(j', t) - d^S_k v_k / c_k``."""
-        points = self._points(rankstep.region_mask(self.prog, r.pred, r.ds))
-        pos = 0
-        for arr in self.prog.arrays:
-            la = self.local[arr]
-            for j_prime in points:
-                la[self.lds.halo_slot(j_prime, r.ds, t)] = payload[pos]
-                pos += 1
-
-    def compute_tile(self, tile: Tile, t: int) -> None:
-        prog = self.prog
-        nest = prog.nest
-        ttis = prog.tiling.ttis
-        origin = prog.tiling.tile_origin(tile)
-        for j_prime in self._points(prog.tiling.tile_mask(tile)):
-            g = tuple(a + b for a, b in
-                      zip(origin, ttis.from_ttis(j_prime)))
-            cell = self.lds.map(j_prime, t)
-            for si, s in enumerate(nest.statements):
-                vals = []
-                for ri, ref in enumerate(s.reads):
-                    dep = self.deps[si][ri]
-                    if dep is None or not nest.domain.contains(
-                            tuple(a - b for a, b in zip(g, dep))):
-                        vals.append(
-                            self.init_value(ref.array, ref.index(g)))
-                    else:
-                        src = tuple(a - b for a, b in
-                                    zip(j_prime, self.dprime[si][ri]))
-                        vals.append(
-                            self.local[ref.array][self.lds.map(src, t)])
-                self.local[s.write.array][cell] = kexpr.evaluate(
-                    s.expr, vals)
-
-    def pack(self, tile: Tile, direction: Tile, t: int) -> np.ndarray:
-        """Paper SEND: serialize the region's values, array-major then
-        lattice order."""
-        prog = self.prog
-        points = self._points(rankstep.region_mask(prog, tile, direction))
-        out = np.empty(len(points) * len(prog.arrays), dtype=self.dtype)
-        pos = 0
-        for arr in prog.arrays:
-            la = self.local[arr]
-            for j_prime in points:
-                out[pos] = la[self.lds.map(j_prime, t)]
-                pos += 1
-        return out
-
-    def write_back(self, tiles: Sequence[Tile]) -> None:
-        prog = self.prog
-        ttis = prog.tiling.ttis
-        for tile in tiles:
-            t = prog.dist.chain_index(tile)
-            origin = prog.tiling.tile_origin(tile)
-            for i in np.nonzero(prog.tiling.tile_mask(tile))[0]:
-                j_prime = tuple(int(x) for x in self.lat[i])
-                g = tuple(a + b for a, b in
-                          zip(origin, ttis.from_ttis(j_prime)))
-                cell = self.lds.map(j_prime, t)
-                for s in prog.nest.statements:
-                    self.global_arrays[s.write.array][s.write.index(g)] = \
-                        float(self.local[s.write.array][cell])
-
-
 class DistributedRun:
     """Execute a :class:`TiledProgram` on the virtual cluster (one
-    walk, one port, three data back-ends — see the module docstring;
-    their :class:`RunStats` are equal by construction)."""
+    walk, one port; timing only or over the dense data back-end — see
+    the module docstring; their :class:`RunStats` are equal by
+    construction)."""
 
     def __init__(self, program: TiledProgram, spec: ClusterSpec,
                  trace: Optional[EventTrace] = None):
@@ -382,41 +281,26 @@ class DistributedRun:
         """
         return self._run(build_rank_plans(self.program, aggregate=False))
 
-    # -- full data mode ---------------------------------------------------------------
-
-    def execute(self, init_value: InitFn, dtype: type = np.float64,
-                ) -> Tuple[Dict[str, Dict[Cell, float]], RunStats]:
-        """Run with real data movement; returns (global arrays, stats).
-
-        ``init_value(array, cell)`` supplies values for reads that fall
-        outside the iteration space (boundary/initial conditions).  The
-        returned global arrays are dicts ``cell -> value`` per written
-        array, assembled by the owner-computes write-back (Table 2's
-        ``loc⁻¹`` composed with ``f_w``).
-        """
-        prog = self.program
-        global_arrays: Dict[str, Dict[Cell, float]] = {
-            a: {} for a in prog.arrays}
-        stats = self._run(
-            build_rank_plans(prog),
-            lambda pid: _SparseLDS(prog, pid, init_value, dtype,
-                                   global_arrays))
-        return global_arrays, stats
-
-    # -- dense data mode ---------------------------------------------------------------
+    # -- data mode ----------------------------------------------------------------------
 
     def execute_dense(
         self, init_value: InitFn,
         dtype: type = np.float64,
         native: Optional["NativeKernelLibrary"] = None,
     ) -> Tuple[Dict[str, DenseField], RunStats]:
-        """Vectorized twin of :meth:`execute` over the dense
+        """Run with real data movement over the dense
         :class:`~repro.runtime.dense.RankLDS` back-end: flat numpy LDS
         buffers, tiles executed in batched wavefront levels, whole
         ``CC`` regions packed as single gathers.  Same walk, plan and
-        port as :meth:`execute`, so the :class:`RunStats` match
-        exactly; results come back as :class:`DenseField` per written
-        array (``.to_cells()`` recovers the sparse dicts).
+        port as :meth:`simulate`, so the :class:`RunStats` match
+        exactly.
+
+        ``init_value(array, cell)`` supplies values for reads that fall
+        outside the iteration space (boundary/initial conditions).
+        Results come back as :class:`DenseField` per written array,
+        assembled by the owner-computes write-back (Table 2's ``loc⁻¹``
+        composed with ``f_w``); ``.to_cells()`` recovers the
+        ``cell -> value`` dicts the sequential oracle returns.
 
         ``native`` switches the per-tile COMPUTE loop to the compiled
         shared-object kernels (see ``repro.native``), bitwise

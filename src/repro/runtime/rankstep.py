@@ -40,8 +40,7 @@ This module is that program, once:
   ====================  =========================  ======================
 
   No port may reorder, add or drop a step.  *What* the data is belongs
-  to the **back-end**: ``None`` (timing only), the sparse per-point
-  reference of ``DistributedRun.execute``, or the dense
+  to the **back-end**: ``None`` (timing only) or the dense
   :class:`~repro.runtime.dense.RankLDS`.
 
 A port's blocking methods are ``recv(tile, r, unpack)``,
@@ -519,7 +518,7 @@ class VmpiPort:
     The cost model lives here and nowhere else — ``pack_time`` per
     message side, ``compute_time`` per tile, each scaled by the rank's
     ``node_speed_factor``; :class:`~repro.runtime.vmpi.VirtualMPI`
-    adds the transfers — so timing-only, sparse and dense runs of one
+    adds the transfers — so timing-only and data runs of one
     program return identical ``RunStats`` by construction, and the
     cost certificate's COST03 makespan is that same clock.  The
     callbacks are the back-end's work (``None``: timing only).

@@ -30,8 +30,8 @@ breaks an engine is caught by at least one error-severity code.
 
 ``python -m tests.analysis.test_mutation_matrix`` prints the full
 matrix — translation validation added to the codes, and the
-simulator, the sparse ``execute`` and both parallel schedules added to
-the engines — as the markdown table docs/ANALYSIS.md records.
+simulator and both parallel schedules added to the engines — as the
+markdown table docs/ANALYSIS.md records.
 """
 
 import dataclasses
@@ -361,10 +361,6 @@ def _dense(prog, init):
     return dense_to_cells(DistributedRun(prog, SPEC).execute_dense(init)[0])
 
 
-def _sparse(prog, init):
-    return DistributedRun(prog, SPEC).execute(init)[0]
-
-
 def _parallel(overlap, prog, init):
     return dense_to_cells(DistributedRun(prog, SPEC).execute_parallel(
         init, workers=2, overlap=overlap, timeout=60.0)[0])
@@ -384,7 +380,6 @@ TIER1_ENGINES = {
 }
 ALL_ENGINES = {
     "simulate": _simulate,
-    "execute": _sparse,
     "execute_dense": _dense,
     "parallel-blocking": partial(_parallel, False),
     "parallel-overlap": partial(_parallel, True),

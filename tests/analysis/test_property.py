@@ -10,6 +10,7 @@ says "analyze clean" and "runs correctly" point at the same programs.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import execute
 from repro.analysis import analyze_program
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 from repro.runtime.interpreter import run_sequential
@@ -28,7 +29,7 @@ def test_legal_tilings_analyze_clean_and_run_correctly(case, mapping_dim):
     # no false positives: a correct compilation carries zero errors
     assert report.ok, report.render_text()
     # and the program the verifier blessed really is correct
-    arrays, _ = DistributedRun(prog, SPEC).execute(stencil_init)
+    arrays, _ = execute(prog, stencil_init, SPEC)
     ref = run_sequential(nest, stencil_init)
     assert set(arrays["A"]) == set(ref["A"])
     for k, v in ref["A"].items():

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro import execute
 from repro.apps import heat
+from repro.codegen import (
+    generate_sequential_tiled_code,
+    run_sequential_tiled_code,
+)
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
-from repro.runtime.interpreter import run_sequential, run_tiled_sequential
+from repro.runtime.interpreter import run_sequential
 from repro.tiling import is_legal_tiling, tiling_cone_rays
 
-from tests.conftest import values_close
+from tests.conftest import requires_cc, values_close
 
 SPEC = ClusterSpec()
 
@@ -53,21 +58,21 @@ class TestDistributed2D:
         a = heat.app(8, 12)
         prog = TiledProgram(a.nest, heat.h_rectangular(3, 4),
                             mapping_dim=a.mapping_dim)
-        arrays, _ = DistributedRun(prog, SPEC).execute(a.init_value)
+        arrays, _ = execute(prog, a.init_value, SPEC)
         assert values_close(arrays["U"], ref)
 
     def test_skewed_band(self, ref):
         a = heat.app(8, 12)
         prog = TiledProgram(a.nest, heat.h_skewed_band(3, 2),
                             mapping_dim=a.mapping_dim)
-        arrays, _ = DistributedRun(prog, SPEC).execute(a.init_value)
+        arrays, _ = execute(prog, a.init_value, SPEC)
         assert values_close(arrays["U"], ref)
 
     def test_diamond_on_original(self, ref):
         a = heat.app_unskewed(8, 12)
         prog = TiledProgram(a.nest, heat.h_diamond(2),
                             mapping_dim=a.mapping_dim)
-        arrays, _ = DistributedRun(prog, SPEC).execute(a.init_value)
+        arrays, _ = execute(prog, a.init_value, SPEC)
         assert values_close(arrays["U"], ref)
 
     def test_processor_mesh_is_1d(self):
@@ -76,10 +81,13 @@ class TestDistributed2D:
                             mapping_dim=0)
         assert all(len(pid) == 1 for pid in prog.pids)
 
+    @requires_cc
     def test_tiled_sequential(self, ref):
         a = heat.app_unskewed(8, 12)
-        got = run_tiled_sequential(a.nest, heat.h_diamond(2),
-                                   a.init_value)
+        got = run_sequential_tiled_code(
+            a.nest, generate_sequential_tiled_code(a.nest,
+                                                   heat.h_diamond(2)),
+            a.init_value)
         assert values_close(got["U"], ref)
 
 

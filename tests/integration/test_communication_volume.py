@@ -9,6 +9,7 @@ pure tile-shape experiment — worth pinning down.
 
 import pytest
 
+from repro import execute
 from repro.apps import adi, jacobi, sor
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 
@@ -108,5 +109,5 @@ class TestConservation:
         prog = TiledProgram(app.nest, hfun(*size), mapping_dim=m)
         # execute() asserts per-message size consistency internally; a
         # clean pass here means every send was matched and consumed.
-        arrays, stats = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, stats = execute(prog, app.init_value, SPEC)
         assert stats.total_messages >= 0

@@ -7,8 +7,9 @@ processor meshes degenerating to a line.
 
 import pytest
 
+from repro import execute
 from repro.apps import adi, jacobi, sor
-from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro.runtime import ClusterSpec, TiledProgram
 
 from tests.conftest import values_close
 
@@ -28,7 +29,7 @@ class TestSORSizes:
         ref = sor.reference(m, n)
         prog = TiledProgram(app.nest, sor.h_nonrectangular(x, y, z),
                             mapping_dim=2)
-        arrays, _ = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, _ = execute(prog, app.init_value, SPEC)
         assert values_close(arrays["A"], ref)
 
     @pytest.mark.parametrize("x,y,z", [(1, 2, 2), (4, 4, 4), (2, 5, 3)])
@@ -37,7 +38,7 @@ class TestSORSizes:
         ref = sor.reference(4, 6)
         prog = TiledProgram(app.nest, sor.h_rectangular(x, y, z),
                             mapping_dim=2)
-        arrays, _ = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, _ = execute(prog, app.init_value, SPEC)
         assert values_close(arrays["A"], ref)
 
 
@@ -53,7 +54,7 @@ class TestJacobiSizes:
         ref = jacobi.reference(t, i, j)
         prog = TiledProgram(app.nest, jacobi.h_nonrectangular(x, y, z),
                             mapping_dim=0)
-        arrays, _ = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, _ = execute(prog, app.init_value, SPEC)
         assert values_close(arrays["A"], ref)
 
 
@@ -68,7 +69,7 @@ class TestADISizes:
         app = adi.app(t, n)
         ref = adi.reference(t, n)
         prog = TiledProgram(app.nest, hf(x, y, z), mapping_dim=0)
-        arrays, _ = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, _ = execute(prog, app.init_value, SPEC)
         assert values_close(arrays["X"], ref["X"])
         assert values_close(arrays["B"], ref["B"])
 
@@ -82,7 +83,7 @@ class TestMappingDimVariants:
         ref = sor.reference(4, 6)
         prog = TiledProgram(app.nest, sor.h_nonrectangular(2, 3, 4),
                             mapping_dim=m)
-        arrays, _ = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, _ = execute(prog, app.init_value, SPEC)
         assert values_close(arrays["A"], ref)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -90,6 +91,6 @@ class TestMappingDimVariants:
         app = adi.app(3, 5)
         ref = adi.reference(3, 5)
         prog = TiledProgram(app.nest, adi.h_nr1(2, 3, 3), mapping_dim=m)
-        arrays, _ = DistributedRun(prog, SPEC).execute(app.init_value)
+        arrays, _ = execute(prog, app.init_value, SPEC)
         assert values_close(arrays["X"], ref["X"])
         assert values_close(arrays["B"], ref["B"])

@@ -9,17 +9,18 @@ LDS/map/loc, CC/D^m, minsucc matching, and the DES engine.
 
 import pytest
 
+from repro import execute
 from repro.apps import adi, jacobi, sor
-from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro.runtime import ClusterSpec, TiledProgram
 
-from tests.conftest import values_close
+from tests.conftest import requires_cc, values_close
 
 SPEC = ClusterSpec()
 
 
 def _run(app, h):
     prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
-    arrays, stats = DistributedRun(prog, SPEC).execute(app.init_value)
+    arrays, stats = execute(prog, app.init_value, SPEC)
     return prog, arrays, stats
 
 
@@ -49,7 +50,7 @@ class TestSOR:
     def test_mapping_dim_default_also_correct(self, sor_small,
                                               sor_reference_small):
         prog = TiledProgram(sor_small.nest, sor.h_nonrectangular(2, 3, 4))
-        arrays, _ = DistributedRun(prog, SPEC).execute(sor_small.init_value)
+        arrays, _ = execute(prog, sor_small.init_value, SPEC)
         assert values_close(arrays["A"], sor_reference_small)
 
 
@@ -98,13 +99,19 @@ class TestADI:
 class TestCrossMode:
     """All three execution modes agree on all apps."""
 
+    @requires_cc
     def test_sor_three_way(self, sor_small, sor_reference_small):
-        from repro.runtime.interpreter import (
-            run_sequential, run_tiled_sequential)
+        from repro.codegen import (
+            generate_sequential_tiled_code,
+            run_sequential_tiled_code,
+        )
+        from repro.runtime.interpreter import run_sequential
         h = sor.h_nonrectangular(2, 3, 4)
         seq = run_sequential(sor_small.nest, sor_small.init_value)
-        tiled = run_tiled_sequential(sor_small.nest, h,
-                                     sor_small.init_value)
+        tiled = run_sequential_tiled_code(
+            sor_small.nest,
+            generate_sequential_tiled_code(sor_small.nest, h),
+            sor_small.init_value)
         _, dist_arrays, _ = _run(sor_small, h)
         assert values_close(seq["A"], sor_reference_small)
         assert values_close(tiled["A"], sor_reference_small)

@@ -13,7 +13,8 @@ shows up as a numeric mismatch.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro import execute
+from repro.runtime import ClusterSpec, TiledProgram
 from repro.runtime.interpreter import run_sequential
 from tests.runtime.tilings import random_cases, stencil_init, stencil_nest
 
@@ -26,7 +27,7 @@ def test_distributed_equals_sequential(case):
     deps, h, lo, hi, coeffs = case
     nest = stencil_nest(deps, lo, hi, coeffs)
     prog = TiledProgram(nest, h)
-    arrays, _ = DistributedRun(prog, SPEC).execute(stencil_init)
+    arrays, _ = execute(prog, stencil_init, SPEC)
     ref = run_sequential(nest, stencil_init)
     assert set(arrays["A"]) == set(ref["A"])
     for k, v in ref["A"].items():
@@ -41,7 +42,7 @@ def test_correct_under_any_mapping_dim(case, mapping_dim):
     deps, h, lo, hi, coeffs = case
     nest = stencil_nest(deps, lo, hi, coeffs)
     prog = TiledProgram(nest, h, mapping_dim=mapping_dim)
-    arrays, _ = DistributedRun(prog, SPEC).execute(stencil_init)
+    arrays, _ = execute(prog, stencil_init, SPEC)
     ref = run_sequential(nest, stencil_init)
     for k, v in ref["A"].items():
         assert arrays["A"][k] == v
@@ -54,7 +55,7 @@ def test_correct_under_rendezvous_protocol(case):
     nest = stencil_nest(deps, lo, hi, coeffs)
     prog = TiledProgram(nest, h)
     spec = ClusterSpec(rendezvous_threshold=0)
-    arrays, _ = DistributedRun(prog, spec).execute(stencil_init)
+    arrays, _ = execute(prog, stencil_init, spec)
     ref = run_sequential(nest, stencil_init)
     for k, v in ref["A"].items():
         assert arrays["A"][k] == v

@@ -6,15 +6,14 @@ over 8 joint variables, 4D TTIS/HNF, a *3-D* processor mesh, and 4D
 LDS addressing.
 """
 
-import pytest
-
+from repro import execute
 from repro.linalg import from_rows
 from repro.loops import ArrayRef, LoopNest, Statement, kexpr
 from repro.codegen import (
     generate_sequential_tiled_code,
     run_sequential_tiled_code,
 )
-from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from repro.runtime import ClusterSpec, TiledProgram
 from repro.runtime.dataspace import arrays_match
 from repro.runtime.interpreter import run_sequential
 from repro.tiling import rectangular_tiling
@@ -53,7 +52,7 @@ class TestFourDimensional:
         ref = run_sequential(nest, _init)
         prog = TiledProgram(nest, rectangular_tiling([2, 2, 2, 2]))
         assert len(prog.pids[0]) == 3  # 3-D processor mesh
-        arrays, stats = DistributedRun(prog, SPEC).execute(_init)
+        arrays, stats = execute(prog, _init, SPEC)
         assert values_close(arrays["A"], ref["A"])
 
     def test_skewed_row_tiling(self):
@@ -67,7 +66,7 @@ class TestFourDimensional:
             [0, 0, 0, "1/2"],
         ])
         prog = TiledProgram(nest, h)
-        arrays, _ = DistributedRun(prog, SPEC).execute(_init)
+        arrays, _ = execute(prog, _init, SPEC)
         assert values_close(arrays["A"], ref["A"])
 
     def test_tile_space_partition_4d(self):

