@@ -13,7 +13,6 @@ Run:  python examples/custom_stencil.py
 """
 
 from repro import ClusterSpec, compile_tiled, execute, simulate
-from repro.apps.base import TiledApp  # noqa: F401  (shown for docs)
 from repro.loops import (
     ArrayRef,
     LoopNest,

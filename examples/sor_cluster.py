@@ -11,7 +11,7 @@ Run:  python examples/sor_cluster.py [M N z]
 
 import sys
 
-from repro import ClusterSpec, compile_tiled, simulate
+from repro import ClusterSpec, compile_tiled
 from repro.apps import sor
 from repro.experiments.figures import sor_factors
 from repro.runtime import EventTrace

@@ -22,7 +22,7 @@ extremes bound every step.  Additionally:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "FloorDiv", "CeilDiv", "Mod",

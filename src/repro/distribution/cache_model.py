@@ -19,7 +19,7 @@ point in execution order, the write plus every read of each statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -135,7 +135,6 @@ def compare_tile_locality(prog, pid: Tuple[int, ...],
     ]
 
     # Global layout: row-major box over each written array's data cells.
-    from repro.distribution.memory import footprint_of  # noqa: F401
     writes = {s.write.array: s.write for s in nest.statements}
     bounds: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for tile in prog.dist.tiles_of(pid):

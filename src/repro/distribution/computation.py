@@ -10,7 +10,7 @@ coordinates name the processor (``pid``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.tiling.transform import TilingTransformation
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
 from repro.distribution.communication import CommunicationSpec
 from repro.distribution.computation import ComputationDistribution
 
@@ -63,10 +61,6 @@ class LocalDataSpace:
         for s in self.shape:
             total *= s
         return total
-
-    def allocate(self, dtype=np.float64) -> np.ndarray:
-        """A zeroed numpy array of the LDS shape."""
-        return np.zeros(self.shape, dtype=dtype)
 
     # -- map / map⁻¹ ------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ measures both quantities exactly so the claim becomes a number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from typing import TYPE_CHECKING
 

@@ -13,7 +13,7 @@ pivoting), track ``U``, and also provide the row-style variant (``B = U
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.linalg.ratmat import RatMat
 

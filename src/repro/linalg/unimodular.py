@@ -8,8 +8,6 @@ created or destroyed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.linalg.ratmat import RatMat
 
 

@@ -9,7 +9,7 @@ walker is a codegen bug.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.polyhedra.fourier_motzkin import loop_bounds
 from repro.polyhedra.halfspace import Polyhedron

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.linalg.ratmat import RatMat
 from repro.polyhedra.halfspace import Polyhedron

@@ -62,13 +62,18 @@ from repro.loops.reference import ArrayRef
 from repro.polyhedra.halfspace import Polyhedron
 from repro.polyhedra.vertices import image_bounding_box
 from repro.runtime.dataspace import DenseField
-from repro.runtime.rankstep import build_rank_plans, pack_region, region_mask
+from repro.runtime.rankstep import (
+    ParallelRuntimeError,
+    build_rank_plans,
+    pack_region,
+    region_mask,
+)
 from repro.stages import Stage, copied, on_demand
 
 if TYPE_CHECKING:
     from repro.native.engine import NativeKernelLibrary, RankKernels
     from repro.runtime.executor import TiledProgram
-    from repro.runtime.rankstep import RankPlan, TileRecv
+    from repro.runtime.rankstep import RankPlan
     from repro.tiling.ttis import TTIS
 
 Cell = Tuple[int, ...]
@@ -569,17 +574,25 @@ def tile_levels(program: "TiledProgram",
     return [sel[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def region_index(program: "TiledProgram", tile: Tuple[int, ...],
-                 direction: Sequence[int]) -> np.ndarray:
-    """Lattice indices of ``tile``'s ``CC`` pack region toward
-    ``direction``, in the frozen payload order (an interior tile's are
-    kept per direction)."""
+def interior_region(program: "TiledProgram",
+                    direction: Sequence[int]) -> np.ndarray:
+    """Lattice indices of an interior tile's ``CC`` pack region toward
+    ``direction``, in the frozen payload order (kept per direction)."""
     key = tuple(direction)
     index: Dict[Tuple[int, ...], np.ndarray] = program.stage("region_index")
     idx = index.get(key)
     if idx is None:
         order = program.stage("lex_order")
         idx = index[key] = order[pack_region(program, key)[order]]
+    return idx
+
+
+def region_index(program: "TiledProgram", tile: Tuple[int, ...],
+                 direction: Sequence[int]) -> np.ndarray:
+    """Lattice indices of ``tile``'s ``CC`` pack region toward
+    ``direction``, in the frozen payload order: the interior region,
+    cut by a partial tile's mask."""
+    idx = interior_region(program, direction)
     tiling = program.tiling
     if tiling.classify_tile(tile) == "full":
         return idx
@@ -641,24 +654,71 @@ REGION_INDEX = Stage("region_index", "program", on_demand)
 # -- the dense data back-end of the rank step ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdsTables:
-    """The LDS address algebra of one LDS geometry, computed once.
+    """The LDS address algebra of one LDS geometry — its element
+    ``strides`` and halo ``offsets`` — computed once per program
+    (:func:`lds_tables`).
 
-    ``map`` is affine in the chain index: lattice point ``i`` shifted by
-    the TTIS offset ``off`` lives, in chain tile ``t``, at
-    ``base[off][i] + t * shift_unit``.  ``base[off]`` is
-    :meth:`RankLDS.to_flat` of ``lat - off`` at ``t = 0`` for ``off`` in
-    ``{0} | {d'}`` (key ``0``: the cells a tile writes, packs and writes
-    back; key ``d'``: the sources of a read).  The shift is exact
-    because ``TTIS.__init__`` enforces ``c_k | v_k``.  ``halo_unit @
-    d^S`` is the paper's RECEIVE displacement ``d^S_k v_k / c_k``.
+    :meth:`to_flat` is the single definition of the condensed ``map``,
+    evaluated once per geometry into ``base`` (:func:`_build_tables`)
+    and from then on only added to: lattice point ``i`` shifted by the
+    TTIS offset ``off`` lives, in chain tile ``t``, at ``base[off][i] +
+    t * shift_unit``.  ``base[off]`` is :meth:`to_flat` of ``lat -
+    off`` at ``t = 0`` for ``off`` in ``{0} | {d'}`` (``wbase``, key
+    ``0``: the cells a tile writes, packs and writes back; key ``d'``:
+    the sources of a read).  The shift is exact because
+    ``TTIS.__init__`` enforces ``c_k | v_k``.  ``halo_unit @ d^S`` is
+    the paper's RECEIVE displacement ``d^S_k v_k / c_k``.  Ranks whose
+    chains differ in length share one when their strides agree.
     """
 
-    base: Dict[Tuple[int, ...], np.ndarray]
-    wbase: np.ndarray                  # base[(0, ..., 0)]
-    shift_unit: int                    # rows[m] * strides[m]
+    m: int
+    vm: int                            # v_m
+    c: np.ndarray
+    strides: np.ndarray
+    offsets: np.ndarray
     halo_unit: np.ndarray              # rows * strides
+    shift_unit: int                    # rows[m] * strides[m]
+    base: Dict[Tuple[int, ...], np.ndarray]
+
+    @property
+    def wbase(self) -> np.ndarray:
+        return self.base[(0,) * len(self.strides)]
+
+    def to_flat(self, jp: np.ndarray, t: int) -> np.ndarray:
+        """Flat LDS cells of TTIS points ``jp`` (rows) in chain tile
+        ``t`` — the single definition of the condensed ``map``.  Floor
+        division is intentional (see :meth:`LocalDataSpace.map`)."""
+        shifted = jp.copy()
+        shifted[:, self.m] += t * self.vm
+        return (shifted // self.c + self.offsets) @ self.strides
+
+
+def lds_tables(ttis: "TTIS", m: int, strides: np.ndarray,
+               offsets: np.ndarray,
+               table_offsets: Sequence[Tuple[int, ...]]) -> LdsTables:
+    """The :class:`LdsTables` of one geometry, ``base`` keyed by
+    ``table_offsets`` (the zero offset first)."""
+    halo_unit = np.asarray(ttis.rows_per_dim, dtype=np.int64) * strides
+    tables = LdsTables(m=m, vm=int(ttis.v[m]),
+                       c=np.asarray(ttis.c, dtype=np.int64),
+                       strides=strides, offsets=offsets,
+                       halo_unit=halo_unit,
+                       shift_unit=int(halo_unit[m]), base={})
+    tables.base.update(_build_tables(tables, np.ascontiguousarray(
+        ttis.lattice_points_np(), dtype=np.int64), table_offsets))
+    return tables
+
+
+def _build_tables(tables: LdsTables, lat: np.ndarray,
+                  table_offsets: Sequence[Tuple[int, ...]],
+                  ) -> Dict[Tuple[int, ...], np.ndarray]:
+    """``base[off]`` of ``tables``: the one evaluation of the condensed
+    ``map`` per geometry and offset."""
+    return {off: np.ascontiguousarray(tables.to_flat(
+        lat - np.asarray(off, dtype=np.int64), 0))
+        for off in table_offsets}
 
 
 @dataclass(frozen=True)
@@ -695,7 +755,7 @@ class TileContext(NamedTuple):
     pure: Tuple[Tuple[Optional[np.ndarray], ...], ...]
 
 
-class HaloFillError(RuntimeError):
+class HaloFillError(ParallelRuntimeError):
     """An out-of-domain source addresses a cell outside the rank's LDS
     box (the halo sizing of ``CommunicationSpec`` was violated)."""
 
@@ -727,52 +787,372 @@ def _c_strides(shape: Sequence[int]) -> np.ndarray:
     return strides
 
 
+# -- the halo tables: every address a run's halo traffic needs ----------------------
+
+
+class MessageCells(NamedTuple):
+    """The LDS cells of one message in payload order: ``addr + base +
+    t * shift_unit`` in chain tile ``t``, ``addr`` starting at 0.  Full
+    tiles share one per (LDS tables, side, direction); a partial tile's
+    is its own, a slice of its build pass's array in the narrowest
+    integer type that holds that array."""
+
+    addr: np.ndarray
+    base: int
+
+
+class HaloFill(NamedTuple):
+    """The boundary fill of one rank and array: the distinct
+    out-of-domain source cells its chain reads, in the order of the
+    first chain tile that reads each (``addr[cuts[t]:cuts[t + 1]]`` are
+    chain tile ``t``'s), each with its LDS cell ``addr`` and the array
+    cell ``cells`` whose ``init_value`` it holds."""
+
+    array: str
+    addr: np.ndarray
+    cells: np.ndarray
+    cuts: np.ndarray
+
+
+class RankHalo(NamedTuple):
+    """One rank's row of the ``halo_tables`` stage: its LDS ``tables``
+    and cell count, its boundary fills, and the cells of every message,
+    ``packs[t][k]`` for ``plan.sends[t][k]`` and ``unpacks[t][i]`` for
+    ``plan.recvs[t][i]`` (the halo cells the receive lands in)."""
+
+    tables: LdsTables
+    size: int
+    fills: Tuple[HaloFill, ...]
+    packs: List[List[MessageCells]]
+    unpacks: List[List[MessageCells]]
+
+
+def region_flat(program: "TiledProgram", tables: LdsTables,
+                tile: Tuple[int, ...], direction: Sequence[int],
+                t: int) -> np.ndarray:
+    """Cells of ``tile``'s ``CC`` pack region toward ``direction`` as
+    chain tile ``t`` of an LDS with ``tables``, in the frozen payload
+    order: the definition every :class:`MessageCells` of the halo
+    tables equals (``tests/runtime/test_address_tables.py``)."""
+    return (tables.wbase[region_index(program, tile, direction)]
+            + t * tables.shift_unit)
+
+
+#: The narrow integer types a frozen table may use, with their ranges.
+_NARROW = [(np.int16, -(1 << 15), (1 << 15) - 1),
+           (np.int32, -(1 << 31), (1 << 31) - 1)]
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest of int16, int32 and its own type that
+    holds every entry (a table kept for the program's life)."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    for dtype, least, most in _NARROW:
+        if least <= lo and hi <= most:
+            return a.astype(dtype)
+    return a
+
+
+def _dependence_reads(program: "TiledProgram",
+                      ) -> List[Tuple[ArrayRef, Tuple[int, ...],
+                                      Tuple[int, ...]]]:
+    """``(ref, d, d')`` of every read of a written array."""
+    nest, ttis = program.nest, program.tiling.ttis
+    deps = read_dependences(nest)
+    return [(r, d, tuple(int(x) for x in
+                         ttis.transformed_dependences([d])[0]))
+            for si, s in enumerate(nest.statements)
+            for r, d in zip(s.reads, deps[si]) if d is not None]
+
+
+def _build_halo_tables(program: "TiledProgram") -> Dict[int, RankHalo]:
+    """The ``halo_tables`` stage: one :class:`RankHalo` per rank of
+    the program's ``rank_plans``.  Only the ``init_value`` values of the
+    fill are left to a run."""
+    plans = build_rank_plans(program)
+    ttis, m = program.tiling.ttis, program.dist.m
+    reads = _dependence_reads(program)
+    table_offsets = list(dict.fromkeys(
+        [(0,) * program.n, *(dp for _r, _d, dp in reads)]))
+    tables: Dict[Tuple[Tuple[int, ...], ...], LdsTables] = {}
+    rank_tables: Dict[int, LdsTables] = {}
+    sizes: Dict[int, int] = {}
+    for rank, plan in plans.items():
+        geom = program.addressing.lds_for(plan.pid)
+        strides = _c_strides(geom.shape)
+        key = (tuple(strides.tolist()), tuple(geom.offsets))
+        tb = tables.get(key)
+        if tb is None:
+            tb = tables[key] = lds_tables(
+                ttis, m, strides, np.asarray(geom.offsets, dtype=np.int64),
+                table_offsets)
+        rank_tables[rank] = tb
+        sizes[rank] = int(geom.cells)
+    fills = _halo_fills(program, plans, rank_tables, sizes, reads)
+    packs, unpacks = _message_cells(program, plans, rank_tables)
+    return {rank: RankHalo(rank_tables[rank], sizes[rank], fills[rank],
+                           packs[rank], unpacks[rank]) for rank in plans}
+
+
+#: Lattice points (messages x region, or tiles x tile volume) one
+#: vectorised pass of the halo-table build covers: enough to amortise
+#: the pass, few enough that its temporaries stay small (a forked worker
+#: inherits what the heap kept).
+BUILD_CHUNK_POINTS = 1 << 17
+
+
+def _message_cells(program: "TiledProgram", plans: Dict[int, RankPlan],
+                   rank_tables: Dict[int, LdsTables],
+                   ) -> Tuple[Dict[int, Any], Dict[int, Any]]:
+    """Per rank, the :class:`MessageCells` of every send (``packs``) and
+    receive (``unpacks``) of its plan, by chain index and plan order:
+    the cells :func:`region_flat` gives at ``t = 0``, on the receive
+    side shifted back by ``halo_unit @ d^S``.  Built per (tables, side,
+    direction): the interior region's cells once, shared by the full
+    tiles, and every partial tile's as those cells cut by its mask
+    (:func:`region_index` for a batch of tiles at once)."""
+    tiling = program.tiling
+    full: Dict[Tuple[int, ...], bool] = {}
+    # per rank, chain index and plan position, filled below
+    packs = {rank: [[None] * len(ss) for ss in plan.sends]
+             for rank, plan in plans.items()}
+    unpacks = {rank: [[None] * len(rr) for rr in plan.recvs]
+               for rank, plan in plans.items()}
+    # (tables, halo side, direction) -> [(slots, position, tile)]
+    groups: Dict[Tuple[int, bool, Tuple[int, ...]],
+                 List[Tuple[List[Any], int, Tuple[int, ...]]]] = {}
+    for rank, plan in plans.items():
+        tb = id(rank_tables[rank])
+        for t, tile in enumerate(plan.tiles):
+            for k, s in enumerate(plan.sends[t]):
+                groups.setdefault((tb, False, s.direction), []).append(
+                    (packs[rank][t], k, tile))
+            for i, r in enumerate(plan.recvs[t]):
+                groups.setdefault((tb, True, r.ds), []).append(
+                    (unpacks[rank][t], i, r.pred))
+    tables = {id(tb): tb for tb in rank_tables.values()}
+    for (key, halo, direction), msgs in groups.items():
+        tb = tables[key]
+        idx = interior_region(program, direction)
+        flat = tb.wbase[idx]
+        if halo:
+            flat = flat - int(tb.halo_unit @ np.asarray(direction,
+                                                        dtype=np.int64))
+        base = int(flat.min()) if len(flat) else 0
+        # shared by every full tile; intp, the fastest index
+        shared = MessageCells(flat - base, base)
+        partial = []
+        for slots, pos, tile in msgs:
+            if tile not in full:
+                full[tile] = tiling.classify_tile(tile) == "full"
+            if full[tile]:
+                slots[pos] = shared
+            else:
+                partial.append((slots, pos, tile))
+        step = max(1, BUILD_CHUNK_POINTS // max(1, len(idx)))
+        for at in range(0, len(partial), step):
+            part = partial[at:at + step]
+            keep = np.stack([tiling.tile_mask(tile)[idx]
+                             for _s, _p, tile in part])
+            counts = keep.sum(axis=1)
+            cuts = np.concatenate([[0], np.cumsum(counts)])
+            kept = np.broadcast_to(flat, keep.shape)[keep]
+            bases = np.zeros(len(part), dtype=np.int64)
+            some = counts > 0
+            if some.any():
+                bases[some] = np.minimum.reduceat(kept, cuts[:-1][some])
+            rel = _narrow(kept - np.repeat(bases, counts))
+            for (slots, pos, _tile), a, b, base in zip(
+                    part, cuts[:-1].tolist(), cuts[1:].tolist(),
+                    bases.tolist()):
+                slots[pos] = MessageCells(rel[a:b], base)
+    return packs, unpacks
+
+
+def _halo_fills(program: "TiledProgram", plans: Dict[int, RankPlan],
+                rank_tables: Dict[int, LdsTables], sizes: Dict[int, int],
+                reads: Sequence[Tuple[ArrayRef, Tuple[int, ...],
+                                      Tuple[int, ...]]],
+                ) -> Dict[int, Tuple[HaloFill, ...]]:
+    """Every rank's :class:`HaloFill` rows, built over the chain tiles of
+    whole groups of ranks at once.
+
+    Executed point ``i`` of the tile at ``origin`` reads outside the
+    domain through row ``r`` exactly when ``thr_r < A_tis[r, i] <= b_r
+    - (A origin)_r`` with ``thr = b + A d - A origin``: a window of row
+    ``r``'s sorted ``A_tis``, two ``searchsorted`` per (read, row) over
+    every tile of the group (a partial tile's window is then cut to its
+    executed points by its ``tile_mask``).  Such a source has a halo
+    cell of its own (docs/RUNTIME.md, *Dense LDS layout*), so each
+    distinct cell of a rank is kept once, with the earliest chain tile
+    that reads it; a cell outside the rank's LDS box is the named
+    :class:`HaloFillError` (a numpy scatter would wrap a negative one).
+    """
+    tiling = program.tiling
+    amat, bvec = tiling._amat, tiling._bvec
+    out: Dict[int, Tuple[HaloFill, ...]] = {rank: () for rank in plans}
+    breads: List[BoundaryRead] = []
+    seen: Set[Tuple[str, Tuple[int, ...]]] = set()
+    for ref, d, dp in reads:
+        a_dep = amat @ np.asarray(d, dtype=np.int64)
+        rows = np.flatnonzero(a_dep < 0)
+        if (ref.array, d) in seen or not len(rows):
+            continue
+        seen.add((ref.array, d))
+        breads.append(BoundaryRead(ref.array, RefIndexer.of(ref), dp,
+                                   a_dep, rows))
+    if not breads:
+        return out
+    a_tis = tiling.stage("tis_constraints")[0]
+    a_order = np.argsort(a_tis, axis=1, kind="stable")
+    a_sorted = np.take_along_axis(a_tis, a_order, axis=1)
+    tis = tiling.ttis.tis_points_np()
+    names = list(dict.fromkeys(br.array for br in breads))
+    # per array: its reads, their ``F tis + f`` and ``F``
+    groups = []
+    for name in names:
+        slots = [n for n, br in enumerate(breads) if br.array == name]
+        groups.append((name, slots, np.stack([
+            breads[n].indexer.cells(tis) for n in slots]), [
+            breads[n].indexer for n in slots]))
+    of_array = np.array([names.index(br.array) for br in breads])
+
+    def fills(ranks: List[int]) -> None:
+        """The rows of ``ranks``: their chain tiles, rank-major in chain
+        order, are ``g = 0, 1, ...``."""
+        tiles = [tile for r in ranks for tile in plans[r].tiles]
+        lens = np.array([len(plans[r].tiles) for r in ranks])
+        first = np.cumsum(lens) - lens
+        owner = np.repeat(np.arange(len(ranks)), lens)
+        chain_t = np.arange(len(tiles)) - first[owner]
+        origins = np.array(tiles, dtype=np.int64) @ tiling._p_int.T
+        upper = bvec - origins @ amat.T                   # (tiles, rows)
+        # one record (g, i, q) per (tile, point, read, failing row)
+        recs: List[Tuple[np.ndarray, np.ndarray, int]] = []
+        for q, br in enumerate(breads):
+            for r in br.rows.tolist():
+                lo = np.searchsorted(a_sorted[r],
+                                     upper[:, r] + br.a_dep[r], "right")
+                cnt = np.searchsorted(a_sorted[r], upper[:, r],
+                                      "right") - lo
+                k = int(cnt.sum())
+                if k:
+                    recs.append((np.repeat(np.arange(len(tiles)), cnt),
+                                 a_order[r][np.arange(k) + np.repeat(
+                                     lo - np.cumsum(cnt) + cnt, cnt)], q))
+        if not recs:
+            return
+        g = np.concatenate([rec[0] for rec in recs])
+        by_tile = np.argsort(g, kind="stable")
+        g = g[by_tile]
+        i = np.concatenate([rec[1] for rec in recs])[by_tile]
+        q = np.concatenate([np.full(len(rec[0]), rec[2])
+                            for rec in recs])[by_tile]
+        del recs, by_tile
+        # a partial tile keeps its executed points only
+        at = np.searchsorted(g, np.arange(len(tiles) + 1)).tolist()
+        run = np.ones(len(g), dtype=bool)
+        for n, tile in enumerate(tiles):
+            a, b = at[n], at[n + 1]
+            if a < b and tiling.classify_tile(tile) != "full":
+                run[a:b] = tiling.tile_mask(tile)[i[a:b]]
+        g, i, q = g[run], i[run], q[run]
+        # the LDS cell of each source
+        tabs = list({id(rank_tables[r]): rank_tables[r]
+                     for r in ranks}.values())
+        slot = {id(tb): n for n, tb in enumerate(tabs)}
+        tab = np.array([slot[id(rank_tables[r])] for r in ranks])[owner[g]]
+        addr = np.stack([np.stack([tb.base[br.dep_prime] for br in breads])
+                         for tb in tabs])[tab, q, i] + chain_t[g] * \
+            np.array([tb.shift_unit for tb in tabs])[tab]
+        size = np.array([sizes[r] for r in ranks])
+        bad = (addr < 0) | (addr >= size[owner[g]])
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            mine = ((owner[g] == owner[g[j]])
+                    & (of_array[q] == of_array[q[j]]))
+            raise HaloFillError(
+                f"rank {plans[ranks[owner[g[j]]]].pid}: an out-of-domain "
+                f"source of {breads[q[j]].array!r} addresses cell "
+                f"{int(addr[mine].min())}..{int(addr[mine].max())} of an "
+                f"LDS of {int(size[owner[g[j]]])}")
+        # per (rank, array), the earliest tile's read of every distinct
+        # cell, in tile order (cells ascending within a tile); ``g`` is
+        # rank-major, so one int64 key per order does
+        span = int(size.max())
+        rows: Dict[int, List[HaloFill]] = {rank: [] for rank in ranks}
+        for a, (name, slots, ftis, indexers) in enumerate(groups):
+            pick = np.flatnonzero(of_array[q] == a)
+            if not len(pick):
+                continue
+            _cells, first_read = np.unique(
+                owner[g[pick]] * span + addr[pick], return_index=True)
+            pick = pick[first_read]
+            pick = pick[np.argsort(g[pick] * span + addr[pick])]
+            # F (tis_i + origin) + f: a lattice and a tile term
+            qa, ga = np.searchsorted(slots, q[pick]), g[pick]
+            cells = ftis[qa, i[pick]] + np.stack([
+                ix.cells(origins) - ix.offset for ix in indexers])[qa, ga]
+            cells, addr_a = _narrow(cells), _narrow(addr[pick])
+            # chain tile t of rank slot s: addr_a[cut[first[s] + t]:...]
+            cut = np.searchsorted(ga, np.arange(len(tiles) + 1))
+            for s, rank in enumerate(ranks):
+                a0, a1 = int(cut[first[s]]), int(cut[first[s] + lens[s]])
+                if a0 < a1:
+                    rows[rank].append(HaloFill(
+                        name, addr_a[a0:a1], cells[a0:a1],
+                        cut[first[s]:first[s] + lens[s] + 1] - a0))
+        out.update((rank, tuple(rows[rank])) for rank in ranks)
+
+    chunk: List[int] = []
+    points = 0
+    for rank in sorted(plans):
+        chunk.append(rank)
+        points += len(plans[rank].tiles) * len(tis)
+        if points >= BUILD_CHUNK_POINTS:
+            fills(chunk)
+            chunk, points = [], 0
+    if chunk:
+        fills(chunk)
+    return out
+
+
+#: The halo tables of every rank: built on first use (``execute_dense``
+#: and ``run_parallel`` ask before the walk), never persisted.
+HALO_TABLES = Stage("halo_tables", "program", _build_halo_tables)
+
+
 class DenseData:
     """What every rank of one dense run shares: lattice tables,
     statement plans (input tables, ``d`` and ``d'`` per read), the
     result ``fields`` (allocated here unless the caller supplies
-    storage — the parallel workers pass shared memory), the address
-    tables (one :class:`LdsTables` per LDS geometry, one
-    :class:`GlobalTable` per written array), the sorted rows of ``A
-    tis`` and one :class:`BoundaryRead` per dependence that can leave
-    the domain (what the ranks' boundary fills read) and, for a usable
-    ``native`` library, the native runtime over the same plans and
-    tables.
+    storage — the parallel workers pass shared memory), one
+    :class:`GlobalTable` per written array and, for a usable ``native``
+    library, the native runtime over the same plans and tables.  The
+    LDS address tables and every halo address come from the program's
+    ``halo_tables`` stage (:class:`RankHalo`), not from the run.
     """
 
     def __init__(self, prog: "TiledProgram", init_value: InitFn,
                  dtype: Any = np.float64,
                  native: Optional["NativeKernelLibrary"] = None,
                  fields: Optional[Dict[str, DenseField]] = None):
-        tiling = prog.tiling
-        ttis = tiling.ttis
+        ttis = prog.tiling.ttis
         self.prog = prog
         self.init_value = init_value
         self.dtype = dtype
         self.arrays: Tuple[str, ...] = tuple(prog.arrays)
-        self.m: int = prog.dist.m
         self.lat = np.ascontiguousarray(ttis.lattice_points_np(),
                                         dtype=np.int64)
         self.tis = np.ascontiguousarray(ttis.tis_points_np(),
                                         dtype=np.int64)
         self.nlat = len(self.lat)
-        self.v = np.asarray(ttis.v, dtype=np.int64)
-        self.c = np.asarray(ttis.c, dtype=np.int64)
-        self.rows = self.v // self.c
         self.plans = build_statement_plans(prog.nest, init_value, dtype,
                                            ttis)
         self.fields = (fields if fields is not None
                        else result_fields(prog.nest, dtype))
 
-        # LDS side: every offset a table is built for.
         n = prog.n
-        self.table_offsets: List[Tuple[int, ...]] = list(dict.fromkeys(
-            [(0,) * n, *(tuple(rp.dep_prime.tolist())
-                         for plan in self.plans for rp in plan.reads
-                         if rp.dep_prime is not None)]))
-        self.lds_tables: Dict[Tuple[Any, ...], LdsTables] = {}
-
-        # Global side.
         self.gtables: List[GlobalTable] = []
         for plan in self.plans:
             field = self.fields[plan.stmt.write.array]
@@ -789,31 +1169,6 @@ class DenseData:
                 written=_flat_view(field.written),
                 gbase=self.tis @ gtile + gconst,
                 gtile=gtile, gconst=gconst))
-
-        # Boundary side: the rows of ``A tis`` sorted once, so the
-        # executed points whose source breaks a row are one window of
-        # it per tile (see :meth:`RankLDS._boundary_fill`).
-        amat, bvec = tiling._amat, tiling._bvec
-        self.amat, self.bvec = amat, bvec
-        a_tis = amat @ self.tis.T
-        self.a_order = np.argsort(a_tis, axis=1, kind="stable")
-        self.a_sorted = np.take_along_axis(a_tis, self.a_order, axis=1)
-        self.boundary_reads: List[BoundaryRead] = []
-        seen: Set[Tuple[str, Tuple[int, ...]]] = set()
-        for plan in self.plans:
-            for rp in plan.reads:
-                if rp.dep is None:
-                    continue
-                key = (rp.ref.array, tuple(rp.dep.tolist()))
-                a_dep = amat @ rp.dep
-                rows = np.flatnonzero(a_dep < 0)
-                if key in seen or not len(rows):
-                    continue
-                seen.add(key)
-                assert rp.dep_prime is not None
-                self.boundary_reads.append(BoundaryRead(
-                    rp.ref.array, rp.indexer,
-                    tuple(rp.dep_prime.tolist()), a_dep, rows))
 
         self.native_rt = (native.runtime_for(self)
                           if native is not None else None)
@@ -858,39 +1213,54 @@ class DenseData:
         return tuple(out)
 
 
+def _cells_of(buf: np.ndarray, msg: MessageCells, shift: int,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(view, index)`` with ``view[index]`` the cells of ``msg`` in
+    ``buf`` at chain shift ``shift``: a view from its first cell, so
+    the frozen addresses index it as they are (a wrong, negative base
+    wraps as a numpy index would)."""
+    off = msg.base + shift
+    if off >= 0:
+        return buf[off:], msg.addr
+    return buf, msg.addr + np.int64(off)
+
+
 class RankLDS:
     """One rank's dense Local Data Space (paper §3.1, Figure 3).
 
     A flat numpy buffer per written array, addressed by the paper's
     condensed ``map``: TTIS point ``j'`` of chain tile ``t`` lives at
-    ``((j' + t v_m e_m) // c + off) . strides`` — :meth:`to_flat`,
-    evaluated once per LDS geometry into :class:`LdsTables` and from
-    then on only added to (the native kernels evaluate the same
-    ``map`` in their loops).  Everything that touches that memory is a
-    method here: the boundary fill, halo unpack, ``CC``-region pack,
-    compute and write-back (numpy wavefront batches or the native
+    ``((j' + t v_m e_m) // c + off) . strides`` —
+    :meth:`LdsTables.to_flat`, evaluated once per LDS geometry and from
+    then on only added to (the native kernels evaluate the same ``map``
+    in their loops).  Everything that touches that memory is a method
+    here: the boundary fill, halo unpack, ``CC``-region pack, compute
+    and write-back (numpy wavefront batches or the native
     :class:`~repro.native.engine.RankKernels`).
+
+    Built once per program (the rank's :class:`RankHalo`): the tables,
+    the fill's cells and cuts, every message's cells.  Done per run:
+    the fill's ``init_value`` calls (one ``fromiter`` per array at the
+    first tile), one fill scatter per tile and array, one gather or
+    scatter per message and array, compute and write-back.
     """
 
     def __init__(self, data: DenseData, pid: Tuple[int, ...]):
         self.data = data
         self.pid = pid
-        self.geom = data.prog.addressing.lds_for(pid)
-        self.strides = _c_strides(self.geom.shape)
-        self.offsets = np.asarray(self.geom.offsets, dtype=np.int64)
-        self.size = int(self.geom.cells)
-        tiling = data.prog.tiling
-        chain = data.prog.dist.tiles_of(pid)
+        prog = data.prog
+        self.halo: RankHalo = prog.stage("halo_tables")[prog.rank_of[pid]]
+        self.tables = tables = self.halo.tables
+        self.strides = tables.strides
+        self.offsets = tables.offsets
+        self.size = self.halo.size
+        tiling = prog.tiling
+        chain = prog.dist.tiles_of(pid)
         # the origin ``P j^S`` of every chain tile, by chain index
         self.origins = np.array([tiling.tile_origin(tile) for tile in chain],
                                 dtype=np.int64).reshape(len(chain), -1)
         self.local: Dict[str, np.ndarray] = {
             a: np.zeros(self.size, dtype=data.dtype) for a in data.arrays}
-        key = (self.geom.shape, self.geom.offsets)
-        tables = data.lds_tables.get(key)
-        if tables is None:
-            tables = data.lds_tables[key] = self._build_tables()
-        self.tables = tables
         # Source table of every (statement, read); None for pure inputs.
         self.rbase: List[List[Optional[np.ndarray]]] = [
             [None if rp.dep_prime is None
@@ -899,173 +1269,61 @@ class RankLDS:
         self.kernels: Optional["RankKernels"] = (
             data.native_rt.for_rank(self)
             if data.native_rt is not None else None)
-        # Chain index -> the halo cells to fill before that tile runs;
-        # built at the first tile, emptied as the tiles take their part.
-        self._fill: Optional[Dict[int, List[Tuple[str, np.ndarray,
-                                                  np.ndarray]]]] = None
-
-    # -- addressing -----------------------------------------------------------------
-
-    def to_flat(self, jp: np.ndarray, t: int) -> np.ndarray:
-        """Flat LDS cells of TTIS points ``jp`` (rows) in chain tile
-        ``t`` — the single definition of the condensed ``map``.  Floor
-        division is intentional (see :meth:`LocalDataSpace.map`)."""
-        d = self.data
-        shifted = jp.copy()
-        shifted[:, d.m] += t * int(d.v[d.m])
-        return (shifted // d.c + self.offsets) @ self.strides
-
-    def _build_tables(self) -> LdsTables:
-        d = self.data
-        base = {off: np.ascontiguousarray(self.to_flat(
-            d.lat - np.asarray(off, dtype=np.int64), 0))
-            for off in d.table_offsets}
-        halo_unit = d.rows * self.strides
-        return LdsTables(base=base, wbase=base[d.table_offsets[0]],
-                         shift_unit=int(halo_unit[d.m]),
-                         halo_unit=halo_unit)
-
-    def region_flat(self, tile: Tuple[int, ...],
-                    direction: Sequence[int], t: int) -> np.ndarray:
-        """Cells of ``tile``'s ``CC`` pack region toward ``direction``
-        as chain tile ``t``, in the frozen payload order."""
-        tb = self.tables
-        return (tb.wbase[region_index(self.data.prog, tile, direction)]
-                + t * tb.shift_unit)
+        # Per array with a fill: (buffer, cells, values, cuts); the
+        # values are asked for at the first tile, dropped after the last.
+        self._fill: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        List[int]]]] = None
 
     # -- RECEIVE / SEND -------------------------------------------------------------
 
-    def unpack(self, r: "TileRecv", payload: np.ndarray, t: int) -> None:
-        """Scatter one received region into the halo of chain tile
-        ``t``: the sender's cells shifted back by ``d^S_k v_k / c_k``."""
-        flat = self.region_flat(r.pred, r.ds, t) - int(
-            self.tables.halo_unit @ np.asarray(r.ds, dtype=np.int64))
-        cnt = len(flat)
+    def unpack(self, t: int, i: int, payload: np.ndarray) -> None:
+        """Scatter the ``i``-th receive of chain tile ``t`` into its
+        halo cells: the sender's cells shifted back by ``d^S_k v_k /
+        c_k``."""
+        msg = self.halo.unpacks[t][i]
+        shift = t * self.tables.shift_unit
+        cnt = len(msg.addr)
         for ai, arr in enumerate(self.data.arrays):
-            self.local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
+            view, idx = _cells_of(self.local[arr], msg, shift)
+            view[idx] = payload[ai * cnt:(ai + 1) * cnt]
 
-    def pack(self, tile: Tuple[int, ...], direction: Sequence[int],
-             t: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Serialize the region's values, array-major: one lex-order
-        gather per array, into ``out`` when given (the ring port passes
-        the message's mailbox slot)."""
-        flat = self.region_flat(tile, direction, t)
-        cnt = len(flat)
+    def pack(self, t: int, k: int,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Serialize the ``k``-th send of chain tile ``t`` — its ``CC``
+        region's values, array-major, one lex-order gather per array —
+        into ``out`` when given (the ring port passes the message's
+        mailbox slot)."""
+        msg = self.halo.packs[t][k]
+        shift = t * self.tables.shift_unit
+        cnt = len(msg.addr)
         if out is None:
             out = np.empty(cnt * len(self.data.arrays),
                            dtype=self.data.dtype)
         for ai, arr in enumerate(self.data.arrays):
-            out[ai * cnt:(ai + 1) * cnt] = self.local[arr][flat]
-        return out
-
-    # -- BOUNDARY -------------------------------------------------------------------
-
-    def _boundary_fill(self) -> Dict[int, List[Tuple[str, np.ndarray,
-                                                     np.ndarray]]]:
-        """The out-of-domain source cells of this rank's chain, each
-        with its ``init_value``, keyed by the chain index of the first
-        tile that reads it.
-
-        Executed point ``i`` of the tile at ``origin`` reads outside
-        the domain through row ``r`` exactly when ``thr_r < A_tis[r, i]
-        <= b_r - (A origin)_r`` with ``thr = b + A d - A origin``: a
-        window of row ``r``'s sorted ``A_tis``, two ``searchsorted``
-        per (read, row) for the whole chain (a partial tile's window
-        is masked to its executed points).  Such a source has a halo
-        cell of its own (docs/RUNTIME.md, *Dense LDS layout*), so each
-        distinct cell is filled once, with one scalar ``init_value``
-        call, before the earliest tile that reads it.
-        """
-        d = self.data
-        tiling = d.prog.tiling
-        chain = d.prog.dist.tiles_of(self.pid)
-        nt = len(chain)
-        origins = self.origins
-        upper = d.bvec - origins @ d.amat.T                # (nt, rows)
-        # the windows, per array: (read, row, first position, lengths)
-        windows: Dict[str, List[Tuple[BoundaryRead, int, np.ndarray,
-                                      np.ndarray]]] = {}
-        for br in d.boundary_reads:
-            for r in br.rows.tolist():
-                lo = np.searchsorted(d.a_sorted[r],
-                                     upper[:, r] + br.a_dep[r], "right")
-                cnt = np.searchsorted(d.a_sorted[r], upper[:, r],
-                                      "right") - lo
-                if cnt.any():
-                    windows.setdefault(br.array, []).append(
-                        (br, r, lo, cnt))
-        part = [t for t, tile in enumerate(chain)
-                if tiling.classify_tile(tile) != "full"]
-        prow = np.full(nt, -1, dtype=np.int64)
-        prow[part] = np.arange(len(part))
-        masks = np.stack([tiling.tile_mask(chain[t]) for t in part]
-                         ) if part else None
-        out: Dict[int, List[Tuple[str, np.ndarray, np.ndarray]]] = {}
-        for array, wins in windows.items():
-            # one column per (tile, executed point, read): chain index,
-            # lattice index, source cell, read
-            rec = np.empty((4, sum(int(w[3].sum()) for w in wins)),
-                           dtype=np.int64)
-            at = 0
-            for q, (br, r, lo, cnt) in enumerate(wins):
-                k = int(cnt.sum())
-                tq = np.repeat(np.arange(nt), cnt)
-                iq = d.a_order[r][np.arange(k) + np.repeat(
-                    lo - np.cumsum(cnt) + cnt, cnt)]
-                rec[:3, at:at + k] = (
-                    tq, iq, self.tables.base[br.dep_prime][iq]
-                    + tq * self.tables.shift_unit)
-                rec[3, at:at + k] = q
-                at += k
-            if masks is not None:
-                pr = prow[rec[0]]
-                keep = pr < 0
-                keep[~keep] = masks[pr[~keep], rec[1][~keep]]
-                rec = rec[:, keep]
-            ts, idx, addr, which = rec
-            if not len(ts):
-                continue
-            if addr.min() < 0 or addr.max() >= self.size:
-                raise HaloFillError(
-                    f"rank {self.pid}: an out-of-domain source of "
-                    f"{array!r} addresses cell {int(addr.min())}.."
-                    f"{int(addr.max())} of an LDS of {self.size}")
-            # the earliest tile's read of every distinct cell, in tile
-            # order
-            order = np.argsort(ts, kind="stable")
-            order = order[np.argsort(addr[order], kind="stable")]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = addr[order[1:]] != addr[order[:-1]]
-            keep = order[first]
-            ts, idx, addr, which = rec[:, keep[np.argsort(ts[keep],
-                                                          kind="stable")]]
-            cells = np.empty((len(idx), d.tis.shape[1]), dtype=np.int64)
-            for q, (br, _r, _lo, _cnt) in enumerate(wins):
-                mine = which == q
-                cells[mine] = br.indexer.cells(
-                    d.tis[idx[mine]] + origins[ts[mine]])
-            vals = np.fromiter(
-                map(d.init_value, repeat(array), zip(*cells.T.tolist())),
-                dtype=d.dtype, count=len(cells))
-            # one copy per tile, so each is freed once its tile took it
-            new = np.ones(len(ts), dtype=bool)
-            new[1:] = ts[1:] != ts[:-1]
-            cuts = [*np.flatnonzero(new).tolist(), len(ts)]
-            for a, b in zip(cuts, cuts[1:]):
-                out.setdefault(int(ts[a]), []).append(
-                    (array, addr[a:b].copy(), vals[a:b].copy()))
+            view, idx = _cells_of(self.local[arr], msg, shift)
+            out[ai * cnt:(ai + 1) * cnt] = view[idx]
         return out
 
     # -- COMPUTE --------------------------------------------------------------------
 
     def _fill_halo(self, t: int) -> None:
         """Fill the halo cells of the out-of-domain sources chain tile
-        ``t`` is the first to read (the whole fill is derived at the
-        first tile)."""
-        if self._fill is None:
-            self._fill = self._boundary_fill()
-        for array, addr, vals in self._fill.pop(t, ()):
-            self.local[array][addr] = vals
+        ``t`` is the first to read: the rank's values come from one
+        ``init_value`` call per cell at its first tile."""
+        fill = self._fill
+        if fill is None:
+            init, dtype = self.data.init_value, self.data.dtype
+            fill = self._fill = [
+                (self.local[f.array], f.addr, np.fromiter(
+                    map(init, repeat(f.array), zip(*f.cells.T.tolist())),
+                    dtype=dtype, count=len(f.addr)), f.cuts.tolist())
+                for f in self.halo.fills]
+        for buf, addr, vals, cuts in fill:
+            a, b = cuts[t], cuts[t + 1]
+            if a < b:
+                buf[addr[a:b]] = vals[a:b]
+        if t + 1 == len(self.origins):
+            self._fill = []
 
     def tile_context(self, tile: Tuple[int, ...], t: int,
                      oplan: Optional[TileOverlapPlan] = None,

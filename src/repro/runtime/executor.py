@@ -217,7 +217,7 @@ register(
           encode=pickled, decode=unpickled, version=3),
     Stage("cost_certificates", "program", on_demand, persisted=True,
           encode=pickled, decode=unpickled, version=2),
-    dense.FULL_SEGMENTS, dense.REGION_INDEX,
+    dense.FULL_SEGMENTS, dense.REGION_INDEX, dense.HALO_TABLES,
 )
 
 
@@ -307,8 +307,10 @@ class DistributedRun:
         identical.  A library that fell back at build time (or a
         non-float64 ``dtype``) silently keeps the numpy path.
         """
+        plans = build_rank_plans(self.program)
+        self.program.stage("halo_tables")
         data = DenseData(self.program, init_value, dtype, native)
-        stats = self._run(build_rank_plans(self.program), data.rank)
+        stats = self._run(plans, data.rank)
         return data.fields, stats
 
     # -- real parallel mode -------------------------------------------------------------

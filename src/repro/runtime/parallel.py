@@ -775,11 +775,12 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     workers = max(1, min(int(workers), nranks))
     np_dtype = np.dtype(dtype)
 
-    # Freeze the schedule (and with it every region count) before
-    # forking, so children share the stages copy-on-write.
+    # Freeze the schedule (and with it every region count) and the halo
+    # tables before forking, so children share the stages copy-on-write.
     if overlap:
         prewarm_overlap_plans(program)
     plans = build_rank_plans(program)
+    program.stage("halo_tables")
     edges = build_edges(plans, mailbox_depth)
     blocks = span_blocks(plans)
     proto_fields = result_fields(program.nest, np_dtype)

@@ -53,10 +53,10 @@ ports ``send`` *is* those two, back to back — and brackets the tile
 with ``open_tile(tile, recvs, unpacks)`` / ``close_tile(tile)``.
 ``pack(out)`` gathers the message into the port's buffer; only the
 vMPI port calls it bare and lets the back-end allocate.  A back-end
-has ``unpack(r, payload, t)``, ``compute_tile(tile, t)`` and
-``pack(tile, direction, t)``, ``t`` being the tile's chain index; the
-dense one also ``tile_context``, ``compute_phase`` and ``pack``'s
-``out`` buffer.
+has ``unpack(t, i, payload)`` for the ``i``-th receive of a tile,
+``compute_tile(tile, t)`` and ``pack(t, k)`` for its ``k``-th send,
+``t`` being the tile's chain index; the dense one also
+``tile_context``, ``compute_phase`` and ``pack``'s ``out`` buffer.
 """
 
 from __future__ import annotations
@@ -470,9 +470,10 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
     for t, tile in enumerate(plan.tiles):
         recvs, sends = plan.recvs[t], plan.sends[t]
         unpacks = [None if timing_only else
-                   partial(unpack_halo, data, r, tile, t) for r in recvs]
-        packs = [None if timing_only else
-                 partial(data.pack, tile, s.direction, t) for s in sends]
+                   partial(unpack_halo, data, r, tile, t, i)
+                   for i, r in enumerate(recvs)]
+        packs = [None if timing_only else partial(data.pack, t, k)
+                 for k in range(len(sends))]
         if not overlap:
             # One phase: every halo in, the whole tile, every message
             # out (a send returns once its transport is done with it).
@@ -501,15 +502,16 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
             yield from port.complete(tile, s)
 
 
-def unpack_halo(data: Any, r: TileRecv, tile: Tile, t: int,
+def unpack_halo(data: Any, r: TileRecv, tile: Tile, t: int, i: int,
                 payload: Any) -> None:
-    """The shared unpack: refuse a message whose size differs from the
-    frozen plan, then scatter it into the back-end's halo."""
+    """The shared unpack of ``r``, the ``i``-th receive of chain tile
+    ``t``: refuse a message whose size differs from the frozen plan,
+    then scatter it into the back-end's halo."""
     if len(payload) != r.nelems:
         raise HaloSizeError(
             f"size mismatch at {tile} from {r.pred}: "
             f"{len(payload)} != {r.nelems}")
-    data.unpack(r, payload, t)
+    data.unpack(t, i, payload)
 
 
 class VmpiPort:

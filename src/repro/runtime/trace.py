@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: Serialization schema version.  Bump whenever the on-disk shape of
 #: :class:`TraceEvent`/:class:`EventTrace` changes incompatibly — the

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from repro.linalg.ratmat import RatMat, rat
+from repro.linalg.ratmat import RatMat
 from repro.tiling.cone import in_tiling_cone
 
 

@@ -33,7 +33,7 @@ the early-stop verdict — so a tuning run is auditable after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,

@@ -11,7 +11,6 @@ lattice point on any channel of any legal tiling fails the run.
 
 import dataclasses
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """Unit tests for the ADI application definition."""
 
-import pytest
-
 from repro.apps import adi
 from repro.schedule import last_tile_time
 from repro.tiling import in_tiling_cone, is_legal_tiling

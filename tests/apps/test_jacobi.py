@@ -48,7 +48,6 @@ class TestTilingMatrices:
         row = tuple(h.row(0))
         assert in_tiling_cone(row, deps)
         # active on (1,2,1): exactly on the boundary
-        from fractions import Fraction
         assert sum(r * d for r, d in zip(row, (1, 2, 1))) == 0
 
     def test_p_integral_requires_even_y(self):

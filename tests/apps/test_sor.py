@@ -1,7 +1,5 @@
 """Unit tests for the SOR application definition."""
 
-import pytest
-
 from repro.apps import sor
 from repro.linalg import RatMat
 from repro.loops import is_legal_skew

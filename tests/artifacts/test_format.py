@@ -6,14 +6,12 @@ version skew and key mismatch must all be detected and demoted.
 """
 
 import os
-import pickle
 import threading
 
 import pytest
 
 from repro.apps import sor
 from repro.artifacts import (
-    MAGIC,
     ArtifactCache,
     ArtifactError,
     content_key,

@@ -43,7 +43,7 @@ class TestBoundToC:
         assert bound_to_c(b[0], (), "upper") == "4"
 
     def test_max_of_multiple_lowers(self):
-        from repro.polyhedra import Halfspace, Polyhedron
+        from repro.polyhedra import Halfspace
         p = box([0, 0], [9, 9]).with_constraint(
             Halfspace.of([1, -2], 0))  # i - 2j <= 0, i.e. j >= i/2
         b = loop_bounds(p)

@@ -38,14 +38,6 @@ class TestLDSGeometry:
             else:
                 assert lds.shape[k] == comm.offsets[k] + v[k] // c[k]
 
-    def test_allocate(self, setup):
-        _, _, comm = setup
-        lds = LocalDataSpace(comm, 2)
-        arr = lds.allocate()
-        assert arr.shape == lds.shape
-        assert arr.dtype == np.float64
-        assert not arr.any()
-
     def test_cells(self, setup):
         _, _, comm = setup
         lds = LocalDataSpace(comm, 2)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.linalg import (
-    RatMat,
     fundamental_volume,
     lattice_contains,
     lattice_points_in_box,

@@ -1,6 +1,6 @@
 """Unit tests for the loop-nest pretty printer."""
 
-from repro.apps import adi, sor
+from repro.apps import sor
 from repro.loops.pretty import format_nest
 
 

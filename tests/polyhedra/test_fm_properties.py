@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.polyhedra import (
     Halfspace,
-    Polyhedron,
     box,
     eliminate_variable,
     integer_points,

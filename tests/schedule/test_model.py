@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps import sor
-from repro.polyhedra import box
 from repro.runtime import ClusterSpec
 from repro.schedule import predict_makespan
 from repro.tiling import TilingTransformation

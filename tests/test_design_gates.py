@@ -10,12 +10,13 @@ tree with the offending file), so a gate that can no longer fail is
 itself a failure.
 """
 
+import ast
 import os
 import re
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 import pytest
 
@@ -78,9 +79,9 @@ GATES = [
          mutation=("src/repro/analysis/hb/graph.py",
                    "def replay(g, bounded=False):\n")),
     Gate("one condensed map",
-         "RankLDS.to_flat is evaluated once per LDS geometry, in "
-         "RankLDS._build_tables; a second call site re-derives addresses "
-         "per tile (docs/RUNTIME.md)",
+         "LdsTables.to_flat is evaluated once per program and LDS "
+         "geometry, in dense._build_tables; a second call site re-derives "
+         "addresses per tile or per run (docs/RUNTIME.md)",
          r"(?<!def )to_flat\(", ("src/repro/runtime", "src/repro/native"),
          allow=("def _build_tables",),
          mutation=("src/repro/runtime/dense.py",
@@ -321,6 +322,119 @@ def test_allow_lists_exempt_what_they_name(tmp_path):
     assert offences(by_name["one compile per request"], tmp_path) == [
         "src/repro/codegen/mpi.py:5: "
         "return TiledProgram(self.nest, self.h)"]
+
+
+# -- no unused import (pyflakes F401, which CI's ruff selects) ------------------
+
+#: The trees the gate reads; ``bench/`` is left to its own PRs.
+IMPORT_ROOTS = ("src", "tests", "examples")
+
+
+def _names(tree: ast.AST) -> Set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _annotation_names(tree: ast.AST) -> Set[str]:
+    """Names inside string annotations (``x: "TiledProgram"``)."""
+    out: Set[str] = set()
+    for node in ast.walk(tree):
+        anns = [getattr(node, f, None) for f in ("annotation", "returns")]
+        for ann in filter(None, anns):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value,
+                                                                str):
+                    try:
+                        out |= _names(ast.parse(sub.value, mode="eval"))
+                    except SyntaxError:
+                        pass
+    return out
+
+
+def _exported(tree: ast.Module) -> Set[str]:
+    """The strings of a module-level ``__all__``."""
+    out: Set[str] = set()
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets):
+            out |= {c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)
+                    and isinstance(c.value, str)}
+    return out
+
+
+def unused_imports(text: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every import binding its scope (the enclosing
+    function, else the module) never reads — in code, in a string
+    annotation or, at module level, in ``__all__``.  ``from m import x
+    as x`` is an explicit re-export and counts as used."""
+    tree = ast.parse(text)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    exported = _exported(tree)
+    used = {}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "__future__"):
+            continue
+        scope = parent[node]
+        while not isinstance(scope, (ast.Module, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+            scope = parent[scope]
+        if scope not in used:
+            used[scope] = _names(scope) | _annotation_names(scope) | (
+                exported if scope is tree else set())
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if alias.name == "*" or name in used[scope] or (
+                    isinstance(node, ast.ImportFrom)
+                    and alias.asname == alias.name):
+                continue
+            found.append((node.lineno, name))
+    return found
+
+
+def import_offences(root=ROOT):
+    """``path:line: name`` of every unused import under ``root``."""
+    return [f"{path}:{line}: {name}"
+            for sub in IMPORT_ROOTS
+            for path in files_under(root, sub, tracked=False)
+            if path.endswith(".py")
+            for line, name in unused_imports((root / path).read_text())]
+
+
+def test_no_unused_import():
+    found = import_offences()
+    assert not found, "unused imports (ruff F401):\n" + "\n".join(found)
+
+
+def test_unused_import_gate_rejects_its_mutation(tmp_path):
+    """An import only a string annotation, ``__all__`` or a re-export
+    alias reads is used; one its own function never reads is not,
+    whatever the rest of the module reads."""
+    target = tmp_path / "src/repro/runtime/mutant.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"                                       # unused
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, List, Tuple\n"   # Tuple
+        "from repro.runtime import dense as dense\n"
+        "from repro.stages import Stage\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.runtime.executor import TiledProgram\n"
+        "__all__ = ['Stage']\n"
+        "def f(p: 'TiledProgram') -> List[int]:\n"
+        "    import sys\n"                                  # unused here
+        "    return np.zeros(3)\n"
+        "def g():\n"
+        "    import json\n"
+        "    return json, sys\n")
+    path = "src/repro/runtime/mutant.py"
+    assert import_offences(tmp_path) == [
+        f"{path}:2: os", f"{path}:4: Tuple", f"{path}:11: sys"]
 
 
 def test_every_workflow_runs_steps_under_bash():

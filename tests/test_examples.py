@@ -6,10 +6,7 @@ real checking.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

@@ -115,15 +115,12 @@ class TestDenseAddressing:
     @staticmethod
     def _counted_run(monkeypatch):
         from repro.linalg.ratmat import RatMat
-        from repro.runtime.dense import DenseData, RankLDS
+        from repro.runtime.dense import DenseData, LdsTables, RankLDS
 
         app = sor.app(20, 30)
         prog = TiledProgram(app.nest, sor.h_nonrectangular(5, 8, 4),
                             mapping_dim=2)
         run = DistributedRun(prog, ClusterSpec())
-        # Warm: the program's lazily compiled stages (pack regions,
-        # masks) are compile-side work, not the body's.
-        run.execute_dense(app.init_value)
         counts = Counter()
 
         def counting(cls, name, key):
@@ -137,26 +134,28 @@ class TestDenseAddressing:
                 return inner(self, *args)
             monkeypatch.setattr(cls, name, wrapper)
 
+        # Warm: the program's lazily compiled stages (pack regions,
+        # masks, the halo tables) are compile-side work, not the body's.
+        counting(LdsTables, "to_flat", "to_flat_warm")
+        run.execute_dense(app.init_value)
         counting(DenseData, "rank", "rank")
-        counting(RankLDS, "to_flat", "to_flat")
+        counting(LdsTables, "to_flat", "to_flat")
         counting(RatMat, "matvec", "matvec")
         counting(RankLDS, "compute_batch", "compute_batch")
-        data_offsets = []
-        init = DenseData.__init__
-
-        def record_offsets(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            data_offsets.append(len(self.table_offsets))
-        monkeypatch.setattr(DenseData, "__init__", record_offsets)
         run.execute_dense(app.init_value)
-        return prog, counts, data_offsets[0]
+        offsets = len(next(iter(prog.stage("halo_tables").values()))
+                      .tables.base)
+        return prog, counts, offsets
 
     def test_to_flat_runs_per_geometry_not_per_tile(self, monkeypatch):
+        """The halo tables evaluate the map once per LDS geometry and
+        offset, at the first run; a later run evaluates it nowhere."""
         prog, counts, offsets = self._counted_run(monkeypatch)
         ranks, tiles = prog.num_processors, len(prog.dist.tiles)
         assert counts["rank"] == ranks
         assert ranks * offsets < tiles       # the guard can tell them apart
-        assert 0 < counts["to_flat"] <= ranks * offsets
+        assert 0 < counts["to_flat_warm"] <= ranks * offsets
+        assert counts["to_flat"] == 0
 
     def test_one_numpy_batch_per_wavefront_level(self, monkeypatch):
         """The deterministic form of "dense >= 10x sparse": the sequential
@@ -246,11 +245,11 @@ class TestOverlapPhases:
             counts["reserve"] += view is not None
             return view
 
-        def pack(lds, tile, direction, t, out=None, _inner=RankLDS.pack):
+        def pack(lds, t, k, out=None, _inner=RankLDS.pack):
             counts["pack"] += 1
             counts["pack_into_ring"] += (
                 out is not None and np.shares_memory(out, slots))
-            return _inner(lds, tile, direction, t, out)
+            return _inner(lds, t, k, out)
 
         def empty(*args, _inner=np.empty, **kwargs):
             code = sys._getframe(1).f_code

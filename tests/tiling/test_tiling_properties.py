@@ -5,8 +5,6 @@ space — every point belongs to exactly one enumerated tile — and the
 TTIS machinery (strides, offsets, inverse maps) is exact on the lattice.
 """
 
-from fractions import Fraction
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

@@ -1,9 +1,7 @@
 """Unit tests for the tiling transformation (tile space, D^S, masks)."""
 
-import numpy as np
 import pytest
 
-from repro.linalg import from_rows
 from repro.polyhedra import box
 from repro.tiling import TilingTransformation
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling

@@ -1,9 +1,8 @@
 """Unit tests for the TTIS transformation (paper §2.3)."""
 
-import numpy as np
 import pytest
 
-from repro.linalg import RatMat, from_rows, lattice_points_in_box
+from repro.linalg import RatMat, lattice_points_in_box
 from repro.tiling import TTIS
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 

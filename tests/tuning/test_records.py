@@ -8,8 +8,6 @@ tests enforce by monkeypatching those stages to explode.
 
 import json
 
-import pytest
-
 from repro.apps import sor
 from repro.artifacts import ArtifactCache
 from repro.runtime.machine import ClusterSpec
