@@ -56,14 +56,12 @@ Diagnostic codes are part of the public contract:
            ``F_<array>`` expression tree, constant bit pattern,
            read-slot wiring or write target does not match the
            ``KExpr``/dependence structure the ``.so`` must encode
-``OV01``   overlap pack schedule does not reproduce the blocking
-           payload (direction/count vs lex-ordered region)
 ``OV02``   overlap commit level or publish phase wrong — a send
            would publish before its last contributing wavefront
            level's boundary has run
-``OV03``   overlap order/cuts are not a within-level partition,
-           the phases skip or reorder segments, or a lazy unpack
-           defers past the halo's first reader
+``OV03``   overlap phases skip or reorder key windows, miscount a
+           window's points, or a lazy unpack defers past the
+           halo's first reader
 ``HB01``   happens-before race — a halo write/read pair is not
            ordered by the vector clocks of the certified parallel
            schedule (``vc(read)[rank(write)] >= tick(write)``)

@@ -140,9 +140,8 @@ def analyze_program(program, subject: str = "", *,
     (DL01/DL02/DL04), race freedom (HB01) and completion (HB02).
 
     ``overlap=True`` additionally verifies the overlapped-execution
-    plans (OV01-OV03: pack-payload identity, commit-level and publish
-    legality, boundary/interior partition, phase order, lazy-unpack
-    safety).  Opt-in because
+    plans (OV02-OV03: commit-level and publish legality, phase order,
+    lazy-unpack safety).  Opt-in because
     it builds every tile's overlap plan, which the construction-time
     guard must not pay for.
 

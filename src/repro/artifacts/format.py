@@ -34,6 +34,7 @@ untrusted sources.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import tempfile
@@ -53,6 +54,26 @@ MAGIC = b"REPROART\x01\n"
 
 class ArtifactError(ValueError):
     """A corrupt, truncated, version-skewed or mismatched artifact."""
+
+
+class _Gone:
+    """Stands in for a ``repro`` class an artifact names that the
+    program no longer defines.  Only a stage stored at an older version
+    can hold one, and :func:`~repro.stages.park` drops those unread, so
+    the rest of the artifact still loads."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except AttributeError:
+            if module.split(".")[0] != "repro":
+                raise
+            return _Gone
 
 
 def snapshot_program(prog: TiledProgram,
@@ -202,7 +223,7 @@ def read_artifact(path: str,
         raise ArtifactError(f"{path}: checksum mismatch (corrupt or "
                             "truncated artifact)")
     try:
-        payload = pickle.loads(body)
+        payload = _Unpickler(io.BytesIO(body)).load()
     except Exception as exc:
         raise ArtifactError(f"{path}: undecodable body: {exc}") from exc
     if not isinstance(payload, dict):

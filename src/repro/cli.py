@@ -579,9 +579,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "pipeline (TV01-TV05 passes)")
     p_ana.add_argument("--overlap", action="store_true",
                        help="also verify the overlapped-execution "
-                            "plans (OV01-OV03: pack payload identity, "
-                            "commit-level and publish legality, "
-                            "boundary/interior partition, phase order, "
+                            "plans (OV02-OV03: commit-level and "
+                            "publish legality, phase order, "
                             "lazy-unpack safety)")
     p_ana.add_argument("--hb", action="store_true",
                        help="widen the schedule pass from the eager "

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.linalg.ratmat import RatMat
 from repro.loops.nest import LoopNest
-from repro.runtime.dense import overlap_plan, tile_levels
+from repro.runtime.dense import boundary_sizes, tile_levels
 from repro.runtime.machine import FAST_ETHERNET_CLUSTER, ClusterSpec
 from repro.runtime.rankstep import (
     RankPlan,
@@ -127,7 +127,8 @@ def render_python_node_programs(prog: TiledProgram,
     that tile into (their sum is the tile's point count).
     ``engine="dense-overlap"`` further appends the per-level
     *boundary* slice sizes (points feeding outgoing ``CC`` regions,
-    from the tile's cached overlap plan) as a fourth compute field.  The
+    :func:`~repro.runtime.dense.boundary_sizes`) as a fourth compute
+    field.  The
     replayed timing is identical in all three modes — the extra fields
     document the batching the way the plan tables document the
     messages, so the translation validator accepts every variant.
@@ -145,9 +146,8 @@ def render_python_node_programs(prog: TiledProgram,
         if dense:
             extra += (tuple(len(b) for b in tile_levels(prog, tile)),)
         if overlap:
-            cuts = overlap_plan(prog, plan,
-                                prog.dist.chain_index(tile)).cuts
-            extra += (tuple((cuts[1::2] - cuts[:-1:2]).tolist()),)
+            extra += (boundary_sizes(prog, plan,
+                                     prog.dist.chain_index(tile)),)
         return extra
 
     # Each rank's SCHEDULES table is its walk, recorded.  The *sequence*

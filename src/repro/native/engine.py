@@ -22,8 +22,8 @@ address from the TTIS loops (:mod:`repro.native.emit`):
   ``strides, off, shift_unit`` of the rank's
   :class:`~repro.runtime.dense.RankLDS` and its chain's tile origins;
 * per tile: the chain index ``t``; per phase of the overlapped
-  schedule, the window ``[klo, khi)`` and the tile's send boxes
-  (:class:`Window`, one per overlap plan).
+  schedule, the phase's window ``[klo, khi)`` of the overlap key and
+  the tile's send boxes (one C array per send signature).
 
 A dependence read needs nothing per tile: its out-of-domain sources
 were filled into their halo cells by the rank's LDS before the tile
@@ -44,7 +44,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -67,7 +66,7 @@ from repro.native.emit import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.dense import DenseData, RankLDS, TileOverlapPlan
+    from repro.runtime.dense import DenseData, RankLDS
 
 InitFn = Callable[[str, Tuple[int, ...]], float]
 
@@ -160,21 +159,17 @@ class NativeKernelLibrary:
     def available(self) -> bool:
         return self.so_path is not None
 
-    def runtime(self, program: Any, init_value: InitFn,
-                dtype: Any = np.float64) -> Optional["NativeRuntime"]:
+    def runtime(self, program: Any,
+                init_value: InitFn) -> Optional["NativeRuntime"]:
         """A :class:`NativeRuntime` for a standalone caller, or
         ``None`` (see :meth:`runtime_for`)."""
         from repro.runtime.dense import DenseData
-        return self.runtime_for(DenseData(program, init_value, dtype))
+        return self.runtime_for(DenseData(program, init_value))
 
     def runtime_for(self, data: "DenseData") -> Optional["NativeRuntime"]:
-        """The native runtime over one run's dense data, or ``None``.
-
-        ``None`` means "use the numpy path": the library fell back at
-        build time, or this run's dtype is not float64 (the emitted
-        kernels compute in double).
-        """
-        if not self.available or np.dtype(data.dtype) != np.float64:
+        """The native runtime over one run's dense data, or ``None``
+        ("use the numpy path": the library fell back at build time)."""
+        if not self.available:
             return None
         return NativeRuntime(data, self)
 
@@ -267,18 +262,6 @@ def _longs(values: Sequence[int]) -> Any:
     return (ctypes.c_long * len(values))(*values)
 
 
-class Window(NamedTuple):
-    """The phases of one overlap plan as ``repro_tile`` windows:
-    segment ``i`` of the plan starts at key ``keys[i]`` (``2 L`` for a
-    level's boundary, ``2 L + 1`` for its interior, ``L`` the absolute
-    level), ``cuts`` are the plan's point offsets and ``box`` the
-    tile's send boxes, ``[count, lower bounds...]``."""
-
-    keys: List[int]
-    cuts: List[int]
-    box: Any
-
-
 class NativeRuntime:
     """The loaded entries of one run, on top of the run's
     :class:`~repro.runtime.dense.DenseData`: its input tables and fields
@@ -303,25 +286,17 @@ class NativeRuntime:
         self.written = _ptrs([g.written for g in data.gtables])
         self.fgeo = _longs([v for g in data.gtables
                             for v in (*g.gtile.tolist(), g.gconst)])
-        self.level = data.lat @ np.asarray(dense_s, dtype=np.int64)
-        self._windows: Dict[int, Window] = {}
+        self._boxes: Dict[Tuple[Tuple[int, ...], ...], Any] = {}
 
-    def window(self, oplan: "TileOverlapPlan") -> Window:
-        """The :class:`Window` of ``oplan`` (one per plan: full tiles
-        with the same messages share theirs).  A partial tile's plan
-        numbers its non-empty levels only; its first point of each
-        names the absolute level, and that map is monotone."""
-        win = self._windows.get(id(oplan))
-        if win is None:
-            lv = self.level[oplan.order[oplan.cuts[:-1:2]]].tolist()
-            keys = [2 * lv[i // 2] + (i & 1) for i in range(2 * len(lv))]
-            keys.append(2 * lv[-1] + 2 if lv else 0)
+    def box(self, sends: Tuple[Tuple[int, ...], ...]) -> Any:
+        """The send boxes of a tile sending toward ``sends``, ``[count,
+        lower bounds...]`` (one C array per send signature)."""
+        box = self._boxes.get(sends)
+        if box is None:
             comm = self.data.prog.comm
-            win = self._windows[id(oplan)] = Window(
-                keys, oplan.cuts.tolist(), _longs([len(oplan.packs), *(
-                    lb for p in oplan.packs
-                    for lb in comm.pack_lower_bounds(p.direction))]))
-        return win
+            box = self._boxes[sends] = _longs([len(sends), *(
+                lb for d in sends for lb in comm.pack_lower_bounds(d))])
+        return box
 
     def for_rank(self, lds: "RankLDS") -> "RankKernels":
         return RankKernels(self, lds)
@@ -331,7 +306,7 @@ class RankKernels:
     """One rank's native executor over its LDS buffers: one
     ``repro_tile`` call per non-empty tile (``run_tile``) or per
     non-empty phase of an overlapped tile (``run_phase``, on the
-    context ``(t, window)`` of :meth:`tile`), one ``repro_write_back``
+    context ``(t, box)`` of :meth:`tile`), one ``repro_write_back``
     call per non-empty tile (``write_back``)."""
 
     def __init__(self, rt: NativeRuntime, lds: "RankLDS"):
@@ -355,9 +330,11 @@ class RankKernels:
         rt.fns.tile(t, self._org + self._org_step * t, self._geo,
                     self._bufs, rt.pure, klo, khi, box)
 
-    def tile(self, t: int, oplan: "TileOverlapPlan") -> Tuple[int, Window]:
-        """The context of chain tile ``t`` run by ``oplan``'s phases."""
-        return t, self.rt.window(oplan)
+    def tile(self, t: int,
+             sends: Tuple[Tuple[int, ...], ...]) -> Tuple[int, Any]:
+        """The context of overlapped chain tile ``t`` sending toward
+        ``sends``: its index and send boxes."""
+        return t, self.rt.box(sends)
 
     def run_tile(self, tile: Tuple[int, ...], t: int) -> None:
         """Every point of one tile in one native call (none when the
@@ -365,12 +342,11 @@ class RankKernels:
         if self.points(tile):
             self._call(t, 0, 0, None)
 
-    def run_phase(self, ctx: Tuple[int, Window], lo: int, hi: int) -> None:
-        """Segments ``[lo, hi)`` of an overlapped tile — one phase of
-        its plan — in one native call (none when empty)."""
-        t, win = ctx
-        if win.cuts[lo] < win.cuts[hi]:
-            self._call(t, win.keys[lo], win.keys[hi], win.box)
+    def run_phase(self, ctx: Tuple[int, Any], klo: int, khi: int) -> None:
+        """The points of key window ``[klo, khi)`` of an overlapped
+        tile — one phase of its plan — in one native call."""
+        t, box = ctx
+        self._call(t, klo, khi, box)
 
     def write_back(self, tile: Tuple[int, ...], t: int) -> None:
         """One ``repro_write_back`` call: chain tile ``t``'s points of

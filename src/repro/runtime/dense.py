@@ -16,10 +16,11 @@ allows.  This module holds the machinery the data engines share:
   (the LDS offset of the source); pure-input reads hit a dense
   :class:`InputTable` precomputed from ``init_value``;
 * the program's level tables, stage rows built from its roots alone —
-  ``dense_s``, ``dense_batches``, ``lex_order``, the overlap plans
-  (:func:`overlap_plan`) — with :func:`tile_segments`, the one filter
-  of a full tile's levels down to a partial tile's, and
-  :func:`region_index`, a pack region in payload order;
+  ``dense_s``, ``dense_batches``, the overlap plans
+  (:func:`overlap_plan`, windows of :func:`overlap_key`) — with
+  :func:`tile_segments`, the one filter of a full tile's levels down
+  to a partial tile's, and :func:`region_index`, a pack region in
+  payload order;
 * :class:`DenseData` / :class:`RankLDS` — the dense data back-end of
   the rank step (:mod:`repro.runtime.rankstep`), through which the
   simulated dense engine, the parallel workers (both schedules) and
@@ -66,7 +67,6 @@ from repro.runtime.rankstep import (
     ParallelRuntimeError,
     build_rank_plans,
     pack_region,
-    region_mask,
 )
 from repro.stages import Stage, copied, on_demand
 
@@ -238,12 +238,11 @@ def _access_box(ref: ArrayRef, domain: Polyhedron,
 
 
 def build_input_table(ref: ArrayRef, domain: Polyhedron,
-                      init_value: InitFn,
-                      dtype: type = np.float64) -> InputTable:
+                      init_value: InitFn) -> InputTable:
     """Precompute every value ``init_value`` can return for ``ref``
     over ``domain``."""
     lo, shape = _access_box(ref, domain)
-    values = np.empty(shape, dtype=dtype)
+    values = np.empty(shape, dtype=np.float64)
     for idx in np.ndindex(*shape):
         cell = tuple(a + b for a, b in zip(idx, lo))
         values[idx] = init_value(ref.array, cell)
@@ -252,22 +251,20 @@ def build_input_table(ref: ArrayRef, domain: Polyhedron,
                       values=values)
 
 
-def field_for_write(ref: ArrayRef, domain: Polyhedron,
-                    dtype: type = np.float64) -> DenseField:
+def field_for_write(ref: ArrayRef, domain: Polyhedron) -> DenseField:
     """A zeroed :class:`DenseField` covering every cell ``ref`` can
     write over ``domain``."""
     lo, shape = _access_box(ref, domain)
     return DenseField(
         origin=lo,
-        values=np.zeros(shape, dtype=dtype),
+        values=np.zeros(shape, dtype=np.float64),
         written=np.zeros(shape, dtype=bool),
     )
 
 
-def result_fields(nest: LoopNest,
-                  dtype: type = np.float64) -> Dict[str, DenseField]:
+def result_fields(nest: LoopNest) -> Dict[str, DenseField]:
     """A zeroed result field per written array of ``nest``."""
-    return {s.write.array: field_for_write(s.write, nest.domain, dtype)
+    return {s.write.array: field_for_write(s.write, nest.domain)
             for s in nest.statements}
 
 
@@ -293,8 +290,7 @@ class StatementPlan:
 
 
 def build_statement_plans(nest: LoopNest, init_value: InitFn,
-                          dtype: type, ttis: "TTIS",
-                          ) -> List[StatementPlan]:
+                          ttis: "TTIS") -> List[StatementPlan]:
     """Compile the nest's statements for batched execution.
 
     Pure-input tables are shared between reads with the same access
@@ -315,8 +311,7 @@ def build_statement_plans(nest: LoopNest, init_value: InitFn,
                 key = (r.array, r.offset, mkey)
                 table = tables.get(key)
                 if table is None:
-                    table = build_input_table(r, nest.domain, init_value,
-                                              dtype)
+                    table = build_input_table(r, nest.domain, init_value)
                     tables[key] = table
             reads.append(ReadPlan(
                 ref=r,
@@ -352,159 +347,164 @@ def schedule_dependences(nest: LoopNest) -> List[Tuple[int, ...]]:
 # -- overlap splitting --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgePackPlan:
-    """Compile-time pack schedule of one outgoing message of the
-    overlapped walk.
-
-    The payload *is* the blocking one — array-major blocks of ``count``
-    elements, each block in lexicographic lattice order of the pack
-    region — because it is gathered by the blocking
-    :meth:`RankLDS.pack` itself, once, at ``commit_level``: the last
-    wavefront level that writes a region point, after that level's
-    boundary segment and before its interior.
-    """
-
-    direction: Tuple[int, ...]          # full d with 0 at mapping dim
-    count: int                          # region points per array block
-    commit_level: int                   # last level feeding the region
-
-
 class OverlapPhase(NamedTuple):
     """One step of an overlapped tile: take ``recvs`` (receive-plan
-    positions), execute segments ``[lo, hi)`` of the plan's ``cuts``,
-    publish ``sends`` (send-plan positions)."""
+    positions), execute the tile's ``points`` executed points whose
+    :func:`overlap_key` lies in ``[klo, khi)``, publish ``sends``
+    (send-plan positions)."""
 
     recvs: Tuple[int, ...]
-    lo: int
-    hi: int
+    klo: int
+    khi: int
     sends: Tuple[int, ...]
+    points: int
 
 
 @dataclass(frozen=True)
 class TileOverlapPlan:
-    """The overlapped schedule of one tile, frozen as a phase table.
+    """The overlapped schedule of one tile, frozen as integers.
 
-    ``order`` is the tile's executed lattice points, wavefront-level
-    major, and inside each level the points of some outgoing ``CC``
-    pack region (*boundary*) before the rest (*interior*); ``cuts``
-    are the ``2 nlevels + 1`` offsets of those segments (segment
-    ``2L``: boundary of level ``L``, ``2L + 1``: its interior).  Per
-    level that is a stable reorder of the dense engine's batch — legal
-    because the points of a wavefront level are mutually independent
-    (``s . d' >= 1``) and bitwise-neutral because the kernels are
-    elementwise.
+    A tile's executed point ``j'`` has the key ``2 L(j') + !B(j')``
+    (:func:`overlap_key`): ``L = dense_s . j'`` its absolute wavefront
+    level and ``B`` the union of the tile's send boxes, so inside each
+    level the points feeding some outgoing ``CC`` pack region
+    (*boundary*, key ``2L``) run before the rest (*interior*, key ``2L
+    + 1``).  Per level that is a reorder of the dense engine's batch —
+    legal because the points of a wavefront level are mutually
+    independent (``s . d' >= 1``) and bitwise-neutral because the
+    kernels are elementwise.
 
     ``recv_level[i]`` is the level before which the ``i``-th incoming
     message is taken: the first level with a point that can read its
-    halo, lowered to the minimum over every later message of the same
-    FIFO edge (a deferred message defers everything behind it).
-    ``phases`` places those receives, the segments and the publishes
-    (plan order, each once its and every earlier send's
-    ``commit_level`` boundary has run): the segment list is cut only
-    where a receive or a publish has to happen between two segments.
+    halo (the tile's first level when none can), lowered to the
+    minimum over every later message of the same FIFO edge (a deferred
+    message defers everything behind it).  ``commit_level[k]`` is the
+    last level with a point of the ``k``-th send's region.  ``phases``
+    places those receives, the key windows and the publishes (plan
+    order, each once its and every earlier send's commit level
+    boundary has run): the key range is cut only where a receive or a
+    publish has to happen.
     """
 
-    order: np.ndarray                   # int64, C-contiguous
-    cuts: np.ndarray                    # int64, len 2 * nlevels + 1
-    packs: Tuple[EdgePackPlan, ...]     # plan order (send_plan order)
     recv_level: Tuple[int, ...]         # plan order (receive_plan order)
+    commit_level: Tuple[int, ...]       # plan order (send_plan order)
     phases: Tuple[OverlapPhase, ...]
 
-    @property
-    def nlevels(self) -> int:
-        return len(self.cuts) // 2
+
+def overlap_key(program: "TiledProgram", tile: Tuple[int, ...],
+                sends: Sequence[Sequence[int]],
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sel, key)``: the executed lattice points of ``tile`` (as
+    :func:`tile_segments` orders them) and the overlap key ``2 (dense_s
+    . j') + !B(j')`` of each, ``B`` the union of the send boxes ``j'_k
+    >= comm.pack_lower_bounds(d)`` of the directions ``sends`` — the
+    predicate the native rank body evaluates per point."""
+    sel, seg = tile_segments(program, tile)
+    inside = np.zeros(len(sel), dtype=bool)
+    for d in sends:
+        inside |= pack_region(program, d)[sel]
+    level = np.repeat(program.stage("full_segments")[2], np.diff(seg))
+    return sel, 2 * level + ~inside
 
 
-def overlap_phases(nlev: int, recv_level: Sequence[int],
+def boundary_sizes(program: "TiledProgram", plan: RankPlan,
+                   t: int) -> Tuple[int, ...]:
+    """How many points of each non-empty wavefront level of chain tile
+    ``t`` of ``plan`` are boundary points (an even :func:`overlap_key`):
+    the sizes pygen's ``dense-overlap`` tables record."""
+    _sel, key = overlap_key(program, plan.tiles[t],
+                            [s.direction for s in plan.sends[t]])
+    levels, level = np.unique(key >> 1, return_inverse=True)
+    return tuple(np.bincount(level[key % 2 == 0],
+                             minlength=len(levels)).tolist())
+
+
+def key_offsets(key: np.ndarray) -> np.ndarray:
+    """``seg[k]``: how many of ``key`` lie below ``k``, for ``k`` up
+    to ``2 L + 2`` with ``L`` the last level (``[0]`` for no key)."""
+    end = (int(key.max()) | 1) + 1 if len(key) else 0
+    seg = np.zeros(end + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=end), out=seg[1:])
+    return seg
+
+
+def overlap_phases(seg: np.ndarray, recv_level: Sequence[int],
                    commit_level: Sequence[int]
                    ) -> Tuple[OverlapPhase, ...]:
-    """The phase table of one tile with ``nlev`` levels, its receive
-    levels and its sends' commit levels (all in ``[0, nlev)``).  A
-    receive of level ``L`` sits at cut ``2L`` (before the level's
-    boundary), a publish of commit level ``L`` at cut ``2L + 1``
-    (between boundary and interior, never ahead of an earlier send);
-    the segment list ``[0, 2 nlev)`` is split at exactly those cuts."""
-    if not nlev:                        # an empty tile: all at once
+    """The phase table of one tile whose executed points' keys have
+    the offsets ``seg`` (:func:`key_offsets`), from its receive and
+    commit levels (each within the tile's levels).  A receive of level
+    ``L`` sits at key ``2L`` (before the level's boundary), a publish
+    of commit level ``L`` at ``2L + 1`` (between boundary and interior,
+    never ahead of an earlier send); the key range ``[2 first, 2 last +
+    2)`` of the tile is split at exactly those keys."""
+    below = seg.tolist()
+    if not below[-1]:                   # an empty tile: all at once
         return (OverlapPhase(tuple(range(len(recv_level))), 0, 0,
-                             tuple(range(len(commit_level)))),)
+                             tuple(range(len(commit_level))), 0),)
+    # the first key with a point, rounded down to its level's boundary
+    start = (int(np.searchsorted(seg, 0, side="right")) - 1) & ~1
     takes: Dict[int, List[int]] = {}
     for i, lv in enumerate(recv_level):
         takes.setdefault(2 * lv, []).append(i)
     pubs: Dict[int, List[int]] = {}
-    gate = 0
+    gate = start
     for k, lv in enumerate(commit_level):
         gate = max(gate, 2 * lv + 1)
         pubs.setdefault(gate, []).append(k)
-    stops = sorted({0, 2 * nlev, *takes, *pubs})
+    stops = sorted({start, len(below) - 1, *takes, *pubs})
     return tuple(OverlapPhase(tuple(takes.get(a, ())), a, b,
-                              tuple(pubs.get(b, ())))
+                              tuple(pubs.get(b, ())), below[b] - below[a])
                  for a, b in zip(stops, stops[1:]))
 
 
-def build_overlap_split(
-    lat: np.ndarray,
-    batches: Sequence[np.ndarray],
-    send_regions: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
-    recv_dirs: Sequence[Tuple[int, ...]],
-    recv_edges: Sequence[Any],
-    max_dp: Sequence[int],
-) -> TileOverlapPlan:
-    """Derive one tile's :class:`TileOverlapPlan`.
+def reader_mask(program: "TiledProgram", ds: Sequence[int]) -> np.ndarray:
+    """Lattice points that can read the halo of ``d^S``: those within
+    the dependence reach of *every* boundary the message crossed
+    (``j'_k < max_l d'_kl`` for each ``k`` with ``d^S_k > 0``)."""
+    lat = program.tiling.ttis.lattice_points_np()
+    max_dp = program.comm.max_dp
+    mask = np.ones(len(lat), dtype=bool)
+    for k, dk in enumerate(ds):
+        if dk > 0:
+            mask &= lat[:, k] < max(int(max_dp[k]), 0)
+    return mask
 
-    ``send_regions`` pairs each outgoing direction with its pack-region
-    mask over ``lat`` (already clipped to the tile); ``recv_dirs`` are
-    the incoming tile dependences ``d^S`` in receive-plan order and
-    ``recv_edges`` names the FIFO edge each arrives on.  A point can
-    read the halo of ``d^S`` only if it sits within the dependence
-    reach of *every* boundary the message crossed (``j'_k < max_l
-    d'_kl`` for each ``k`` with ``d^S_k > 0``), so the earliest level
-    containing such a point bounds how long the unpack may be deferred.
+
+def _build_overlap_plan(program: "TiledProgram", tile: Tuple[int, ...],
+                        sends: Sequence[Tuple[int, ...]],
+                        recvs: Sequence[Tuple[int, ...]]) -> TileOverlapPlan:
+    """Derive one tile's :class:`TileOverlapPlan` from its executed
+    points' keys.
+
+    ``sends`` are the outgoing directions and ``recvs`` the incoming
+    tile dependences ``d^S``, in plan order.  A point can read the
+    halo of ``d^S`` only if it is in :func:`reader_mask`, so the
+    earliest level containing such a point bounds how long the unpack
+    may be deferred.
     """
-    nlat = len(lat)
-    nlev = len(batches)
-    level_of = np.full(nlat, -1, dtype=np.int64)
-    for li, b in enumerate(batches):
-        level_of[b] = li
-    bmask = np.zeros(nlat, dtype=bool)
-    packs: List[EdgePackPlan] = []
-    for direction, region in send_regions:
-        bmask |= region
-        lv = level_of[region]
-        packs.append(EdgePackPlan(
-            direction=tuple(int(x) for x in direction),
-            count=int(len(lv)),
-            commit_level=int(lv.max()) if len(lv) else -1,
-        ))
-    # boundary before interior inside each level, level order kept: one
-    # stable sort by segment number.
-    executed = (np.concatenate(batches) if nlev
-                else np.zeros(0, dtype=np.int64))
-    segno = 2 * level_of[executed] + ~bmask[executed]
-    order = np.ascontiguousarray(
-        executed[np.argsort(segno, kind="stable")], dtype=np.int64)
-    cuts = np.zeros(2 * nlev + 1, dtype=np.int64)
-    np.cumsum(np.bincount(segno, minlength=2 * nlev), out=cuts[1:])
+    sel, key = overlap_key(program, tile, sends)
+    level = key >> 1
+    first = int(level[0]) if len(level) else 0
+    commit = []
+    for d in sends:
+        lv = level[pack_region(program, d)[sel]]
+        commit.append(int(lv[-1]) if len(lv) else first)
     recv_level: List[int] = []
-    for ds in recv_dirs:
-        readers = level_of >= 0
-        for k, dk in enumerate(ds):
-            if dk > 0:
-                readers &= lat[:, k] < max(int(max_dp[k]), 0)
-        lv = level_of[readers]
-        recv_level.append(int(lv.min()) if len(lv) else 0)
+    for ds in recvs:
+        lv = level[reader_mask(program, ds)[sel]]
+        recv_level.append(int(lv[0]) if len(lv) else first)
+    # messages of one d^m share one (source, tag) ring
+    comm = program.comm
     floor: Dict[Any, int] = {}
     for i in reversed(range(len(recv_level))):
-        recv_level[i] = floor[recv_edges[i]] = min(
-            recv_level[i], floor.get(recv_edges[i], recv_level[i]))
+        edge = comm.project(recvs[i])
+        recv_level[i] = floor[edge] = min(recv_level[i],
+                                          floor.get(edge, recv_level[i]))
     return TileOverlapPlan(
-        order=order,
-        cuts=cuts,
-        packs=tuple(packs),
         recv_level=tuple(recv_level),
-        phases=overlap_phases(nlev, recv_level,
-                              [p.commit_level for p in packs]),
-    )
+        commit_level=tuple(commit),
+        phases=overlap_phases(key_offsets(key), recv_level, commit))
 
 
 # -- the program's level tables -----------------------------------------------------
@@ -533,19 +533,18 @@ def _build_dense_batches(program: "TiledProgram") -> List[np.ndarray]:
                          program.stage("dense_s"))
 
 
-def _build_lex_order(program: "TiledProgram") -> np.ndarray:
-    """Lexicographic execution order of the TTIS lattice points — the
-    frozen intra-region payload order every engine packs with."""
-    return np.lexsort(program.tiling.ttis.lattice_points_np().T[::-1])
-
-
 def _build_full_segments(
-        program: "TiledProgram") -> Tuple[np.ndarray, np.ndarray]:
+        program: "TiledProgram") -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """A full tile's levels concatenated (``sel``), their offsets
+    (``seg``) and each level's ``dense_s . j'`` (``level``)."""
     batches = program.stage("dense_batches")
     seg = np.zeros(len(batches) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in batches], out=seg[1:])
-    return np.ascontiguousarray(np.concatenate(batches),
-                                dtype=np.int64), seg
+    sel = np.ascontiguousarray(np.concatenate(batches), dtype=np.int64)
+    level = program.tiling.ttis.lattice_points_np()[sel[seg[:-1]]] @ \
+        np.asarray(program.stage("dense_s"), dtype=np.int64)
+    return sel, seg, level
 
 
 def tile_segments(program: "TiledProgram", tile: Tuple[int, ...]
@@ -555,7 +554,7 @@ def tile_segments(program: "TiledProgram", tile: Tuple[int, ...]
     filter: a partial tile's levels are the full tile's filtered
     through its mask (level order and the order within a level kept; a
     level may come out empty)."""
-    sel, seg = program.stage("full_segments")
+    sel, seg, _level = program.stage("full_segments")
     tiling = program.tiling
     if tiling.classify_tile(tile) == "full":
         return sel, seg
@@ -577,13 +576,13 @@ def tile_levels(program: "TiledProgram",
 def interior_region(program: "TiledProgram",
                     direction: Sequence[int]) -> np.ndarray:
     """Lattice indices of an interior tile's ``CC`` pack region toward
-    ``direction``, in the frozen payload order (kept per direction)."""
+    ``direction``, in the payload order (kept per direction): the
+    lattice's own order, which is lexicographic by construction."""
     key = tuple(direction)
     index: Dict[Tuple[int, ...], np.ndarray] = program.stage("region_index")
     idx = index.get(key)
     if idx is None:
-        order = program.stage("lex_order")
-        idx = index[key] = order[pack_region(program, key)[order]]
+        idx = index[key] = np.flatnonzero(pack_region(program, key))
     return idx
 
 
@@ -601,14 +600,13 @@ def region_index(program: "TiledProgram", tile: Tuple[int, ...],
 
 def overlap_plan(program: "TiledProgram", plan: RankPlan,
                  t: int) -> TileOverlapPlan:
-    """Boundary/interior split of chain tile ``t`` of ``plan`` (see
+    """The overlapped schedule of chain tile ``t`` of ``plan`` (see
     :class:`TileOverlapPlan`), for exactly the messages the frozen plan
     schedules there.
 
     A compile-time artifact: full tiles with the same message signature
-    share one plan (the lattice, batches and regions are
-    position-independent for interior tiles); partial tiles get their
-    own, keyed by tile.
+    share one plan (their keys are position-independent); partial tiles
+    get their own, keyed by tile.
     """
     tile = plan.tiles[t]
     sends = tuple(s.direction for s in plan.sends[t])
@@ -618,16 +616,8 @@ def overlap_plan(program: "TiledProgram", plan: RankPlan,
     plans: Dict[object, TileOverlapPlan] = program.stage("overlap_plans")
     oplan = plans.get(key)
     if oplan is None:
-        comm = program.comm
-        oplan = plans[key] = build_overlap_split(
-            program.tiling.ttis.lattice_points_np(),
-            tile_levels(program, tile),
-            [(d, region_mask(program, tile, d)) for d in sends],
-            recvs,
-            # messages of one d^m share one (source, tag) ring
-            [comm.project(ds) for ds in recvs],
-            comm.max_dp,
-        )
+        oplan = plans[key] = _build_overlap_plan(program, tile, sends,
+                                                 recvs)
     return oplan
 
 
@@ -641,12 +631,11 @@ def prewarm_overlap_plans(program: "TiledProgram") -> None:
 
 #: The stage-table rows of the level tables (registered, in table order,
 #: by :mod:`repro.runtime.executor`).
-LEX_ORDER = Stage("lex_order", "program", _build_lex_order, persisted=True)
 DENSE_S = Stage("dense_s", "program", _build_dense_s, persisted=True)
 DENSE_BATCHES = Stage("dense_batches", "program", _build_dense_batches,
                       persisted=True)
 OVERLAP_PLANS = Stage("overlap_plans", "program", on_demand, persisted=True,
-                      encode=copied, decode=copied, version=2)
+                      encode=copied, decode=copied, version=3)
 FULL_SEGMENTS = Stage("full_segments", "program", _build_full_segments)
 REGION_INDEX = Stage("region_index", "program", on_demand)
 
@@ -741,10 +730,10 @@ class GlobalTable:
 
 class TileContext(NamedTuple):
     """What one (rank, tile) needs beyond the tables on the numpy path:
-    its flat shift, its executed lattice points (``sel``,
-    wavefront-level-major, with the segment offsets ``seg`` — one
-    segment per level, or the boundary/interior pairs of an overlap
-    plan) and, per (statement, read), the lattice-indexed values of a
+    its flat shift, its executed lattice points (``sel``, in execution
+    order, with the segment offsets ``seg`` — one segment per wavefront
+    level, or on an overlapped tile one per :func:`overlap_key` value,
+    the points sorted by key) and, per (statement, read), the lattice-indexed values of a
     pure-input read (``None`` for a dependence read: it loads the LDS,
     halo included).  Built once per tile.  The native kernels need none
     of it."""
@@ -1134,23 +1123,20 @@ class DenseData:
     """
 
     def __init__(self, prog: "TiledProgram", init_value: InitFn,
-                 dtype: Any = np.float64,
                  native: Optional["NativeKernelLibrary"] = None,
                  fields: Optional[Dict[str, DenseField]] = None):
         ttis = prog.tiling.ttis
         self.prog = prog
         self.init_value = init_value
-        self.dtype = dtype
         self.arrays: Tuple[str, ...] = tuple(prog.arrays)
         self.lat = np.ascontiguousarray(ttis.lattice_points_np(),
                                         dtype=np.int64)
         self.tis = np.ascontiguousarray(ttis.tis_points_np(),
                                         dtype=np.int64)
         self.nlat = len(self.lat)
-        self.plans = build_statement_plans(prog.nest, init_value, dtype,
-                                           ttis)
+        self.plans = build_statement_plans(prog.nest, init_value, ttis)
         self.fields = (fields if fields is not None
-                       else result_fields(prog.nest, dtype))
+                       else result_fields(prog.nest))
 
         n = prog.n
         self.gtables: List[GlobalTable] = []
@@ -1205,7 +1191,7 @@ class DenseData:
                 if vals is None:
                     if gsel is None:
                         gsel = self.tis[sel] + self.tile_origin(tile)
-                    vals = np.zeros(self.nlat, dtype=self.dtype)
+                    vals = np.zeros(self.nlat, dtype=np.float64)
                     vals[sel] = rp.table.gather(rp.indexer.cells(gsel))
                     pures[id(rp.table)] = vals
                 row.append(vals)
@@ -1260,7 +1246,7 @@ class RankLDS:
         self.origins = np.array([tiling.tile_origin(tile) for tile in chain],
                                 dtype=np.int64).reshape(len(chain), -1)
         self.local: Dict[str, np.ndarray] = {
-            a: np.zeros(self.size, dtype=data.dtype) for a in data.arrays}
+            a: np.zeros(self.size, dtype=np.float64) for a in data.arrays}
         # Source table of every (statement, read); None for pure inputs.
         self.rbase: List[List[Optional[np.ndarray]]] = [
             [None if rp.dep_prime is None
@@ -1297,8 +1283,7 @@ class RankLDS:
         shift = t * self.tables.shift_unit
         cnt = len(msg.addr)
         if out is None:
-            out = np.empty(cnt * len(self.data.arrays),
-                           dtype=self.data.dtype)
+            out = np.empty(cnt * len(self.data.arrays), dtype=np.float64)
         for ai, arr in enumerate(self.data.arrays):
             view, idx = _cells_of(self.local[arr], msg, shift)
             out[ai * cnt:(ai + 1) * cnt] = view[idx]
@@ -1312,11 +1297,11 @@ class RankLDS:
         ``init_value`` call per cell at its first tile."""
         fill = self._fill
         if fill is None:
-            init, dtype = self.data.init_value, self.data.dtype
+            init = self.data.init_value
             fill = self._fill = [
                 (self.local[f.array], f.addr, np.fromiter(
                     map(init, repeat(f.array), zip(*f.cells.T.tolist())),
-                    dtype=dtype, count=len(f.addr)), f.cuts.tolist())
+                    dtype=np.float64, count=len(f.addr)), f.cuts.tolist())
                 for f in self.halo.fills]
         for buf, addr, vals, cuts in fill:
             a, b = cuts[t], cuts[t + 1]
@@ -1326,20 +1311,26 @@ class RankLDS:
             self._fill = []
 
     def tile_context(self, tile: Tuple[int, ...], t: int,
-                     oplan: Optional[TileOverlapPlan] = None,
+                     sends: Optional[Tuple[Tuple[int, ...], ...]] = None,
                      ) -> Any:
         """The per-tile context of the compute calls, built once per
-        tile after filling its halo: on the native kernels an overlapped
-        tile's chain index and :class:`~repro.native.engine.Window`,
-        else a :class:`TileContext` whose segments are the tile's
-        wavefront levels, or the ``order``/``cuts`` of its overlap
-        plan."""
+        tile after filling its halo.  Given the directions of its
+        ``sends``, the context of an overlapped tile: on the native
+        kernels its chain index and send boxes, else a
+        :class:`TileContext` whose points are sorted by
+        :func:`overlap_key` (stably: level order and the order within a
+        level kept) and whose segments are the keys.  Without, a
+        :class:`TileContext` whose segments are the tile's wavefront
+        levels."""
         d = self.data
         self._fill_halo(t)
-        if self.kernels is not None and oplan is not None:
-            return self.kernels.tile(t, oplan)
-        sel, seg = (tile_segments(d.prog, tile) if oplan is None
-                    else (oplan.order, oplan.cuts))
+        if self.kernels is not None and sends is not None:
+            return self.kernels.tile(t, sends)
+        if sends is None:
+            sel, seg = tile_segments(d.prog, tile)
+        else:
+            sel, key = overlap_key(d.prog, tile, sends)
+            sel, seg = sel[np.argsort(key, kind="stable")], key_offsets(key)
         return TileContext(shift=t * self.tables.shift_unit, sel=sel,
                            seg=seg, pure=d.tile_pure(tile, sel))
 
@@ -1353,15 +1344,18 @@ class RankLDS:
             vals = [pure[batch] if rbase is None
                     else local[rp.ref.array][rbase[batch] + shift]
                     for rp, pure, rbase in zip(plan.reads, pures, rbases)]
-            local[plan.stmt.write.array][wflat] = np.asarray(
-                kexpr.evaluate(plan.stmt.expr, vals), dtype=d.dtype)
+            local[plan.stmt.write.array][wflat] = kexpr.evaluate(
+                plan.stmt.expr, vals)
 
-    def compute_phase(self, ctx: Any, lo: int, hi: int) -> None:
-        """Segments ``[lo, hi)`` of an overlapped tile's context — one
-        phase of its plan — in one native call, or one numpy batch per
-        wavefront level: segments ``2L`` and ``2L + 1`` are one level,
-        so a batch spans both unless the phase starts or ends between
-        them."""
+    def compute_phase(self, ctx: Any, phase: OverlapPhase) -> None:
+        """The points of one phase of an overlapped tile's plan, keys
+        ``[lo, hi)`` of its context: nothing when it has none, else one
+        native call, or one numpy batch per wavefront level — keys
+        ``2L`` and ``2L + 1`` are one level, so a batch spans both
+        unless the phase starts or ends between them."""
+        lo, hi = phase.klo, phase.khi
+        if not phase.points:
+            return
         if self.kernels is not None:
             self.kernels.run_phase(ctx, lo, hi)
         else:

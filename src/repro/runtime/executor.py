@@ -39,8 +39,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.distribution.communication import CommunicationSpec
 from repro.distribution.computation import ComputationDistribution
 from repro.distribution.data import DistributedAddressing
@@ -211,7 +209,7 @@ class TiledProgram(StageHolder):
 # lazily, the geometry stays valid.
 register(
     rankstep.RECV_ORDER, rankstep.PACK_REGIONS,
-    dense.LEX_ORDER, dense.DENSE_S, dense.DENSE_BATCHES,
+    dense.DENSE_S, dense.DENSE_BATCHES,
     rankstep.REGION_COUNTS, rankstep.RANK_PLANS, dense.OVERLAP_PLANS,
     Stage("hb_certificates", "program", on_demand, persisted=True,
           encode=pickled, decode=unpickled, version=3),
@@ -285,7 +283,6 @@ class DistributedRun:
 
     def execute_dense(
         self, init_value: InitFn,
-        dtype: type = np.float64,
         native: Optional["NativeKernelLibrary"] = None,
     ) -> Tuple[Dict[str, DenseField], RunStats]:
         """Run with real data movement over the dense
@@ -304,12 +301,12 @@ class DistributedRun:
 
         ``native`` switches the per-tile COMPUTE loop to the compiled
         shared-object kernels (see ``repro.native``), bitwise
-        identical.  A library that fell back at build time (or a
-        non-float64 ``dtype``) silently keeps the numpy path.
+        identical.  A library that fell back at build time silently
+        keeps the numpy path.  Both compute in float64.
         """
         plans = build_rank_plans(self.program)
         self.program.stage("halo_tables")
-        data = DenseData(self.program, init_value, dtype, native)
+        data = DenseData(self.program, init_value, native)
         stats = self._run(plans, data.rank)
         return data.fields, stats
 
@@ -318,7 +315,6 @@ class DistributedRun:
     def execute_parallel(
         self, init_value: Callable[[str, Tuple[int, ...]], float],
         workers: Optional[int] = None,
-        dtype: type = np.float64,
         protocol: str = "spec",
         mailbox_depth: int = 8,
         timeout: float = 300.0,
@@ -338,6 +334,6 @@ class DistributedRun:
         from repro.runtime.parallel import run_parallel
         return run_parallel(
             self.program, self.spec, init_value, workers=workers,
-            dtype=dtype, protocol=protocol, mailbox_depth=mailbox_depth,
+            protocol=protocol, mailbox_depth=mailbox_depth,
             timeout=timeout, trace=self.trace, overlap=overlap,
             verify=verify, native=native)

@@ -172,7 +172,6 @@ class _Segments:
 
 @dataclass(frozen=True)
 class _RunConfig:
-    dtype_str: str
     protocol: str                       # "eager" | "rendezvous" | "spec"
     crash_rank: Optional[int]
     overlap: bool
@@ -558,7 +557,6 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
     """
     segs: List[_shm.SharedMemory] = []
     try:
-        dtype = np.dtype(cfg.dtype_str)
         ctrl_seg = _attach(segments.ctrl)
         meta_seg = _attach(segments.meta)
         data_seg = _attach(segments.data)
@@ -566,7 +564,7 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
         segs += [ctrl_seg, meta_seg, data_seg, spans_seg]
         ctrl = np.frombuffer(ctrl_seg.buf, dtype=np.int64)
         meta = np.frombuffer(meta_seg.buf, dtype=np.int64)
-        data = np.frombuffer(data_seg.buf, dtype=dtype)
+        data = np.frombuffer(data_seg.buf, dtype=np.float64)
         spans = np.frombuffer(spans_seg.buf, dtype=np.int64).reshape(-1, 6)
         layout = {name: (origin, shp)
                   for name, origin, shp in cfg.field_layout}
@@ -578,7 +576,8 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
             origin, shp = layout[name]
             fields[name] = DenseField(
                 origin=origin,
-                values=np.frombuffer(vseg.buf, dtype=dtype).reshape(shp),
+                values=np.frombuffer(vseg.buf,
+                                     dtype=np.float64).reshape(shp),
                 written=np.frombuffer(wseg.buf,
                                       dtype=np.uint8).reshape(shp))
         my_edges: Dict[EdgeKey, _Edge] = {
@@ -588,8 +587,7 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
         }
         # Shared by the worker's ranks and built before the barrier:
         # it is set-up, not schedule.
-        shared = DenseData(program, init_value, dtype, cfg.native,
-                           fields=fields)
+        shared = DenseData(program, init_value, cfg.native, fields=fields)
         # Ready/go barrier: measurement starts once everyone is up, on
         # the one clock whose origin the parent's go writes.
         ctrl[2 + worker_id] = 1
@@ -711,7 +709,6 @@ def _hb_cycle_hint(program: TiledProgram, spec: ClusterSpec,
 def run_parallel(program: TiledProgram, spec: ClusterSpec,
                  init_value: InitFn,
                  workers: Optional[int] = None,
-                 dtype: type = np.float64,
                  protocol: str = "spec",
                  mailbox_depth: int = 8,
                  timeout: float = 300.0,
@@ -745,7 +742,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     switches workers' per-tile compute to the compiled shared-object
     kernels over the very same LDS buffers and rings — byte layouts,
     message order and results are unchanged (bitwise).  A fallback
-    library or non-float64 ``dtype`` silently keeps numpy compute.
+    library silently keeps numpy compute; both compute in float64.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -773,7 +770,6 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     if workers is None:
         workers = min(nranks, os.cpu_count() or 1)
     workers = max(1, min(int(workers), nranks))
-    np_dtype = np.dtype(dtype)
 
     # Freeze the schedule (and with it every region count) and the halo
     # tables before forking, so children share the stages copy-on-write.
@@ -783,7 +779,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     program.stage("halo_tables")
     edges = build_edges(plans, mailbox_depth)
     blocks = span_blocks(plans)
-    proto_fields = result_fields(program.nest, np_dtype)
+    proto_fields = result_fields(program.nest)
     field_layout = [(arr, tuple(f.origin), f.values.shape)
                     for arr, f in proto_fields.items()]
 
@@ -815,15 +811,15 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
             # the workers to touch
             data=new_seg("data", sum(e.depth * e.capacity
                                      for e in edges.values()),
-                         np_dtype, view=False),
+                         np.float64, view=False),
             spans=new_seg("spans", int(blocks[-1]) * 6),
             fields=tuple(
                 (arr,
-                 new_seg(f"values:{arr}", int(np.prod(shp)), np_dtype),
+                 new_seg(f"values:{arr}", int(np.prod(shp)), np.float64),
                  new_seg(f"written:{arr}", int(np.prod(shp)), np.uint8))
                 for arr, _origin, shp in field_layout))
         cfg = _RunConfig(
-            dtype_str=np_dtype.str, protocol=protocol,
+            protocol=protocol,
             crash_rank=_crash_rank, overlap=overlap,
             field_layout=tuple(field_layout),
             native=native)

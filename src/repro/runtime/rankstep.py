@@ -487,15 +487,16 @@ def rank_walk(program: "TiledProgram", plan: RankPlan, port: Any,
             continue
         oplan = overlap_plan(program, plan, t)
         port.open_tile(tile, recvs, unpacks)
-        ctx = None if timing_only else data.tile_context(tile, t, oplan)
-        for take, lo, hi, publish in oplan.phases:
-            for i in take:
+        ctx = None if timing_only else data.tile_context(
+            tile, t, tuple(s.direction for s in sends))
+        for phase in oplan.phases:
+            for i in phase.recvs:
                 yield from port.recv(tile, recvs[i], unpacks[i])
             if ctx is not None:
-                data.compute_phase(ctx, lo, hi)
+                data.compute_phase(ctx, phase)
             # a message leaves once its last boundary segment has run;
             # consumers drain the ring while the next phase computes
-            for k in publish:
+            for k in phase.sends:
                 yield from port.publish(tile, sends[k], packs[k])
         port.close_tile(tile)
         for s in sends:

@@ -14,8 +14,7 @@ Each mutant is one edit of a clean program of one of three configs:
   dimension +1 or -1;
 * overlap plans — a commit level lowered by one (phases rebuilt to
   match), a receive deferred to the tile's last level (phases rebuilt),
-  the last boundary point of a level moved into its interior, a publish
-  moved one phase early.
+  a publish moved one phase early.
 
 A kind is skipped on a config where no tile fits it.  The target of
 every mutant is chosen once, from the clean program, and bound into
@@ -31,26 +30,37 @@ breaks an engine is caught by at least one error-severity code.
 ``python -m tests.analysis.test_mutation_matrix`` prints the full
 matrix — translation validation added to the codes, and the
 simulator and both parallel schedules added to the engines — as the
-markdown table docs/ANALYSIS.md records.  It runs each
-``parallel-overlap`` cell five times: whether a deferred halo has
-arrived when a worker takes arrived halos early depends on timing, and
-a cell whose runs disagree reads ``parallel-overlap (timing)``, so two
-regenerations give the same table.
+markdown table docs/ANALYSIS.md records (the nightly workflow fails
+when it differs).  Whether a deferred halo has arrived when a worker
+takes arrived halos early depends on timing, so a ``parallel-overlap``
+cell runs the engine twice: as is, and with the ring port's early take
+switched off by a test double (:func:`late_takes`), which takes every
+halo exactly at the phase its plan froze — the latest a run may take
+it.  The cell reads broken when either run breaks; a run can only break
+where the late-take run breaks, so the verdict does not depend on
+timing and two regenerations give the same table.
 """
 
 import dataclasses
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
+from unittest import mock
 
 import pytest
 
 from repro.analysis import analyze_program
 from repro.apps import resolve_config
 from repro.runtime.dataspace import arrays_match, dense_to_cells
-from repro.runtime.dense import overlap_phases, prewarm_overlap_plans
+from repro.runtime.dense import (
+    key_offsets,
+    overlap_key,
+    overlap_phases,
+    prewarm_overlap_plans,
+)
 from repro.runtime.executor import DistributedRun, TiledProgram
 from repro.runtime.interpreter import run_sequential
 from repro.runtime.machine import ClusterSpec
+from repro.runtime.parallel import _RingPort
 from repro.runtime.rankstep import region_count
 
 CONFIGS = {
@@ -249,36 +259,37 @@ def _comm_mutants(prog):
     return out
 
 
-# -- overlap-plan edits: TileOverlapPlan -> TileOverlapPlan ------------------------
+# -- overlap-plan edits: (TileOverlapPlan, j, key offsets) -> TileOverlapPlan -----
 
 
-def _rephase(oplan, packs, recv_level):
+def _rephase(oplan, seg, recv_level, commit_level):
     return dataclasses.replace(
-        oplan, packs=tuple(packs), recv_level=tuple(recv_level),
-        phases=overlap_phases(oplan.nlevels, recv_level,
-                              [p.commit_level for p in packs]))
+        oplan, recv_level=tuple(recv_level),
+        commit_level=tuple(commit_level),
+        phases=overlap_phases(seg, recv_level, commit_level))
 
 
-def _commit_down(oplan, j):
-    packs = list(oplan.packs)
-    packs[j] = dataclasses.replace(packs[j],
-                                   commit_level=packs[j].commit_level - 1)
-    return _rephase(oplan, packs, oplan.recv_level)
+def _first_level(oplan):
+    return oplan.phases[0].klo // 2
 
 
-def _defer_recv(oplan, j):
+def _last_level(oplan):
+    return oplan.phases[-1].khi // 2 - 1
+
+
+def _commit_down(oplan, j, seg):
+    levels = list(oplan.commit_level)
+    levels[j] -= 1
+    return _rephase(oplan, seg, oplan.recv_level, levels)
+
+
+def _defer_recv(oplan, j, seg):
     levels = list(oplan.recv_level)
-    levels[j] = oplan.nlevels - 1
-    return _rephase(oplan, oplan.packs, levels)
+    levels[j] = _last_level(oplan)
+    return _rephase(oplan, seg, levels, oplan.commit_level)
 
 
-def _boundary_to_interior(oplan, j):
-    cuts = oplan.cuts.copy()
-    cuts[2 * j + 1] -= 1
-    return dataclasses.replace(oplan, cuts=cuts)
-
-
-def _publish_early(oplan, j):
+def _publish_early(oplan, j, seg):
     phases = list(oplan.phases)
     k, rest = phases[j].sends[0], phases[j].sends[1:]
     phases[j] = phases[j]._replace(sends=rest)
@@ -290,13 +301,11 @@ def _publish_early(oplan, j):
 # (kind, edit, candidate positions j of one plan)
 OVERLAP_KINDS = [
     ("commit-down", _commit_down,
-     lambda o: [j for j, p in enumerate(o.packs) if p.commit_level >= 1]),
+     lambda o: [j for j, lv in enumerate(o.commit_level)
+                if lv > _first_level(o)]),
     ("recv-defer", _defer_recv,
      lambda o: [j for j, lv in enumerate(o.recv_level)
-                if lv < o.nlevels - 1]),
-    ("boundary-to-interior", _boundary_to_interior,
-     lambda o: [j for j in range(o.nlevels)
-                if o.cuts[2 * j + 1] > o.cuts[2 * j]]),
+                if lv < _last_level(o)]),
     ("publish-early", _publish_early,
      lambda o: [j for j in range(1, len(o.phases)) if o.phases[j].sends]),
 ]
@@ -306,7 +315,12 @@ def _on_overlap(edit, index, j, prog):
     prewarm_overlap_plans(prog)
     plans = prog.stage("overlap_plans")
     key = list(plans)[index]
-    plans[key] = edit(plans[key], j)
+    where, sends, _recvs = key
+    if where == "full":
+        where = next(tile for tile in prog.dist.tiles
+                     if prog.tiling.classify_tile(tile) == "full")
+    plans[key] = edit(plans[key], j,
+                      key_offsets(overlap_key(prog, where, sends)[1]))
 
 
 def _overlap_target(oplans, where):
@@ -375,24 +389,37 @@ def _simulate(prog, init):
     return None
 
 
-#: Engines tier-1 runs, by mutant family.
+def late_takes(run: Callable) -> Callable:
+    """``run`` with the ring port's early take switched off: a test
+    double of ``_RingPort.drain_ready`` that takes nothing, so neither
+    ``open_tile`` nor a blocked wait takes a deferred halo, and each
+    is taken at exactly the phase its plan froze.  The workers fork
+    from this process, so they inherit the double."""
+    def late(prog, init):
+        with mock.patch.object(_RingPort, "drain_ready",
+                               lambda self, busy=None: False):
+            return run(prog, init)
+    return late
+
+
+#: The ``parallel-overlap`` runs of a cell: as is, and with late takes.
+_OVERLAP_RUNS = (partial(_parallel, True), late_takes(partial(_parallel,
+                                                                True)))
+
+#: Engines tier-1 runs, by mutant family; each engine is one or more
+#: runs, broken when any of them breaks.
 TIER1_ENGINES = {
-    "plans": {"execute_dense": _dense},
-    "comm": {"execute_dense": _dense},
-    "overlap": {"execute_dense": _dense,
-                "parallel-overlap": partial(_parallel, True)},
+    "plans": {"execute_dense": (_dense,)},
+    "comm": {"execute_dense": (_dense,)},
+    "overlap": {"execute_dense": (_dense,),
+                "parallel-overlap": _OVERLAP_RUNS},
 }
 ALL_ENGINES = {
-    "simulate": _simulate,
-    "execute_dense": _dense,
-    "parallel-blocking": partial(_parallel, False),
-    "parallel-overlap": partial(_parallel, True),
+    "simulate": (_simulate,),
+    "execute_dense": (_dense,),
+    "parallel-blocking": (partial(_parallel, False),),
+    "parallel-overlap": _OVERLAP_RUNS,
 }
-
-
-#: Runs per matrix cell of an engine whose verdict can depend on timing
-#: (the generator's; tier-1 runs each engine once).
-REPEATS = {"parallel-overlap": 5}
 
 
 def _breaks(run: Callable, mutant: Mutant) -> bool:
@@ -404,21 +431,13 @@ def _breaks(run: Callable, mutant: Mutant) -> bool:
         got, reference(mutant.config), tol=0.0)
 
 
-def broken_engines(mutant: Mutant, engines: Dict[str, Callable],
-                   repeats: Optional[Dict[str, int]] = None) -> List[str]:
-    """The engines whose run of the mutant raises or differs from the
-    sequential reference at tol 0.0 (``simulate`` moves no data: only
-    its raising counts).  An engine run ``repeats[name]`` times whose
-    runs disagree is listed as ``name (timing)``."""
-    broken = []
-    for name, run in engines.items():
-        verdicts = {_breaks(run, mutant)
-                    for _ in range((repeats or {}).get(name, 1))}
-        if len(verdicts) > 1:
-            broken.append(f"{name} (timing)")
-        elif verdicts.pop():
-            broken.append(name)
-    return broken
+def broken_engines(mutant: Mutant,
+                   engines: Dict[str, Tuple[Callable, ...]]) -> List[str]:
+    """The engines one of whose runs of the mutant raises or differs
+    from the sequential reference at tol 0.0 (``simulate`` moves no
+    data: only its raising counts)."""
+    return [name for name, runs in engines.items()
+            if any(_breaks(run, mutant) for run in runs)]
 
 
 def error_codes(prog: TiledProgram, transval: bool = False) -> List[str]:
@@ -438,9 +457,9 @@ def test_catalogue_covers_every_kind():
     kinds = {k for k, _, _ in PLAN_KINDS} | {
         "offset-zero", "cc-plus", "cc-minus"} | {
         f"overlap-{k}" for k, _, _ in OVERLAP_KINDS}
-    assert len(kinds) == 24
+    assert len(kinds) == 23
     assert {m.kind for m in ALL_MUTANTS} == kinds
-    assert len(ALL_MUTANTS) == 70
+    assert len(ALL_MUTANTS) == 67
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -458,7 +477,7 @@ def test_every_engine_breaking_mutant_is_caught(mutant):
 
 def matrix_rows() -> List[Tuple[str, List[str], List[str]]]:
     return [(m.id, error_codes(mutant_program(m), transval=True),
-             broken_engines(m, ALL_ENGINES, REPEATS)) for m in ALL_MUTANTS]
+             broken_engines(m, ALL_ENGINES)) for m in ALL_MUTANTS]
 
 
 def render_matrix(rows) -> str:

@@ -230,9 +230,9 @@ def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
     """A stale artifact must rebuild, not mis-decode: the parent's
     per-level plans sit in the file at version 1, so the hit parks
     every stage but that one and the certificate memos (whose versions
-    were bumped since, so they start empty); the plans are rebuilt as
-    a phase table on first use and the overlapped run is bitwise the
-    dense one."""
+    were bumped since, so they start empty) and skips the deleted
+    ``lex_order`` row; the plans are rebuilt as a phase table on first
+    use and the overlapped run is bitwise the dense one."""
     from repro.apps import sor
     from repro.artifacts.format import read_artifact
     from repro.artifacts.hashing import content_key
@@ -246,6 +246,8 @@ def test_parent_written_overlap_plans_rebuild_alone(tmp_path):
     version, stale = stored["overlap_plans"]
     assert version == 1 and stale
     assert all(hasattr(p, "boundary") for p in stale.values())
+    # a row the table no longer lists is skipped, not a miss
+    assert "lex_order" in stored and "lex_order" not in stages.TABLE
 
     loaded = cache.load(app.nest, h, mdim)
     assert loaded is not None and cache.stats()["hits"] == 1

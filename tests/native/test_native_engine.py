@@ -13,7 +13,6 @@ changing a single bit of output.
 import dataclasses
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,20 +199,6 @@ class TestFallback:
         with pytest.raises(TypeError, match="not a kernel expr"):
             DistributedRun(prog, SPEC).execute_dense(
                 app.init_value, native=lib)
-
-    @requires_cc
-    def test_non_float64_uses_numpy(self, cache):
-        app = sor.app(4, 6)
-        prog = TiledProgram(app.nest, sor.h_rectangular(2, 3, 4),
-                            mapping_dim=2)
-        lib = _build(prog, cache)
-        assert lib.runtime(prog, app.init_value, np.float32) is None
-        fields, _ = DistributedRun(prog, SPEC).execute_dense(
-            app.init_value, dtype=np.float32, native=lib)
-        ref_fields, _ = DistributedRun(prog, SPEC).execute_dense(
-            app.init_value, dtype=np.float32)
-        assert arrays_match(dense_to_cells(fields),
-                            dense_to_cells(ref_fields), tol=0.0)
 
 
 class TestCache:

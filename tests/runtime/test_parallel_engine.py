@@ -617,52 +617,49 @@ class TestOverlap:
             assert busy <= stats.clocks[rank] * 1.001 + 1e-9
 
     def test_overlap_plan_structure(self):
-        """The frozen phase table: ``order``/``cuts`` split every level
-        batch into boundary-then-interior, the phases walk the segments
-        once and place every receive and publish of the rank plan."""
-        from repro.runtime.dense import overlap_plan, tile_levels
+        """The frozen phase table: windows of the overlap key walk the
+        tile's levels once, each with the number of points it holds,
+        and place every receive and publish of the rank plan."""
+        from repro.runtime.dense import overlap_key, overlap_plan
         from repro.runtime.rankstep import region_mask
 
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
         prog = TiledProgram(app.nest, h, mapping_dim=2)
+        lat = prog.tiling.ttis.lattice_points_np()
+        s = np.asarray(prog.stage("dense_s"))
         for plan in build_rank_plans(prog).values():
             for t, tile in enumerate(plan.tiles):
                 oplan = overlap_plan(prog, plan, t)
-                batches = tile_levels(prog, tile)
-                order, cuts = oplan.order, oplan.cuts
-                assert oplan.nlevels == len(batches)
-                assert len(cuts) == 2 * len(batches) + 1
-                assert order.dtype == cuts.dtype == np.int64
-                assert order.flags["C_CONTIGUOUS"]
                 sends = [s.direction for s in plan.sends[t]]
                 recvs = plan.recvs[t]
-                inregion = np.zeros(len(prog.tiling.tile_mask(tile)),
-                                    dtype=bool)
-                for d, pack in zip(sends, oplan.packs):
+                sel, keys = overlap_key(prog, tile, sends)
+                level = lat @ s
+                # boundary keys are even: the points of some send region
+                inregion = np.zeros(len(lat), dtype=bool)
+                for d, commit in zip(sends, oplan.commit_level):
                     region = region_mask(prog, tile, d)
                     inregion |= region
-                    assert pack.direction == d
-                    assert pack.count == int(region.sum())
-                    assert 0 <= pack.commit_level < oplan.nlevels
-                for li, b in enumerate(batches):
-                    boundary = order[cuts[2 * li]:cuts[2 * li + 1]]
-                    interior = order[cuts[2 * li + 1]:cuts[2 * li + 2]]
-                    # a stable split of the level batch
-                    assert np.array_equal(boundary, b[inregion[b]])
-                    assert np.array_equal(interior, b[~inregion[b]])
+                    assert commit == level[region].max()
+                assert np.array_equal(keys % 2 == 0, inregion[sel])
+                assert np.array_equal(keys >> 1, level[sel])
                 phases = oplan.phases
-                assert [ph.lo for ph in phases] == [0] + [
-                    ph.hi for ph in phases[:-1]]
-                assert phases[-1].hi == 2 * oplan.nlevels
+                assert all(isinstance(v, int) for ph in phases
+                           for v in (ph.klo, ph.khi, ph.points))
+                assert [ph.klo for ph in phases] == [
+                    2 * level[sel].min()] + [ph.khi for ph in phases[:-1]]
+                assert phases[-1].khi == 2 * level[sel].max() + 2
+                assert [ph.points for ph in phases] == [
+                    int(((keys >= ph.klo) & (keys < ph.khi)).sum())
+                    for ph in phases]
                 assert sorted(i for ph in phases for i in ph.recvs) == \
                     list(range(len(recvs)))
                 assert [k for ph in phases for k in ph.sends] == \
                     list(range(len(sends)))
                 for ph in phases:
                     for i in ph.recvs:
-                        assert ph.lo == 2 * oplan.recv_level[i]
+                        assert ph.klo == 2 * oplan.recv_level[i]
                     for k in ph.sends:
-                        assert ph.hi >= 2 * oplan.packs[k].commit_level + 1
+                        assert ph.khi >= 2 * oplan.commit_level[k] + 1
                 # cut only where something has to happen in between
                 for ph, nxt in zip(phases, phases[1:]):
                     assert ph.sends or nxt.recvs
@@ -680,8 +677,7 @@ class TestOverlap:
     @staticmethod
     def _mutated(mutate):
         """``check_overlap`` codes after ``mutate(plan)`` replaced one
-        stored plan — one with receives, sends, > 1 phase and a
-        level-0 boundary."""
+        stored plan — one with receives, sends and > 1 phase."""
         from repro.analysis import check_overlap
         from repro.runtime.dense import prewarm_overlap_plans
         app, h = sor.app(4, 6), sor.h_rectangular(2, 3, 4)
@@ -691,30 +687,22 @@ class TestOverlap:
         plans = prog.stage("overlap_plans")
         key, plan = next(
             (k, p) for k, p in plans.items()
-            if p.recv_level and p.packs and len(p.phases) > 1
-            and p.cuts[1] > 0)
+            if p.recv_level and p.commit_level and len(p.phases) > 1)
         plans[key] = mutate(plan)
         return {d.code for d in check_overlap(prog)}
 
     def test_overlap_analysis_pass_detects_corruption(self):
         # claim an earlier commit level
         assert "OV02" in self._mutated(lambda plan: dataclasses.replace(
-            plan, packs=tuple(
-                dataclasses.replace(
-                    p, commit_level=max(-1, p.commit_level - 1))
-                for p in plan.packs)))
+            plan, commit_level=tuple(
+                lv - 1 for lv in plan.commit_level)))
 
-    def test_overlap_wrong_count_is_ov01(self):
-        assert self._mutated(lambda plan: dataclasses.replace(
-            plan, packs=tuple(dataclasses.replace(p, count=p.count + 1)
-                              for p in plan.packs))) == {"OV01"}
-
-    def test_overlap_point_across_a_cut_is_ov03(self):
-        def move(plan):
-            cuts = plan.cuts.copy()
-            cuts[1] -= 1        # last boundary point of level 0 -> interior
-            return dataclasses.replace(plan, cuts=cuts)
-        assert self._mutated(move) == {"OV03"}
+    def test_overlap_wrong_phase_points_is_ov03(self):
+        def miscount(plan):
+            first, *rest = plan.phases
+            return dataclasses.replace(plan, phases=(
+                first._replace(points=first.points + 1), *rest))
+        assert self._mutated(miscount) == {"OV03"}
 
     def test_overlap_deferred_receive_is_ov03(self):
         assert self._mutated(lambda plan: dataclasses.replace(
@@ -726,7 +714,7 @@ class TestOverlap:
             # publish everything before the first segment has run
             first, *rest = plan.phases
             sends = tuple(k for ph in plan.phases for k in ph.sends)
-            head = first._replace(hi=first.lo, sends=sends)
+            head = first._replace(khi=first.klo, sends=sends, points=0)
             body = first._replace(recvs=(), sends=())
             return dataclasses.replace(plan, phases=(
                 head, body, *(ph._replace(sends=()) for ph in rest)))

@@ -1,21 +1,18 @@
 """Regression tests pinning the simulator fidelity fixes.
 
-Four bugs, four pins:
+Three bugs, three pins:
 
 1. ``simulate_unaggregated`` must apply the same per-rank
    ``node_speed_factor`` as ``simulate()`` — the aggregation ablation
    may only differ in message structure, never in the CPU cost model.
-2. The executor must reuse the one frozen ``lex_order`` stage instead
-   of re-running ``np.lexsort`` over the TTIS lattice per message.
-3. Hot paths must route per-tile point counts through the ``points``
+2. Hot paths must route per-tile point counts through the ``points``
    stage (``TilingTransformation.tile_point_count``), so repeated runs
    never re-reduce partial-tile masks.
-4. ``repro.execute``, ``execute_dense`` and the generated ``pygen``
+3. ``repro.execute``, ``execute_dense`` and the generated ``pygen``
    program must price a heterogeneous cluster exactly like
    ``simulate()``.
 """
 
-import numpy as np
 import pytest
 
 from repro import execute
@@ -116,26 +113,6 @@ class TestHeterogeneousEngines:
         assert stats.channel_messages == sim.channel_messages
         assert stats.channel_elements == sim.channel_elements
         assert stats == sim
-
-
-class TestLexsortReuse:
-    def test_execute_runs_lexsort_at_most_once(self, monkeypatch):
-        """After the frozen order exists, a full data-mode run (which
-        packs and unpacks many messages) must not lexsort again; the
-        bug re-sorted the whole lattice per received message."""
-        app = sor.app(4, 6)
-        fresh = TiledProgram(app.nest, sor.h_rectangular(2, 3, 4),
-                             mapping_dim=2)
-        spec = ClusterSpec()
-        calls = []
-        real = np.lexsort
-        monkeypatch.setattr(
-            np, "lexsort", lambda *a, **k: (calls.append(1),
-                                            real(*a, **k))[1])
-        fresh.stage("lex_order")
-        assert len(calls) == 1  # the one frozen sort
-        DistributedRun(fresh, spec).execute_dense(app.init_value)
-        assert len(calls) == 1, "lexsort re-ran on a hot path"
 
 
 class TestPointCountCache:

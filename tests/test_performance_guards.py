@@ -13,9 +13,10 @@ from collections import Counter
 
 import pytest
 
-from repro.apps import adi, jacobi, sor
+from repro.apps import adi, jacobi, resolve_config, sor
 from repro.experiments.figures import sor_factors
 from repro.runtime import ClusterSpec, DistributedRun, TiledProgram
+from tests.codegen.test_one_compile import CI_CONFIGS, IDS
 
 
 def _count_calls(monkeypatch, *targets):
@@ -225,7 +226,7 @@ class TestOverlapPhases:
                          dtype=np.float64)
         rings = {k: parallel._Edge(e, meta, slots)
                  for k, e in layout.items()}
-        data = DenseData(prog, app.init_value, np.float64, lib)
+        data = DenseData(prog, app.init_value, lib)
         ctrl = np.zeros(3, dtype=np.int64)
         ports = {r: parallel._RingPort(
             r, rings, spec, "eager", ctrl, [0], time.perf_counter_ns(),
@@ -298,17 +299,16 @@ class TestOverlapPhases:
             self, monkeypatch, tmp_path, app, h, mdim):
         prog, plans, counts, messages = self._counted_walk(
             monkeypatch, tmp_path, app, h, mdim, overlap=True)
-        from repro.runtime.dense import overlap_plan
+        from repro.runtime.dense import overlap_plan, tile_levels
 
         nonempty = bound = levels = 0
         for plan in plans.values():
             for t in range(len(plan.tiles)):
                 oplan = overlap_plan(prog, plan, t)
-                nonempty += sum(oplan.cuts[ph.lo] < oplan.cuts[ph.hi]
-                                for ph in oplan.phases)
+                nonempty += sum(ph.points > 0 for ph in oplan.phases)
                 bound += 1 + len(set(oplan.recv_level)) + len(
-                    {p.commit_level for p in oplan.packs})
-                levels += oplan.nlevels
+                    set(oplan.commit_level))
+                levels += len(tile_levels(prog, plan.tiles[t]))
         assert counts["_call"] == nonempty <= bound
         assert bound < levels           # the guard can tell them apart
         assert counts["run_tile"] == 0
@@ -328,6 +328,37 @@ class TestOverlapPhases:
             prog.tiling.tile_point_count(t) > 0 for t in tiles)
         self._one_life_per_message(counts, messages)
         assert counts["tile_segments"] == counts["tile_pure"] == 0
+
+
+@pytest.mark.parametrize("name,sizes,shape,tile", CI_CONFIGS, ids=IDS)
+def test_overlap_plans_hold_no_array(name, sizes, shape, tile):
+    """An overlap plan is its decisions — levels and key windows, plain
+    integers — and never a per-point table: every phase is a window of
+    the key the kernels evaluate per point."""
+    import numpy as np
+
+    from repro.runtime.dense import prewarm_overlap_plans
+
+    app, h = resolve_config(name, sizes, shape, tile)
+    prog = TiledProgram(app.nest, h, mapping_dim=app.mapping_dim)
+    prewarm_overlap_plans(prog)
+    plans = prog.stage("overlap_plans")
+    assert plans
+
+    def leaves(obj):
+        if isinstance(obj, (tuple, list)):
+            for x in obj:
+                yield from leaves(x)
+        elif hasattr(obj, "__dataclass_fields__"):
+            for f in obj.__dataclass_fields__:
+                yield from leaves(getattr(obj, f))
+        else:
+            yield obj
+
+    for key, plan in plans.items():
+        for leaf in leaves((key, plan)):
+            assert not isinstance(leaf, np.ndarray)
+            assert isinstance(leaf, (int, str)), type(leaf)
 
 
 class TestBoundaryFillAndWriteBack:
@@ -413,7 +444,7 @@ class TestBoundaryFillAndWriteBack:
         if not lib.available:
             pytest.skip(f"no native kernels: {lib.fallback_reason}")
         run = DistributedRun(prog, ClusterSpec())
-        data = DenseData(prog, app.init_value, np.float64, lib)
+        data = DenseData(prog, app.init_value, lib)
         rt = data.native_rt
         counts = _count_calls(monkeypatch, (dense, "tile_segments"),
                               (DenseData, "tile_pure"))

@@ -1,7 +1,9 @@
 """Unit tests for the TTIS transformation (paper §2.3)."""
 
+import numpy as np
 import pytest
 
+from repro.apps import resolve_config
 from repro.linalg import RatMat, lattice_points_in_box
 from repro.tiling import TTIS
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
@@ -80,6 +82,24 @@ class TestTraversal:
         assert len(t.lattice_points_np()) == 12
         assert sorted(map(tuple, t.lattice_points_np().tolist())) == \
             sorted(t.lattice_points())
+
+    @pytest.mark.parametrize("app,sizes,shape,tile", [
+        ("sor", (8, 12), "rect", (2, 3, 3)),
+        ("sor", (150, 300), "nonrect", (26, 76, 8)),
+        ("jacobi", (4, 6, 6), "nonrect", (2, 2, 3)),
+        ("jacobi", (100, 200, 200), "nonrect", (5, 20, 20)),
+        ("adi", (200, 256), "nr1", (20, 64, 64)),
+        ("adi", (48, 128), "nr3", (8, 32, 32)),
+    ])
+    def test_lattice_is_lexicographic(self, app, sizes, shape, tile):
+        """Both traversals emit the lattice in lexicographic order (the
+        HNF walk raises ``j'_k`` inside a fixed prefix; unit strides are
+        an ``ij`` meshgrid), so a pack region's payload order is its
+        lattice order: no stage sorts it."""
+        _app, h = resolve_config(app, sizes, shape, tile)
+        lat = TTIS(h).lattice_points_np()
+        assert np.array_equal(np.lexsort(lat.T[::-1]),
+                              np.arange(len(lat)))
 
     def test_points_inside_box(self):
         t = TTIS(jacobi_h())
