@@ -2,7 +2,8 @@
 
 Iteration spaces are convex polyhedra ``{ j : A j <= b }`` over ``Z^n``;
 tile spaces and loop bounds are obtained by Fourier-Motzkin elimination.
-Everything is exact (Fraction arithmetic) — this is compiler
+Everything is exact: the projections in Fraction arithmetic, their
+integer points in one int64 level sweep — this is compiler
 infrastructure, not numerics.
 """
 
@@ -13,6 +14,7 @@ from repro.polyhedra.fourier_motzkin import (
     is_rationally_empty,
     loop_bounds,
     LoopBound,
+    IntegerBound,
 )
 from repro.polyhedra.vertices import (
     enumerate_vertices,
@@ -21,6 +23,8 @@ from repro.polyhedra.vertices import (
 )
 from repro.polyhedra.integer_points import (
     integer_points,
+    integer_point_chunks,
+    sweep,
     count_integer_points,
     contains_integer_point,
 )
@@ -34,10 +38,13 @@ __all__ = [
     "is_rationally_empty",
     "loop_bounds",
     "LoopBound",
+    "IntegerBound",
     "enumerate_vertices",
     "bounding_box",
     "image_bounding_box",
     "integer_points",
+    "integer_point_chunks",
+    "sweep",
     "count_integer_points",
     "contains_integer_point",
 ]

@@ -11,11 +11,18 @@ function of the outer variables — exactly the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.polyhedra.halfspace import Halfspace, Polyhedron
+
+#: An integer bound row ``(coeffs, const, den)``: the affine expression
+#: ``(coeffs . outer + const) / den`` with ``den > 0``.
+IntRow = Tuple[Tuple[int, ...], int, int]
 
 
 def eliminate_variable(p: Polyhedron, k: int) -> Polyhedron:
@@ -134,7 +141,6 @@ class LoopBound:
         def dot(coeffs: Tuple[Fraction, ...]) -> Fraction:
             return sum((c * o for c, o in zip(coeffs, outer)), Fraction(0))
 
-        import math
         lo = max(
             (math.ceil(dot(c) + b) for c, b in self.lowers),
             default=None,
@@ -146,6 +152,64 @@ class LoopBound:
         if lo is None or hi is None:
             raise ValueError("variable is unbounded; cannot emit loop bounds")
         return lo, hi
+
+    def integer_bound(self) -> "IntegerBound":
+        """The same bounds as integer rows: each ``(coeffs, const)`` is
+        scaled by the lcm of its denominators."""
+        def row(coeffs: Tuple[Fraction, ...], const: Fraction) -> IntRow:
+            den = math.lcm(const.denominator,
+                           *(c.denominator for c in coeffs))
+            return (tuple(int(c * den) for c in coeffs), int(const * den),
+                    den)
+
+        return IntegerBound(self.depth,
+                            [row(c, b) for c, b in self.lowers],
+                            [row(c, b) for c, b in self.uppers])
+
+
+class IntegerBound:
+    """One loop level's bounds in int64, for many prefixes at once.
+
+    ``x_k >= max ceil(row)`` over the lower rows and ``x_k <= min
+    floor(row)`` over the upper ones, where a row is ``(coeffs . outer +
+    const) / den`` with ``den > 0`` — :meth:`LoopBound.evaluate` with
+    ``ceil`` and ``floor`` as floor divisions of integers.
+    """
+
+    __slots__ = ("_lo", "_hi", "_weight")
+
+    def __init__(self, depth: int, lowers: Sequence[IntRow],
+                 uppers: Sequence[IntRow]) -> None:
+        if not lowers or not uppers:
+            raise ValueError("variable is unbounded; cannot emit loop bounds")
+        self._lo = self._arrays(depth, lowers)
+        self._hi = self._arrays(depth, uppers)
+        # |coeffs . outer + const| <= max|outer| * sum|coeffs| + |const|
+        rows = (*lowers, *uppers)
+        self._weight = (max(sum(abs(c) for c in r[0]) for r in rows),
+                        max(abs(r[1]) for r in rows))
+
+    @staticmethod
+    def _arrays(depth: int, rows: Sequence[IntRow]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        coeffs = np.array([c for c, _b, _d in rows],
+                          dtype=np.int64).reshape(len(rows), depth)
+        return (coeffs.T.copy(),
+                np.array([b for _c, b, _d in rows], dtype=np.int64),
+                np.array([d for _c, _b, d in rows], dtype=np.int64))
+
+    def range_of(self, outer: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` int64 arrays, one entry per row of the ``(M,
+        depth)`` array ``outer``; ``hi < lo`` where a prefix has no
+        value."""
+        top = int(np.abs(outer).max(initial=0))
+        if top * self._weight[0] + self._weight[1] >= 2 ** 62:
+            raise OverflowError("loop bounds leave the int64 range")
+        num, const, den = self._lo
+        lo = -((-(outer @ num + const)) // den)
+        num, const, den = self._hi
+        hi = (outer @ num + const) // den
+        return lo.max(axis=1), hi.min(axis=1)
 
 
 def loop_bounds(p: Polyhedron) -> List[LoopBound]:

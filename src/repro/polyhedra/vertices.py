@@ -1,10 +1,12 @@
 """Vertex enumeration for bounded polyhedra (exact, small dimension).
 
-Tile-space bounding boxes come from the vertices of the iteration
-polyhedron mapped through ``H``: tiles can only exist between
-``floor(min H v)`` and ``floor(max H v)`` over vertices ``v``.  Loop
-depth is tiny (2-4), so brute-force basis enumeration is exact and fast
-enough for a compiler.
+The one compile-side use is sizing the dense engine's pure-input
+tables: :func:`image_bounding_box` bounds the cells one access touches
+over the iteration polyhedron (``runtime/dense.py``).  The tile space is
+not bounded here — it is swept between its Fourier-Motzkin loop bounds
+(``TilingTransformation.enumerate_tiles``).  Loop depth is tiny (2-4),
+so brute-force basis enumeration is exact and fast enough for a
+compiler.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def image_bounding_box(
 
     Convexity means extrema of each output coordinate are attained at
     vertices of ``p``; no floor/ceil applied so callers choose their own
-    rounding (tile space uses floor on both ends).
+    rounding.
     """
     verts = enumerate_vertices(p)
     if not verts:

@@ -18,8 +18,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.linalg.ratmat import RatMat
-from repro.polyhedra.fourier_motzkin import LoopBound, loop_bounds
+from repro.polyhedra.fourier_motzkin import (
+    LoopBound,
+    loop_bounds,
+    project_onto_prefix,
+)
 from repro.polyhedra.halfspace import Halfspace, Polyhedron
+from repro.polyhedra.integer_points import int_constraints, sweep
 from repro.stages import (
     LazyEntries,
     Stage,
@@ -34,18 +39,12 @@ from repro.tiling.ttis import TTIS
 Tile = Tuple[int, ...]
 
 
-def _int_constraints(p: Polyhedron) -> Tuple[np.ndarray, np.ndarray]:
-    """Scale constraints ``a x <= b`` to integer (A, b) numpy arrays."""
-    rows = []
-    rhs = []
-    for c in p.normalized().constraints:
-        den = 1
-        for x in c.a:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        den = den * c.b.denominator // math.gcd(den, c.b.denominator)
-        rows.append([int(x * den) for x in c.a])
-        rhs.append(int(c.b * den))
-    return np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)
+#: The most booleans one batch of partial-candidate masks spans (``batch
+#: x lattice points``) while the tile space is enumerated.  Kept under
+#: the allocator's 128 KiB mmap threshold: with 1 MiB batches, compiling
+#: the benchmark's three ADI programs in one process left it 4-9 MiB
+#: more resident than one candidate per batch, for the same kept masks.
+MASK_BATCH = 1 << 16
 
 
 class TilingTransformation(StageHolder):
@@ -73,7 +72,8 @@ class TilingTransformation(StageHolder):
         self.n = h.nrows
         self.ttis = TTIS(h)
         self._p_int = np.array(self.p.to_int_rows(), dtype=np.int64)
-        self._amat, self._bvec = _int_constraints(domain)
+        self._amat, self._bvec = int_constraints(domain)
+        self._shift = (self._amat @ self._p_int).T      # j^S -> A P j^S
         self.stages = StageMemo()
 
     # -- basic maps --------------------------------------------------------------
@@ -117,17 +117,31 @@ class TilingTransformation(StageHolder):
         classes: Dict[Tile, str] = self.stage("classes")
         cls = classes.get(key)
         if cls is None:
-            _vals, lo, hi = self.stage("tis_constraints")
-            base = self._amat @ (self._p_int @ np.asarray(key,
-                                                          dtype=np.int64))
-            if np.all(base + hi <= self._bvec):
-                cls = "full"
-            elif np.any(base + lo > self._bvec):
-                cls = "empty"
-            else:
-                cls = "partial"
-            classes[key] = cls
+            full, partial = self._verdicts(np.array([key], dtype=np.int64))
+            cls = classes[key] = ("full" if full[0] else
+                                  "partial" if partial[0] else "empty")
         return cls
+
+    def _verdicts(self, tiles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """For each row of the ``(M, n)`` tile array: is the tile full,
+        and is it partial?  ``A P j^S`` against the TIS constraint
+        extremes: full when every constraint holds at its maximum, empty
+        when one fails at its minimum, partial otherwise."""
+        _vals, lo, hi = self.stage("tis_constraints")
+        base = tiles @ self._shift
+        full = np.all(base + hi <= self._bvec, axis=1)
+        return full, ~full & np.all(base + lo <= self._bvec, axis=1)
+
+    def _masks(self, tiles: np.ndarray) -> np.ndarray:
+        """``(M, S)`` booleans: row ``i`` is :meth:`tile_mask` of tile
+        ``tiles[i]``, the TIS values against the translated right-hand
+        side ``b - A P j^S``."""
+        vals = self.stage("tis_constraints")[0]
+        rhs = self._bvec - tiles @ self._shift
+        inside = np.ones((len(tiles), vals.shape[1]), dtype=bool)
+        for row, bound in zip(vals, rhs.T):
+            inside &= row <= bound[:, None]
+        return inside
 
     def tile_mask(self, j_s: Sequence[int]) -> np.ndarray:
         """Boolean mask over ``ttis.lattice_points_np()`` rows marking the
@@ -146,11 +160,8 @@ class TilingTransformation(StageHolder):
         try:
             mask = masks[key]
         except KeyError:
-            shift = self._amat @ (
-                self._p_int @ np.asarray(key, dtype=np.int64))
-            rhs = (self._bvec - shift)[:, None]
-            mask = masks[key] = np.all(
-                self.stage("tis_constraints")[0] <= rhs, axis=0)
+            mask = masks[key] = self._masks(
+                np.array([key], dtype=np.int64))[0]
         return mask
 
     def tile_points_np(self, j_s: Sequence[int]) -> np.ndarray:
@@ -181,14 +192,6 @@ class TilingTransformation(StageHolder):
             self.ttis.tile_volume if cls == "full" else 0 if cls == "empty"
             else int(self.tile_mask(key).sum()))
         return count
-
-    def tile_is_nonempty(self, j_s: Sequence[int]) -> bool:
-        cls = self.classify_tile(j_s)
-        if cls == "full":
-            return True
-        if cls == "empty":
-            return False
-        return bool(self.tile_mask(j_s).any())
 
     def tile_is_full(self, j_s: Sequence[int]) -> bool:
         """True when no domain boundary cuts through tile ``j^S``."""
@@ -225,7 +228,6 @@ class TilingTransformation(StageHolder):
 
     def tile_space_bounds(self) -> List[LoopBound]:
         """Loop bounds ``l^S_k .. u^S_k`` for the ``n`` tile loops."""
-        from repro.polyhedra.fourier_motzkin import project_onto_prefix
         joint = self.joint_polyhedron()
         proj = project_onto_prefix(joint, self.n)
         return loop_bounds(proj)
@@ -240,21 +242,42 @@ class TilingTransformation(StageHolder):
         """Fourier-Motzkin bounds give a superset of candidates (the
         rational shadow); each candidate is validated by an exact
         emptiness check, which is the paper's boundary correction.
+
+        Exactness: the candidates are the integer points of the tile
+        space's loop bounds, each level's ``max(ceil) .. min(floor)``
+        evaluated as integer floor divisions of the scaled bound rows
+        (:meth:`LoopBound.integer_bound`) — the same set, in the same
+        lexicographic order, that :meth:`LoopBound.evaluate` walks.
+        Every candidate is then filtered by :meth:`_verdicts`, the test
+        :meth:`classify_tile` runs, and a partial one by :meth:`_masks`,
+        the one :meth:`tile_mask` runs, both in int64 where every value
+        is an exact integer.  The verdicts of the kept tiles are
+        recorded in the ``classes`` and ``masks`` stages (each mask its
+        own array); a rejected candidate leaves nothing behind.
         """
-        bounds = self.tile_space_bounds()
-        n = self.n
-        tiles: List[Tuple[int, ...]] = []
-
-        def rec(k: int, prefix: Tuple[int, ...]) -> None:
-            if k == n:
-                if self.tile_is_nonempty(prefix):
-                    tiles.append(prefix)
-                return
-            lo, hi = bounds[k].evaluate(prefix)
-            for v in range(lo, hi + 1):
-                rec(k + 1, prefix + (v,))
-
-        rec(0, ())
+        vals = self.stage("tis_constraints")[0]
+        batch = max(1, MASK_BATCH // max(1, vals.shape[1]))
+        levels = [b.integer_bound() for b in self.tile_space_bounds()]
+        tiles: List[Tile] = []
+        full_flags: List[bool] = []
+        masks: Dict[Tile, np.ndarray] = {}
+        for cand in sweep(levels):
+            full, partial = self._verdicts(cand)
+            keep = full.copy()
+            partial = np.flatnonzero(partial)
+            for at in range(0, len(partial), batch):
+                rows = partial[at:at + batch]
+                inside = self._masks(cand[rows])
+                hit = inside.any(axis=1)
+                keep[rows[hit]] = True
+                for i in np.flatnonzero(hit).tolist():
+                    masks[tuple(cand[rows[i]].tolist())] = inside[i].copy()
+            tiles += map(tuple, cand[keep].tolist())
+            full_flags += full[keep].tolist()
+        self.stage("classes").update(
+            (t, "full" if f else "partial")
+            for t, f in zip(tiles, full_flags))
+        self.stage("masks").update(masks)
         return tiles
 
     # -- tile dependencies ------------------------------------------------------------

@@ -24,6 +24,8 @@ import numpy as np
 
 from repro.linalg.hermite import column_hnf
 from repro.linalg.ratmat import RatMat, diag
+from repro.polyhedra.fourier_motzkin import IntegerBound
+from repro.polyhedra.integer_points import sweep
 
 
 class TTIS:
@@ -104,24 +106,26 @@ class TTIS:
         yield from rec(0, (), ())
 
     def lattice_points_np(self) -> np.ndarray:
-        """All TTIS lattice points as an ``(S, n)`` int64 array (cached).
+        """All TTIS lattice points as an ``(S, n)`` int64 array (cached),
+        in the order of :meth:`lattice_points`.
 
-        Fast path: when every stride is 1 (``H'`` unimodular — true for
-        most of the paper's tilings) the lattice is the whole integer
-        box, built directly with numpy instead of the generic walker.
+        The walk's coefficients ``x`` are the integer points of ``0 <=
+        H̃' x <= v - 1`` (``H̃'`` lower triangular, diagonal ``c``), so
+        level ``k`` runs from ``ceil(-phase / c_k)`` to ``floor((v_k - 1
+        - phase) / c_k)`` with ``phase = sum_{l<k} a_kl x_l``: one
+        integer level sweep yields them all, and ``j' = H̃' x``.
         """
         cached = self._lattice_np
         if cached is None:
-            if all(ck == 1 for ck in self.c):
-                grids = np.meshgrid(
-                    *[np.arange(vk, dtype=np.int64) for vk in self.v],
-                    indexing="ij",
-                )
-                cached = np.stack([g.ravel() for g in grids], axis=1)
-            else:
-                pts = list(self.lattice_points())
-                cached = np.array(pts, dtype=np.int64).reshape(
-                    len(pts), self.n)
+            hnf = self.hnf.to_int_rows()
+            levels = []
+            for k in range(self.n):
+                phase = tuple(-a for a in hnf[k][:k])
+                levels.append(IntegerBound(k, [(phase, 0, self.c[k])],
+                                           [(phase, self.v[k] - 1,
+                                             self.c[k])]))
+            coeffs = np.concatenate(list(sweep(levels)))
+            cached = coeffs @ np.array(hnf, dtype=np.int64).T
             self._lattice_np = cached
         return cached
 

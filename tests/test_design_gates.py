@@ -224,6 +224,16 @@ GATES = [
          r"|fix_out_of_domain|smith_normal_form", ("src", "bench"),
          mutation=("src/repro/runtime/executor.py",
                    "class _SparseLDS:\n")),
+    Gate("one integer-point walk",
+         "the tile space, the TTIS lattice and integer_points are one "
+         "int64 level sweep over integer bound rows (polyhedra/"
+         "integer_points.sweep); LoopBound.evaluate is the scalar "
+         "definition the tests walk, and a per-prefix Fraction walk "
+         "beside the sweep is a second enumerator to keep in step",
+         r"(?<!kexpr)\.evaluate\(", ("src",),
+         allow=("src/repro/polyhedra/fourier_motzkin.py",),
+         mutation=("src/repro/tiling/transform.py",
+                   "            lo, hi = bounds[k].evaluate(prefix)\n")),
 ]
 
 

@@ -56,6 +56,41 @@ class TestCompileTime:
             assert 0 < counts["eliminate_variable"] <= 6
         assert tiles[4] > 1.9 * tiles[8]    # twice the tiles, same algebra
 
+    def test_tile_space_is_one_integer_sweep(self, monkeypatch):
+        """Building ``tiles`` evaluates no scalar loop bound and asks no
+        per-tile class or mask: the candidates come from one int64 level
+        sweep and are filtered in batches, so the ``Fraction`` work is
+        the projection's alone — the same at twice the tiles."""
+        from fractions import Fraction
+
+        from repro.polyhedra.fourier_motzkin import LoopBound
+        from repro.tiling.transform import TilingTransformation
+
+        x, y = sor_factors(100, 200)
+        domain = sor.app(100, 200).nest.domain
+        counts = _count_calls(
+            monkeypatch, (LoopBound, "evaluate"),
+            (TilingTransformation, "classify_tile"),
+            (TilingTransformation, "tile_mask"))
+        fractions = {}
+        tiles = {}
+        for z in (4, 8):
+            tiling = TilingTransformation(sor.h_nonrectangular(x, y, z),
+                                          domain)
+            made = Counter()
+            inner = Fraction.__new__
+
+            def counted(cls, *args, **kwargs):
+                made["new"] += 1
+                return inner(cls, *args, **kwargs)
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+            tiles[z] = len(tiling.stage("tiles"))
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(inner))
+            fractions[z] = made["new"]
+        assert counts == {}
+        assert tiles[4] > 1.9 * tiles[8]
+        assert 0 < fractions[4] == fractions[8]
+
     def test_simulation_issues_one_request_per_planned_event(
             self, monkeypatch):
         from repro.runtime import rankstep, vmpi
